@@ -6,6 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .mpc import VARIANTS
 from .simulator import load_scenario, metrics, run, with_variant
 
 EXIT_OK = 0
@@ -101,7 +102,7 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
-    for variant in ("full", "no_customization"):
+    for variant in VARIANTS:
         log = run(with_variant(scenario, variant))
         log.to_csv(out_dir / f"{scenario.name}.{variant}.log.csv")
         results[variant] = metrics(log, scenario.path)
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario")
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--plots", action="store_true")
-    p_run.add_argument("--variant", choices=("full", "no_customization"))
+    p_run.add_argument("--variant", choices=VARIANTS)
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run both controller variants")
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default=".")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_val = sub.add_parser("validate", help="parse a scenario file only")
+    p_val = sub.add_parser("validate", help="check a scenario file without running it")
     p_val.add_argument("scenario")
     p_val.set_defaults(func=cmd_validate)
     return parser

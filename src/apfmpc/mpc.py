@@ -6,6 +6,12 @@ potential-field quadratics at the predicted closest-point anchors, condense
 the delta-input dynamics into prediction matrices, and solve a dense QP in
 the stacked control increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
+
+The QP is assembled once per tick. The condensed matrix is block-Toeplitz,
+so each distinct block C·Āᵏ·B̄ is computed once and written down its block
+diagonal. When the solver certifies infeasibility, only the bounds of the
+wheel-speed-difference rows are widened (the band doubles) before solving
+again; a variant without those rows reports infeasible at once.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, QpProblem, QpSolution, QpSolver
 
 _STEER_EPS = 1e-6
+
+# controller variants; "no_customization" freezes the field anchors at the
+# current poses and drops the wheel-speed-difference rows
+VARIANTS = ("full", "no_customization")
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,34 @@ class MpcSolution:
     fallback_doublings: int
 
 
+def path_segments(path: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Points, segment vectors, segment lengths and vertex arc lengths of a
+    polyline with at least two points and no zero-length segment."""
+    pts = np.asarray(path, dtype=float)
+    if pts.ndim != 2 or len(pts) < 2:
+        raise ValueError("path must contain at least two points")
+    seg = np.diff(pts, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    if np.any(seg_len <= 0.0):
+        raise ValueError("path segments must have positive length")
+    return pts, seg, seg_len, np.concatenate([[0.0], np.cumsum(seg_len)])
+
+
+def project_onto_path(points: np.ndarray,
+                      path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each point to the polyline, and the arc length of its
+    closest point. Ties go to the earliest segment."""
+    pts, seg, seg_len, cum = path_segments(path)
+    p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
+    dot = ((p - pts[:-1])[..., None, :] @ seg[:, :, None])[..., 0, 0]
+    t = np.clip(dot / seg_len ** 2, 0.0, 1.0)
+    off = p - (pts[:-1] + t[..., None] * seg)
+    dist = np.hypot(off[..., 0], off[..., 1])
+    best = np.argmin(dist, axis=1)
+    rows = np.arange(len(best))
+    return dist[rows, best], cum[best] + t[rows, best] * seg_len[best]
+
+
 def build_reference(path: np.ndarray, state: RobotState, ref_speed: float,
                     cfg: MpcConfig) -> ReferenceHorizon:
     """Project onto the path, then advance ref_speed*dt per step along it.
@@ -82,26 +120,9 @@ def build_reference(path: np.ndarray, state: RobotState, ref_speed: float,
     speed. Reference headings follow the segment directions, unwrapped
     against the robot's current heading.
     """
-    pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or len(pts) < 2:
-        raise ValueError("path must contain at least two points")
-    seg = np.diff(pts, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    if np.any(seg_len <= 0.0):
-        raise ValueError("path segments must have positive length")
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    pts, seg, seg_len, cum = path_segments(path)
     headings = np.arctan2(seg[:, 1], seg[:, 0])
-
-    # arc-length of the closest point on the polyline
-    p = np.array([state.x, state.y])
-    best_d, s0 = math.inf, 0.0
-    for i in range(len(seg)):
-        t = float(np.dot(p - pts[i], seg[i]) / seg_len[i] ** 2)
-        t = min(max(t, 0.0), 1.0)
-        q = pts[i] + t * seg[i]
-        d = float(np.hypot(*(p - q)))
-        if d < best_d:
-            best_d, s0 = d, cum[i] + t * seg_len[i]
+    s0 = project_onto_path([state.x, state.y], pts)[1][0]
 
     total = cum[-1]
     targets = np.zeros((cfg.n_pred, 5))
@@ -150,6 +171,7 @@ class _Assembled:
     ref_stack: np.ndarray
     quad_terms: list      # (step index, QuadraticApproximation)
     const: float
+    slip_offset: float | None  # g of the slip rows; None without them
 
 
 class MpcController:
@@ -158,7 +180,7 @@ class MpcController:
     def __init__(self, cfg: MpcConfig, geom: RobotGeometry,
                  initial_input: ControlInput | None = None,
                  variant: str = "full"):
-        if variant not in ("full", "no_customization"):
+        if variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {variant!r}")
         self.cfg = cfg
         self.geom = geom
@@ -189,21 +211,17 @@ class MpcController:
         return robot_poses, obs_tracks
 
     def assemble(self, state: RobotState, prev_input: ControlInput,
-                 ref: ReferenceHorizon, obstacles: list[Obstacle],
-                 slip_band: float | None = None,
-                 include_slip: bool | None = None) -> _Assembled:
+                 ref: ReferenceHorizon, obstacles: list[Obstacle]) -> _Assembled:
         cfg = self.cfg
         n_p, n_c, nu, ns = cfg.n_pred, cfg.n_ctrl, N_INPUT, N_STATE
         nz = n_c * nu
-        band = cfg.slip_band if slip_band is None else slip_band
-        if include_slip is None:
-            include_slip = self.variant == "full"
 
         lin = linearize(state, prev_input, self.geom, cfg.dt)
         aug = augment(lin)
         x0 = np.concatenate([state.as_array(), prev_input.as_array()])
 
-        # condensed prediction: eta = su z + base
+        # condensed prediction: eta = su z + base, with su block-Toeplitz:
+        # block (i, j) is C A^(i-j) B for j <= i
         na = ns + nu
         powers = [np.eye(na)]
         for _ in range(n_p):
@@ -214,9 +232,10 @@ class MpcController:
         for i in range(n_p):
             dsum = aug.a_bar @ dsum + aug.d_bar
             base[i * ns:(i + 1) * ns] = aug.c_bar @ (powers[i + 1] @ x0 + dsum)
-            for j in range(min(i + 1, n_c)):
-                su[i * ns:(i + 1) * ns, j * nu:(j + 1) * nu] = \
-                    aug.c_bar @ powers[i - j] @ aug.b_bar
+        for k in range(n_p):
+            block = aug.c_bar @ powers[k] @ aug.b_bar
+            for j in range(min(n_c, n_p - k)):
+                su[(j + k) * ns:(j + k + 1) * ns, j * nu:(j + 1) * nu] = block
 
         # tracking + effort costs (1/2 z'Hz + f'z convention)
         q_diag = np.tile(cfg.q_weights, n_p)
@@ -255,26 +274,19 @@ class MpcController:
                           + 0.5 * e_i @ quad.hessian_psd @ e_i)
         h_mat = 0.5 * (h_mat + h_mat.T)
 
-        # constraints
-        a_rows, lo_rows, hi_rows = [], [], []
+        # constraints: cumulative inputs, then the slip rows, then outputs
+        cumulative = np.tril(np.ones((n_c, n_c)))
         u0 = prev_input.as_array()
-        cum = np.zeros((nu, nz))
         u_max = np.array(cfg.u_max)
-        for j in range(n_c):
-            cum = cum.copy()
-            cum[:, j * nu:(j + 1) * nu] = np.eye(nu)
-            a_rows.append(cum)
-            lo_rows.append(-u_max - u0)
-            hi_rows.append(u_max - u0)
-        if include_slip:
+        a_rows = [np.kron(cumulative, np.eye(nu))]
+        lo_rows = [np.tile(-u_max - u0, n_c)]
+        hi_rows = [np.tile(u_max - u0, n_c)]
+        g = None
+        if self.variant == "full":
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            cum_e = np.zeros(nz)
-            for j in range(n_c):
-                cum_e = cum_e.copy()
-                cum_e[j * nu:(j + 1) * nu] = e_row
-                a_rows.append(cum_e.reshape(1, -1))
-                lo_rows.append(np.array([-band - g]))
-                hi_rows.append(np.array([band - g]))
+            a_rows.append(np.kron(cumulative, e_row))
+            lo_rows.append(np.full(n_c, -cfg.slip_band - g))
+            hi_rows.append(np.full(n_c, cfg.slip_band - g))
         eta_min, eta_max = np.array(cfg.eta_min), np.array(cfg.eta_max)
         for dim in range(ns):
             if math.isinf(eta_min[dim]) and math.isinf(eta_max[dim]):
@@ -284,12 +296,10 @@ class MpcController:
             lo_rows.append(np.full(n_p, eta_min[dim]) - base[idx])
             hi_rows.append(np.full(n_p, eta_max[dim]) - base[idx])
 
-        a_mat = np.vstack(a_rows) if a_rows else np.zeros((0, nz))
-        lower = np.concatenate(lo_rows) if lo_rows else np.zeros(0)
-        upper = np.concatenate(hi_rows) if hi_rows else np.zeros(0)
         du_max = np.tile(cfg.du_max, n_c)
-        qp = QpProblem(h_mat, f_vec, a_mat, lower, upper, -du_max, du_max)
-        return _Assembled(qp, su, base, ref_stack, quad_terms, const)
+        qp = QpProblem(h_mat, f_vec, np.vstack(a_rows), np.concatenate(lo_rows),
+                       np.concatenate(hi_rows), -du_max, du_max)
+        return _Assembled(qp, su, base, ref_stack, quad_terms, const, g)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -297,22 +307,23 @@ class MpcController:
              obstacles: list[Obstacle]) -> MpcSolution:
         cfg = self.cfg
         nu = N_INPUT
+        asm = self.assemble(state, self.prev_input, ref, obstacles)
+        sol = self.solver.solve(asm.qp, warm_start=self._warm)
         band = cfg.slip_band
         doublings = 0
-        include_slip = self.variant == "full"
-        while True:
-            asm = self.assemble(state, self.prev_input, ref, obstacles,
-                                slip_band=band, include_slip=include_slip)
-            sol = self.solver.solve(asm.qp, warm_start=self._warm)
-            if sol.status != INFEASIBLE:
-                break
-            if doublings >= cfg.max_band_doublings:
-                sol = QpSolution(np.zeros(cfg.n_ctrl * nu), INFEASIBLE,
-                                 sol.primal_residual, sol.dual_residual,
-                                 sol.iterations)
-                break
+        slip_rows = slice(cfg.n_ctrl * nu, cfg.n_ctrl * (nu + 1))
+        while (sol.status == INFEASIBLE and asm.slip_offset is not None
+               and doublings < cfg.max_band_doublings):
+            # widen the slip band: only these rows' bounds change
             band *= 2.0
             doublings += 1
+            asm.qp.lower[slip_rows] = -band - asm.slip_offset
+            asm.qp.upper[slip_rows] = band - asm.slip_offset
+            sol = self.solver.solve(asm.qp, warm_start=self._warm)
+        if sol.status == INFEASIBLE:
+            sol = QpSolution(np.zeros(cfg.n_ctrl * nu), INFEASIBLE,
+                             sol.primal_residual, sol.dual_residual,
+                             sol.iterations)
 
         z = sol.z
         if (sol.status == "max_iterations"

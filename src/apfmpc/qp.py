@@ -10,7 +10,7 @@ is used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class QpSolver:
     sigma: float = 1e-6
     ridge: float = 1e-8
     check_every: int = 10
-    _last_z: np.ndarray | None = field(default=None, repr=False)
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
         n = len(problem.f_vec)

@@ -17,7 +17,8 @@ import yaml
 
 from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
-from .mpc import MpcConfig, MpcController, build_reference
+from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference,
+                  path_segments, project_onto_path)
 from .prediction import Obstacle, advance_obstacle
 
 CSV_HEADER = ("t,x,y,theta,v_f,v_r,a_f,a_r,delta_f,delta_r,"
@@ -45,8 +46,9 @@ class Scenario:
     def __post_init__(self):
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
-        if len(np.asarray(self.path)) < 2:
-            raise ValueError("path must contain at least two points")
+        path_segments(self.path)  # raises on a path that build_reference rejects
+        if self.controller_variant not in VARIANTS:
+            raise ValueError(f"unknown controller variant: {self.controller_variant!r}")
 
 
 @dataclass(frozen=True)
@@ -141,25 +143,6 @@ def with_variant(scenario: Scenario, variant: str) -> Scenario:
                     controller_variant=variant)
 
 
-def ablation_variant(scenario: Scenario) -> Scenario:
-    """Same scenario with prediction and the wheel-speed-difference
-    constraint disabled in the controller."""
-    return with_variant(scenario, "no_customization")
-
-
-def _path_lateral_error(x: float, y: float, path: np.ndarray) -> float:
-    pts = np.asarray(path, float)
-    seg = np.diff(pts, axis=0)
-    best = math.inf
-    p = np.array([x, y])
-    for i in range(len(seg)):
-        denom = float(seg[i] @ seg[i])
-        t = min(max(float((p - pts[i]) @ seg[i]) / denom, 0.0), 1.0)
-        q = pts[i] + t * seg[i]
-        best = min(best, float(np.hypot(*(p - q))))
-    return best
-
-
 def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
     """Scalar summary of a run."""
     if not log.records:
@@ -176,8 +159,8 @@ def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
         "completion": log.outcome,
     }
     if path is not None:
-        errs = [_path_lateral_error(r.state.x, r.state.y, path)
-                for r in log.records]
+        errs, _ = project_onto_path([(r.state.x, r.state.y) for r in log.records],
+                                    path)
         out["rms_tracking_error"] = float(np.sqrt(np.mean(np.square(errs))))
     return out
 

@@ -180,13 +180,13 @@ def test_criterion_8_ablation(ablation_runs):
 
 def test_criterion_9_determinism(tmp_path, straight_run, orthogonal_run,
                                  ablation_runs):
-    from apfmpc.simulator import ablation_variant
+    from apfmpc.simulator import with_variant
     repeats = [
         ("straight", straight_run[1], run(straight_run[0])),
         ("orthogonal", orthogonal_run[1], run(orthogonal_run[0])),
         ("ablation_full", ablation_runs[1], run(ablation_runs[0])),
         ("ablation_bare", ablation_runs[2],
-         run(ablation_variant(ablation_runs[0]))),
+         run(with_variant(ablation_runs[0], "no_customization"))),
     ]
     for name, first, second in repeats:
         p1, p2 = tmp_path / f"{name}_1.csv", tmp_path / f"{name}_2.csv"

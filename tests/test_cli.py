@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import yaml
 
 from apfmpc.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 from apfmpc.geometry import OrientedRectangle, Pose2D
@@ -20,6 +21,15 @@ def scenario_file(tmp_path):
                    duration=2.0)
     path = tmp_path / "clitest.yaml"
     save_scenario(scn, path)
+    return path
+
+
+def edited_file(scenario_file, tmp_path, **changes):
+    """Copy of the scenario file with top-level keys replaced."""
+    data = yaml.safe_load(scenario_file.read_text())
+    data.update(changes)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(data))
     return path
 
 
@@ -83,6 +93,16 @@ class TestValidate:
     def test_valid_file(self, scenario_file, capsys):
         assert main(["validate", str(scenario_file)]) == EXIT_OK
         assert str(scenario_file) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("changes", [
+        {"controller_variant": "fancy"},
+        {"path": [[0.0, 0.0], [0.0, 0.0], [20.0, 0.0]]},
+    ], ids=["unknown_variant", "zero_length_segment"])
+    def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
+        bad = edited_file(scenario_file, tmp_path, **changes)
+        assert main(["validate", str(bad)]) == EXIT_CONFIG
+        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

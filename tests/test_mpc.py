@@ -7,8 +7,9 @@ from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import ControlInput, RobotState
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (MpcConfig, MpcController, ReferenceHorizon,
-                        build_reference, slip_constraint_rows)
+                        build_reference, project_onto_path, slip_constraint_rows)
 from apfmpc.prediction import Obstacle
+from apfmpc.qp import INFEASIBLE, QpSolver
 
 REF_SPEED = 1.389
 STRAIGHT = np.array([[0.0, 0.0], [40.0, 0.0]])
@@ -20,6 +21,58 @@ def controller(cfg, geom, **kw):
 
 def obstacle_at(x, y, heading=0.0, hl=0.75, hw=0.4):
     return Obstacle(OrientedRectangle(Pose2D(x, y, heading), hl, hw))
+
+
+def loop_projection(point, path):
+    """Reference oracle: closest point on the polyline, one segment at a
+    time; strict comparison keeps the earliest segment on ties."""
+    pts = np.asarray(path, dtype=float)
+    seg = np.diff(pts, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    p = np.asarray(point, dtype=float)
+    best_d, s0 = math.inf, 0.0
+    for i in range(len(seg)):
+        t = float(np.dot(p - pts[i], seg[i]) / seg_len[i] ** 2)
+        t = min(max(t, 0.0), 1.0)
+        q = pts[i] + t * seg[i]
+        d = float(np.hypot(*(p - q)))
+        if d < best_d:
+            best_d, s0 = d, cum[i] + t * seg_len[i]
+    return best_d, s0
+
+
+def loop_condensation(state, prev_input, geom, cfg):
+    """Reference oracle: condensed (su, base) with every block of su
+    computed where it lands."""
+    ns, nu = 5, 4
+    aug = augment(linearize(state, prev_input, geom, cfg.dt))
+    x0 = np.concatenate([state.as_array(), prev_input.as_array()])
+    powers = [np.eye(ns + nu)]
+    for _ in range(cfg.n_pred):
+        powers.append(aug.a_bar @ powers[-1])
+    su = np.zeros((cfg.n_pred * ns, cfg.n_ctrl * nu))
+    base = np.zeros(cfg.n_pred * ns)
+    dsum = np.zeros(ns + nu)
+    for i in range(cfg.n_pred):
+        dsum = aug.a_bar @ dsum + aug.d_bar
+        base[i * ns:(i + 1) * ns] = aug.c_bar @ (powers[i + 1] @ x0 + dsum)
+        for j in range(min(i + 1, cfg.n_ctrl)):
+            su[i * ns:(i + 1) * ns, j * nu:(j + 1) * nu] = \
+                aug.c_bar @ powers[i - j] @ aug.b_bar
+    return su, base
+
+
+class RecordingSolver(QpSolver):
+    """QpSolver that keeps a copy of the constraint bounds of every solve."""
+
+    def __init__(self):
+        super().__init__()
+        self.bounds = []
+
+    def solve(self, problem, warm_start=None):
+        self.bounds.append((problem.lower.copy(), problem.upper.copy()))
+        return super().solve(problem, warm_start)
 
 
 class TestBuildReference:
@@ -68,6 +121,31 @@ class TestBuildReference:
         t[:, 2] = [0.0, 3.2, 0.0]
         with pytest.raises(ValueError):
             ReferenceHorizon(t)
+
+
+class TestProjectOntoPath:
+    def test_matches_loop_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            path = np.cumsum(rng.uniform(-3.0, 3.0, size=(rng.integers(2, 12), 2)),
+                             axis=0)
+            points = rng.uniform(-15.0, 15.0, size=(25, 2))
+            dist, arc = project_onto_path(points, path)
+            expected = np.array([loop_projection(p, path) for p in points])
+            assert np.array_equal(dist, expected[:, 0])
+            assert np.array_equal(arc, expected[:, 1])
+
+    def test_tie_goes_to_earliest_segment(self):
+        # inside the corner, 2 m from both legs
+        path = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0]])
+        dist, arc = project_onto_path([[2.0, 2.0]], path)
+        assert np.array_equal(dist, [2.0])
+        assert np.array_equal(arc, [2.0])
+
+    def test_rejects_zero_length_segment(self):
+        with pytest.raises(ValueError):
+            project_onto_path([[0.0, 0.0]], np.array([[0.0, 0.0], [0.0, 0.0],
+                                                      [1.0, 0.0]]))
 
 
 class TestSlipRows:
@@ -120,6 +198,17 @@ class TestAssemble:
         n_full = full.assemble(s, full.prev_input, ref, []).qp.a_mat.shape[0]
         n_bare = bare.assemble(s, bare.prev_input, ref, []).qp.a_mat.shape[0]
         assert n_full - n_bare == cfg.n_ctrl
+
+    def test_condensation_matches_loop_oracle(self, cfg, geom):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            s = RobotState(*rng.uniform(-2.0, 2.0, size=3), *rng.uniform(0.2, 1.4, size=2))
+            u0 = ControlInput(*rng.uniform(-0.5, 0.5, size=2), *rng.uniform(-0.8, 0.8, size=2))
+            c = controller(cfg, geom, initial_input=u0)
+            asm = c.assemble(s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+            su, base = loop_condensation(s, u0, geom, cfg)
+            assert np.array_equal(asm.su, su)
+            assert np.array_equal(asm.base, base)
 
     def test_condensed_matches_stepwise_rollout(self, cfg, geom, rng):
         c = controller(cfg, geom)
@@ -207,6 +296,21 @@ class TestStep:
         assert np.array_equal(free.applied_input.as_array(),
                               far.applied_input.as_array())
 
+    def test_assembles_once_per_tick(self, cfg, geom, monkeypatch):
+        c = controller(cfg, geom)
+        calls = []
+        assemble = c.assemble
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(c, "assemble", counted)
+        s = RobotState(0, 0, 0, 1.1, 0.4)
+        sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert sol.fallback_doublings >= 1
+        assert len(calls) == 1
+
     def test_rejects_unknown_variant(self, cfg, geom):
         with pytest.raises(ValueError):
             MpcController(cfg, geom, variant="fancy")
@@ -218,3 +322,46 @@ class TestStep:
             MpcConfig(n_ctrl=30, n_pred=20)
         with pytest.raises(ValueError):
             MpcConfig(slip_band=0.0)
+
+
+class TestFallbacks:
+    def test_widening_rewrites_only_slip_bounds(self, cfg, geom):
+        s = RobotState(0, 0, 0, 1.1, 0.4)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        k = sol.fallback_doublings
+        assert k >= 1
+        assert sol.solver_status != INFEASIBLE
+        assert len(c.solver.bounds) == k + 1
+        _, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
+        rows = slice(cfg.n_ctrl * 4, cfg.n_ctrl * 5)
+        (lo0, hi0), (lo, hi) = c.solver.bounds[0], c.solver.bounds[-1]
+        band = cfg.slip_band * 2 ** k
+        assert np.array_equal(lo[rows], np.full(cfg.n_ctrl, -band - g))
+        assert np.array_equal(hi[rows], np.full(cfg.n_ctrl, band - g))
+        keep = np.ones(len(lo), bool)
+        keep[rows] = False
+        assert np.array_equal(lo[keep], lo0[keep])
+        assert np.array_equal(hi[keep], hi0[keep])
+
+    def test_infeasible_after_last_doubling(self, cfg, geom):
+        # both wheels far above the 1.4 m/s output bound: no band helps
+        s = RobotState(0, 0, 0, 3.0, 3.0)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert sol.solver_status == INFEASIBLE
+        assert sol.fallback_doublings == cfg.max_band_doublings == 4
+        assert len(c.solver.bounds) == 5
+        assert np.all(sol.delta_sequence == 0.0)
+
+    def test_variant_without_slip_rows_stops_after_one_solve(self, cfg, geom):
+        s = RobotState(0, 0, 0, 3.0, 3.0)
+        c = controller(cfg, geom, variant="no_customization")
+        c.solver = RecordingSolver()
+        sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert sol.solver_status == INFEASIBLE
+        assert sol.fallback_doublings == 0
+        assert len(c.solver.bounds) == 1
+        assert np.all(sol.delta_sequence == 0.0)

@@ -169,3 +169,8 @@ class TestScenarioIO:
         with pytest.raises(ValueError):
             Scenario("x", [], np.array([[0.0, 0.0]]), 1.0, [],
                      RobotState(0, 0, 0, 0.5, 0.5), 1.0)
+        with pytest.raises(ValueError):
+            Scenario("x", [], np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+                     1.0, [], RobotState(0, 0, 0, 0.5, 0.5), 1.0)
+        with pytest.raises(ValueError):
+            tiny_scenario(variant="fancy")
