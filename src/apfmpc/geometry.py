@@ -1,8 +1,11 @@
 """Oriented rectangle footprints and minimum-distance queries between them.
 
-Rectangles are convex, so the closest pair between two of them is found by
-exhaustive vertex-to-edge checks over the 4x4 edge sets; no broad-phase or
-general polygon machinery is needed.
+Rectangles are convex, so one pass answers a closest-pair query: each
+rectangle's corners are computed once, a separating-axis test on them
+decides overlap, and for disjoint rectangles the minimum of the 32
+vertex-to-edge checks is the distance. A parallel edge pair that overlaps
+at that distance puts the witness at the midpoint of its overlap. No
+broad-phase or general polygon machinery is needed.
 """
 
 from __future__ import annotations
@@ -62,99 +65,94 @@ def _project_extent(pts, ax, ay):
     return min(vals), max(vals)
 
 
-def rectangles_intersect(a: OrientedRectangle, b: OrientedRectangle) -> bool:
-    """Separating-axis test; touching counts as intersecting."""
-    pa, pb = corners(a), corners(b)
-    for heading in (a.center.heading, b.center.heading):
-        c, s = math.cos(heading), math.sin(heading)
-        for ax, ay in ((c, s), (-s, c)):
-            lo_a, hi_a = _project_extent(pa, ax, ay)
-            lo_b, hi_b = _project_extent(pb, ax, ay)
+def _corners_overlap(pa, pb) -> bool:
+    """Separating-axis test on two corner lists; the axes are two adjacent
+    edge vectors of each rectangle, so no trigonometry is needed. Touching
+    counts as overlapping."""
+    for pts in (pa, pb):
+        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
+            lo_a, hi_a = _project_extent(pa, x2 - x1, y2 - y1)
+            lo_b, hi_b = _project_extent(pb, x2 - x1, y2 - y1)
             if hi_a < lo_b or hi_b < lo_a:
                 return False
     return True
 
 
-def _point_segment_closest(px, py, ax, ay, bx, by):
+def rectangles_intersect(a: OrientedRectangle, b: OrientedRectangle) -> bool:
+    """Separating-axis test; touching counts as intersecting."""
+    return _corners_overlap(corners(a), corners(b))
+
+
+def _point_segment_closest(p, a, b):
     """Closest point on segment AB to P; returns (distance, point)."""
-    dx, dy = bx - ax, by - ay
+    dx, dy = b[0] - a[0], b[1] - a[1]
     denom = dx * dx + dy * dy
     if denom == 0.0:
         t = 0.0
     else:
-        t = ((px - ax) * dx + (py - ay) * dy) / denom
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / denom
         t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = ax + t * dx, ay + t * dy
-    return math.hypot(px - qx, py - qy), (qx, qy)
+    qx, qy = a[0] + t * dx, a[1] + t * dy
+    return math.hypot(p[0] - qx, p[1] - qy), (qx, qy)
 
 
-def _segment_pair_closest(p1, p2, q1, q2):
-    """Minimum-distance witness pair between two segments known not to cross.
-
-    Returns (distance, on_p, on_q, parallel_overlap). The distance is the
-    min over the four endpoint-to-segment checks, which is exact for
-    non-crossing segments and symmetric under argument swap. For parallel
-    segments whose projections overlap, the witness on P is moved to the
-    midpoint of the overlap so the result is deterministic.
-    """
-    cands = []
-    d, q = _point_segment_closest(p1[0], p1[1], q1[0], q1[1], q2[0], q2[1])
-    cands.append((d, p1, q))
-    d, q = _point_segment_closest(p2[0], p2[1], q1[0], q1[1], q2[0], q2[1])
-    cands.append((d, p2, q))
-    d, p = _point_segment_closest(q1[0], q1[1], p1[0], p1[1], p2[0], p2[1])
-    cands.append((d, p, q1))
-    d, p = _point_segment_closest(q2[0], q2[1], p1[0], p1[1], p2[0], p2[1])
-    cands.append((d, p, q2))
-    best = min(cands, key=lambda c: c[0])
-
-    # Parallel-overlap tie-break: witness at the midpoint of the overlap span.
+def _parallel_overlap_midpoint(p1, p2, q1, q2):
+    """Midpoint of the part of edge P that overlaps edge Q in projection, or
+    None when the edges are not parallel or do not overlap."""
     ux, uy = p2[0] - p1[0], p2[1] - p1[1]
     vx, vy = q2[0] - q1[0], q2[1] - q1[1]
-    cross = ux * vy - uy * vx
-    scale = math.hypot(ux, uy) * math.hypot(vx, vy)
-    if scale > 0.0 and abs(cross) <= 1e-12 * scale:
-        denom = ux * ux + uy * uy
-        t1 = ((q1[0] - p1[0]) * ux + (q1[1] - p1[1]) * uy) / denom
-        t2 = ((q2[0] - p1[0]) * ux + (q2[1] - p1[1]) * uy) / denom
-        lo, hi = max(0.0, min(t1, t2)), min(1.0, max(t1, t2))
-        if lo < hi:
-            tm = 0.5 * (lo + hi)
-            on_p = (p1[0] + tm * ux, p1[1] + tm * uy)
-            _, on_q = _point_segment_closest(on_p[0], on_p[1], q1[0], q1[1], q2[0], q2[1])
-            return best[0], on_p, on_q, True
-    return best[0], best[1], best[2], False
+    if abs(ux * vy - uy * vx) > 1e-12 * math.hypot(ux, uy) * math.hypot(vx, vy):
+        return None
+    denom = ux * ux + uy * uy
+    t1 = ((q1[0] - p1[0]) * ux + (q1[1] - p1[1]) * uy) / denom
+    t2 = ((q2[0] - p1[0]) * ux + (q2[1] - p1[1]) * uy) / denom
+    lo, hi = max(0.0, min(t1, t2)), min(1.0, max(t1, t2))
+    if lo >= hi:
+        return None
+    tm = 0.5 * (lo + hi)
+    return p1[0] + tm * ux, p1[1] + tm * uy
 
 
 def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
     """Globally minimal-distance point pair between two oriented rectangles.
 
-    Overlapping rectangles return distance 0 with both witness points at the
-    midpoint of the two centers.
+    Each rectangle's corners are computed once and serve both the overlap
+    test and the distance. Overlapping rectangles return distance 0 with both
+    witness points at the midpoint of the two centers. For disjoint ones the
+    distance is the minimum of the 32 vertex-to-edge checks (every corner of
+    one rectangle against every edge of the other), which is exact for
+    disjoint convex polygons and the same set in either argument order. When
+    a parallel edge pair overlaps at that distance (within 1e-12*(1+d)), the
+    witness on A is the midpoint of the overlap, so face-to-face contacts get
+    a deterministic, perturbation-stable witness.
     """
-    if rectangles_intersect(a, b):
+    pa, pb = corners(a), corners(b)
+    if _corners_overlap(pa, pb):
         mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
         return ClosestPair(mid, mid, 0.0,
                            (mid[0] - a.center.x, mid[1] - a.center.y))
 
-    pa, pb = corners(a), corners(b)
-    best_d = math.inf
-    best_pair = None
-    best_parallel = False
-    for i in range(4):
-        ea = (pa[i], pa[(i + 1) % 4])
-        for j in range(4):
-            eb = (pb[j], pb[(j + 1) % 4])
-            d, on_a, on_b, parallel = _segment_pair_closest(ea[0], ea[1],
-                                                            eb[0], eb[1])
-            tol = 1e-12 * (1.0 + best_d) if math.isfinite(best_d) else 0.0
-            if d < best_d - tol or (parallel and not best_parallel
-                                    and d <= best_d + tol):
-                # ties go to parallel-face midpoints for a deterministic,
-                # perturbation-stable witness
-                best_d = min(d, best_d)
-                best_pair = (on_a, on_b)
-                best_parallel = parallel
-    on_a, on_b = best_pair
+    edges_a = list(zip(pa, pa[1:] + pa[:1]))
+    edges_b = list(zip(pb, pb[1:] + pb[:1]))
+    best_d, on_a, on_b = math.inf, None, None
+    for p in pa:
+        for q1, q2 in edges_b:
+            d, q = _point_segment_closest(p, q1, q2)
+            if d < best_d:
+                best_d, on_a, on_b = d, p, q
+    for q in pb:
+        for p1, p2 in edges_a:
+            d, p = _point_segment_closest(q, p1, p2)
+            if d < best_d:
+                best_d, on_a, on_b = d, p, q
+
+    tol = 1e-12 * (1.0 + best_d)
+    for p1, p2 in edges_a:
+        for q1, q2 in edges_b:
+            face_mid = _parallel_overlap_midpoint(p1, p2, q1, q2)
+            if face_mid is not None:
+                d, q = _point_segment_closest(face_mid, q1, q2)
+                if d <= best_d + tol:
+                    on_a, on_b = face_mid, q
     return ClosestPair(on_a, on_b, best_d,
                        (on_a[0] - a.center.x, on_a[1] - a.center.y))

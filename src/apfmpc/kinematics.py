@@ -45,7 +45,7 @@ class ControlInput:
     steer_rear: float
 
     def __post_init__(self):
-        if abs(self.steer_front) >= _HALF_PI or abs(self.steer_rear) >= _HALF_PI:
+        if not (abs(self.steer_front) < _HALF_PI and abs(self.steer_rear) < _HALF_PI):
             raise ValueError("steering angles must lie strictly inside (-pi/2, pi/2)")
 
     def as_array(self) -> np.ndarray:

@@ -32,6 +32,11 @@ DEFAULT_GEOMETRY = RobotGeometry(l_front=1.2, l_rear=1.2,
                                  half_length=1.3, half_width=0.5)
 
 
+def _rect_numbers(rect: OrientedRectangle) -> list[float]:
+    c = rect.center
+    return [c.x, c.y, c.heading, rect.half_length, rect.half_width]
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -44,6 +49,16 @@ class Scenario:
     controller_variant: str = "full"
 
     def __post_init__(self):
+        s = self.initial_state
+        numbers = [self.ref_speed, self.duration,
+                   s.x, s.y, s.heading, s.v_front, s.v_rear]
+        for rect in self.corridor:
+            numbers += _rect_numbers(rect)
+        for obs in self.obstacles:
+            numbers += [*_rect_numbers(obs.footprint), *obs.velocity, obs.yaw_rate]
+        path = np.asarray(self.path, dtype=float)
+        if not (all(map(math.isfinite, numbers)) and np.isfinite(path).all()):
+            raise ValueError("scenario numbers must all be finite")
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
         path_segments(self.path)  # raises on a path that build_reference rejects

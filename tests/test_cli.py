@@ -97,7 +97,20 @@ class TestValidate:
     @pytest.mark.parametrize("changes", [
         {"controller_variant": "fancy"},
         {"path": [[0.0, 0.0], [0.0, 0.0], [20.0, 0.0]]},
-    ], ids=["unknown_variant", "zero_length_segment"])
+        {"ref_speed_mps": float("nan")},
+        {"ref_speed_mps": float("inf")},
+        {"duration_s": float("nan")},
+        {"initial_state": {"x": 0.0, "y": 0.0, "heading": 0.0,
+                           "v_front": float("nan"), "v_rear": 0.5}},
+        {"path": [[0.0, 0.0], [float("nan"), 0.0], [20.0, 0.0]]},
+        {"corridor": [{"center": [10.0, 3.1], "heading": 0.0,
+                       "half_length": float("nan"), "half_width": 0.1}]},
+        {"obstacles": [{"center": [8.0, 1.0], "heading": 0.0, "half_length": 0.5,
+                        "half_width": 0.4, "velocity": [float("nan"), 0.0],
+                        "yaw_rate": 0.0}]},
+    ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
+            "nan_duration", "nan_initial_speed", "nan_path_vertex",
+            "nan_wall_extent", "nan_obstacle_velocity"])
     def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
         bad = edited_file(scenario_file, tmp_path, **changes)
         assert main(["validate", str(bad)]) == EXIT_CONFIG

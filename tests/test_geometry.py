@@ -106,6 +106,45 @@ class TestClosestPair:
                 math.hypot(got.on_a[0] - got.on_b[0], got.on_a[1] - got.on_b[1]),
                 abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2])
+    def test_partly_overlapping_faces_put_witness_mid_overlap(self, phi):
+        # B sits 1 m above A, shifted 0.8 m sideways: the facing edges overlap
+        # for x in [-0.2, 1], so the witness on A is at x = 0.4
+        c, s = math.cos(phi), math.sin(phi)
+
+        def turned(x, y):
+            return (c * x - s * y, s * x + c * y)
+
+        a = rect(0, 0, phi, 1, 0.5)
+        b = rect(*turned(0.8, 2.0), phi, 1, 0.5)
+        got = closest_pair(a, b)
+        assert got.distance == pytest.approx(1.0, abs=1e-12)
+        assert got.on_a == pytest.approx(turned(0.4, 0.5), abs=1e-12)
+        assert got.on_b == pytest.approx(turned(0.4, 1.5), abs=1e-12)
+
+    def test_witnesses_lie_on_their_own_boundary(self):
+        rng = np.random.default_rng(2024)
+
+        def boundary_gap(r, p):
+            c, s = math.cos(r.center.heading), math.sin(r.center.heading)
+            dx, dy = p[0] - r.center.x, p[1] - r.center.y
+            lx, ly = c * dx + s * dy, -s * dx + c * dy
+            return abs(max(abs(lx) - r.half_length, abs(ly) - r.half_width))
+
+        checked = 0
+        while checked < 300:
+            a, b = random_rect(rng), random_rect(rng)
+            if checked % 3 == 0:  # face-parallel pairs take the midpoint rule
+                b = rect(b.center.x, b.center.y,
+                         a.center.heading + rng.integers(4) * math.pi / 2,
+                         b.half_length, b.half_width)
+            if rectangles_intersect(a, b):
+                continue
+            got = closest_pair(a, b)
+            assert boundary_gap(a, got.on_a) <= 1e-9
+            assert boundary_gap(b, got.on_b) <= 1e-9
+            checked += 1
+
 
 class TestInvariants:
     def test_symmetry_exact(self, rng):

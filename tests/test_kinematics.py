@@ -150,5 +150,11 @@ def test_control_input_rejects_singular_steering():
         ControlInput(0, 0, math.pi / 2, 0)
 
 
+@pytest.mark.parametrize("front,rear", [(math.nan, 0.0), (0.0, math.nan)])
+def test_control_input_rejects_nan_steering(front, rear):
+    with pytest.raises(ValueError):
+        ControlInput(0, 0, front, rear)
+
+
 def test_state_heading_normalized():
     assert RobotState(0, 0, 4 * math.pi, 0, 0).heading == pytest.approx(0.0)

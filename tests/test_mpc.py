@@ -365,3 +365,19 @@ class TestFallbacks:
         assert sol.fallback_doublings == 0
         assert len(c.solver.bounds) == 1
         assert np.all(sol.delta_sequence == 0.0)
+
+    def test_unconverged_solve_holds_input(self, cfg, geom):
+        s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
+        held = ControlInput(0.2, 0.1, 0.05, -0.05)
+        ref = build_reference(np.array([[0.0, 0.0], [30.0, 0.0]]), s, 1.4, cfg)
+        c = controller(cfg, geom, initial_input=held)
+        c.solver = QpSolver(max_iterations=10)
+        sol = c.step(s, ref, [])
+        assert sol.solver_status == "max_iterations"
+        assert np.all(sol.delta_sequence == 0.0)
+        assert sol.applied_input == held
+        # control: the default solver converges and moves the input
+        sol = controller(cfg, geom, initial_input=held).step(s, ref, [])
+        assert sol.solver_status == "optimal"
+        assert np.any(sol.delta_sequence != 0.0)
+        assert sol.applied_input != held
