@@ -26,7 +26,6 @@ class LinearizedModel:
     b_mat: np.ndarray  # 5x4
     c_mat: np.ndarray  # 5x5 identity
     d_vec: np.ndarray  # 5
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,6 @@ class AugmentedModel:
     b_bar: np.ndarray  # 9x4
     d_bar: np.ndarray  # 9
     c_bar: np.ndarray  # 5x9
-    n_state: int = N_STATE
-    n_input: int = N_INPUT
 
 
 def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
@@ -95,7 +92,7 @@ def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
     b_mat = dt * j_input
     next_state = state0.as_array() + dt * derivative(state0, input0, geom)
     d_vec = next_state - a_mat @ state0.as_array() - b_mat @ input0.as_array()
-    return LinearizedModel(a_mat, b_mat, np.eye(N_STATE), d_vec, dt)
+    return LinearizedModel(a_mat, b_mat, np.eye(N_STATE), d_vec)
 
 
 def augment(lin: LinearizedModel) -> AugmentedModel:

@@ -1,16 +1,16 @@
 """Receding-horizon planner/tracker.
 
 Each tick: linearize the kinematics at (current state, previous input),
-predict robot and obstacle motion over the horizon, build per-step convex
-potential-field quadratics at the predicted closest-point anchors, condense
-the delta-input dynamics into prediction matrices, and solve a dense QP in
-the stacked control increments subject to increment, input, output, and
+predict robot and obstacle motion over the horizon, sum the convex field
+quadratics of each predicted step into one at the predicted robot position,
+condense the delta-input dynamics into prediction matrices, and solve a
+dense QP in the stacked increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
 
-The QP is assembled once per tick. The condensed matrix is block-Toeplitz,
-so each distinct block C·Āᵏ·B̄ is computed once and written down its block
-diagonal. When the solver certifies infeasibility, only the bounds of the
-wheel-speed-difference rows are widened (the band doubles) before solving
+The QP is assembled once per tick: each distinct block C·Āᵏ·B̄ of the
+block-Toeplitz condensed matrix is computed once, and the field quadratics
+enter through one product. On certified infeasibility only the bounds of
+the wheel-speed-difference rows widen (the band doubles) before solving
 again; a variant without those rows reports infeasible at once.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from .geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import N_INPUT, N_STATE, augment, linearize
-from .potential_field import ApfParams, quadratic_approx
+from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, QpProblem, QpSolution, QpSolver
 
@@ -169,7 +169,7 @@ class _Assembled:
     su: np.ndarray        # (n_pred*5) x (n_ctrl*4)
     base: np.ndarray      # predicted outputs at z = 0
     ref_stack: np.ndarray
-    quad_terms: list      # (step index, QuadraticApproximation)
+    apf: QuadraticApproximation | None  # per-step sums; None without footprints
     const: float
     slip_offset: float | None  # g of the slip rows; None without them
 
@@ -191,24 +191,34 @@ class MpcController:
 
     # -- assembly -----------------------------------------------------------
 
-    def _anchors(self, state: RobotState, obstacles: list[Obstacle]):
-        """Per-step (robot pose, obstacle footprints) for the APF quadratics."""
-        cfg = self.cfg
-        if self.variant == "no_customization":
-            pose = Pose2D(state.x, state.y, state.heading)
-            robot_poses = [pose] * cfg.n_pred
-            obs_tracks = [[obs.footprint.center] * cfg.n_pred for obs in obstacles]
-        else:
-            robot_poses = predict_robot(state, self.prev_input, self.geom,
-                                        cfg.n_pred, cfg.dt).poses
-            obs_tracks = []
-            for obs in obstacles:
-                if obs.kind == "boundary" or (obs.velocity == (0.0, 0.0)
-                                              and obs.yaw_rate == 0.0):
-                    obs_tracks.append([obs.footprint.center] * cfg.n_pred)
-                else:
-                    obs_tracks.append(predict_obstacle(obs, cfg.n_pred, cfg.dt).poses)
-        return robot_poses, obs_tracks
+    def _apf_quadratic(self, state: RobotState,
+                       obstacles: list[Obstacle]) -> QuadraticApproximation:
+        """Active APF expansions summed per step, at the predicted robot position."""
+        cfg, n_p = self.cfg, self.cfg.n_pred
+        frozen = self.variant == "no_customization"
+        poses = ([Pose2D(state.x, state.y, state.heading)] * n_p if frozen else
+                 predict_robot(state, self.prev_input, self.geom, n_p, cfg.dt).poses)
+        robot_rects = [self.geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
+                       for p in poses]
+        anchor = np.array([(p.x, p.y) for p in poses])
+        const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
+        for obs in obstacles:
+            fp = obs.footprint
+            track = [fp] * n_p  # boundaries are static
+            if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
+                track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
+                         for pose in predict_obstacle(obs, n_p, cfg.dt).poses]
+            # per step: offset_a, on_b, distance
+            pairs = np.array([(*pair.offset_a, *pair.on_b, pair.distance)
+                              for pair in map(closest_pair, robot_rects, track)])
+            steps = np.flatnonzero(pairs[:, 4] <= cfg.activation_radius)
+            params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
+            quad = quadratic_approx(anchor[steps], pairs[steps, 0:2],
+                                    pairs[steps, 2:4], params)
+            np.add.at(const, steps, quad.constant)
+            np.add.at(grad, steps, quad.gradient)
+            np.add.at(hess, steps, quad.hessian_psd)
+        return QuadraticApproximation(const, grad, hess, anchor)
 
     def assemble(self, state: RobotState, prev_input: ControlInput,
                  ref: ReferenceHorizon, obstacles: list[Obstacle]) -> _Assembled:
@@ -246,32 +256,20 @@ class MpcController:
         f_vec = 2.0 * su.T @ (q_diag * m)
         const = float(m @ (q_diag * m))
 
-        # potential-field quadratics at predicted anchors
-        robot_poses, obs_tracks = self._anchors(state, obstacles)
-        quad_terms = []
-        for i in range(n_p):
-            rpose = robot_poses[i]
-            rrect = self.geom.footprint(RobotState(rpose.x, rpose.y, rpose.heading,
-                                                   0.0, 0.0))
-            rows = su[i * ns:i * ns + 2, :]
-            base_i = base[i * ns:i * ns + 2]
-            for obs, track in zip(obstacles, obs_tracks):
-                opose = track[i]
-                orect = OrientedRectangle(opose, obs.footprint.half_length,
-                                          obs.footprint.half_width)
-                pair = closest_pair(rrect, orect)
-                if pair.distance > cfg.activation_radius:
-                    continue
-                params = (cfg.boundary_apf if obs.kind == "boundary"
-                          else cfg.obstacle_apf)
-                quad = quadratic_approx((rpose.x, rpose.y), pair.offset_a,
-                                        pair.on_b, params)
-                quad_terms.append((i, quad))
-                e_i = base_i - np.array(quad.anchor)
-                h_mat += rows.T @ quad.hessian_psd @ rows
-                f_vec += rows.T @ (quad.hessian_psd @ e_i + quad.gradient)
-                const += (quad.constant + quad.gradient @ e_i
-                          + 0.5 * e_i @ quad.hessian_psd @ e_i)
+        # potential-field quadratics, one per predicted step: with S the X, Y
+        # rows of su and e = base - anchor, one product S'[H S | H e + g]
+        apf = None
+        if obstacles:
+            apf = self._apf_quadratic(state, obstacles)
+            xy = su.reshape(n_p, ns, nz)[:, :2]
+            base_xy = base.reshape(n_p, ns)[:, :2]
+            rhs = apf.hessian_psd @ np.concatenate(
+                [xy, (base_xy - apf.anchor)[..., None]], axis=2)
+            rhs[..., nz] += apf.gradient
+            fold = xy.reshape(-1, nz).T @ rhs.reshape(-1, nz + 1)
+            h_mat += fold[:, :nz]
+            f_vec += fold[:, nz]
+            const += apf.value(base_xy)
         h_mat = 0.5 * (h_mat + h_mat.T)
 
         # constraints: cumulative inputs, then the slip rows, then outputs
@@ -299,7 +297,7 @@ class MpcController:
         du_max = np.tile(cfg.du_max, n_c)
         qp = QpProblem(h_mat, f_vec, np.vstack(a_rows), np.concatenate(lo_rows),
                        np.concatenate(hi_rows), -du_max, du_max)
-        return _Assembled(qp, su, base, ref_stack, quad_terms, const, g)
+        return _Assembled(qp, su, base, ref_stack, apf, const, g)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -347,11 +345,7 @@ class MpcController:
         tracking = float(err @ (q_diag * err))
         r_diag = np.tile(cfg.r_weights, cfg.n_ctrl)
         effort = float(z @ (r_diag * z))
-        apf_cost = 0.0
-        for i, quad in asm.quad_terms:
-            r = predicted[i, :2] - np.array(quad.anchor)
-            apf_cost += (quad.constant + quad.gradient @ r
-                         + 0.5 * r @ quad.hessian_psd @ r)
+        apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
         objective = asm.qp.objective(z) + asm.const
 
         # shift warm start one control step

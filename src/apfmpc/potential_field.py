@@ -5,7 +5,8 @@ The field value is a / d^(2b) in the closest distance d between the robot
 and an obstacle footprint. Because that is non-convex, each prediction step
 uses a second-order Taylor expansion in the robot position with the Hessian
 projected to the nearest positive semidefinite matrix (Frobenius norm).
-The closest-point offsets are held constant during differentiation.
+The closest-point offsets are held constant during differentiation. One
+call expands one point or a stack; terms sharing an anchor add up.
 """
 
 from __future__ import annotations
@@ -30,10 +31,17 @@ class ApfParams:
 
 @dataclass(frozen=True)
 class QuadraticApproximation:
-    constant: float
-    gradient: np.ndarray     # d/d(X, Y)
-    hessian_psd: np.ndarray  # symmetric 2x2, eigenvalues >= 0
-    anchor: tuple[float, float]
+    """c + gᵀr + ½ rᵀHr in r = robot position - anchor; one or a stack."""
+    constant: float | np.ndarray
+    gradient: np.ndarray     # d/d(X, Y): (2,) or (K, 2)
+    hessian_psd: np.ndarray  # symmetric, eigenvalues >= 0: (2, 2) or (K, 2, 2)
+    anchor: tuple[float, float] | np.ndarray
+
+    def value(self, robot_pos) -> float:
+        """Sum over the stack of each expansion at its row of robot_pos."""
+        r = np.asarray(robot_pos, dtype=float) - self.anchor
+        h_r = (self.hessian_psd @ r[..., None])[..., 0]
+        return float(np.sum(self.constant) + np.sum(r * (self.gradient + 0.5 * h_r)))
 
 
 def apf_value(pair: ClosestPair, params: ApfParams) -> float:
@@ -43,47 +51,45 @@ def apf_value(pair: ClosestPair, params: ApfParams) -> float:
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm.
+    """Nearest positive semidefinite matrix in Frobenius norm to each of (..., n, n).
 
     Eigendecomposes the symmetric input, clamps negative eigenvalues to
     zero, and recomposes.
     """
     h = np.asarray(h, dtype=float)
-    if h.shape[0] != h.shape[1] or not np.allclose(h, h.T, atol=1e-9):
+    h_t = np.swapaxes(h, -1, -2)
+    if h.shape[-1] != h.shape[-2] or not np.allclose(h, h_t, atol=1e-9):
         raise ValueError("input must be symmetric")
     vals, vecs = np.linalg.eigh(h)
     vals = np.maximum(vals, 0.0)
-    out = (vecs * vals) @ vecs.T
-    return 0.5 * (out + out.T)
+    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def quadratic_approx(robot_pos: tuple[float, float],
-                     offset: tuple[float, float],
-                     obstacle_point: tuple[float, float],
+def quadratic_approx(robot_pos, offset, obstacle_point,
                      params: ApfParams) -> QuadraticApproximation:
     """Second-order expansion of the field in the robot position.
 
+    Takes one point (pairs of floats) or stacks of K points ((K, 2) each).
     The robot-side closest point is robot_pos + offset with the offset
     frozen, so only the robot position varies. Inside the clamp region the
     expansion is flat (constant value, zero gradient and Hessian).
     """
     a, b = params.scale_a, params.exponent_b
-    dx = obstacle_point[0] - (robot_pos[0] + offset[0])
-    dy = obstacle_point[1] - (robot_pos[1] + offset[1])
-    d_sq = dx * dx + dy * dy
-    if d_sq <= params.min_sq_distance:
-        value = a / params.min_sq_distance ** b
-        return QuadraticApproximation(value, np.zeros(2), np.zeros((2, 2)),
-                                      (robot_pos[0], robot_pos[1]))
+    rel = np.asarray(obstacle_point, dtype=float) - (
+        np.asarray(robot_pos, dtype=float) + np.asarray(offset, dtype=float))
+    dx, dy = rel[..., 0], rel[..., 1]
+    # np.maximum keeps one point on numpy scalars, whose ** is the C pow
+    d_sq = np.maximum(dx * dx + dy * dy, params.min_sq_distance)
+    clamped = d_sq <= params.min_sq_distance
     value = a / d_sq ** b
     common = 2.0 * a * b * d_sq ** (-b - 1.0)
-    gradient = np.array([common * dx, common * dy])
+    gradient = np.stack([common * dx, common * dy], axis=-1)
     curv = 2.0 * a * b * d_sq ** (-b - 2.0)
-    hess = np.array([
-        [curv * (2.0 * (b + 1.0) * dx * dx - d_sq),
-         curv * 2.0 * (b + 1.0) * dx * dy],
-        [curv * 2.0 * (b + 1.0) * dx * dy,
-         curv * (2.0 * (b + 1.0) * dy * dy - d_sq)],
-    ])
-    return QuadraticApproximation(value, gradient, psd_project(hess),
-                                  (robot_pos[0], robot_pos[1]))
+    off_diag = curv * 2.0 * (b + 1.0) * dx * dy
+    hess = np.stack([curv * (2.0 * (b + 1.0) * dx * dx - d_sq), off_diag,
+                     off_diag, curv * (2.0 * (b + 1.0) * dy * dy - d_sq)], axis=-1)
+    hess = psd_project(hess.reshape(*np.shape(dx), 2, 2))
+    gradient[clamped] = 0.0
+    hess[clamped] = 0.0
+    return QuadraticApproximation(value, gradient, hess, robot_pos)

@@ -33,7 +33,6 @@ class Obstacle:
 class PredictionTrack:
     """Poses for steps 1..n ahead of the current time, one per dt."""
     poses: list[Pose2D]
-    dt: float
 
 
 def predict_robot(state: RobotState, held_input: ControlInput,
@@ -45,7 +44,7 @@ def predict_robot(state: RobotState, held_input: ControlInput,
     for _ in range(n_steps):
         cur = euler_step(cur, held_input, geom, dt)
         poses.append(Pose2D(cur.x, cur.y, cur.heading))
-    return PredictionTrack(poses, dt)
+    return PredictionTrack(poses)
 
 
 def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
@@ -70,4 +69,4 @@ def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> PredictionTrack:
     for _ in range(n_steps):
         cur = advance_obstacle(cur, dt)
         poses.append(cur.footprint.center)
-    return PredictionTrack(poses, dt)
+    return PredictionTrack(poses)

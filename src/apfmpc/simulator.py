@@ -37,6 +37,11 @@ def _rect_numbers(rect: OrientedRectangle) -> list[float]:
     return [c.x, c.y, c.heading, rect.half_length, rect.half_width]
 
 
+def tick_count(duration: float, dt: float) -> int:
+    """Control ticks in a run of the given duration."""
+    return int(round(duration / dt))
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -59,8 +64,8 @@ class Scenario:
         path = np.asarray(self.path, dtype=float)
         if not (all(map(math.isfinite, numbers)) and np.isfinite(path).all()):
             raise ValueError("scenario numbers must all be finite")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if tick_count(self.duration, MpcConfig.dt) < 1:
+            raise ValueError(f"duration must cover one control tick ({MpcConfig.dt} s)")
         path_segments(self.path)  # raises on a path that build_reference rejects
         if self.controller_variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {self.controller_variant!r}")
@@ -123,9 +128,7 @@ def run(scenario: Scenario, cfg: MpcConfig | None = None,
     obstacles = list(scenario.obstacles)
     state = scenario.initial_state
     log = SimulationLog(scenario.name, cfg.dt)
-    n_ticks = int(round(scenario.duration / cfg.dt))
-
-    for tick in range(n_ticks):
+    for tick in range(tick_count(scenario.duration, cfg.dt)):
         clearance = _min_clearance(state, geom, obstacles)
         if clearance == 0.0:
             log.outcome = COLLIDED

@@ -108,9 +108,12 @@ class TestValidate:
         {"obstacles": [{"center": [8.0, 1.0], "heading": 0.0, "half_length": 0.5,
                         "half_width": 0.4, "velocity": [float("nan"), 0.0],
                         "yaw_rate": 0.0}]},
+        {"duration_s": 0.04},
+        {"duration_s": 0.05},
     ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
-            "nan_wall_extent", "nan_obstacle_velocity"])
+            "nan_wall_extent", "nan_obstacle_velocity", "under_one_tick",
+            "rounds_to_zero_ticks"])
     def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
         bad = edited_file(scenario_file, tmp_path, **changes)
         assert main(["validate", str(bad)]) == EXIT_CONFIG

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.geometry import OrientedRectangle, Pose2D
+from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
 from apfmpc.kinematics import ControlInput, RobotState
 from apfmpc.linearization import augment, linearize
-from apfmpc.mpc import (MpcConfig, MpcController, ReferenceHorizon,
+from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
                         build_reference, project_onto_path, slip_constraint_rows)
-from apfmpc.prediction import Obstacle
+from apfmpc.potential_field import quadratic_approx
+from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc.qp import INFEASIBLE, QpSolver
 
 REF_SPEED = 1.389
@@ -61,6 +62,61 @@ def loop_condensation(state, prev_input, geom, cfg):
             su[i * ns:(i + 1) * ns, j * nu:(j + 1) * nu] = \
                 aug.c_bar @ powers[i - j] @ aug.b_bar
     return su, base
+
+
+def loop_apf(controller, state, obstacles, su, base):
+    """Reference oracle: the APF part of (h_mat, f_vec, const) and the list
+    of (step, expansion) terms, one (step, footprint) term at a time."""
+    cfg, geom = controller.cfg, controller.geom
+    ns, nz = 5, cfg.n_ctrl * 4
+    if controller.variant == "no_customization":
+        robot_poses = [Pose2D(state.x, state.y, state.heading)] * cfg.n_pred
+        obs_tracks = [[obs.footprint.center] * cfg.n_pred for obs in obstacles]
+    else:
+        robot_poses = predict_robot(state, controller.prev_input, geom,
+                                    cfg.n_pred, cfg.dt).poses
+        obs_tracks = [[obs.footprint.center] * cfg.n_pred
+                      if obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0
+                      else predict_obstacle(obs, cfg.n_pred, cfg.dt).poses
+                      for obs in obstacles]
+    h_mat, f_vec, const, terms = np.zeros((nz, nz)), np.zeros(nz), 0.0, []
+    for i, rpose in enumerate(robot_poses):
+        rrect = geom.footprint(RobotState(rpose.x, rpose.y, rpose.heading, 0.0, 0.0))
+        rows = su[i * ns:i * ns + 2, :]
+        base_i = base[i * ns:i * ns + 2]
+        for obs, track in zip(obstacles, obs_tracks):
+            orect = OrientedRectangle(track[i], obs.footprint.half_length,
+                                      obs.footprint.half_width)
+            pair = closest_pair(rrect, orect)
+            if pair.distance > cfg.activation_radius:
+                continue
+            params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
+            quad = quadratic_approx((rpose.x, rpose.y), pair.offset_a, pair.on_b, params)
+            terms.append((i, quad))
+            e_i = base_i - np.array(quad.anchor)
+            h_mat += rows.T @ quad.hessian_psd @ rows
+            f_vec += rows.T @ (quad.hessian_psd @ e_i + quad.gradient)
+            const += (quad.constant + quad.gradient @ e_i
+                      + 0.5 * e_i @ quad.hessian_psd @ e_i)
+    return 0.5 * (h_mat + h_mat.T), f_vec, const, terms
+
+
+def apf_scene(rng):
+    """Seeded state, input and footprints: two walls, static and moving
+    obstacles, one of them within reach of the robot."""
+    s = RobotState(rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8),
+                   rng.uniform(-0.3, 0.3), *rng.uniform(0.4, 1.4, size=2))
+    u0 = ControlInput(*rng.uniform(-0.5, 0.5, size=2), *rng.uniform(-0.3, 0.3, size=2))
+    walls = [Obstacle(OrientedRectangle(Pose2D(10.0, y, 0.0), 12.0, 0.1), kind="boundary")
+             for y in (3.1, -3.1)]
+    static = obstacle_at(rng.uniform(3.0, 7.0), rng.uniform(-1.5, 1.5),
+                         rng.uniform(-1.0, 1.0))
+    moving = Obstacle(OrientedRectangle(Pose2D(rng.uniform(5.0, 12.0),
+                                               rng.uniform(-2.0, 2.0), 0.0), 0.5, 0.4),
+                      tuple(rng.uniform(-1.0, 1.0, size=2)), rng.uniform(-0.5, 0.5))
+    near = obstacle_at(s.x + rng.uniform(2.0, 2.4), s.y + rng.uniform(-0.2, 0.2))
+    far = obstacle_at(60.0, 0.0)
+    return s, u0, walls + [static, moving, near, far]
 
 
 class RecordingSolver(QpSolver):
@@ -209,6 +265,40 @@ class TestAssemble:
             su, base = loop_condensation(s, u0, geom, cfg)
             assert np.array_equal(asm.su, su)
             assert np.array_equal(asm.base, base)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_apf_fold_matches_loop_oracle(self, geom, variant):
+        # zero tracking and effort weights leave the APF part alone in the
+        # difference, so no large tracking entry cancels in the subtraction
+        cfg = MpcConfig(q_weights=(0.0,) * 5, r_weights=(0.0,) * 4)
+        rng = np.random.default_rng(13)
+        for _ in range(8):
+            s, u0, footprints = apf_scene(rng)
+            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
+            asm = c.assemble(s, u0, ref, footprints)
+            bare = c.assemble(s, u0, ref, [])
+            h_apf, f_apf, c_apf, terms = loop_apf(c, s, footprints, asm.su, asm.base)
+            assert len({i for i, _ in terms}) == cfg.n_pred
+            np.testing.assert_allclose(asm.qp.h_mat - bare.qp.h_mat, h_apf, rtol=1e-12)
+            np.testing.assert_allclose(asm.qp.f_vec - bare.qp.f_vec, f_apf, rtol=1e-12)
+            assert asm.const - bare.const == pytest.approx(c_apf, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_apf_cost_matches_loop_oracle(self, cfg, geom, variant):
+        rng = np.random.default_rng(17)
+        for _ in range(8):
+            s, u0, footprints = apf_scene(rng)
+            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
+            asm = c.assemble(s, u0, ref, footprints)
+            terms = loop_apf(c, s, footprints, asm.su, asm.base)[3]
+            sol = c.step(s, ref, footprints)
+            oracle = 0.0
+            for i, quad in terms:
+                r = sol.predicted_outputs[i, :2] - np.array(quad.anchor)
+                oracle += quad.constant + quad.gradient @ r + 0.5 * r @ quad.hessian_psd @ r
+            assert sol.apf_cost == pytest.approx(oracle, rel=1e-12)
 
     def test_condensed_matches_stepwise_rollout(self, cfg, geom, rng):
         c = controller(cfg, geom)

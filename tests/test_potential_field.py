@@ -175,3 +175,64 @@ class TestQuadraticApprox:
         assert q1.constant == pytest.approx(q2.constant)
         assert np.allclose(q1.gradient, q2.gradient)
         assert np.allclose(q1.hessian_psd, q2.hessian_psd)
+
+
+class TestStacked:
+    def test_psd_project_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(21)
+        m = rng.normal(size=(200, 2, 2)) * 10.0 ** rng.uniform(-3, 8, size=(200, 1, 1))
+        stack = m + np.swapaxes(m, -1, -2)
+        expected = np.array([psd_project(h) for h in stack])
+        assert np.array_equal(psd_project(stack), expected)
+        assert np.array_equal(psd_project(stack.reshape(20, 10, 2, 2)),
+                              expected.reshape(20, 10, 2, 2))
+
+    def test_psd_project_rejects_stack_with_one_asymmetric_matrix(self):
+        rng = np.random.default_rng(22)
+        m = rng.normal(size=(5, 2, 2))
+        stack = m + np.swapaxes(m, -1, -2)
+        assert psd_project(stack).shape == (5, 2, 2)
+        stack[3, 0, 1] += 1.0
+        with pytest.raises(ValueError):
+            psd_project(stack)
+
+    @pytest.mark.parametrize("params", [OBS, BND], ids=["obstacle", "boundary"])
+    def test_quadratic_approx_rows_match_scalar_calls(self, params):
+        rng = np.random.default_rng(23)
+        pos = rng.uniform(-4, 4, size=(300, 2))
+        off = rng.uniform(-1, 1, size=(300, 2))
+        obst = rng.uniform(-4, 4, size=(300, 2))
+        obst[::10] = pos[::10] + off[::10] + rng.uniform(-0.005, 0.005, size=(30, 2))
+        stacked = quadratic_approx(pos, off, obst, params)
+        assert np.array_equal(stacked.anchor, pos)
+        clamped = 0
+        for k in range(len(pos)):
+            one = quadratic_approx(tuple(pos[k]), tuple(off[k]), tuple(obst[k]), params)
+            clamped += bool(np.all(one.hessian_psd == 0.0))
+            np.testing.assert_allclose(stacked.constant[k], one.constant, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(stacked.gradient[k], one.gradient, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(stacked.hessian_psd[k], one.hessian_psd,
+                                       rtol=1e-14, atol=0)
+        assert clamped == 30
+
+    def test_empty_stack(self):
+        q = quadratic_approx(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)), OBS)
+        assert q.constant.shape == (0,)
+        assert q.gradient.shape == (0, 2)
+        assert q.hessian_psd.shape == (0, 2, 2)
+        assert q.value(np.zeros((0, 2))) == 0.0
+
+    def test_value_sums_each_expansion_at_its_row(self):
+        rng = np.random.default_rng(24)
+        pos = rng.uniform(-4, 4, size=(50, 2))
+        obst = rng.uniform(-4, 4, size=(50, 2))
+        at = pos + rng.uniform(-0.3, 0.3, size=(50, 2))
+        stacked = quadratic_approx(pos, np.zeros((50, 2)), obst, OBS)
+        expected = 0.0
+        for k in range(len(pos)):
+            q = quadratic_approx(tuple(pos[k]), (0.0, 0.0), tuple(obst[k]), OBS)
+            r = at[k] - pos[k]
+            expected += q.constant + q.gradient @ r + 0.5 * r @ q.hessian_psd @ r
+            assert q.value(at[k]) == pytest.approx(
+                q.constant + q.gradient @ r + 0.5 * r @ q.hessian_psd @ r, rel=1e-12)
+        assert stacked.value(at) == pytest.approx(expected, rel=1e-12)
