@@ -4,7 +4,7 @@ The affine model x(k+1) = A x(k) + B u(k) + d is built from analytic
 Jacobians of the continuous dynamics at an operating point (current state,
 previously applied input) and is exact there by construction. The augmented
 form stacks the previous input into the state so control increments become
-the decision variables.
+the decision variables; its first N_STATE entries are the outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ N_INPUT = 4
 class LinearizedModel:
     a_mat: np.ndarray  # 5x5
     b_mat: np.ndarray  # 5x4
-    c_mat: np.ndarray  # 5x5 identity
     d_vec: np.ndarray  # 5
 
 
@@ -33,7 +32,6 @@ class AugmentedModel:
     a_bar: np.ndarray  # 9x9
     b_bar: np.ndarray  # 9x4
     d_bar: np.ndarray  # 9
-    c_bar: np.ndarray  # 5x9
 
 
 def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
@@ -92,7 +90,7 @@ def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
     b_mat = dt * j_input
     next_state = state0.as_array() + dt * derivative(state0, input0, geom)
     d_vec = next_state - a_mat @ state0.as_array() - b_mat @ input0.as_array()
-    return LinearizedModel(a_mat, b_mat, np.eye(N_STATE), d_vec)
+    return LinearizedModel(a_mat, b_mat, d_vec)
 
 
 def augment(lin: LinearizedModel) -> AugmentedModel:
@@ -104,5 +102,4 @@ def augment(lin: LinearizedModel) -> AugmentedModel:
     a_bar[n:, n:] = np.eye(m)
     b_bar = np.vstack([lin.b_mat, np.eye(m)])
     d_bar = np.concatenate([lin.d_vec, np.zeros(m)])
-    c_bar = np.hstack([lin.c_mat, np.zeros((n, m))])
-    return AugmentedModel(a_bar, b_bar, d_bar, c_bar)
+    return AugmentedModel(a_bar, b_bar, d_bar)

@@ -7,11 +7,11 @@ condense the delta-input dynamics into prediction matrices, and solve a
 dense QP in the stacked increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
 
-The QP is assembled once per tick: each distinct block C·Āᵏ·B̄ of the
-block-Toeplitz condensed matrix is computed once, and the field quadratics
-enter through one product. On certified infeasibility only the bounds of
-the wheel-speed-difference rows widen (the band doubles) before solving
-again; a variant without those rows reports infeasible at once.
+The QP is assembled once per tick: each distinct block (state rows of Āᵏ·B̄)
+of the block-Toeplitz condensed matrix is computed once, and the field
+quadratics enter through one product. On certified infeasibility only the
+bounds of the wheel-speed-difference rows widen (the band doubles) before
+solving again; a variant without those rows reports infeasible at once.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ class MpcController:
         x0 = np.concatenate([state.as_array(), prev_input.as_array()])
 
         # condensed prediction: eta = su z + base, with su block-Toeplitz:
-        # block (i, j) is C A^(i-j) B for j <= i
+        # block (i, j) is the state rows of A^(i-j) B for j <= i
         na = ns + nu
         powers = [np.eye(na)]
         for _ in range(n_p):
@@ -241,9 +241,9 @@ class MpcController:
         dsum = np.zeros(na)
         for i in range(n_p):
             dsum = aug.a_bar @ dsum + aug.d_bar
-            base[i * ns:(i + 1) * ns] = aug.c_bar @ (powers[i + 1] @ x0 + dsum)
+            base[i * ns:(i + 1) * ns] = (powers[i + 1] @ x0 + dsum)[:ns]
         for k in range(n_p):
-            block = aug.c_bar @ powers[k] @ aug.b_bar
+            block = powers[k][:ns] @ aug.b_bar
             for j in range(min(n_c, n_p - k)):
                 su[(j + k) * ns:(j + k + 1) * ns, j * nu:(j + 1) * nu] = block
 
@@ -332,10 +332,8 @@ class MpcController:
         u_next = self.prev_input.as_array() + delta_seq[0]
         u_max = np.array(cfg.u_max)
         u_next = np.clip(u_next, -u_max, u_max)
-        u_next[2] = float(np.clip(u_next[2], -math.pi / 2 + _STEER_EPS,
-                                  math.pi / 2 - _STEER_EPS))
-        u_next[3] = float(np.clip(u_next[3], -math.pi / 2 + _STEER_EPS,
-                                  math.pi / 2 - _STEER_EPS))
+        steer_max = math.pi / 2 - _STEER_EPS
+        u_next[2:] = np.clip(u_next[2:], -steer_max, steer_max)
         applied = ControlInput.from_array(u_next)
 
         eta = asm.su @ z + asm.base

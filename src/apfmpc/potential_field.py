@@ -4,9 +4,13 @@ quadratic approximation.
 The field value is a / d^(2b) in the closest distance d between the robot
 and an obstacle footprint. Because that is non-convex, each prediction step
 uses a second-order Taylor expansion in the robot position with the Hessian
-projected to the nearest positive semidefinite matrix (Frobenius norm).
-The closest-point offsets are held constant during differentiation. One
-call expands one point or a stack; terms sharing an anchor add up.
+replaced by its nearest positive semidefinite matrix (Frobenius norm), the
+one with the negative eigenvalues clamped to zero. With r the offset from
+robot to obstacle point, the Hessian c·(2(b+1) r rᵀ - d² I), c = 2ab·d^(-2b-4),
+has eigenvalue c·(2b+1)·d² > 0 along r and -c·d² < 0 across it, so that
+matrix is the rank-one c·(2b+1) r rᵀ: no eigendecomposition is needed. The
+closest-point offsets are held constant during differentiation. One call
+expands one point or a stack; terms sharing an anchor add up.
 """
 
 from __future__ import annotations
@@ -72,8 +76,9 @@ def quadratic_approx(robot_pos, offset, obstacle_point,
 
     Takes one point (pairs of floats) or stacks of K points ((K, 2) each).
     The robot-side closest point is robot_pos + offset with the offset
-    frozen, so only the robot position varies. Inside the clamp region the
-    expansion is flat (constant value, zero gradient and Hessian).
+    frozen, so only the robot position varies; the Hessian is the rank-one
+    c·(2b+1) r rᵀ above. Inside the clamp region the expansion is flat
+    (constant value, zero gradient and Hessian).
     """
     a, b = params.scale_a, params.exponent_b
     rel = np.asarray(obstacle_point, dtype=float) - (
@@ -84,12 +89,10 @@ def quadratic_approx(robot_pos, offset, obstacle_point,
     clamped = d_sq <= params.min_sq_distance
     value = a / d_sq ** b
     common = 2.0 * a * b * d_sq ** (-b - 1.0)
-    gradient = np.stack([common * dx, common * dy], axis=-1)
+    gradient = common[..., None] * rel
     curv = 2.0 * a * b * d_sq ** (-b - 2.0)
-    off_diag = curv * 2.0 * (b + 1.0) * dx * dy
-    hess = np.stack([curv * (2.0 * (b + 1.0) * dx * dx - d_sq), off_diag,
-                     off_diag, curv * (2.0 * (b + 1.0) * dy * dy - d_sq)], axis=-1)
-    hess = psd_project(hess.reshape(*np.shape(dx), 2, 2))
+    # r rᵀ first, so that H is exactly symmetric
+    hess = (curv * (2.0 * b + 1.0))[..., None, None] * (rel[..., :, None] * rel[..., None, :])
     gradient[clamped] = 0.0
     hess[clamped] = 0.0
     return QuadraticApproximation(value, gradient, hess, robot_pos)

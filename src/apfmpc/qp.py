@@ -17,6 +17,10 @@ import numpy as np
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
 INFEASIBLE = "infeasible"
+_RHO = 0.1          # initial ADMM step size; a solve adapts it
+_SIGMA = 1e-6       # proximal weight on the previous iterate
+_RIDGE = 1e-8       # added to the scaled H
+_CHECK_EVERY = 10   # iterations between convergence checks
 
 
 @dataclass
@@ -53,10 +57,6 @@ class QpSolution:
 class QpSolver:
     max_iterations: int = 4000
     tolerance: float = 1e-4
-    rho: float = 0.1
-    sigma: float = 1e-6
-    ridge: float = 1e-8
-    check_every: int = 10
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
         n = len(problem.f_vec)
@@ -67,14 +67,14 @@ class QpSolver:
                                             initial=0.0), 1e-10)
         cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)),
                                                  initial=0.0)))
-        p_mat = cost_scale * problem.h_mat + self.ridge * np.eye(n)
+        p_mat = cost_scale * problem.h_mat + _RIDGE * np.eye(n)
         f = cost_scale * problem.f_vec
         a_full = np.vstack([row_scale[:, None] * problem.a_mat, np.eye(n)])
         lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
         hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
 
-        rho = self.rho
-        kkt_inv = np.linalg.inv(p_mat + self.sigma * np.eye(n) + rho * a_full.T @ a_full)
+        rho = _RHO
+        kkt_inv = np.linalg.inv(p_mat + _SIGMA * np.eye(n) + rho * a_full.T @ a_full)
 
         x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
         zc = np.clip(a_full @ x, lo, hi)
@@ -85,13 +85,13 @@ class QpSolver:
         r_prim = r_dual = np.inf
         it = 0
         for it in range(1, self.max_iterations + 1):
-            rhs = self.sigma * x - f + a_full.T @ (rho * zc - y)
+            rhs = _SIGMA * x - f + a_full.T @ (rho * zc - y)
             x = kkt_inv @ rhs
             ax = a_full @ x
             zc = np.clip(ax + y / rho, lo, hi)
             y = y + rho * (ax - zc)
 
-            if it % self.check_every == 0:
+            if it % _CHECK_EVERY == 0:
                 r_prim = float(np.max(np.abs(ax - zc))) if len(lo) else 0.0
                 r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ y)))
                 if r_prim <= self.tolerance and r_dual <= self.tolerance:
@@ -106,7 +106,7 @@ class QpSolver:
                     if ratio > 10.0 or ratio < 0.1:
                         rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                         kkt_inv = np.linalg.inv(
-                            p_mat + self.sigma * np.eye(n) + rho * a_full.T @ a_full)
+                            p_mat + _SIGMA * np.eye(n) + rho * a_full.T @ a_full)
 
         polished = self._polish(problem, a_full, lo, hi, x, y)
         if polished is not None:

@@ -9,7 +9,7 @@ round-trip losslessly through load/save.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ SOLVER_FAILED = "solver_failed"
 
 DEFAULT_GEOMETRY = RobotGeometry(l_front=1.2, l_rear=1.2,
                                  half_length=1.3, half_width=0.5)
+PLANT_SUBSTEPS = 10  # Euler substeps of the plant per control tick
 
 
 def _rect_numbers(rect: OrientedRectangle) -> list[float]:
@@ -64,6 +65,8 @@ class Scenario:
         path = np.asarray(self.path, dtype=float)
         if not (all(map(math.isfinite, numbers)) and np.isfinite(path).all()):
             raise ValueError("scenario numbers must all be finite")
+        if self.ref_speed < 0.0:
+            raise ValueError("ref_speed must not be negative")
         if tick_count(self.duration, MpcConfig.dt) < 1:
             raise ValueError(f"duration must cover one control tick ({MpcConfig.dt} s)")
         path_segments(self.path)  # raises on a path that build_reference rejects
@@ -119,7 +122,7 @@ def _min_clearance(state: RobotState, geom: RobotGeometry,
 
 
 def run(scenario: Scenario, cfg: MpcConfig | None = None,
-        geom: RobotGeometry | None = None, plant_substeps: int = 10) -> SimulationLog:
+        geom: RobotGeometry | None = None) -> SimulationLog:
     """Alternate controller ticks and plant integration for the duration."""
     cfg = cfg or MpcConfig()
     geom = geom or DEFAULT_GEOMETRY
@@ -147,7 +150,7 @@ def run(scenario: Scenario, cfg: MpcConfig | None = None,
         if sol.solver_status == "infeasible":
             log.outcome = SOLVER_FAILED
             break
-        state = euler_step(state, u, geom, cfg.dt, substeps=plant_substeps)
+        state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
         obstacles = [advance_obstacle(o, cfg.dt) if o.kind == "obstacle" else o
                      for o in obstacles]
     return log
@@ -155,10 +158,7 @@ def run(scenario: Scenario, cfg: MpcConfig | None = None,
 
 def with_variant(scenario: Scenario, variant: str) -> Scenario:
     """Copy of the scenario driven by the requested controller variant."""
-    return Scenario(scenario.name, scenario.corridor, scenario.path,
-                    scenario.ref_speed, scenario.obstacles,
-                    scenario.initial_state, scenario.duration,
-                    controller_variant=variant)
+    return replace(scenario, controller_variant=variant)
 
 
 def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:

@@ -99,6 +99,7 @@ class TestValidate:
         {"path": [[0.0, 0.0], [0.0, 0.0], [20.0, 0.0]]},
         {"ref_speed_mps": float("nan")},
         {"ref_speed_mps": float("inf")},
+        {"ref_speed_mps": -1.0},
         {"duration_s": float("nan")},
         {"initial_state": {"x": 0.0, "y": 0.0, "heading": 0.0,
                            "v_front": float("nan"), "v_rear": 0.5}},
@@ -111,6 +112,7 @@ class TestValidate:
         {"duration_s": 0.04},
         {"duration_s": 0.05},
     ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
+            "negative_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
             "nan_wall_extent", "nan_obstacle_velocity", "under_one_tick",
             "rounds_to_zero_ticks"])

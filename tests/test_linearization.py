@@ -53,10 +53,6 @@ class TestLinearize:
         assert lin.a_mat[0, 4] == pytest.approx(0.5 * DT)
         assert lin.a_mat[1, 2] == pytest.approx(DT)
 
-    def test_c_is_identity(self, geom):
-        lin = linearize(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0), geom, DT)
-        assert np.array_equal(lin.c_mat, np.eye(5))
-
     def test_matches_finite_differences(self, geom, rng):
         worst = 0.0
         for _ in range(200):
@@ -75,7 +71,6 @@ class TestAugment:
         aug = augment(lin)
         assert aug.a_bar.shape == (9, 9)
         assert aug.b_bar.shape == (9, 4)
-        assert aug.c_bar.shape == (5, 9)
         assert aug.d_bar.shape == (9,)
 
     def test_block_structure(self, geom):
@@ -86,7 +81,6 @@ class TestAugment:
         assert np.array_equal(aug.a_bar[5:, 5:], np.eye(4))
         assert np.array_equal(aug.a_bar[:5, :5], lin.a_mat)
         assert np.array_equal(aug.a_bar[:5, 5:], lin.b_mat)
-        assert np.array_equal(aug.c_bar, np.hstack([np.eye(5), np.zeros((5, 4))]))
 
     def test_single_step_equivalence(self, geom, rng):
         for _ in range(50):

@@ -57,10 +57,10 @@ def loop_condensation(state, prev_input, geom, cfg):
     dsum = np.zeros(ns + nu)
     for i in range(cfg.n_pred):
         dsum = aug.a_bar @ dsum + aug.d_bar
-        base[i * ns:(i + 1) * ns] = aug.c_bar @ (powers[i + 1] @ x0 + dsum)
+        base[i * ns:(i + 1) * ns] = (powers[i + 1] @ x0 + dsum)[:ns]
         for j in range(min(i + 1, cfg.n_ctrl)):
             su[i * ns:(i + 1) * ns, j * nu:(j + 1) * nu] = \
-                aug.c_bar @ powers[i - j] @ aug.b_bar
+                powers[i - j][:ns] @ aug.b_bar
     return su, base
 
 

@@ -138,13 +138,30 @@ class TestQuadraticApprox:
         q = quadratic_approx((0.0, 0.0), (0.0, 0.0), (2.0, 0.0), OBS)
         assert q.gradient[0] > 0.0
 
-    def test_hessian_is_psd(self, rng):
-        for _ in range(200):
+    def test_hessian_is_psd(self):
+        # eigenvalues are exact only to rounding at the Hessian's scale, so
+        # the bound is relative to max|H|; the oracle applies psd_project to
+        # the field's raw Hessian at the same point
+        rng = np.random.default_rng(7)
+        a, b = OBS.scale_a, OBS.exponent_b
+        for k in range(200):
             pos = tuple(rng.uniform(-4, 4, size=2))
             obst = tuple(rng.uniform(-4, 4, size=2))
+            if k % 20 == 0:  # inside the clamp region
+                obst = tuple(np.add(pos, rng.uniform(-0.007, 0.007, size=2)))
             q = quadratic_approx(pos, (0.0, 0.0), obst, OBS)
-            assert np.min(np.linalg.eigvalsh(q.hessian_psd)) >= -1e-12
-            assert np.allclose(q.hessian_psd, q.hessian_psd.T)
+            h = q.hessian_psd
+            scale = float(np.max(np.abs(h)))
+            assert np.min(np.linalg.eigvalsh(h)) >= -1e-12 * max(1.0, scale)
+            assert np.allclose(h, h.T)
+            r = np.subtract(obst, pos)
+            d_sq = float(r @ r)
+            expected = np.zeros((2, 2))
+            if d_sq > OBS.min_sq_distance:
+                raw = 2.0 * a * b * d_sq ** (-b - 2.0) * (
+                    2.0 * (b + 1.0) * np.outer(r, r) - d_sq * np.eye(2))
+                expected = psd_project(raw)
+            np.testing.assert_allclose(h, expected, rtol=0, atol=1e-13 * scale)
 
     def test_radial_symmetry(self):
         d = 1.7
