@@ -1,11 +1,12 @@
 """Oriented rectangle footprints and minimum-distance queries between them.
 
-Rectangles are convex, so one pass answers a closest-pair query: each
-rectangle's corners are computed once, a separating-axis test on them
-decides overlap, and for disjoint rectangles the minimum of the 32
-vertex-to-edge checks is the distance. A parallel edge pair that overlaps
-at that distance puts the witness at the midpoint of its overlap. No
-broad-phase or general polygon machinery is needed.
+In its own frame a rectangle is an axis-aligned box, so one pass answers a
+closest-pair query: the other rectangle's four corners go into that frame,
+interval comparisons of them decide overlap (the separating-axis test), and
+for disjoint rectangles the distance is the smallest of the 8 corner-to-box
+distances, each corner clamped to the box. Facing parallel sides put the
+witnesses at the midpoint of their overlap. No broad-phase or general
+polygon machinery is needed.
 """
 
 from __future__ import annotations
@@ -60,99 +61,72 @@ def corners(rect: OrientedRectangle) -> list[tuple[float, float]]:
     return [(cx + c * lx - s * ly, cy + s * lx + c * ly) for lx, ly in local]
 
 
-def _project_extent(pts, ax, ay):
-    vals = [px * ax + py * ay for px, py in pts]
-    return min(vals), max(vals)
+def _local(rect: OrientedRectangle, pts) -> list[tuple[float, float]]:
+    """Points in the rectangle's frame: x along its heading, y to its left."""
+    c, s = math.cos(rect.center.heading), math.sin(rect.center.heading)
+    cx, cy = rect.center.x, rect.center.y
+    return [(c * (x - cx) + s * (y - cy), c * (y - cy) - s * (x - cx)) for x, y in pts]
 
 
-def _corners_overlap(pa, pb) -> bool:
-    """Separating-axis test on two corner lists; the axes are two adjacent
-    edge vectors of each rectangle, so no trigonometry is needed. Touching
-    counts as overlapping."""
-    for pts in (pa, pb):
-        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
-            lo_a, hi_a = _project_extent(pa, x2 - x1, y2 - y1)
-            lo_b, hi_b = _project_extent(pb, x2 - x1, y2 - y1)
-            if hi_a < lo_b or hi_b < lo_a:
-                return False
-    return True
+def _world(rect: OrientedRectangle, p) -> tuple[float, float]:
+    """A point given in the rectangle's frame, in world coordinates."""
+    c, s = math.cos(rect.center.heading), math.sin(rect.center.heading)
+    return (rect.center.x + c * p[0] - s * p[1], rect.center.y + s * p[0] + c * p[1])
 
 
-def rectangles_intersect(a: OrientedRectangle, b: OrientedRectangle) -> bool:
-    """Separating-axis test; touching counts as intersecting."""
-    return _corners_overlap(corners(a), corners(b))
-
-
-def _point_segment_closest(p, a, b):
-    """Closest point on segment AB to P; returns (distance, point)."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    denom = dx * dx + dy * dy
-    if denom == 0.0:
-        t = 0.0
-    else:
-        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / denom
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    qx, qy = a[0] + t * dx, a[1] + t * dy
-    return math.hypot(p[0] - qx, p[1] - qy), (qx, qy)
-
-
-def _parallel_overlap_midpoint(p1, p2, q1, q2):
-    """Midpoint of the part of edge P that overlaps edge Q in projection, or
-    None when the edges are not parallel or do not overlap."""
-    ux, uy = p2[0] - p1[0], p2[1] - p1[1]
-    vx, vy = q2[0] - q1[0], q2[1] - q1[1]
-    if abs(ux * vy - uy * vx) > 1e-12 * math.hypot(ux, uy) * math.hypot(vx, vy):
-        return None
-    denom = ux * ux + uy * uy
-    t1 = ((q1[0] - p1[0]) * ux + (q1[1] - p1[1]) * uy) / denom
-    t2 = ((q2[0] - p1[0]) * ux + (q2[1] - p1[1]) * uy) / denom
-    lo, hi = max(0.0, min(t1, t2)), min(1.0, max(t1, t2))
-    if lo >= hi:
-        return None
-    tm = 0.5 * (lo + hi)
-    return p1[0] + tm * ux, p1[1] + tm * uy
+def _separated(rect: OrientedRectangle, pts) -> bool:
+    """Whether points given in the rectangle's frame all lie beyond one side."""
+    hl, hw = rect.half_length, rect.half_width
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    return max(xs) < -hl or min(xs) > hl or max(ys) < -hw or min(ys) > hw
 
 
 def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
     """Globally minimal-distance point pair between two oriented rectangles.
 
-    Each rectangle's corners are computed once and serve both the overlap
-    test and the distance. Overlapping rectangles return distance 0 with both
-    witness points at the midpoint of the two centers. For disjoint ones the
-    distance is the minimum of the 32 vertex-to-edge checks (every corner of
-    one rectangle against every edge of the other), which is exact for
-    disjoint convex polygons and the same set in either argument order. When
-    a parallel edge pair overlaps at that distance (within 1e-12*(1+d)), the
-    witness on A is the midpoint of the overlap, so face-to-face contacts get
-    a deterministic, perturbation-stable witness.
+    Each rectangle's corners go once into the other's frame, where the other
+    is the box |x| <= half_length, |y| <= half_width. The rectangles overlap
+    (touching included) unless, in one of the two frames, all four corners
+    lie beyond one side of the box. Overlapping rectangles return distance 0
+    with both witness points at the midpoint of the two centers. For
+    disjoint ones the distance is the minimum over the 8 corners of the
+    distance to the other box, whose closest point is the corner clamped to
+    the box. That is exact, because the minimum between disjoint convex
+    polygons is reached at a vertex of one of them, and it is the same set of
+    8 in either argument order. When B's edges are parallel to A's axes
+    (within 1e-12 relative) and their extents overlap along one of them,
+    both witnesses sit at the midpoint of that overlap on the facing sides,
+    so face-to-face contacts get a deterministic, perturbation-stable
+    witness.
     """
     pa, pb = corners(a), corners(b)
-    if _corners_overlap(pa, pb):
+    in_a, in_b = _local(a, pb), _local(b, pa)
+    if not (_separated(a, in_a) or _separated(b, in_b)):
         mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
         return ClosestPair(mid, mid, 0.0,
                            (mid[0] - a.center.x, mid[1] - a.center.y))
 
-    edges_a = list(zip(pa, pa[1:] + pa[:1]))
-    edges_b = list(zip(pb, pb[1:] + pb[:1]))
-    best_d, on_a, on_b = math.inf, None, None
-    for p in pa:
-        for q1, q2 in edges_b:
-            d, q = _point_segment_closest(p, q1, q2)
-            if d < best_d:
-                best_d, on_a, on_b = d, p, q
-    for q in pb:
-        for p1, p2 in edges_a:
-            d, p = _point_segment_closest(q, p1, p2)
-            if d < best_d:
-                best_d, on_a, on_b = d, p, q
+    best = (math.inf,)
+    for box, pts, box_corners in ((b, in_b, pa), (a, in_a, pb)):
+        hl, hw = box.half_length, box.half_width
+        for (x, y), corner in zip(pts, box_corners):
+            q = (min(max(x, -hl), hl), min(max(y, -hw), hw))
+            d = math.hypot(x - q[0], y - q[1])
+            if d < best[0]:
+                best = (d, box, q, corner)
+    d, box, q, corner = best
+    on_a, on_b = (corner, _world(b, q)) if box is b else (_world(a, q), corner)
 
-    tol = 1e-12 * (1.0 + best_d)
-    for p1, p2 in edges_a:
-        for q1, q2 in edges_b:
-            face_mid = _parallel_overlap_midpoint(p1, p2, q1, q2)
-            if face_mid is not None:
-                d, q = _point_segment_closest(face_mid, q1, q2)
-                if d <= best_d + tol:
-                    on_a, on_b = face_mid, q
-    return ClosestPair(on_a, on_b, best_d,
-                       (on_a[0] - a.center.x, on_a[1] - a.center.y))
+    ex, ey = in_a[1][0] - in_a[0][0], in_a[1][1] - in_a[0][1]
+    if min(abs(ex), abs(ey)) <= 1e-12 * math.hypot(ex, ey):
+        half = (a.half_length, a.half_width)
+        low = [min(p[k] for p in in_a) for k in (0, 1)]
+        high = [max(p[k] for p in in_a) for k in (0, 1)]
+        for k, j in ((0, 1), (1, 0)):
+            lo, hi = max(low[k], -half[k]), min(high[k], half[k])
+            side = 1.0 if low[j] > half[j] else -1.0 if high[j] < -half[j] else 0.0
+            if lo < hi and side:
+                m = 0.5 * (lo + hi)
+                on_a, on_b = (_world(a, (m, side * r) if k == 0 else (side * r, m))
+                              for r in (half[j], half[j] + d))
+    return ClosestPair(on_a, on_b, d, (on_a[0] - a.center.x, on_a[1] - a.center.y))

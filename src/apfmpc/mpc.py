@@ -198,19 +198,22 @@ class MpcController:
         frozen = self.variant == "no_customization"
         poses = ([Pose2D(state.x, state.y, state.heading)] * n_p if frozen else
                  predict_robot(state, self.prev_input, self.geom, n_p, cfg.dt).poses)
-        robot_rects = [self.geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
-                       for p in poses]
         anchor = np.array([(p.x, p.y) for p in poses])
+        # frozen, robot and footprints hold still: each footprint's one pair
+        # is repeated over the steps
+        robot_rects = [self.geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
+                       for p in (poses[:1] if frozen else poses)]
         const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
         for obs in obstacles:
             fp = obs.footprint
-            track = [fp] * n_p  # boundaries are static
+            track = [fp] * len(robot_rects)  # boundaries are static
             if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
                 track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
                          for pose in predict_obstacle(obs, n_p, cfg.dt).poses]
             # per step: offset_a, on_b, distance
-            pairs = np.array([(*pair.offset_a, *pair.on_b, pair.distance)
-                              for pair in map(closest_pair, robot_rects, track)])
+            pairs = np.broadcast_to([(*pair.offset_a, *pair.on_b, pair.distance)
+                                     for pair in map(closest_pair, robot_rects, track)],
+                                    (n_p, 5))
             steps = np.flatnonzero(pairs[:, 4] <= cfg.activation_radius)
             params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
             quad = quadratic_approx(anchor[steps], pairs[steps, 0:2],

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ClosestPair
-
 
 @dataclass(frozen=True)
 class ApfParams:
@@ -46,28 +44,6 @@ class QuadraticApproximation:
         r = np.asarray(robot_pos, dtype=float) - self.anchor
         h_r = (self.hessian_psd @ r[..., None])[..., 0]
         return float(np.sum(self.constant) + np.sum(r * (self.gradient + 0.5 * h_r)))
-
-
-def apf_value(pair: ClosestPair, params: ApfParams) -> float:
-    """Field value at a closest-point pair; clamped near contact."""
-    d_sq = max(pair.distance * pair.distance, params.min_sq_distance)
-    return params.scale_a / d_sq ** params.exponent_b
-
-
-def psd_project(h: np.ndarray) -> np.ndarray:
-    """Nearest positive semidefinite matrix in Frobenius norm to each of (..., n, n).
-
-    Eigendecomposes the symmetric input, clamps negative eigenvalues to
-    zero, and recomposes.
-    """
-    h = np.asarray(h, dtype=float)
-    h_t = np.swapaxes(h, -1, -2)
-    if h.shape[-1] != h.shape[-2] or not np.allclose(h, h_t, atol=1e-9):
-        raise ValueError("input must be symmetric")
-    vals, vecs = np.linalg.eigh(h)
-    vals = np.maximum(vals, 0.0)
-    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def quadratic_approx(robot_pos, offset, obstacle_point,

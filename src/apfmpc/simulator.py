@@ -121,11 +121,10 @@ def _min_clearance(state: RobotState, geom: RobotGeometry,
     return min(dists) if dists else math.inf
 
 
-def run(scenario: Scenario, cfg: MpcConfig | None = None,
-        geom: RobotGeometry | None = None) -> SimulationLog:
-    """Alternate controller ticks and plant integration for the duration."""
-    cfg = cfg or MpcConfig()
-    geom = geom or DEFAULT_GEOMETRY
+def run(scenario: Scenario) -> SimulationLog:
+    """Alternate controller ticks and plant integration for the duration,
+    with the default controller settings and robot geometry."""
+    cfg, geom = MpcConfig(), DEFAULT_GEOMETRY
     controller = MpcController(cfg, geom, variant=scenario.controller_variant)
     boundaries = [Obstacle(rect, kind="boundary") for rect in scenario.corridor]
     obstacles = list(scenario.obstacles)

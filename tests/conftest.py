@@ -16,7 +16,7 @@ def cfg():
     return MpcConfig()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

@@ -15,16 +15,14 @@ from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.linearization import linearize
 from apfmpc.mpc import MpcConfig, MpcController, build_reference
-from apfmpc.potential_field import psd_project, quadratic_approx
+from apfmpc.potential_field import quadratic_approx
 from apfmpc.qp import QpSolver
 from apfmpc.simulator import COMPLETED, DEFAULT_GEOMETRY, Scenario, metrics, run
 
-from test_geometry import oracle_distance, random_rect
+from test_geometry import oracle_distance, random_rect, sat_intersect
 from test_linearization import finite_difference_jacobians, random_operating_point
-from test_potential_field import OBS, fd_gradient
+from test_potential_field import OBS, fd_gradient, psd_project
 from test_qp import projected_gradient_oracle, random_box_qp
-
-from apfmpc.geometry import rectangles_intersect
 
 
 def _report(num, name):
@@ -70,7 +68,7 @@ def test_criterion_2_geometry_oracle():
     checked = 0
     while checked < 1000:
         a, b = random_rect(rng), random_rect(rng)
-        if rectangles_intersect(a, b):
+        if sat_intersect(a, b):
             continue
         got = closest_pair(a, b).distance
         assert abs(got - oracle_distance(a, b, n=4000)) <= 1e-3

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from apfmpc.geometry import (ClosestPair, OrientedRectangle, Pose2D, closest_pair,
-                             corners, normalize_angle, rectangles_intersect)
+                             corners, normalize_angle)
 
 
 def rect(x, y, heading, hl, hw):
@@ -35,6 +35,97 @@ def random_rect(rng, span=8.0):
     return rect(rng.uniform(-span, span), rng.uniform(-span, span),
                 rng.uniform(-math.pi, math.pi),
                 rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5))
+
+
+def _project_extent(pts, ax, ay):
+    vals = [px * ax + py * ay for px, py in pts]
+    return min(vals), max(vals)
+
+
+def sat_intersect(a, b):
+    """Reference separating-axis test in world coordinates; the axes are two
+    adjacent edge vectors of each rectangle. Touching counts as overlapping."""
+    pa, pb = corners(a), corners(b)
+    for pts in (pa, pb):
+        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
+            lo_a, hi_a = _project_extent(pa, x2 - x1, y2 - y1)
+            lo_b, hi_b = _project_extent(pb, x2 - x1, y2 - y1)
+            if hi_a < lo_b or hi_b < lo_a:
+                return False
+    return True
+
+
+def _point_segment_closest(p, a, b):
+    """Closest point on segment AB to P; returns (distance, point)."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    denom = dx * dx + dy * dy
+    if denom == 0.0:
+        t = 0.0
+    else:
+        t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / denom
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    qx, qy = a[0] + t * dx, a[1] + t * dy
+    return math.hypot(p[0] - qx, p[1] - qy), (qx, qy)
+
+
+def _parallel_overlap_midpoint(p1, p2, q1, q2):
+    """Midpoint of the part of edge P that overlaps edge Q in projection, or
+    None when the edges are not parallel or do not overlap."""
+    ux, uy = p2[0] - p1[0], p2[1] - p1[1]
+    vx, vy = q2[0] - q1[0], q2[1] - q1[1]
+    if abs(ux * vy - uy * vx) > 1e-12 * math.hypot(ux, uy) * math.hypot(vx, vy):
+        return None
+    denom = ux * ux + uy * uy
+    t1 = ((q1[0] - p1[0]) * ux + (q1[1] - p1[1]) * uy) / denom
+    t2 = ((q2[0] - p1[0]) * ux + (q2[1] - p1[1]) * uy) / denom
+    lo, hi = max(0.0, min(t1, t2)), min(1.0, max(t1, t2))
+    if lo >= hi:
+        return None
+    tm = 0.5 * (lo + hi)
+    return p1[0] + tm * ux, p1[1] + tm * uy
+
+
+def loop_closest_pair(a, b):
+    """Reference oracle in world coordinates: SAT for overlap, then the
+    minimum of the 32 vertex-to-edge checks; a parallel edge pair that
+    overlaps at that distance puts the witness on A at the overlap's
+    midpoint."""
+    if sat_intersect(a, b):
+        mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
+        return ClosestPair(mid, mid, 0.0,
+                           (mid[0] - a.center.x, mid[1] - a.center.y))
+    pa, pb = corners(a), corners(b)
+    edges_a = list(zip(pa, pa[1:] + pa[:1]))
+    edges_b = list(zip(pb, pb[1:] + pb[:1]))
+    best_d, on_a, on_b = math.inf, None, None
+    for p in pa:
+        for q1, q2 in edges_b:
+            d, q = _point_segment_closest(p, q1, q2)
+            if d < best_d:
+                best_d, on_a, on_b = d, p, q
+    for q in pb:
+        for p1, p2 in edges_a:
+            d, p = _point_segment_closest(q, p1, p2)
+            if d < best_d:
+                best_d, on_a, on_b = d, p, q
+
+    tol = 1e-12 * (1.0 + best_d)
+    for p1, p2 in edges_a:
+        for q1, q2 in edges_b:
+            face_mid = _parallel_overlap_midpoint(p1, p2, q1, q2)
+            if face_mid is not None:
+                d, q = _point_segment_closest(face_mid, q1, q2)
+                if d <= best_d + tol:
+                    on_a, on_b = face_mid, q
+    return ClosestPair(on_a, on_b, best_d,
+                       (on_a[0] - a.center.x, on_a[1] - a.center.y))
+
+
+def face_parallel(rng, a, b):
+    """B turned so that its edges are parallel to A's."""
+    return rect(b.center.x, b.center.y,
+                a.center.heading + rng.integers(4) * math.pi / 2,
+                b.half_length, b.half_width)
 
 
 class TestNormalizeAngle:
@@ -135,10 +226,8 @@ class TestClosestPair:
         while checked < 300:
             a, b = random_rect(rng), random_rect(rng)
             if checked % 3 == 0:  # face-parallel pairs take the midpoint rule
-                b = rect(b.center.x, b.center.y,
-                         a.center.heading + rng.integers(4) * math.pi / 2,
-                         b.half_length, b.half_width)
-            if rectangles_intersect(a, b):
+                b = face_parallel(rng, a, b)
+            if sat_intersect(a, b):
                 continue
             got = closest_pair(a, b)
             assert boundary_gap(a, got.on_a) <= 1e-9
@@ -147,6 +236,21 @@ class TestClosestPair:
 
 
 class TestInvariants:
+    def test_matches_loop_oracle(self):
+        # same overlap decisions as a world-frame SAT, and the same distance
+        # and witnesses as the 32 vertex-to-edge checks with the face scan
+        rng = np.random.default_rng(2025)
+        for k in range(20_000):
+            a, b = random_rect(rng), random_rect(rng)
+            if k % 3 == 0:
+                b = face_parallel(rng, a, b)
+            got, want = closest_pair(a, b), loop_closest_pair(a, b)
+            assert (got.distance == 0.0) == (want.distance == 0.0)
+            assert abs(got.distance - want.distance) <= 1e-12
+            for g, w in ((got.on_a, want.on_a), (got.on_b, want.on_b),
+                         (got.offset_a, want.offset_a)):
+                assert max(abs(g[0] - w[0]), abs(g[1] - w[1])) <= 1e-12
+
     def test_symmetry_exact(self, rng):
         for _ in range(300):
             a, b = random_rect(rng), random_rect(rng)
@@ -182,13 +286,13 @@ class TestInvariants:
         for _ in range(500):
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
             got = closest_pair(a, b)
-            assert (got.distance == 0.0) == rectangles_intersect(a, b)
+            assert (got.distance == 0.0) == sat_intersect(a, b)
 
     def test_matches_sampling_oracle_on_random_pairs(self, rng):
         checked = 0
         while checked < 200:
             a, b = random_rect(rng), random_rect(rng)
-            if rectangles_intersect(a, b):
+            if sat_intersect(a, b):
                 continue
             assert closest_pair(a, b).distance == pytest.approx(
                 oracle_distance(a, b, n=4000), abs=1e-3)

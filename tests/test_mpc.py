@@ -300,6 +300,20 @@ class TestAssemble:
                 oracle += quad.constant + quad.gradient @ r + 0.5 * r @ quad.hessian_psd @ r
             assert sol.apf_cost == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_closest_pairs_per_footprint(self, cfg, geom, monkeypatch, variant):
+        # the frozen variant's robot and footprints hold still over the
+        # horizon, so one pair per footprint serves every step
+        import apfmpc.mpc
+        pairs_per_footprint = 1 if variant == "no_customization" else cfg.n_pred
+        calls = []
+        monkeypatch.setattr(apfmpc.mpc, "closest_pair",
+                            lambda a, b: calls.append(1) or closest_pair(a, b))
+        s, u0, footprints = apf_scene(np.random.default_rng(19))
+        controller(cfg, geom, initial_input=u0, variant=variant).assemble(
+            s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
+        assert len(calls) == pairs_per_footprint * len(footprints)
+
     def test_condensed_matches_stepwise_rollout(self, cfg, geom, rng):
         c = controller(cfg, geom)
         s = RobotState(0.3, -0.2, 0.1, 0.8, 0.9)
@@ -330,11 +344,18 @@ class TestAssemble:
         s = RobotState(0, 0, 0, 1.0, 1.0)
         ref = build_reference(STRAIGHT, s, 1.0, cfg)
         free = controller(cfg, geom).step(s, ref, [])
+        mean_free = np.mean(free.predicted_outputs[:, :2], axis=0)
+        # head-on: the obstacle spans the robot's lateral extent, so the
+        # field pushes only along the path and the prediction holds back
         blocked = controller(cfg, geom).step(s, ref, [obstacle_at(3.0, 0.6)])
-        # obstacle above the path: predicted lateral positions move down
-        assert np.mean(blocked.predicted_outputs[:, 1]) < np.mean(
-            free.predicted_outputs[:, 1])
+        shift = np.mean(blocked.predicted_outputs[:, :2], axis=0) - mean_free
+        assert shift[0] < -1e-3
         assert blocked.apf_cost > free.apf_cost
+        # beside the path, above it: predicted lateral positions move down
+        beside = controller(cfg, geom).step(s, ref, [obstacle_at(3.0, 1.2)])
+        shift = np.mean(beside.predicted_outputs[:, :2], axis=0) - mean_free
+        assert shift[1] < -1e-2
+        assert beside.apf_cost > free.apf_cost
 
 
 class TestStep:

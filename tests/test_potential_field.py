@@ -3,44 +3,58 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.geometry import ClosestPair
-from apfmpc.potential_field import (ApfParams, apf_value, psd_project,
-                                    quadratic_approx)
+from apfmpc.potential_field import ApfParams, quadratic_approx
 
 OBS = ApfParams(scale_a=3.0, exponent_b=1.8)
 BND = ApfParams(scale_a=0.3, exponent_b=1.1)
 
 
-def pair_at(distance):
-    return ClosestPair(on_a=(0.0, 0.0), on_b=(distance, 0.0),
-                       distance=distance, offset_a=(0.0, 0.0))
+def psd_project(h: np.ndarray) -> np.ndarray:
+    """Nearest positive semidefinite matrix in Frobenius norm to each of (..., n, n).
+
+    Eigendecomposes the symmetric input, clamps negative eigenvalues to
+    zero, and recomposes.
+    """
+    h = np.asarray(h, dtype=float)
+    h_t = np.swapaxes(h, -1, -2)
+    if h.shape[-1] != h.shape[-2] or not np.allclose(h, h_t, atol=1e-9):
+        raise ValueError("input must be symmetric")
+    vals, vecs = np.linalg.eigh(h)
+    vals = np.maximum(vals, 0.0)
+    out = (vecs * vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def value_at(distance, params):
+    """Field value at the given closest-point distance."""
+    return quadratic_approx((0.0, 0.0), (0.0, 0.0), (distance, 0.0), params).constant
 
 
 class TestValue:
     def test_unit_distance(self):
-        assert apf_value(pair_at(1.0), OBS) == pytest.approx(3.0)
+        assert value_at(1.0, OBS) == pytest.approx(3.0)
 
     def test_two_meters(self):
         # 3 / 4^1.8
-        assert apf_value(pair_at(2.0), OBS) == pytest.approx(3.0 / 4.0 ** 1.8)
-        assert apf_value(pair_at(2.0), OBS) == pytest.approx(0.24741, abs=1e-5)
+        assert value_at(2.0, OBS) == pytest.approx(3.0 / 4.0 ** 1.8)
+        assert value_at(2.0, OBS) == pytest.approx(0.24741, abs=1e-5)
 
     def test_contact_clamped(self):
         expected = 3.0 / 1e-4 ** 1.8
-        assert apf_value(pair_at(0.0), OBS) == pytest.approx(expected)
-        assert apf_value(pair_at(0.005), OBS) == pytest.approx(expected)
+        assert value_at(0.0, OBS) == pytest.approx(expected)
+        assert value_at(0.005, OBS) == pytest.approx(expected)
 
     def test_boundary_params(self):
-        assert apf_value(pair_at(1.0), BND) == pytest.approx(0.3)
-        assert apf_value(pair_at(3.0), BND) == pytest.approx(0.3 / 9.0 ** 1.1)
+        assert value_at(1.0, BND) == pytest.approx(0.3)
+        assert value_at(3.0, BND) == pytest.approx(0.3 / 9.0 ** 1.1)
 
     def test_monotone_decay(self):
         ds = np.linspace(0.1, 10.0, 200)
-        vals = [apf_value(pair_at(d), OBS) for d in ds]
+        vals = [value_at(d, OBS) for d in ds]
         assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
     def test_far_field_small(self):
-        assert apf_value(pair_at(100.0), OBS) < 1e-6
+        assert value_at(100.0, OBS) < 1e-6
 
     def test_rejects_nonpositive_params(self):
         with pytest.raises(ValueError):
