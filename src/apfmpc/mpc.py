@@ -8,10 +8,11 @@ dense QP in the stacked increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
 
 The QP is assembled once per tick: each distinct block (state rows of Āᵏ·B̄)
-of the block-Toeplitz condensed matrix is computed once, and the field
-quadratics enter through one product. On certified infeasibility only the
-bounds of the wheel-speed-difference rows widen (the band doubles) before
-solving again; a variant without those rows reports infeasible at once.
+of the block-Toeplitz condensed matrix is computed once and the matrix is
+one gather from them, and the field quadratics enter through one product.
+On certified infeasibility only the bounds of the wheel-speed-difference
+rows widen (the band doubles) before solving again; a variant without those
+rows reports infeasible at once.
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ class MpcSolution:
 
 def path_segments(path: np.ndarray) -> tuple[np.ndarray, ...]:
     """Points, segment vectors, segment lengths and vertex arc lengths of a
-    polyline with at least two points and no zero-length segment."""
+    polyline of (x, y) points, at least two, with no zero-length segment."""
     pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or len(pts) < 2:
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("path points must each have two coordinates (x, y)")
+    if len(pts) < 2:
         raise ValueError("path must contain at least two points")
     seg = np.diff(pts, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
@@ -188,6 +191,26 @@ class MpcController:
         self.prev_input = initial_input or ControlInput(0.0, 0.0, 0.0, 0.0)
         self.solver = QpSolver()
         self._warm = np.zeros(cfg.n_ctrl * N_INPUT)
+        # per-controller constants of the condensed QP
+        n_p, n_c = cfg.n_pred, cfg.n_ctrl
+        self._q_diag = np.tile(cfg.q_weights, n_p)
+        self._r_diag = np.tile(cfg.r_weights, n_c)
+        self._h_effort = 2.0 * np.diag(self._r_diag)
+        self._u_max = np.array(cfg.u_max)
+        self._du_max = np.tile(cfg.du_max, n_c)
+        self._cumulative = np.tril(np.ones((n_c, n_c)))
+        self._cumulative_inputs = np.kron(self._cumulative, np.eye(N_INPUT))
+        # output rows of su with a finite bound, one output at a time
+        bounded = [d for d in range(N_STATE)
+                   if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
+        self._eta_rows = (np.arange(n_p) * N_STATE
+                          + np.array(bounded, dtype=int)[:, None]).ravel()
+        self._eta_lo = np.repeat(np.array(cfg.eta_min)[bounded], n_p)
+        self._eta_hi = np.repeat(np.array(cfg.eta_max)[bounded], n_p)
+        # su block (i, j) is block i - j of the stack of Āᵏ·B̄, or the zero
+        # block n_p above the diagonal
+        lag = np.subtract.outer(np.arange(n_p), np.arange(n_c))
+        self._lag = np.where(lag >= 0, lag, n_p)
 
     # -- assembly -----------------------------------------------------------
 
@@ -234,28 +257,25 @@ class MpcController:
         x0 = np.concatenate([state.as_array(), prev_input.as_array()])
 
         # condensed prediction: eta = su z + base, with su block-Toeplitz:
-        # block (i, j) is the state rows of A^(i-j) B for j <= i
+        # block (i, j) is the state rows of A^(i-j) B for j <= i, gathered
+        # from the n_p distinct blocks
         na = ns + nu
-        powers = [np.eye(na)]
-        for _ in range(n_p):
-            powers.append(aug.a_bar @ powers[-1])
-        su = np.zeros((n_p * ns, nz))
+        power = np.eye(na)
+        blocks = np.zeros((n_p + 1, ns, nu))
         base = np.zeros(n_p * ns)
         dsum = np.zeros(na)
         for i in range(n_p):
+            blocks[i] = power[:ns] @ aug.b_bar
+            power = aug.a_bar @ power
             dsum = aug.a_bar @ dsum + aug.d_bar
-            base[i * ns:(i + 1) * ns] = (powers[i + 1] @ x0 + dsum)[:ns]
-        for k in range(n_p):
-            block = powers[k][:ns] @ aug.b_bar
-            for j in range(min(n_c, n_p - k)):
-                su[(j + k) * ns:(j + k + 1) * ns, j * nu:(j + 1) * nu] = block
+            base[i * ns:(i + 1) * ns] = (power @ x0 + dsum)[:ns]
+        su = blocks[self._lag].transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
 
         # tracking + effort costs (1/2 z'Hz + f'z convention)
-        q_diag = np.tile(cfg.q_weights, n_p)
-        r_diag = np.tile(cfg.r_weights, n_c)
+        q_diag = self._q_diag
         ref_stack = ref.targets.reshape(-1)
         m = base - ref_stack
-        h_mat = 2.0 * (su.T * q_diag) @ su + 2.0 * np.diag(r_diag)
+        h_mat = 2.0 * (su.T * q_diag) @ su + self._h_effort
         f_vec = 2.0 * su.T @ (q_diag * m)
         const = float(m @ (q_diag * m))
 
@@ -276,28 +296,22 @@ class MpcController:
         h_mat = 0.5 * (h_mat + h_mat.T)
 
         # constraints: cumulative inputs, then the slip rows, then outputs
-        cumulative = np.tril(np.ones((n_c, n_c)))
         u0 = prev_input.as_array()
-        u_max = np.array(cfg.u_max)
-        a_rows = [np.kron(cumulative, np.eye(nu))]
+        u_max = self._u_max
+        a_rows = [self._cumulative_inputs]
         lo_rows = [np.tile(-u_max - u0, n_c)]
         hi_rows = [np.tile(u_max - u0, n_c)]
         g = None
         if self.variant == "full":
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            a_rows.append(np.kron(cumulative, e_row))
+            a_rows.append((self._cumulative[:, :, None] * e_row).reshape(n_c, nz))
             lo_rows.append(np.full(n_c, -cfg.slip_band - g))
             hi_rows.append(np.full(n_c, cfg.slip_band - g))
-        eta_min, eta_max = np.array(cfg.eta_min), np.array(cfg.eta_max)
-        for dim in range(ns):
-            if math.isinf(eta_min[dim]) and math.isinf(eta_max[dim]):
-                continue
-            idx = np.arange(n_p) * ns + dim
-            a_rows.append(su[idx, :])
-            lo_rows.append(np.full(n_p, eta_min[dim]) - base[idx])
-            hi_rows.append(np.full(n_p, eta_max[dim]) - base[idx])
+        a_rows.append(su[self._eta_rows])
+        lo_rows.append(self._eta_lo - base[self._eta_rows])
+        hi_rows.append(self._eta_hi - base[self._eta_rows])
 
-        du_max = np.tile(cfg.du_max, n_c)
+        du_max = self._du_max
         qp = QpProblem(h_mat, f_vec, np.vstack(a_rows), np.concatenate(lo_rows),
                        np.concatenate(hi_rows), -du_max, du_max)
         return _Assembled(qp, su, base, ref_stack, apf, const, g)
@@ -333,8 +347,7 @@ class MpcController:
             z = np.zeros_like(z)
         delta_seq = z.reshape(cfg.n_ctrl, nu)
         u_next = self.prev_input.as_array() + delta_seq[0]
-        u_max = np.array(cfg.u_max)
-        u_next = np.clip(u_next, -u_max, u_max)
+        u_next = np.clip(u_next, -self._u_max, self._u_max)
         steer_max = math.pi / 2 - _STEER_EPS
         u_next[2:] = np.clip(u_next[2:], -steer_max, steer_max)
         applied = ControlInput.from_array(u_next)
@@ -342,10 +355,8 @@ class MpcController:
         eta = asm.su @ z + asm.base
         predicted = eta.reshape(cfg.n_pred, N_STATE)
         err = eta - asm.ref_stack
-        q_diag = np.tile(cfg.q_weights, cfg.n_pred)
-        tracking = float(err @ (q_diag * err))
-        r_diag = np.tile(cfg.r_weights, cfg.n_ctrl)
-        effort = float(z @ (r_diag * z))
+        tracking = float(err @ (self._q_diag * err))
+        effort = float(z @ (self._r_diag * z))
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
         objective = asm.qp.objective(z) + asm.const
 

@@ -6,6 +6,17 @@ constraints, followed by an active-set polish step for high accuracy. A
 small ridge keeps the KKT system well posed when H is only semidefinite.
 Problem sizes here are small (tens of variables), so dense linear algebra
 is used throughout.
+
+The iteration is the ADMM of OSQP (Stellato et al., 2020) in scaled-dual
+form: with v = y/rho the dual, zc the projected constraint values and
+w = [x, zc - v, 1], the x-update solves K x+ = sigma x + rho A'(zc - v) - f
+with K = P + sigma I + rho A'A, which is the one product x+ = G w with
+G = K^-1 [sigma I | rho A' | -f]. G is built from one explicit inverse per
+rho. Each iteration then projects t = A x + v onto the bounds and keeps
+what the projection cuts off as the new v. Every few iterations the checks
+rebuild y = rho v for the residuals and the infeasibility certificate. When
+rho adapts, v is rescaled by rho_old/rho_new (y does not move) and G is
+rebuilt.
 """
 
 from __future__ import annotations
@@ -72,53 +83,77 @@ class QpSolver:
         a_full = np.vstack([row_scale[:, None] * problem.a_mat, np.eye(n)])
         lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
         hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
+        m = len(lo)
 
+        # scaled-dual iteration on w = [x, zc - v, 1] (see the module
+        # docstring); G is rebuilt only when rho changes
         rho = _RHO
-        kkt_inv = np.linalg.inv(p_mat + _SIGMA * np.eye(n) + rho * a_full.T @ a_full)
-
+        g_mat = self._step_matrix(p_mat, a_full, f, rho)
         x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
-        zc = np.clip(a_full @ x, lo, hi)
-        y = np.zeros(len(lo))
-        prev_y = y.copy()
+        ax = a_full @ x
+        zc = np.minimum(np.maximum(ax, lo), hi)
+        v = np.zeros(m)
+        w = np.concatenate([x, zc, [1.0]])
+        mid = w[n:n + m]   # zc - v, rewritten in place
+        t = np.empty(m)
+        prev_y = np.zeros(m)
 
         status = MAX_ITERATIONS
         r_prim = r_dual = np.inf
         it = 0
         for it in range(1, self.max_iterations + 1):
-            rhs = _SIGMA * x - f + a_full.T @ (rho * zc - y)
-            x = kkt_inv @ rhs
-            ax = a_full @ x
-            zc = np.clip(ax + y / rho, lo, hi)
-            y = y + rho * (ax - zc)
+            x = g_mat @ w
+            w[:n] = x
+            np.dot(a_full, x, out=ax)
+            # project ax + v onto [lo, hi]; what the projection cuts off is
+            # the new scaled dual
+            np.add(ax, v, out=t)
+            np.maximum(t, lo, out=zc)
+            np.minimum(zc, hi, out=zc)
+            np.subtract(t, zc, out=v)
+            np.subtract(zc, v, out=mid)
 
             if it % _CHECK_EVERY == 0:
-                r_prim = float(np.max(np.abs(ax - zc))) if len(lo) else 0.0
+                y = rho * v
+                r_prim = float(np.max(np.abs(ax - zc)))
                 r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ y)))
                 if r_prim <= self.tolerance and r_dual <= self.tolerance:
                     status = OPTIMAL
                     break
                 if self._primal_infeasible(a_full, lo, hi, y - prev_y):
                     return QpSolution(x, INFEASIBLE, r_prim, r_dual, it)
-                prev_y = y.copy()
-                # mild deterministic step-size adaptation
+                prev_y = y
+                # mild deterministic step-size adaptation; y = rho v stays
+                # put, so v scales by rho_old / rho_new and w follows
                 if it % 100 == 0 and r_dual > 0.0 and r_prim > 0.0:
                     ratio = r_prim / r_dual
                     if ratio > 10.0 or ratio < 0.1:
-                        rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
-                        kkt_inv = np.linalg.inv(
-                            p_mat + _SIGMA * np.eye(n) + rho * a_full.T @ a_full)
+                        new_rho = min(max(rho * np.sqrt(ratio), 1e-4), 1e4)
+                        v *= rho / new_rho
+                        np.subtract(zc, v, out=mid)
+                        rho = new_rho
+                        g_mat = self._step_matrix(p_mat, a_full, f, rho)
 
+        y = rho * v
         polished = self._polish(problem, a_full, lo, hi, x, y)
         if polished is not None:
             x = polished
             ax = a_full @ x
             r_prim = float(np.max(np.clip(lo - ax, 0.0, None)
-                                  + np.clip(ax - hi, 0.0, None))) if len(lo) else 0.0
+                                  + np.clip(ax - hi, 0.0, None)))
         return QpSolution(x, status, r_prim, r_dual, it)
 
     @staticmethod
+    def _step_matrix(p_mat, a_full, f, rho: float) -> np.ndarray:
+        """G = K^-1 [sigma I | rho A' | -f] with K = P + sigma I + rho A'A."""
+        n = len(f)
+        kkt_inv = np.linalg.inv(p_mat + _SIGMA * np.eye(n) + rho * a_full.T @ a_full)
+        return np.hstack([_SIGMA * kkt_inv, (rho * kkt_inv) @ a_full.T,
+                          -(kkt_inv @ f)[:, None]])
+
+    @staticmethod
     def _primal_infeasible(a_full, lo, hi, dy, eps: float = 1e-10) -> bool:
-        norm_dy = float(np.max(np.abs(dy))) if len(dy) else 0.0
+        norm_dy = float(np.max(np.abs(dy)))
         if norm_dy <= eps:
             return False
         dy = dy / norm_dy
@@ -154,7 +189,7 @@ class QpSolver:
         x_new = sol[:n]
         ax = a_full @ x_new
         viol = float(np.max(np.clip(lo - ax, 0.0, None)
-                            + np.clip(ax - hi, 0.0, None))) if len(lo) else 0.0
+                            + np.clip(ax - hi, 0.0, None)))
         if viol > self.tolerance:
             return None
         if problem.objective(x_new) <= problem.objective(x) + self.tolerance:

@@ -111,11 +111,12 @@ class TestValidate:
                         "yaw_rate": 0.0}]},
         {"duration_s": 0.04},
         {"duration_s": 0.05},
+        {"path": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]]},
     ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
             "negative_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
             "nan_wall_extent", "nan_obstacle_velocity", "under_one_tick",
-            "rounds_to_zero_ticks"])
+            "rounds_to_zero_ticks", "three_column_path"])
     def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
         bad = edited_file(scenario_file, tmp_path, **changes)
         assert main(["validate", str(bad)]) == EXIT_CONFIG

@@ -255,6 +255,8 @@ class TestAssemble:
         n_bare = bare.assemble(s, bare.prev_input, ref, []).qp.a_mat.shape[0]
         assert n_full - n_bare == cfg.n_ctrl
 
+    @pytest.mark.parametrize("cfg", [MpcConfig(), MpcConfig(n_ctrl=20), MpcConfig(n_ctrl=1)],
+                             ids=["default", "n_ctrl_eq_n_pred", "n_ctrl_1"])
     def test_condensation_matches_loop_oracle(self, cfg, geom):
         rng = np.random.default_rng(11)
         for _ in range(10):

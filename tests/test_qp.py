@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from apfmpc import qp as qp_module
+from apfmpc.kinematics import ControlInput, RobotState
+from apfmpc.mpc import MpcConfig, MpcController, build_reference
 from apfmpc.qp import QpProblem, QpSolver
 
 INF = np.inf
@@ -33,6 +36,72 @@ def random_box_qp(rng, n=10):
     lo = rng.uniform(-2.0, -0.2, size=n)
     hi = rng.uniform(0.2, 2.0, size=n)
     return box_problem(h, f, lo, hi)
+
+
+def loop_admm(problem, solver, warm_start=None):
+    """Reference oracle: the textbook unscaled-dual ADMM iteration, one
+    K^-1 product, one clip and one dual step per iteration, with the
+    solver's own scaling, checks, rho rule and polish. Returns
+    (z, status, iterations, rho_updates)."""
+    n = len(problem.f_vec)
+    row_scale = 1.0 / np.maximum(np.max(np.abs(problem.a_mat), axis=1, initial=0.0), 1e-10)
+    cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)), initial=0.0)))
+    p_mat = cost_scale * problem.h_mat + qp_module._RIDGE * np.eye(n)
+    f = cost_scale * problem.f_vec
+    a_full = np.vstack([row_scale[:, None] * problem.a_mat, np.eye(n)])
+    lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
+    hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
+    sigma = qp_module._SIGMA
+
+    def kkt_inverse(rho):
+        return np.linalg.inv(p_mat + sigma * np.eye(n) + rho * a_full.T @ a_full)
+
+    rho = qp_module._RHO
+    kkt_inv = kkt_inverse(rho)
+    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
+    zc = np.clip(a_full @ x, lo, hi)
+    y = np.zeros(len(lo))
+    prev_y = y.copy()
+    status, it, rho_updates = qp_module.MAX_ITERATIONS, 0, 0
+    for it in range(1, solver.max_iterations + 1):
+        x = kkt_inv @ (sigma * x - f + a_full.T @ (rho * zc - y))
+        ax = a_full @ x
+        zc = np.clip(ax + y / rho, lo, hi)
+        y = y + rho * (ax - zc)
+        if it % qp_module._CHECK_EVERY == 0:
+            r_prim = float(np.max(np.abs(ax - zc)))
+            r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ y)))
+            if r_prim <= solver.tolerance and r_dual <= solver.tolerance:
+                status = qp_module.OPTIMAL
+                break
+            if solver._primal_infeasible(a_full, lo, hi, y - prev_y):
+                return x, qp_module.INFEASIBLE, it, rho_updates
+            prev_y = y.copy()
+            if it % 100 == 0 and r_dual > 0.0 and r_prim > 0.0:
+                ratio = r_prim / r_dual
+                if ratio > 10.0 or ratio < 0.1:
+                    rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
+                    kkt_inv = kkt_inverse(rho)
+                    rho_updates += 1
+    polished = solver._polish(problem, a_full, lo, hi, x, y)
+    return (x if polished is None else polished), status, it, rho_updates
+
+
+def controller_qps(geom, seed, count=12):
+    """Seeded (problem, warm start) pairs as the controller assembles them:
+    40 increments, 90 general rows plus the box. Front/rear speed gaps up to
+    1 m/s push the slip rows towards infeasibility and make rho adapt."""
+    rng = np.random.default_rng(seed)
+    cfg = MpcConfig()
+    path = np.array([[0.0, 0.0], [40.0, 0.0]])
+    for k in range(count):
+        mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
+        state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
+        u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
+        asm = MpcController(cfg, geom, initial_input=u0).assemble(
+            state, u0, build_reference(path, state, 1.389, cfg), [])
+        warm = None if k % 3 else rng.uniform(-0.05, 0.05, cfg.n_ctrl * 4)
+        yield asm.qp, warm
 
 
 class TestTrivialCases:
@@ -154,3 +223,33 @@ class TestBehaviour:
         assert sol.status == "optimal"
         ax = float((prob.a_mat @ sol.z)[0])
         assert -1.0 - 1e-3 <= ax <= 1.0 + 1e-3
+
+
+class TestMatchesLoopIteration:
+    def test_controller_shaped_problems(self, geom):
+        solver = QpSolver()
+        outcomes = []
+        for seed in (1, 2):
+            for prob, warm in controller_qps(geom, seed):
+                assert prob.a_mat.shape == (90, 40)
+                sol = solver.solve(prob, warm_start=warm)
+                z, status, iterations, rho_updates = loop_admm(prob, solver, warm)
+                assert sol.status == status
+                assert sol.iterations == iterations
+                assert np.max(np.abs(sol.z - z)) < 1e-9
+                outcomes.append((status, rho_updates))
+        adapted = {status for status, updates in outcomes if updates > 0}
+        assert adapted == {"optimal", "infeasible"}
+
+    def test_infeasible_certificate(self):
+        # z0 + z1 <= -1 and z0 + z1 >= 1 with a box
+        prob = QpProblem(np.eye(2), np.array([1.0, -1.0]),
+                         np.array([[1.0, 1.0], [2.0, 2.0]]),
+                         np.array([-INF, 2.0]), np.array([-1.0, INF]),
+                         np.full(2, -5.0), np.full(2, 5.0))
+        solver = QpSolver()
+        sol = solver.solve(prob)
+        z, status, iterations, _ = loop_admm(prob, solver)
+        assert sol.status == status == "infeasible"
+        assert sol.iterations == iterations
+        assert np.max(np.abs(sol.z - z)) < 1e-9
