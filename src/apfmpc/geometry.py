@@ -1,12 +1,11 @@
 """Oriented rectangle footprints and minimum-distance queries between them.
 
-In its own frame a rectangle is an axis-aligned box, so one pass answers a
-closest-pair query: the other rectangle's four corners go into that frame,
-interval comparisons of them decide overlap (the separating-axis test), and
-for disjoint rectangles the distance is the smallest of the 8 corner-to-box
-distances, each corner clamped to the box. Facing parallel sides put the
-witnesses at the midpoint of their overlap. No broad-phase or general
-polygon machinery is needed.
+A closest-pair query runs in the relative frame: in its own frame each
+rectangle is an axis-aligned box, and the other's corners there are its
+center plus or minus two half-axes. Projected half-extents decide overlap
+(the separating-axis test); for disjoint rectangles the distance is the
+smallest of the 8 corner-to-box distances, each corner clamped to the box.
+Facing parallel sides put the witnesses at the midpoint of their overlap.
 """
 
 from __future__ import annotations
@@ -16,7 +15,9 @@ from dataclasses import dataclass
 
 
 def normalize_angle(angle: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
+    """Wrap an angle into (-pi, pi]; an angle already there is returned as is."""
+    if -math.pi < angle <= math.pi:
+        return angle
     wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi
@@ -61,72 +62,71 @@ def corners(rect: OrientedRectangle) -> list[tuple[float, float]]:
     return [(cx + c * lx - s * ly, cy + s * lx + c * ly) for lx, ly in local]
 
 
-def _local(rect: OrientedRectangle, pts) -> list[tuple[float, float]]:
-    """Points in the rectangle's frame: x along its heading, y to its left."""
-    c, s = math.cos(rect.center.heading), math.sin(rect.center.heading)
-    cx, cy = rect.center.x, rect.center.y
-    return [(c * (x - cx) + s * (y - cy), c * (y - cy) - s * (x - cx)) for x, y in pts]
-
-
-def _world(rect: OrientedRectangle, p) -> tuple[float, float]:
-    """A point given in the rectangle's frame, in world coordinates."""
-    c, s = math.cos(rect.center.heading), math.sin(rect.center.heading)
-    return (rect.center.x + c * p[0] - s * p[1], rect.center.y + s * p[0] + c * p[1])
-
-
-def _separated(rect: OrientedRectangle, pts) -> bool:
-    """Whether points given in the rectangle's frame all lie beyond one side."""
-    hl, hw = rect.half_length, rect.half_width
-    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
-    return max(xs) < -hl or min(xs) > hl or max(ys) < -hw or min(ys) > hw
+def _nearest_corner(cx, cy, ux, uy, vx, vy, hl, hw):
+    """(distance, index, corner, clamped corner) of the first of c + u + v,
+    c - u + v, c - u - v, c + u - v nearest to the box |x| <= hl, |y| <= hw."""
+    best = (math.inf,)
+    for k, (x, y) in enumerate(((cx + ux + vx, cy + uy + vy), (cx - ux + vx, cy - uy + vy),
+                                (cx - ux - vx, cy - uy - vy), (cx + ux - vx, cy + uy - vy))):
+        qx = hl if x > hl else -hl if x < -hl else x
+        qy = hw if y > hw else -hw if y < -hw else y
+        d = math.hypot(x - qx, y - qy)
+        if d < best[0]:
+            best = (d, k, (x, y), (qx, qy))
+    return best
 
 
 def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
     """Globally minimal-distance point pair between two oriented rectangles.
 
-    Each rectangle's corners go once into the other's frame, where the other
-    is the box |x| <= half_length, |y| <= half_width. The rectangles overlap
-    (touching included) unless, in one of the two frames, all four corners
-    lie beyond one side of the box. Overlapping rectangles return distance 0
-    with both witness points at the midpoint of the two centers. For
-    disjoint ones the distance is the minimum over the 8 corners of the
-    distance to the other box, whose closest point is the corner clamped to
-    the box. That is exact, because the minimum between disjoint convex
-    polygons is reached at a vertex of one of them, and it is the same set of
-    8 in either argument order. When B's edges are parallel to A's axes
-    (within 1e-12 relative) and their extents overlap along one of them,
-    both witnesses sit at the midpoint of that overlap on the facing sides,
-    so face-to-face contacts get a deterministic, perturbation-stable
-    witness.
+    With one cos/sin per heading, (c, s) is B's heading in A's frame. Each
+    center goes into the other's frame, where the other is the box
+    |x| <= half_length, |y| <= half_width, and each rectangle's corners are
+    its center ± u ± v: u = hl·(c, s), v = hw·(-s, c) for B, and for A the
+    same with (c, -s). The rectangles overlap (touching included) unless in
+    one frame |center_x| - (|u_x| + |v_x|) > half_length, or the same for y;
+    overlapping ones get distance 0 and both witnesses at the centers'
+    midpoint. Otherwise the distance is the smallest of the 8 corner-to-box
+    distances, each corner clamped to the box, ties going to A's corners:
+    the minimum between disjoint convex polygons is reached at a vertex of
+    one of them, and the 8 are the same in either argument order. When B's
+    edges are parallel to A's axes (u within 1e-12 relative) and their
+    extents overlap along one of them, both witnesses sit at the midpoint of
+    that overlap on the facing sides. Witnesses are rotated into the world once.
     """
-    pa, pb = corners(a), corners(b)
-    in_a, in_b = _local(a, pb), _local(b, pa)
-    if not (_separated(a, in_a) or _separated(b, in_b)):
+    hla, hwa, hlb, hwb = a.half_length, a.half_width, b.half_length, b.half_width
+    ca, sa = math.cos(a.center.heading), math.sin(a.center.heading)
+    cb, sb = math.cos(b.center.heading), math.sin(b.center.heading)
+    c, s = ca * cb + sa * sb, ca * sb - sa * cb
+    dx, dy = b.center.x - a.center.x, b.center.y - a.center.y
+    bx, by = ca * dx + sa * dy, ca * dy - sa * dx  # B's center in A's frame
+    ax, ay = -(cb * dx + sb * dy), sb * dx - cb * dy  # A's center in B's frame
+    ubx, uby, vbx, vby = hlb * c, hlb * s, -(hwb * s), hwb * c
+    uax, uay, vax, vay = hla * c, -(hla * s), hwa * s, hwa * c
+    ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)  # B's half-extents in A's frame
+    if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
+            or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
         mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
-        return ClosestPair(mid, mid, 0.0,
-                           (mid[0] - a.center.x, mid[1] - a.center.y))
+        return ClosestPair(mid, mid, 0.0, (mid[0] - a.center.x, mid[1] - a.center.y))
 
-    best = (math.inf,)
-    for box, pts, box_corners in ((b, in_b, pa), (a, in_a, pb)):
-        hl, hw = box.half_length, box.half_width
-        for (x, y), corner in zip(pts, box_corners):
-            q = (min(max(x, -hl), hl), min(max(y, -hw), hw))
-            d = math.hypot(x - q[0], y - q[1])
-            if d < best[0]:
-                best = (d, box, q, corner)
-    d, box, q, corner = best
-    on_a, on_b = (corner, _world(b, q)) if box is b else (_world(a, q), corner)
+    d, k, p, q = _nearest_corner(ax, ay, uax, uay, vax, vay, hlb, hwb)
+    near_b = _nearest_corner(bx, by, ubx, uby, vbx, vby, hla, hwa)
+    if near_b[0] < d:
+        d, _, pb, pa = near_b
+    else:  # A's corner, and the gap to B's box turned from B's frame into A's
+        pa = ((hla, hwa), (-hla, hwa), (-hla, -hwa), (hla, -hwa))[k]
+        gx, gy = q[0] - p[0], q[1] - p[1]
+        pb = (pa[0] + c * gx - s * gy, pa[1] + s * gx + c * gy)
 
-    ex, ey = in_a[1][0] - in_a[0][0], in_a[1][1] - in_a[0][1]
-    if min(abs(ex), abs(ey)) <= 1e-12 * math.hypot(ex, ey):
-        half = (a.half_length, a.half_width)
-        low = [min(p[k] for p in in_a) for k in (0, 1)]
-        high = [max(p[k] for p in in_a) for k in (0, 1)]
+    if min(abs(ubx), abs(uby)) <= 1e-12 * math.hypot(ubx, uby):
+        half, low, high = (hla, hwa), (bx - ebx, by - eby), (bx + ebx, by + eby)
         for k, j in ((0, 1), (1, 0)):
             lo, hi = max(low[k], -half[k]), min(high[k], half[k])
             side = 1.0 if low[j] > half[j] else -1.0 if high[j] < -half[j] else 0.0
             if lo < hi and side:
                 m = 0.5 * (lo + hi)
-                on_a, on_b = (_world(a, (m, side * r) if k == 0 else (side * r, m))
-                              for r in (half[j], half[j] + d))
-    return ClosestPair(on_a, on_b, d, (on_a[0] - a.center.x, on_a[1] - a.center.y))
+                pa, pb = ((m, side * r) if k == 0 else (side * r, m)
+                          for r in (half[j], half[j] + d))
+    offset = (ca * pa[0] - sa * pa[1], sa * pa[0] + ca * pa[1])
+    on_b = (a.center.x + ca * pb[0] - sa * pb[1], a.center.y + sa * pb[0] + ca * pb[1])
+    return ClosestPair((a.center.x + offset[0], a.center.y + offset[1]), on_b, d, offset)

@@ -224,7 +224,7 @@ class MpcController:
         anchor = np.array([(p.x, p.y) for p in poses])
         # frozen, robot and footprints hold still: each footprint's one pair
         # is repeated over the steps
-        robot_rects = [self.geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
+        robot_rects = [OrientedRectangle(p, self.geom.half_length, self.geom.half_width)
                        for p in (poses[:1] if frozen else poses)]
         const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
         for obs in obstacles:

@@ -136,6 +136,12 @@ class TestNormalizeAngle:
     def test_wraps(self, angle, expected):
         assert normalize_angle(angle) == pytest.approx(expected, abs=1e-12)
 
+    def test_in_range_angles_are_fixed_points(self):
+        angles = np.random.default_rng(7).uniform(-math.pi, math.pi, size=1000)
+        assert all(normalize_angle(t) == t for t in angles.tolist())
+        assert normalize_angle(-math.pi) == math.pi
+        assert Pose2D(0, 0, 0.1).heading == 0.1
+
 
 class TestCorners:
     def test_axis_aligned(self):
@@ -233,6 +239,56 @@ class TestClosestPair:
             assert boundary_gap(a, got.on_a) <= 1e-9
             assert boundary_gap(b, got.on_b) <= 1e-9
             checked += 1
+
+
+def quarter_turns(k, x, y):
+    """(x, y) turned by k quarter turns, exactly."""
+    for _ in range(k % 4):
+        x, y = -y, x
+    return x, y
+
+
+class TestExactLayouts:
+    """A is the box |x| <= 1, |y| <= 0.5 and B a square of half-side 0.5 given
+    in A's frame; the pair is turned by k quarter turns and B by `turn` more.
+    Only heading 0 is exact in floating point, so elsewhere the distance may
+    be off by rounding."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, -1])
+    @pytest.mark.parametrize("turn", [0, 1])
+    @pytest.mark.parametrize("x,y,expected", [
+        (1.5, 0.0, 0.0),        # shares A's front edge
+        (0.0, 1.0, 0.0),        # shares part of A's left side
+        (1.5, 1.0, 0.0),        # shares only A's front-left corner
+        (1.75, 0.0, 0.25),      # gap ahead
+        (0.25, -1.125, 0.125),  # gap beside
+        (1.875, 1.5, 0.625),    # corner to corner, 0.375 by 0.5
+    ])
+    def test_contact_and_gap(self, k, turn, x, y, expected):
+        heading = k * math.pi / 2
+        a = rect(0.0, 0.0, heading, 1.0, 0.5)
+        b = rect(*quarter_turns(k, x, y), heading + turn * math.pi / 2, 0.5, 0.5)
+        tol = 0.0 if k == turn == 0 else 1e-15
+        for p, q in ((a, b), (b, a)):
+            got = closest_pair(p, q)
+            assert abs(got.distance - expected) <= tol
+            if expected == tol == 0.0:  # touching counts as overlap
+                assert got.on_a == got.on_b == (0.5 * x, 0.5 * y)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, -1])
+    @pytest.mark.parametrize("tilt,corner_x", [(1e-9, -0.2), (-1e-9, 1.0)])
+    def test_off_parallel_takes_corner_witness(self, k, tilt, corner_x):
+        # as in test_partly_overlapping_faces_put_witness_mid_overlap, but B is
+        # turned off parallel by more than the 1e-12 face test: the witness on
+        # A is at an end of the facing overlap [-0.2, 1], not at its middle 0.4
+        heading = k * math.pi / 2
+        a = rect(0.0, 0.0, heading, 1.0, 0.5)
+        b = rect(*quarter_turns(k, 0.8, 2.0), heading + tilt, 1.0, 0.5)
+        got, want = closest_pair(a, b), loop_closest_pair(a, b)
+        assert got.distance == pytest.approx(1.0, abs=1e-8)
+        assert got.on_a == pytest.approx(quarter_turns(k, corner_x, 0.5), abs=1e-8)
+        assert got.on_a == pytest.approx(want.on_a, abs=1e-12)
+        assert got.on_b == pytest.approx(want.on_b, abs=1e-12)
 
 
 class TestInvariants:

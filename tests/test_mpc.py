@@ -316,6 +316,24 @@ class TestAssemble:
             s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
         assert len(calls) == pairs_per_footprint * len(footprints)
 
+    def test_robot_rectangles_are_the_footprints(self, cfg, geom, monkeypatch):
+        # built straight from the predicted poses, bit for bit the rectangles
+        # geom.footprint gives for the same states
+        import apfmpc.mpc
+        rects = []
+        monkeypatch.setattr(apfmpc.mpc, "closest_pair",
+                            lambda a, b: rects.append(a) or closest_pair(a, b))
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            s, u0, _ = apf_scene(rng)
+            s = RobotState(s.x, s.y, rng.uniform(-math.pi, math.pi), s.v_front, s.v_rear)
+            rects.clear()
+            controller(cfg, geom, initial_input=u0).assemble(
+                s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [obstacle_at(60.0, 0.0)])
+            want = [geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
+                    for p in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt).poses]
+            assert list(map(repr, rects)) == list(map(repr, want))
+
     def test_condensed_matches_stepwise_rollout(self, cfg, geom, rng):
         c = controller(cfg, geom)
         s = RobotState(0.3, -0.2, 0.1, 0.8, 0.9)
