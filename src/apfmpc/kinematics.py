@@ -1,8 +1,11 @@
 """Nonlinear kinematics of the two-wheel independent drive/steer robot.
 
 Three-degree-of-freedom bicycle-style model under rigid-body and non-slip
-assumptions. The same forward-Euler update serves as the controller's
-linearization seed and (optionally sub-stepped) as the simulation plant.
+assumptions, stated once in `_rates`. Its terms w (the C.G. speed along the
+body axis) and s (the tangent of the side slip) keep the rates free of the
+side slip angle itself. One held-input forward-Euler rollout serves as the
+simulation plant (sub-stepped), the controller's horizon prediction and its
+linearization seed.
 """
 
 from __future__ import annotations
@@ -73,29 +76,52 @@ class RobotGeometry:
                                  self.half_length, self.half_width)
 
 
-def side_slip(inp: ControlInput, geom: RobotGeometry) -> float:
-    """Side slip angle of the C.G. velocity in the body frame."""
-    lf, lr = geom.l_front, geom.l_rear
-    return math.atan((lr * math.tan(inp.steer_front) + lf * math.tan(inp.steer_rear))
-                     / (lf + lr))
+def _rates(heading, v_front, v_rear, inp: ControlInput, geom: RobotGeometry):
+    """The model in its w/s form, for held steering; L = l_f + l_r:
 
+        w = ½(v_f cos δ_f + v_r cos δ_r),   s = (l_r tan δ_f + l_f tan δ_r)/L,
+        Ẋ = w gx,  gx = cos θ − s sin θ,    Ẏ = w gy,  gy = sin θ + s cos θ,
+        θ̇ = w k,   k = (tan δ_f − tan δ_r)/L.
 
-def body_speed(state: RobotState, inp: ControlInput, beta: float) -> float:
-    """Speed of the C.G. given wheel speeds, steering, and side slip."""
-    return (state.v_front * math.cos(inp.steer_front)
-            + state.v_rear * math.cos(inp.steer_rear)) / (2.0 * math.cos(beta))
+    Returns the rates (Ẋ, Ẏ, θ̇) and the terms (w, s, gx, gy, k). The heading
+    and the speeds may be arrays; θ̇ does not depend on the heading.
+    """
+    big_l = geom.l_front + geom.l_rear
+    tf, tr = math.tan(inp.steer_front), math.tan(inp.steer_rear)
+    w = 0.5 * (v_front * math.cos(inp.steer_front) + v_rear * math.cos(inp.steer_rear))
+    s, k = (geom.l_rear * tf + geom.l_front * tr) / big_l, (tf - tr) / big_l
+    c, sn = np.cos(heading), np.sin(heading)
+    gx, gy = c - s * sn, sn + s * c
+    return (w * gx, w * gy, w * k), (w, s, gx, gy, k)
 
 
 def derivative(state: RobotState, inp: ControlInput, geom: RobotGeometry) -> np.ndarray:
     """State rate [Xdot, Ydot, heading_rate, vf_dot, vr_dot]."""
-    beta = side_slip(inp, geom)
-    v_c = body_speed(state, inp, beta)
-    course = state.heading + beta
-    yaw_rate = (v_c * math.cos(beta)
-                * (math.tan(inp.steer_front) - math.tan(inp.steer_rear))
-                / (geom.l_front + geom.l_rear))
-    return np.array([v_c * math.cos(course), v_c * math.sin(course), yaw_rate,
-                     inp.accel_front, inp.accel_rear])
+    rates, _ = _rates(state.heading, state.v_front, state.v_rear, inp, geom)
+    return np.array([*rates, inp.accel_front, inp.accel_rear])
+
+
+def rollout(state: RobotState, inp: ControlInput, geom: RobotGeometry,
+            n: int, h: float) -> np.ndarray:
+    """States 0..n of n forward-Euler steps of length h with the input held,
+    as rows [X, Y, heading, v_front, v_rear]; the heading is not wrapped.
+
+    The yaw rate depends on the speeds alone, so the speeds come first, then
+    the heading, then the position, each a cumulative sum from its start
+    value. `np.cumsum` adds in order, as stepping one by one does.
+    """
+    out = np.empty((n + 1, 5))
+    out[0] = state.as_array()
+    out[1:, 3:] = (h * inp.accel_front, h * inp.accel_rear)
+    np.cumsum(out[:, 3:], axis=0, out=out[:, 3:])
+    speeds = out[:-1, 3], out[:-1, 4]
+    (_, _, yaw_rate), _ = _rates(state.heading, *speeds, inp, geom)
+    out[1:, 2] = h * yaw_rate
+    np.cumsum(out[:, 2], out=out[:, 2])
+    (x_dot, y_dot, _), _ = _rates(out[:-1, 2], *speeds, inp, geom)
+    out[1:, 0], out[1:, 1] = h * x_dot, h * y_dot
+    np.cumsum(out[:, :2], axis=0, out=out[:, :2])
+    return out
 
 
 def euler_step(state: RobotState, inp: ControlInput, geom: RobotGeometry,
@@ -103,11 +129,4 @@ def euler_step(state: RobotState, inp: ControlInput, geom: RobotGeometry,
     """Forward-Euler update over dt, optionally split into substeps."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    h = dt / substeps
-    arr = state.as_array()
-    cur = state
-    for _ in range(substeps):
-        arr = arr + h * derivative(cur, inp, geom)
-        cur = RobotState(arr[0], arr[1], arr[2], arr[3], arr[4])
-        arr = cur.as_array()
-    return cur
+    return RobotState.from_array(rollout(state, inp, geom, substeps, dt / substeps)[-1])

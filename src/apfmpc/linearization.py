@@ -2,7 +2,9 @@
 
 The affine model x(k+1) = A x(k) + B u(k) + d is built from analytic
 Jacobians of the continuous dynamics at an operating point (current state,
-previously applied input) and is exact there by construction. The augmented
+previously applied input), taken through the terms of the kinematics' one
+statement of the rates; with the offset d from one Euler step of the same
+rates, the model is exact there by construction. The augmented
 form stacks the previous input into the state so control increments become
 the decision variables; its first N_STATE entries are the outputs.
 """
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ControlInput, RobotGeometry, RobotState, derivative
+from .kinematics import ControlInput, RobotGeometry, RobotState, _rates, derivative
 
 N_STATE = 5
 N_INPUT = 4
@@ -37,48 +39,31 @@ class AugmentedModel:
 def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
     """Analytic Jacobians of the state rate w.r.t. state and input.
 
-    Uses the identities v_c*cos(beta) = (v_f cos(d_f) + v_r cos(d_r))/2 =: w
-    and tan(beta) = (l_r tan(d_f) + l_f tan(d_r))/(l_f+l_r) =: s, so that
-    Xdot = w (cos(th) - s sin(th)), Ydot = w (sin(th) + s cos(th)),
-    and the heading rate is w (tan(d_f) - tan(d_r)) / (l_f+l_r).
+    The chain rule through the kinematics' one statement of the rates:
+    (Xdot, Ydot, heading_rate) = w (gx, gy, k), where w moves with the speeds
+    and the steering, gx and gy with the heading and s, and s and k with
+    tan(d_f) and tan(d_r).
     """
-    lf, lr = geom.l_front, geom.l_rear
-    big_l = lf + lr
-    th = state.heading
+    th, df, dr = state.heading, inp.steer_front, inp.steer_rear
     vf, vr = state.v_front, state.v_rear
-    df, dr = inp.steer_front, inp.steer_rear
-
-    cf, sf, tf = math.cos(df), math.sin(df), math.tan(df)
-    cr, sr, tr = math.cos(dr), math.sin(dr), math.tan(dr)
-    sec2f, sec2r = 1.0 / (cf * cf), 1.0 / (cr * cr)
+    (x_dot, y_dot, _), (w, _, gx, gy, k) = _rates(th, vf, vr, inp, geom)
+    lf, lr = geom.l_front, geom.l_rear
+    cf, cr = math.cos(df), math.cos(dr)
     cth, sth = math.cos(th), math.sin(th)
-
-    w = 0.5 * (vf * cf + vr * cr)
-    s = (lr * tf + lf * tr) / big_l
-    gx = cth - s * sth          # Xdot = w * gx
-    gy = sth + s * cth          # Ydot = w * gy
-    tdiff = tf - tr
-
     dw_dvf, dw_dvr = 0.5 * cf, 0.5 * cr
-    dw_ddf, dw_ddr = -0.5 * vf * sf, -0.5 * vr * sr
-    ds_ddf, ds_ddr = lr * sec2f / big_l, lf * sec2r / big_l
-
-    j_state = np.zeros((N_STATE, N_STATE))
-    j_state[0, 2] = -w * gy
-    j_state[1, 2] = w * gx
-    j_state[0, 3], j_state[0, 4] = dw_dvf * gx, dw_dvr * gx
-    j_state[1, 3], j_state[1, 4] = dw_dvf * gy, dw_dvr * gy
-    j_state[2, 3], j_state[2, 4] = dw_dvf * tdiff / big_l, dw_dvr * tdiff / big_l
-
-    j_input = np.zeros((N_STATE, N_INPUT))
-    j_input[3, 0] = 1.0
-    j_input[4, 1] = 1.0
-    j_input[0, 2] = dw_ddf * gx - w * sth * ds_ddf
-    j_input[0, 3] = dw_ddr * gx - w * sth * ds_ddr
-    j_input[1, 2] = dw_ddf * gy + w * cth * ds_ddf
-    j_input[1, 3] = dw_ddr * gy + w * cth * ds_ddr
-    j_input[2, 2] = (dw_ddf * tdiff + w * sec2f) / big_l
-    j_input[2, 3] = (dw_ddr * tdiff - w * sec2r) / big_l
+    dw_ddf, dw_ddr = -0.5 * vf * math.sin(df), -0.5 * vr * math.sin(dr)
+    dtf, dtr = 1.0 / (cf * cf * (lf + lr)), 1.0 / (cr * cr * (lf + lr))  # sec^2(d)/L
+    j_state = np.array([[0.0, 0.0, -y_dot, dw_dvf * gx, dw_dvr * gx],
+                        [0.0, 0.0, x_dot, dw_dvf * gy, dw_dvr * gy],
+                        [0.0, 0.0, 0.0, dw_dvf * k, dw_dvr * k],
+                        [0.0] * 5,
+                        [0.0] * 5])
+    j_input = np.array([
+        [0.0, 0.0, dw_ddf * gx - w * sth * lr * dtf, dw_ddr * gx - w * sth * lf * dtr],
+        [0.0, 0.0, dw_ddf * gy + w * cth * lr * dtf, dw_ddr * gy + w * cth * lf * dtr],
+        [0.0, 0.0, dw_ddf * k + w * dtf, dw_ddr * k - w * dtr],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0]])
     return j_state, j_input
 
 

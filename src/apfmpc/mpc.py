@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
+from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import N_INPUT, N_STATE, augment, linearize
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
@@ -121,31 +121,23 @@ def build_reference(path: np.ndarray, state: RobotState, ref_speed: float,
 
     Past the end of the path the final point is held with zero reference
     speed. Reference headings follow the segment directions, unwrapped
-    against the robot's current heading.
+    against the robot's current heading: each turn between successive
+    targets is wrapped into (-pi, pi], as `normalize_angle` wraps angles.
     """
     pts, seg, seg_len, cum = path_segments(path)
     headings = np.arctan2(seg[:, 1], seg[:, 0])
     s0 = project_onto_path([state.x, state.y], pts)[1][0]
-
-    total = cum[-1]
-    targets = np.zeros((cfg.n_pred, 5))
-    prev_heading = state.heading
-    for i in range(cfg.n_pred):
-        s = s0 + ref_speed * cfg.dt * (i + 1)
-        if s >= total:
-            pos = pts[-1]
-            heading = headings[-1]
-            speed = 0.0
-        else:
-            j = int(np.searchsorted(cum, s, side="right") - 1)
-            j = min(j, len(seg) - 1)
-            pos = pts[j] + (s - cum[j]) / seg_len[j] * seg[j]
-            heading = headings[j]
-            speed = ref_speed
-        heading = prev_heading + normalize_angle(heading - prev_heading)
-        prev_heading = heading
-        targets[i] = (pos[0], pos[1], heading, speed, speed)
-    return ReferenceHorizon(targets)
+    s = s0 + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
+    past = s >= cum[-1]
+    # past the end j is the last segment, whose heading the targets keep
+    j = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+    pos = pts[j] + ((s - cum[j]) / seg_len[j])[:, None] * seg[j]
+    turn = np.diff(headings[j], prepend=state.heading)
+    turn += 2.0 * math.pi * np.floor((math.pi - turn) / (2.0 * math.pi))
+    speed = np.where(past, 0.0, ref_speed)
+    return ReferenceHorizon(np.column_stack(
+        [np.where(past[:, None], pts[-1], pos), state.heading + np.cumsum(turn),
+         speed, speed]))
 
 
 def slip_constraint_rows(state0: RobotState, input0: ControlInput,
@@ -220,7 +212,7 @@ class MpcController:
         cfg, n_p = self.cfg, self.cfg.n_pred
         frozen = self.variant == "no_customization"
         poses = ([Pose2D(state.x, state.y, state.heading)] * n_p if frozen else
-                 predict_robot(state, self.prev_input, self.geom, n_p, cfg.dt).poses)
+                 predict_robot(state, self.prev_input, self.geom, n_p, cfg.dt))
         anchor = np.array([(p.x, p.y) for p in poses])
         # frozen, robot and footprints hold still: each footprint's one pair
         # is repeated over the steps
@@ -232,7 +224,7 @@ class MpcController:
             track = [fp] * len(robot_rects)  # boundaries are static
             if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
                 track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
-                         for pose in predict_obstacle(obs, n_p, cfg.dt).poses]
+                         for pose in predict_obstacle(obs, n_p, cfg.dt)]
             # per step: offset_a, on_b, distance
             pairs = np.broadcast_to([(*pair.offset_a, *pair.on_b, pair.distance)
                                      for pair in map(closest_pair, robot_rects, track)],

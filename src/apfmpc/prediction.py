@@ -1,9 +1,12 @@
-"""Horizon prediction of robot and obstacle poses.
+"""Horizon prediction of robot and obstacle poses, for steps 1..n ahead.
 
 The robot is rolled forward with its previously applied input held
-constant; obstacles follow a constant velocity and turning rate model
-(velocity vector rotated by dt*yaw_rate before each displacement, so speed
-magnitude is preserved).
+constant, by the kinematics' one array-pass rollout. Obstacles follow a
+constant velocity and turning rate model (velocity vector rotated by
+dt*yaw_rate before each displacement, so speed magnitude is preserved).
+Their steps stay sequential, through the same `advance_obstacle` that
+moves the simulated obstacles, so prediction and simulation agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import OrientedRectangle, Pose2D, normalize_angle
-from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
+from .kinematics import ControlInput, RobotGeometry, RobotState, rollout
 
 
 @dataclass(frozen=True)
@@ -29,22 +32,12 @@ class Obstacle:
             raise ValueError("boundaries must be static")
 
 
-@dataclass(frozen=True)
-class PredictionTrack:
-    """Poses for steps 1..n ahead of the current time, one per dt."""
-    poses: list[Pose2D]
-
-
 def predict_robot(state: RobotState, held_input: ControlInput,
-                  geom: RobotGeometry, n_steps: int, dt: float) -> PredictionTrack:
+                  geom: RobotGeometry, n_steps: int, dt: float) -> list[Pose2D]:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    poses = []
-    cur = state
-    for _ in range(n_steps):
-        cur = euler_step(cur, held_input, geom, dt)
-        poses.append(Pose2D(cur.x, cur.y, cur.heading))
-    return PredictionTrack(poses)
+    track = rollout(state, held_input, geom, n_steps, dt)[1:, :3]
+    return list(map(Pose2D, *track.T.tolist()))
 
 
 def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
@@ -61,7 +54,7 @@ def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
                     (vx, vy), obs.yaw_rate, obs.kind)
 
 
-def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> PredictionTrack:
+def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> list[Pose2D]:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     poses = []
@@ -69,4 +62,4 @@ def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> PredictionTrack:
     for _ in range(n_steps):
         cur = advance_obstacle(cur, dt)
         poses.append(cur.footprint.center)
-    return PredictionTrack(poses)
+    return poses

@@ -251,8 +251,13 @@ def packaged_scenario_path(name: str) -> Path:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    """Scenario from a YAML file; FileNotFoundError if there is none there,
+    ValueError if it is a directory, not YAML or not a valid scenario."""
+    try:
+        with open(path) as fh:
+            data = yaml.safe_load(fh)
+    except (IsADirectoryError, yaml.YAMLError) as exc:
+        raise ValueError(f"invalid scenario file: {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"invalid scenario file: {path}")
     return scenario_from_dict(data)

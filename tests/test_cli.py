@@ -129,6 +129,20 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind", ["not_yaml", "directory"])
+    def test_unreadable_file(self, tmp_path, capsys, command, kind):
+        bad = tmp_path / "bad.yaml"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_text("scenario: {name: broken\npath: [[0, 0]\n")
+        args = [command, str(bad)] + (["--out", str(tmp_path / "out")]
+                                      if command == "run" else [])
+        assert main(args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+
 
 class TestExitCodes:
     def test_missing_file_names_path(self, tmp_path, capsys):

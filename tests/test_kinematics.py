@@ -3,8 +3,72 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, body_speed,
-                               derivative, euler_step, side_slip)
+from apfmpc.geometry import normalize_angle
+from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, derivative,
+                               euler_step)
+from apfmpc.prediction import predict_robot
+
+
+# The paper's side-slip form of the model, the oracle for the w/s form the
+# package states its rates in.
+
+def side_slip(inp: ControlInput, geom: RobotGeometry) -> float:
+    """Side slip angle of the C.G. velocity in the body frame."""
+    lf, lr = geom.l_front, geom.l_rear
+    return math.atan((lr * math.tan(inp.steer_front) + lf * math.tan(inp.steer_rear))
+                     / (lf + lr))
+
+
+def body_speed(state: RobotState, inp: ControlInput, beta: float) -> float:
+    """Speed of the C.G. given wheel speeds, steering, and side slip."""
+    return (state.v_front * math.cos(inp.steer_front)
+            + state.v_rear * math.cos(inp.steer_rear)) / (2.0 * math.cos(beta))
+
+
+def paper_derivative(state, inp, geom):
+    """State rate in the side-slip form: v_c (cos(th + beta), sin(th + beta))
+    and the yaw rate v_c cos(beta) (tan d_f - tan d_r) / L."""
+    beta = side_slip(inp, geom)
+    v_c = body_speed(state, inp, beta)
+    course = state.heading + beta
+    yaw_rate = (v_c * math.cos(beta)
+                * (math.tan(inp.steer_front) - math.tan(inp.steer_rear))
+                / (geom.l_front + geom.l_rear))
+    return np.array([v_c * math.cos(course), v_c * math.sin(course), yaw_rate,
+                     inp.accel_front, inp.accel_rear])
+
+
+def loop_euler(state, inp, geom, dt, substeps=1):
+    """Forward Euler one substep at a time, the heading wrapped after each."""
+    h = dt / substeps
+    cur = state
+    for _ in range(substeps):
+        arr = cur.as_array() + h * paper_derivative(cur, inp, geom)
+        cur = RobotState.from_array(arr)
+    return cur
+
+
+def assert_states_close(got, want, tol=1e-12):
+    """Within tol relative to max(1, |want|); headings compared on the circle."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    diff = got - want
+    diff[2] = normalize_angle(diff[2])
+    assert np.all(np.abs(diff) <= tol * np.maximum(1.0, np.abs(want)))
+
+
+def random_draw(rng):
+    """A seeded state and input with |steering| <= 1.2 rad."""
+    state = RobotState(rng.uniform(-20, 20), rng.uniform(-20, 20),
+                       rng.uniform(-math.pi, math.pi),
+                       rng.uniform(-1.4, 1.4), rng.uniform(-1.4, 1.4))
+    inp = ControlInput(rng.uniform(-1, 1), rng.uniform(-1, 1),
+                       rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
+    return state, inp
+
+
+# heading 3.0 turning left at about 0.5 rad/s and speeding up: crosses +pi
+# into -pi within half a second
+CROSSING = (RobotState(1.0, -2.0, 3.0, 1.0, 1.2), ControlInput(0.2, 0.1, 0.6, -0.6))
 
 
 @pytest.fixture
@@ -82,6 +146,13 @@ class TestDerivative:
         d = derivative(RobotState(2, 3, 0.5, 0, 0), ControlInput(0, 0, 0, 0), sym_geom)
         assert np.all(d == 0.0)
 
+    def test_matches_paper_form(self, rng):
+        geom = RobotGeometry(1.1, 1.4, 1.3, 0.5)
+        for _ in range(2000):
+            s, u = random_draw(rng)
+            got, want = derivative(s, u, geom), paper_derivative(s, u, geom)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestEulerStep:
     def test_straight(self, sym_geom):
@@ -119,6 +190,50 @@ class TestEulerStep:
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
         for r in ratios:
             assert 1.6 < r < 2.6
+
+    @pytest.mark.parametrize("substeps,draws", [(1, 500), (10, 200), (1024, 10)])
+    def test_matches_loop_oracle(self, substeps, draws, rng):
+        geom = RobotGeometry(1.1, 1.4, 1.3, 0.5)
+        for _ in range(draws):
+            s, u = random_draw(rng)
+            dt = rng.uniform(0.05, 0.5)
+            assert_states_close(euler_step(s, u, geom, dt, substeps).as_array(),
+                                loop_euler(s, u, geom, dt, substeps).as_array())
+
+    @pytest.mark.parametrize("substeps", [1, 10, 1024])
+    def test_heading_crosses_pi(self, substeps, sym_geom):
+        s, u = CROSSING
+        want = loop_euler(s, u, sym_geom, 0.5, substeps)
+        assert -math.pi < want.heading < -3.0  # wrapped past +pi
+        assert_states_close(euler_step(s, u, sym_geom, 0.5, substeps).as_array(),
+                            want.as_array())
+
+
+class TestPredictRobotMatchesLoop:
+    @staticmethod
+    def loop_poses(state, inp, geom, n, dt):
+        poses, cur = [], state
+        for _ in range(n):
+            cur = loop_euler(cur, inp, geom, dt)
+            poses.append((cur.x, cur.y, cur.heading))
+        return poses
+
+    def check(self, state, inp, geom, n=20, dt=0.1):
+        got = predict_robot(state, inp, geom, n, dt)
+        assert len(got) == n
+        for pose, want in zip(got, self.loop_poses(state, inp, geom, n, dt)):
+            assert_states_close([pose.x, pose.y, pose.heading], want)
+        return got
+
+    def test_seeded_draws(self, rng):
+        geom = RobotGeometry(1.1, 1.4, 1.3, 0.5)
+        for _ in range(300):
+            self.check(*random_draw(rng), geom)
+
+    def test_heading_crosses_pi(self, sym_geom):
+        poses = self.check(*CROSSING, sym_geom)
+        headings = [p.heading for p in poses]
+        assert headings[0] > 3.0 and headings[-1] < 0.0
 
 
 class TestProperties:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
+from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
 from apfmpc.kinematics import ControlInput, RobotState
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
@@ -43,6 +43,41 @@ def loop_projection(point, path):
     return best_d, s0
 
 
+def loop_reference(path, state, ref_speed, cfg):
+    """Reference oracle: one target at a time, each heading unwrapped against
+    the one before it."""
+    pts = np.asarray(path, dtype=float)
+    seg = np.diff(pts, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    headings = np.arctan2(seg[:, 1], seg[:, 0])
+    s0 = loop_projection([state.x, state.y], pts)[1]
+    targets = np.zeros((cfg.n_pred, 5))
+    prev_heading = state.heading
+    for i in range(cfg.n_pred):
+        s = s0 + ref_speed * cfg.dt * (i + 1)
+        if s >= cum[-1]:
+            pos, heading, speed = pts[-1], headings[-1], 0.0
+        else:
+            j = min(int(np.searchsorted(cum, s, side="right") - 1), len(seg) - 1)
+            pos = pts[j] + (s - cum[j]) / seg_len[j] * seg[j]
+            heading, speed = headings[j], ref_speed
+        heading = prev_heading + normalize_angle(heading - prev_heading)
+        prev_heading = heading
+        targets[i] = (pos[0], pos[1], heading, speed, speed)
+    return targets
+
+
+def random_polyline(rng):
+    """2-10 vertices; each segment turns by up to +-pi from the one before."""
+    n = int(rng.integers(1, 10))
+    direction = rng.uniform(-math.pi, math.pi) + np.cumsum(
+        np.concatenate([[0.0], rng.uniform(-math.pi, math.pi, n - 1)]))
+    steps = rng.uniform(0.05, 3.0, n)[:, None] * np.column_stack(
+        [np.cos(direction), np.sin(direction)])
+    return np.cumsum(np.vstack([rng.uniform(-5.0, 5.0, 2), steps]), axis=0)
+
+
 def loop_condensation(state, prev_input, geom, cfg):
     """Reference oracle: condensed (su, base) with every block of su
     computed where it lands."""
@@ -74,10 +109,10 @@ def loop_apf(controller, state, obstacles, su, base):
         obs_tracks = [[obs.footprint.center] * cfg.n_pred for obs in obstacles]
     else:
         robot_poses = predict_robot(state, controller.prev_input, geom,
-                                    cfg.n_pred, cfg.dt).poses
+                                    cfg.n_pred, cfg.dt)
         obs_tracks = [[obs.footprint.center] * cfg.n_pred
                       if obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0
-                      else predict_obstacle(obs, cfg.n_pred, cfg.dt).poses
+                      else predict_obstacle(obs, cfg.n_pred, cfg.dt)
                       for obs in obstacles]
     h_mat, f_vec, const, terms = np.zeros((nz, nz)), np.zeros(nz), 0.0, []
     for i, rpose in enumerate(robot_poses):
@@ -171,6 +206,37 @@ class TestBuildReference:
         with pytest.raises(ValueError):
             build_reference(np.array([[0.0, 0.0], [0.0, 0.0]]),
                             RobotState(0, 0, 0, 1, 1), 1.0, cfg)
+
+    def test_matches_loop_oracle(self, cfg):
+        rng = np.random.default_rng(11)
+        worst, past_end, still, sharpest = 0.0, 0, 0, 0.0
+        for k in range(2000):
+            path = random_polyline(rng)
+            x, y = path[int(rng.integers(len(path)))] + rng.uniform(-1.0, 1.0, 2)
+            state = RobotState(x, y, rng.uniform(-math.pi, math.pi), 1.0, 1.0)
+            ref_speed = 0.0 if k % 10 == 0 else rng.uniform(0.0, 3.0)
+            got = build_reference(path, state, ref_speed, cfg).targets
+            want = loop_reference(path, state, ref_speed, cfg)
+            worst = max(worst, float(np.max(np.abs(got - want)
+                                            / np.maximum(1.0, np.abs(want)))))
+            past_end += bool(ref_speed > 0.0 and np.any(want[:, 3] == 0.0))
+            still += ref_speed == 0.0
+            sharpest = max(sharpest, float(np.max(np.abs(np.diff(want[:, 2])))))
+        assert worst <= 1e-12
+        assert past_end >= 100 and still == 200 and sharpest > 3.0
+
+    @pytest.mark.parametrize("path,heading", [
+        ([[0.0, 0.0], [10.0, 0.0]], math.pi),             # robot faces back
+        ([[2.0, 0.0], [0.0, 0.0], [3.0, 0.0]], math.pi),  # path doubles back
+        ([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]], 0.0),
+    ], ids=["robot_reversed", "u_turn_to_plus_x", "u_turn_to_minus_x"])
+    def test_half_turns_match_loop_oracle(self, cfg, path, heading):
+        # a turn of exactly -pi wraps to +pi, as normalize_angle wraps it
+        state = RobotState(0.5, 0.2, heading, 1.0, 1.0)
+        got = build_reference(np.array(path), state, 1.0, cfg).targets
+        want = loop_reference(np.array(path), state, 1.0, cfg)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(np.diff(np.concatenate([[heading], want[:, 2]])) >= 0.0)
 
     def test_horizon_rejects_wrapped_heading(self):
         t = np.zeros((3, 5))
@@ -331,7 +397,7 @@ class TestAssemble:
             controller(cfg, geom, initial_input=u0).assemble(
                 s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [obstacle_at(60.0, 0.0)])
             want = [geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
-                    for p in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt).poses]
+                    for p in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt)]
             assert list(map(repr, rects)) == list(map(repr, want))
 
     def test_condensed_matches_stepwise_rollout(self, cfg, geom, rng):

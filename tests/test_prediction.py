@@ -20,15 +20,15 @@ class TestPredictRobot:
     def test_stationary_fixed_point(self, geom):
         track = predict_robot(RobotState(1, 2, 0.3, 0, 0),
                               ControlInput(0, 0, 0, 0), geom, 5, DT)
-        assert len(track.poses) == 5
-        for p in track.poses:
+        assert len(track) == 5
+        for p in track:
             assert (p.x, p.y) == (1, 2)
             assert p.heading == pytest.approx(0.3)
 
     def test_straight_roll(self, geom):
         track = predict_robot(RobotState(0, 0, 0, 1, 1),
                               ControlInput(0, 0, 0, 0), geom, 10, DT)
-        for i, p in enumerate(track.poses, start=1):
+        for i, p in enumerate(track, start=1):
             assert p.x == pytest.approx(0.1 * i, abs=1e-12)
             assert p.y == 0.0
 
@@ -37,7 +37,7 @@ class TestPredictRobot:
         track = predict_robot(RobotState(0, 0, 0, 1, 1),
                               ControlInput(0, 0, d, d), geom, 8, DT)
         step = 0.1 * math.sqrt(2) / 2
-        for i, p in enumerate(track.poses, start=1):
+        for i, p in enumerate(track, start=1):
             assert p.x == pytest.approx(step * i, abs=1e-12)
             assert p.y == pytest.approx(step * i, abs=1e-12)
             assert p.heading == 0.0
@@ -52,14 +52,14 @@ class TestObstacles:
     def test_static_obstacle_fixed(self):
         obs = square_obstacle(3, 4, 0.5)
         track = predict_obstacle(obs, 6, DT)
-        for p in track.poses:
+        for p in track:
             assert (p.x, p.y) == (3, 4)
             assert p.heading == pytest.approx(0.5)
 
     def test_constant_velocity(self):
         obs = square_obstacle(0, 0, vel=(0.0, 0.5))
         track = predict_obstacle(obs, 10, DT)
-        for i, p in enumerate(track.poses, start=1):
+        for i, p in enumerate(track, start=1):
             assert p.x == 0.0
             assert p.y == pytest.approx(0.05 * i, abs=1e-12)
 
@@ -77,7 +77,7 @@ class TestObstacles:
         w = 0.1 * math.pi
         obs = square_obstacle(0, 0, vel=(1.0, 0.0), yaw_rate=w)
         track = predict_obstacle(obs, 40, DT)
-        pts = np.array([[p.x, p.y] for p in track.poses])
+        pts = np.array([[p.x, p.y] for p in track])
         r_expected = DT * 1.0 / (2.0 * math.sin(DT * w / 2.0))
         assert r_expected == pytest.approx(3.1831, abs=1e-3)
         # fit circle center from first three points, then check all radii
@@ -117,8 +117,8 @@ class TestObstacles:
         track = predict_obstacle(obs, 2, DT)
         step1 = advance_obstacle(obs, DT)
         step2 = advance_obstacle(step1, DT)
-        assert track.poses[0] == step1.footprint.center
-        assert track.poses[1] == step2.footprint.center
+        assert track[0] == step1.footprint.center
+        assert track[1] == step2.footprint.center
 
     def test_boundary_must_be_static(self):
         rect = OrientedRectangle(Pose2D(0, 0, 0), 1, 1)
