@@ -12,7 +12,10 @@ of the block-Toeplitz condensed matrix is computed once and the matrix is
 one gather from them, and the field quadratics enter through one product.
 On certified infeasibility only the bounds of the wheel-speed-difference
 rows widen (the band doubles) before solving again; a variant without those
-rows reports infeasible at once.
+rows reports infeasible at once. The first attempt of a tick passes the
+active set of the last optimal tick's QP; the solver returns that set's
+equality solve, without iterating, when it is still optimal. A tick's
+iteration count sums all its attempts.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import N_INPUT, N_STATE, augment, linearize
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
-from .qp import INFEASIBLE, QpProblem, QpSolution, QpSolver
+from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver
 
 _STEER_EPS = 1e-6
 
@@ -81,7 +84,7 @@ class MpcSolution:
     apf_cost: float
     tracking_cost: float
     effort_cost: float
-    iterations: int
+    iterations: int                # summed over the tick's QP attempts
     fallback_doublings: int
 
 
@@ -183,6 +186,7 @@ class MpcController:
         self.prev_input = initial_input or ControlInput(0.0, 0.0, 0.0, 0.0)
         self.solver = QpSolver()
         self._warm = np.zeros(cfg.n_ctrl * N_INPUT)
+        self._active = None  # active set of the last optimal tick's QP
         # per-controller constants of the condensed QP
         n_p, n_c = cfg.n_pred, cfg.n_ctrl
         self._q_diag = np.tile(cfg.q_weights, n_p)
@@ -315,7 +319,10 @@ class MpcController:
         cfg = self.cfg
         nu = N_INPUT
         asm = self.assemble(state, self.prev_input, ref, obstacles)
-        sol = self.solver.solve(asm.qp, warm_start=self._warm)
+        # successive QPs mostly share their active set: the solver returns
+        # the last tick's set at once when it is still optimal
+        sol = self.solver.solve(asm.qp, warm_start=self._warm, active=self._active)
+        iterations = sol.iterations
         band = cfg.slip_band
         doublings = 0
         slip_rows = slice(cfg.n_ctrl * nu, cfg.n_ctrl * (nu + 1))
@@ -327,15 +334,15 @@ class MpcController:
             asm.qp.lower[slip_rows] = -band - asm.slip_offset
             asm.qp.upper[slip_rows] = band - asm.slip_offset
             sol = self.solver.solve(asm.qp, warm_start=self._warm)
-        if sol.status == INFEASIBLE:
-            sol = QpSolution(np.zeros(cfg.n_ctrl * nu), INFEASIBLE,
-                             sol.primal_residual, sol.dual_residual,
-                             sol.iterations)
+            iterations += sol.iterations
+        self._active = sol.active if sol.status == OPTIMAL else None
 
         z = sol.z
-        if (sol.status == "max_iterations"
+        # an infeasible QP, or an unconverged iterate that may violate
+        # constraints badly, holds the inputs
+        if sol.status == INFEASIBLE or (
+                sol.status == MAX_ITERATIONS
                 and sol.primal_residual > 10.0 * self.solver.tolerance):
-            # unconverged iterate may violate constraints badly; hold inputs
             z = np.zeros_like(z)
         delta_seq = z.reshape(cfg.n_ctrl, nu)
         u_next = self.prev_input.as_array() + delta_seq[0]
@@ -357,4 +364,4 @@ class MpcController:
         self.prev_input = applied
         return MpcSolution(applied, delta_seq, predicted, objective,
                            sol.status, apf_cost, tracking, effort,
-                           sol.iterations, doublings)
+                           iterations, doublings)

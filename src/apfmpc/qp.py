@@ -17,6 +17,19 @@ what the projection cuts off as the new v. Every few iterations the checks
 rebuild y = rho v for the residuals and the infeasibility certificate. When
 rho adapts, v is rescaled by rho_old/rho_new (y does not move) and G is
 rebuilt.
+
+The polish is one equality solve: the rows of the active set, each at the
+side of its bound (-1 lower, +1 upper), held as equalities in a slightly
+regularized KKT system. A caller may pass a guess of that set, such as the
+set of the previous solve in a sequence of similar problems (the online
+active set idea of Ferreau, Bock and Diehl, 2008). Before any iteration the
+guess gets the same equality solve; its point is returned, with 0
+iterations, when it is a KKT point of the QP: every scaled row within
+`tolerance` of its bounds, and every multiplier of the side's sign (upper
+>= 0, lower <= 0). A convex QP's KKT point is its minimizer. Otherwise the
+ADMM and polish run exactly as without a guess. Every solution carries the
+side of each row of [A; I]: the guess of a certified solve, or the sides
+read from the final duals of an ADMM solve.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ _RHO = 0.1          # initial ADMM step size; a solve adapts it
 _SIGMA = 1e-6       # proximal weight on the previous iterate
 _RIDGE = 1e-8       # added to the scaled H
 _CHECK_EVERY = 10   # iterations between convergence checks
+_ACTIVE_DUAL = 1e-9  # |y| beyond which a row counts as active
 
 
 @dataclass
@@ -62,6 +76,7 @@ class QpSolution:
     primal_residual: float
     dual_residual: float
     iterations: int
+    active: np.ndarray  # side of each row of [A; I]: -1 lower, +1 upper, 0 free
 
 
 @dataclass
@@ -69,7 +84,12 @@ class QpSolver:
     max_iterations: int = 4000
     tolerance: float = 1e-4
 
-    def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None) -> QpSolution:
+    def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
+              active: np.ndarray | None = None) -> QpSolution:
+        """Minimize from `warm_start` (primal, default 0). `active` guesses
+        the side of each row of [A; I] at the optimum (-1, +1 or 0, as
+        `QpSolution.active`); a guess that is not a KKT point, or not of
+        that length, changes nothing."""
         n = len(problem.f_vec)
         # internal scaling: normalize constraint rows and the cost magnitude
         # so the fixed-step splitting converges on badly scaled problems;
@@ -84,6 +104,17 @@ class QpSolver:
         lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
         hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
         m = len(lo)
+
+        if active is not None and np.shape(active) == (m,):
+            active = np.asarray(active)
+            guess = self._equality_solve(problem, a_full, lo, hi, active)
+            if guess is not None:
+                x, lam, viol = guess
+                if viol <= self.tolerance and np.all(lam * active >= 0.0):
+                    # lam holds the multipliers of the unscaled cost
+                    r_dual = float(np.max(np.abs(p_mat @ x + f
+                                                 + a_full.T @ (cost_scale * lam))))
+                    return QpSolution(x, OPTIMAL, viol, r_dual, 0, active)
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
         # docstring); G is rebuilt only when rho changes
@@ -121,7 +152,7 @@ class QpSolver:
                     status = OPTIMAL
                     break
                 if self._primal_infeasible(a_full, lo, hi, y - prev_y):
-                    return QpSolution(x, INFEASIBLE, r_prim, r_dual, it)
+                    return QpSolution(x, INFEASIBLE, r_prim, r_dual, it, _sides(y))
                 prev_y = y
                 # mild deterministic step-size adaptation; y = rho v stays
                 # put, so v scales by rho_old / rho_new and w follows
@@ -141,7 +172,7 @@ class QpSolver:
             ax = a_full @ x
             r_prim = float(np.max(np.clip(lo - ax, 0.0, None)
                                   + np.clip(ax - hi, 0.0, None)))
-        return QpSolution(x, status, r_prim, r_dual, it)
+        return QpSolution(x, status, r_prim, r_dual, it, _sides(y))
 
     @staticmethod
     def _step_matrix(p_mat, a_full, f, rho: float) -> np.ndarray:
@@ -167,14 +198,19 @@ class QpSolver:
                         + np.sum(lo[neg < 0] * neg[neg < 0]))
         return support < -1e-8
 
-    def _polish(self, problem, a_full, lo, hi, x, y):
-        """Equality-solve on the active set detected from the duals."""
-        act_lo = y < -1e-9
-        act_hi = y > 1e-9
-        rows = np.where(act_lo | act_hi)[0]
-        n = len(x)
+    @staticmethod
+    def _equality_solve(problem, a_full, lo, hi, active):
+        """Hold each row with a nonzero side at that side's bound and solve
+        the regularized KKT system. Returns the point, the multiplier of
+        each row (0 off the set; upper >= 0 and lower <= 0 at an optimum)
+        and the largest scaled bound violation, or None when a held bound is
+        infinite or the system is singular."""
+        rows = np.flatnonzero(active)
+        b_act = np.where(active[rows] < 0, lo[rows], hi[rows])
+        if not np.all(np.isfinite(b_act)):
+            return None
+        n = len(problem.f_vec)
         a_act = a_full[rows]
-        b_act = np.where(act_lo[rows], lo[rows], hi[rows])
         k = len(rows)
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = problem.h_mat + 1e-10 * np.eye(n)
@@ -186,12 +222,28 @@ class QpSolver:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             return None
-        x_new = sol[:n]
-        ax = a_full @ x_new
+        x = sol[:n]
+        lam = np.zeros(len(lo))
+        lam[rows] = sol[n:]
+        ax = a_full @ x
         viol = float(np.max(np.clip(lo - ax, 0.0, None)
                             + np.clip(ax - hi, 0.0, None)))
+        return x, lam, viol
+
+    def _polish(self, problem, a_full, lo, hi, x, y):
+        """Equality solve on the active set detected from the duals, kept
+        when feasible and no worse than the ADMM iterate."""
+        found = self._equality_solve(problem, a_full, lo, hi, _sides(y))
+        if found is None:
+            return None
+        x_new, _, viol = found
         if viol > self.tolerance:
             return None
         if problem.objective(x_new) <= problem.objective(x) + self.tolerance:
             return x_new
         return None
+
+
+def _sides(y: np.ndarray) -> np.ndarray:
+    """The bound side each dual holds its row at: -1 lower, +1 upper, 0 free."""
+    return (y > _ACTIVE_DUAL).astype(int) - (y < -_ACTIVE_DUAL)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
-from apfmpc.kinematics import ControlInput, RobotState
+from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
                         build_reference, project_onto_path, slip_constraint_rows)
@@ -155,15 +155,19 @@ def apf_scene(rng):
 
 
 class RecordingSolver(QpSolver):
-    """QpSolver that keeps a copy of the constraint bounds of every solve."""
+    """QpSolver that keeps a copy of the constraint bounds of every solve,
+    and each problem with its solution."""
 
     def __init__(self):
         super().__init__()
         self.bounds = []
+        self.solves = []
 
-    def solve(self, problem, warm_start=None):
+    def solve(self, problem, warm_start=None, active=None):
         self.bounds.append((problem.lower.copy(), problem.upper.copy()))
-        return super().solve(problem, warm_start)
+        sol = super().solve(problem, warm_start, active)
+        self.solves.append((problem, sol))
+        return sol
 
 
 class TestBuildReference:
@@ -508,6 +512,30 @@ class TestStep:
         assert sol.fallback_doublings >= 1
         assert len(calls) == 1
 
+    def test_certifies_last_active_set(self, cfg, geom):
+        # along a straight path most ticks keep the last tick's active set,
+        # which the solver then returns without iterating
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        for _ in range(30):
+            sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+            s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
+        assert len(c.solver.solves) == 30
+        certified = [(prob, sol) for prob, sol in c.solver.solves if sol.iterations == 0]
+        assert c.solver.solves[0][1].iterations > 0
+        assert 2 * len(certified) > len(c.solver.solves) - 1
+        tol = c.solver.tolerance
+        for prob, sol in certified:
+            assert sol.status == "optimal"
+            # the solver's rule: each row within tolerance once divided by
+            # its largest coefficient, and the box within tolerance
+            ax = prob.a_mat @ sol.z
+            over = np.maximum(prob.lower - ax, ax - prob.upper)
+            assert np.all(over <= tol * np.max(np.abs(prob.a_mat), axis=1))
+            assert np.all(sol.z >= prob.z_lower - tol)
+            assert np.all(sol.z <= prob.z_upper + tol)
+
     def test_rejects_unknown_variant(self, cfg, geom):
         with pytest.raises(ValueError):
             MpcController(cfg, geom, variant="fancy")
@@ -541,6 +569,15 @@ class TestFallbacks:
         keep[rows] = False
         assert np.array_equal(lo[keep], lo0[keep])
         assert np.array_equal(hi[keep], hi0[keep])
+
+    def test_iterations_sum_over_attempts(self, cfg, geom):
+        s = RobotState(0, 0, 0, 1.1, 0.4)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        per_attempt = [attempt.iterations for _, attempt in c.solver.solves]
+        assert len(per_attempt) == sol.fallback_doublings + 1 >= 2
+        assert sol.iterations == sum(per_attempt) > per_attempt[-1]
 
     def test_infeasible_after_last_doubling(self, cfg, geom):
         # both wheels far above the 1.4 m/s output bound: no band helps

@@ -253,3 +253,88 @@ class TestMatchesLoopIteration:
         assert sol.status == status == "infeasible"
         assert sol.iterations == iterations
         assert np.max(np.abs(sol.z - z)) < 1e-9
+
+
+class TestActiveSetGuess:
+    @staticmethod
+    def solves(geom):
+        """(problem, warm start, no-guess solution) of the controller QPs."""
+        solver = QpSolver()
+        for seed in (1, 2):
+            for prob, warm in controller_qps(geom, seed):
+                yield prob, warm, solver.solve(prob, warm_start=warm)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert np.array_equal(a.z, b.z)
+        assert a.status == b.status
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.active, b.active)
+
+    def test_correct_guess_is_certified(self, geom, monkeypatch):
+        polished = []
+        polish = QpSolver._polish
+
+        def recording(self, *args):
+            out = polish(self, *args)
+            polished.append(out is not None)
+            return out
+
+        monkeypatch.setattr(QpSolver, "_polish", recording)
+        solver, kept = QpSolver(), 0
+        for prob, warm, sol in self.solves(geom):
+            if sol.status != "optimal":
+                continue
+            took_polish = polished[-1]
+            guessed = solver.solve(prob, warm_start=warm, active=sol.active)
+            assert guessed.status == "optimal"
+            assert guessed.iterations == 0
+            assert np.array_equal(guessed.active, sol.active)
+            assert guessed.primal_residual <= solver.tolerance
+            if took_polish:
+                # the same active set gives the same KKT system: same bits
+                assert np.array_equal(guessed.z, sol.z)
+                kept += 1
+        assert kept >= 5
+
+    def test_wrong_guess_changes_nothing(self, geom):
+        solver, tried = QpSolver(), 0
+        for prob, warm, sol in self.solves(geom):
+            if sol.status != "optimal":
+                continue
+            active = sol.active
+            flipped = active.copy()
+            held = np.flatnonzero(active)[0]
+            flipped[held] = -flipped[held]
+            added = active.copy()
+            added[np.flatnonzero(active == 0)[0]] = 1
+            for guess in (flipped, added, active[:-1], np.append(active, 0)):
+                self.assert_same(solver.solve(prob, warm_start=warm, active=guess), sol)
+                tried += 1
+        assert tried >= 20
+
+    def test_infeasible_with_guess_keeps_certificate(self, geom):
+        solver, tried = QpSolver(), 0
+        for prob, warm, sol in self.solves(geom):
+            if sol.status != "infeasible":
+                continue
+            for guess in (sol.active, np.zeros_like(sol.active)):
+                self.assert_same(solver.solve(prob, warm_start=warm, active=guess), sol)
+                tried += 1
+        assert tried >= 20
+
+    def test_interior_optimum_rejects_guessed_bound(self):
+        # optimum (0.5, 0) is interior; holding z0 at its upper bound 1 is
+        # primal feasible but needs a negative upper multiplier
+        prob = box_problem(np.eye(2), [-0.5, 0.0], [-1, -1], [1, 1])
+        solver = QpSolver()
+        sol = solver.solve(prob)
+        assert np.array_equal(sol.active, [0, 0])
+        guessed = solver.solve(prob, active=np.array([1, 0]))
+        self.assert_same(guessed, sol)
+        assert np.max(np.abs(guessed.z - [0.5, 0.0])) < 1e-6
+
+    def test_admm_reports_bound_sides(self):
+        prob = box_problem(np.eye(3), [-10.0, 0.0, 10.0], [-1, -1, -1], [1, 1, 1])
+        sol = QpSolver().solve(prob)
+        assert np.array_equal(sol.active, [1, 0, -1])
