@@ -334,6 +334,12 @@ class TestActiveSetGuess:
         self.assert_same(guessed, sol)
         assert np.max(np.abs(guessed.z - [0.5, 0.0])) < 1e-6
 
+    def test_guess_on_infinite_bound_falls_back(self):
+        prob = box_problem(np.diag([2.0, 4.0]), [-2.0, -8.0], [-INF, -INF], [INF, INF])
+        solver = QpSolver()
+        sol = solver.solve(prob)
+        self.assert_same(solver.solve(prob, active=np.array([1, -1])), sol)
+
     def test_admm_reports_bound_sides(self):
         prob = box_problem(np.eye(3), [-10.0, 0.0, 10.0], [-1, -1, -1], [1, 1, 1])
         sol = QpSolver().solve(prob)
