@@ -107,10 +107,8 @@ def cmd_compare(args) -> int:
         log.to_csv(out_dir / f"{scenario.name}.{variant}.log.csv")
         results[variant] = metrics(log, scenario.path)
         results[variant]["outcome"] = log.outcome
-    summary = {}
-    for variant, vals in results.items():
-        for key, val in vals.items():
-            summary[f"{variant}.{key}"] = val
+    summary = {f"{variant}.{key}": val
+               for variant, vals in results.items() for key, val in vals.items()}
     for key in ("min_clearance", "max_slip_measure", "max_heading_rate"):
         summary[f"delta.{key}"] = (results["no_customization"][key]
                                    - results["full"][key])

@@ -7,6 +7,9 @@ statement of the rates; with the offset d from one Euler step of the same
 rates, the model is exact there by construction. The augmented
 form stacks the previous input into the state so control increments become
 the decision variables; its first N_STATE entries are the outputs.
+N = Ā - I has N⁴ = 0: in the order inputs, speeds, heading, position, each
+entry feeds only later ones (the yaw rate moves with the speeds and steering,
+not the heading), so every product of four entries of N has a structural zero.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .kinematics import ControlInput, RobotGeometry, RobotState, _rates, derivat
 
 N_STATE = 5
 N_INPUT = 4
+NILPOTENCY_INDEX = 4  # (Ā - I)⁴ = 0, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,9 @@ def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
 def augment(lin: LinearizedModel) -> AugmentedModel:
     """Delta-input form over the stacked state [state; previous input]."""
     n, m = N_STATE, N_INPUT
-    a_bar = np.zeros((n + m, n + m))
+    a_bar = np.eye(n + m)
     a_bar[:n, :n] = lin.a_mat
     a_bar[:n, n:] = lin.b_mat
-    a_bar[n:, n:] = np.eye(m)
     b_bar = np.vstack([lin.b_mat, np.eye(m)])
     d_bar = np.concatenate([lin.d_vec, np.zeros(m)])
     return AugmentedModel(a_bar, b_bar, d_bar)

@@ -7,9 +7,9 @@ condense the delta-input dynamics into prediction matrices, and solve a
 dense QP in the stacked increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
 
-The QP is assembled once per tick: each distinct block (state rows of Āᵏ·B̄)
-of the block-Toeplitz condensed matrix is computed once and the matrix is
-one gather from them, and the field quadratics enter through one product.
+The QP is assembled once per tick. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial
+sum in N and the condensed matrices are fixed binomial tables times the
+Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one product.
 On certified infeasibility only the bounds of the wheel-speed-difference
 rows widen (the band doubles) before solving again; a variant without those
 rows reports infeasible at once. The first attempt of a tick passes the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState
-from .linearization import N_INPUT, N_STATE, augment, linearize
+from .linearization import N_INPUT, N_STATE, NILPOTENCY_INDEX, augment, linearize
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver
@@ -69,8 +69,9 @@ class ReferenceHorizon:
     targets: np.ndarray  # n_pred x 5, heading unwrapped
 
     def __post_init__(self):
-        dth = np.diff(self.targets[:, 2])
-        if len(dth) and np.max(np.abs(dth)) > math.pi:
+        heading = self.targets[:, 2]  # each step a turn in (-pi, pi] + summing's rounding
+        slack = 4.0 * np.spacing(2.0 * math.pi + np.max(np.abs(heading), initial=0.0))
+        if np.any(np.abs(np.diff(heading)) > math.pi + slack):
             raise ValueError("reference heading must be unwrapped")
 
 
@@ -125,7 +126,7 @@ def build_reference(path: np.ndarray, state: RobotState, ref_speed: float,
     Past the end of the path the final point is held with zero reference
     speed. Reference headings follow the segment directions, unwrapped
     against the robot's current heading: each turn between successive
-    targets is wrapped into (-pi, pi], as `normalize_angle` wraps angles.
+    headings in [-pi, pi] is wrapped into (-pi, pi] by one exact 2 pi step.
     """
     pts, seg, seg_len, cum = path_segments(path)
     headings = np.arctan2(seg[:, 1], seg[:, 0])
@@ -136,7 +137,7 @@ def build_reference(path: np.ndarray, state: RobotState, ref_speed: float,
     j = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
     pos = pts[j] + ((s - cum[j]) / seg_len[j])[:, None] * seg[j]
     turn = np.diff(headings[j], prepend=state.heading)
-    turn += 2.0 * math.pi * np.floor((math.pi - turn) / (2.0 * math.pi))
+    turn -= 2.0 * math.pi * ((turn > math.pi) - 1.0 * (turn <= -math.pi))
     speed = np.where(past, 0.0, ref_speed)
     return ReferenceHorizon(np.column_stack(
         [np.where(past[:, None], pts[-1], pos), state.heading + np.cumsum(turn),
@@ -203,10 +204,12 @@ class MpcController:
                           + np.array(bounded, dtype=int)[:, None]).ravel()
         self._eta_lo = np.repeat(np.array(cfg.eta_min)[bounded], n_p)
         self._eta_hi = np.repeat(np.array(cfg.eta_max)[bounded], n_p)
-        # su block (i, j) is block i - j of the stack of Āᵏ·B̄, or the zero
-        # block n_p above the diagonal
-        lag = np.subtract.outer(np.arange(n_p), np.arange(n_c))
-        self._lag = np.where(lag >= 0, lag, n_p)
+        # binomials C(k, p) of the closed-form condensation (see assemble)
+        binom = np.array([[math.comb(k, p) for p in range(NILPOTENCY_INDEX + 1)]
+                          for k in range(n_p + 1)], dtype=float)
+        lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
+        self._binom_su = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
+        self._binom_base = np.hstack([binom[1:, :-1], binom[1:, 1:]])
 
     # -- assembly -----------------------------------------------------------
 
@@ -248,24 +251,22 @@ class MpcController:
         n_p, n_c, nu, ns = cfg.n_pred, cfg.n_ctrl, N_INPUT, N_STATE
         nz = n_c * nu
 
-        lin = linearize(state, prev_input, self.geom, cfg.dt)
-        aug = augment(lin)
+        aug = augment(linearize(state, prev_input, self.geom, cfg.dt))
         x0 = np.concatenate([state.as_array(), prev_input.as_array()])
 
-        # condensed prediction: eta = su z + base, with su block-Toeplitz:
-        # block (i, j) is the state rows of A^(i-j) B for j <= i, gathered
-        # from the n_p distinct blocks
-        na = ns + nu
-        power = np.eye(na)
-        blocks = np.zeros((n_p + 1, ns, nu))
-        base = np.zeros(n_p * ns)
-        dsum = np.zeros(na)
-        for i in range(n_p):
-            blocks[i] = power[:ns] @ aug.b_bar
-            power = aug.a_bar @ power
-            dsum = aug.a_bar @ dsum + aug.d_bar
-            base[i * ns:(i + 1) * ns] = (power @ x0 + dsum)[:ns]
-        su = blocks[self._lag].transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
+        # condensed prediction eta = su z + base in closed form: N = Ā - I
+        # has N⁴ = 0, so Āᵏ = Σₚ C(k, p) Nᵖ over p < 4. Block (i, j) of su is
+        # the state rows of Σₚ C(i - j, p) Nᵖ B̄, and step i of base those of
+        # Σₚ C(i + 1, p) Nᵖ x̄₀ + C(i + 1, p + 1) Nᵖ d̄, as Σₗ≤ᵢ C(l, p) is
+        # C(i + 1, p + 1); the Nᵖ [B̄ | x̄₀ | d̄] take three 9x9 products
+        n_mat = aug.a_bar - np.eye(ns + nu)
+        nw = [np.column_stack([aug.b_bar, x0, aug.d_bar])]
+        for _ in range(NILPOTENCY_INDEX - 1):
+            nw.append(n_mat @ nw[-1])
+        nw = np.stack(nw)[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
+        su = (self._binom_su @ nw[..., :nu].reshape(NILPOTENCY_INDEX, ns * nu)).reshape(
+            n_p, n_c, ns, nu).transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
+        base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
 
         # tracking + effort costs (1/2 z'Hz + f'z convention)
         q_diag = self._q_diag
@@ -307,9 +308,8 @@ class MpcController:
         lo_rows.append(self._eta_lo - base[self._eta_rows])
         hi_rows.append(self._eta_hi - base[self._eta_rows])
 
-        du_max = self._du_max
         qp = QpProblem(h_mat, f_vec, np.vstack(a_rows), np.concatenate(lo_rows),
-                       np.concatenate(hi_rows), -du_max, du_max)
+                       np.concatenate(hi_rows), -self._du_max, self._du_max)
         return _Assembled(qp, su, base, ref_stack, apf, const, g)
 
     # -- per-tick solve ------------------------------------------------------

@@ -218,13 +218,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         init = data["initial_state"]
-        obstacles = []
-        for o in data.get("obstacles", []):
-            obstacles.append(Obstacle(
-                _rect_from_dict(o),
-                (float(o.get("velocity", [0, 0])[0]),
-                 float(o.get("velocity", [0, 0])[1])),
-                float(o.get("yaw_rate", 0.0)), "obstacle"))
+        obstacles = [Obstacle(_rect_from_dict(o),
+                              (float(o.get("velocity", [0, 0])[0]),
+                               float(o.get("velocity", [0, 0])[1])),
+                              float(o.get("yaw_rate", 0.0)), "obstacle")
+                     for o in data.get("obstacles", [])]
         return Scenario(
             name=str(data["scenario"]["name"]),
             corridor=[_rect_from_dict(r) for r in data.get("corridor", [])],

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from apfmpc.kinematics import RobotGeometry
+from apfmpc.kinematics import RobotGeometry, RobotState
 from apfmpc.mpc import MpcConfig
-from apfmpc.simulator import load_scenario, packaged_scenario_path, run
+from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +21,22 @@ def cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def double_back(heading, duration=1.0):
+    """Path (0, 0) -> 2 (cos h, sin h) -> (0, 0), the robot on the first leg
+    at heading h: the horizon holds an exact half turn."""
+    c, s = math.cos(heading), math.sin(heading)
+    return Scenario(name="double_back", corridor=[],
+                    path=np.array([[0.0, 0.0], [2.0 * c, 2.0 * s], [0.0, 0.0]]),
+                    ref_speed=1.0, obstacles=[],
+                    initial_state=RobotState(0.5 * c, 0.5 * s, heading, 0.5, 0.5),
+                    duration=duration)
+
+
+# 0.89 on a 601-point grid over [-3, 3]: the half turn's summed heading
+# there steps just past pi in floating point
+DOUBLE_BACK_HEADING = 0.8900000000000001
 
 
 def _cached_run(name):

@@ -6,6 +6,7 @@ from apfmpc.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState
 from apfmpc.simulator import Scenario, save_scenario
+from conftest import DOUBLE_BACK_HEADING, double_back
 
 
 @pytest.fixture
@@ -122,6 +123,12 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_CONFIG
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_runs_what_it_accepts(self, tmp_path):
+        path = tmp_path / "double_back.yaml"
+        save_scenario(double_back(DOUBLE_BACK_HEADING), path)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

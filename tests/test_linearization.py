@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from apfmpc.kinematics import ControlInput, RobotState, euler_step
-from apfmpc.linearization import augment, linearize
+from apfmpc.linearization import NILPOTENCY_INDEX, augment, linearize
 
 DT = 0.1
 
@@ -108,6 +108,23 @@ class TestAugment:
             u_cur = u_cur + du
             z = lin.a_mat @ z + lin.b_mat @ u_cur + lin.d_vec
             assert np.max(np.abs(x[:5] - z)) < 1e-10
+
+    def test_delta_form_is_nilpotent(self, geom):
+        # the closed-form condensation in mpc needs (Ā - I)⁴ exactly zero,
+        # also with the steering at its clamp
+        rng = np.random.default_rng(29)
+        edge = np.pi / 2 - 1e-6
+        steers = [(edge, edge), (edge, -edge), (-edge, edge), (-edge, -edge), None]
+        for k in range(250):
+            s, u = random_operating_point(rng)
+            s = RobotState(s.x, s.y, rng.uniform(-np.pi, np.pi), s.v_front, s.v_rear)
+            df, dr = steers[k % 5] or (u.steer_front, u.steer_rear)
+            u = ControlInput(u.accel_front, u.accel_rear, df, dr)
+            n_mat = augment(linearize(s, u, geom, DT)).a_bar - np.eye(9)
+            assert np.array_equal(np.linalg.matrix_power(n_mat, NILPOTENCY_INDEX),
+                                  np.zeros((9, 9)))
+            if df != dr:  # the heading then turns with the speeds: no lower power vanishes
+                assert np.any(np.linalg.matrix_power(n_mat, NILPOTENCY_INDEX - 1) != 0.0)
 
     def test_zero_delta_matches_held_input_rollout(self, geom, rng):
         s, u = random_operating_point(rng)

@@ -11,6 +11,7 @@ from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc.qp import INFEASIBLE, QpSolver
+from conftest import double_back
 
 REF_SPEED = 1.389
 STRAIGHT = np.array([[0.0, 0.0], [40.0, 0.0]])
@@ -242,6 +243,19 @@ class TestBuildReference:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.all(np.diff(np.concatenate([[heading], want[:, 2]])) >= 0.0)
 
+    def test_exact_double_back(self, cfg):
+        # a half turn that the heading sum rounds just past pi is a valid horizon
+        for heading in np.linspace(-3.0, 3.0, 601):
+            scn = double_back(heading)
+            state = scn.initial_state
+            got = build_reference(scn.path, state, 1.0, cfg).targets
+            want = loop_reference(scn.path, state, 1.0, cfg)
+            assert np.max(np.abs(got[:, [0, 1, 3, 4]] - want[:, [0, 1, 3, 4]])) <= 1e-12
+            # rounding picks the half turn's side, so headings agree up to 2 pi
+            off = got[:, 2] - want[:, 2]
+            assert np.max(np.abs(np.arctan2(np.sin(off), np.cos(off)))) <= 1e-12
+            assert abs(got[-1, 2] - heading) == pytest.approx(math.pi)
+
     def test_horizon_rejects_wrapped_heading(self):
         t = np.zeros((3, 5))
         t[:, 2] = [0.0, 3.2, 0.0]
@@ -335,8 +349,11 @@ class TestAssemble:
             c = controller(cfg, geom, initial_input=u0)
             asm = c.assemble(s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
             su, base = loop_condensation(s, u0, geom, cfg)
-            assert np.array_equal(asm.su, su)
-            assert np.array_equal(asm.base, base)
+            # the closed form sums the powers in another order than the loop:
+            # measured worst 2.2e-16 (su) and 9.2e-16 (base) of the largest entry
+            assert np.max(np.abs(asm.su - su)) <= 1e-13 * np.max(np.abs(su))
+            assert np.max(np.abs(asm.base - base)) <= 1e-13 * np.max(np.abs(base))
+            assert np.array_equal(asm.su == 0.0, su == 0.0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_fold_matches_loop_oracle(self, geom, variant):

@@ -11,6 +11,7 @@ from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
                               packaged_scenario_path, run, save_scenario,
                               scenario_from_dict, scenario_to_dict,
                               slip_measure, with_variant)
+from conftest import DOUBLE_BACK_HEADING, double_back
 
 
 def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
@@ -44,6 +45,10 @@ class TestRun:
         assert len(log.records) == int(round(2.0 / cfg.dt))
         assert log.records[0].t == 0.0
         assert log.records[-1].t == pytest.approx(2.0 - cfg.dt)
+
+    def test_exact_double_back_runs(self):
+        log = run(double_back(DOUBLE_BACK_HEADING))
+        assert log.outcome == COMPLETED and len(log.records) == 10
 
     def test_collision_detected_and_run_stops(self):
         blocker = Obstacle(OrientedRectangle(Pose2D(0.5, 0.0, 0.0), 1.0, 1.0))
