@@ -7,12 +7,13 @@ import sys
 from pathlib import Path
 
 from .mpc import VARIANTS
-from .simulator import load_scenario, metrics, run, with_variant
+from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run, with_variant
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
+EXIT_NUMERICAL = 4  # a run ended with a non-finite state
 
 
 def _write_summary(path: Path, values: dict) -> None:
@@ -94,7 +95,7 @@ def cmd_run(args) -> int:
     if args.plots:
         _series_files(out_dir, scenario.name, log)
         _trajectory_svg(out_dir, scenario.name, scenario, log)
-    return EXIT_OK
+    return EXIT_NUMERICAL if log.outcome == NUMERICAL_FAILURE else EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -113,7 +114,8 @@ def cmd_compare(args) -> int:
         summary[f"delta.{key}"] = (results["no_customization"][key]
                                    - results["full"][key])
     _write_summary(out_dir / f"{scenario.name}.compare.summary", summary)
-    return EXIT_OK
+    failed = any(vals["outcome"] == NUMERICAL_FAILURE for vals in results.values())
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_validate(args) -> int:

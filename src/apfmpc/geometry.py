@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 def normalize_angle(angle: float) -> float:
@@ -45,8 +46,7 @@ class OrientedRectangle:
             raise ValueError("rectangle half-extents must be positive")
 
 
-@dataclass(frozen=True)
-class ClosestPair:
+class ClosestPair(NamedTuple):
     on_a: tuple[float, float]
     on_b: tuple[float, float]
     distance: float

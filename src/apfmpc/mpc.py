@@ -7,9 +7,12 @@ condense the delta-input dynamics into prediction matrices, and solve a
 dense QP in the stacked increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
 
-The QP is assembled once per tick. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial
-sum in N and the condensed matrices are fixed binomial tables times the
-Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one product.
+The QP is assembled once per tick. The closest pairs of every footprint and
+step fill one table; its active rows take one field expansion per kind
+(obstacle, boundary), summed per step in footprint order. Ā - I = N has
+N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed matrices are fixed
+binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics
+enter through one product.
 On certified infeasibility only the bounds of the wheel-speed-difference
 rows widen (the band doubles) before solving again; a variant without those
 rows reports infeasible at once. The first attempt of a tick passes the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -216,34 +220,42 @@ class MpcController:
     def _apf_quadratic(self, state: RobotState,
                        obstacles: list[Obstacle]) -> QuadraticApproximation:
         """Active APF expansions summed per step, at the predicted robot position."""
-        cfg, n_p = self.cfg, self.cfg.n_pred
+        cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
         frozen = self.variant == "no_customization"
-        poses = ([Pose2D(state.x, state.y, state.heading)] * n_p if frozen else
+        poses = ([Pose2D(state.x, state.y, state.heading)] if frozen else
                  predict_robot(state, self.prev_input, self.geom, n_p, cfg.dt))
-        anchor = np.array([(p.x, p.y) for p in poses])
+        robot_rects = [OrientedRectangle(p, hl, hw) for p in poses]
         # frozen, robot and footprints hold still: each footprint's one pair
-        # is repeated over the steps
-        robot_rects = [OrientedRectangle(p, self.geom.half_length, self.geom.half_width)
-                       for p in (poses[:1] if frozen else poses)]
-        const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
-        for obs in obstacles:
-            fp = obs.footprint
-            track = [fp] * len(robot_rects)  # boundaries are static
-            if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
-                track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
-                         for pose in predict_obstacle(obs, n_p, cfg.dt)]
-            # per step: offset_a, on_b, distance
-            pairs = np.broadcast_to([(*pair.offset_a, *pair.on_b, pair.distance)
-                                     for pair in map(closest_pair, robot_rects, track)],
-                                    (n_p, 5))
-            steps = np.flatnonzero(pairs[:, 4] <= cfg.activation_radius)
-            params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
-            quad = quadratic_approx(anchor[steps], pairs[steps, 0:2],
-                                    pairs[steps, 2:4], params)
-            np.add.at(const, steps, quad.constant)
-            np.add.at(grad, steps, quad.gradient)
-            np.add.at(hess, steps, quad.hessian_psd)
-        return QuadraticApproximation(const, grad, hess, anchor)
+        # serves every step; boundaries are static
+        tracks = [[obs.footprint] * len(poses)
+                  if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0) else
+                  [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
+                   for pose in predict_obstacle(obs, n_p, cfg.dt)]
+                  for obs in obstacles]
+        # per footprint and step: offset_a, on_b, distance
+        flat = np.fromiter(chain.from_iterable(
+            pair.offset_a + pair.on_b + (pair.distance,)
+            for track in tracks for pair in map(closest_pair, robot_rects, track)),
+            float, 5 * len(tracks) * len(poses))
+        pairs = np.broadcast_to(flat.reshape(len(tracks), len(poses), 5), (len(tracks), n_p, 5))
+        anchor = np.broadcast_to([(p.x, p.y) for p in poses], (n_p, 2))
+        active = pairs[..., 4] <= cfg.activation_radius
+        boundary = np.array([obs.kind == "boundary" for obs in obstacles])
+        const, grad, hess = (np.zeros(active.shape), np.zeros((*active.shape, 2)),
+                             np.zeros((*active.shape, 2, 2)))
+        # one expansion per field kind; each step sums its zero-filled stack
+        # in footprint order from +0.0, as adding term by term into zeros does
+        for rows, params in ((active & ~boundary[:, None], cfg.obstacle_apf),
+                             (active & boundary[:, None], cfg.boundary_apf)):
+            if rows.any():
+                sel = pairs[rows]
+                quad = quadratic_approx(np.broadcast_to(anchor, grad.shape)[rows],
+                                        sel[:, 0:2], sel[:, 2:4], params)
+                const[rows], grad[rows], hess[rows] = (quad.constant, quad.gradient,
+                                                       quad.hessian_psd)
+        return QuadraticApproximation(const.sum(axis=0, initial=0.0),
+                                      grad.sum(axis=0, initial=0.0),
+                                      hess.sum(axis=0, initial=0.0), anchor)
 
     def assemble(self, state: RobotState, prev_input: ControlInput,
                  ref: ReferenceHorizon, obstacles: list[Obstacle]) -> _Assembled:

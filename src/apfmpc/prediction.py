@@ -4,9 +4,9 @@ The robot is rolled forward with its previously applied input held
 constant, by the kinematics' one array-pass rollout. Obstacles follow a
 constant velocity and turning rate model (velocity vector rotated by
 dt*yaw_rate before each displacement, so speed magnitude is preserved).
-Their steps stay sequential, through the same `advance_obstacle` that
-moves the simulated obstacles, so prediction and simulation agree bit for
-bit.
+Their steps stay sequential, on floats, through the helper that
+`advance_obstacle` wraps for the simulator, so prediction and simulation
+agree bit for bit; a prediction builds only the poses it returns.
 """
 
 from __future__ import annotations
@@ -40,16 +40,20 @@ def predict_robot(state: RobotState, held_input: ControlInput,
     return list(map(Pose2D, *track.T.tolist()))
 
 
+def _obstacle_step(x, y, heading, vx, vy, yaw_rate, dt):
+    """One constant velocity / turning rate step of a pose and velocity."""
+    ang = dt * yaw_rate
+    c, s = math.cos(ang), math.sin(ang)
+    vx, vy = c * vx - s * vy, s * vx + c * vy
+    return x + dt * vx, y + dt * vy, normalize_angle(heading + ang), vx, vy
+
+
 def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
     """One constant velocity / turning rate step."""
-    ang = dt * obs.yaw_rate
-    c, s = math.cos(ang), math.sin(ang)
-    vx = c * obs.velocity[0] - s * obs.velocity[1]
-    vy = s * obs.velocity[0] + c * obs.velocity[1]
     pose = obs.footprint.center
-    new_pose = Pose2D(pose.x + dt * vx, pose.y + dt * vy,
-                      normalize_angle(pose.heading + ang))
-    return Obstacle(OrientedRectangle(new_pose, obs.footprint.half_length,
+    x, y, heading, vx, vy = _obstacle_step(pose.x, pose.y, pose.heading,
+                                           *obs.velocity, obs.yaw_rate, dt)
+    return Obstacle(OrientedRectangle(Pose2D(x, y, heading), obs.footprint.half_length,
                                       obs.footprint.half_width),
                     (vx, vy), obs.yaw_rate, obs.kind)
 
@@ -57,9 +61,9 @@ def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
 def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> list[Pose2D]:
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    poses = []
-    cur = obs
+    pose = obs.footprint.center
+    step, poses = (pose.x, pose.y, pose.heading, *obs.velocity), []
     for _ in range(n_steps):
-        cur = advance_obstacle(cur, dt)
-        poses.append(cur.footprint.center)
+        step = _obstacle_step(*step, obs.yaw_rate, dt)
+        poses.append(Pose2D(*step[:3]))
     return poses

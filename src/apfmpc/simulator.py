@@ -27,6 +27,7 @@ CSV_HEADER = ("t,x,y,theta,v_f,v_r,a_f,a_r,delta_f,delta_r,"
 COMPLETED = "completed"
 COLLIDED = "collided"
 SOLVER_FAILED = "solver_failed"
+NUMERICAL_FAILURE = "numerical_failure"  # the state went non-finite
 
 DEFAULT_GEOMETRY = RobotGeometry(l_front=1.2, l_rear=1.2,
                                  half_length=1.3, half_width=0.5)
@@ -131,6 +132,10 @@ def run(scenario: Scenario) -> SimulationLog:
     state = scenario.initial_state
     log = SimulationLog(scenario.name, cfg.dt)
     for tick in range(tick_count(scenario.duration, cfg.dt)):
+        if not all(map(math.isfinite, (state.x, state.y, state.heading,
+                                       state.v_front, state.v_rear))):
+            log.outcome = NUMERICAL_FAILURE
+            break
         clearance = _min_clearance(state, geom, obstacles)
         if clearance == 0.0:
             log.outcome = COLLIDED

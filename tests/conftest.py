@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apfmpc.kinematics import RobotGeometry, RobotState
+from apfmpc.kinematics import RobotGeometry, RobotState, euler_step
 from apfmpc.mpc import MpcConfig
 from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
 
@@ -37,6 +38,19 @@ def double_back(heading, duration=1.0):
 # 0.89 on a 601-point grid over [-3, 3]: the half turn's summed heading
 # there steps just past pi in floating point
 DOUBLE_BACK_HEADING = 0.8900000000000001
+
+
+def nan_at_step(monkeypatch, n):
+    """Make the simulator's n-th plant step return a state with x = NaN."""
+    import apfmpc.simulator
+    steps = []
+
+    def step(state, *args, **kwargs):
+        steps.append(state)
+        out = euler_step(state, *args, **kwargs)
+        return replace(out, x=math.nan) if len(steps) == n else out
+
+    monkeypatch.setattr(apfmpc.simulator, "euler_step", step)
 
 
 def _cached_run(name):

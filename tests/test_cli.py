@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import yaml
 
-from apfmpc.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
+from apfmpc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState
 from apfmpc.simulator import Scenario, save_scenario
-from conftest import DOUBLE_BACK_HEADING, double_back
+from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_step
 
 
 @pytest.fixture
@@ -165,3 +165,15 @@ class TestExitCodes:
 
     def test_help_is_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("obstacles", [[], [
+        {"center": [8.0, 1.5], "heading": 0.0, "half_length": 0.5, "half_width": 0.4}]],
+        ids=["no_obstacles", "obstacle"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_numerical_failure_exits_non_zero(self, scenario_file, tmp_path, monkeypatch,
+                                              command, obstacles):
+        nan_at_step(monkeypatch, 3)
+        path = edited_file(scenario_file, tmp_path, obstacles=obstacles)
+        assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        summary = next(tmp_path.glob("clitest*.summary")).read_text()
+        assert "numerical_failure" in summary

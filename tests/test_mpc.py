@@ -137,6 +137,36 @@ def loop_apf(controller, state, obstacles, su, base):
     return 0.5 * (h_mat + h_mat.T), f_vec, const, terms
 
 
+def add_at_apf(controller, state, obstacles):
+    """Reference oracle: the per-step APF sums built one footprint at a
+    time, each footprint's active steps expanded in one call and added into
+    the steps with np.add.at."""
+    cfg, geom, n_p = controller.cfg, controller.geom, controller.cfg.n_pred
+    frozen = controller.variant == "no_customization"
+    poses = ([Pose2D(state.x, state.y, state.heading)] * n_p if frozen else
+             predict_robot(state, controller.prev_input, geom, n_p, cfg.dt))
+    anchor = np.array([(p.x, p.y) for p in poses])
+    robot_rects = [OrientedRectangle(p, geom.half_length, geom.half_width)
+                   for p in (poses[:1] if frozen else poses)]
+    const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
+    for obs in obstacles:
+        fp = obs.footprint
+        track = [fp] * len(robot_rects)
+        if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
+            track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
+                     for pose in predict_obstacle(obs, n_p, cfg.dt)]
+        pairs = np.broadcast_to([(*pair.offset_a, *pair.on_b, pair.distance)
+                                 for pair in map(closest_pair, robot_rects, track)],
+                                (n_p, 5))
+        steps = np.flatnonzero(pairs[:, 4] <= cfg.activation_radius)
+        params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
+        quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], pairs[steps, 2:4], params)
+        np.add.at(const, steps, quad.constant)
+        np.add.at(grad, steps, quad.gradient)
+        np.add.at(hess, steps, quad.hessian_psd)
+    return const, grad, hess, anchor
+
+
 def apf_scene(rng):
     """Seeded state, input and footprints: two walls, static and moving
     obstacles, one of them within reach of the robot."""
@@ -372,6 +402,31 @@ class TestAssemble:
             np.testing.assert_allclose(asm.qp.h_mat - bare.qp.h_mat, h_apf, rtol=1e-12)
             np.testing.assert_allclose(asm.qp.f_vec - bare.qp.f_vec, f_apf, rtol=1e-12)
             assert asm.const - bare.const == pytest.approx(c_apf, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_apf_sums_bit_exact_against_add_at_oracle(self, cfg, geom, variant):
+        rng = np.random.default_rng(29)
+        scenes = [apf_scene(rng) for _ in range(8)]
+        # a lone wall below an axis-aligned robot: each Hessian's off-diagonal
+        # is -0.0, which the oracle's adding into zeros turns into +0.0
+        scenes.append((RobotState(0.0, 0.0, 0.0, 1.0, 1.0), ControlInput(0.0, 0.0, 0.0, 0.0),
+                       [Obstacle(OrientedRectangle(Pose2D(10.0, -3.1, 0.0), 12.0, 0.1),
+                                 kind="boundary")]))
+        s, u0, _ = scenes[0]
+        # no row active: every footprint beyond the activation radius
+        scenes.append((s, u0, [
+            obstacle_at(60.0, 0.0),
+            Obstacle(OrientedRectangle(Pose2D(0.0, 40.0, 0.3), 5.0, 0.1), kind="boundary"),
+            Obstacle(OrientedRectangle(Pose2D(-50.0, 0.0, 0.0), 0.5, 0.4), (0.5, 0.2), 0.4)]))
+        for s, u0, footprints in scenes:
+            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            got = c._apf_quadratic(s, footprints)
+            want = add_at_apf(c, s, footprints)
+            for got_part, want_part in zip((got.constant, got.gradient, got.hessian_psd,
+                                            got.anchor), want):
+                assert np.array_equal(got_part, want_part)
+                assert np.array_equal(np.signbit(got_part), np.signbit(want_part))
+        assert not np.any(got.constant)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_cost_matches_loop_oracle(self, cfg, geom, variant):

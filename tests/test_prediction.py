@@ -120,6 +120,19 @@ class TestObstacles:
         assert track[0] == step1.footprint.center
         assert track[1] == step2.footprint.center
 
+    def test_track_is_the_advance_chain_across_the_wrap(self):
+        # heading 2.9 turning at 1.5 rad/s passes pi on the 2nd step, so the
+        # chain and the track both go through normalize_angle's wrap
+        obs = square_obstacle(1.0, -2.0, heading=2.9, vel=(0.4, -0.9), yaw_rate=1.5)
+        track = predict_obstacle(obs, 20, DT)
+        cur, chain = obs, []
+        for _ in range(20):
+            cur = advance_obstacle(cur, DT)
+            chain.append(cur.footprint.center)
+        assert track == chain
+        headings = [p.heading for p in track]
+        assert headings[0] > 3.0 and headings[1] < -3.0
+
     def test_boundary_must_be_static(self):
         rect = OrientedRectangle(Pose2D(0, 0, 0), 1, 1)
         with pytest.raises(ValueError):

@@ -7,11 +7,11 @@ from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState, euler_step
 from apfmpc.prediction import Obstacle
 from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
-                              Scenario, load_scenario, metrics,
+                              NUMERICAL_FAILURE, Scenario, load_scenario, metrics,
                               packaged_scenario_path, run, save_scenario,
                               scenario_from_dict, scenario_to_dict,
                               slip_measure, with_variant)
-from conftest import DOUBLE_BACK_HEADING, double_back
+from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_step
 
 
 def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
@@ -55,6 +55,17 @@ class TestRun:
         log = run(tiny_scenario(duration=2.0, obstacles=[blocker]))
         assert log.outcome == COLLIDED
         assert len(log.records) == 0
+
+    @pytest.mark.parametrize("obstacles", [[], [Obstacle(OrientedRectangle(
+        Pose2D(8.0, 1.5, 0.0), 0.5, 0.4))]], ids=["no_obstacles", "obstacle"])
+    def test_non_finite_state_ends_in_numerical_failure(self, monkeypatch, obstacles):
+        # not a collision and not a bad scenario: the run stops at the tick
+        # whose state is NaN, and the logged ticks are the finite ones
+        nan_at_step(monkeypatch, 3)
+        log = run(tiny_scenario(duration=2.0, obstacles=obstacles))
+        assert log.outcome == NUMERICAL_FAILURE
+        assert len(log.records) == 3
+        assert all(np.isfinite(r.state.as_array()).all() for r in log.records)
 
     def test_plant_consistency(self, cfg):
         log = run(tiny_scenario(duration=2.0))
