@@ -13,7 +13,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
-EXIT_NUMERICAL = 4  # a run ended with a non-finite state
+EXIT_NUMERICAL = 4  # a run ended with a non-finite state or QP solution
 
 
 def _write_summary(path: Path, values: dict) -> None:

@@ -18,7 +18,8 @@ rows widen (the band doubles) before solving again; a variant without those
 rows reports infeasible at once. The first attempt of a tick passes the
 active set of the last optimal tick's QP; the solver returns that set's
 equality solve, without iterating, when it is still optimal. A tick's
-iteration count sums all its attempts.
+iteration count sums all its attempts. A non-finite solution raises
+FloatingPointError before it reaches the inputs.
 """
 
 from __future__ import annotations
@@ -356,6 +357,8 @@ class MpcController:
                 sol.status == MAX_ITERATIONS
                 and sol.primal_residual > 10.0 * self.solver.tolerance):
             z = np.zeros_like(z)
+        if not np.isfinite(z).all():  # the plant never sees it; the run ends
+            raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
         delta_seq = z.reshape(cfg.n_ctrl, nu)
         u_next = self.prev_input.as_array() + delta_seq[0]
         u_next = np.clip(u_next, -self._u_max, self._u_max)

@@ -27,7 +27,7 @@ CSV_HEADER = ("t,x,y,theta,v_f,v_r,a_f,a_r,delta_f,delta_r,"
 COMPLETED = "completed"
 COLLIDED = "collided"
 SOLVER_FAILED = "solver_failed"
-NUMERICAL_FAILURE = "numerical_failure"  # the state went non-finite
+NUMERICAL_FAILURE = "numerical_failure"  # the state or the QP solution went non-finite
 
 DEFAULT_GEOMETRY = RobotGeometry(l_front=1.2, l_rear=1.2,
                                  half_length=1.3, half_width=0.5)
@@ -141,7 +141,11 @@ def run(scenario: Scenario) -> SimulationLog:
             log.outcome = COLLIDED
             break
         ref = build_reference(scenario.path, state, scenario.ref_speed, cfg)
-        sol = controller.step(state, ref, obstacles + boundaries)
+        try:
+            sol = controller.step(state, ref, obstacles + boundaries)
+        except FloatingPointError:  # a non-finite QP solution
+            log.outcome = NUMERICAL_FAILURE
+            break
         u = sol.applied_input
         slip = slip_measure(state.v_front + cfg.dt * u.accel_front,
                             state.v_rear + cfg.dt * u.accel_rear,

@@ -53,6 +53,19 @@ def nan_at_step(monkeypatch, n):
     monkeypatch.setattr(apfmpc.simulator, "euler_step", step)
 
 
+def nan_at_solve(monkeypatch, n):
+    """Make the n-th QpSolver.solve return a solution whose z is all NaN."""
+    from apfmpc.qp import QpSolver
+    solve, calls = QpSolver.solve, []
+
+    def nan_solve(self, *args, **kwargs):
+        calls.append(None)
+        out = solve(self, *args, **kwargs)
+        return replace(out, z=np.full_like(out.z, math.nan)) if len(calls) == n else out
+
+    monkeypatch.setattr(QpSolver, "solve", nan_solve)
+
+
 def _cached_run(name):
     scn = load_scenario(packaged_scenario_path(name))
     return scn, run(scn)

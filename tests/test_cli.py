@@ -5,8 +5,8 @@ import yaml
 from apfmpc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState
-from apfmpc.simulator import Scenario, save_scenario
-from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_step
+from apfmpc.simulator import Scenario, packaged_scenario_path, save_scenario
+from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
 
 
 @pytest.fixture
@@ -176,4 +176,18 @@ class TestExitCodes:
         path = edited_file(scenario_file, tmp_path, obstacles=obstacles)
         assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
         summary = next(tmp_path.glob("clitest*.summary")).read_text()
+        assert "numerical_failure" in summary
+
+    @pytest.mark.parametrize("keep_obstacles", [False, True],
+                             ids=["no_obstacles", "obstacles"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_non_finite_qp_solution_exits_numerical(self, tmp_path, monkeypatch,
+                                                    command, keep_obstacles):
+        # a NaN QP solution is a numerical failure, not a bad scenario file
+        path = packaged_scenario_path("straight_corridor")
+        if not keep_obstacles:
+            path = edited_file(path, tmp_path, obstacles=[])
+        nan_at_solve(monkeypatch, 3)
+        assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        summary = next(tmp_path.glob("*.summary")).read_text()
         assert "numerical_failure" in summary

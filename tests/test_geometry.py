@@ -121,6 +121,70 @@ def loop_closest_pair(a, b):
                        (on_a[0] - a.center.x, on_a[1] - a.center.y))
 
 
+def _nearest_corner(cx, cy, ux, uy, vx, vy, hl, hw):
+    """(distance, index, corner, clamped corner) of the first of c + u + v,
+    c - u + v, c - u - v, c + u - v nearest to the box |x| <= hl, |y| <= hw."""
+    best = (math.inf,)
+    for k, (x, y) in enumerate(((cx + ux + vx, cy + uy + vy), (cx - ux + vx, cy - uy + vy),
+                                (cx - ux - vx, cy - uy - vy), (cx + ux - vx, cy + uy - vy))):
+        qx = hl if x > hl else -hl if x < -hl else x
+        qy = hw if y > hw else -hw if y < -hw else y
+        d = math.hypot(x - qx, y - qy)
+        if d < best[0]:
+            best = (d, k, (x, y), (qx, qy))
+    return best
+
+
+def relative_frame_closest_pair(a, b):
+    """Reference oracle for bit-exact checks: the same relative-frame query
+    as `closest_pair`, with each rectangle's four corners searched by a loop
+    (`_nearest_corner`) and A's winner kept unless B's is strictly nearer."""
+    hla, hwa, hlb, hwb = a.half_length, a.half_width, b.half_length, b.half_width
+    ca, sa = math.cos(a.center.heading), math.sin(a.center.heading)
+    cb, sb = math.cos(b.center.heading), math.sin(b.center.heading)
+    c, s = ca * cb + sa * sb, ca * sb - sa * cb
+    dx, dy = b.center.x - a.center.x, b.center.y - a.center.y
+    bx, by = ca * dx + sa * dy, ca * dy - sa * dx
+    ax, ay = -(cb * dx + sb * dy), sb * dx - cb * dy
+    ubx, uby, vbx, vby = hlb * c, hlb * s, -(hwb * s), hwb * c
+    uax, uay, vax, vay = hla * c, -(hla * s), hwa * s, hwa * c
+    ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)
+    if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
+            or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
+        mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
+        return ClosestPair(mid, mid, 0.0, (mid[0] - a.center.x, mid[1] - a.center.y))
+
+    d, k, p, q = _nearest_corner(ax, ay, uax, uay, vax, vay, hlb, hwb)
+    near_b = _nearest_corner(bx, by, ubx, uby, vbx, vby, hla, hwa)
+    if near_b[0] < d:
+        d, _, pb, pa = near_b
+    else:
+        pa = ((hla, hwa), (-hla, hwa), (-hla, -hwa), (hla, -hwa))[k]
+        gx, gy = q[0] - p[0], q[1] - p[1]
+        pb = (pa[0] + c * gx - s * gy, pa[1] + s * gx + c * gy)
+
+    if min(abs(ubx), abs(uby)) <= 1e-12 * math.hypot(ubx, uby):
+        half, low, high = (hla, hwa), (bx - ebx, by - eby), (bx + ebx, by + eby)
+        for k, j in ((0, 1), (1, 0)):
+            lo, hi = max(low[k], -half[k]), min(high[k], half[k])
+            side = 1.0 if low[j] > half[j] else -1.0 if high[j] < -half[j] else 0.0
+            if lo < hi and side:
+                m = 0.5 * (lo + hi)
+                pa, pb = ((m, side * r) if k == 0 else (side * r, m)
+                          for r in (half[j], half[j] + d))
+    offset = (ca * pa[0] - sa * pa[1], sa * pa[0] + ca * pa[1])
+    on_b = (a.center.x + ca * pb[0] - sa * pb[1], a.center.y + sa * pb[0] + ca * pb[1])
+    return ClosestPair((a.center.x + offset[0], a.center.y + offset[1]), on_b, d, offset)
+
+
+def assert_bit_identical(got, want):
+    """Every field equal, and every sign bit too (so -0.0 differs from 0.0)."""
+    g = (*got.on_a, *got.on_b, got.distance, *got.offset_a)
+    w = (*want.on_a, *want.on_b, want.distance, *want.offset_a)
+    assert g == w
+    assert [math.copysign(1.0, v) for v in g] == [math.copysign(1.0, v) for v in w]
+
+
 def face_parallel(rng, a, b):
     """B turned so that its edges are parallel to A's."""
     return rect(b.center.x, b.center.y,
@@ -271,6 +335,7 @@ class TestExactLayouts:
         tol = 0.0 if k == turn == 0 else 1e-15
         for p, q in ((a, b), (b, a)):
             got = closest_pair(p, q)
+            assert_bit_identical(got, relative_frame_closest_pair(p, q))
             assert abs(got.distance - expected) <= tol
             if expected == tol == 0.0:  # touching counts as overlap
                 assert got.on_a == got.on_b == (0.5 * x, 0.5 * y)
@@ -306,6 +371,16 @@ class TestInvariants:
             for g, w in ((got.on_a, want.on_a), (got.on_b, want.on_b),
                          (got.offset_a, want.offset_a)):
                 assert max(abs(g[0] - w[0]), abs(g[1] - w[1])) <= 1e-12
+
+    def test_bit_exact_against_relative_frame_oracle(self):
+        # the straight-line 8-corner search is the corner loop written out:
+        # same corner order, same tie rule, same arithmetic, bit for bit
+        rng = np.random.default_rng(2026)
+        for k in range(20_000):
+            a, b = random_rect(rng), random_rect(rng)
+            if k % 3 == 0:
+                b = face_parallel(rng, a, b)
+            assert_bit_identical(closest_pair(a, b), relative_frame_closest_pair(a, b))
 
     def test_symmetry_exact(self, rng):
         for _ in range(300):

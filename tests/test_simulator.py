@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
                               packaged_scenario_path, run, save_scenario,
                               scenario_from_dict, scenario_to_dict,
                               slip_measure, with_variant)
-from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_step
+from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
 
 
 def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
@@ -66,6 +67,22 @@ class TestRun:
         assert log.outcome == NUMERICAL_FAILURE
         assert len(log.records) == 3
         assert all(np.isfinite(r.state.as_array()).all() for r in log.records)
+
+    @pytest.mark.parametrize("keep_obstacles", [False, True],
+                             ids=["no_obstacles", "obstacles"])
+    def test_non_finite_qp_solution_ends_in_numerical_failure(self, monkeypatch,
+                                                              keep_obstacles):
+        # the NaN never reaches ControlInput: the run stops at the tick whose
+        # QP solution is NaN, and the logged ticks are the finite ones before it
+        scn = load_scenario(packaged_scenario_path("straight_corridor"))
+        assert scn.obstacles
+        if not keep_obstacles:
+            scn = replace(scn, obstacles=[])
+        nan_at_solve(monkeypatch, 3)
+        log = run(scn)
+        assert log.outcome == NUMERICAL_FAILURE
+        assert len(log.records) == 2
+        assert all(np.isfinite(r.applied.as_array()).all() for r in log.records)
 
     def test_plant_consistency(self, cfg):
         log = run(tiny_scenario(duration=2.0))
