@@ -18,18 +18,18 @@ rebuild y = rho v for the residuals and the infeasibility certificate. When
 rho adapts, v is rescaled by rho_old/rho_new (y does not move) and G is
 rebuilt.
 
-The polish is one equality solve: the rows of the active set, each at the
+The polish is one equality solve: the rows of an active set, each at the
 side of its bound (-1 lower, +1 upper), held as equalities in a slightly
-regularized KKT system. A caller may pass a guess of that set, such as the
-set of the previous solve in a sequence of similar problems (the online
-active set idea of Ferreau, Bock and Diehl, 2008). Before any iteration the
-guess gets the same equality solve; its point is returned, with 0
-iterations, when it is a KKT point of the QP: every scaled row within
+regularized KKT system. One rule accepts its point: every scaled row within
 `tolerance` of its bounds, and every multiplier of the side's sign (upper
->= 0, lower <= 0). A convex QP's KKT point is its minimizer. Otherwise the
-ADMM and polish run exactly as without a guess. Every solution carries the
-side of each row of [A; I]: the guess of a certified solve, or the sides
-read from the final duals of an ADMM solve.
+>= 0, lower <= 0). Such a point is a KKT point, hence the minimizer of the
+convex QP, and is returned as OPTIMAL with its own residuals. A caller may
+guess the set, such as that of the previous solve in a sequence of similar
+problems (the online active set idea of Ferreau, Bock and Diehl, 2008); an
+accepted guess returns with 0 iterations. Otherwise the ADMM runs exactly
+as without a guess and the set read from its final duals is tried, also
+when the iteration ran out. If it fails, the ADMM iterate is returned with
+its status. Every solution carries the side of each row of [A; I].
 """
 
 from __future__ import annotations
@@ -106,15 +106,10 @@ class QpSolver:
         m = len(lo)
 
         if active is not None and np.shape(active) == (m,):
-            active = np.asarray(active)
-            guess = self._equality_solve(problem, a_full, lo, hi, active)
-            if guess is not None:
-                x, lam, viol = guess
-                if viol <= self.tolerance and np.all(lam * active >= 0.0):
-                    # lam holds the multipliers of the unscaled cost
-                    r_dual = float(np.max(np.abs(p_mat @ x + f
-                                                 + a_full.T @ (cost_scale * lam))))
-                    return QpSolution(x, OPTIMAL, viol, r_dual, 0, active)
+            certified = self._certified(problem, p_mat, f, cost_scale, a_full,
+                                        lo, hi, np.asarray(active), 0)
+            if certified is not None:
+                return certified
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
         # docstring); G is rebuilt only when rho changes
@@ -165,14 +160,12 @@ class QpSolver:
                         rho = new_rho
                         g_mat = self._step_matrix(p_mat, a_full, f, rho)
 
-        y = rho * v
-        polished = self._polish(problem, a_full, lo, hi, x, y)
-        if polished is not None:
-            x = polished
-            ax = a_full @ x
-            r_prim = float(np.max(np.clip(lo - ax, 0.0, None)
-                                  + np.clip(ax - hi, 0.0, None)))
-        return QpSolution(x, status, r_prim, r_dual, it, _sides(y))
+        sides = _sides(rho * v)
+        certified = self._certified(problem, p_mat, f, cost_scale, a_full,
+                                    lo, hi, sides, it)
+        if certified is not None:
+            return certified
+        return QpSolution(x, status, r_prim, r_dual, it, sides)
 
     @staticmethod
     def _step_matrix(p_mat, a_full, f, rho: float) -> np.ndarray:
@@ -230,18 +223,21 @@ class QpSolver:
                             + np.clip(ax - hi, 0.0, None)))
         return x, lam, viol
 
-    def _polish(self, problem, a_full, lo, hi, x, y):
-        """Equality solve on the active set detected from the duals, kept
-        when feasible and no worse than the ADMM iterate."""
-        found = self._equality_solve(problem, a_full, lo, hi, _sides(y))
+    def _certified(self, problem, p_mat, f, cost_scale, a_full, lo, hi,
+                   active, iterations: int) -> QpSolution | None:
+        """The equality solve on the sides `active`, returned as OPTIMAL when
+        its point is a KKT point of the QP: every scaled row within
+        `tolerance` of its bounds and every multiplier of its side's sign.
+        None otherwise."""
+        found = self._equality_solve(problem, a_full, lo, hi, active)
         if found is None:
             return None
-        x_new, _, viol = found
-        if viol > self.tolerance:
+        x, lam, viol = found
+        if viol > self.tolerance or not np.all(lam * active >= 0.0):
             return None
-        if problem.objective(x_new) <= problem.objective(x) + self.tolerance:
-            return x_new
-        return None
+        # lam holds the multipliers of the unscaled cost
+        r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ (cost_scale * lam))))
+        return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)
 
 
 def _sides(y: np.ndarray) -> np.ndarray:

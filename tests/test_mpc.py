@@ -187,15 +187,17 @@ def apf_scene(rng):
 
 class RecordingSolver(QpSolver):
     """QpSolver that keeps a copy of the constraint bounds of every solve,
-    and each problem with its solution."""
+    the active set it was given, and each problem with its solution."""
 
     def __init__(self):
         super().__init__()
         self.bounds = []
+        self.guesses = []
         self.solves = []
 
     def solve(self, problem, warm_start=None, active=None):
         self.bounds.append((problem.lower.copy(), problem.upper.copy()))
+        self.guesses.append(active)
         sol = super().solve(problem, warm_start, active)
         self.solves.append((problem, sol))
         return sol
@@ -687,3 +689,23 @@ class TestFallbacks:
         assert sol.solver_status == "optimal"
         assert np.any(sol.delta_sequence != 0.0)
         assert sol.applied_input != held
+
+    def test_unconverged_solve_with_certified_set_moves_input(self, cfg, geom):
+        # the start above with 30 iterations: the iteration has not
+        # converged, but the set read from its duals certifies a KKT point
+        s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
+        held = ControlInput(0.2, 0.1, 0.05, -0.05)
+        ref = build_reference(np.array([[0.0, 0.0], [30.0, 0.0]]), s, 1.4, cfg)
+        c = controller(cfg, geom, initial_input=held)
+        c.solver = RecordingSolver()
+        c.solver.max_iterations = 30
+        sol = c.step(s, ref, [])
+        assert sol.solver_status == "optimal"
+        assert sol.iterations == 30
+        assert np.any(sol.delta_sequence != 0.0)
+        assert sol.applied_input != held
+        # the next tick tries that set first
+        s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
+        c.step(s, build_reference(np.array([[0.0, 0.0], [30.0, 0.0]]), s, 1.4, cfg), [])
+        assert c.solver.guesses[0] is None
+        assert np.array_equal(c.solver.guesses[1], c.solver.solves[0][1].active)

@@ -41,7 +41,7 @@ def random_box_qp(rng, n=10):
 def loop_admm(problem, solver, warm_start=None):
     """Reference oracle: the textbook unscaled-dual ADMM iteration, one
     K^-1 product, one clip and one dual step per iteration, with the
-    solver's own scaling, checks, rho rule and polish. Returns
+    solver's own scaling, checks, rho rule and certified polish. Returns
     (z, status, iterations, rho_updates)."""
     n = len(problem.f_vec)
     row_scale = 1.0 / np.maximum(np.max(np.abs(problem.a_mat), axis=1, initial=0.0), 1e-10)
@@ -83,8 +83,11 @@ def loop_admm(problem, solver, warm_start=None):
                     rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                     kkt_inv = kkt_inverse(rho)
                     rho_updates += 1
-    polished = solver._polish(problem, a_full, lo, hi, x, y)
-    return (x if polished is None else polished), status, it, rho_updates
+    polished = solver._certified(problem, p_mat, f, cost_scale, a_full, lo, hi,
+                                 qp_module._sides(y), it)
+    if polished is not None:
+        return polished.z, polished.status, it, rho_updates
+    return x, status, it, rho_updates
 
 
 def controller_qps(geom, seed, count=12):
@@ -224,6 +227,26 @@ class TestBehaviour:
         ax = float((prob.a_mat @ sol.z)[0])
         assert -1.0 - 1e-3 <= ax <= 1.0 + 1e-3
 
+    def test_certifiable_polish_is_accepted(self, geom):
+        # the iterate after 10 iterations is (4.47, 0), outside its own box,
+        # and scores lower than the exact optimum (1, 0); the detected set
+        # certifies the optimum, so the solve ends optimal
+        prob = box_problem(np.eye(2), [-10.0, 0.0], [-1, -1], [1, 1])
+        solver = QpSolver(max_iterations=10)
+        sol = solver.solve(prob)
+        assert sol.status == "optimal"
+        assert sol.iterations == 10
+        assert np.max(np.abs(sol.z - [1.0, 0.0])) < 1e-8
+        assert sol.primal_residual <= solver.tolerance
+        # controller QPs whose iterate scores lower than their KKT point by
+        # 5e-3 and 0.25: the detected set's point is the answer
+        solver = QpSolver()
+        problems = list(controller_qps(geom, 1))
+        for prob, warm in (problems[5], problems[11]):
+            sol = solver.solve(prob, warm_start=warm)
+            assert sol.status == "optimal"
+            assert np.array_equal(sol.z, solver.solve(prob, active=sol.active).z)
+
 
 class TestMatchesLoopIteration:
     def test_controller_shaped_problems(self, geom):
@@ -273,14 +296,14 @@ class TestActiveSetGuess:
 
     def test_correct_guess_is_certified(self, geom, monkeypatch):
         polished = []
-        polish = QpSolver._polish
+        certify = QpSolver._certified
 
         def recording(self, *args):
-            out = polish(self, *args)
+            out = certify(self, *args)
             polished.append(out is not None)
             return out
 
-        monkeypatch.setattr(QpSolver, "_polish", recording)
+        monkeypatch.setattr(QpSolver, "_certified", recording)
         solver, kept = QpSolver(), 0
         for prob, warm, sol in self.solves(geom):
             if sol.status != "optimal":
@@ -294,6 +317,8 @@ class TestActiveSetGuess:
             if took_polish:
                 # the same active set gives the same KKT system: same bits
                 assert np.array_equal(guessed.z, sol.z)
+                assert guessed.primal_residual == sol.primal_residual
+                assert guessed.dual_residual == sol.dual_residual
                 kept += 1
         assert kept >= 5
 
