@@ -5,7 +5,8 @@ drive/steer robot."""
 from .geometry import ClosestPair, OrientedRectangle, Pose2D, closest_pair, corners
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .linearization import AugmentedModel, LinearizedModel, augment, linearize
-from .mpc import MpcConfig, MpcController, MpcSolution, ReferenceHorizon, build_reference
+from .mpc import (MpcConfig, MpcController, MpcSolution, ReferenceHorizon, build_reference,
+                  path_table)
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import QpProblem, QpSolution, QpSolver
@@ -18,6 +19,6 @@ __all__ = [
     "QuadraticApproximation", "ReferenceHorizon", "RobotGeometry", "RobotState",
     "Scenario", "SimulationLog", "augment",
     "build_reference", "closest_pair", "corners", "euler_step", "linearize",
-    "load_scenario", "metrics", "predict_obstacle", "predict_robot",
+    "load_scenario", "metrics", "path_table", "predict_obstacle", "predict_robot",
     "quadratic_approx", "run", "save_scenario",
 ]

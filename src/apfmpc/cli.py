@@ -88,9 +88,10 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log = run(scenario)
     log.to_csv(out_dir / f"{scenario.name}.log.csv")
-    summary = metrics(log, scenario.path)
-    summary = {"outcome": log.outcome, **{k: v for k, v in summary.items()
-                                          if k != "completion"}}
+    summary = {"outcome": log.outcome}
+    if log.records:  # a run that ends before its first tick has only an outcome
+        summary.update((k, v) for k, v in metrics(log, scenario.path).items()
+                       if k != "completion")
     _write_summary(out_dir / f"{scenario.name}.summary", summary)
     if args.plots:
         _series_files(out_dir, scenario.name, log)
@@ -106,13 +107,14 @@ def cmd_compare(args) -> int:
     for variant in VARIANTS:
         log = run(with_variant(scenario, variant))
         log.to_csv(out_dir / f"{scenario.name}.{variant}.log.csv")
-        results[variant] = metrics(log, scenario.path)
+        results[variant] = metrics(log, scenario.path) if log.records else {}
         results[variant]["outcome"] = log.outcome
     summary = {f"{variant}.{key}": val
                for variant, vals in results.items() for key, val in vals.items()}
     for key in ("min_clearance", "max_slip_measure", "max_heading_rate"):
-        summary[f"delta.{key}"] = (results["no_customization"][key]
-                                   - results["full"][key])
+        if all(key in vals for vals in results.values()):
+            summary[f"delta.{key}"] = (results["no_customization"][key]
+                                       - results["full"][key])
     _write_summary(out_dir / f"{scenario.name}.compare.summary", summary)
     failed = any(vals["outcome"] == NUMERICAL_FAILURE for vals in results.values())
     return EXIT_NUMERICAL if failed else EXIT_OK

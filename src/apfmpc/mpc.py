@@ -7,6 +7,11 @@ condense the delta-input dynamics into prediction matrices, and solve a
 dense QP in the stacked increments subject to increment, input, output, and
 wheel-speed-difference constraints. Only the first increment is applied.
 
+The reference path is stated once per run: `path_table` validates it and
+returns its points, segments, lengths, arc lengths and headings. Each tick
+`build_reference` projects the robot onto that table and samples the
+horizon along it, validating and recomputing nothing.
+
 The QP is assembled once per tick. The closest pairs of every footprint and
 step fill one table; its active rows take one field expansion per kind
 (obstacle, boundary), summed per step in footprint order. Ā - I = N has
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,48 +100,48 @@ class MpcSolution:
     fallback_doublings: int
 
 
-def path_segments(path: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Points, segment vectors, segment lengths and vertex arc lengths of a
-    polyline of (x, y) points, at least two, with no zero-length segment."""
+class PathTable(NamedTuple):
+    """A path stated once: its points, segment vectors, lengths and headings."""
+    points: np.ndarray    # n x 2, (x, y)
+    segments: np.ndarray  # n - 1 x 2
+    lengths: np.ndarray
+    arc: np.ndarray       # arc length at each vertex, from 0
+    headings: np.ndarray
+
+
+def path_table(path: np.ndarray) -> PathTable:
+    """Table of a polyline of two or more (x, y) points, no segment of zero length."""
     pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("path points must each have two coordinates (x, y)")
-    if len(pts) < 2:
-        raise ValueError("path must contain at least two points")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        raise ValueError("path must be two or more points of two coordinates (x, y)")
     seg = np.diff(pts, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     if np.any(seg_len <= 0.0):
         raise ValueError("path segments must have positive length")
-    return pts, seg, seg_len, np.concatenate([[0.0], np.cumsum(seg_len)])
+    return PathTable(pts, seg, seg_len, np.concatenate([[0.0], np.cumsum(seg_len)]),
+                     np.arctan2(seg[:, 1], seg[:, 0]))
 
 
-def project_onto_path(points: np.ndarray,
-                      path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance from each point to the polyline, and the arc length of its
-    closest point. Ties go to the earliest segment."""
-    pts, seg, seg_len, cum = path_segments(path)
+def project_onto_path(points: np.ndarray, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per point: distance to the path, arc length of its closest point (first segment on ties)."""
+    pts, seg, seg_len, cum, _ = table
     p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
     dot = ((p - pts[:-1])[..., None, :] @ seg[:, :, None])[..., 0, 0]
     t = np.clip(dot / seg_len ** 2, 0.0, 1.0)
     off = p - (pts[:-1] + t[..., None] * seg)
     dist = np.hypot(off[..., 0], off[..., 1])
-    best = np.argmin(dist, axis=1)
-    rows = np.arange(len(best))
+    rows, best = np.arange(len(dist)), np.argmin(dist, axis=1)
     return dist[rows, best], cum[best] + t[rows, best] * seg_len[best]
 
 
-def build_reference(path: np.ndarray, state: RobotState, ref_speed: float,
+def build_reference(table: PathTable, state: RobotState, ref_speed: float,
                     cfg: MpcConfig) -> ReferenceHorizon:
-    """Project onto the path, then advance ref_speed*dt per step along it.
-
-    Past the end of the path the final point is held with zero reference
-    speed. Reference headings follow the segment directions, unwrapped
-    against the robot's current heading: each turn between successive
-    headings in [-pi, pi] is wrapped into (-pi, pi] by one exact 2 pi step.
-    """
-    pts, seg, seg_len, cum = path_segments(path)
-    headings = np.arctan2(seg[:, 1], seg[:, 0])
-    s0 = project_onto_path([state.x, state.y], pts)[1][0]
+    """Project onto the path's table, then advance ref_speed*dt per step along
+    it; past its end, hold the final point at zero speed. Headings follow the
+    segments, unwrapped from the robot's heading: each turn between successive
+    headings in [-pi, pi] is wrapped into (-pi, pi] by one exact 2 pi step."""
+    pts, seg, seg_len, cum, headings = table
+    s0 = project_onto_path([state.x, state.y], table)[1][0]
     s = s0 + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
     past = s >= cum[-1]
     # past the end j is the last segment, whose heading the targets keep

@@ -2,8 +2,11 @@
 
 Runs the controller against the nonlinear plant at the control period,
 moves dynamic obstacles, checks collisions, and records per-tick data for
-metric extraction and CSV export. Scenario files are YAML documents that
-round-trip losslessly through load/save.
+metric extraction and CSV export. The reference path is validated when a
+scenario is made and stated once per run as a path table, which every
+tick's reference reads; `metrics` builds its own table to measure the
+tracking error. Scenario files are YAML documents that round-trip
+losslessly through load/save.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import yaml
 
 from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
-from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference,
-                  path_segments, project_onto_path)
+from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference, path_table,
+                  project_onto_path)
 from .prediction import Obstacle, advance_obstacle
 
 CSV_HEADER = ("t,x,y,theta,v_f,v_r,a_f,a_r,delta_f,delta_r,"
@@ -56,6 +59,9 @@ class Scenario:
     controller_variant: str = "full"
 
     def __post_init__(self):
+        # the name comes from the file and names the run's output files
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"scenario name must be a plain file name: {self.name!r}")
         s = self.initial_state
         numbers = [self.ref_speed, self.duration,
                    s.x, s.y, s.heading, s.v_front, s.v_rear]
@@ -70,7 +76,7 @@ class Scenario:
             raise ValueError("ref_speed must not be negative")
         if tick_count(self.duration, MpcConfig.dt) < 1:
             raise ValueError(f"duration must cover one control tick ({MpcConfig.dt} s)")
-        path_segments(self.path)  # raises on a path that build_reference rejects
+        path_table(self.path)  # the one path rule; run builds its table the same way
         if self.controller_variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {self.controller_variant!r}")
 
@@ -128,7 +134,7 @@ def run(scenario: Scenario) -> SimulationLog:
     cfg, geom = MpcConfig(), DEFAULT_GEOMETRY
     controller = MpcController(cfg, geom, variant=scenario.controller_variant)
     boundaries = [Obstacle(rect, kind="boundary") for rect in scenario.corridor]
-    obstacles = list(scenario.obstacles)
+    obstacles, table = list(scenario.obstacles), path_table(scenario.path)
     state = scenario.initial_state
     log = SimulationLog(scenario.name, cfg.dt)
     for tick in range(tick_count(scenario.duration, cfg.dt)):
@@ -140,7 +146,7 @@ def run(scenario: Scenario) -> SimulationLog:
         if clearance == 0.0:
             log.outcome = COLLIDED
             break
-        ref = build_reference(scenario.path, state, scenario.ref_speed, cfg)
+        ref = build_reference(table, state, scenario.ref_speed, cfg)
         try:
             sol = controller.step(state, ref, obstacles + boundaries)
         except FloatingPointError:  # a non-finite QP solution
@@ -186,7 +192,7 @@ def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
     }
     if path is not None:
         errs, _ = project_onto_path([(r.state.x, r.state.y) for r in log.records],
-                                    path)
+                                    path_table(path))
         out["rms_tracking_error"] = float(np.sqrt(np.mean(np.square(errs))))
     return out
 

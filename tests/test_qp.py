@@ -3,7 +3,7 @@ import pytest
 
 from apfmpc import qp as qp_module
 from apfmpc.kinematics import ControlInput, RobotState
-from apfmpc.mpc import MpcConfig, MpcController, build_reference
+from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
 from apfmpc.qp import QpProblem, QpSolver
 
 INF = np.inf
@@ -96,7 +96,7 @@ def controller_qps(geom, seed, count=12):
     1 m/s push the slip rows towards infeasibility and make rho adapt."""
     rng = np.random.default_rng(seed)
     cfg = MpcConfig()
-    path = np.array([[0.0, 0.0], [40.0, 0.0]])
+    path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
     for k in range(count):
         mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
         state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)

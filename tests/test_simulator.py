@@ -6,6 +6,7 @@ import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState, euler_step
+from apfmpc.mpc import build_reference, path_table
 from apfmpc.prediction import Obstacle
 from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
                               NUMERICAL_FAILURE, Scenario, load_scenario, metrics,
@@ -83,6 +84,25 @@ class TestRun:
         assert log.outcome == NUMERICAL_FAILURE
         assert len(log.records) == 2
         assert all(np.isfinite(r.applied.as_array()).all() for r in log.records)
+
+    def test_states_the_path_once(self, monkeypatch):
+        # one table per run, and every tick's reference reads that one
+        import apfmpc.simulator
+        scn, tables, read = tiny_scenario(duration=1.0), [], []
+
+        def counting_table(path):
+            tables.append(path_table(path))
+            return tables[-1]
+
+        def recording_reference(table, *args):
+            read.append(table)
+            return build_reference(table, *args)
+
+        monkeypatch.setattr(apfmpc.simulator, "path_table", counting_table)
+        monkeypatch.setattr(apfmpc.simulator, "build_reference", recording_reference)
+        assert len(run(scn).records) == 10
+        assert len(tables) == 1 and len(read) == 10
+        assert all(table is tables[0] for table in read)
 
     def test_plant_consistency(self, cfg):
         log = run(tiny_scenario(duration=2.0))
