@@ -80,6 +80,15 @@ def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
     (out_dir / f"{name}.trajectory.svg").write_text("\n".join(parts) + "\n")
 
 
+def _summary(log, path) -> dict:
+    """The outcome, then the metrics; a run that ends before its first tick
+    has only an outcome."""
+    summary = {"outcome": log.outcome}
+    if log.records:
+        summary.update((k, v) for k, v in metrics(log, path).items() if k != "completion")
+    return summary
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.variant:
@@ -88,11 +97,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     log = run(scenario)
     log.to_csv(out_dir / f"{scenario.name}.log.csv")
-    summary = {"outcome": log.outcome}
-    if log.records:  # a run that ends before its first tick has only an outcome
-        summary.update((k, v) for k, v in metrics(log, scenario.path).items()
-                       if k != "completion")
-    _write_summary(out_dir / f"{scenario.name}.summary", summary)
+    _write_summary(out_dir / f"{scenario.name}.summary", _summary(log, scenario.path))
     if args.plots:
         _series_files(out_dir, scenario.name, log)
         _trajectory_svg(out_dir, scenario.name, scenario, log)
@@ -107,8 +112,7 @@ def cmd_compare(args) -> int:
     for variant in VARIANTS:
         log = run(with_variant(scenario, variant))
         log.to_csv(out_dir / f"{scenario.name}.{variant}.log.csv")
-        results[variant] = metrics(log, scenario.path) if log.records else {}
-        results[variant]["outcome"] = log.outcome
+        results[variant] = _summary(log, scenario.path)
     summary = {f"{variant}.{key}": val
                for variant, vals in results.items() for key, val in vals.items()}
     for key in ("min_clearance", "max_slip_measure", "max_heading_rate"):

@@ -12,12 +12,12 @@ returns its points, segments, lengths, arc lengths and headings. Each tick
 `build_reference` projects the robot onto that table and samples the
 horizon along it, validating and recomputing nothing.
 
-The QP is assembled once per tick. The closest pairs of every footprint and
-step fill one table; its active rows take one field expansion per kind
-(obstacle, boundary), summed per step in footprint order. Ā - I = N has
-N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed matrices are fixed
-binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics
-enter through one product.
+The QP is assembled once per tick. The closest pair of every footprint and
+step, its gap vector and distance, fills one row of a table; the active
+rows take one field expansion per kind (obstacle, boundary), summed per
+step in footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in
+N and the condensed matrices are fixed binomial tables times the
+Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one product.
 On certified infeasibility only the bounds of the wheel-speed-difference
 rows widen (the band doubles) before solving again; a variant without those
 rows reports infeasible at once. The first attempt of a tick passes the
@@ -239,14 +239,14 @@ class MpcController:
                   [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
                    for pose in predict_obstacle(obs, n_p, cfg.dt)]
                   for obs in obstacles]
-        # per footprint and step: offset_a, on_b, distance
+        # per footprint and step: gap, distance
         flat = np.fromiter(chain.from_iterable(
-            pair.offset_a + pair.on_b + (pair.distance,)
+            pair.gap + (pair.distance,)
             for track in tracks for pair in map(closest_pair, robot_rects, track)),
-            float, 5 * len(tracks) * len(poses))
-        pairs = np.broadcast_to(flat.reshape(len(tracks), len(poses), 5), (len(tracks), n_p, 5))
+            float, 3 * len(tracks) * len(poses))
+        pairs = np.broadcast_to(flat.reshape(len(tracks), len(poses), 3), (len(tracks), n_p, 3))
         anchor = np.broadcast_to([(p.x, p.y) for p in poses], (n_p, 2))
-        active = pairs[..., 4] <= cfg.activation_radius
+        active = pairs[..., 2] <= cfg.activation_radius
         boundary = np.array([obs.kind == "boundary" for obs in obstacles])
         const, grad, hess = (np.zeros(active.shape), np.zeros((*active.shape, 2)),
                              np.zeros((*active.shape, 2, 2)))
@@ -255,9 +255,8 @@ class MpcController:
         for rows, params in ((active & ~boundary[:, None], cfg.obstacle_apf),
                              (active & boundary[:, None], cfg.boundary_apf)):
             if rows.any():
-                sel = pairs[rows]
                 quad = quadratic_approx(np.broadcast_to(anchor, grad.shape)[rows],
-                                        sel[:, 0:2], sel[:, 2:4], params)
+                                        pairs[..., :2][rows], params)
                 const[rows], grad[rows], hess[rows] = (quad.constant, quad.gradient,
                                                        quad.hessian_psd)
         return QuadraticApproximation(const.sum(axis=0, initial=0.0),

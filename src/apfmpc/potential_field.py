@@ -5,12 +5,14 @@ The field value is a / d^(2b) in the closest distance d between the robot
 and an obstacle footprint. Because that is non-convex, each prediction step
 uses a second-order Taylor expansion in the robot position with the Hessian
 replaced by its nearest positive semidefinite matrix (Frobenius norm), the
-one with the negative eigenvalues clamped to zero. With r the offset from
-robot to obstacle point, the Hessian c·(2(b+1) r rᵀ - d² I), c = 2ab·d^(-2b-4),
-has eigenvalue c·(2b+1)·d² > 0 along r and -c·d² < 0 across it, so that
-matrix is the rank-one c·(2b+1) r rᵀ: no eigendecomposition is needed. The
-closest-point offsets are held constant during differentiation. One call
-expands one point or a stack; terms sharing an anchor add up.
+one with the negative eigenvalues clamped to zero. With r the gap from the
+robot's closest point to the obstacle's, the Hessian c·(2(b+1) r rᵀ - d² I),
+c = 2ab·d^(-2b-4), has eigenvalue c·(2b+1)·d² > 0 along r and -c·d² < 0
+across it, so that matrix is the rank-one c·(2b+1) r rᵀ: no
+eigendecomposition is needed. The gap is held constant during
+differentiation: the closest points are not sought again, the robot's moves
+with the robot and the obstacle's stays. One call expands one point or a
+stack; terms sharing an anchor add up.
 """
 
 from __future__ import annotations
@@ -46,19 +48,18 @@ class QuadraticApproximation:
         return float(np.sum(self.constant) + np.sum(r * (self.gradient + 0.5 * h_r)))
 
 
-def quadratic_approx(robot_pos, offset, obstacle_point,
-                     params: ApfParams) -> QuadraticApproximation:
+def quadratic_approx(robot_pos, gap, params: ApfParams) -> QuadraticApproximation:
     """Second-order expansion of the field in the robot position.
 
     Takes one point (pairs of floats) or stacks of K points ((K, 2) each).
-    The robot-side closest point is robot_pos + offset with the offset
-    frozen, so only the robot position varies; the Hessian is the rank-one
-    c·(2b+1) r rᵀ above. Inside the clamp region the expansion is flat
-    (constant value, zero gradient and Hessian).
+    gap runs from the robot's closest point to the obstacle's, as
+    `geometry.closest_pair` returns it, at the robot position robot_pos, the
+    expansion's anchor; the Hessian is the rank-one c·(2b+1) r rᵀ above.
+    Inside the clamp region the expansion is flat (constant value, zero
+    gradient and Hessian).
     """
     a, b = params.scale_a, params.exponent_b
-    rel = np.asarray(obstacle_point, dtype=float) - (
-        np.asarray(robot_pos, dtype=float) + np.asarray(offset, dtype=float))
+    rel = np.asarray(gap, dtype=float)
     dx, dy = rel[..., 0], rel[..., 1]
     # np.maximum keeps one point on numpy scalars, whose ** is the C pow
     d_sq = np.maximum(dx * dx + dy * dy, params.min_sq_distance)

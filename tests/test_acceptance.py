@@ -87,7 +87,7 @@ def test_criterion_3_potential_field():
         d = math.hypot(obst[0] - pos[0], obst[1] - pos[1])
         if d < 0.2:
             continue
-        q = quadratic_approx(pos, (0.0, 0.0), obst, OBS)
+        q = quadratic_approx(pos, np.subtract(obst, pos), OBS)
         fd = fd_gradient(pos, (0.0, 0.0), obst, OBS)
         scale = max(np.max(np.abs(fd)), 1e-12)
         assert np.max(np.abs(q.gradient - fd)) / scale <= 1e-4

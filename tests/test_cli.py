@@ -87,6 +87,7 @@ class TestCompare:
         text = (out / "clitest.compare.summary").read_text()
         assert "full.outcome:" in text
         assert "no_customization.outcome:" in text
+        assert ".completion:" not in text
         assert "delta.min_clearance:" in text
 
 

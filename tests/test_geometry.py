@@ -86,14 +86,13 @@ def _parallel_overlap_midpoint(p1, p2, q1, q2):
 
 
 def loop_closest_pair(a, b):
-    """Reference oracle in world coordinates: SAT for overlap, then the
-    minimum of the 32 vertex-to-edge checks; a parallel edge pair that
-    overlaps at that distance puts the witness on A at the overlap's
-    midpoint."""
+    """Reference oracle in world coordinates, (on_a, on_b, distance): SAT for
+    overlap, with both witnesses at the centers' midpoint, then the minimum
+    of the 32 vertex-to-edge checks; a parallel edge pair that overlaps at
+    that distance puts the witness on A at the overlap's midpoint."""
     if sat_intersect(a, b):
         mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
-        return ClosestPair(mid, mid, 0.0,
-                           (mid[0] - a.center.x, mid[1] - a.center.y))
+        return mid, mid, 0.0
     pa, pb = corners(a), corners(b)
     edges_a = list(zip(pa, pa[1:] + pa[:1]))
     edges_b = list(zip(pb, pb[1:] + pb[:1]))
@@ -117,28 +116,29 @@ def loop_closest_pair(a, b):
                 d, q = _point_segment_closest(face_mid, q1, q2)
                 if d <= best_d + tol:
                     on_a, on_b = face_mid, q
-    return ClosestPair(on_a, on_b, best_d,
-                       (on_a[0] - a.center.x, on_a[1] - a.center.y))
+    return on_a, on_b, best_d
 
 
 def _nearest_corner(cx, cy, ux, uy, vx, vy, hl, hw):
-    """(distance, index, corner, clamped corner) of the first of c + u + v,
+    """(distance, corner minus clamped corner) of the first of c + u + v,
     c - u + v, c - u - v, c + u - v nearest to the box |x| <= hl, |y| <= hw."""
     best = (math.inf,)
-    for k, (x, y) in enumerate(((cx + ux + vx, cy + uy + vy), (cx - ux + vx, cy - uy + vy),
-                                (cx - ux - vx, cy - uy - vy), (cx + ux - vx, cy + uy - vy))):
+    for x, y in ((cx + ux + vx, cy + uy + vy), (cx - ux + vx, cy - uy + vy),
+                 (cx - ux - vx, cy - uy - vy), (cx + ux - vx, cy + uy - vy)):
         qx = hl if x > hl else -hl if x < -hl else x
         qy = hw if y > hw else -hw if y < -hw else y
         d = math.hypot(x - qx, y - qy)
         if d < best[0]:
-            best = (d, k, (x, y), (qx, qy))
+            best = (d, (x - qx, y - qy))
     return best
 
 
 def relative_frame_closest_pair(a, b):
     """Reference oracle for bit-exact checks: the same relative-frame query
     as `closest_pair`, with each rectangle's four corners searched by a loop
-    (`_nearest_corner`) and A's winner kept unless B's is strictly nearer."""
+    (`_nearest_corner`) and A's winner kept unless B's is strictly nearer;
+    the winner's corner-minus-clamp vector, turned into the world, is the
+    gap."""
     hla, hwa, hlb, hwb = a.half_length, a.half_width, b.half_length, b.half_width
     ca, sa = math.cos(a.center.heading), math.sin(a.center.heading)
     cb, sb = math.cos(b.center.heading), math.sin(b.center.heading)
@@ -151,36 +151,19 @@ def relative_frame_closest_pair(a, b):
     ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)
     if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
             or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
-        mid = (0.5 * (a.center.x + b.center.x), 0.5 * (a.center.y + b.center.y))
-        return ClosestPair(mid, mid, 0.0, (mid[0] - a.center.x, mid[1] - a.center.y))
+        return ClosestPair(0.0, (0.0, 0.0))
 
-    d, k, p, q = _nearest_corner(ax, ay, uax, uay, vax, vay, hlb, hwb)
-    near_b = _nearest_corner(bx, by, ubx, uby, vbx, vby, hla, hwa)
-    if near_b[0] < d:
-        d, _, pb, pa = near_b
-    else:
-        pa = ((hla, hwa), (-hla, hwa), (-hla, -hwa), (hla, -hwa))[k]
-        gx, gy = q[0] - p[0], q[1] - p[1]
-        pb = (pa[0] + c * gx - s * gy, pa[1] + s * gx + c * gy)
-
-    if min(abs(ubx), abs(uby)) <= 1e-12 * math.hypot(ubx, uby):
-        half, low, high = (hla, hwa), (bx - ebx, by - eby), (bx + ebx, by + eby)
-        for k, j in ((0, 1), (1, 0)):
-            lo, hi = max(low[k], -half[k]), min(high[k], half[k])
-            side = 1.0 if low[j] > half[j] else -1.0 if high[j] < -half[j] else 0.0
-            if lo < hi and side:
-                m = 0.5 * (lo + hi)
-                pa, pb = ((m, side * r) if k == 0 else (side * r, m)
-                          for r in (half[j], half[j] + d))
-    offset = (ca * pa[0] - sa * pa[1], sa * pa[0] + ca * pa[1])
-    on_b = (a.center.x + ca * pb[0] - sa * pb[1], a.center.y + sa * pb[0] + ca * pb[1])
-    return ClosestPair((a.center.x + offset[0], a.center.y + offset[1]), on_b, d, offset)
+    d, (ex, ey) = _nearest_corner(ax, ay, uax, uay, vax, vay, hlb, hwb)
+    db, (fx, fy) = _nearest_corner(bx, by, ubx, uby, vbx, vby, hla, hwa)
+    if db < d:  # B's corner, in A's frame
+        return ClosestPair(db, (ca * fx - sa * fy, sa * fx + ca * fy))
+    return ClosestPair(d, (-(cb * ex - sb * ey), -(sb * ex + cb * ey)))  # A's, in B's
 
 
 def assert_bit_identical(got, want):
     """Every field equal, and every sign bit too (so -0.0 differs from 0.0)."""
-    g = (*got.on_a, *got.on_b, got.distance, *got.offset_a)
-    w = (*want.on_a, *want.on_b, want.distance, *want.offset_a)
+    g = (got.distance, *got.gap)
+    w = (want.distance, *want.gap)
     assert g == w
     assert [math.copysign(1.0, v) for v in g] == [math.copysign(1.0, v) for v in w]
 
@@ -238,70 +221,39 @@ class TestClosestPair:
     def test_face_to_face(self):
         got = closest_pair(rect(0, 0, 0, 1, 0.5), rect(5, 0, 0, 1, 0.5))
         assert got.distance == pytest.approx(3.0)
-        assert got.on_a == pytest.approx((1.0, 0.0))
-        assert got.on_b == pytest.approx((4.0, 0.0))
-        assert got.offset_a == pytest.approx((1.0, 0.0))
+        assert got.gap == pytest.approx((3.0, 0.0))
 
     def test_identical_rectangles_overlap(self):
         r = rect(2, 3, 0.3, 1, 0.5)
         got = closest_pair(r, r)
         assert got.distance == 0.0
-        assert got.on_a == got.on_b
+        assert got.gap == (0.0, 0.0)
 
     def test_rotated_pair_matches_sampling_oracle(self):
         a, b = rect(0, 0, 0, 1, 0.5), rect(3, 3, math.pi / 4, 1, 0.5)
         assert closest_pair(a, b).distance == pytest.approx(
             oracle_distance(a, b), abs=1e-3)
 
-    def test_offset_is_from_center_to_witness(self):
-        a, b = rect(1, -2, 0.4, 1, 0.5), rect(6, 1, 1.1, 0.8, 0.6)
-        got = closest_pair(a, b)
-        assert got.offset_a[0] == pytest.approx(got.on_a[0] - 1.0)
-        assert got.offset_a[1] == pytest.approx(got.on_a[1] + 2.0)
-
     def test_distance_equals_witness_separation(self, rng):
+        # the gap is the witnesses' separation vector
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)
             got = closest_pair(a, b)
-            assert got.distance == pytest.approx(
-                math.hypot(got.on_a[0] - got.on_b[0], got.on_a[1] - got.on_b[1]),
-                abs=1e-12)
+            assert got.distance == pytest.approx(math.hypot(*got.gap), abs=1e-12)
 
-    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2])
-    def test_partly_overlapping_faces_put_witness_mid_overlap(self, phi):
-        # B sits 1 m above A, shifted 0.8 m sideways: the facing edges overlap
-        # for x in [-0.2, 1], so the witness on A is at x = 0.4
-        c, s = math.cos(phi), math.sin(phi)
-
-        def turned(x, y):
-            return (c * x - s * y, s * x + c * y)
-
-        a = rect(0, 0, phi, 1, 0.5)
-        b = rect(*turned(0.8, 2.0), phi, 1, 0.5)
-        got = closest_pair(a, b)
-        assert got.distance == pytest.approx(1.0, abs=1e-12)
-        assert got.on_a == pytest.approx(turned(0.4, 0.5), abs=1e-12)
-        assert got.on_b == pytest.approx(turned(0.4, 1.5), abs=1e-12)
-
-    def test_witnesses_lie_on_their_own_boundary(self):
+    def test_a_moved_by_the_gap_touches_b(self):
         rng = np.random.default_rng(2024)
-
-        def boundary_gap(r, p):
-            c, s = math.cos(r.center.heading), math.sin(r.center.heading)
-            dx, dy = p[0] - r.center.x, p[1] - r.center.y
-            lx, ly = c * dx + s * dy, -s * dx + c * dy
-            return abs(max(abs(lx) - r.half_length, abs(ly) - r.half_width))
-
         checked = 0
         while checked < 300:
             a, b = random_rect(rng), random_rect(rng)
-            if checked % 3 == 0:  # face-parallel pairs take the midpoint rule
+            if checked % 3 == 0:
                 b = face_parallel(rng, a, b)
             if sat_intersect(a, b):
                 continue
-            got = closest_pair(a, b)
-            assert boundary_gap(a, got.on_a) <= 1e-9
-            assert boundary_gap(b, got.on_b) <= 1e-9
+            gx, gy = closest_pair(a, b).gap
+            moved = rect(a.center.x + gx, a.center.y + gy, a.center.heading,
+                         a.half_length, a.half_width)
+            assert closest_pair(moved, b).distance <= 1e-9
             checked += 1
 
 
@@ -338,39 +290,25 @@ class TestExactLayouts:
             assert_bit_identical(got, relative_frame_closest_pair(p, q))
             assert abs(got.distance - expected) <= tol
             if expected == tol == 0.0:  # touching counts as overlap
-                assert got.on_a == got.on_b == (0.5 * x, 0.5 * y)
-
-    @pytest.mark.parametrize("k", [0, 1, 2, -1])
-    @pytest.mark.parametrize("tilt,corner_x", [(1e-9, -0.2), (-1e-9, 1.0)])
-    def test_off_parallel_takes_corner_witness(self, k, tilt, corner_x):
-        # as in test_partly_overlapping_faces_put_witness_mid_overlap, but B is
-        # turned off parallel by more than the 1e-12 face test: the witness on
-        # A is at an end of the facing overlap [-0.2, 1], not at its middle 0.4
-        heading = k * math.pi / 2
-        a = rect(0.0, 0.0, heading, 1.0, 0.5)
-        b = rect(*quarter_turns(k, 0.8, 2.0), heading + tilt, 1.0, 0.5)
-        got, want = closest_pair(a, b), loop_closest_pair(a, b)
-        assert got.distance == pytest.approx(1.0, abs=1e-8)
-        assert got.on_a == pytest.approx(quarter_turns(k, corner_x, 0.5), abs=1e-8)
-        assert got.on_a == pytest.approx(want.on_a, abs=1e-12)
-        assert got.on_b == pytest.approx(want.on_b, abs=1e-12)
+                assert got.gap == (0.0, 0.0)
 
 
 class TestInvariants:
     def test_matches_loop_oracle(self):
-        # same overlap decisions as a world-frame SAT, and the same distance
-        # and witnesses as the 32 vertex-to-edge checks with the face scan
+        # same overlap decisions as a world-frame SAT, the same distance as
+        # the 32 vertex-to-edge checks, and the gap is their witnesses'
+        # on_b - on_a, face scan included: the vector the field read before
         rng = np.random.default_rng(2025)
         for k in range(20_000):
             a, b = random_rect(rng), random_rect(rng)
             if k % 3 == 0:
                 b = face_parallel(rng, a, b)
-            got, want = closest_pair(a, b), loop_closest_pair(a, b)
-            assert (got.distance == 0.0) == (want.distance == 0.0)
-            assert abs(got.distance - want.distance) <= 1e-12
-            for g, w in ((got.on_a, want.on_a), (got.on_b, want.on_b),
-                         (got.offset_a, want.offset_a)):
-                assert max(abs(g[0] - w[0]), abs(g[1] - w[1])) <= 1e-12
+            got = closest_pair(a, b)
+            on_a, on_b, distance = loop_closest_pair(a, b)
+            assert (got.distance == 0.0) == (distance == 0.0)
+            assert abs(got.distance - distance) <= 1e-12
+            assert max(abs(got.gap[0] - (on_b[0] - on_a[0])),
+                       abs(got.gap[1] - (on_b[1] - on_a[1]))) <= 1e-12 * (1.0 + distance)
 
     def test_bit_exact_against_relative_frame_oracle(self):
         # the straight-line 8-corner search is the corner loop written out:
@@ -418,6 +356,8 @@ class TestInvariants:
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
             got = closest_pair(a, b)
             assert (got.distance == 0.0) == sat_intersect(a, b)
+            if got.distance == 0.0:
+                assert got.gap == (0.0, 0.0)
 
     def test_matches_sampling_oracle_on_random_pairs(self, rng):
         checked = 0

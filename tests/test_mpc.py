@@ -129,7 +129,7 @@ def loop_apf(controller, state, obstacles, su, base):
             if pair.distance > cfg.activation_radius:
                 continue
             params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
-            quad = quadratic_approx((rpose.x, rpose.y), pair.offset_a, pair.on_b, params)
+            quad = quadratic_approx((rpose.x, rpose.y), pair.gap, params)
             terms.append((i, quad))
             e_i = base_i - np.array(quad.anchor)
             h_mat += rows.T @ quad.hessian_psd @ rows
@@ -157,12 +157,12 @@ def add_at_apf(controller, state, obstacles):
         if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
             track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
                      for pose in predict_obstacle(obs, n_p, cfg.dt)]
-        pairs = np.broadcast_to([(*pair.offset_a, *pair.on_b, pair.distance)
+        pairs = np.broadcast_to([(*pair.gap, pair.distance)
                                  for pair in map(closest_pair, robot_rects, track)],
-                                (n_p, 5))
-        steps = np.flatnonzero(pairs[:, 4] <= cfg.activation_radius)
+                                (n_p, 3))
+        steps = np.flatnonzero(pairs[:, 2] <= cfg.activation_radius)
         params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
-        quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], pairs[steps, 2:4], params)
+        quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], params)
         np.add.at(const, steps, quad.constant)
         np.add.at(grad, steps, quad.gradient)
         np.add.at(hess, steps, quad.hessian_psd)

@@ -27,7 +27,7 @@ def psd_project(h: np.ndarray) -> np.ndarray:
 
 def value_at(distance, params):
     """Field value at the given closest-point distance."""
-    return quadratic_approx((0.0, 0.0), (0.0, 0.0), (distance, 0.0), params).constant
+    return quadratic_approx((0.0, 0.0), (distance, 0.0), params).constant
 
 
 class TestValue:
@@ -113,6 +113,11 @@ def fd_gradient(robot_pos, offset, obstacle_point, params, eps=1e-6):
     return g
 
 
+def gap(robot_pos, offset, obstacle_point):
+    """From the robot's closest point, robot_pos + offset, to the obstacle's."""
+    return np.subtract(obstacle_point, np.add(robot_pos, offset))
+
+
 def raw_value(robot_pos, offset, obstacle_point, params):
     dx = obstacle_point[0] - (robot_pos[0] + offset[0])
     dy = obstacle_point[1] - (robot_pos[1] + offset[1])
@@ -122,12 +127,12 @@ def raw_value(robot_pos, offset, obstacle_point, params):
 
 class TestQuadraticApprox:
     def test_value_matches_field(self):
-        q = quadratic_approx((0.0, 0.0), (0.0, 0.0), (2.0, 0.0), OBS)
+        q = quadratic_approx((0.0, 0.0), (2.0, 0.0), OBS)
         assert q.constant == pytest.approx(3.0 / 4.0 ** 1.8)
 
     def test_axis_gradient(self):
         # d/dX of a/((p - X)^2)^b at separation 2: 2ab * 2 / 4^2.8
-        q = quadratic_approx((0.0, 0.0), (0.0, 0.0), (2.0, 0.0), OBS)
+        q = quadratic_approx((0.0, 0.0), (2.0, 0.0), OBS)
         expected = 2.0 * 3.0 * 1.8 * 2.0 / 4.0 ** 2.8
         assert q.gradient[0] == pytest.approx(expected, abs=1e-12)
         assert q.gradient[0] == pytest.approx(0.44529, abs=1e-4)
@@ -142,14 +147,14 @@ class TestQuadraticApprox:
             dy = obst[1] - (pos[1] + off[1])
             if dx * dx + dy * dy < 0.05:
                 continue
-            q = quadratic_approx(pos, off, obst, OBS)
+            q = quadratic_approx(pos, (dx, dy), OBS)
             fd = fd_gradient(pos, off, obst, OBS)
             assert np.max(np.abs(q.gradient - fd)) < 1e-5
 
     def test_gradient_points_away_from_obstacle(self):
         # the field decreases moving away, so the gradient (of increase)
         # points toward the obstacle along +x here
-        q = quadratic_approx((0.0, 0.0), (0.0, 0.0), (2.0, 0.0), OBS)
+        q = quadratic_approx((0.0, 0.0), (2.0, 0.0), OBS)
         assert q.gradient[0] > 0.0
 
     def test_hessian_is_psd(self):
@@ -163,7 +168,7 @@ class TestQuadraticApprox:
             obst = tuple(rng.uniform(-4, 4, size=2))
             if k % 20 == 0:  # inside the clamp region
                 obst = tuple(np.add(pos, rng.uniform(-0.007, 0.007, size=2)))
-            q = quadratic_approx(pos, (0.0, 0.0), obst, OBS)
+            q = quadratic_approx(pos, np.subtract(obst, pos), OBS)
             h = q.hessian_psd
             scale = float(np.max(np.abs(h)))
             assert np.min(np.linalg.eigvalsh(h)) >= -1e-12 * max(1.0, scale)
@@ -182,27 +187,27 @@ class TestQuadraticApprox:
         vals, grads = [], []
         for phi in np.linspace(0.0, 2 * math.pi, 17):
             obst = (d * math.cos(phi), d * math.sin(phi))
-            q = quadratic_approx((0.0, 0.0), (0.0, 0.0), obst, OBS)
+            q = quadratic_approx((0.0, 0.0), obst, OBS)
             vals.append(q.constant)
             grads.append(np.linalg.norm(q.gradient))
         assert np.ptp(vals) < 1e-9
         assert np.ptp(grads) < 1e-9
 
     def test_flat_inside_clamp(self):
-        q = quadratic_approx((0.0, 0.0), (0.0, 0.0), (0.005, 0.0), OBS)
+        q = quadratic_approx((0.0, 0.0), (0.005, 0.0), OBS)
         assert q.constant == pytest.approx(3.0 / 1e-4 ** 1.8)
         assert np.all(q.gradient == 0.0)
         assert np.all(q.hessian_psd == 0.0)
 
     def test_anchor_records_expansion_point(self):
-        q = quadratic_approx((1.5, -2.0), (0.3, 0.1), (4.0, 0.0), OBS)
+        q = quadratic_approx((1.5, -2.0), gap((1.5, -2.0), (0.3, 0.1), (4.0, 0.0)), OBS)
         assert q.anchor == (1.5, -2.0)
 
     def test_frozen_offset_shifts_effective_distance(self):
         # with the offset frozen, translating the robot by -offset must
-        # reproduce the zero-offset expansion
-        q1 = quadratic_approx((0.0, 0.0), (0.5, 0.2), (3.0, 1.0), OBS)
-        q2 = quadratic_approx((0.5, 0.2), (0.0, 0.0), (3.0, 1.0), OBS)
+        # reproduce the zero-offset expansion: the gap is the same
+        q1 = quadratic_approx((0.0, 0.0), gap((0.0, 0.0), (0.5, 0.2), (3.0, 1.0)), OBS)
+        q2 = quadratic_approx((0.5, 0.2), gap((0.5, 0.2), (0.0, 0.0), (3.0, 1.0)), OBS)
         assert q1.constant == pytest.approx(q2.constant)
         assert np.allclose(q1.gradient, q2.gradient)
         assert np.allclose(q1.hessian_psd, q2.hessian_psd)
@@ -234,11 +239,11 @@ class TestStacked:
         off = rng.uniform(-1, 1, size=(300, 2))
         obst = rng.uniform(-4, 4, size=(300, 2))
         obst[::10] = pos[::10] + off[::10] + rng.uniform(-0.005, 0.005, size=(30, 2))
-        stacked = quadratic_approx(pos, off, obst, params)
+        stacked = quadratic_approx(pos, gap(pos, off, obst), params)
         assert np.array_equal(stacked.anchor, pos)
         clamped = 0
         for k in range(len(pos)):
-            one = quadratic_approx(tuple(pos[k]), tuple(off[k]), tuple(obst[k]), params)
+            one = quadratic_approx(tuple(pos[k]), gap(pos[k], off[k], obst[k]), params)
             clamped += bool(np.all(one.hessian_psd == 0.0))
             np.testing.assert_allclose(stacked.constant[k], one.constant, rtol=1e-14, atol=0)
             np.testing.assert_allclose(stacked.gradient[k], one.gradient, rtol=1e-14, atol=0)
@@ -247,7 +252,7 @@ class TestStacked:
         assert clamped == 30
 
     def test_empty_stack(self):
-        q = quadratic_approx(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)), OBS)
+        q = quadratic_approx(np.zeros((0, 2)), np.zeros((0, 2)), OBS)
         assert q.constant.shape == (0,)
         assert q.gradient.shape == (0, 2)
         assert q.hessian_psd.shape == (0, 2, 2)
@@ -258,10 +263,10 @@ class TestStacked:
         pos = rng.uniform(-4, 4, size=(50, 2))
         obst = rng.uniform(-4, 4, size=(50, 2))
         at = pos + rng.uniform(-0.3, 0.3, size=(50, 2))
-        stacked = quadratic_approx(pos, np.zeros((50, 2)), obst, OBS)
+        stacked = quadratic_approx(pos, obst - pos, OBS)
         expected = 0.0
         for k in range(len(pos)):
-            q = quadratic_approx(tuple(pos[k]), (0.0, 0.0), tuple(obst[k]), OBS)
+            q = quadratic_approx(tuple(pos[k]), obst[k] - pos[k], OBS)
             r = at[k] - pos[k]
             expected += q.constant + q.gradient @ r + 0.5 * r @ q.hessian_psd @ r
             assert q.value(at[k]) == pytest.approx(
