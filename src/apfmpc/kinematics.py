@@ -108,19 +108,19 @@ def rollout(state: RobotState, inp: ControlInput, geom: RobotGeometry,
 
     The yaw rate depends on the speeds alone, so the speeds come first, then
     the heading, then the position, each a cumulative sum from its start
-    value. `np.cumsum` adds in order, as stepping one by one does.
+    value. `ndarray.cumsum` adds in order, as stepping one by one does.
     """
     out = np.empty((n + 1, 5))
     out[0] = state.as_array()
     out[1:, 3:] = (h * inp.accel_front, h * inp.accel_rear)
-    np.cumsum(out[:, 3:], axis=0, out=out[:, 3:])
+    out[:, 3:].cumsum(axis=0, out=out[:, 3:])
     speeds = out[:-1, 3], out[:-1, 4]
     (_, _, yaw_rate), _ = _rates(state.heading, *speeds, inp, geom)
     out[1:, 2] = h * yaw_rate
-    np.cumsum(out[:, 2], out=out[:, 2])
+    out[:, 2].cumsum(out=out[:, 2])
     (x_dot, y_dot, _), _ = _rates(out[:-1, 2], *speeds, inp, geom)
     out[1:, 0], out[1:, 1] = h * x_dot, h * y_dot
-    np.cumsum(out[:, :2], axis=0, out=out[:, :2])
+    out[:, :2].cumsum(axis=0, out=out[:, :2])
     return out
 
 

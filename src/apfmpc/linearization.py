@@ -26,6 +26,13 @@ N_INPUT = 4
 NILPOTENCY_INDEX = 4  # (Ā - I)⁴ = 0, see the module docstring
 
 
+# identity blocks shared by every tick, read-only: A = I + dt J, the input
+# block of B̄, and the Ā whose top rows each tick fills
+EYE_STATE, EYE_INPUT, EYE_AUGMENTED = map(np.eye, (N_STATE, N_INPUT, N_STATE + N_INPUT))
+for _eye in (EYE_STATE, EYE_INPUT, EYE_AUGMENTED):
+    _eye.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class LinearizedModel:
     a_mat: np.ndarray  # 5x5
@@ -75,7 +82,7 @@ def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
               dt: float) -> LinearizedModel:
     """Affine discrete model around the operating point (state0, input0)."""
     j_state, j_input = _jacobians(state0, input0, geom)
-    a_mat = np.eye(N_STATE) + dt * j_state
+    a_mat = EYE_STATE + dt * j_state
     b_mat = dt * j_input
     next_state = state0.as_array() + dt * derivative(state0, input0, geom)
     d_vec = next_state - a_mat @ state0.as_array() - b_mat @ input0.as_array()
@@ -85,9 +92,9 @@ def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
 def augment(lin: LinearizedModel) -> AugmentedModel:
     """Delta-input form over the stacked state [state; previous input]."""
     n, m = N_STATE, N_INPUT
-    a_bar = np.eye(n + m)
+    a_bar = EYE_AUGMENTED.copy()
     a_bar[:n, :n] = lin.a_mat
     a_bar[:n, n:] = lin.b_mat
-    b_bar = np.vstack([lin.b_mat, np.eye(m)])
+    b_bar = np.concatenate([lin.b_mat, EYE_INPUT])
     d_bar = np.concatenate([lin.d_vec, np.zeros(m)])
     return AugmentedModel(a_bar, b_bar, d_bar)

@@ -25,6 +25,12 @@ active set of the last optimal tick's QP; the solver returns that set's
 equality solve, without iterating, when it is still optimal. A tick's
 iteration count sums all its attempts. A non-finite solution raises
 FloatingPointError before it reaches the inputs.
+
+A tick calls ufuncs, their reductions and ndarray methods, not numpy's
+Python-level wrappers. What a run knows is built once and read-only:
+`MpcController.__init__` holds the weight tiles, the effort Hessian, the
+bounds, the input-tile index, the cumulative-input rows, the output rows and
+the binomial tables; `linearization` the identity blocks `EYE_*`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ import numpy as np
 
 from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState
-from .linearization import N_INPUT, N_STATE, NILPOTENCY_INDEX, augment, linearize
+from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
+                            linearize)
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver
@@ -81,8 +88,8 @@ class ReferenceHorizon:
 
     def __post_init__(self):
         heading = self.targets[:, 2]  # each step a turn in (-pi, pi] + summing's rounding
-        slack = 4.0 * np.spacing(2.0 * math.pi + np.max(np.abs(heading), initial=0.0))
-        if np.any(np.abs(np.diff(heading)) > math.pi + slack):
+        slack = 4.0 * np.spacing(2.0 * math.pi + np.maximum.reduce(np.abs(heading), initial=0.0))
+        if np.logical_or.reduce(np.abs(heading[1:] - heading[:-1]) > math.pi + slack):
             raise ValueError("reference heading must be unwrapped")
 
 
@@ -127,10 +134,10 @@ def project_onto_path(points: np.ndarray, table: PathTable) -> tuple[np.ndarray,
     pts, seg, seg_len, cum, _ = table
     p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
     dot = ((p - pts[:-1])[..., None, :] @ seg[:, :, None])[..., 0, 0]
-    t = np.clip(dot / seg_len ** 2, 0.0, 1.0)
+    t = np.minimum(np.maximum(dot / seg_len ** 2, 0.0), 1.0)
     off = p - (pts[:-1] + t[..., None] * seg)
     dist = np.hypot(off[..., 0], off[..., 1])
-    rows, best = np.arange(len(dist)), np.argmin(dist, axis=1)
+    rows, best = np.arange(len(dist)), dist.argmin(axis=1)
     return dist[rows, best], cum[best] + t[rows, best] * seg_len[best]
 
 
@@ -145,14 +152,14 @@ def build_reference(table: PathTable, state: RobotState, ref_speed: float,
     s = s0 + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
     past = s >= cum[-1]
     # past the end j is the last segment, whose heading the targets keep
-    j = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+    j = np.minimum(cum.searchsorted(s, side="right") - 1, len(seg) - 1)
     pos = pts[j] + ((s - cum[j]) / seg_len[j])[:, None] * seg[j]
-    turn = np.diff(headings[j], prepend=state.heading)
+    turn = headings[j] - np.concatenate([[state.heading], headings[j[:-1]]])
     turn -= 2.0 * math.pi * ((turn > math.pi) - 1.0 * (turn <= -math.pi))
-    speed = np.where(past, 0.0, ref_speed)
-    return ReferenceHorizon(np.column_stack(
-        [np.where(past[:, None], pts[-1], pos), state.heading + np.cumsum(turn),
-         speed, speed]))
+    speed = np.where(past, 0.0, ref_speed)[:, None]
+    return ReferenceHorizon(np.concatenate(
+        [np.where(past[:, None], pts[-1], pos), (state.heading + turn.cumsum())[:, None],
+         speed, speed], axis=1))
 
 
 def slip_constraint_rows(state0: RobotState, input0: ControlInput,
@@ -197,15 +204,15 @@ class MpcController:
         self.variant = variant
         self.prev_input = initial_input or ControlInput(0.0, 0.0, 0.0, 0.0)
         self.solver = QpSolver()
-        self._warm = np.zeros(cfg.n_ctrl * N_INPUT)
-        self._active = None  # active set of the last optimal tick's QP
         # per-controller constants of the condensed QP
         n_p, n_c = cfg.n_pred, cfg.n_ctrl
         self._q_diag = np.tile(cfg.q_weights, n_p)
         self._r_diag = np.tile(cfg.r_weights, n_c)
         self._h_effort = 2.0 * np.diag(self._r_diag)
         self._u_max = np.array(cfg.u_max)
+        self._input_tile = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
         self._du_max = np.tile(cfg.du_max, n_c)
+        self._du_min = -self._du_max
         self._cumulative = np.tril(np.ones((n_c, n_c)))
         self._cumulative_inputs = np.kron(self._cumulative, np.eye(N_INPUT))
         # output rows of su with a finite bound, one output at a time
@@ -221,16 +228,22 @@ class MpcController:
         lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
         self._binom_su = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
         self._binom_base = np.hstack([binom[1:, :-1], binom[1:, 1:]])
+        for value in vars(self).values():  # every tick shares them
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self._warm = np.zeros(n_c * N_INPUT)
+        self._active = None  # active set of the last optimal tick's QP
 
     # -- assembly -----------------------------------------------------------
 
-    def _apf_quadratic(self, state: RobotState,
+    def _apf_quadratic(self, state: RobotState, prev_input: ControlInput,
                        obstacles: list[Obstacle]) -> QuadraticApproximation:
-        """Active APF expansions summed per step, at the predicted robot position."""
+        """Active APF expansions summed per step, at the robot position
+        predicted with prev_input held."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
         frozen = self.variant == "no_customization"
         poses = ([Pose2D(state.x, state.y, state.heading)] if frozen else
-                 predict_robot(state, self.prev_input, self.geom, n_p, cfg.dt))
+                 predict_robot(state, prev_input, self.geom, n_p, cfg.dt))
         robot_rects = [OrientedRectangle(p, hl, hw) for p in poses]
         # frozen, robot and footprints hold still: each footprint's one pair
         # serves every step; boundaries are static
@@ -244,8 +257,9 @@ class MpcController:
             pair.gap + (pair.distance,)
             for track in tracks for pair in map(closest_pair, robot_rects, track)),
             float, 3 * len(tracks) * len(poses))
-        pairs = np.broadcast_to(flat.reshape(len(tracks), len(poses), 3), (len(tracks), n_p, 3))
-        anchor = np.broadcast_to([(p.x, p.y) for p in poses], (n_p, 2))
+        pairs, anchor = np.empty((len(tracks), n_p, 3)), np.empty((n_p, 2))
+        pairs[...] = flat.reshape(len(tracks), len(poses), 3)
+        anchor[...] = [(p.x, p.y) for p in poses]
         active = pairs[..., 2] <= cfg.activation_radius
         boundary = np.array([obs.kind == "boundary" for obs in obstacles])
         const, grad, hess = (np.zeros(active.shape), np.zeros((*active.shape, 2)),
@@ -254,14 +268,14 @@ class MpcController:
         # in footprint order from +0.0, as adding term by term into zeros does
         for rows, params in ((active & ~boundary[:, None], cfg.obstacle_apf),
                              (active & boundary[:, None], cfg.boundary_apf)):
-            if rows.any():
-                quad = quadratic_approx(np.broadcast_to(anchor, grad.shape)[rows],
-                                        pairs[..., :2][rows], params)
+            footprint, step = rows.nonzero()
+            if len(step):
+                quad = quadratic_approx(anchor[step], pairs[footprint, step, :2], params)
                 const[rows], grad[rows], hess[rows] = (quad.constant, quad.gradient,
                                                        quad.hessian_psd)
-        return QuadraticApproximation(const.sum(axis=0, initial=0.0),
-                                      grad.sum(axis=0, initial=0.0),
-                                      hess.sum(axis=0, initial=0.0), anchor)
+        return QuadraticApproximation(np.add.reduce(const, axis=0, initial=0.0),
+                                      np.add.reduce(grad, axis=0, initial=0.0),
+                                      np.add.reduce(hess, axis=0, initial=0.0), anchor)
 
     def assemble(self, state: RobotState, prev_input: ControlInput,
                  ref: ReferenceHorizon, obstacles: list[Obstacle]) -> _Assembled:
@@ -277,11 +291,11 @@ class MpcController:
         # the state rows of Σₚ C(i - j, p) Nᵖ B̄, and step i of base those of
         # Σₚ C(i + 1, p) Nᵖ x̄₀ + C(i + 1, p + 1) Nᵖ d̄, as Σₗ≤ᵢ C(l, p) is
         # C(i + 1, p + 1); the Nᵖ [B̄ | x̄₀ | d̄] take three 9x9 products
-        n_mat = aug.a_bar - np.eye(ns + nu)
-        nw = [np.column_stack([aug.b_bar, x0, aug.d_bar])]
+        n_mat = aug.a_bar - EYE_AUGMENTED
+        nw = [np.concatenate([aug.b_bar, x0[:, None], aug.d_bar[:, None]], axis=1)]
         for _ in range(NILPOTENCY_INDEX - 1):
             nw.append(n_mat @ nw[-1])
-        nw = np.stack(nw)[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
+        nw = np.array(nw)[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
         su = (self._binom_su @ nw[..., :nu].reshape(NILPOTENCY_INDEX, ns * nu)).reshape(
             n_p, n_c, ns, nu).transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
         base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
@@ -298,7 +312,7 @@ class MpcController:
         # rows of su and e = base - anchor, one product S'[H S | H e + g]
         apf = None
         if obstacles:
-            apf = self._apf_quadratic(state, obstacles)
+            apf = self._apf_quadratic(state, prev_input, obstacles)
             xy = su.reshape(n_p, ns, nz)[:, :2]
             base_xy = base.reshape(n_p, ns)[:, :2]
             rhs = apf.hessian_psd @ np.concatenate(
@@ -314,20 +328,20 @@ class MpcController:
         u0 = prev_input.as_array()
         u_max = self._u_max
         a_rows = [self._cumulative_inputs]
-        lo_rows = [np.tile(-u_max - u0, n_c)]
-        hi_rows = [np.tile(u_max - u0, n_c)]
+        lo_rows = [(-u_max - u0)[self._input_tile]]
+        hi_rows = [(u_max - u0)[self._input_tile]]
         g = None
         if self.variant == "full":
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
             a_rows.append((self._cumulative[:, :, None] * e_row).reshape(n_c, nz))
-            lo_rows.append(np.full(n_c, -cfg.slip_band - g))
-            hi_rows.append(np.full(n_c, cfg.slip_band - g))
+            lo_rows.append([-cfg.slip_band - g] * n_c)
+            hi_rows.append([cfg.slip_band - g] * n_c)
         a_rows.append(su[self._eta_rows])
         lo_rows.append(self._eta_lo - base[self._eta_rows])
         hi_rows.append(self._eta_hi - base[self._eta_rows])
 
-        qp = QpProblem(h_mat, f_vec, np.vstack(a_rows), np.concatenate(lo_rows),
-                       np.concatenate(hi_rows), -self._du_max, self._du_max)
+        qp = QpProblem(h_mat, f_vec, np.concatenate(a_rows), np.concatenate(lo_rows),
+                       np.concatenate(hi_rows), self._du_min, self._du_max)
         return _Assembled(qp, su, base, ref_stack, apf, const, g)
 
     # -- per-tick solve ------------------------------------------------------
@@ -361,14 +375,14 @@ class MpcController:
         if sol.status == INFEASIBLE or (
                 sol.status == MAX_ITERATIONS
                 and sol.primal_residual > 10.0 * self.solver.tolerance):
-            z = np.zeros_like(z)
-        if not np.isfinite(z).all():  # the plant never sees it; the run ends
+            z = np.zeros(z.shape)
+        if not np.logical_and.reduce(np.isfinite(z)):  # the plant never sees it; the run ends
             raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
         delta_seq = z.reshape(cfg.n_ctrl, nu)
         u_next = self.prev_input.as_array() + delta_seq[0]
-        u_next = np.clip(u_next, -self._u_max, self._u_max)
+        u_next = np.minimum(np.maximum(u_next, -self._u_max), self._u_max)
         steer_max = math.pi / 2 - _STEER_EPS
-        u_next[2:] = np.clip(u_next[2:], -steer_max, steer_max)
+        u_next[2:] = np.minimum(np.maximum(u_next[2:], -steer_max), steer_max)
         applied = ControlInput.from_array(u_next)
 
         eta = asm.su @ z + asm.base

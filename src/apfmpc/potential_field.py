@@ -45,7 +45,8 @@ class QuadraticApproximation:
         """Sum over the stack of each expansion at its row of robot_pos."""
         r = np.asarray(robot_pos, dtype=float) - self.anchor
         h_r = (self.hessian_psd @ r[..., None])[..., 0]
-        return float(np.sum(self.constant) + np.sum(r * (self.gradient + 0.5 * h_r)))
+        return float(np.add.reduce(self.constant, axis=None)
+                     + np.add.reduce(r * (self.gradient + 0.5 * h_r), axis=None))
 
 
 def quadratic_approx(robot_pos, gap, params: ApfParams) -> QuadraticApproximation:

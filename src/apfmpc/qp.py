@@ -30,6 +30,11 @@ accepted guess returns with 0 iterations. Otherwise the ADMM runs exactly
 as without a guess and the set read from its final duals is tried, also
 when the iteration ran out. If it fails, the ADMM iterate is returned with
 its status. Every solution carries the side of each row of [A; I].
+
+A solve never writes into its problem, whose arrays may be shared and
+read-only: the controller's increment bounds are built in its `__init__`.
+Identity terms (ridge, sigma I, the I of [A; I]) go on diagonal views,
+`m.flat[::n + 1] += c`, and reductions call the ufuncs' `reduce`.
 """
 
 from __future__ import annotations
@@ -62,7 +67,8 @@ class QpProblem:
         n = len(self.f_vec)
         if self.a_mat.size == 0:
             self.a_mat = self.a_mat.reshape(0, n)
-        if np.any(self.lower > self.upper) or np.any(self.z_lower > self.z_upper):
+        if np.logical_or.reduce(self.lower > self.upper) or np.logical_or.reduce(
+                self.z_lower > self.z_upper):
             raise ValueError("constraint bounds must satisfy lower <= upper")
 
     def objective(self, z: np.ndarray) -> float:
@@ -94,18 +100,21 @@ class QpSolver:
         # internal scaling: normalize constraint rows and the cost magnitude
         # so the fixed-step splitting converges on badly scaled problems;
         # neither rescaling moves the minimizer
-        row_scale = 1.0 / np.maximum(np.max(np.abs(problem.a_mat), axis=1,
-                                            initial=0.0), 1e-10)
-        cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)),
-                                                 initial=0.0)))
-        p_mat = cost_scale * problem.h_mat + _RIDGE * np.eye(n)
+        row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
+                                                       initial=0.0), 1e-10)
+        cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
+            np.abs(problem.h_mat.diagonal()), initial=0.0)))
+        p_mat = cost_scale * problem.h_mat
+        p_mat.flat[::n + 1] += _RIDGE  # + _RIDGE I; the same bits where H has no -0.0
         f = cost_scale * problem.f_vec
-        a_full = np.vstack([row_scale[:, None] * problem.a_mat, np.eye(n)])
+        a_full = np.zeros((len(problem.a_mat) + n, n))  # [scaled A; I]
+        a_full[:-n] = row_scale[:, None] * problem.a_mat
+        a_full[-n:].flat[::n + 1] = 1.0
         lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
         hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
         m = len(lo)
 
-        if active is not None and np.shape(active) == (m,):
+        if active is not None and np.asarray(active).shape == (m,):
             certified = self._certified(problem, p_mat, f, cost_scale, a_full,
                                         lo, hi, np.asarray(active), 0)
             if certified is not None:
@@ -141,8 +150,8 @@ class QpSolver:
 
             if it % _CHECK_EVERY == 0:
                 y = rho * v
-                r_prim = float(np.max(np.abs(ax - zc)))
-                r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ y)))
+                r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
+                r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_full.T @ y)))
                 if r_prim <= self.tolerance and r_dual <= self.tolerance:
                     status = OPTIMAL
                     break
@@ -170,25 +179,26 @@ class QpSolver:
     @staticmethod
     def _step_matrix(p_mat, a_full, f, rho: float) -> np.ndarray:
         """G = K^-1 [sigma I | rho A' | -f] with K = P + sigma I + rho A'A."""
-        n = len(f)
-        kkt_inv = np.linalg.inv(p_mat + _SIGMA * np.eye(n) + rho * a_full.T @ a_full)
-        return np.hstack([_SIGMA * kkt_inv, (rho * kkt_inv) @ a_full.T,
-                          -(kkt_inv @ f)[:, None]])
+        kkt = p_mat.copy()
+        kkt.flat[::len(f) + 1] += _SIGMA
+        kkt_inv = np.linalg.inv(kkt + rho * a_full.T @ a_full)
+        return np.concatenate([_SIGMA * kkt_inv, (rho * kkt_inv) @ a_full.T,
+                               -(kkt_inv @ f)[:, None]], axis=1)
 
     @staticmethod
     def _primal_infeasible(a_full, lo, hi, dy, eps: float = 1e-10) -> bool:
-        norm_dy = float(np.max(np.abs(dy)))
+        norm_dy = float(np.maximum.reduce(np.abs(dy)))
         if norm_dy <= eps:
             return False
         dy = dy / norm_dy
-        if float(np.max(np.abs(a_full.T @ dy))) > 1e-6:
+        if float(np.maximum.reduce(np.abs(a_full.T @ dy))) > 1e-6:
             return False
-        pos, neg = np.clip(dy, 0.0, None), np.clip(dy, None, 0.0)
+        pos, neg = np.maximum(dy, 0.0), np.minimum(dy, 0.0)
         # any unbounded side engaged by the certificate kills it
-        if np.any(np.isinf(hi) & (pos > 1e-9)) or np.any(np.isinf(lo) & (neg < -1e-9)):
+        if np.logical_or.reduce(np.isinf(hi) & (pos > 1e-9) | np.isinf(lo) & (neg < -1e-9)):
             return False
-        support = float(np.sum(hi[pos > 0] * pos[pos > 0])
-                        + np.sum(lo[neg < 0] * neg[neg < 0]))
+        support = float(np.add.reduce(hi[pos > 0] * pos[pos > 0])
+                        + np.add.reduce(lo[neg < 0] * neg[neg < 0]))
         return support < -1e-8
 
     @staticmethod
@@ -198,18 +208,20 @@ class QpSolver:
         each row (0 off the set; upper >= 0 and lower <= 0 at an optimum)
         and the largest scaled bound violation, or None when a held bound is
         infinite or the system is singular."""
-        rows = np.flatnonzero(active)
+        rows = active.nonzero()[0]
         b_act = np.where(active[rows] < 0, lo[rows], hi[rows])
-        if not np.all(np.isfinite(b_act)):
+        if not np.logical_and.reduce(np.isfinite(b_act)):
             return None
         n = len(problem.f_vec)
         a_act = a_full[rows]
         k = len(rows)
         kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = problem.h_mat + 1e-10 * np.eye(n)
+        kkt[:n, :n] = problem.h_mat
+        kkt[:n, :n].flat[::n + 1] += 1e-10
         kkt[:n, n:] = a_act.T
         kkt[n:, :n] = a_act
-        kkt[n:, n:] = -1e-10 * np.eye(k)
+        kkt[n:, n:] = -0.0  # -1e-10 I, whose off-diagonal is -0.0
+        kkt[n:, n:].flat[::k + 1] = -1e-10
         rhs = np.concatenate([-problem.f_vec, b_act])
         try:
             sol = np.linalg.solve(kkt, rhs)
@@ -219,8 +231,7 @@ class QpSolver:
         lam = np.zeros(len(lo))
         lam[rows] = sol[n:]
         ax = a_full @ x
-        viol = float(np.max(np.clip(lo - ax, 0.0, None)
-                            + np.clip(ax - hi, 0.0, None)))
+        viol = float(np.maximum.reduce(np.maximum(lo - ax, 0.0) + np.maximum(ax - hi, 0.0)))
         return x, lam, viol
 
     def _certified(self, problem, p_mat, f, cost_scale, a_full, lo, hi,
@@ -233,10 +244,10 @@ class QpSolver:
         if found is None:
             return None
         x, lam, viol = found
-        if viol > self.tolerance or not np.all(lam * active >= 0.0):
+        if viol > self.tolerance or not np.logical_and.reduce(lam * active >= 0.0):
             return None
         # lam holds the multipliers of the unscaled cost
-        r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ (cost_scale * lam))))
+        r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_full.T @ (cost_scale * lam))))
         return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)
 
 

@@ -423,7 +423,7 @@ class TestAssemble:
             Obstacle(OrientedRectangle(Pose2D(-50.0, 0.0, 0.0), 0.5, 0.4), (0.5, 0.2), 0.4)]))
         for s, u0, footprints in scenes:
             c = controller(cfg, geom, initial_input=u0, variant=variant)
-            got = c._apf_quadratic(s, footprints)
+            got = c._apf_quadratic(s, u0, footprints)
             want = add_at_apf(c, s, footprints)
             for got_part, want_part in zip((got.constant, got.gradient, got.hessian_psd,
                                             got.anchor), want):
@@ -496,6 +496,23 @@ class TestAssemble:
             du = z[i * 4:(i + 1) * 4] if i < cfg.n_ctrl else np.zeros(4)
             x = aug.a_bar @ x + aug.b_bar @ du + aug.d_bar
             assert np.max(np.abs(eta[i] - x[:5])) < 1e-8
+
+    def test_assemble_anchors_at_its_prev_input(self, cfg, geom):
+        # the field anchors come from the prev_input argument, not from the
+        # controller's applied input: after one step, assembling at zero
+        # input gives a fresh controller's QP
+        s = RobotState(0, 0, 0, 1.0, 1.0)
+        ref = build_reference(STRAIGHT, s, 1.0, cfg)
+        obstacles = [obstacle_at(3.0, 0.6)]
+        c = controller(cfg, geom)
+        c.step(s, ref, obstacles)
+        assert c.prev_input != ControlInput(0.0, 0.0, 0.0, 0.0)
+        zero = ControlInput(0.0, 0.0, 0.0, 0.0)
+        got = c.assemble(s, zero, ref, obstacles)
+        want = controller(cfg, geom).assemble(s, zero, ref, obstacles)
+        assert np.array_equal(got.apf.anchor, want.apf.anchor)
+        assert got.const == want.const
+        assert np.array_equal(got.qp.h_mat, want.qp.h_mat)
 
     def test_on_reference_solution_is_zero(self, cfg, geom):
         c = controller(cfg, geom)
