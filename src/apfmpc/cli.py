@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 from .mpc import VARIANTS
-from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run, with_variant
+from .simulator import (NUMERICAL_FAILURE, load_scenario, metrics, run, with_variant,
+                        write_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -22,22 +23,17 @@ def _write_summary(path: Path, values: dict) -> None:
 
 
 def _series_files(out_dir: Path, name: str, log) -> None:
-    def dump(suffix, header, rows):
-        lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
-        (out_dir / f"{name}.{suffix}.csv").write_text("\n".join(lines) + "\n")
-
     recs = log.records
-    dump("trajectory", "t,x,y",
-         [(r.t, r.state.x, r.state.y) for r in recs])
-    dump("heading", "t,theta",
-         [(r.t, r.state.heading) for r in recs])
-    dump("wheel_speeds", "t,v_f,v_r",
-         [(r.t, r.state.v_front, r.state.v_rear) for r in recs])
-    dump("inputs", "t,a_f,a_r,delta_f,delta_r",
-         [(r.t, r.applied.accel_front, r.applied.accel_rear,
-           r.applied.steer_front, r.applied.steer_rear) for r in recs])
-    dump("slip", "t,slip_measure",
-         [(r.t, r.slip_measure) for r in recs])
+    for suffix, header, rows in (
+            ("trajectory", "t,x,y", [(r.t, r.state.x, r.state.y) for r in recs]),
+            ("heading", "t,theta", [(r.t, r.state.heading) for r in recs]),
+            ("wheel_speeds", "t,v_f,v_r",
+             [(r.t, r.state.v_front, r.state.v_rear) for r in recs]),
+            ("inputs", "t,a_f,a_r,delta_f,delta_r",
+             [(r.t, r.applied.accel_front, r.applied.accel_rear,
+               r.applied.steer_front, r.applied.steer_rear) for r in recs]),
+            ("slip", "t,slip_measure", [(r.t, r.slip_measure) for r in recs])):
+        write_csv(out_dir / f"{name}.{suffix}.csv", header, rows)
 
 
 def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
@@ -85,7 +81,7 @@ def _summary(log, path) -> dict:
     has only an outcome."""
     summary = {"outcome": log.outcome}
     if log.records:
-        summary.update((k, v) for k, v in metrics(log, path).items() if k != "completion")
+        summary.update(metrics(log, path))
     return summary
 
 

@@ -4,8 +4,8 @@ Three-degree-of-freedom bicycle-style model under rigid-body and non-slip
 assumptions, stated once in `_rates`. Its terms w (the C.G. speed along the
 body axis) and s (the tangent of the side slip) keep the rates free of the
 side slip angle itself. One held-input forward-Euler rollout serves as the
-simulation plant (sub-stepped), the controller's horizon prediction and its
-linearization seed.
+simulation plant (sub-stepped) and the controller's horizon prediction; the
+linearization's offset is one Euler step of `derivative`.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ Each tick: linearize the kinematics at (current state, previous input),
 predict robot and obstacle motion over the horizon, sum the convex field
 quadratics of each predicted step into one at the predicted robot position,
 condense the delta-input dynamics into prediction matrices, and solve a
-dense QP in the stacked increments subject to increment, input, output, and
-wheel-speed-difference constraints. Only the first increment is applied.
+dense QP in the stacked increments. Its constraints are all rows of one
+matrix: input, wheel-speed-difference and output limits, and last the
+increment box. Only the first increment is applied.
 
 The reference path is stated once per run: `path_table` validates it and
 returns its points, segments, lengths, arc lengths and headings. Each tick
@@ -29,8 +30,9 @@ FloatingPointError before it reaches the inputs.
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What a run knows is built once and read-only:
 `MpcController.__init__` holds the weight tiles, the effort Hessian, the
-bounds, the input-tile index, the cumulative-input rows, the output rows and
-the binomial tables; `linearization` the identity blocks `EYE_*`.
+bounds, the input-tile index, the increment box, the cumulative-input rows,
+the output rows and the binomial tables; `linearization` the identity blocks
+`EYE_*`.
 """
 
 from __future__ import annotations
@@ -211,6 +213,8 @@ class MpcController:
         self._h_effort = 2.0 * np.diag(self._r_diag)
         self._u_max = np.array(cfg.u_max)
         self._input_tile = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
+        # the increment box, the last rows of every tick's A
+        self._box = np.eye(n_c * N_INPUT)
         self._du_max = np.tile(cfg.du_max, n_c)
         self._du_min = -self._du_max
         self._cumulative = np.tril(np.ones((n_c, n_c)))
@@ -324,7 +328,8 @@ class MpcController:
             const += apf.value(base_xy)
         h_mat = 0.5 * (h_mat + h_mat.T)
 
-        # constraints: cumulative inputs, then the slip rows, then outputs
+        # constraints: cumulative inputs, then the slip rows, then outputs,
+        # then the increment box
         u0 = prev_input.as_array()
         u_max = self._u_max
         a_rows = [self._cumulative_inputs]
@@ -336,12 +341,12 @@ class MpcController:
             a_rows.append((self._cumulative[:, :, None] * e_row).reshape(n_c, nz))
             lo_rows.append([-cfg.slip_band - g] * n_c)
             hi_rows.append([cfg.slip_band - g] * n_c)
-        a_rows.append(su[self._eta_rows])
-        lo_rows.append(self._eta_lo - base[self._eta_rows])
-        hi_rows.append(self._eta_hi - base[self._eta_rows])
+        a_rows += [su[self._eta_rows], self._box]
+        lo_rows += [self._eta_lo - base[self._eta_rows], self._du_min]
+        hi_rows += [self._eta_hi - base[self._eta_rows], self._du_max]
 
         qp = QpProblem(h_mat, f_vec, np.concatenate(a_rows), np.concatenate(lo_rows),
-                       np.concatenate(hi_rows), self._du_min, self._du_max)
+                       np.concatenate(hi_rows))
         return _Assembled(qp, su, base, ref_stack, apf, const, g)
 
     # -- per-tick solve ------------------------------------------------------

@@ -1,11 +1,11 @@
 """Dense convex quadratic program solver.
 
-Solves   min 1/2 z'Hz + f'z   s.t.  lower <= A z <= upper,  zl <= z <= zu
-with a first-order operator-splitting (ADMM) iteration over the stacked
-constraints, followed by an active-set polish step for high accuracy. A
-small ridge keeps the KKT system well posed when H is only semidefinite.
-Problem sizes here are small (tens of variables), so dense linear algebra
-is used throughout.
+Solves   min 1/2 z'Hz + f'z   s.t.  lower <= A z <= upper
+with a first-order operator-splitting (ADMM) iteration, followed by an
+active-set polish step for high accuracy. Every constraint, a simple bound
+on z too, is a row of A: the one form of OSQP. A small ridge keeps the KKT
+system well posed when H is only semidefinite. Problem sizes here are small
+(tens of variables), so dense linear algebra is used throughout.
 
 The iteration is the ADMM of OSQP (Stellato et al., 2020) in scaled-dual
 form: with v = y/rho the dual, zc the projected constraint values and
@@ -29,12 +29,12 @@ problems (the online active set idea of Ferreau, Bock and Diehl, 2008); an
 accepted guess returns with 0 iterations. Otherwise the ADMM runs exactly
 as without a guess and the set read from its final duals is tried, also
 when the iteration ran out. If it fails, the ADMM iterate is returned with
-its status. Every solution carries the side of each row of [A; I].
+its status. Every solution carries the side of each row of A.
 
 A solve never writes into its problem, whose arrays may be shared and
-read-only: the controller's increment bounds are built in its `__init__`.
-Identity terms (ridge, sigma I, the I of [A; I]) go on diagonal views,
-`m.flat[::n + 1] += c`, and reductions call the ufuncs' `reduce`.
+read-only: the controller's increment box is built in its `__init__`.
+Identity terms (ridge, sigma I) go on diagonal views, `m.flat[::n + 1] += c`,
+and reductions call the ufuncs' `reduce`.
 """
 
 from __future__ import annotations
@@ -60,15 +60,12 @@ class QpProblem:
     a_mat: np.ndarray   # m x n, may have m == 0
     lower: np.ndarray
     upper: np.ndarray
-    z_lower: np.ndarray
-    z_upper: np.ndarray
 
     def __post_init__(self):
         n = len(self.f_vec)
         if self.a_mat.size == 0:
             self.a_mat = self.a_mat.reshape(0, n)
-        if np.logical_or.reduce(self.lower > self.upper) or np.logical_or.reduce(
-                self.z_lower > self.z_upper):
+        if np.logical_or.reduce(self.lower > self.upper):
             raise ValueError("constraint bounds must satisfy lower <= upper")
 
     def objective(self, z: np.ndarray) -> float:
@@ -82,7 +79,7 @@ class QpSolution:
     primal_residual: float
     dual_residual: float
     iterations: int
-    active: np.ndarray  # side of each row of [A; I]: -1 lower, +1 upper, 0 free
+    active: np.ndarray  # side of each row of A: -1 lower, +1 upper, 0 free
 
 
 @dataclass
@@ -92,14 +89,16 @@ class QpSolver:
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
               active: np.ndarray | None = None) -> QpSolution:
-        """Minimize from `warm_start` (primal, default 0). `active` guesses
-        the side of each row of [A; I] at the optimum (-1, +1 or 0, as
-        `QpSolution.active`); a guess that is not a KKT point, or not of
-        that length, changes nothing."""
+        """Minimize 1/2 z'Hz + f'z subject to lower <= A z <= upper, from
+        `warm_start` (primal, default 0). `active` guesses the side of each
+        row of A at the optimum (-1, +1 or 0, as `QpSolution.active`); a
+        guess that is not a KKT point, or not of that length, changes
+        nothing."""
         n = len(problem.f_vec)
         # internal scaling: normalize constraint rows and the cost magnitude
         # so the fixed-step splitting converges on badly scaled problems;
-        # neither rescaling moves the minimizer
+        # neither rescaling moves the minimizer (a row with one unit entry,
+        # such as a simple bound, keeps the scale 1.0 and its bits)
         row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
                                                        initial=0.0), 1e-10)
         cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
@@ -107,15 +106,13 @@ class QpSolver:
         p_mat = cost_scale * problem.h_mat
         p_mat.flat[::n + 1] += _RIDGE  # + _RIDGE I; the same bits where H has no -0.0
         f = cost_scale * problem.f_vec
-        a_full = np.zeros((len(problem.a_mat) + n, n))  # [scaled A; I]
-        a_full[:-n] = row_scale[:, None] * problem.a_mat
-        a_full[-n:].flat[::n + 1] = 1.0
-        lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
-        hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
+        a_mat = row_scale[:, None] * problem.a_mat
+        lo = row_scale * problem.lower
+        hi = row_scale * problem.upper
         m = len(lo)
 
         if active is not None and np.asarray(active).shape == (m,):
-            certified = self._certified(problem, p_mat, f, cost_scale, a_full,
+            certified = self._certified(problem, p_mat, f, cost_scale, a_mat,
                                         lo, hi, np.asarray(active), 0)
             if certified is not None:
                 return certified
@@ -123,9 +120,9 @@ class QpSolver:
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
         # docstring); G is rebuilt only when rho changes
         rho = _RHO
-        g_mat = self._step_matrix(p_mat, a_full, f, rho)
+        g_mat = self._step_matrix(p_mat, a_mat, f, rho)
         x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
-        ax = a_full @ x
+        ax = a_mat @ x
         zc = np.minimum(np.maximum(ax, lo), hi)
         v = np.zeros(m)
         w = np.concatenate([x, zc, [1.0]])
@@ -139,7 +136,7 @@ class QpSolver:
         for it in range(1, self.max_iterations + 1):
             x = g_mat @ w
             w[:n] = x
-            np.dot(a_full, x, out=ax)
+            np.dot(a_mat, x, out=ax)
             # project ax + v onto [lo, hi]; what the projection cuts off is
             # the new scaled dual
             np.add(ax, v, out=t)
@@ -151,11 +148,11 @@ class QpSolver:
             if it % _CHECK_EVERY == 0:
                 y = rho * v
                 r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
-                r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_full.T @ y)))
+                r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
                 if r_prim <= self.tolerance and r_dual <= self.tolerance:
                     status = OPTIMAL
                     break
-                if self._primal_infeasible(a_full, lo, hi, y - prev_y):
+                if self._primal_infeasible(a_mat, lo, hi, y - prev_y):
                     return QpSolution(x, INFEASIBLE, r_prim, r_dual, it, _sides(y))
                 prev_y = y
                 # mild deterministic step-size adaptation; y = rho v stays
@@ -167,31 +164,31 @@ class QpSolver:
                         v *= rho / new_rho
                         np.subtract(zc, v, out=mid)
                         rho = new_rho
-                        g_mat = self._step_matrix(p_mat, a_full, f, rho)
+                        g_mat = self._step_matrix(p_mat, a_mat, f, rho)
 
         sides = _sides(rho * v)
-        certified = self._certified(problem, p_mat, f, cost_scale, a_full,
+        certified = self._certified(problem, p_mat, f, cost_scale, a_mat,
                                     lo, hi, sides, it)
         if certified is not None:
             return certified
         return QpSolution(x, status, r_prim, r_dual, it, sides)
 
     @staticmethod
-    def _step_matrix(p_mat, a_full, f, rho: float) -> np.ndarray:
+    def _step_matrix(p_mat, a_mat, f, rho: float) -> np.ndarray:
         """G = K^-1 [sigma I | rho A' | -f] with K = P + sigma I + rho A'A."""
         kkt = p_mat.copy()
         kkt.flat[::len(f) + 1] += _SIGMA
-        kkt_inv = np.linalg.inv(kkt + rho * a_full.T @ a_full)
-        return np.concatenate([_SIGMA * kkt_inv, (rho * kkt_inv) @ a_full.T,
+        kkt_inv = np.linalg.inv(kkt + rho * a_mat.T @ a_mat)
+        return np.concatenate([_SIGMA * kkt_inv, (rho * kkt_inv) @ a_mat.T,
                                -(kkt_inv @ f)[:, None]], axis=1)
 
     @staticmethod
-    def _primal_infeasible(a_full, lo, hi, dy, eps: float = 1e-10) -> bool:
+    def _primal_infeasible(a_mat, lo, hi, dy, eps: float = 1e-10) -> bool:
         norm_dy = float(np.maximum.reduce(np.abs(dy)))
         if norm_dy <= eps:
             return False
         dy = dy / norm_dy
-        if float(np.maximum.reduce(np.abs(a_full.T @ dy))) > 1e-6:
+        if float(np.maximum.reduce(np.abs(a_mat.T @ dy))) > 1e-6:
             return False
         pos, neg = np.maximum(dy, 0.0), np.minimum(dy, 0.0)
         # any unbounded side engaged by the certificate kills it
@@ -201,20 +198,21 @@ class QpSolver:
                         + np.add.reduce(lo[neg < 0] * neg[neg < 0]))
         return support < -1e-8
 
-    @staticmethod
-    def _equality_solve(problem, a_full, lo, hi, active):
-        """Hold each row with a nonzero side at that side's bound and solve
-        the regularized KKT system. Returns the point, the multiplier of
-        each row (0 off the set; upper >= 0 and lower <= 0 at an optimum)
-        and the largest scaled bound violation, or None when a held bound is
-        infinite or the system is singular."""
+    def _certified(self, problem, p_mat, f, cost_scale, a_mat, lo, hi,
+                   active, iterations: int) -> QpSolution | None:
+        """Hold each row with a nonzero side of `active` at that side's
+        bound and solve the regularized KKT system of the unscaled cost.
+        Its point is returned as OPTIMAL when it is a KKT point of the QP:
+        every scaled row within `tolerance` of its bounds and every
+        multiplier of its side's sign (upper >= 0, lower <= 0). None
+        otherwise, also when a held bound is infinite or the system is
+        singular."""
         rows = active.nonzero()[0]
         b_act = np.where(active[rows] < 0, lo[rows], hi[rows])
         if not np.logical_and.reduce(np.isfinite(b_act)):
             return None
-        n = len(problem.f_vec)
-        a_act = a_full[rows]
-        k = len(rows)
+        n, k = len(f), len(rows)
+        a_act = a_mat[rows]
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = problem.h_mat
         kkt[:n, :n].flat[::n + 1] += 1e-10
@@ -222,32 +220,19 @@ class QpSolver:
         kkt[n:, :n] = a_act
         kkt[n:, n:] = -0.0  # -1e-10 I, whose off-diagonal is -0.0
         kkt[n:, n:].flat[::k + 1] = -1e-10
-        rhs = np.concatenate([-problem.f_vec, b_act])
         try:
-            sol = np.linalg.solve(kkt, rhs)
+            sol = np.linalg.solve(kkt, np.concatenate([-problem.f_vec, b_act]))
         except np.linalg.LinAlgError:
             return None
         x = sol[:n]
         lam = np.zeros(len(lo))
         lam[rows] = sol[n:]
-        ax = a_full @ x
+        ax = a_mat @ x
         viol = float(np.maximum.reduce(np.maximum(lo - ax, 0.0) + np.maximum(ax - hi, 0.0)))
-        return x, lam, viol
-
-    def _certified(self, problem, p_mat, f, cost_scale, a_full, lo, hi,
-                   active, iterations: int) -> QpSolution | None:
-        """The equality solve on the sides `active`, returned as OPTIMAL when
-        its point is a KKT point of the QP: every scaled row within
-        `tolerance` of its bounds and every multiplier of its side's sign.
-        None otherwise."""
-        found = self._equality_solve(problem, a_full, lo, hi, active)
-        if found is None:
-            return None
-        x, lam, viol = found
         if viol > self.tolerance or not np.logical_and.reduce(lam * active >= 0.0):
             return None
         # lam holds the multipliers of the unscaled cost
-        r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_full.T @ (cost_scale * lam))))
+        r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ (cost_scale * lam))))
         return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)
 
 

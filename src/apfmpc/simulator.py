@@ -68,6 +68,8 @@ class Scenario:
         for rect in self.corridor:
             numbers += _rect_numbers(rect)
         for obs in self.obstacles:
+            if obs.kind != "obstacle":  # a file has no kinds, so it would not round-trip
+                raise ValueError("walls belong in corridor, not in obstacles")
             numbers += [*_rect_numbers(obs.footprint), *obs.velocity, obs.yaw_rate]
         path = np.asarray(self.path, dtype=float)
         if not (all(map(math.isfinite, numbers)) and np.isfinite(path).all()):
@@ -103,15 +105,19 @@ class SimulationLog:
     outcome: str = COMPLETED
 
     def to_csv(self, path) -> None:
-        lines = [CSV_HEADER]
-        for r in self.records:
-            s, u = r.state, r.applied
-            vals = (r.t, s.x, s.y, s.heading, s.v_front, s.v_rear,
-                    u.accel_front, u.accel_rear, u.steer_front, u.steer_rear,
-                    r.slip_measure, r.min_clearance, r.objective)
-            lines.append(",".join(f"{v:.12g}" for v in vals)
-                         + f",{r.solver_iterations}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        write_csv(path, CSV_HEADER, [
+            (r.t, r.state.x, r.state.y, r.state.heading, r.state.v_front, r.state.v_rear,
+             r.applied.accel_front, r.applied.accel_rear, r.applied.steer_front,
+             r.applied.steer_rear, r.slip_measure, r.min_clearance, r.objective,
+             r.solver_iterations)
+            for r in self.records])
+
+
+def write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row of numbers, each printed with
+    12 significant digits (an integer up to 12 digits as plain digits)."""
+    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def slip_measure(v_front: float, v_rear: float,
@@ -123,8 +129,7 @@ def slip_measure(v_front: float, v_rear: float,
 def _min_clearance(state: RobotState, geom: RobotGeometry,
                    obstacles: list[Obstacle]) -> float:
     rect = geom.footprint(state)
-    dists = [closest_pair(rect, obs.footprint).distance
-             for obs in obstacles if obs.kind == "obstacle"]
+    dists = [closest_pair(rect, obs.footprint).distance for obs in obstacles]
     return min(dists) if dists else math.inf
 
 
@@ -165,8 +170,7 @@ def run(scenario: Scenario) -> SimulationLog:
             log.outcome = SOLVER_FAILED
             break
         state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
-        obstacles = [advance_obstacle(o, cfg.dt) if o.kind == "obstacle" else o
-                     for o in obstacles]
+        obstacles = [advance_obstacle(o, cfg.dt) for o in obstacles]
     return log
 
 
@@ -188,7 +192,6 @@ def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
         "min_clearance": min(clear),
         "max_slip_measure": max(slips),
         "max_heading_rate": max_rate,
-        "completion": log.outcome,
     }
     if path is not None:
         errs, _ = project_onto_path([(r.state.x, r.state.y) for r in log.records],

@@ -114,8 +114,7 @@ def test_criterion_4_qp_oracle():
     # trivial analytic case: min (z0-1)^2 + 2(z1-2)^2, unconstrained
     from apfmpc.qp import QpProblem
     prob = QpProblem(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]),
-                     np.zeros((0, 2)), np.zeros(0), np.zeros(0),
-                     np.full(2, -np.inf), np.full(2, np.inf))
+                     np.eye(2), np.full(2, -np.inf), np.full(2, np.inf))
     sol = solver.solve(prob)
     assert np.max(np.abs(sol.z - [1.0, 2.0])) <= 1e-8
     _report(4, "qp solver vs projected-gradient oracle")

@@ -62,6 +62,20 @@ class TestRun:
         svg = (out / "clitest.trajectory.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_series_match_log_columns(self, scenario_file, tmp_path):
+        # each series file is the log's columns of its header, byte for byte
+        out = tmp_path / "out"
+        main(["run", str(scenario_file), "--out", str(out), "--plots"])
+        log = [line.split(",") for line in
+               (out / "clitest.log.csv").read_text().splitlines()]
+        column = {name: i for i, name in enumerate(log[0])}
+        for suffix in ("trajectory", "heading", "wheel_speeds", "inputs", "slip"):
+            series = [line.split(",") for line in
+                      (out / f"clitest.{suffix}.csv").read_text().splitlines()]
+            picked = [column[name] for name in series[0]]
+            assert len(series) == len(log) > 1
+            assert series == [[row[i] for i in picked] for row in log]
+
     def test_variant_flag(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         code = main(["run", str(scenario_file), "--out", str(out),

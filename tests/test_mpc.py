@@ -358,10 +358,12 @@ class TestAssemble:
         nz = cfg.n_ctrl * 4
         assert asm.qp.h_mat.shape == (nz, nz)
         assert asm.su.shape == (cfg.n_pred * 5, nz)
-        # cumulative input rows + slip rows + two bounded output dims
-        assert asm.qp.a_mat.shape[0] == cfg.n_ctrl * 4 + cfg.n_ctrl + 2 * cfg.n_pred
-        assert np.allclose(asm.qp.z_upper, np.tile(cfg.du_max, cfg.n_ctrl))
-        assert np.allclose(asm.qp.z_lower, -np.tile(cfg.du_max, cfg.n_ctrl))
+        # cumulative input rows + slip rows + two bounded output dims + box
+        assert asm.qp.a_mat.shape == (cfg.n_ctrl * 4 + cfg.n_ctrl + 2 * cfg.n_pred + nz, nz)
+        # the increment box is the last rows: the identity with bounds ±du_max
+        assert np.array_equal(asm.qp.a_mat[-nz:], np.eye(nz))
+        assert np.allclose(asm.qp.upper[-nz:], np.tile(cfg.du_max, cfg.n_ctrl))
+        assert np.allclose(asm.qp.lower[-nz:], -np.tile(cfg.du_max, cfg.n_ctrl))
 
     def test_variant_drops_slip_rows(self, cfg, geom):
         full = controller(cfg, geom)
@@ -621,12 +623,12 @@ class TestStep:
         for prob, sol in certified:
             assert sol.status == "optimal"
             # the solver's rule: each row within tolerance once divided by
-            # its largest coefficient, and the box within tolerance
+            # its largest coefficient, so the box rows, last, within tolerance
             ax = prob.a_mat @ sol.z
             over = np.maximum(prob.lower - ax, ax - prob.upper)
             assert np.all(over <= tol * np.max(np.abs(prob.a_mat), axis=1))
-            assert np.all(sol.z >= prob.z_lower - tol)
-            assert np.all(sol.z <= prob.z_upper + tol)
+            nz = len(sol.z)
+            assert np.array_equal(prob.a_mat[-nz:], np.eye(nz))
 
     def test_rejects_unknown_variant(self, cfg, geom):
         with pytest.raises(ValueError):

@@ -9,20 +9,36 @@ from apfmpc.qp import QpProblem, QpSolver
 INF = np.inf
 
 
-def box_problem(h, f, z_lower, z_upper):
+def with_box(h, f, a, lower, upper, box_lo, box_hi):
+    """QpProblem of the rows a, then the box box_lo <= z <= box_hi as
+    identity rows, last."""
     n = len(f)
     return QpProblem(np.asarray(h, float), np.asarray(f, float),
-                     np.zeros((0, n)), np.zeros(0), np.zeros(0),
-                     np.asarray(z_lower, float), np.asarray(z_upper, float))
+                     np.concatenate([np.asarray(a, float).reshape(-1, n), np.eye(n)]),
+                     np.concatenate([np.asarray(lower, float), np.asarray(box_lo, float)]),
+                     np.concatenate([np.asarray(upper, float), np.asarray(box_hi, float)]))
+
+
+def box_problem(h, f, box_lo, box_hi):
+    return with_box(h, f, np.zeros((0, len(f))), [], [], box_lo, box_hi)
+
+
+def box_bounds(problem):
+    """Lower and upper bounds of the box, the last n rows."""
+    n = len(problem.f_vec)
+    return problem.lower[-n:], problem.upper[-n:]
 
 
 def projected_gradient_oracle(problem, iters=200_000, tol=1e-12):
-    """Slow but trustworthy reference for box-constrained convex QPs."""
+    """Slow but trustworthy reference for convex QPs whose rows are only
+    the box."""
     h, f = problem.h_mat, problem.f_vec
+    assert np.array_equal(problem.a_mat, np.eye(len(f)))
+    box_lo, box_hi = box_bounds(problem)
     step = 1.0 / np.linalg.eigvalsh(h).max()
-    z = np.clip(np.zeros(len(f)), problem.z_lower, problem.z_upper)
+    z = np.clip(np.zeros(len(f)), box_lo, box_hi)
     for _ in range(iters):
-        z_new = np.clip(z - step * (h @ z + f), problem.z_lower, problem.z_upper)
+        z_new = np.clip(z - step * (h @ z + f), box_lo, box_hi)
         if np.max(np.abs(z_new - z)) < tol:
             return z_new
         z = z_new
@@ -48,9 +64,9 @@ def loop_admm(problem, solver, warm_start=None):
     cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)), initial=0.0)))
     p_mat = cost_scale * problem.h_mat + qp_module._RIDGE * np.eye(n)
     f = cost_scale * problem.f_vec
-    a_full = np.vstack([row_scale[:, None] * problem.a_mat, np.eye(n)])
-    lo = np.concatenate([row_scale * problem.lower, problem.z_lower])
-    hi = np.concatenate([row_scale * problem.upper, problem.z_upper])
+    a_full = row_scale[:, None] * problem.a_mat
+    lo = row_scale * problem.lower
+    hi = row_scale * problem.upper
     sigma = qp_module._SIGMA
 
     def kkt_inverse(rho):
@@ -92,8 +108,9 @@ def loop_admm(problem, solver, warm_start=None):
 
 def controller_qps(geom, seed, count=12):
     """Seeded (problem, warm start) pairs as the controller assembles them:
-    40 increments, 90 general rows plus the box. Front/rear speed gaps up to
-    1 m/s push the slip rows towards infeasibility and make rho adapt."""
+    40 increments, 90 general rows, then the 40 rows of the box. Front/rear
+    speed gaps up to 1 m/s push the slip rows towards infeasibility and make
+    rho adapt."""
     rng = np.random.default_rng(seed)
     cfg = MpcConfig()
     path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
@@ -123,18 +140,18 @@ class TestTrivialCases:
 
     def test_single_linear_constraint(self):
         # min (z0-2)^2 + (z1-2)^2 s.t. z0 + z1 <= 2 -> (1, 1)
-        prob = QpProblem(2.0 * np.eye(2), np.array([-4.0, -4.0]),
-                         np.array([[1.0, 1.0]]), np.array([-INF]),
-                         np.array([2.0]),
-                         np.full(2, -INF), np.full(2, INF))
+        prob = with_box(2.0 * np.eye(2), np.array([-4.0, -4.0]),
+                        np.array([[1.0, 1.0]]), np.array([-INF]),
+                        np.array([2.0]),
+                        np.full(2, -INF), np.full(2, INF))
         sol = QpSolver().solve(prob)
         assert np.max(np.abs(sol.z - [1.0, 1.0])) < 1e-6
 
     def test_equality_via_tight_bounds(self):
-        prob = QpProblem(np.eye(2), np.zeros(2),
-                         np.array([[1.0, 1.0]]), np.array([3.0]),
-                         np.array([3.0]),
-                         np.full(2, -INF), np.full(2, INF))
+        prob = with_box(np.eye(2), np.zeros(2),
+                        np.array([[1.0, 1.0]]), np.array([3.0]),
+                        np.array([3.0]),
+                        np.full(2, -INF), np.full(2, INF))
         sol = QpSolver().solve(prob)
         assert np.max(np.abs(sol.z - [1.5, 1.5])) < 1e-6
 
@@ -160,16 +177,17 @@ class TestAgainstOracle:
             base = random_box_qp(rng, n=n)
             a = rng.normal(size=(m, n))
             mid = a @ np.zeros(n)
-            prob = QpProblem(base.h_mat, base.f_vec, a,
-                             mid - rng.uniform(1.0, 3.0, size=m),
-                             mid + rng.uniform(1.0, 3.0, size=m),
-                             base.z_lower, base.z_upper)
+            prob = with_box(base.h_mat, base.f_vec, a,
+                            mid - rng.uniform(1.0, 3.0, size=m),
+                            mid + rng.uniform(1.0, 3.0, size=m),
+                            *box_bounds(base))
             sol = solver.solve(prob)
-            ax = prob.a_mat @ sol.z
-            assert np.all(ax >= prob.lower - 10 * solver.tolerance)
-            assert np.all(ax <= prob.upper + 10 * solver.tolerance)
-            assert np.all(sol.z >= prob.z_lower - 10 * solver.tolerance)
-            assert np.all(sol.z <= prob.z_upper + 10 * solver.tolerance)
+            ax = prob.a_mat[:m] @ sol.z
+            assert np.all(ax >= prob.lower[:m] - 10 * solver.tolerance)
+            assert np.all(ax <= prob.upper[:m] + 10 * solver.tolerance)
+            box_lo, box_hi = box_bounds(prob)
+            assert np.all(sol.z >= box_lo - 10 * solver.tolerance)
+            assert np.all(sol.z <= box_hi + 10 * solver.tolerance)
             # box-only relaxation bounds the constrained optimum from below
             # (up to the solver's feasibility slack)
             relaxed = base.objective(projected_gradient_oracle(base))
@@ -182,8 +200,9 @@ class TestBehaviour:
         for _ in range(20):
             prob = random_box_qp(rng)
             sol = solver.solve(prob)
-            assert np.all(sol.z >= prob.z_lower - 10 * solver.tolerance)
-            assert np.all(sol.z <= prob.z_upper + 10 * solver.tolerance)
+            box_lo, box_hi = box_bounds(prob)
+            assert np.all(sol.z >= box_lo - 10 * solver.tolerance)
+            assert np.all(sol.z <= box_hi + 10 * solver.tolerance)
 
     def test_warm_start_does_not_change_answer(self, rng):
         solver = QpSolver()
@@ -209,22 +228,22 @@ class TestBehaviour:
 
     def test_detects_infeasible(self):
         # z0 <= -1 and z0 >= 1 simultaneously
-        prob = QpProblem(np.eye(1), np.zeros(1),
-                         np.array([[1.0], [1.0]]),
-                         np.array([-INF, 1.0]), np.array([-1.0, INF]),
-                         np.full(1, -INF), np.full(1, INF))
+        prob = with_box(np.eye(1), np.zeros(1),
+                        np.array([[1.0], [1.0]]),
+                        np.array([-INF, 1.0]), np.array([-1.0, INF]),
+                        np.full(1, -INF), np.full(1, INF))
         sol = QpSolver().solve(prob)
         assert sol.status == "infeasible"
 
     def test_badly_scaled_problem_converges(self):
         h = np.diag([1e5, 1.0])
         f = np.array([-1e5, -2.0])
-        prob = QpProblem(h, f, np.array([[0.1, 2.0]]),
-                         np.array([-1.0]), np.array([1.0]),
-                         np.full(2, -INF), np.full(2, INF))
+        prob = with_box(h, f, np.array([[0.1, 2.0]]),
+                        np.array([-1.0]), np.array([1.0]),
+                        np.full(2, -INF), np.full(2, INF))
         sol = QpSolver().solve(prob)
         assert sol.status == "optimal"
-        ax = float((prob.a_mat @ sol.z)[0])
+        ax = float(prob.a_mat[0] @ sol.z)
         assert -1.0 - 1e-3 <= ax <= 1.0 + 1e-3
 
     def test_certifiable_polish_is_accepted(self, geom):
@@ -254,7 +273,7 @@ class TestMatchesLoopIteration:
         outcomes = []
         for seed in (1, 2):
             for prob, warm in controller_qps(geom, seed):
-                assert prob.a_mat.shape == (90, 40)
+                assert prob.a_mat.shape == (130, 40)
                 sol = solver.solve(prob, warm_start=warm)
                 z, status, iterations, rho_updates = loop_admm(prob, solver, warm)
                 assert sol.status == status
@@ -266,10 +285,10 @@ class TestMatchesLoopIteration:
 
     def test_infeasible_certificate(self):
         # z0 + z1 <= -1 and z0 + z1 >= 1 with a box
-        prob = QpProblem(np.eye(2), np.array([1.0, -1.0]),
-                         np.array([[1.0, 1.0], [2.0, 2.0]]),
-                         np.array([-INF, 2.0]), np.array([-1.0, INF]),
-                         np.full(2, -5.0), np.full(2, 5.0))
+        prob = with_box(np.eye(2), np.array([1.0, -1.0]),
+                        np.array([[1.0, 1.0], [2.0, 2.0]]),
+                        np.array([-INF, 2.0]), np.array([-1.0, INF]),
+                        np.full(2, -5.0), np.full(2, 5.0))
         solver = QpSolver()
         sol = solver.solve(prob)
         z, status, iterations, _ = loop_admm(prob, solver)

@@ -147,7 +147,6 @@ class TestMetrics:
     def test_recomputed_from_records(self, straight_run):
         scn, log = straight_run
         m = metrics(log, scn.path)
-        assert m["completion"] == log.outcome
         assert m["min_clearance"] == min(r.min_clearance for r in log.records)
         assert m["max_slip_measure"] == max(r.slip_measure for r in log.records)
         assert m["rms_tracking_error"] >= 0.0
@@ -227,3 +226,8 @@ class TestScenarioIO:
                      1.0, [], RobotState(0, 0, 0, 0.5, 0.5), 1.0)
         with pytest.raises(ValueError):
             tiny_scenario(variant="fancy")
+        # a wall given as an obstacle: walls belong in the corridor, and a
+        # scenario file would load it back as an obstacle
+        wall = OrientedRectangle(Pose2D(10.0, 3.1, 0.0), 12.0, 0.1)
+        with pytest.raises(ValueError):
+            tiny_scenario(obstacles=[Obstacle(wall, kind="boundary")])
