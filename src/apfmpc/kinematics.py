@@ -5,7 +5,8 @@ assumptions, stated once in `_rates`. Its terms w (the C.G. speed along the
 body axis) and s (the tangent of the side slip) keep the rates free of the
 side slip angle itself. One held-input forward-Euler rollout serves as the
 simulation plant (sub-stepped) and the controller's horizon prediction; the
-linearization's offset is one Euler step of `derivative`.
+linearization's offset is one Euler step of the same rates, the ones
+`derivative` returns.
 """
 
 from __future__ import annotations

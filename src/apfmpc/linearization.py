@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ControlInput, RobotGeometry, RobotState, _rates, derivative
+from .kinematics import ControlInput, RobotGeometry, RobotState, _rates
 
 N_STATE = 5
 N_INPUT = 4
@@ -53,11 +53,13 @@ def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
     The chain rule through the kinematics' one statement of the rates:
     (Xdot, Ydot, heading_rate) = w (gx, gy, k), where w moves with the speeds
     and the steering, gx and gy with the heading and s, and s and k with
-    tan(d_f) and tan(d_r).
+    tan(d_f) and tan(d_r). Also returns the rates (Xdot, Ydot, heading_rate)
+    at the operating point, which the offset reuses.
     """
     th, df, dr = state.heading, inp.steer_front, inp.steer_rear
     vf, vr = state.v_front, state.v_rear
-    (x_dot, y_dot, _), (w, _, gx, gy, k) = _rates(th, vf, vr, inp, geom)
+    rates, (w, _, gx, gy, k) = _rates(th, vf, vr, inp, geom)
+    x_dot, y_dot, _ = rates
     lf, lr = geom.l_front, geom.l_rear
     cf, cr = math.cos(df), math.cos(dr)
     cth, sth = math.cos(th), math.sin(th)
@@ -75,16 +77,18 @@ def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
         [0.0, 0.0, dw_ddf * k + w * dtf, dw_ddr * k - w * dtr],
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0]])
-    return j_state, j_input
+    return j_state, j_input, rates
 
 
 def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
               dt: float) -> LinearizedModel:
     """Affine discrete model around the operating point (state0, input0)."""
-    j_state, j_input = _jacobians(state0, input0, geom)
+    j_state, j_input, rates = _jacobians(state0, input0, geom)
     a_mat = EYE_STATE + dt * j_state
     b_mat = dt * j_input
-    next_state = state0.as_array() + dt * derivative(state0, input0, geom)
+    # one Euler step of the rates at the operating point, as `derivative` gives them
+    rate = np.array([*rates, input0.accel_front, input0.accel_rear])
+    next_state = state0.as_array() + dt * rate
     d_vec = next_state - a_mat @ state0.as_array() - b_mat @ input0.as_array()
     return LinearizedModel(a_mat, b_mat, d_vec)
 

@@ -14,11 +14,12 @@ returns its points, segments, lengths, arc lengths and headings. Each tick
 horizon along it, validating and recomputing nothing.
 
 The QP is assembled once per tick. The closest pair of every footprint and
-step, its gap vector and distance, fills one row of a table; the active
-rows take one field expansion per kind (obstacle, boundary), summed per
-step in footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in
-N and the condensed matrices are fixed binomial tables times the
-Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one product.
+step, its distance and gap vector, fills one row of a table; the active
+rows take one field expansion, each row with its footprint kind's
+parameters (obstacle, boundary), and each step sums its rows in footprint
+order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the
+condensed matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄],
+p < 4; the field quadratics enter through one product.
 On certified infeasibility only the bounds of the wheel-speed-difference
 rows widen (the band doubles) before solving again; a variant without those
 rows reports infeasible at once. The first attempt of a tick passes the
@@ -30,9 +31,9 @@ FloatingPointError before it reaches the inputs.
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What a run knows is built once and read-only:
 `MpcController.__init__` holds the weight tiles, the effort Hessian, the
-bounds, the input-tile index, the increment box, the cumulative-input rows,
-the output rows and the binomial tables; `linearization` the identity blocks
-`EYE_*`.
+bounds (the applied input's among them), the field parameters per kind, the
+input-tile index, the increment box, the cumulative-input rows, the output
+rows and the binomial tables; `linearization` the identity blocks `EYE_*`.
 """
 
 from __future__ import annotations
@@ -212,6 +213,11 @@ class MpcController:
         self._r_diag = np.tile(cfg.r_weights, n_c)
         self._h_effort = 2.0 * np.diag(self._r_diag)
         self._u_max = np.array(cfg.u_max)
+        # the applied input's bound: u_max, and the steering inside the plant's singularity
+        steer_max = math.pi / 2 - _STEER_EPS
+        self._u_applied = np.minimum(self._u_max, (math.inf, math.inf, steer_max, steer_max))
+        # columns (scale_a, exponent_b, min_sq_distance) per field kind: obstacle, boundary
+        self._apf_params = np.array([tuple(cfg.obstacle_apf), tuple(cfg.boundary_apf)]).T.copy()
         self._input_tile = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
         # the increment box, the last rows of every tick's A
         self._box = np.eye(n_c * N_INPUT)
@@ -256,27 +262,26 @@ class MpcController:
                   [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
                    for pose in predict_obstacle(obs, n_p, cfg.dt)]
                   for obs in obstacles]
-        # per footprint and step: gap, distance
-        flat = np.fromiter(chain.from_iterable(
-            pair.gap + (pair.distance,)
-            for track in tracks for pair in map(closest_pair, robot_rects, track)),
-            float, 3 * len(tracks) * len(poses))
+        # per footprint and step: distance, gap; the rows flattened in one pass
+        rows = chain.from_iterable(map(closest_pair, robot_rects, track) for track in tracks)
         pairs, anchor = np.empty((len(tracks), n_p, 3)), np.empty((n_p, 2))
-        pairs[...] = flat.reshape(len(tracks), len(poses), 3)
+        pairs[...] = np.fromiter(chain.from_iterable(rows), float,
+                                 3 * len(tracks) * len(poses)).reshape(len(tracks), len(poses), 3)
         anchor[...] = [(p.x, p.y) for p in poses]
-        active = pairs[..., 2] <= cfg.activation_radius
-        boundary = np.array([obs.kind == "boundary" for obs in obstacles])
+        active = pairs[..., 0] <= cfg.activation_radius
         const, grad, hess = (np.zeros(active.shape), np.zeros((*active.shape, 2)),
                              np.zeros((*active.shape, 2, 2)))
-        # one expansion per field kind; each step sums its zero-filled stack
-        # in footprint order from +0.0, as adding term by term into zeros does
-        for rows, params in ((active & ~boundary[:, None], cfg.obstacle_apf),
-                             (active & boundary[:, None], cfg.boundary_apf)):
-            footprint, step = rows.nonzero()
-            if len(step):
-                quad = quadratic_approx(anchor[step], pairs[footprint, step, :2], params)
-                const[rows], grad[rows], hess[rows] = (quad.constant, quad.gradient,
-                                                       quad.hessian_psd)
+        # one expansion, each pair with its footprint's field parameters; each
+        # step sums its zero-filled stack in footprint order from +0.0, as
+        # adding term by term into zeros does
+        footprint, step = active.nonzero()
+        if len(step):
+            kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,
+                               len(obstacles))
+            quad = quadratic_approx(anchor[step], pairs[footprint, step, 1:],
+                                    self._apf_params[:, kind[footprint]])
+            const[active], grad[active], hess[active] = (quad.constant, quad.gradient,
+                                                         quad.hessian_psd)
         return QuadraticApproximation(np.add.reduce(const, axis=0, initial=0.0),
                                       np.add.reduce(grad, axis=0, initial=0.0),
                                       np.add.reduce(hess, axis=0, initial=0.0), anchor)
@@ -385,9 +390,7 @@ class MpcController:
             raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
         delta_seq = z.reshape(cfg.n_ctrl, nu)
         u_next = self.prev_input.as_array() + delta_seq[0]
-        u_next = np.minimum(np.maximum(u_next, -self._u_max), self._u_max)
-        steer_max = math.pi / 2 - _STEER_EPS
-        u_next[2:] = np.minimum(np.maximum(u_next[2:], -steer_max), steer_max)
+        u_next = np.minimum(np.maximum(u_next, -self._u_applied), self._u_applied)
         applied = ControlInput.from_array(u_next)
 
         eta = asm.su @ z + asm.base

@@ -12,7 +12,10 @@ across it, so that matrix is the rank-one c·(2b+1) r rᵀ: no
 eigendecomposition is needed. The gap is held constant during
 differentiation: the closest points are not sought again, the robot's moves
 with the robot and the obstacle's stays. One call expands one point or a
-stack; terms sharing an anchor add up.
+stack; terms sharing an anchor add up. The parameters are one `ApfParams`
+for every point, or per point: a stack whose footprints differ in kind
+(obstacle, wall) expands in one call, each point with its own
+(scale_a, exponent_b, min_sq_distance).
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ class ApfParams:
         if self.scale_a <= 0.0 or self.exponent_b <= 0.0 or self.min_sq_distance <= 0.0:
             raise ValueError("potential field parameters must be positive")
 
+    def __iter__(self):
+        """(scale_a, exponent_b, min_sq_distance), as one row of a per-point table."""
+        return iter((self.scale_a, self.exponent_b, self.min_sq_distance))
+
 
 @dataclass(frozen=True)
 class QuadraticApproximation:
@@ -49,22 +56,25 @@ class QuadraticApproximation:
                      + np.add.reduce(r * (self.gradient + 0.5 * h_r), axis=None))
 
 
-def quadratic_approx(robot_pos, gap, params: ApfParams) -> QuadraticApproximation:
+def quadratic_approx(robot_pos, gap, params) -> QuadraticApproximation:
     """Second-order expansion of the field in the robot position.
 
     Takes one point (pairs of floats) or stacks of K points ((K, 2) each).
-    gap runs from the robot's closest point to the obstacle's, as
-    `geometry.closest_pair` returns it, at the robot position robot_pos, the
-    expansion's anchor; the Hessian is the rank-one c·(2b+1) r rᵀ above.
-    Inside the clamp region the expansion is flat (constant value, zero
-    gradient and Hessian).
+    params is one `ApfParams` for every point, or the three (K,) arrays
+    scale_a, exponent_b and min_sq_distance, one entry per point. Both give
+    the same bits, except at b = 0.5 or 2: numpy raises an array to such a
+    float power by sqrt or square, not pow. gap runs from the robot's closest
+    point to the obstacle's, as `geometry.closest_pair` returns it, at the
+    robot position robot_pos, the expansion's anchor; the Hessian is the
+    rank-one c·(2b+1) r rᵀ above. Inside the clamp region the expansion is
+    flat (constant value, zero gradient and Hessian).
     """
-    a, b = params.scale_a, params.exponent_b
+    a, b, min_sq = params
     rel = np.asarray(gap, dtype=float)
     dx, dy = rel[..., 0], rel[..., 1]
     # np.maximum keeps one point on numpy scalars, whose ** is the C pow
-    d_sq = np.maximum(dx * dx + dy * dy, params.min_sq_distance)
-    clamped = d_sq <= params.min_sq_distance
+    d_sq = np.maximum(dx * dx + dy * dy, min_sq)
+    clamped = d_sq <= min_sq
     value = a / d_sq ** b
     common = 2.0 * a * b * d_sq ** (-b - 1.0)
     gradient = common[..., None] * rel

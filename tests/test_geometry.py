@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,9 @@ from scipy.spatial import cKDTree
 
 from apfmpc.geometry import (ClosestPair, OrientedRectangle, Pose2D, closest_pair,
                              corners, normalize_angle)
+from apfmpc.prediction import Obstacle, advance_obstacle
+from apfmpc.simulator import (load_scenario, packaged_scenario_path, scenario_from_dict,
+                              scenario_to_dict)
 
 
 def rect(x, y, heading, hl, hw):
@@ -151,13 +155,13 @@ def relative_frame_closest_pair(a, b):
     ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)
     if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
             or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
-        return ClosestPair(0.0, (0.0, 0.0))
+        return ClosestPair(0.0, 0.0, 0.0)
 
     d, (ex, ey) = _nearest_corner(ax, ay, uax, uay, vax, vay, hlb, hwb)
     db, (fx, fy) = _nearest_corner(bx, by, ubx, uby, vbx, vby, hla, hwa)
     if db < d:  # B's corner, in A's frame
-        return ClosestPair(db, (ca * fx - sa * fy, sa * fx + ca * fy))
-    return ClosestPair(d, (-(cb * ex - sb * ey), -(sb * ex + cb * ey)))  # A's, in B's
+        return ClosestPair(db, ca * fx - sa * fy, sa * fx + ca * fy)
+    return ClosestPair(d, -(cb * ex - sb * ey), -(sb * ex + cb * ey))  # A's, in B's
 
 
 def assert_bit_identical(got, want):
@@ -291,6 +295,79 @@ class TestExactLayouts:
             assert abs(got.distance - expected) <= tol
             if expected == tol == 0.0:  # touching counts as overlap
                 assert got.gap == (0.0, 0.0)
+
+
+class TestCornerTies:
+    """Axis-aligned layouts, exact in floating point, where corners tie
+    exactly: two of A's four, two of B's four, or A's nearest and B's. The
+    first strict minimum wins and A's corners come first; in a tie across
+    the two, that choice shows in the sign of the gap's zero component."""
+
+    @pytest.mark.parametrize("a,b,distance", [
+        # A's corners (1, ±0.5) both 1.75 from B's tall face; B's corners are
+        # past A's vertices, farther
+        (rect(0, 0, 0, 1.0, 0.5), rect(3, 0, 0, 0.25, 2.0), 1.75),
+        # B's corners (2.5, ±0.5) both 1.5 from A's tall face; A's are farther
+        (rect(0, 0, 0, 1.0, 2.0), rect(3, 0, 0, 0.5, 0.5), 1.5),
+        # face to face: A's (1, ±0.5) and B's (2.5, ±0.5) all 1.5 apart
+        (rect(0, 0, 0, 1.0, 0.5), rect(3, 0, 0, 0.5, 0.5), 1.5),
+        # corner to corner: A's (1, 0.5) and B's (2.5, 2.5) are each other's
+        # nearest, 1.5 by 2 from the other's box
+        (rect(0, 0, 0, 1.0, 0.5), rect(3, 3, 0, 0.5, 0.5), 2.5),
+    ])
+    def test_ties_bit_exact_against_oracle(self, a, b, distance):
+        for p, q in ((a, b), (b, a)):
+            got = closest_pair(p, q)
+            assert_bit_identical(got, relative_frame_closest_pair(p, q))
+            assert got.distance == distance
+
+    def test_tie_across_goes_to_a(self):
+        # A's corner gives -(sin·e_x + cos·e_y) = -(-0.0 + 0.0) = -0.0; B's
+        # corner would give sin·f_x + cos·f_y = 0.0 + 0.0 = +0.0
+        got = closest_pair(rect(0, 0, 0, 1.0, 0.5), rect(3, 0, 0, 0.5, 0.5))
+        assert got == (1.5, 1.5, 0.0)
+        assert math.copysign(1.0, got.gap_y) == -1.0
+
+
+class TestFrame:
+    """A rectangle's frame is computed once, from its normalized heading."""
+
+    @staticmethod
+    def assert_frame(r):
+        x, y, heading = r.center.x, r.center.y, r.center.heading
+        assert r.frame == (x, y, math.cos(heading), math.sin(heading),
+                           r.half_length, r.half_width)
+
+    def test_frame_reads_the_normalized_heading(self):
+        r = rect(1.5, -2.0, 2.5 + 2.0 * math.pi, 1.2, 0.4)
+        assert r.center.heading == normalize_angle(2.5 + 2.0 * math.pi)
+        self.assert_frame(r)
+        assert corners(r) == corners(rect(1.5, -2.0, r.center.heading, 1.2, 0.4))
+
+    def test_frame_follows_replace(self):
+        r = rect(1.0, 2.0, 0.3, 1.0, 0.5)
+        for moved in (dataclasses.replace(r, center=Pose2D(-4.0, 0.5, 4.0)),
+                      dataclasses.replace(r, half_length=2.0, half_width=0.25)):
+            self.assert_frame(moved)
+            assert moved.frame != r.frame
+
+    def test_frame_after_scenario_from_dict_and_advance(self):
+        scenario = load_scenario(packaged_scenario_path("straight_corridor"))
+        back = scenario_from_dict(scenario_to_dict(scenario))
+        for r in [o.footprint for o in back.obstacles] + list(back.corridor):
+            self.assert_frame(r)
+        moving = Obstacle(rect(2.0, 1.0, 3.0, 0.5, 0.4), (0.7, -0.2), 0.9)
+        for _ in range(5):  # the heading wraps past pi on the way
+            moving = advance_obstacle(moving, 0.1)
+            self.assert_frame(moving.footprint)
+
+    def test_equality_hash_and_repr_see_the_fields_alone(self):
+        r, twin = rect(1.0, 2.0, 0.3, 1.0, 0.5), rect(1.0, 2.0, 0.3, 1.0, 0.5)
+        assert r == twin and hash(r) == hash(twin) and r is not twin
+        assert r == dataclasses.replace(r) and hash(r) == hash(dataclasses.replace(r))
+        assert [f.name for f in dataclasses.fields(r)] == ["center", "half_length",
+                                                           "half_width"]
+        assert "frame" not in repr(r)
 
 
 class TestInvariants:

@@ -417,7 +417,10 @@ class TestAssemble:
         scenes.append((RobotState(0.0, 0.0, 0.0, 1.0, 1.0), ControlInput(0.0, 0.0, 0.0, 0.0),
                        [Obstacle(OrientedRectangle(Pose2D(10.0, -3.1, 0.0), 12.0, 0.1),
                                  kind="boundary")]))
-        s, u0, _ = scenes[0]
+        s, u0, footprints = scenes[0]
+        walls, static, near = footprints[:2], footprints[2], footprints[4]
+        # obstacles alone, and kinds interleaved as a caller of `step` may pass them
+        scenes += [(s, u0, footprints[2:]), (s, u0, [static, walls[0], near])]
         # no row active: every footprint beyond the activation radius
         scenes.append((s, u0, [
             obstacle_at(60.0, 0.0),
