@@ -19,7 +19,10 @@ rows take one field expansion, each row with its footprint kind's
 parameters (obstacle, boundary), and each step sums its rows in footprint
 order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the
 condensed matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄],
-p < 4; the field quadratics enter through one product.
+p < 4; the field quadratics enter through one product. The QP is OSQP's
+form, with no constant term: a tick's objective is not read off it but is
+the sum of the three costs priced at the applied solution, tracking +
+input-increment effort + field, and on a held tick that solution is z = 0.
 On certified infeasibility only the bounds of the wheel-speed-difference
 rows widen (the band doubles) before solving again; a variant without those
 rows reports infeasible at once. The first attempt of a tick passes the
@@ -101,7 +104,7 @@ class MpcSolution:
     applied_input: ControlInput
     delta_sequence: np.ndarray     # n_ctrl x 4
     predicted_outputs: np.ndarray  # n_pred x 5
-    objective: float
+    objective: float               # tracking_cost + effort_cost + apf_cost at the applied z
     solver_status: str
     apf_cost: float
     tracking_cost: float
@@ -190,7 +193,6 @@ class _Assembled:
     base: np.ndarray      # predicted outputs at z = 0
     ref_stack: np.ndarray
     apf: QuadraticApproximation | None  # per-step sums; None without footprints
-    const: float
     slip_offset: float | None  # g of the slip rows; None without them
 
 
@@ -309,13 +311,10 @@ class MpcController:
             n_p, n_c, ns, nu).transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
         base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
 
-        # tracking + effort costs (1/2 z'Hz + f'z convention)
-        q_diag = self._q_diag
+        # tracking + effort costs as 1/2 z'Hz + f'z; the QP carries no constant
         ref_stack = ref.targets.reshape(-1)
-        m = base - ref_stack
-        h_mat = 2.0 * (su.T * q_diag) @ su + self._h_effort
-        f_vec = 2.0 * su.T @ (q_diag * m)
-        const = float(m @ (q_diag * m))
+        h_mat = 2.0 * (su.T * self._q_diag) @ su + self._h_effort
+        f_vec = 2.0 * su.T @ (self._q_diag * (base - ref_stack))
 
         # potential-field quadratics, one per predicted step: with S the X, Y
         # rows of su and e = base - anchor, one product S'[H S | H e + g]
@@ -323,14 +322,12 @@ class MpcController:
         if obstacles:
             apf = self._apf_quadratic(state, prev_input, obstacles)
             xy = su.reshape(n_p, ns, nz)[:, :2]
-            base_xy = base.reshape(n_p, ns)[:, :2]
             rhs = apf.hessian_psd @ np.concatenate(
-                [xy, (base_xy - apf.anchor)[..., None]], axis=2)
+                [xy, (base.reshape(n_p, ns)[:, :2] - apf.anchor)[..., None]], axis=2)
             rhs[..., nz] += apf.gradient
             fold = xy.reshape(-1, nz).T @ rhs.reshape(-1, nz + 1)
             h_mat += fold[:, :nz]
             f_vec += fold[:, nz]
-            const += apf.value(base_xy)
         h_mat = 0.5 * (h_mat + h_mat.T)
 
         # constraints: cumulative inputs, then the slip rows, then outputs,
@@ -352,7 +349,7 @@ class MpcController:
 
         qp = QpProblem(h_mat, f_vec, np.concatenate(a_rows), np.concatenate(lo_rows),
                        np.concatenate(hi_rows))
-        return _Assembled(qp, su, base, ref_stack, apf, const, g)
+        return _Assembled(qp, su, base, ref_stack, apf, g)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -399,11 +396,10 @@ class MpcController:
         tracking = float(err @ (self._q_diag * err))
         effort = float(z @ (self._r_diag * z))
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
-        objective = asm.qp.objective(z) + asm.const
 
         # shift warm start one control step
         self._warm = np.concatenate([z[nu:], np.zeros(nu)])
         self.prev_input = applied
-        return MpcSolution(applied, delta_seq, predicted, objective,
+        return MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
                            sol.status, apf_cost, tracking, effort,
                            iterations, doublings)

@@ -23,6 +23,7 @@ from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference, path_table,
                   project_onto_path)
 from .prediction import Obstacle, advance_obstacle
+from .qp import INFEASIBLE
 
 CSV_HEADER = ("t,x,y,theta,v_f,v_r,a_f,a_r,delta_f,delta_r,"
               "slip_measure,min_clearance,objective,solver_iterations")
@@ -92,14 +93,13 @@ class TickRecord:
     min_clearance: float
     objective: float
     solver_iterations: int
-    apf_cost: float = 0.0
-    tracking_cost: float = 0.0
-    effort_cost: float = 0.0
+    apf_cost: float
+    tracking_cost: float
+    effort_cost: float
 
 
 @dataclass
 class SimulationLog:
-    scenario_name: str
     dt: float
     records: list[TickRecord] = field(default_factory=list)
     outcome: str = COMPLETED
@@ -141,7 +141,7 @@ def run(scenario: Scenario) -> SimulationLog:
     boundaries = [Obstacle(rect, kind="boundary") for rect in scenario.corridor]
     obstacles, table = list(scenario.obstacles), path_table(scenario.path)
     state = scenario.initial_state
-    log = SimulationLog(scenario.name, cfg.dt)
+    log = SimulationLog(cfg.dt)
     for tick in range(tick_count(scenario.duration, cfg.dt)):
         if not all(map(math.isfinite, (state.x, state.y, state.heading,
                                        state.v_front, state.v_rear))):
@@ -166,7 +166,7 @@ def run(scenario: Scenario) -> SimulationLog:
             min_clearance=clearance, objective=sol.objective,
             solver_iterations=sol.iterations, apf_cost=sol.apf_cost,
             tracking_cost=sol.tracking_cost, effort_cost=sol.effort_cost))
-        if sol.solver_status == "infeasible":
+        if sol.solver_status == INFEASIBLE:
             log.outcome = SOLVER_FAILED
             break
         state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
-from apfmpc.kinematics import RobotState, euler_step
-from apfmpc.mpc import build_reference, path_table
+from apfmpc.kinematics import ControlInput, RobotState, euler_step
+from apfmpc.mpc import VARIANTS, build_reference, path_table
 from apfmpc.prediction import Obstacle
 from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
-                              NUMERICAL_FAILURE, Scenario, load_scenario, metrics,
-                              packaged_scenario_path, run, save_scenario,
+                              NUMERICAL_FAILURE, SOLVER_FAILED, Scenario, load_scenario,
+                              metrics, packaged_scenario_path, run, save_scenario,
                               scenario_from_dict, scenario_to_dict,
                               slip_measure, with_variant)
 from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
@@ -57,6 +57,17 @@ class TestRun:
         log = run(tiny_scenario(duration=2.0, obstacles=[blocker]))
         assert log.outcome == COLLIDED
         assert len(log.records) == 0
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_infeasible_start_ends_in_solver_failed(self, variant):
+        # from 3 m/s, step 1 is at least 2.9 m/s, above the 1.4 m/s output
+        # bound: no band widening helps, and the one logged tick holds the input
+        scn = replace(tiny_scenario(variant=variant),
+                      initial_state=RobotState(0.0, 0.0, 0.0, 3.0, 3.0))
+        log = run(scn)
+        assert log.outcome == SOLVER_FAILED
+        assert len(log.records) == 1
+        assert log.records[0].applied == ControlInput(0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("obstacles", [[], [Obstacle(OrientedRectangle(
         Pose2D(8.0, 1.5, 0.0), 0.5, 0.4))]], ids=["no_obstacles", "obstacle"])
@@ -162,7 +173,7 @@ class TestMetrics:
     def test_empty_log_rejected(self):
         from apfmpc.simulator import SimulationLog
         with pytest.raises(ValueError):
-            metrics(SimulationLog("x", 0.1))
+            metrics(SimulationLog(0.1))
 
 
 class TestVariants:
