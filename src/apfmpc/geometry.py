@@ -19,7 +19,9 @@ corner-minus-clamp vector is formed, and turned into the world as the gap.
 The 8 are written out as straight-line code, A's four corners before B's
 four, and the first strict minimum wins, so ties go to A's corners; the
 oracle `relative_frame_closest_pair` in tests/test_geometry.py is the same
-search as a loop that clamps each corner, and pins it bit for bit.
+search as a loop that clamps each corner, and pins it bit for bit. A row
+is built by `tuple.__new__`, in C, and every overlap returns one shared
+zero row.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ def corners(rect: OrientedRectangle) -> list[tuple[float, float]]:
     return [(cx + c * lx - s * ly, cy + s * lx + c * ly) for lx, ly in local]
 
 
+# a row is made by tuple's own constructor in C, not by the NamedTuple's
+# Python-level __new__; the overlap row is one shared, immutable instance
+_row = tuple.__new__
+_OVERLAP = ClosestPair(0.0, 0.0, 0.0)
+
 # the signs of u and v at corners c + u + v, c - u + v, c - u - v, c + u - v;
 # ±1.0 times a float is exact, so a corner rebuilt from them is bit for bit
 # the one that was measured
@@ -127,7 +134,7 @@ def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
     ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)  # B's half-extents in A's frame
     if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
             or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
-        return ClosestPair(0.0, 0.0, 0.0)
+        return _OVERLAP
 
     # corners c + u + v, c - u + v, c - u - v, c + u - v: A's in B's frame
     # (0-3), then B's in A's (4-7); (e, f) is |corner| minus the other's
@@ -165,12 +172,12 @@ def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
         x, y = bx + su * ubx + sv * vbx, by + su * uby + sv * vby
         fx = x - hla if x > hla else x + hla if x < -hla else 0.0
         fy = y - hwa if y > hwa else y + hwa if y < -hwa else 0.0
-        return ClosestPair(db, ca * fx - sa * fy, sa * fx + ca * fy)
+        return _row(ClosestPair, (db, ca * fx - sa * fy, sa * fx + ca * fy))
     # A's corner minus its clamp to B's box points from B to A: turned by B's
     # heading and negated
     su, sv = _CORNER_SIGNS[k]
     x, y = ax + su * uax + sv * vax, ay + su * uay + sv * vay
     ex = x - hlb if x > hlb else x + hlb if x < -hlb else 0.0
     ey = y - hwb if y > hwb else y + hwb if y < -hwb else 0.0
-    return ClosestPair(d, -(cb * ex - sb * ey), -(sb * ex + cb * ey))
+    return _row(ClosestPair, (d, -(cb * ex - sb * ey), -(sb * ex + cb * ey)))
 

@@ -140,6 +140,24 @@ class TestObstacles:
         with pytest.raises(ValueError):
             Obstacle(rect, (0.0, 0.0), 0.2, "boundary")
 
+    def test_rejects_velocity_without_two_entries(self):
+        rect = OrientedRectangle(Pose2D(0, 0, 0), 1, 1)
+        for velocity in ((0.1,), (0.1, 0.0, 0.0), np.zeros(3)):
+            with pytest.raises(ValueError, match="two entries"):
+                Obstacle(rect, velocity)
+
+    def test_array_velocity_and_yaw_rate_stored_as_floats(self):
+        obs = Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1),
+                       np.array([0.25, -0.5]), np.float64(0.3))
+        assert obs.velocity == (0.25, -0.5) and type(obs.velocity) is tuple
+        assert [type(v) for v in (*obs.velocity, obs.yaw_rate)] == [float] * 3
+        assert Obstacle(obs.footprint, (1, 2), 1).velocity == (1.0, 2.0)
+
+    def test_static_boundary_accepts_list_velocity(self):
+        wall = Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1), [0.0, 0.0], 0, "boundary")
+        assert wall.velocity == (0.0, 0.0) and type(wall.velocity) is tuple
+        assert type(wall.yaw_rate) is float
+
     def test_rejects_unknown_kind(self):
         rect = OrientedRectangle(Pose2D(0, 0, 0), 1, 1)
         with pytest.raises(ValueError):
