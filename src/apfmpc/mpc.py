@@ -17,11 +17,7 @@ The QP is assembled once per tick. The closest pair of every footprint and
 step, its distance and gap vector, fills one row of a table; the active
 rows take one field expansion, each row with its footprint kind's
 parameters (obstacle, boundary), and `np.add.at` adds each row into its
-step's sums, from +0.0 in footprint order. A moving footprint's track is
-carried from the last tick when the footprint moved as that track predicted
-(`prediction.obstacle_track`); the controller keeps the tracks by list
-position, and a carried track is bit for bit a fresh one, so the QP still
-depends on `assemble`'s arguments alone. Ā - I = N has N⁴ = 0, so Āᵏ is a
+step's sums, from +0.0 in footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a
 binomial sum in N and the condensed matrices are fixed binomial tables
 times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one
 product. The QP is OSQP's form, with no constant term: a tick's objective
@@ -57,8 +53,7 @@ from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
                             linearize)
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
-# predict_obstacle stays importable here, where perfbench/tracing.py wraps it
-from .prediction import Obstacle, obstacle_track, predict_obstacle, predict_robot  # noqa: F401
+from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver
 
 _STEER_EPS = 1e-6
@@ -250,7 +245,6 @@ class MpcController:
                 value.flags.writeable = False
         self._warm = np.zeros(n_c * N_INPUT)
         self._active = None  # active set of the last optimal tick's QP
-        self._tracks = {}    # moving footprints' last tracks, by list position
 
     # -- assembly -----------------------------------------------------------
 
@@ -264,17 +258,12 @@ class MpcController:
                  predict_robot(state, prev_input, self.geom, n_p, cfg.dt))
         robot_rects = [OrientedRectangle(p, hl, hw) for p in poses]
         # frozen, robot and footprints hold still: each footprint's one pair
-        # serves every step; boundaries are static. A moving footprint's
-        # track is carried from the last tick, keyed by its list position
-        carried, self._tracks = self._tracks, {}
-        tracks, kind = [], []
-        for i, obs in enumerate(obstacles):
-            kind.append(obs.kind == "boundary")
-            if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0):
-                tracks.append([obs.footprint] * len(poses))
-            else:
-                track = self._tracks[i] = obstacle_track(obs, n_p, cfg.dt, carried.get(i))
-                tracks.append(track.rects)
+        # serves every step; boundaries are static
+        tracks = [[obs.footprint] * len(poses)
+                  if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0) else
+                  [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
+                   for pose in predict_obstacle(obs, n_p, cfg.dt)]
+                  for obs in obstacles]
         # per footprint and step: distance, gap; the rows flattened in one pass
         rows = chain.from_iterable(map(closest_pair, robot_rects, track) for track in tracks)
         pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(poses))
@@ -287,8 +276,10 @@ class MpcController:
         footprint, step = (pairs[..., 0] <= cfg.activation_radius).nonzero()
         const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
         if len(step):
+            kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,
+                               len(obstacles))
             quad = quadratic_approx(anchor[step], pairs[footprint, step, 1:],
-                                    self._apf_params[:, np.array(kind, np.intp)[footprint]])
+                                    self._apf_params[:, kind[footprint]])
             np.add.at(const, step, quad.constant)
             np.add.at(grad, step, quad.gradient)
             np.add.at(hess, step, quad.hessian_psd)

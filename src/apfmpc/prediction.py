@@ -6,25 +6,13 @@ constant velocity and turning rate model (velocity vector rotated by
 dt*yaw_rate before each displacement, so speed magnitude is preserved).
 Their steps stay sequential, on floats, through the helper that
 `advance_obstacle` wraps for the simulator, so prediction and simulation
-agree bit for bit.
-
-An obstacle's track, `obstacle_track`, holds each step's state
-(x, y, heading, vx, vy) and its rectangle, and the controller carries it
-across ticks (the shift initialisation of a real-time iteration: Diehl,
-Bock and Schlöder, SIAM J. Control Optim., 2005). When the obstacle of the
-next tick is step 1 of the last track, the same bits of pose, velocity, yaw
-rate and half-extents, steps 2..n carry over and one new step is appended:
-the same floats a fresh prediction from that obstacle computes, since both
-run the same helper from the same numbers. Anything else is predicted
-afresh. `predict_obstacle` returns the poses of a fresh track.
+agree bit for bit; a prediction builds only the poses it returns.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .geometry import OrientedRectangle, Pose2D, normalize_angle
 from .kinematics import ControlInput, RobotGeometry, RobotState, rollout
@@ -76,41 +64,11 @@ def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
 
 
 def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> list[Pose2D]:
-    return [rect.center for rect in obstacle_track(obs, n_steps, dt).rects]
-
-
-# the bits of (x, y, heading, vx, vy, yaw_rate, half_length, half_width)
-_track_key = struct.Struct("8d").pack
-
-
-class ObstacleTrack(NamedTuple):
-    """A moving footprint's steps 1..n, as `obstacle_track` carries them."""
-    key: bytes         # step 1's state, yaw rate and half-extents, as bits
-    states: list       # (x, y, heading, vx, vy) per step
-    rects: list[OrientedRectangle]
-
-
-def obstacle_track(obs: Obstacle, n_steps: int, dt: float,
-                   carried: ObstacleTrack | None = None) -> ObstacleTrack:
-    """The obstacle's states and rectangles for steps 1..n_steps, each
-    rectangle bit for bit the one `predict_obstacle`'s pose gives.
-
-    carried is the track this function returned for the same n_steps and dt
-    one tick before, if any. When obs is its step 1, bit for bit, steps
-    2..n_steps are reused and one step is appended; otherwise the whole
-    track is predicted afresh.
-    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    fp, yaw_rate = obs.footprint, obs.yaw_rate
-    pose, hl, hw = fp.center, fp.half_length, fp.half_width
-    step = (pose.x, pose.y, pose.heading, *obs.velocity)
-    if carried is not None and carried.key == _track_key(*step, yaw_rate, hl, hw):
-        states, rects, step = carried.states[1:], carried.rects[1:], carried.states[-1]
-    else:
-        states, rects = [], []
-    while len(states) < n_steps:
-        step = _obstacle_step(*step, yaw_rate, dt)
-        states.append(step)
-        rects.append(OrientedRectangle(Pose2D(*step[:3]), hl, hw))
-    return ObstacleTrack(_track_key(*states[0], yaw_rate, hl, hw), states, rects)
+    pose = obs.footprint.center
+    step, poses = (pose.x, pose.y, pose.heading, *obs.velocity), []
+    for _ in range(n_steps):
+        step = _obstacle_step(*step, obs.yaw_rate, dt)
+        poses.append(Pose2D(*step[:3]))
+    return poses

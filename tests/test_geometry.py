@@ -369,6 +369,14 @@ class TestFrame:
                                                            "half_width"]
         assert "frame" not in repr(r)
 
+    def test_pose_and_rectangle_stay_frozen(self):
+        r = rect(1.0, 2.0, 0.3, 1.0, 0.5)
+        for obj, name in ((r.center, "heading"), (r, "half_length"), (r, "frame")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 0.0)
+        assert OrientedRectangle(center=Pose2D(x=1.0, y=2.0, heading=0.3),
+                                 half_length=1.0, half_width=0.5) == r
+
 
 class TestInvariants:
     def test_matches_loop_oracle(self):

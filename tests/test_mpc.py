@@ -1,6 +1,4 @@
 import math
-import operator
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,7 +10,7 @@ from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
                         build_reference, path_table, project_onto_path,
                         slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
-from apfmpc.prediction import Obstacle, advance_obstacle, predict_obstacle, predict_robot
+from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc.qp import INFEASIBLE, QpSolver
 from conftest import double_back
 
@@ -548,109 +546,24 @@ class TestAssemble:
         assert beside.apf_cost > free.apf_cost
 
 
-# a moving obstacle and a turning one whose heading passes +-pi on its 2nd step
-MOVING = Obstacle(OrientedRectangle(Pose2D(5.0, 2.0, 0.3), 0.75, 0.4), (0.0, -0.4), 0.0)
-TURNING = Obstacle(OrientedRectangle(Pose2D(7.0, -2.0, 2.9), 0.5, 0.4), (0.4, -0.9), 1.5)
-WALL = Obstacle(OrientedRectangle(Pose2D(10.0, -3.1, 0.0), 12.0, 0.1), kind="boundary")
-
-
-def fresh_rects(obs, cfg):
-    """The reprs of the rectangles of a fresh `predict_obstacle` track."""
-    fp = obs.footprint
-    return [repr(OrientedRectangle(pose, fp.half_length, fp.half_width))
-            for pose in predict_obstacle(obs, cfg.n_pred, cfg.dt)]
-
-
-def shares_rects(track, tracks):
-    """Whether any of track's rectangle objects is one of tracks'."""
-    seen = {id(r) for t in tracks for r in t.rects}
-    return any(id(r) in seen for r in track.rects)
-
-
-def assembly_bits(asm):
-    parts = [getattr(asm.qp, f.name) for f in fields(asm.qp)]
-    parts += [asm.su, asm.base, asm.apf.constant, asm.apf.gradient,
-              asm.apf.hessian_psd, asm.apf.anchor]
-    return [np.asarray(p).tobytes() for p in parts]
-
-
-class TestCarriedTracks:
-    def test_closed_loop_tracks_match_fresh_prediction(self, cfg, geom):
-        c = controller(cfg, geom)
-        s, obstacles, last = RobotState(0.0, 0.0, 0.0, 1.0, 1.0), [MOVING, WALL, TURNING], {}
-        headings = []
-        for tick in range(12):
-            sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), obstacles)
-            assert sorted(c._tracks) == [0, 2]
-            for i, track in c._tracks.items():
-                assert list(map(repr, track.rects)) == fresh_rects(obstacles[i], cfg)
-                if tick:  # carried: steps 2..n of the last tick's track, the same objects
-                    assert all(map(operator.is_, track.rects[:-1], last[i].rects[1:]))
-            headings.append(c._tracks[2].rects[0].center.heading)
-            last = dict(c._tracks)
-            s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
-            obstacles = [advance_obstacle(o, cfg.dt) for o in obstacles]
-        assert headings[0] > 3.0 and headings[1] < -3.0
-
-    def test_stepped_assemble_matches_fresh_controller(self, cfg, geom):
-        c = controller(cfg, geom)
-        s, obstacles = RobotState(0.0, 0.0, 0.0, 1.0, 1.0), [MOVING, WALL, TURNING]
-        for _ in range(4):
-            sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), obstacles)
-            s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
-            obstacles = [advance_obstacle(o, cfg.dt) for o in obstacles]
-            ref, u0 = build_reference(STRAIGHT, s, REF_SPEED, cfg), c.prev_input
-            stepped = c.assemble(s, u0, ref, obstacles)
-            assert len(c._tracks) == 2
-            fresh = controller(cfg, geom).assemble(s, u0, ref, obstacles)
-            assert assembly_bits(stepped) == assembly_bits(fresh)
-
-    @pytest.mark.parametrize("case, missed", [
-        ("reordered", {0, 1}), ("removed", {0}), ("velocity_changed", {0}),
-        ("other_extents", {0}), ("held", {0}), ("advanced_twice", {0})])
-    def test_each_miss_predicts_afresh(self, cfg, geom, case, missed):
-        def adv(o):
-            return advance_obstacle(o, cfg.dt)
-
-        a, b = adv(MOVING), adv(TURNING)
-        second = {
-            "reordered": [b, a],
-            "removed": [b],
-            "velocity_changed": [replace(a, velocity=(0.0, -0.41)), b],
-            "other_extents": [replace(a, footprint=OrientedRectangle(
-                a.footprint.center, 0.8, a.footprint.half_width)), b],
-            "held": [MOVING, b],
-            "advanced_twice": [adv(a), b],
-        }[case]
-        s, u0 = RobotState(0.0, 0.0, 0.0, 1.0, 1.0), ControlInput(0.0, 0.0, 0.0, 0.0)
-        c = controller(cfg, geom)
-        c._apf_quadratic(s, u0, [MOVING, TURNING])
-        first = list(c._tracks.values())
-        c._apf_quadratic(s, u0, second)
-        assert sorted(c._tracks) == list(range(len(second)))
-        for i, track in c._tracks.items():
-            assert list(map(repr, track.rects)) == fresh_rects(second[i], cfg)
-            assert shares_rects(track, first) == (i not in missed)
+class TestObstacleVelocity:
+    footprint = OrientedRectangle(Pose2D(5.0, 2.0, 0.3), 0.75, 0.4)
 
     def test_array_velocity_steps_as_tuple(self, cfg, geom):
         s = RobotState(0.0, 0.0, 0.0, 1.0, 1.0)
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
-        fp = MOVING.footprint
-        got = controller(cfg, geom).step(s, ref, [Obstacle(fp, np.array([0.0, -0.4]))])
-        want = controller(cfg, geom).step(s, ref, [Obstacle(fp, (0.0, -0.4))])
+        got = controller(cfg, geom).step(s, ref, [Obstacle(self.footprint, np.array([0.0, -0.4]))])
+        want = controller(cfg, geom).step(s, ref, [Obstacle(self.footprint, (0.0, -0.4))])
         assert got.objective == want.objective
         assert got.applied_input == want.applied_input
 
     def test_list_velocity_static_obstacle_is_static(self, cfg, geom, monkeypatch):
-        import apfmpc.mpc
         rects = []
-        monkeypatch.setattr(apfmpc.mpc, "closest_pair",
+        monkeypatch.setattr("apfmpc.mpc.closest_pair",
                             lambda a, b: rects.append(b) or closest_pair(a, b))
-        static = Obstacle(MOVING.footprint, [0.0, 0.0], 0)
-        c = controller(cfg, geom)
-        c._apf_quadratic(RobotState(0.0, 0.0, 0.0, 1.0, 1.0),
-                         ControlInput(0.0, 0.0, 0.0, 0.0), [static])
-        assert c._tracks == {}
+        static = Obstacle(self.footprint, [0.0, 0.0], 0)
+        controller(cfg, geom)._apf_quadratic(RobotState(0.0, 0.0, 0.0, 1.0, 1.0),
+                                             ControlInput(0.0, 0.0, 0.0, 0.0), [static])
         assert len(rects) == cfg.n_pred and all(r is static.footprint for r in rects)
 
 

@@ -17,7 +17,7 @@ from apfmpc import linearization
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.mpc import VARIANTS, MpcController, build_reference, path_table
-from apfmpc.prediction import Obstacle, advance_obstacle
+from apfmpc.prediction import Obstacle
 
 WRAPPER_MODULES = {"fromnumeric", "shape_base", "_shape_base_impl", "function_base",
                    "_function_base_impl", "twodim_base", "_twodim_base_impl",
@@ -64,24 +64,19 @@ def wrapper_calls(fn):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("scene", sorted(SCENES))
 def test_tick_makes_no_wrapper_calls(cfg, geom, variant, scene):
+    obstacles = SCENES[scene]
     c = MpcController(cfg, geom, variant=variant)
-    states, obstacles = [STATE], [SCENES[scene]]
+    states = [STATE]
 
     def tick():
         ref = build_reference(PATH, states[-1], 1.389, cfg)
-        sol = c.step(states[-1], ref, obstacles[-1])
+        sol = c.step(states[-1], ref, obstacles)
         states.append(euler_step(states[-1], sol.applied_input, geom, cfg.dt, substeps=10))
-        obstacles.append([advance_obstacle(o, cfg.dt) for o in obstacles[-1]])
 
-    # the first tick runs the ADMM iteration and predicts the moving
-    # obstacle afresh; the second starts from its guess and carries the track
+    # the first tick runs the ADMM iteration, the second starts from its guess
     assert wrapper_calls(tick) == []
     assert c._active is not None
-    first = dict(c._tracks)
     assert wrapper_calls(tick) == []
-    for i, track in c._tracks.items():
-        assert track.rects[0] is first[i].rects[1]
-    assert len(c._tracks) == (variant == "full" and scene == "obstacle_and_wall")
 
 
 def test_wrapper_calls_are_seen():
