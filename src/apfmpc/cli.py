@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .mpc import VARIANTS
-from .simulator import (NUMERICAL_FAILURE, load_scenario, metrics, run, with_variant,
-                        write_csv)
+from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,7 +88,7 @@ def _summary(log, path) -> dict:
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.variant:
-        scenario = with_variant(scenario, args.variant)
+        scenario = replace(scenario, controller_variant=args.variant)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = run(scenario)
@@ -106,7 +106,7 @@ def cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     for variant in VARIANTS:
-        log = run(with_variant(scenario, variant))
+        log = run(replace(scenario, controller_variant=variant))
         log.to_csv(out_dir / f"{scenario.name}.{variant}.log.csv")
         results[variant] = _summary(log, scenario.path)
     summary = {f"{variant}.{key}": val

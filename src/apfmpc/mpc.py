@@ -13,23 +13,24 @@ returns its points, segments, lengths, arc lengths and headings. Each tick
 `build_reference` projects the robot onto that table and samples the
 horizon along it, validating and recomputing nothing.
 
-The QP is assembled once per tick. The closest pair of every footprint and
-step, its distance and gap vector, fills one row of a table; the active
-rows take one field expansion, each row with its footprint kind's
-parameters (obstacle, boundary), and `np.add.at` adds each row into its
-step's sums, from +0.0 in footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a
-binomial sum in N and the condensed matrices are fixed binomial tables
-times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one
-product. The QP is OSQP's form, with no constant term: a tick's objective
-is not read off it but is the sum of the three costs priced at the applied
-solution, tracking + input-increment effort + field, and on a held tick
-that solution is z = 0. On certified infeasibility only the bounds of the
-wheel-speed-difference rows widen (the band doubles) before solving again;
-a variant without those rows reports infeasible at once. The first attempt
-of a tick passes the active set of the last optimal tick's QP; the solver
-returns that set's equality solve, without iterating, when it is still
-optimal. A tick's iteration count sums all its attempts. A non-finite
-solution raises FloatingPointError before it reaches the inputs.
+The QP is assembled once per tick. The rows (X, Y, heading) of the robot's
+rollout give its rectangles and, as X, Y, the field's anchors. The closest
+pair of every footprint and step, its distance and gap vector, fills one
+row of a table; the active rows take one field expansion, each row with its
+footprint kind's parameters (obstacle, boundary), and `np.add.at` adds each
+row into its step's sums, from +0.0 in footprint order. Ā - I = N has
+N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed matrices are fixed
+binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics
+enter through one product. The QP is OSQP's form, with no constant term: a
+tick's objective is not read off it but is the sum of the three costs
+priced at the applied solution, tracking + input-increment effort + field,
+and on a held tick that solution is z = 0. On certified infeasibility only
+the bounds of the wheel-speed-difference rows widen (the band doubles)
+before solving again; a variant without those rows reports infeasible at
+once. The first attempt of a tick passes the active set of the last optimal
+tick's QP; the solver returns that set's equality solve, without iterating,
+when it is still optimal. A tick's iteration count sums all its attempts. A
+non-finite solution raises FloatingPointError before it reaches the inputs.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What a run knows is built once and read-only:
@@ -191,7 +192,6 @@ class _Assembled:
     qp: QpProblem
     su: np.ndarray        # (n_pred*5) x (n_ctrl*4)
     base: np.ndarray      # predicted outputs at z = 0
-    ref_stack: np.ndarray
     apf: QuadraticApproximation | None  # per-step sums; None without footprints
     slip_offset: float | None  # g of the slip rows; None without them
 
@@ -250,25 +250,25 @@ class MpcController:
 
     def _apf_quadratic(self, state: RobotState, prev_input: ControlInput,
                        obstacles: list[Obstacle]) -> QuadraticApproximation:
-        """Active APF expansions summed per step, at the robot position
-        predicted with prev_input held."""
+        """Active APF expansions summed per step, anchored at the robot's rows:
+        the rollout with prev_input held or, frozen, the current state."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
         frozen = self.variant == "no_customization"
-        poses = ([Pose2D(state.x, state.y, state.heading)] if frozen else
+        robot = (state.as_array()[None, :3] if frozen else
                  predict_robot(state, prev_input, self.geom, n_p, cfg.dt))
-        robot_rects = [OrientedRectangle(p, hl, hw) for p in poses]
+        robot_rects = [OrientedRectangle(p, hl, hw) for p in map(Pose2D, *robot.T.tolist())]
+        anchor = robot[:, :2]
         # frozen, robot and footprints hold still: each footprint's one pair
         # serves every step; boundaries are static
-        tracks = [[obs.footprint] * len(poses)
+        tracks = [[obs.footprint] * len(robot)
                   if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0) else
                   [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
                    for pose in predict_obstacle(obs, n_p, cfg.dt)]
                   for obs in obstacles]
         # per footprint and step: distance, gap; the rows flattened in one pass
         rows = chain.from_iterable(map(closest_pair, robot_rects, track) for track in tracks)
-        pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(poses))
-        pairs = pairs.reshape(len(tracks), len(poses), 3)
-        anchor = np.array([(p.x, p.y) for p in poses])
+        pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(robot))
+        pairs = pairs.reshape(len(tracks), len(robot), 3)
         if frozen:  # the one pose and pair of each footprint, at every step
             pairs, anchor = pairs.repeat(n_p, axis=1), anchor.repeat(n_p, axis=0)
         # one expansion of the active rows, each with its footprint's field
@@ -309,9 +309,8 @@ class MpcController:
         base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
 
         # tracking + effort costs as 1/2 z'Hz + f'z; the QP carries no constant
-        ref_stack = ref.targets.reshape(-1)
         h_mat = 2.0 * (su.T * self._q_diag) @ su + self._h_effort
-        f_vec = 2.0 * su.T @ (self._q_diag * (base - ref_stack))
+        f_vec = 2.0 * su.T @ (self._q_diag * (base - ref.targets.reshape(-1)))
 
         # potential-field quadratics, one per predicted step: with S the X, Y
         # rows of su and e = base - anchor, one product S'[H S | H e + g]
@@ -346,7 +345,7 @@ class MpcController:
 
         qp = QpProblem(h_mat, f_vec, np.concatenate(a_rows), np.concatenate(lo_rows),
                        np.concatenate(hi_rows))
-        return _Assembled(qp, su, base, ref_stack, apf, g)
+        return _Assembled(qp, su, base, apf, g)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -389,7 +388,7 @@ class MpcController:
 
         eta = asm.su @ z + asm.base
         predicted = eta.reshape(cfg.n_pred, N_STATE)
-        err = eta - asm.ref_stack
+        err = eta - ref.targets.reshape(-1)
         tracking = float(err @ (self._q_diag * err))
         effort = float(z @ (self._r_diag * z))
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])

@@ -1,18 +1,21 @@
 """Horizon prediction of robot and obstacle poses, for steps 1..n ahead.
 
-The robot is rolled forward with its previously applied input held
-constant, by the kinematics' one array-pass rollout. Obstacles follow a
-constant velocity and turning rate model (velocity vector rotated by
-dt*yaw_rate before each displacement, so speed magnitude is preserved).
-Their steps stay sequential, on floats, through the helper that
-`advance_obstacle` wraps for the simulator, so prediction and simulation
-agree bit for bit; a prediction builds only the poses it returns.
+The robot's prediction is the rows (X, Y, heading) of the kinematics' one
+array-pass rollout with its previously applied input held constant, the
+heading unwrapped. Obstacles follow a constant velocity and turning rate
+model (velocity vector rotated by dt*yaw_rate before each displacement, so
+speed magnitude is preserved). Their steps stay sequential, on floats,
+through the helper that `advance_obstacle` wraps for the simulator, so
+prediction and simulation agree bit for bit; a prediction builds only the
+poses it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import OrientedRectangle, Pose2D, normalize_angle
 from .kinematics import ControlInput, RobotGeometry, RobotState, rollout
@@ -38,11 +41,11 @@ class Obstacle:
 
 
 def predict_robot(state: RobotState, held_input: ControlInput,
-                  geom: RobotGeometry, n_steps: int, dt: float) -> list[Pose2D]:
+                  geom: RobotGeometry, n_steps: int, dt: float) -> np.ndarray:
+    """Rows (X, Y, heading) of steps 1..n_steps, the heading unwrapped."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    track = rollout(state, held_input, geom, n_steps, dt)[1:, :3]
-    return list(map(Pose2D, *track.T.tolist()))
+    return rollout(state, held_input, geom, n_steps, dt)[1:, :3]
 
 
 def _obstacle_step(x, y, heading, vx, vy, yaw_rate, dt):

@@ -2,17 +2,20 @@
 
 Runs the controller against the nonlinear plant at the control period,
 moves dynamic obstacles, checks collisions, and records per-tick data for
-metric extraction and CSV export. The reference path is validated when a
+metric extraction and CSV export. A tick's slip measure is |g| of the
+controller's `slip_constraint_rows` at the applied input, the front/rear
+speed mismatch one step ahead. The reference path is validated when a
 scenario is made and stated once per run as a path table, which every
 tick's reference reads; `metrics` builds its own table to measure the
 tracking error. Scenario files are YAML documents that round-trip
-losslessly through load/save.
+losslessly through load/save; a file holds only entries that saving
+writes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ import yaml
 from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference, path_table,
-                  project_onto_path)
+                  project_onto_path, slip_constraint_rows)
 from .prediction import Obstacle, advance_obstacle
 from .qp import INFEASIBLE
 
@@ -89,13 +92,10 @@ class TickRecord:
     t: float
     state: RobotState
     applied: ControlInput
-    slip_measure: float
+    slip_measure: float  # |g| of the slip rows at the applied input
     min_clearance: float
     objective: float
     solver_iterations: int
-    apf_cost: float
-    tracking_cost: float
-    effort_cost: float
 
 
 @dataclass
@@ -118,12 +118,6 @@ def write_csv(path, header: str, rows) -> None:
     12 significant digits (an integer up to 12 digits as plain digits)."""
     lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def slip_measure(v_front: float, v_rear: float,
-                 steer_front: float, steer_rear: float) -> float:
-    """Front/rear longitudinal speed mismatch under rigid-body motion."""
-    return abs(v_front * math.cos(steer_front) - v_rear * math.cos(steer_rear))
 
 
 def _min_clearance(state: RobotState, geom: RobotGeometry,
@@ -158,25 +152,16 @@ def run(scenario: Scenario) -> SimulationLog:
             log.outcome = NUMERICAL_FAILURE
             break
         u = sol.applied_input
-        slip = slip_measure(state.v_front + cfg.dt * u.accel_front,
-                            state.v_rear + cfg.dt * u.accel_rear,
-                            u.steer_front, u.steer_rear)
         log.records.append(TickRecord(
-            t=tick * cfg.dt, state=state, applied=u, slip_measure=slip,
-            min_clearance=clearance, objective=sol.objective,
-            solver_iterations=sol.iterations, apf_cost=sol.apf_cost,
-            tracking_cost=sol.tracking_cost, effort_cost=sol.effort_cost))
+            t=tick * cfg.dt, state=state, applied=u,
+            slip_measure=abs(slip_constraint_rows(state, u, cfg)[1]), min_clearance=clearance,
+            objective=sol.objective, solver_iterations=sol.iterations))
         if sol.solver_status == INFEASIBLE:
             log.outcome = SOLVER_FAILED
             break
         state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
         obstacles = [advance_obstacle(o, cfg.dt) for o in obstacles]
     return log
-
-
-def with_variant(scenario: Scenario, variant: str) -> Scenario:
-    """Copy of the scenario driven by the requested controller variant."""
-    return replace(scenario, controller_variant=variant)
 
 
 def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
@@ -233,15 +218,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _entry_paths(tree, where: str = "") -> set[str]:
+    """Dotted path of every key and list index in a tree of dicts and lists."""
+    entries = (tree.items() if isinstance(tree, dict) else
+               enumerate(tree) if isinstance(tree, list) else ())
+    return {path for key, value in entries
+            for path in (f"{where}{key}", *_entry_paths(value, f"{where}{key}."))}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """A file's scenario; any entry that saving it would not write is an error."""
     try:
         init = data["initial_state"]
-        obstacles = [Obstacle(_rect_from_dict(o),
-                              (float(o.get("velocity", [0, 0])[0]),
-                               float(o.get("velocity", [0, 0])[1])),
-                              float(o.get("yaw_rate", 0.0)), "obstacle")
-                     for o in data.get("obstacles", [])]
-        return Scenario(
+        obstacles = [Obstacle(_rect_from_dict(o), o.get("velocity", (0.0, 0.0)),
+                              o.get("yaw_rate", 0.0)) for o in data.get("obstacles", [])]
+        scenario = Scenario(
             name=str(data["scenario"]["name"]),
             corridor=[_rect_from_dict(r) for r in data.get("corridor", [])],
             path=np.asarray(data["path"], dtype=float),
@@ -253,8 +244,12 @@ def scenario_from_dict(data: dict) -> Scenario:
             duration=float(data["duration_s"]),
             controller_variant=str(data.get("controller_variant", "full")),
         )
+        unexpected = sorted(_entry_paths(data) - _entry_paths(scenario_to_dict(scenario)))
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"invalid scenario: missing or malformed key {exc}") from exc
+    if unexpected:  # a key or list entry that saving would not write
+        raise ValueError(f"invalid scenario: unexpected entry {unexpected[0]!r}")
+    return scenario
 
 
 def packaged_scenario_path(name: str) -> Path:

@@ -83,6 +83,5 @@ def orthogonal_run():
 
 @pytest.fixture(scope="session")
 def ablation_runs():
-    from apfmpc.simulator import with_variant
     scn = load_scenario(packaged_scenario_path("ablation"))
-    return scn, run(scn), run(with_variant(scn, "no_customization"))
+    return scn, run(scn), run(replace(scn, controller_variant="no_customization"))

@@ -25,6 +25,16 @@ def scenario_file(tmp_path):
     return path
 
 
+def obstacle_entry(**changes):
+    """One obstacle of a scenario file, its keys replaced or added."""
+    return dict({"center": [8.0, 1.0], "heading": 0.0, "half_length": 0.5,
+                 "half_width": 0.4, "velocity": [0.0, 0.1], "yaw_rate": 0.0}, **changes)
+
+
+START = {"x": 0.0, "y": 0.0, "heading": 0.0, "v_front": 0.5, "v_rear": 0.5}
+WALL = {"center": [10.0, 3.1], "heading": 0.0, "half_length": 12.0, "half_width": 0.1}
+
+
 def edited_file(scenario_file, tmp_path, **changes):
     """Copy of the scenario file with top-level keys replaced."""
     data = yaml.safe_load(scenario_file.read_text())
@@ -130,12 +140,22 @@ class TestValidate:
         {"path": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]]},
         {"scenario": {"name": "sub/dir"}},
         {"scenario": {"name": "../escaped"}},
+        # lists of other than two numbers, and keys a scenario does not have
+        {"obstacles": [obstacle_entry(velocity=[0.1, 0.2, 9.0])]},
+        {"obstacles": [obstacle_entry(center=[1.0, 2.0, 99.0])]},
+        {"obstacle": [obstacle_entry()]},
+        {"scenario": {"name": "clitest", "title": "typo"}},
+        {"initial_state": dict(START, yaw_rate=0.0)},
+        {"corridor": [dict(WALL, kind="wall")]},
+        {"obstacles": [obstacle_entry(speed=1.0)]},
     ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
             "negative_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
             "nan_wall_extent", "nan_obstacle_velocity", "under_one_tick",
             "rounds_to_zero_ticks", "three_column_path", "name_with_separator",
-            "name_leaving_out_dir"])
+            "name_leaving_out_dir", "three_number_velocity", "three_number_center",
+            "unknown_top_level_key", "unknown_scenario_key", "unknown_initial_state_key",
+            "unknown_corridor_key", "unknown_obstacle_key"])
     def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
         bad = edited_file(scenario_file, tmp_path, **changes)
         assert main(["validate", str(bad)]) == EXIT_CONFIG

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
-from apfmpc.kinematics import ControlInput, RobotState, euler_step
+from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
                         build_reference, path_table, project_onto_path,
@@ -108,18 +108,18 @@ def loop_apf(controller, state, obstacles, su, base):
     cfg, geom = controller.cfg, controller.geom
     ns, nz = 5, cfg.n_ctrl * 4
     if controller.variant == "no_customization":
-        robot_poses = [Pose2D(state.x, state.y, state.heading)] * cfg.n_pred
+        robot_rows = [(state.x, state.y, state.heading)] * cfg.n_pred
         obs_tracks = [[obs.footprint.center] * cfg.n_pred for obs in obstacles]
     else:
-        robot_poses = predict_robot(state, controller.prev_input, geom,
-                                    cfg.n_pred, cfg.dt)
+        robot_rows = predict_robot(state, controller.prev_input, geom,
+                                   cfg.n_pred, cfg.dt).tolist()
         obs_tracks = [[obs.footprint.center] * cfg.n_pred
                       if obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0
                       else predict_obstacle(obs, cfg.n_pred, cfg.dt)
                       for obs in obstacles]
     h_mat, f_vec, const, terms = np.zeros((nz, nz)), np.zeros(nz), 0.0, []
-    for i, rpose in enumerate(robot_poses):
-        rrect = geom.footprint(RobotState(rpose.x, rpose.y, rpose.heading, 0.0, 0.0))
+    for i, (x, y, heading) in enumerate(robot_rows):
+        rrect = geom.footprint(RobotState(x, y, heading, 0.0, 0.0))
         rows = su[i * ns:i * ns + 2, :]
         base_i = base[i * ns:i * ns + 2]
         for obs, track in zip(obstacles, obs_tracks):
@@ -129,7 +129,7 @@ def loop_apf(controller, state, obstacles, su, base):
             if pair.distance > cfg.activation_radius:
                 continue
             params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
-            quad = quadratic_approx((rpose.x, rpose.y), pair.gap, params)
+            quad = quadratic_approx((x, y), pair.gap, params)
             terms.append((i, quad))
             e_i = base_i - np.array(quad.anchor)
             h_mat += rows.T @ quad.hessian_psd @ rows
@@ -145,11 +145,11 @@ def add_at_apf(controller, state, obstacles):
     the steps with np.add.at."""
     cfg, geom, n_p = controller.cfg, controller.geom, controller.cfg.n_pred
     frozen = controller.variant == "no_customization"
-    poses = ([Pose2D(state.x, state.y, state.heading)] * n_p if frozen else
-             predict_robot(state, controller.prev_input, geom, n_p, cfg.dt))
-    anchor = np.array([(p.x, p.y) for p in poses])
-    robot_rects = [OrientedRectangle(p, geom.half_length, geom.half_width)
-                   for p in (poses[:1] if frozen else poses)]
+    rows = (np.array([(state.x, state.y, state.heading)] * n_p) if frozen else
+            predict_robot(state, controller.prev_input, geom, n_p, cfg.dt))
+    anchor = rows[:, :2]
+    robot_rects = [OrientedRectangle(Pose2D(*row), geom.half_length, geom.half_width)
+                   for row in rows[:1 if frozen else n_p].tolist()]
     const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
     for obs in obstacles:
         fp = obs.footprint
@@ -333,6 +333,11 @@ class TestSlipRows:
                                     ControlInput(0, 0, 0, 0), cfg)
         assert g == pytest.approx(0.2)
 
+    def test_steering_projection(self, cfg):
+        _, g = slip_constraint_rows(RobotState(0, 0, 0, 1.0, 1.0),
+                                    ControlInput(0, 0, math.pi / 3, 0), cfg)
+        assert g == pytest.approx(math.cos(math.pi / 3) - 1.0)
+
     def test_linearization_first_order_accurate(self, cfg, rng):
         def measure(state, u):
             vf = state.v_front + cfg.dt * u[0]
@@ -481,9 +486,23 @@ class TestAssemble:
             rects.clear()
             controller(cfg, geom, initial_input=u0).assemble(
                 s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [obstacle_at(60.0, 0.0)])
-            want = [geom.footprint(RobotState(p.x, p.y, p.heading, 0.0, 0.0))
-                    for p in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt)]
+            want = [geom.footprint(RobotState(x, y, heading, 0.0, 0.0))
+                    for x, y, heading in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt).tolist()]
             assert list(map(repr, rects)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_anchors_are_the_rollout_rows(self, cfg, geom, variant):
+        # bit for bit the X, Y of the held-input rollout's steps 1..n_pred,
+        # or of the current state at every step when frozen
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            s, u0, footprints = apf_scene(rng)
+            asm = controller(cfg, geom, initial_input=u0, variant=variant).assemble(
+                s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
+            want = (rollout(s, u0, geom, cfg.n_pred, cfg.dt)[1:, :2] if variant == "full"
+                    else np.array([(s.x, s.y)] * cfg.n_pred))
+            assert asm.apf.anchor.shape == want.shape
+            assert asm.apf.anchor.tobytes() == want.tobytes()
 
     def test_condensed_matches_stepwise_rollout(self, cfg, geom, rng):
         c = controller(cfg, geom)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
-from apfmpc.kinematics import ControlInput, RobotState
+from apfmpc.kinematics import ControlInput, RobotState, rollout
 from apfmpc.prediction import (Obstacle, advance_obstacle, predict_obstacle,
                                predict_robot)
 
@@ -16,31 +16,38 @@ def square_obstacle(x, y, heading=0.0, vel=(0.0, 0.0), yaw_rate=0.0):
                     vel, yaw_rate)
 
 
+def predicted_rows(state, inp, geom, n):
+    """predict_robot's rows, checked bit for bit against the rollout's."""
+    rows = predict_robot(state, inp, geom, n, DT)
+    assert rows.shape == (n, 3)
+    assert rows.tobytes() == rollout(state, inp, geom, n, DT)[1:, :3].tobytes()
+    return rows
+
+
 class TestPredictRobot:
     def test_stationary_fixed_point(self, geom):
-        track = predict_robot(RobotState(1, 2, 0.3, 0, 0),
-                              ControlInput(0, 0, 0, 0), geom, 5, DT)
-        assert len(track) == 5
-        for p in track:
-            assert (p.x, p.y) == (1, 2)
-            assert p.heading == pytest.approx(0.3)
+        rows = predicted_rows(RobotState(1, 2, 0.3, 0, 0), ControlInput(0, 0, 0, 0), geom, 5)
+        assert np.array_equal(rows[:, :2], [[1, 2]] * 5)
+        assert rows[:, 2] == pytest.approx(0.3)
 
     def test_straight_roll(self, geom):
-        track = predict_robot(RobotState(0, 0, 0, 1, 1),
-                              ControlInput(0, 0, 0, 0), geom, 10, DT)
-        for i, p in enumerate(track, start=1):
-            assert p.x == pytest.approx(0.1 * i, abs=1e-12)
-            assert p.y == 0.0
+        rows = predicted_rows(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0), geom, 10)
+        assert rows[:, 0] == pytest.approx(0.1 * np.arange(1, 11), abs=1e-12)
+        assert not np.any(rows[:, 1])
 
     def test_crab_roll(self, geom):
         d = math.pi / 4
-        track = predict_robot(RobotState(0, 0, 0, 1, 1),
-                              ControlInput(0, 0, d, d), geom, 8, DT)
-        step = 0.1 * math.sqrt(2) / 2
-        for i, p in enumerate(track, start=1):
-            assert p.x == pytest.approx(step * i, abs=1e-12)
-            assert p.y == pytest.approx(step * i, abs=1e-12)
-            assert p.heading == 0.0
+        rows = predicted_rows(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, d, d), geom, 8)
+        step = 0.1 * math.sqrt(2) / 2 * np.arange(1, 9)
+        assert rows[:, 0] == pytest.approx(step, abs=1e-12)
+        assert rows[:, 1] == pytest.approx(step, abs=1e-12)
+        assert not np.any(rows[:, 2])
+
+    def test_heading_is_unwrapped(self, geom):
+        # heading 3.0 turning left: the rows carry it past +pi, unwrapped
+        rows = predicted_rows(RobotState(0, 0, 3.0, 1, 1), ControlInput(0, 0, 0.6, -0.6),
+                              geom, 20)
+        assert rows[-1, 2] > math.pi and np.all(np.diff(rows[:, 2]) > 0.0)
 
     def test_rejects_bad_steps(self, geom):
         with pytest.raises(ValueError):

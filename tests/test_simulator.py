@@ -6,13 +6,12 @@ import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import ControlInput, RobotState, euler_step
-from apfmpc.mpc import VARIANTS, build_reference, path_table
+from apfmpc.mpc import VARIANTS, build_reference, path_table, slip_constraint_rows
 from apfmpc.prediction import Obstacle
 from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
                               NUMERICAL_FAILURE, SOLVER_FAILED, Scenario, load_scenario,
                               metrics, packaged_scenario_path, run, save_scenario,
-                              scenario_from_dict, scenario_to_dict,
-                              slip_measure, with_variant)
+                              scenario_from_dict, scenario_to_dict)
 from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
 
 
@@ -28,16 +27,20 @@ def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
                     duration=duration, controller_variant=variant)
 
 
+def logged_slip(v_front, v_rear, steer_front, steer_rear, cfg):
+    """The slip measure a record logs: |g| of the slip rows at the applied input."""
+    state = RobotState(0.0, 0.0, 0.0, v_front, v_rear)
+    u = ControlInput(0.0, 0.0, steer_front, steer_rear)
+    return abs(slip_constraint_rows(state, u, cfg)[1])
+
+
 class TestSlipMeasure:
-    def test_matched(self):
-        assert slip_measure(1.0, 1.0, 0.0, 0.0) == 0.0
+    def test_matched(self, cfg):
+        assert logged_slip(1.0, 1.0, 0.0, 0.0, cfg) == 0.0
 
-    def test_speed_mismatch(self):
-        assert slip_measure(1.2, 1.0, 0.0, 0.0) == pytest.approx(0.2)
-
-    def test_steering_projection(self):
-        got = slip_measure(1.0, 1.0, math.pi / 3, 0.0)
-        assert got == pytest.approx(abs(math.cos(math.pi / 3) - 1.0))
+    def test_speed_mismatch(self, cfg):
+        assert logged_slip(1.2, 1.0, 0.0, 0.0, cfg) == pytest.approx(0.2)
+        assert logged_slip(1.0, 1.2, 0.0, 0.0, cfg) == pytest.approx(0.2)
 
 
 class TestRun:
@@ -125,10 +128,10 @@ class TestRun:
     def test_logged_slip_uses_one_step_ahead_speeds(self, cfg):
         log = run(tiny_scenario(duration=1.0))
         for r in log.records:
-            expected = slip_measure(
-                r.state.v_front + cfg.dt * r.applied.accel_front,
-                r.state.v_rear + cfg.dt * r.applied.accel_rear,
-                r.applied.steer_front, r.applied.steer_rear)
+            u = r.applied
+            v_front = r.state.v_front + cfg.dt * u.accel_front
+            v_rear = r.state.v_rear + cfg.dt * u.accel_rear
+            expected = abs(v_front * math.cos(u.steer_front) - v_rear * math.cos(u.steer_rear))
             assert r.slip_measure == expected
 
     def test_clearance_ignores_corridor_walls(self):
@@ -177,13 +180,6 @@ class TestMetrics:
 
 
 class TestVariants:
-    def test_with_variant_copies(self):
-        scn = tiny_scenario()
-        other = with_variant(scn, "no_customization")
-        assert other.controller_variant == "no_customization"
-        assert scn.controller_variant == "full"
-        assert other.name == scn.name
-
     def test_frozen_anchor_variant_runs(self):
         obs = Obstacle(OrientedRectangle(Pose2D(10.0, 1.0, 0.0), 0.75, 0.4))
         log = run(tiny_scenario(duration=2.0, obstacles=[obs],
@@ -217,6 +213,25 @@ class TestScenarioIO:
     def test_missing_key_raises_value_error(self):
         with pytest.raises(ValueError):
             scenario_from_dict({"scenario": {"name": "x"}})
+
+    def test_unknown_key_is_named(self):
+        data = scenario_to_dict(tiny_scenario())
+        data["obstacle"] = data.pop("obstacles")
+        with pytest.raises(ValueError, match="unexpected entry 'obstacle'$"):
+            scenario_from_dict(data)
+
+    def test_optional_keys_may_be_left_out(self):
+        obs = Obstacle(OrientedRectangle(Pose2D(8.0, 0.5, 0.3), 0.75, 0.4))
+        data = scenario_to_dict(tiny_scenario(obstacles=[obs]))
+        for key in ("corridor", "controller_variant"):
+            del data[key]
+        for key in ("velocity", "yaw_rate"):
+            del data["obstacles"][0][key]
+        scn = scenario_from_dict(data)
+        assert scn.corridor == [] and scn.controller_variant == "full"
+        assert scn.obstacles == [obs]
+        del data["obstacles"]
+        assert scenario_from_dict(data).obstacles == []
 
     def test_packaged_scenarios_exist(self):
         for name in ("straight_corridor", "orthogonal_corridor", "ablation"):

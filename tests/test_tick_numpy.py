@@ -105,7 +105,7 @@ def _bits(asm, sol):
     """Every array and number of an assembly and its solution, for exact
     comparison."""
     parts = [getattr(asm.qp, f.name) for f in fields(asm.qp)]
-    parts += [asm.su, asm.base, asm.ref_stack, sol.z, sol.active,
+    parts += [asm.su, asm.base, sol.z, sol.active,
               sol.iterations, sol.primal_residual, sol.dual_residual]
     if asm.apf is not None:
         parts += [asm.apf.constant, asm.apf.gradient, asm.apf.hessian_psd, asm.apf.anchor]

@@ -31,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 PACKAGED = ("straight_corridor", "orthogonal_corridor", "ablation")
@@ -44,11 +45,11 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
     root_path = Path(root)
     sys.path[:0] = [str(root_path / "src"), str(root_path / "perfbench")]
     from apfmpc.mpc import VARIANTS
-    from apfmpc.simulator import load_scenario, metrics, packaged_scenario_path, run, with_variant
+    from apfmpc.simulator import load_scenario, metrics, packaged_scenario_path, run
     from workloads import WORKLOADS
 
     runs = [(f"{name}.{variant}",
-             with_variant(load_scenario(packaged_scenario_path(name)), variant))
+             replace(load_scenario(packaged_scenario_path(name)), controller_variant=variant))
             for name in PACKAGED for variant in VARIANTS]
     runs += [(f"{workload}.seed{SEED}.{k}", episode.scenario)
              for workload, make in WORKLOADS.items()
