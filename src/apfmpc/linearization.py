@@ -48,7 +48,8 @@ class AugmentedModel:
 
 
 def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
-    """Analytic Jacobians of the state rate w.r.t. state and input.
+    """Analytic Jacobians of the state rate w.r.t. state and input, side by
+    side as one 5x9 array [J_state | J_input].
 
     The chain rule through the kinematics' one statement of the rates:
     (Xdot, Ydot, heading_rate) = w (gx, gy, k), where w moves with the speeds
@@ -66,30 +67,29 @@ def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
     dw_dvf, dw_dvr = 0.5 * cf, 0.5 * cr
     dw_ddf, dw_ddr = -0.5 * vf * math.sin(df), -0.5 * vr * math.sin(dr)
     dtf, dtr = 1.0 / (cf * cf * (lf + lr)), 1.0 / (cr * cr * (lf + lr))  # sec^2(d)/L
-    j_state = np.array([[0.0, 0.0, -y_dot, dw_dvf * gx, dw_dvr * gx],
-                        [0.0, 0.0, x_dot, dw_dvf * gy, dw_dvr * gy],
-                        [0.0, 0.0, 0.0, dw_dvf * k, dw_dvr * k],
-                        [0.0] * 5,
-                        [0.0] * 5])
-    j_input = np.array([
-        [0.0, 0.0, dw_ddf * gx - w * sth * lr * dtf, dw_ddr * gx - w * sth * lf * dtr],
-        [0.0, 0.0, dw_ddf * gy + w * cth * lr * dtf, dw_ddr * gy + w * cth * lf * dtr],
-        [0.0, 0.0, dw_ddf * k + w * dtf, dw_ddr * k - w * dtr],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0]])
-    return j_state, j_input, rates
+    jac = np.array((  # state columns, then input columns
+        0.0, 0.0, -y_dot, dw_dvf * gx, dw_dvr * gx,
+        0.0, 0.0, dw_ddf * gx - w * sth * lr * dtf, dw_ddr * gx - w * sth * lf * dtr,
+        0.0, 0.0, x_dot, dw_dvf * gy, dw_dvr * gy,
+        0.0, 0.0, dw_ddf * gy + w * cth * lr * dtf, dw_ddr * gy + w * cth * lf * dtr,
+        0.0, 0.0, 0.0, dw_dvf * k, dw_dvr * k,
+        0.0, 0.0, dw_ddf * k + w * dtf, dw_ddr * k - w * dtr,
+        0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)).reshape(N_STATE, N_STATE + N_INPUT)
+    return jac, rates
 
 
 def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
               dt: float) -> LinearizedModel:
-    """Affine discrete model around the operating point (state0, input0)."""
-    j_state, j_input, rates = _jacobians(state0, input0, geom)
-    a_mat = EYE_STATE + dt * j_state
-    b_mat = dt * j_input
+    """Affine discrete model around the operating point (state0, input0):
+    [A | B] = [I | 0] + dt [J_state | J_input]."""
+    jac, rates = _jacobians(state0, input0, geom)
+    dt_jac = dt * jac
+    a_mat, b_mat = EYE_STATE + dt_jac[:, :N_STATE], dt_jac[:, N_STATE:]
     # one Euler step of the rates at the operating point, as `derivative` gives them
-    rate = np.array([*rates, input0.accel_front, input0.accel_rear])
-    next_state = state0.as_array() + dt * rate
-    d_vec = next_state - a_mat @ state0.as_array() - b_mat @ input0.as_array()
+    x0 = state0.as_array()
+    next_state = x0 + dt * np.array([*rates, input0.accel_front, input0.accel_rear])
+    d_vec = next_state - a_mat @ x0 - b_mat @ input0.as_array()
     return LinearizedModel(a_mat, b_mat, d_vec)
 
 
@@ -97,8 +97,7 @@ def augment(lin: LinearizedModel) -> AugmentedModel:
     """Delta-input form over the stacked state [state; previous input]."""
     n, m = N_STATE, N_INPUT
     a_bar = EYE_AUGMENTED.copy()
-    a_bar[:n, :n] = lin.a_mat
-    a_bar[:n, n:] = lin.b_mat
+    a_bar[:n, :n], a_bar[:n, n:] = lin.a_mat, lin.b_mat
     b_bar = np.concatenate([lin.b_mat, EYE_INPUT])
     d_bar = np.concatenate([lin.d_vec, np.zeros(m)])
     return AugmentedModel(a_bar, b_bar, d_bar)

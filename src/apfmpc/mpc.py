@@ -8,10 +8,12 @@ dense QP in the stacked increments. Its constraints are all rows of one
 matrix: input, wheel-speed-difference and output limits, and last the
 increment box. Only the first increment is applied.
 
-The reference path is stated once per run: `path_table` validates it and
-returns its points, segments, lengths, arc lengths and headings. Each tick
-`build_reference` projects the robot onto that table and samples the
-horizon along it, validating and recomputing nothing.
+The reference path is stated once per scenario: `path_table` validates it
+and returns its points, segments, lengths, arc lengths and headings, and
+the segment starts and squared lengths that every projection reads. Each
+tick `build_reference` projects the robot onto that table and samples the
+horizon along it into one targets array, gathering each segment quantity
+once, validating and recomputing nothing.
 
 The QP is assembled once per tick. The rows (X, Y, heading) of the robot's
 rollout give its rectangles and, as X, Y, the field's anchors. The closest
@@ -33,17 +35,23 @@ when it is still optimal. A tick's iteration count sums all its attempts. A
 non-finite solution raises FloatingPointError before it reaches the inputs.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
-Python-level wrappers. What a run knows is built once and read-only:
-`MpcController.__init__` holds the weight tiles, the effort Hessian, the
-bounds (the applied input's among them), the field parameters per kind, the
-input-tile index, the increment box, the cumulative-input rows, the output
-rows and the binomial tables; `linearization` the identity blocks `EYE_*`.
+Python-level wrappers. What depends on the configuration alone is built
+once per `MpcConfig` by `_config_tables` and shared, read-only, by every
+controller of an equal configuration: the weight tiles, the effort
+Hessian, the bounds (the applied input's among them), the field parameters
+per kind, the input-tile index, the cumulative-input rows, the output rows,
+the binomial tables, and per variant the starting A and bounds, which hold
+the cumulative-input rows and the increment box. Each tick copies those
+two and writes its slip and output rows and its bounds into the copies;
+the condensation writes its Nᵖ [B̄ | x̄₀ | d̄] into the slabs of one array.
+`linearization` holds the identity blocks `EYE_*`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -82,10 +90,30 @@ class MpcConfig:
     max_band_doublings: int = 4
 
     def __post_init__(self):
+        # the shared tables (see `_config_tables`) are built from these, and
+        # a configuration is their key: each sequence is stored as a tuple of floats
         if not 1 <= self.n_ctrl <= self.n_pred:
             raise ValueError("need 1 <= n_ctrl <= n_pred")
+        if not self.dt > 0.0:
+            raise ValueError("dt must be positive")
+        for name, size in (("q_weights", N_STATE), ("eta_min", N_STATE), ("eta_max", N_STATE),
+                           ("r_weights", N_INPUT), ("du_max", N_INPUT), ("u_max", N_INPUT)):
+            values = tuple(map(float, getattr(self, name)))
+            if len(values) != size:
+                raise ValueError(f"{name} must have {size} entries")
+            object.__setattr__(self, name, values)
+        if not all(w >= 0.0 for w in (*self.q_weights, *self.r_weights)):
+            raise ValueError("weights must not be negative")
+        if not all(d > 0.0 for d in self.du_max):
+            raise ValueError("du_max must be positive")
+        if not all(lo <= hi for lo, hi in zip(self.eta_min, self.eta_max)):
+            raise ValueError("need eta_min <= eta_max")
         if self.slip_band <= 0.0:
             raise ValueError("slip_band must be positive")
+        if not self.activation_radius > 0.0:
+            raise ValueError("activation_radius must be positive")
+        if self.max_band_doublings < 0:
+            raise ValueError("max_band_doublings must not be negative")
 
 
 @dataclass(frozen=True)
@@ -96,7 +124,7 @@ class ReferenceHorizon:
     def __post_init__(self):
         heading = self.targets[:, 2]  # each step a turn in (-pi, pi] + summing's rounding
         slack = 4.0 * np.spacing(2.0 * math.pi + np.maximum.reduce(np.abs(heading), initial=0.0))
-        if np.logical_or.reduce(np.abs(heading[1:] - heading[:-1]) > math.pi + slack):
+        if np.maximum.reduce(np.abs(heading[1:] - heading[:-1]), initial=0.0) > math.pi + slack:
             raise ValueError("reference heading must be unwrapped")
 
 
@@ -115,12 +143,15 @@ class MpcSolution:
 
 
 class PathTable(NamedTuple):
-    """A path stated once: its points, segment vectors, lengths and headings."""
+    """A path stated once: its points, segment vectors, lengths and headings,
+    and what every projection reads, the segment starts and squared lengths."""
     points: np.ndarray    # n x 2, (x, y)
     segments: np.ndarray  # n - 1 x 2
     lengths: np.ndarray
     arc: np.ndarray       # arc length at each vertex, from 0
     headings: np.ndarray
+    starts: np.ndarray    # points[:-1]
+    sq_lengths: np.ndarray  # lengths ** 2
 
 
 def path_table(path: np.ndarray) -> PathTable:
@@ -133,19 +164,25 @@ def path_table(path: np.ndarray) -> PathTable:
     if np.any(seg_len <= 0.0):
         raise ValueError("path segments must have positive length")
     return PathTable(pts, seg, seg_len, np.concatenate([[0.0], np.cumsum(seg_len)]),
-                     np.arctan2(seg[:, 1], seg[:, 0]))
+                     np.arctan2(seg[:, 1], seg[:, 0]), pts[:-1], seg_len ** 2)
+
+
+def _segment_fits(p: np.ndarray, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
+    """For points p, (x, y) on the last axis, and every segment: the clamped
+    parameter t of the segment's closest point, and the distance to it."""
+    _, seg, _, _, _, starts, sq_len = table
+    # the batched product, not an elementwise sum: the two round differently
+    dot = ((p - starts)[..., None, :] @ seg[:, :, None])[..., 0, 0]
+    t = np.minimum(np.maximum(dot / sq_len, 0.0), 1.0)
+    off = p - (starts + t[..., None] * seg)
+    return t, np.hypot(off[..., 0], off[..., 1])
 
 
 def project_onto_path(points: np.ndarray, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
     """Per point: distance to the path, arc length of its closest point (first segment on ties)."""
-    pts, seg, seg_len, cum, _ = table
-    p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
-    dot = ((p - pts[:-1])[..., None, :] @ seg[:, :, None])[..., 0, 0]
-    t = np.minimum(np.maximum(dot / seg_len ** 2, 0.0), 1.0)
-    off = p - (pts[:-1] + t[..., None] * seg)
-    dist = np.hypot(off[..., 0], off[..., 1])
+    t, dist = _segment_fits(np.asarray(points, dtype=float).reshape(-1, 1, 2), table)
     rows, best = np.arange(len(dist)), dist.argmin(axis=1)
-    return dist[rows, best], cum[best] + t[rows, best] * seg_len[best]
+    return dist[rows, best], table.arc[best] + t[rows, best] * table.lengths[best]
 
 
 def build_reference(table: PathTable, state: RobotState, ref_speed: float,
@@ -154,37 +191,98 @@ def build_reference(table: PathTable, state: RobotState, ref_speed: float,
     it; past its end, hold the final point at zero speed. Headings follow the
     segments, unwrapped from the robot's heading: each turn between successive
     headings in [-pi, pi] is wrapped into (-pi, pi] by one exact 2 pi step."""
-    pts, seg, seg_len, cum, headings = table
-    s0 = project_onto_path([state.x, state.y], table)[1][0]
+    pts, seg, seg_len, cum, headings, starts, _ = table
+    # the robot's arc length, as `project_onto_path` gives it
+    t, dist = _segment_fits(np.array((state.x, state.y)), table)
+    best = dist.argmin()
+    s0 = cum[best] + t[best] * seg_len[best]
     s = s0 + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
-    past = s >= cum[-1]
     # past the end j is the last segment, whose heading the targets keep
     j = np.minimum(cum.searchsorted(s, side="right") - 1, len(seg) - 1)
-    pos = pts[j] + ((s - cum[j]) / seg_len[j])[:, None] * seg[j]
-    turn = headings[j] - np.concatenate([[state.heading], headings[j[:-1]]])
-    turn -= 2.0 * math.pi * ((turn > math.pi) - 1.0 * (turn <= -math.pi))
-    speed = np.where(past, 0.0, ref_speed)[:, None]
-    return ReferenceHorizon(np.concatenate(
-        [np.where(past[:, None], pts[-1], pos), (state.heading + turn.cumsum())[:, None],
-         speed, speed], axis=1))
+    targets = np.empty((cfg.n_pred, N_STATE))
+    np.add(starts[j], ((s - cum[j]) / seg_len[j])[:, None] * seg[j], out=targets[:, :2])
+    heading, turn = headings[j], targets[:, 2]
+    turn[0] = heading[0] - state.heading
+    np.subtract(heading[1:], heading[:-1], out=turn[1:])
+    if turn.max() > math.pi or turn.min() <= -math.pi:  # else the step below is x - 0.0
+        turn -= 2.0 * math.pi * ((turn > math.pi) - 1.0 * (turn <= -math.pi))
+    turn.cumsum(out=turn)
+    turn += state.heading
+    targets[:, 3:] = ref_speed
+    past = s >= cum[-1]
+    if past.any():
+        targets[past, :2], targets[past, 3:] = pts[-1], 0.0
+    return ReferenceHorizon(targets)
+
+
+def slip_terms(state0: RobotState, input0: ControlInput,
+               cfg: MpcConfig) -> tuple[float, float, float, float, float]:
+    """The wheel-speed difference h(u) = v_f+ cos(d_f) - v_r+ cos(d_r) with
+    one-step-ahead speeds v+ = v + dt*a: returns v_f+, v_r+, cos(d_f),
+    cos(d_r) and its value g at the operating point."""
+    dt = cfg.dt
+    vf1 = state0.v_front + dt * input0.accel_front
+    vr1 = state0.v_rear + dt * input0.accel_rear
+    cf, cr = math.cos(input0.steer_front), math.cos(input0.steer_rear)
+    return vf1, vr1, cf, cr, vf1 * cf - vr1 * cr
 
 
 def slip_constraint_rows(state0: RobotState, input0: ControlInput,
                          cfg: MpcConfig) -> tuple[np.ndarray, float]:
-    """Gradient row and offset of the linearized wheel-speed-difference.
-
-    The constrained quantity is h(u) = v_f+ cos(d_f) - v_r+ cos(d_r) with
-    one-step-ahead speeds v+ = v + dt*a, linearized in the input at the
-    operating point.
-    """
+    """Gradient row and offset g of the wheel-speed difference of
+    `slip_terms`, linearized in the input at the operating point."""
     dt = cfg.dt
-    vf1 = state0.v_front + dt * input0.accel_front
-    vr1 = state0.v_rear + dt * input0.accel_rear
-    cf, sf = math.cos(input0.steer_front), math.sin(input0.steer_front)
-    cr, sr = math.cos(input0.steer_rear), math.sin(input0.steer_rear)
-    g = vf1 * cf - vr1 * cr
-    e_row = np.array([dt * cf, -dt * cr, -vf1 * sf, vr1 * sr])
+    vf1, vr1, cf, cr, g = slip_terms(state0, input0, cfg)
+    e_row = np.array([dt * cf, -dt * cr, -vf1 * math.sin(input0.steer_front),
+                      vr1 * math.sin(input0.steer_rear)])
     return e_row, g
+
+
+@lru_cache(maxsize=16)
+def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
+    """Per variant, the read-only constants of the condensed QP by attribute
+    name. They depend on the configuration alone: every controller of an
+    equal configuration shares them, and both variants share all but the
+    starting A and bounds."""
+    n_p, n_c = cfg.n_pred, cfg.n_ctrl
+    nz = n_c * N_INPUT
+    t = {"_q_diag": np.tile(cfg.q_weights, n_p), "_r_diag": np.tile(cfg.r_weights, n_c)}
+    t["_h_effort"] = 2.0 * np.diag(t["_r_diag"])
+    # the applied input's bound: u_max, and the steering inside the plant's singularity
+    steer_max = math.pi / 2 - _STEER_EPS
+    t["_u_applied"] = np.minimum(cfg.u_max, (math.inf, math.inf, steer_max, steer_max))
+    # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
+    t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
+    # columns (scale_a, exponent_b, min_sq_distance) per field kind: obstacle, boundary
+    t["_apf_params"] = np.array([tuple(cfg.obstacle_apf), tuple(cfg.boundary_apf)]).T.copy()
+    t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
+    t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
+    # output rows of su with a finite bound, one output at a time, and their bounds
+    bounded = [d for d in range(N_STATE)
+               if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
+    t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array(bounded, dtype=int)[:, None]).ravel()
+    t["_eta_bounds"] = np.repeat(np.array([cfg.eta_min, cfg.eta_max])[:, bounded], n_p, axis=1)
+    # binomials C(k, p) of the closed-form condensation (see assemble)
+    binom = np.array([[math.comb(k, p) for p in range(NILPOTENCY_INDEX + 1)]
+                      for k in range(n_p + 1)], dtype=float)
+    lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
+    t["_binom_su"] = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
+    t["_binom_base"] = np.hstack([binom[1:, :-1], binom[1:, 1:]])
+    # every tick's A and (lower, upper) start as copies of these: cumulative
+    # inputs, the slip rows (full variant only), the outputs, then the
+    # increment box, whose rows and bounds the copies keep
+    du_max, per_variant = np.tile(cfg.du_max, n_c), {}
+    for variant, n_slip in zip(VARIANTS, (n_c, 0)):
+        a_rows = np.zeros((2 * nz + n_slip + len(t["_eta_rows"]), nz))
+        a_rows[:nz] = np.kron(t["_cumulative"], np.eye(N_INPUT))
+        a_rows[-nz:] = np.eye(nz)
+        bounds = np.zeros((2, len(a_rows)))
+        bounds[:, -nz:] = -du_max, du_max
+        per_variant[variant] = dict(t, _a_rows=a_rows, _bounds=bounds)
+    for tables in per_variant.values():  # every tick of every such controller shares them
+        for value in tables.values():
+            value.flags.writeable = False
+    return per_variant
 
 
 @dataclass
@@ -209,41 +307,8 @@ class MpcController:
         self.variant = variant
         self.prev_input = initial_input or ControlInput(0.0, 0.0, 0.0, 0.0)
         self.solver = QpSolver()
-        # per-controller constants of the condensed QP
-        n_p, n_c = cfg.n_pred, cfg.n_ctrl
-        self._q_diag = np.tile(cfg.q_weights, n_p)
-        self._r_diag = np.tile(cfg.r_weights, n_c)
-        self._h_effort = 2.0 * np.diag(self._r_diag)
-        self._u_max = np.array(cfg.u_max)
-        # the applied input's bound: u_max, and the steering inside the plant's singularity
-        steer_max = math.pi / 2 - _STEER_EPS
-        self._u_applied = np.minimum(self._u_max, (math.inf, math.inf, steer_max, steer_max))
-        # columns (scale_a, exponent_b, min_sq_distance) per field kind: obstacle, boundary
-        self._apf_params = np.array([tuple(cfg.obstacle_apf), tuple(cfg.boundary_apf)]).T.copy()
-        self._input_tile = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
-        # the increment box, the last rows of every tick's A
-        self._box = np.eye(n_c * N_INPUT)
-        self._du_max = np.tile(cfg.du_max, n_c)
-        self._du_min = -self._du_max
-        self._cumulative = np.tril(np.ones((n_c, n_c)))
-        self._cumulative_inputs = np.kron(self._cumulative, np.eye(N_INPUT))
-        # output rows of su with a finite bound, one output at a time
-        bounded = [d for d in range(N_STATE)
-                   if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
-        self._eta_rows = (np.arange(n_p) * N_STATE
-                          + np.array(bounded, dtype=int)[:, None]).ravel()
-        self._eta_lo = np.repeat(np.array(cfg.eta_min)[bounded], n_p)
-        self._eta_hi = np.repeat(np.array(cfg.eta_max)[bounded], n_p)
-        # binomials C(k, p) of the closed-form condensation (see assemble)
-        binom = np.array([[math.comb(k, p) for p in range(NILPOTENCY_INDEX + 1)]
-                          for k in range(n_p + 1)], dtype=float)
-        lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
-        self._binom_su = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
-        self._binom_base = np.hstack([binom[1:, :-1], binom[1:, 1:]])
-        for value in vars(self).values():  # every tick shares them
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        self._warm = np.zeros(n_c * N_INPUT)
+        vars(self).update(_config_tables(cfg)[variant])  # shared, read-only
+        self._warm = np.zeros(cfg.n_ctrl * N_INPUT)
         self._active = None  # active set of the last optimal tick's QP
 
     # -- assembly -----------------------------------------------------------
@@ -292,18 +357,24 @@ class MpcController:
         nz = n_c * nu
 
         aug = augment(linearize(state, prev_input, self.geom, cfg.dt))
-        x0 = np.concatenate([state.as_array(), prev_input.as_array()])
 
         # condensed prediction eta = su z + base in closed form: N = Ā - I
         # has N⁴ = 0, so Āᵏ = Σₚ C(k, p) Nᵖ over p < 4. Block (i, j) of su is
         # the state rows of Σₚ C(i - j, p) Nᵖ B̄, and step i of base those of
         # Σₚ C(i + 1, p) Nᵖ x̄₀ + C(i + 1, p + 1) Nᵖ d̄, as Σₗ≤ᵢ C(l, p) is
-        # C(i + 1, p + 1); the Nᵖ [B̄ | x̄₀ | d̄] take three 9x9 products
+        # C(i + 1, p + 1); the Nᵖ [B̄ | x̄₀ | d̄] take three 9x9 products,
+        # each into its slab of one array
         n_mat = aug.a_bar - EYE_AUGMENTED
-        nw = [np.concatenate([aug.b_bar, x0[:, None], aug.d_bar[:, None]], axis=1)]
-        for _ in range(NILPOTENCY_INDEX - 1):
-            nw.append(n_mat @ nw[-1])
-        nw = np.array(nw)[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
+        nw = np.empty((NILPOTENCY_INDEX, ns + nu, nu + 2))
+        nw[0, :, :nu] = aug.b_bar
+        nw[0, :, nu] = (state.x, state.y, state.heading, state.v_front, state.v_rear,
+                        prev_input.accel_front, prev_input.accel_rear,
+                        prev_input.steer_front, prev_input.steer_rear)  # x̄₀
+        nw[0, :, nu + 1] = aug.d_bar
+        u0 = nw[0, ns:, nu]
+        for p in range(1, NILPOTENCY_INDEX):
+            np.matmul(n_mat, nw[p - 1], out=nw[p])
+        nw = nw[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
         su = (self._binom_su @ nw[..., :nu].reshape(NILPOTENCY_INDEX, ns * nu)).reshape(
             n_p, n_c, ns, nu).transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
         base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
@@ -327,25 +398,23 @@ class MpcController:
         h_mat = 0.5 * (h_mat + h_mat.T)
 
         # constraints: cumulative inputs, then the slip rows, then outputs,
-        # then the increment box
-        u0 = prev_input.as_array()
-        u_max = self._u_max
-        a_rows = [self._cumulative_inputs]
-        lo_rows = [(-u_max - u0)[self._input_tile]]
-        hi_rows = [(u_max - u0)[self._input_tile]]
-        g = None
+        # then the increment box; the copies hold the first and last already
+        a_mat, bounds = self._a_rows.copy(), self._bounds.copy()
+        lo, hi = bounds[0], bounds[1]
+        np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, :nz])
+        rows, g = nz, None
         if self.variant == "full":
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            a_rows.append((self._cumulative[:, :, None] * e_row).reshape(n_c, nz))
-            lo_rows.append([-cfg.slip_band - g] * n_c)
-            hi_rows.append([cfg.slip_band - g] * n_c)
-        a_rows += [su[self._eta_rows], self._box]
-        lo_rows += [self._eta_lo - base[self._eta_rows], self._du_min]
-        hi_rows += [self._eta_hi - base[self._eta_rows], self._du_max]
+            rows += n_c
+            np.multiply(self._cumulative[:, :, None], e_row,
+                        out=a_mat[nz:rows].reshape(n_c, n_c, nu))
+            lo[nz:rows] = -cfg.slip_band - g
+            hi[nz:rows] = cfg.slip_band - g
+        eta = slice(rows, rows + len(self._eta_rows))
+        su.take(self._eta_rows, axis=0, out=a_mat[eta])
+        np.subtract(self._eta_bounds, base[self._eta_rows], out=bounds[:, eta])
 
-        qp = QpProblem(h_mat, f_vec, np.concatenate(a_rows), np.concatenate(lo_rows),
-                       np.concatenate(hi_rows))
-        return _Assembled(qp, su, base, apf, g)
+        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf, g)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -384,7 +453,7 @@ class MpcController:
         delta_seq = z.reshape(cfg.n_ctrl, nu)
         u_next = self.prev_input.as_array() + delta_seq[0]
         u_next = np.minimum(np.maximum(u_next, -self._u_applied), self._u_applied)
-        applied = ControlInput.from_array(u_next)
+        applied = ControlInput(*u_next.tolist())
 
         eta = asm.su @ z + asm.base
         predicted = eta.reshape(cfg.n_pred, N_STATE)

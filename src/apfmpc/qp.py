@@ -22,19 +22,23 @@ The polish is one equality solve: the rows of an active set, each at the
 side of its bound (-1 lower, +1 upper), held as equalities in a slightly
 regularized KKT system. One rule accepts its point: every scaled row within
 `tolerance` of its bounds, and every multiplier of the side's sign (upper
->= 0, lower <= 0). Such a point is a KKT point, hence the minimizer of the
-convex QP, and is returned as OPTIMAL with its own residuals. A caller may
-guess the set, such as that of the previous solve in a sequence of similar
-problems (the online active set idea of Ferreau, Bock and Diehl, 2008); an
-accepted guess returns with 0 iterations. Otherwise the ADMM runs exactly
-as without a guess and the set read from its final duals is tried, also
-when the iteration ran out. If it fails, the ADMM iterate is returned with
-its status. Every solution carries the side of each row of A.
+>= 0, lower <= 0). The violation is one maximum, of max(lo - Ax, Ax - hi)
+over the rows and 0; as lower <= upper is validated, at most one of a
+row's two gaps is positive, so it equals the sum of the clamped gaps. Only
+held rows have a multiplier to check; the others' are 0. Such a point is a
+KKT point, hence the minimizer of the convex QP, and is returned as
+OPTIMAL with its own residuals. A caller may guess the set, such as that of
+the previous solve in a sequence of similar problems (the online active set
+idea of Ferreau, Bock and Diehl, 2008); an accepted guess returns with 0
+iterations. Otherwise the ADMM runs exactly as without a guess and the set
+read from its final duals is tried, also when the iteration ran out. If it
+fails, the ADMM iterate is returned with its status. Every solution carries
+the side of each row of A.
 
 A solve never writes into its problem, whose arrays may be shared and
-read-only: the controller's increment box is built in its `__init__`.
-Identity terms (ridge, sigma I) go on diagonal views, `m.flat[::n + 1] += c`,
-and reductions call the ufuncs' `reduce`.
+read-only. Identity terms (ridge, sigma I) go on diagonal views,
+`m.flat[::n + 1] += c`, or `m.ravel()[::n + 1]` on an array made
+C-contiguous here, and reductions call the ufuncs' `reduce`.
 """
 
 from __future__ import annotations
@@ -203,34 +207,39 @@ class QpSolver:
         """Hold each row with a nonzero side of `active` at that side's
         bound and solve the regularized KKT system of the unscaled cost.
         Its point is returned as OPTIMAL when it is a KKT point of the QP:
-        every scaled row within `tolerance` of its bounds and every
-        multiplier of its side's sign (upper >= 0, lower <= 0). None
+        every scaled row within `tolerance` of its bounds and every held
+        row's multiplier of its side's sign (upper >= 0, lower <= 0). None
         otherwise, also when a held bound is infinite or the system is
         singular."""
         rows = active.nonzero()[0]
-        b_act = np.where(active[rows] < 0, lo[rows], hi[rows])
-        if not np.logical_and.reduce(np.isfinite(b_act)):
-            return None
         n, k = len(f), len(rows)
+        sides = active[rows]
+        rhs = np.empty(n + k)  # [-f; the held bounds]
+        np.negative(problem.f_vec, out=rhs[:n])
+        rhs[n:] = np.where(sides < 0, lo[rows], hi[rows])
+        if not np.logical_and.reduce(np.isfinite(rhs[n:])):
+            return None
         a_act = a_mat[rows]
         kkt = np.zeros((n + k, n + k))
         kkt[:n, :n] = problem.h_mat
-        kkt[:n, :n].flat[::n + 1] += 1e-10
         kkt[:n, n:] = a_act.T
         kkt[n:, :n] = a_act
         kkt[n:, n:] = -0.0  # -1e-10 I, whose off-diagonal is -0.0
-        kkt[n:, n:].flat[::k + 1] = -1e-10
+        diagonal = kkt.ravel()[::n + k + 1]
+        diagonal[:n] += 1e-10
+        diagonal[n:] = -1e-10
         try:
-            sol = np.linalg.solve(kkt, np.concatenate([-problem.f_vec, b_act]))
+            sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             return None
         x = sol[:n]
+        ax = a_mat @ x
+        # lower <= upper, so a row's violation is the larger of its two gaps
+        viol = float(np.maximum.reduce(np.maximum(lo - ax, ax - hi), initial=0.0))
+        if viol > self.tolerance or not np.logical_and.reduce(sol[n:] * sides >= 0.0):
+            return None
         lam = np.zeros(len(lo))
         lam[rows] = sol[n:]
-        ax = a_mat @ x
-        viol = float(np.maximum.reduce(np.maximum(lo - ax, 0.0) + np.maximum(ax - hi, 0.0)))
-        if viol > self.tolerance or not np.logical_and.reduce(lam * active >= 0.0):
-            return None
         # lam holds the multipliers of the unscaled cost
         r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ (cost_scale * lam))))
         return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)

@@ -3,13 +3,13 @@
 Runs the controller against the nonlinear plant at the control period,
 moves dynamic obstacles, checks collisions, and records per-tick data for
 metric extraction and CSV export. A tick's slip measure is |g| of the
-controller's `slip_constraint_rows` at the applied input, the front/rear
-speed mismatch one step ahead. The reference path is validated when a
-scenario is made and stated once per run as a path table, which every
-tick's reference reads; `metrics` builds its own table to measure the
-tracking error. Scenario files are YAML documents that round-trip
-losslessly through load/save; a file holds only entries that saving
-writes.
+controller's `slip_terms` at the applied input, the front/rear speed
+mismatch one step ahead. The reference path is validated when a scenario
+is made, by building its path table once; every tick's reference in a run
+of the scenario reads that table, and `metrics` builds its own to measure
+the tracking error. Without obstacles a tick builds no footprint. Scenario
+files are YAML documents that round-trip losslessly through load/save; a
+file holds only entries that saving writes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import yaml
 from .geometry import OrientedRectangle, Pose2D, closest_pair
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference, path_table,
-                  project_onto_path, slip_constraint_rows)
+                  project_onto_path, slip_terms)
 from .prediction import Obstacle, advance_obstacle
 from .qp import INFEASIBLE
 
@@ -75,14 +75,19 @@ class Scenario:
             if obs.kind != "obstacle":  # a file has no kinds, so it would not round-trip
                 raise ValueError("walls belong in corridor, not in obstacles")
             numbers += [*_rect_numbers(obs.footprint), *obs.velocity, obs.yaw_rate]
-        path = np.asarray(self.path, dtype=float)
+        # a read-only copy: the path table below is built from it once
+        path = np.array(self.path, dtype=float)
+        path.flags.writeable = False
+        object.__setattr__(self, "path", path)
         if not (all(map(math.isfinite, numbers)) and np.isfinite(path).all()):
             raise ValueError("scenario numbers must all be finite")
         if self.ref_speed < 0.0:
             raise ValueError("ref_speed must not be negative")
         if tick_count(self.duration, MpcConfig.dt) < 1:
             raise ValueError(f"duration must cover one control tick ({MpcConfig.dt} s)")
-        path_table(self.path)  # the one path rule; run builds its table the same way
+        # the one path rule; not a field, so equality and repr see the path
+        # alone, and `run` reads this table
+        object.__setattr__(self, "path_table", path_table(path))
         if self.controller_variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {self.controller_variant!r}")
 
@@ -122,9 +127,10 @@ def write_csv(path, header: str, rows) -> None:
 
 def _min_clearance(state: RobotState, geom: RobotGeometry,
                    obstacles: list[Obstacle]) -> float:
+    if not obstacles:
+        return math.inf
     rect = geom.footprint(state)
-    dists = [closest_pair(rect, obs.footprint).distance for obs in obstacles]
-    return min(dists) if dists else math.inf
+    return min([closest_pair(rect, obs.footprint).distance for obs in obstacles])
 
 
 def run(scenario: Scenario) -> SimulationLog:
@@ -133,7 +139,7 @@ def run(scenario: Scenario) -> SimulationLog:
     cfg, geom = MpcConfig(), DEFAULT_GEOMETRY
     controller = MpcController(cfg, geom, variant=scenario.controller_variant)
     boundaries = [Obstacle(rect, kind="boundary") for rect in scenario.corridor]
-    obstacles, table = list(scenario.obstacles), path_table(scenario.path)
+    obstacles, table = list(scenario.obstacles), scenario.path_table
     state = scenario.initial_state
     log = SimulationLog(cfg.dt)
     for tick in range(tick_count(scenario.duration, cfg.dt)):
@@ -154,7 +160,7 @@ def run(scenario: Scenario) -> SimulationLog:
         u = sol.applied_input
         log.records.append(TickRecord(
             t=tick * cfg.dt, state=state, applied=u,
-            slip_measure=abs(slip_constraint_rows(state, u, cfg)[1]), min_clearance=clearance,
+            slip_measure=abs(slip_terms(state, u, cfg)[-1]), min_clearance=clearance,
             objective=sol.objective, solver_iterations=sol.iterations))
         if sol.solver_status == INFEASIBLE:
             log.outcome = SOLVER_FAILED

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import normalize_angle
-from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, derivative,
+from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, _rates, derivative,
                                euler_step, rollout)
 from apfmpc.prediction import predict_robot
 
@@ -179,6 +179,17 @@ class TestEulerStep:
             euler_step(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0),
                        sym_geom, 0.0)
 
+    @pytest.mark.parametrize("substeps", [0, -1, 2.5])
+    def test_rejects_bad_substeps(self, substeps, sym_geom):
+        with pytest.raises(ValueError):
+            euler_step(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0),
+                       sym_geom, 0.1, substeps=substeps)
+
+    def test_numpy_integer_substeps(self, sym_geom):
+        s, u = RobotState(0, 0, 0.2, 1, 1.1), ControlInput(0.1, 0, 0.2, 0)
+        assert (euler_step(s, u, sym_geom, 0.1, substeps=np.int64(10))
+                == euler_step(s, u, sym_geom, 0.1, substeps=10))
+
     def test_substep_first_order_convergence(self, sym_geom):
         s0 = RobotState(0, 0, 0.2, 1.0, 1.1)
         u = ControlInput(0.3, 0.2, 0.4, -0.1)
@@ -207,6 +218,43 @@ class TestEulerStep:
         assert -math.pi < want.heading < -3.0  # wrapped past +pi
         assert_states_close(euler_step(s, u, sym_geom, 0.5, substeps).as_array(),
                             want.as_array())
+
+
+def two_pass_rollout(state, inp, geom, n, h):
+    """`rollout` as first written, `_rates` evaluated twice over arrays: once
+    for the yaw rate, once more for the position rates with the heading. The
+    oracle for the one-pass form."""
+    out = np.empty((n + 1, 5))
+    out[0] = state.as_array()
+    out[1:, 3:] = (h * inp.accel_front, h * inp.accel_rear)
+    out[:, 3:].cumsum(axis=0, out=out[:, 3:])
+    speeds = out[:-1, 3], out[:-1, 4]
+    (_, _, yaw_rate), _ = _rates(state.heading, *speeds, inp, geom)
+    out[1:, 2] = h * yaw_rate
+    out[:, 2].cumsum(out=out[:, 2])
+    (x_dot, y_dot, _), _ = _rates(out[:-1, 2], *speeds, inp, geom)
+    out[1:, 0], out[1:, 1] = h * x_dot, h * y_dot
+    out[:, :2].cumsum(axis=0, out=out[:, :2])
+    return out
+
+
+class TestRollout:
+    @pytest.mark.parametrize("n,h", [(20, 0.1), (10, 0.01)])
+    def test_matches_two_pass_form(self, n, h, rng):
+        geom = RobotGeometry(1.1, 1.4, 1.3, 0.5)
+        for _ in range(3000):
+            s, u = random_draw(rng)
+            assert (rollout(s, u, geom, n, h).tobytes()
+                    == two_pass_rollout(s, u, geom, n, h).tobytes())
+
+    def test_zero_steps_is_the_start(self, sym_geom):
+        s = RobotState(1.0, -2.0, 3.0, 1.0, 1.2)
+        assert np.array_equal(rollout(s, ControlInput(0.2, 0.1, 0.6, -0.6), sym_geom, 0, 0.1),
+                              [s.as_array()])
+
+    def test_rejects_negative_steps(self, sym_geom):
+        with pytest.raises(ValueError):
+            rollout(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0), sym_geom, -1, 0.1)
 
 
 class TestPredictRobotMatchesLoop:

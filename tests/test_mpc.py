@@ -187,6 +187,60 @@ def apf_scene(rng):
     return s, u0, walls + [static, moving, near, far]
 
 
+def parent_projection(points, table):
+    """`project_onto_path` as first written, recomputing the segment starts
+    and squared lengths per call: the oracle for the table-fed form."""
+    pts, seg, seg_len, cum = table.points, table.segments, table.lengths, table.arc
+    p = np.asarray(points, dtype=float).reshape(-1, 1, 2)
+    dot = ((p - pts[:-1])[..., None, :] @ seg[:, :, None])[..., 0, 0]
+    t = np.minimum(np.maximum(dot / seg_len ** 2, 0.0), 1.0)
+    off = p - (pts[:-1] + t[..., None] * seg)
+    dist = np.hypot(off[..., 0], off[..., 1])
+    rows, best = np.arange(len(dist)), dist.argmin(axis=1)
+    return dist[rows, best], cum[best] + t[rows, best] * seg_len[best]
+
+
+def parent_reference(table, state, ref_speed, cfg):
+    """`build_reference` as first written (gathers per use, concatenated
+    columns, the unwrapped-heading check as an elementwise test), or None
+    where that check rejects the horizon."""
+    pts, seg, seg_len, cum, headings = table.points, table.segments, table.lengths, \
+        table.arc, table.headings
+    s0 = parent_projection([state.x, state.y], table)[1][0]
+    s = s0 + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
+    past = s >= cum[-1]
+    j = np.minimum(cum.searchsorted(s, side="right") - 1, len(seg) - 1)
+    pos = pts[j] + ((s - cum[j]) / seg_len[j])[:, None] * seg[j]
+    turn = headings[j] - np.concatenate([[state.heading], headings[j[:-1]]])
+    turn -= 2.0 * math.pi * ((turn > math.pi) - 1.0 * (turn <= -math.pi))
+    speed = np.where(past, 0.0, ref_speed)[:, None]
+    targets = np.concatenate([np.where(past[:, None], pts[-1], pos),
+                              (state.heading + turn.cumsum())[:, None], speed, speed], axis=1)
+    heading = targets[:, 2]
+    slack = 4.0 * np.spacing(2.0 * math.pi + np.maximum.reduce(np.abs(heading), initial=0.0))
+    if np.logical_or.reduce(np.abs(heading[1:] - heading[:-1]) > math.pi + slack):
+        return None
+    return targets
+
+
+def winding_path(rng, n=160):
+    """A seeded path of n vertices whose heading winds through +-pi."""
+    heading = 2.5 + np.cumsum(rng.uniform(-0.15, 0.35, n - 1))
+    steps = rng.uniform(0.5, 1.5, n - 1)[:, None] * np.stack([np.cos(heading),
+                                                               np.sin(heading)], axis=1)
+    return np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)])
+
+
+def assert_reference_matches_parent(table, state, ref_speed, cfg):
+    want = parent_reference(table, state, ref_speed, cfg)
+    if want is None:
+        with pytest.raises(ValueError):
+            build_reference(table, state, ref_speed, cfg)
+    else:
+        got = build_reference(table, state, ref_speed, cfg).targets
+        assert got.tobytes() == want.tobytes()
+
+
 class RecordingSolver(QpSolver):
     """QpSolver that keeps a copy of the constraint bounds of every solve,
     the active set it was given, and each problem with its solution."""
@@ -287,6 +341,39 @@ class TestBuildReference:
         t[:, 2] = [0.0, 3.2, 0.0]
         with pytest.raises(ValueError):
             ReferenceHorizon(t)
+
+
+class TestParentForms:
+    """The table-fed projection and the one-array reference build give the
+    first forms' bits."""
+
+    def test_winding_path(self, cfg):
+        rng = np.random.default_rng(23)
+        path = winding_path(rng)
+        table = path_table(path)
+        lo, hi = path.min(axis=0) - 3.0, path.max(axis=0) + 3.0
+        for k in range(3000):
+            x, y = path[rng.integers(len(path))] + rng.normal(0.0, 1.0, 2) if k % 3 else \
+                rng.uniform(lo, hi)
+            state = RobotState(x, y, rng.uniform(-math.pi, math.pi), 1.0, 1.0)
+            assert_reference_matches_parent(table, state, (REF_SPEED, 0.0, 30.0)[k % 3], cfg)
+        points = rng.uniform(lo, hi, size=(500, 2))
+        for got, want in zip(project_onto_path(points, table), parent_projection(points, table)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_double_back(self, cfg):
+        rng = np.random.default_rng(29)
+        for heading in np.linspace(-3.0, 3.0, 601):
+            scn = double_back(heading)
+            table = path_table(scn.path)
+            assert_reference_matches_parent(table, scn.initial_state, 1.0, cfg)
+            x, y = rng.uniform(-2.5, 2.5, 2)
+            state = RobotState(x, y, rng.uniform(-math.pi, math.pi), 1.0, 1.0)
+            assert_reference_matches_parent(table, state, rng.uniform(0.0, 5.0), cfg)
+            points = rng.uniform(-2.5, 2.5, size=(5, 2))
+            for got, want in zip(project_onto_path(points, table),
+                                 parent_projection(points, table)):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestProjectOntoPath:
@@ -685,6 +772,44 @@ class TestStep:
             MpcConfig(n_ctrl=30, n_pred=20)
         with pytest.raises(ValueError):
             MpcConfig(slip_band=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dt", -0.1), ("dt", 0.0), ("dt", math.nan),
+        ("activation_radius", -1.0), ("activation_radius", 0.0),
+        ("max_band_doublings", -1),
+        ("du_max", (0, 0, 0, 0)), ("du_max", (0.8, 0.8, -0.1, 0.2)),
+        ("q_weights", (1, 2)), ("eta_min", (0.0,) * 4), ("eta_max", (1.4,) * 6),
+        ("r_weights", (300.0,) * 5), ("du_max", (0.8,) * 3), ("u_max", (1.0,) * 5),
+        ("q_weights", (2.0, 2.0, -6.0, 10.0, 10.0)), ("r_weights", (300.0, 300.0, 400.0, math.nan)),
+        ("eta_min", (-math.inf, -math.inf, -math.inf, 1.5, 0.1)),
+    ])
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            MpcConfig(**{field: value})
+
+    def test_config_stores_float_tuples(self, geom):
+        cfg = MpcConfig(q_weights=[2, 2, 6, 10, 10], u_max=np.array([1.0, 1.0, 1.5, 1.5]))
+        assert cfg.q_weights == (2.0, 2.0, 6.0, 10.0, 10.0)
+        assert all(type(w) is float for w in cfg.q_weights + cfg.u_max)
+        assert cfg == MpcConfig(u_max=(1.0, 1.0, 1.5, 1.5))
+        MpcController(cfg, geom)  # a configuration keys the shared tables
+        MpcConfig(q_weights=(0.0,) * 5, r_weights=(0.0,) * 4)
+
+    def test_equal_configs_share_read_only_tables(self, geom):
+        tables = MpcController(MpcConfig(), geom)
+        shared = {name: value for name, value in vars(tables).items()
+                  if isinstance(value, np.ndarray) and name != "_warm"}
+        again = MpcController(MpcConfig(), geom)
+        bare = MpcController(MpcConfig(), geom, variant="no_customization")
+        longer = MpcController(MpcConfig(n_pred=25), geom)
+        assert {"_q_diag", "_binom_su", "_a_rows", "_bounds"} <= set(shared)
+        for name, value in shared.items():
+            assert getattr(again, name) is value, name
+            assert (getattr(bare, name) is value) == (name not in ("_a_rows", "_bounds")), name
+            assert getattr(longer, name) is not value, name
+            for c in (tables, bare, longer):
+                assert not getattr(c, name).flags.writeable, name
+        assert again._warm is not tables._warm
 
 
 class TestFallbacks:

@@ -388,3 +388,83 @@ class TestActiveSetGuess:
         prob = box_problem(np.eye(3), [-10.0, 0.0, 10.0], [-1, -1, -1], [1, 1, 1])
         sol = QpSolver().solve(prob)
         assert np.array_equal(sol.active, [1, 0, -1])
+
+
+def parent_certified(solver, problem, p_mat, f, cost_scale, a_mat, lo, hi, active, iterations):
+    """`QpSolver._certified` as first written: the violation as the sum of
+    the two clamped gaps, every row's multiplier sign checked, the
+    right-hand side concatenated. The oracle for the current form."""
+    rows = active.nonzero()[0]
+    b_act = np.where(active[rows] < 0, lo[rows], hi[rows])
+    if not np.logical_and.reduce(np.isfinite(b_act)):
+        return None
+    n, k = len(f), len(rows)
+    a_act = a_mat[rows]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = problem.h_mat
+    kkt[:n, :n].flat[::n + 1] += 1e-10
+    kkt[:n, n:] = a_act.T
+    kkt[n:, :n] = a_act
+    kkt[n:, n:] = -0.0
+    kkt[n:, n:].flat[::k + 1] = -1e-10
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([-problem.f_vec, b_act]))
+    except np.linalg.LinAlgError:
+        return None
+    x = sol[:n]
+    lam = np.zeros(len(lo))
+    lam[rows] = sol[n:]
+    ax = a_mat @ x
+    viol = float(np.maximum.reduce(np.maximum(lo - ax, 0.0) + np.maximum(ax - hi, 0.0)))
+    if viol > solver.tolerance or not np.logical_and.reduce(lam * active >= 0.0):
+        return None
+    r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ (cost_scale * lam))))
+    return qp_module.QpSolution(x, qp_module.OPTIMAL, viol, r_dual, iterations, active)
+
+
+def scaled(problem):
+    """The solver's scaled operands, as `QpSolver.solve` forms them."""
+    n = len(problem.f_vec)
+    row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
+                                                   initial=0.0), 1e-10)
+    cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
+        np.abs(problem.h_mat.diagonal()), initial=0.0)))
+    p_mat = cost_scale * problem.h_mat
+    p_mat.flat[::n + 1] += qp_module._RIDGE
+    return (p_mat, cost_scale * problem.f_vec, cost_scale, row_scale[:, None] * problem.a_mat,
+            row_scale * problem.lower, row_scale * problem.upper)
+
+
+def test_certified_matches_parent_form(geom):
+    # on the controller QPs: the detected set, one side flipped, one row
+    # added, none held, and seeded random sides; accepted or not, the same
+    # answer bit for bit
+    solver, rng = QpSolver(), np.random.default_rng(7)
+    accepted = rejected = 0
+    for seed in (1, 2, 3):
+        for prob, warm in controller_qps(geom, seed):
+            p_mat, f, cost_scale, a_mat, lo, hi = scaled(prob)
+            active = solver.solve(prob, warm_start=warm).active
+            flipped, added = active.copy(), active.copy()
+            if active.any():
+                held = np.flatnonzero(active)[0]
+                flipped[held] = -flipped[held]
+            added[np.flatnonzero(active == 0)[0]] = 1
+            guesses = [active, flipped, added, np.zeros_like(active)]
+            guesses += [rng.integers(-1, 2, len(active)) * (rng.random(len(active)) < 0.1)
+                        for _ in range(3)]
+            for guess in guesses:
+                args = (prob, p_mat, f, cost_scale, a_mat, lo, hi, guess, 5)
+                got, want = solver._certified(*args), parent_certified(solver, *args)
+                assert (got is None) == (want is None)
+                if want is None:
+                    rejected += 1
+                    continue
+                accepted += 1
+                assert got.z.tobytes() == want.z.tobytes()
+                assert np.float64(got.primal_residual).tobytes() == \
+                    np.float64(want.primal_residual).tobytes()
+                assert got.dual_residual == want.dual_residual
+                assert (got.status, got.iterations) == (want.status, want.iterations)
+                assert np.array_equal(got.active, want.active)
+    assert accepted >= 10 and rejected >= 100

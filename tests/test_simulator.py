@@ -100,9 +100,10 @@ class TestRun:
         assert all(np.isfinite(r.applied.as_array()).all() for r in log.records)
 
     def test_states_the_path_once(self, monkeypatch):
-        # one table per run, and every tick's reference reads that one
+        # one table per scenario, built as it is made; every tick's reference
+        # in its run reads that one
         import apfmpc.simulator
-        scn, tables, read = tiny_scenario(duration=1.0), [], []
+        tables, read = [], []
 
         def counting_table(path):
             tables.append(path_table(path))
@@ -114,9 +115,22 @@ class TestRun:
 
         monkeypatch.setattr(apfmpc.simulator, "path_table", counting_table)
         monkeypatch.setattr(apfmpc.simulator, "build_reference", recording_reference)
+        scn = tiny_scenario(duration=1.0)
         assert len(run(scn).records) == 10
         assert len(tables) == 1 and len(read) == 10
         assert all(table is tables[0] for table in read)
+
+    def test_path_table_cannot_go_stale(self):
+        # the scenario keeps a read-only copy of its path, so the table it
+        # built stays the table of its path
+        path = np.array([[0.0, 0.0], [20.0, 0.0]])
+        scn = replace(tiny_scenario(), path=path)
+        path[1, 0] = 5.0
+        assert scn.path.tolist() == [[0.0, 0.0], [20.0, 0.0]]
+        with pytest.raises(ValueError):
+            scn.path[1, 0] = 5.0
+        assert np.array_equal(scn.path_table.points, scn.path)
+        assert scn.path_table.arc[-1] == 20.0
 
     def test_plant_consistency(self, cfg):
         log = run(tiny_scenario(duration=2.0))
