@@ -23,27 +23,34 @@ footprint kind's parameters (obstacle, boundary), and `np.add.at` adds each
 row into its step's sums, from +0.0 in footprint order. Ā - I = N has
 N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed matrices are fixed
 binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics
-enter through one product. The QP is OSQP's form, with no constant term: a
+enter through one product. The QP is OSQP's form, with no constant term,
+and its rows are normalized where they are made (see `qp.normalized`): a
 tick's objective is not read off it but is the sum of the three costs
 priced at the applied solution, tracking + input-increment effort + field,
 and on a held tick that solution is z = 0. On certified infeasibility only
-the bounds of the wheel-speed-difference rows widen (the band doubles)
-before solving again; a variant without those rows reports infeasible at
-once. The first attempt of a tick passes the active set of the last optimal
-tick's QP; the solver returns that set's equality solve, without iterating,
-when it is still optimal. A tick's iteration count sums all its attempts. A
-non-finite solution raises FloatingPointError before it reaches the inputs.
+the bounds of the wheel-speed-difference rows widen (the band doubles, in
+the rows' scale) before solving again; a variant without those rows
+reports infeasible at once. The first attempt of a tick passes the active
+set of the last optimal tick's QP; the solver returns that set's equality
+solve, without iterating, when it is still optimal. A tick's iteration
+count sums all its attempts. A non-finite solution raises
+FloatingPointError before it reaches the inputs.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What depends on the configuration alone is built
 once per `MpcConfig` by `_config_tables` and shared, read-only, by every
 controller of an equal configuration: the weight tiles, the effort
 Hessian, the bounds (the applied input's among them), the field parameters
-per kind, the input-tile index, the cumulative-input rows, the output rows,
-the binomial tables, and per variant the starting A and bounds, which hold
-the cumulative-input rows and the increment box. Each tick copies those
-two and writes its slip and output rows and its bounds into the copies;
-the condensation writes its Nᵖ [B̄ | x̄₀ | d̄] into the slabs of one array.
+per kind, the input-tile index, the cumulative-input rows, the output rows
+and their scales, the binomial tables, and per variant the starting A and
+bounds. Only the wheel speeds may be bounded, and their rows of the
+condensed prediction do not depend on the operating point (the speeds
+integrate the accelerations), so the starting A holds them normalized,
+with the cumulative-input rows and the increment box, whose entries 0 and
+1 keep the scale 1.0. Each tick copies A and the bounds and writes its
+slip rows, which share one scale, and its bounds into the copies; the
+output bounds take the stored scales. The condensation writes its
+Nᵖ [B̄ | x̄₀ | d̄] into the slabs of one array.
 `linearization` holds the identity blocks `EYE_*`.
 """
 
@@ -63,7 +70,7 @@ from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, a
                             linearize)
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
-from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver
+from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6
 
@@ -108,6 +115,8 @@ class MpcConfig:
             raise ValueError("du_max must be positive")
         if not all(lo <= hi for lo, hi in zip(self.eta_min, self.eta_max)):
             raise ValueError("need eta_min <= eta_max")
+        if not all(math.isinf(b) for b in (*self.eta_min[:3], *self.eta_max[:3])):
+            raise ValueError("only the wheel speeds may have finite output bounds")
         if self.slip_band <= 0.0:
             raise ValueError("slip_band must be positive")
         if not self.activation_radius > 0.0:
@@ -257,24 +266,35 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     t["_apf_params"] = np.array([tuple(cfg.obstacle_apf), tuple(cfg.boundary_apf)]).T.copy()
     t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
     t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
-    # output rows of su with a finite bound, one output at a time, and their bounds
-    bounded = [d for d in range(N_STATE)
-               if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
-    t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array(bounded, dtype=int)[:, None]).ravel()
-    t["_eta_bounds"] = np.repeat(np.array([cfg.eta_min, cfg.eta_max])[:, bounded], n_p, axis=1)
     # binomials C(k, p) of the closed-form condensation (see assemble)
     binom = np.array([[math.comb(k, p) for p in range(NILPOTENCY_INDEX + 1)]
                       for k in range(n_p + 1)], dtype=float)
     lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
     t["_binom_su"] = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
     t["_binom_base"] = np.hstack([binom[1:, :-1], binom[1:, 1:]])
+    # output rows of su with a finite bound, one output at a time, and their
+    # bounds. Only the wheel speeds are bounded, and their rows of Nᵖ B̄ are
+    # dt [e, e, 0, 0] at every operating point (the speeds integrate the
+    # accelerations), so their rows of su are the configuration's, made by
+    # the tick's own product; they enter A normalized (see `qp.normalized`),
+    # and each tick's bounds take the same scales
+    bounded = [d for d in range(N_STATE)
+               if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
+    t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array(bounded, dtype=int)[:, None]).ravel()
+    t["_eta_bounds"] = np.repeat(np.array([cfg.eta_min, cfg.eta_max])[:, bounded], n_p, axis=1)
+    speed_rows = np.zeros((NILPOTENCY_INDEX, N_STATE, N_INPUT))
+    speed_rows[:2, 3, 0] = speed_rows[:2, 4, 1] = cfg.dt
+    eta_rows = _condensed_su(t["_binom_su"], speed_rows, n_p, n_c).take(t["_eta_rows"], axis=0)
+    t["_eta_scale"] = row_scales(eta_rows)
     # every tick's A and (lower, upper) start as copies of these: cumulative
     # inputs, the slip rows (full variant only), the outputs, then the
-    # increment box, whose rows and bounds the copies keep
+    # increment box, whose rows and bounds the copies keep; the rows of
+    # 0 and 1 are normalized as they stand
     du_max, per_variant = np.tile(cfg.du_max, n_c), {}
     for variant, n_slip in zip(VARIANTS, (n_c, 0)):
-        a_rows = np.zeros((2 * nz + n_slip + len(t["_eta_rows"]), nz))
+        a_rows = np.zeros((2 * nz + n_slip + len(eta_rows), nz))
         a_rows[:nz] = np.kron(t["_cumulative"], np.eye(N_INPUT))
+        a_rows[nz + n_slip:-nz] = t["_eta_scale"][:, None] * eta_rows
         a_rows[-nz:] = np.eye(nz)
         bounds = np.zeros((2, len(a_rows)))
         bounds[:, -nz:] = -du_max, du_max
@@ -285,6 +305,13 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     return per_variant
 
 
+def _condensed_su(binom_su: np.ndarray, nw_b: np.ndarray, n_p: int, n_c: int) -> np.ndarray:
+    """su from the state rows of Nᵖ B̄ (p x 5 x 4): block (i, j) is
+    Σₚ C(i - j, p) Nᵖ B̄, one product with the binomial table."""
+    return (binom_su @ nw_b.reshape(NILPOTENCY_INDEX, N_STATE * N_INPUT)).reshape(
+        n_p, n_c, N_STATE, N_INPUT).transpose(0, 2, 1, 3).reshape(n_p * N_STATE, n_c * N_INPUT)
+
+
 @dataclass
 class _Assembled:
     qp: QpProblem
@@ -292,6 +319,7 @@ class _Assembled:
     base: np.ndarray      # predicted outputs at z = 0
     apf: QuadraticApproximation | None  # per-step sums; None without footprints
     slip_offset: float | None  # g of the slip rows; None without them
+    slip_scale: float | None   # the slip rows' normalization; None without them
 
 
 class MpcController:
@@ -375,8 +403,7 @@ class MpcController:
         for p in range(1, NILPOTENCY_INDEX):
             np.matmul(n_mat, nw[p - 1], out=nw[p])
         nw = nw[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
-        su = (self._binom_su @ nw[..., :nu].reshape(NILPOTENCY_INDEX, ns * nu)).reshape(
-            n_p, n_c, ns, nu).transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
+        su = _condensed_su(self._binom_su, nw[..., :nu], n_p, n_c)
         base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
 
         # tracking + effort costs as 1/2 z'Hz + f'z; the QP carries no constant
@@ -397,24 +424,27 @@ class MpcController:
             f_vec += fold[:, nz]
         h_mat = 0.5 * (h_mat + h_mat.T)
 
-        # constraints: cumulative inputs, then the slip rows, then outputs,
-        # then the increment box; the copies hold the first and last already
+        # constraints, normalized as the solver reads them: cumulative
+        # inputs, then the slip rows, then outputs, then the increment box;
+        # the copies hold all rows but the slip rows already. Every slip row
+        # holds e_row in its first block, so all share one scale
         a_mat, bounds = self._a_rows.copy(), self._bounds.copy()
         lo, hi = bounds[0], bounds[1]
         np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, :nz])
-        rows, g = nz, None
+        rows, g, scale = nz, None, None
         if self.variant == "full":
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
+            scale = 1.0 / max(1e-10, *map(abs, e_row.tolist()))
             rows += n_c
-            np.multiply(self._cumulative[:, :, None], e_row,
+            np.multiply(self._cumulative[:, :, None], scale * e_row,
                         out=a_mat[nz:rows].reshape(n_c, n_c, nu))
-            lo[nz:rows] = -cfg.slip_band - g
-            hi[nz:rows] = cfg.slip_band - g
-        eta = slice(rows, rows + len(self._eta_rows))
-        su.take(self._eta_rows, axis=0, out=a_mat[eta])
-        np.subtract(self._eta_bounds, base[self._eta_rows], out=bounds[:, eta])
+            lo[nz:rows] = scale * (-cfg.slip_band - g)
+            hi[nz:rows] = scale * (cfg.slip_band - g)
+        eta = bounds[:, rows:-nz]
+        np.subtract(self._eta_bounds, base[self._eta_rows], out=eta)
+        eta *= self._eta_scale
 
-        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf, g)
+        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf, g, scale)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -435,8 +465,8 @@ class MpcController:
             # widen the slip band: only these rows' bounds change
             band *= 2.0
             doublings += 1
-            asm.qp.lower[slip_rows] = -band - asm.slip_offset
-            asm.qp.upper[slip_rows] = band - asm.slip_offset
+            asm.qp.lower[slip_rows] = asm.slip_scale * (-band - asm.slip_offset)
+            asm.qp.upper[slip_rows] = asm.slip_scale * (band - asm.slip_offset)
             sol = self.solver.solve(asm.qp, warm_start=self._warm)
             iterations += sol.iterations
         self._active = sol.active if sol.status == OPTIMAL else None

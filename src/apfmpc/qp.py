@@ -7,16 +7,28 @@ on z too, is a row of A: the one form of OSQP. A small ridge keeps the KKT
 system well posed when H is only semidefinite. Problem sizes here are small
 (tens of variables), so dense linear algebra is used throughout.
 
+The rows arrive normalized: each row of A and its bounds divided by the
+row's largest |entry|, so that the fixed-step splitting converges on badly
+scaled rows. The caller states its rows in that form where it makes them,
+as OSQP scales once at setup and then only the new bounds of an update;
+`normalized` applies the one formula to arbitrary rows. A solve normalizes
+only the cost magnitude. Neither scaling moves the minimizer.
+
 The iteration is the ADMM of OSQP (Stellato et al., 2020) in scaled-dual
 form: with v = y/rho the dual, zc the projected constraint values and
 w = [x, zc - v, 1], the x-update solves K x+ = sigma x + rho A'(zc - v) - f
 with K = P + sigma I + rho A'A, which is the one product x+ = G w with
 G = K^-1 [sigma I | rho A' | -f]. G is built from one explicit inverse per
 rho. Each iteration then projects t = A x + v onto the bounds and keeps
-what the projection cuts off as the new v. Every few iterations the checks
-rebuild y = rho v for the residuals and the infeasibility certificate. When
-rho adapts, v is rescaled by rho_old/rho_new (y does not move) and G is
-rebuilt.
+what the projection cuts off as the new v. Two w buffers alternate: an
+iteration reads one and writes x and zc - v into the other, so x+ = G w is
+one product into place. Every few iterations the checks rebuild y = rho v
+for the primal residual and the infeasibility certificate. The dual
+residual is computed only where it is read: by the stopping test once the
+primal residual passes, by the rho rule, at the last check (a solution
+carries it) and on an infeasible return. When rho adapts, v is rescaled by
+rho_old/rho_new (y does not move) and G is rebuilt. A returned iterate is
+a copy, never a buffer.
 
 The polish is one equality solve: the rows of an active set, each at the
 side of its bound (-1 lower, +1 upper), held as equalities in a slightly
@@ -37,8 +49,9 @@ the side of each row of A.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
-`m.flat[::n + 1] += c`, or `m.ravel()[::n + 1]` on an array made
-C-contiguous here, and reductions call the ufuncs' `reduce`.
+`m.ravel()[::n + 1]` of an array made C-contiguous here, and reductions
+call the ufuncs' `reduce`. A problem checks its shapes when made: H (n, n),
+f (n,), A (m, n) and both bounds (m,).
 """
 
 from __future__ import annotations
@@ -66,14 +79,35 @@ class QpProblem:
     upper: np.ndarray
 
     def __post_init__(self):
-        n = len(self.f_vec)
+        # shapes by attribute reads: H (n, n), f (n,), A (m, n), bounds (m,)
+        shape = self.f_vec.shape
+        n = shape[0] if len(shape) == 1 else -1
         if self.a_mat.size == 0:
-            self.a_mat = self.a_mat.reshape(0, n)
+            self.a_mat = self.a_mat.reshape(0, max(n, 0))
+        m = self.a_mat.shape[0]
+        if (n < 0 or self.h_mat.shape != (n, n) or self.a_mat.shape != (m, n)
+                or self.lower.shape != (m,) or self.upper.shape != (m,)):
+            raise ValueError("need H (n, n), f (n,), A (m, n) and bounds (m,)")
         if np.logical_or.reduce(self.lower > self.upper):
             raise ValueError("constraint bounds must satisfy lower <= upper")
 
     def objective(self, z: np.ndarray) -> float:
         return float(0.5 * z @ self.h_mat @ z + self.f_vec @ z)
+
+
+def row_scales(a_mat: np.ndarray) -> np.ndarray:
+    """1 / the largest |entry| of each row of A, 1e10 for a zero row."""
+    return 1.0 / np.maximum(np.maximum.reduce(np.abs(a_mat), axis=1, initial=0.0), 1e-10)
+
+
+def normalized(problem: QpProblem) -> QpProblem:
+    """The same QP with each constraint row and its bounds divided by the
+    row's largest |entry|, the form `QpSolver.solve` reads, for a caller
+    with arbitrary rows. The minimizer does not move, and a row with one
+    unit entry, such as a simple bound, keeps its bits."""
+    scale = row_scales(problem.a_mat)
+    return QpProblem(problem.h_mat, problem.f_vec, scale[:, None] * problem.a_mat,
+                     scale * problem.lower, scale * problem.upper)
 
 
 @dataclass
@@ -94,26 +128,20 @@ class QpSolver:
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
               active: np.ndarray | None = None) -> QpSolution:
         """Minimize 1/2 z'Hz + f'z subject to lower <= A z <= upper, from
-        `warm_start` (primal, default 0). `active` guesses the side of each
-        row of A at the optimum (-1, +1 or 0, as `QpSolution.active`); a
-        guess that is not a KKT point, or not of that length, changes
+        `warm_start` (primal, default 0). The rows arrive normalized (see
+        `normalized`); they are read as given. `active` guesses the side of
+        each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`);
+        a guess that is not a KKT point, or not of that length, changes
         nothing."""
         n = len(problem.f_vec)
-        # internal scaling: normalize constraint rows and the cost magnitude
-        # so the fixed-step splitting converges on badly scaled problems;
-        # neither rescaling moves the minimizer (a row with one unit entry,
-        # such as a simple bound, keeps the scale 1.0 and its bits)
-        row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
-                                                       initial=0.0), 1e-10)
+        a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
+        m = len(lo)
+        # the cost magnitude is normalized here, which does not move the minimizer
         cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
             np.abs(problem.h_mat.diagonal()), initial=0.0)))
-        p_mat = cost_scale * problem.h_mat
-        p_mat.flat[::n + 1] += _RIDGE  # + _RIDGE I; the same bits where H has no -0.0
+        p_mat = np.multiply(cost_scale, problem.h_mat, order="C")
+        p_mat.ravel()[::n + 1] += _RIDGE  # + _RIDGE I; the same bits where H has no -0.0
         f = cost_scale * problem.f_vec
-        a_mat = row_scale[:, None] * problem.a_mat
-        lo = row_scale * problem.lower
-        hi = row_scale * problem.upper
-        m = len(lo)
 
         if active is not None and np.asarray(active).shape == (m,):
             certified = self._certified(problem, p_mat, f, cost_scale, a_mat,
@@ -122,24 +150,29 @@ class QpSolver:
                 return certified
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
-        # docstring); G is rebuilt only when rho changes
+        # docstring); G is rebuilt only when rho changes. Iteration `it`
+        # reads w from one buffer and writes the next into the other.
         rho = _RHO
         g_mat = self._step_matrix(p_mat, a_mat, f, rho)
-        x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
+        x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float)
         ax = a_mat @ x
         zc = np.minimum(np.maximum(ax, lo), hi)
-        v = np.zeros(m)
         w = np.concatenate([x, zc, [1.0]])
-        mid = w[n:n + m]   # zc - v, rewritten in place
+        buffers = (w, w.copy())
+        xs = tuple(w[:n] for w in buffers)
+        mids = tuple(w[n:n + m] for w in buffers)  # zc - v, rewritten in place
+        v = np.zeros(m)
         t = np.empty(m)
         prev_y = np.zeros(m)
 
         status = MAX_ITERATIONS
         r_prim = r_dual = np.inf
         it = 0
+        last_check = self.max_iterations - _CHECK_EVERY
         for it in range(1, self.max_iterations + 1):
-            x = g_mat @ w
-            w[:n] = x
+            side = it & 1
+            x, mid = xs[side], mids[side]
+            np.dot(g_mat, buffers[side ^ 1], out=x)
             np.dot(a_mat, x, out=ax)
             # project ax + v onto [lo, hi]; what the projection cuts off is
             # the new scaled dual
@@ -152,12 +185,19 @@ class QpSolver:
             if it % _CHECK_EVERY == 0:
                 y = rho * v
                 r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
-                r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
-                if r_prim <= self.tolerance and r_dual <= self.tolerance:
-                    status = OPTIMAL
-                    break
+                # the dual residual only where it is read: by the stopping
+                # test once the primal one passes, by the rho rule, at the
+                # last check (the solution carries it) and on an infeasible return
+                read = r_prim <= self.tolerance or it % 100 == 0 or it > last_check
+                if read:
+                    r_dual = _dual_residual(p_mat, f, a_mat, x, y)
+                    if r_prim <= self.tolerance and r_dual <= self.tolerance:
+                        status = OPTIMAL
+                        break
                 if self._primal_infeasible(a_mat, lo, hi, y - prev_y):
-                    return QpSolution(x, INFEASIBLE, r_prim, r_dual, it, _sides(y))
+                    if not read:
+                        r_dual = _dual_residual(p_mat, f, a_mat, x, y)
+                    return QpSolution(x.copy(), INFEASIBLE, r_prim, r_dual, it, _sides(y))
                 prev_y = y
                 # mild deterministic step-size adaptation; y = rho v stays
                 # put, so v scales by rho_old / rho_new and w follows
@@ -175,13 +215,13 @@ class QpSolver:
                                     lo, hi, sides, it)
         if certified is not None:
             return certified
-        return QpSolution(x, status, r_prim, r_dual, it, sides)
+        return QpSolution(x.copy(), status, r_prim, r_dual, it, sides)
 
     @staticmethod
     def _step_matrix(p_mat, a_mat, f, rho: float) -> np.ndarray:
         """G = K^-1 [sigma I | rho A' | -f] with K = P + sigma I + rho A'A."""
         kkt = p_mat.copy()
-        kkt.flat[::len(f) + 1] += _SIGMA
+        kkt.ravel()[::len(f) + 1] += _SIGMA
         kkt_inv = np.linalg.inv(kkt + rho * a_mat.T @ a_mat)
         return np.concatenate([_SIGMA * kkt_inv, (rho * kkt_inv) @ a_mat.T,
                                -(kkt_inv @ f)[:, None]], axis=1)
@@ -243,6 +283,11 @@ class QpSolver:
         # lam holds the multipliers of the unscaled cost
         r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ (cost_scale * lam))))
         return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)
+
+
+def _dual_residual(p_mat, f, a_mat, x, y) -> float:
+    """Largest entry of the gradient of the Lagrangian, P x + f + A'y."""
+    return float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
 
 
 def _sides(y: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
                         slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
-from apfmpc.qp import INFEASIBLE, QpSolver
+from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, normalized, row_scales
 from conftest import double_back
 
 REF_SPEED = 1.389
@@ -782,6 +782,11 @@ class TestStep:
         ("r_weights", (300.0,) * 5), ("du_max", (0.8,) * 3), ("u_max", (1.0,) * 5),
         ("q_weights", (2.0, 2.0, -6.0, 10.0, 10.0)), ("r_weights", (300.0, 300.0, 400.0, math.nan)),
         ("eta_min", (-math.inf, -math.inf, -math.inf, 1.5, 0.1)),
+        # only the wheel speeds are bounded
+        ("eta_min", (0.0, -math.inf, -math.inf, 0.1, 0.1)),
+        ("eta_max", (math.inf, 5.0, math.inf, 1.4, 1.4)),
+        ("eta_min", (-math.inf, -math.inf, -math.pi, 0.1, 0.1)),
+        ("eta_max", (math.inf, math.inf, math.pi, 1.4, 1.4)),
     ])
     def test_config_rejects(self, field, value):
         with pytest.raises(ValueError):
@@ -822,12 +827,13 @@ class TestFallbacks:
         assert k >= 1
         assert sol.solver_status != INFEASIBLE
         assert len(c.solver.bounds) == k + 1
-        _, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
+        e_row, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
+        scale = 1.0 / np.max(np.abs(e_row))  # the rows arrive normalized
         rows = slice(cfg.n_ctrl * 4, cfg.n_ctrl * 5)
         (lo0, hi0), (lo, hi) = c.solver.bounds[0], c.solver.bounds[-1]
         band = cfg.slip_band * 2 ** k
-        assert np.array_equal(lo[rows], np.full(cfg.n_ctrl, -band - g))
-        assert np.array_equal(hi[rows], np.full(cfg.n_ctrl, band - g))
+        assert np.array_equal(lo[rows], np.full(cfg.n_ctrl, scale * (-band - g)))
+        assert np.array_equal(hi[rows], np.full(cfg.n_ctrl, scale * (band - g)))
         keep = np.ones(len(lo), bool)
         keep[rows] = False
         assert np.array_equal(lo[keep], lo0[keep])
@@ -898,3 +904,95 @@ class TestFallbacks:
         c.step(s, build_reference(STRAIGHT_30, s, 1.4, cfg), [])
         assert c.solver.guesses[0] is None
         assert np.array_equal(c.solver.guesses[1], c.solver.solves[0][1].active)
+
+
+def parent_rows(c, asm, state, u0, band):
+    """The rows and bounds of `assemble` before they were normalized where
+    they are made, with the slip band `band`: cumulative inputs, the slip
+    rows (full variant), the bounded output rows of su, the increment box.
+    The oracle, through `qp.normalized`, for the current ones."""
+    cfg = c.cfg
+    n_c, nz = cfg.n_ctrl, cfg.n_ctrl * 4
+    cumulative = np.tril(np.ones((n_c, n_c)))
+    u_prev = np.tile(u0.as_array(), n_c)
+    rows = [np.kron(cumulative, np.eye(4))]
+    lower = [-np.tile(cfg.u_max, n_c) - u_prev]
+    upper = [np.tile(cfg.u_max, n_c) - u_prev]
+    if c.variant == "full":
+        e_row, g = slip_constraint_rows(state, u0, cfg)
+        rows.append(np.kron(cumulative, e_row[None, :]))
+        lower.append(np.full(n_c, -band - g))
+        upper.append(np.full(n_c, band - g))
+    bounded = [d for d in range(5)
+               if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
+    eta = (np.arange(cfg.n_pred) * 5 + np.array(bounded, dtype=int)[:, None]).ravel()
+    rows.append(asm.su[eta])
+    lower.append(np.array(cfg.eta_min)[eta % 5] - asm.base[eta])
+    upper.append(np.array(cfg.eta_max)[eta % 5] - asm.base[eta])
+    rows.append(np.eye(nz))
+    lower.append(-np.tile(cfg.du_max, n_c))
+    upper.append(np.tile(cfg.du_max, n_c))
+    return normalized(QpProblem(asm.qp.h_mat, asm.qp.f_vec, np.concatenate(rows),
+                                np.concatenate(lower), np.concatenate(upper)))
+
+
+def operating_points(seed, count):
+    """Seeded (state, input) pairs: speeds of both signs, the steering
+    anywhere up to the applied clamp and every fourth pair at ±clamp."""
+    rng = np.random.default_rng(seed)
+    clamp = math.pi / 2 - 1e-6
+    for k in range(count):
+        state = RobotState(*rng.uniform(-1.0, 1.0, 2), rng.uniform(-math.pi, math.pi),
+                           *rng.uniform(-1.5, 1.5, 2))
+        steer = rng.uniform(-clamp, clamp, 2) if k % 4 else rng.choice([-clamp, clamp], 2)
+        yield state, ControlInput(*rng.uniform(-1.0, 1.0, 2), *steer)
+
+
+NORMALIZED_CONFIGS = [MpcConfig(dt=0.05), MpcConfig(), MpcConfig(dt=0.2, n_ctrl=20)]
+CONFIG_IDS = ["dt_0.05", "dt_0.1", "dt_0.2_n_ctrl_eq_n_pred"]
+
+
+class TestNormalizedRows:
+    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS)
+    def test_speed_rows_are_the_configs(self, cfg, geom):
+        # the bounded speed rows of su, at any operating point, are the
+        # configuration's table bit for bit: its scales are theirs, and its
+        # rows of A are theirs normalized
+        c = controller(cfg, geom)
+        eta = slice(5 * cfg.n_ctrl, -4 * cfg.n_ctrl)
+        table = c._a_rows[eta].tobytes()
+        ref = ReferenceHorizon(np.zeros((cfg.n_pred, 5)))
+        for state, u0 in operating_points(5, 300):
+            speed_rows = c.assemble(state, u0, ref, []).su[c._eta_rows]
+            scale = row_scales(speed_rows)
+            assert scale.tobytes() == c._eta_scale.tobytes()
+            assert (scale[:, None] * speed_rows).tobytes() == table
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS)
+    def test_assemble_matches_normalized_parent_rows(self, cfg, geom, variant):
+        c = controller(cfg, geom, variant=variant)
+        for state, u0 in operating_points(6, 100):
+            ref = build_reference(STRAIGHT, state, REF_SPEED, cfg)
+            asm = c.assemble(state, u0, ref, [])
+            want = parent_rows(c, asm, state, u0, cfg.slip_band)
+            for name in ("a_mat", "lower", "upper"):
+                assert getattr(asm.qp, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS)
+    def test_widened_bounds_match_normalized_parent_rows(self, cfg, geom):
+        # both wheels above their bound: every doubling is taken
+        s = RobotState(0, 0, 0, 3.0, 3.0)
+        u0 = ControlInput(0.2, -0.1, 0.3, -0.2)
+        c = controller(cfg, geom, initial_input=u0)
+        c.solver = RecordingSolver()
+        ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
+        assert c.step(s, ref, []).fallback_doublings == cfg.max_band_doublings
+        asm = controller(cfg, geom).assemble(s, u0, ref, [])
+        for k, ((lower, upper), (problem, _)) in enumerate(zip(c.solver.bounds,
+                                                             c.solver.solves)):
+            want = parent_rows(c, asm, s, u0, cfg.slip_band * 2 ** k)
+            assert problem.a_mat.tobytes() == want.a_mat.tobytes()
+            assert lower.tobytes() == want.lower.tobytes()
+            assert upper.tobytes() == want.upper.tobytes()
+        assert len(c.solver.bounds) == cfg.max_band_doublings + 1

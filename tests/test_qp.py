@@ -4,7 +4,7 @@ import pytest
 from apfmpc import qp as qp_module
 from apfmpc.kinematics import ControlInput, RobotState
 from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
-from apfmpc.qp import QpProblem, QpSolver
+from apfmpc.qp import QpProblem, QpSolver, normalized
 
 INF = np.inf
 
@@ -246,6 +246,20 @@ class TestBehaviour:
         ax = float(prob.a_mat[0] @ sol.z)
         assert -1.0 - 1e-3 <= ax <= 1.0 + 1e-3
 
+    def test_badly_scaled_rows_converge_once_normalized(self):
+        # the rows of the test above times 1e-4 and 1e4, through `normalized`:
+        # the same minimizer as the rows stated at unit scale
+        h, f = np.diag([1e5, 1.0]), np.array([-1e5, -2.0])
+        rows, lower, upper = np.array([[0.1, 2.0], [1.0, -1.0]]), [-1.0, -0.5], [1.0, 0.5]
+        unit = with_box(h, f, rows / [[2.0], [1.0]], np.divide(lower, [2.0, 1.0]),
+                        np.divide(upper, [2.0, 1.0]), np.full(2, -INF), np.full(2, INF))
+        factors = np.array([1e-4, 1e4])
+        skewed = with_box(h, f, factors[:, None] * rows, factors * lower, factors * upper,
+                          np.full(2, -INF), np.full(2, INF))
+        sol, want = QpSolver().solve(normalized(skewed)), QpSolver().solve(unit)
+        assert sol.status == want.status == "optimal"
+        assert np.max(np.abs(sol.z - want.z)) < 1e-8
+
     def test_certifiable_polish_is_accepted(self, geom):
         # the iterate after 10 iterations is (4.47, 0), outside its own box,
         # and scores lower than the exact optimum (1, 0); the detected set
@@ -284,11 +298,11 @@ class TestMatchesLoopIteration:
         assert adapted == {"optimal", "infeasible"}
 
     def test_infeasible_certificate(self):
-        # z0 + z1 <= -1 and z0 + z1 >= 1 with a box
-        prob = with_box(np.eye(2), np.array([1.0, -1.0]),
-                        np.array([[1.0, 1.0], [2.0, 2.0]]),
-                        np.array([-INF, 2.0]), np.array([-1.0, INF]),
-                        np.full(2, -5.0), np.full(2, 5.0))
+        # z0 + z1 <= -1 and z0 + z1 >= 1 with a box, the rows normalized
+        prob = normalized(with_box(np.eye(2), np.array([1.0, -1.0]),
+                                   np.array([[1.0, 1.0], [2.0, 2.0]]),
+                                   np.array([-INF, 2.0]), np.array([-1.0, INF]),
+                                   np.full(2, -5.0), np.full(2, 5.0)))
         solver = QpSolver()
         sol = solver.solve(prob)
         z, status, iterations, _ = loop_admm(prob, solver)
@@ -468,3 +482,157 @@ def test_certified_matches_parent_form(geom):
                 assert (got.status, got.iterations) == (want.status, want.iterations)
                 assert np.array_equal(got.active, want.active)
     assert accepted >= 10 and rejected >= 100
+
+
+@pytest.mark.parametrize("shapes", [
+    ((2, 2), (2,), (3, 2), (1,), (3,)),     # bounds of length 1 broadcast over 3 rows
+    ((2, 2), (2,), (3, 2), (3,), (1,)),
+    ((2, 3), (2,), (3, 2), (3,), (3,)),     # H not n x n
+    ((2,), (2,), (3, 2), (3,), (3,)),
+    ((2, 2), (2, 1), (3, 2), (3,), (3,)),   # f not a vector
+    ((2, 2), (2,), (3, 1), (3,), (3,)),     # A not m x n
+    ((2, 2), (2,), (6,), (6,), (6,)),
+    ((2, 2), (2,), (3, 2), (3, 1), (3, 1)),
+], ids=["lower_1", "upper_1", "h_2x3", "h_vector", "f_column", "a_3x1", "a_vector",
+        "bounds_column"])
+def test_problem_rejects_mismatched_shapes(shapes):
+    h, f, a, lower, upper = shapes
+    with pytest.raises(ValueError):
+        QpProblem(np.eye(*h) if len(h) == 2 else np.ones(h), np.zeros(f), np.ones(a),
+                  np.zeros(lower), np.ones(upper))
+
+
+def test_normalized_divides_each_row_by_its_largest_entry():
+    prob = normalized(with_box(np.eye(2), np.zeros(2), np.array([[0.1, -2.0], [0.0, 0.0]]),
+                               np.array([-1.0, -INF]), np.array([4.0, 0.0]),
+                               np.full(2, -3.0), np.full(2, 3.0)))
+    assert prob.a_mat.tolist() == [[0.05, -1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert prob.lower.tolist() == [-0.5, -INF, -3.0, -3.0]
+    assert prob.upper.tolist() == [2.0, 0.0, 3.0, 3.0]
+
+
+def parent_solve(solver, problem, warm_start=None, active=None):
+    """`QpSolver.solve` as it was before the rows arrived normalized: the
+    row scale taken on every solve, one w buffer, the dual residual at every
+    check, the ridge and sigma on `.flat` views. The oracle for the current
+    form, which reads `normalized(problem)`."""
+    n = len(problem.f_vec)
+    row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
+                                                   initial=0.0), 1e-10)
+    cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
+        np.abs(problem.h_mat.diagonal()), initial=0.0)))
+    p_mat = cost_scale * problem.h_mat
+    p_mat.flat[::n + 1] += qp_module._RIDGE
+    f = cost_scale * problem.f_vec
+    a_mat = row_scale[:, None] * problem.a_mat
+    lo = row_scale * problem.lower
+    hi = row_scale * problem.upper
+    m = len(lo)
+
+    def step_matrix(rho):
+        kkt = p_mat.copy()
+        kkt.flat[::n + 1] += qp_module._SIGMA
+        kkt_inv = np.linalg.inv(kkt + rho * a_mat.T @ a_mat)
+        return np.concatenate([qp_module._SIGMA * kkt_inv, (rho * kkt_inv) @ a_mat.T,
+                               -(kkt_inv @ f)[:, None]], axis=1)
+
+    if active is not None and np.asarray(active).shape == (m,):
+        certified = solver._certified(problem, p_mat, f, cost_scale, a_mat,
+                                      lo, hi, np.asarray(active), 0)
+        if certified is not None:
+            return certified
+    rho = qp_module._RHO
+    g_mat = step_matrix(rho)
+    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
+    ax = a_mat @ x
+    zc = np.minimum(np.maximum(ax, lo), hi)
+    v = np.zeros(m)
+    w = np.concatenate([x, zc, [1.0]])
+    mid = w[n:n + m]
+    t = np.empty(m)
+    prev_y = np.zeros(m)
+    status = qp_module.MAX_ITERATIONS
+    r_prim = r_dual = np.inf
+    it = 0
+    for it in range(1, solver.max_iterations + 1):
+        x = g_mat @ w
+        w[:n] = x
+        np.dot(a_mat, x, out=ax)
+        np.add(ax, v, out=t)
+        np.maximum(t, lo, out=zc)
+        np.minimum(zc, hi, out=zc)
+        np.subtract(t, zc, out=v)
+        np.subtract(zc, v, out=mid)
+        if it % qp_module._CHECK_EVERY == 0:
+            y = rho * v
+            r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
+            r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
+            if r_prim <= solver.tolerance and r_dual <= solver.tolerance:
+                status = qp_module.OPTIMAL
+                break
+            if solver._primal_infeasible(a_mat, lo, hi, y - prev_y):
+                return qp_module.QpSolution(x, qp_module.INFEASIBLE, r_prim, r_dual, it,
+                                            qp_module._sides(y))
+            prev_y = y
+            if it % 100 == 0 and r_dual > 0.0 and r_prim > 0.0:
+                ratio = r_prim / r_dual
+                if ratio > 10.0 or ratio < 0.1:
+                    new_rho = min(max(rho * np.sqrt(ratio), 1e-4), 1e4)
+                    v *= rho / new_rho
+                    np.subtract(zc, v, out=mid)
+                    rho = new_rho
+                    g_mat = step_matrix(rho)
+    sides = qp_module._sides(rho * v)
+    certified = solver._certified(problem, p_mat, f, cost_scale, a_mat, lo, hi, sides, it)
+    if certified is not None:
+        return certified
+    return qp_module.QpSolution(x, status, r_prim, r_dual, it, sides)
+
+
+def assert_same_bits(got, want):
+    assert got.z.tobytes() == want.z.tobytes()
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    for name in ("primal_residual", "dual_residual"):
+        assert np.float64(getattr(got, name)).tobytes() == \
+            np.float64(getattr(want, name)).tobytes(), name
+    assert got.active.tobytes() == want.active.tobytes()
+
+
+@pytest.mark.parametrize("max_iterations,statuses", [
+    (4000, {"optimal", "infeasible"}), (10, {"max_iterations"}), (15, {"max_iterations"}),
+    (250, {"optimal", "infeasible", "max_iterations"})])
+def test_solve_matches_parent_form(geom, max_iterations, statuses):
+    # the controller QPs of seeds 1-3 as assembled, and with each row
+    # multiplied by a seeded factor in [1e-3, 1e3]: the current solve of
+    # the normalized rows against the parent's solve of the rows as given,
+    # without a guess and with the detected set as one
+    solver, rng = QpSolver(max_iterations=max_iterations), np.random.default_rng(3)
+    seen = set()
+    for seed in (1, 2, 3):
+        for prob, warm in controller_qps(geom, seed):
+            factors = 10.0 ** rng.uniform(-3.0, 3.0, len(prob.lower))
+            skewed = QpProblem(prob.h_mat, prob.f_vec, factors[:, None] * prob.a_mat,
+                               factors * prob.lower, factors * prob.upper)
+            for raw in (prob, skewed):
+                got = solver.solve(normalized(raw), warm_start=warm)
+                assert_same_bits(got, parent_solve(solver, raw, warm))
+                if got.status != "optimal":  # a loop iterate owns its data
+                    assert got.z.base is None
+                seen.add(got.status)
+                assert_same_bits(solver.solve(normalized(raw), warm_start=warm, active=got.active),
+                                 parent_solve(solver, raw, warm, got.active))
+    assert seen == statuses
+
+
+@pytest.mark.parametrize("max_iterations", [4000, 10, 15, 250])
+def test_infeasible_solve_matches_parent_form(max_iterations):
+    # z0 + z1 <= -1 and 2 z0 + 2 z1 >= 2 with a box
+    raw = with_box(np.eye(2), np.array([1.0, -1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]),
+                   np.array([-INF, 2.0]), np.array([-1.0, INF]),
+                   np.full(2, -5.0), np.full(2, 5.0))
+    solver = QpSolver(max_iterations=max_iterations)
+    got = solver.solve(normalized(raw))
+    assert_same_bits(got, parent_solve(solver, raw))
+    assert (got.status, got.iterations) == ("infeasible", 10)
+    assert np.isfinite(got.dual_residual)
+    assert got.z.base is None
