@@ -85,8 +85,7 @@ def _summary(log, path) -> dict:
     return summary
 
 
-def cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_run(args, scenario) -> int:
     if args.variant:
         scenario = replace(scenario, controller_variant=args.variant)
     out_dir = Path(args.out)
@@ -100,8 +99,7 @@ def cmd_run(args) -> int:
     return EXIT_NUMERICAL if log.outcome == NUMERICAL_FAILURE else EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_compare(args, scenario) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
@@ -120,8 +118,7 @@ def cmd_compare(args) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    load_scenario(args.scenario)
+def cmd_validate(args, scenario) -> int:
     print(f"ok: {args.scenario}")
     return EXIT_OK
 
@@ -156,15 +153,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # only the scenario file is configuration: any error raised by its run is internal
     try:
-        return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: scenario file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover
+        try:
+            scenario = load_scenario(args.scenario)
+        except FileNotFoundError as exc:
+            print(f"error: scenario file not found: {exc.filename}", file=sys.stderr)
+            return EXIT_CONFIG
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        return args.func(args, scenario)
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

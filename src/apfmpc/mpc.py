@@ -43,15 +43,15 @@ controller of an equal configuration: the weight tiles, the effort
 Hessian, the bounds (the applied input's among them), the field parameters
 per kind, the input-tile index, the cumulative-input rows, the output rows
 and their scales, the binomial tables, and per variant the starting A and
-bounds. Only the wheel speeds may be bounded, and their rows of the
-condensed prediction do not depend on the operating point (the speeds
-integrate the accelerations), so the starting A holds them normalized,
-with the cumulative-input rows and the increment box, whose entries 0 and
-1 keep the scale 1.0. Each tick copies A and the bounds and writes its
-slip rows, which share one scale, and its bounds into the copies; the
-output bounds take the stored scales. The condensation writes its
-Nᵖ [B̄ | x̄₀ | d̄] into the slabs of one array.
-`linearization` holds the identity blocks `EYE_*`.
+bounds. Only the wheel speeds may be bounded; they integrate the
+accelerations, so block (i, j ≤ i) of their rows of su is dt (i - j + 1)
+on that wheel's acceleration at every operating point, as the tables
+state it. The starting A holds those rows normalized, with the
+cumulative-input rows and the increment box (entries 0 and 1, scale 1.0).
+Each tick copies A and the bounds and writes its bounds (the outputs' in
+the stored scales) and slip rows into the copies; one `_SlipRows` record
+holds where those rows sit, their one scale and g, and its `write_band`
+writes their bounds at every band. `linearization` holds `EYE_*`.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6
+MAX_BAND_DOUBLINGS = 4  # slip-band widenings on certified infeasibility before the tick holds
 
 # controller variants; "no_customization" freezes the field anchors at the
 # current poses and drops the wheel-speed-difference rows
@@ -94,7 +95,6 @@ class MpcConfig:
     activation_radius: float = 8.0
     obstacle_apf: ApfParams = ApfParams(3.0, 1.8)
     boundary_apf: ApfParams = ApfParams(0.3, 1.1)
-    max_band_doublings: int = 4
 
     def __post_init__(self):
         # the shared tables (see `_config_tables`) are built from these, and
@@ -117,12 +117,10 @@ class MpcConfig:
             raise ValueError("need eta_min <= eta_max")
         if not all(math.isinf(b) for b in (*self.eta_min[:3], *self.eta_max[:3])):
             raise ValueError("only the wheel speeds may have finite output bounds")
-        if self.slip_band <= 0.0:
+        if not self.slip_band > 0.0:
             raise ValueError("slip_band must be positive")
         if not self.activation_radius > 0.0:
             raise ValueError("activation_radius must be positive")
-        if self.max_band_doublings < 0:
-            raise ValueError("max_band_doublings must not be negative")
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     t["_u_applied"] = np.minimum(cfg.u_max, (math.inf, math.inf, steer_max, steer_max))
     # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
     t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
-    # columns (scale_a, exponent_b, min_sq_distance) per field kind: obstacle, boundary
+    # columns (scale_a, exponent_b) per field kind: obstacle, boundary
     t["_apf_params"] = np.array([tuple(cfg.obstacle_apf), tuple(cfg.boundary_apf)]).T.copy()
     t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
     t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
@@ -273,18 +271,16 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     t["_binom_su"] = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
     t["_binom_base"] = np.hstack([binom[1:, :-1], binom[1:, 1:]])
     # output rows of su with a finite bound, one output at a time, and their
-    # bounds. Only the wheel speeds are bounded, and their rows of Nᵖ B̄ are
-    # dt [e, e, 0, 0] at every operating point (the speeds integrate the
-    # accelerations), so their rows of su are the configuration's, made by
-    # the tick's own product; they enter A normalized (see `qp.normalized`),
-    # and each tick's bounds take the same scales
-    bounded = [d for d in range(N_STATE)
-               if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
-    t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array(bounded, dtype=int)[:, None]).ravel()
+    # bounds. Only the wheel speeds (outputs 3, 4) are bounded; they integrate
+    # accelerations 0, 1, so block (i, j ≤ i) of their rows of su is dt (i - j + 1)
+    # on that acceleration at every operating point. They enter A normalized
+    # (see `qp.normalized`), and each tick's bounds take the same scales
+    bounded = np.array([d for d in range(N_STATE)
+                        if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))], int)
+    t["_eta_rows"] = (np.arange(n_p) * N_STATE + bounded[:, None]).ravel()
     t["_eta_bounds"] = np.repeat(np.array([cfg.eta_min, cfg.eta_max])[:, bounded], n_p, axis=1)
-    speed_rows = np.zeros((NILPOTENCY_INDEX, N_STATE, N_INPUT))
-    speed_rows[:2, 3, 0] = speed_rows[:2, 4, 1] = cfg.dt
-    eta_rows = _condensed_su(t["_binom_su"], speed_rows, n_p, n_c).take(t["_eta_rows"], axis=0)
+    eta_rows = (np.where(lag >= 0, cfg.dt * (lag + 1.0), 0.0)[:, None]
+                * (np.arange(N_INPUT) == bounded[:, None, None] - 3)).reshape(-1, nz)
     t["_eta_scale"] = row_scales(eta_rows)
     # every tick's A and (lower, upper) start as copies of these: cumulative
     # inputs, the slip rows (full variant only), the outputs, then the
@@ -305,11 +301,16 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     return per_variant
 
 
-def _condensed_su(binom_su: np.ndarray, nw_b: np.ndarray, n_p: int, n_c: int) -> np.ndarray:
-    """su from the state rows of Nᵖ B̄ (p x 5 x 4): block (i, j) is
-    Σₚ C(i - j, p) Nᵖ B̄, one product with the binomial table."""
-    return (binom_su @ nw_b.reshape(NILPOTENCY_INDEX, N_STATE * N_INPUT)).reshape(
-        n_p, n_c, N_STATE, N_INPUT).transpose(0, 2, 1, 3).reshape(n_p * N_STATE, n_c * N_INPUT)
+class _SlipRows(NamedTuple):
+    """A tick's wheel-speed-difference rows: their slice of A, one scale and g."""
+    rows: slice
+    scale: float
+    g: float
+
+    def write_band(self, lower: np.ndarray, upper: np.ndarray, band: float) -> None:
+        """Bounds of -band <= h <= band, in the rows' scale: s (±band - g)."""
+        for bound, side in ((lower, -band), (upper, band)):
+            bound[self.rows] = self.scale * (side - self.g)
 
 
 @dataclass
@@ -318,8 +319,7 @@ class _Assembled:
     su: np.ndarray        # (n_pred*5) x (n_ctrl*4)
     base: np.ndarray      # predicted outputs at z = 0
     apf: QuadraticApproximation | None  # per-step sums; None without footprints
-    slip_offset: float | None  # g of the slip rows; None without them
-    slip_scale: float | None   # the slip rows' normalization; None without them
+    slip: _SlipRows | None  # None for a variant without slip rows
 
 
 class MpcController:
@@ -403,7 +403,8 @@ class MpcController:
         for p in range(1, NILPOTENCY_INDEX):
             np.matmul(n_mat, nw[p - 1], out=nw[p])
         nw = nw[:, :ns]  # p x ns x [B̄ | x̄₀ | d̄]
-        su = _condensed_su(self._binom_su, nw[..., :nu], n_p, n_c)
+        su = (self._binom_su @ nw[..., :nu].reshape(NILPOTENCY_INDEX, ns * nu)).reshape(
+            n_p, n_c, ns, nu).transpose(0, 2, 1, 3).reshape(n_p * ns, nz)
         base = (self._binom_base @ nw[..., nu:].transpose(2, 0, 1).reshape(-1, ns)).ravel()
 
         # tracking + effort costs as 1/2 z'Hz + f'z; the QP carries no constant
@@ -429,22 +430,20 @@ class MpcController:
         # the copies hold all rows but the slip rows already. Every slip row
         # holds e_row in its first block, so all share one scale
         a_mat, bounds = self._a_rows.copy(), self._bounds.copy()
-        lo, hi = bounds[0], bounds[1]
+        lo, hi = bounds[0], bounds[1]  # views: indexing, not the slower unpacking
         np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, :nz])
-        rows, g, scale = nz, None, None
+        slip = None
         if self.variant == "full":
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            scale = 1.0 / max(1e-10, *map(abs, e_row.tolist()))
-            rows += n_c
-            np.multiply(self._cumulative[:, :, None], scale * e_row,
-                        out=a_mat[nz:rows].reshape(n_c, n_c, nu))
-            lo[nz:rows] = scale * (-cfg.slip_band - g)
-            hi[nz:rows] = scale * (cfg.slip_band - g)
-        eta = bounds[:, rows:-nz]
+            slip = _SlipRows(slice(nz, nz + n_c), 1.0 / max(1e-10, *map(abs, e_row.tolist())), g)
+            np.multiply(self._cumulative[:, :, None], slip.scale * e_row,
+                        out=a_mat[slip.rows].reshape(n_c, n_c, nu))
+            slip.write_band(lo, hi, cfg.slip_band)
+        eta = bounds[:, -nz - len(self._eta_rows):-nz]
         np.subtract(self._eta_bounds, base[self._eta_rows], out=eta)
         eta *= self._eta_scale
 
-        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf, g, scale)
+        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf, slip)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -457,16 +456,12 @@ class MpcController:
         # the last tick's set at once when it is still optimal
         sol = self.solver.solve(asm.qp, warm_start=self._warm, active=self._active)
         iterations = sol.iterations
-        band = cfg.slip_band
-        doublings = 0
-        slip_rows = slice(cfg.n_ctrl * nu, cfg.n_ctrl * (nu + 1))
-        while (sol.status == INFEASIBLE and asm.slip_offset is not None
-               and doublings < cfg.max_band_doublings):
+        band, doublings = cfg.slip_band, 0
+        while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
             # widen the slip band: only these rows' bounds change
             band *= 2.0
             doublings += 1
-            asm.qp.lower[slip_rows] = asm.slip_scale * (-band - asm.slip_offset)
-            asm.qp.upper[slip_rows] = asm.slip_scale * (band - asm.slip_offset)
+            asm.slip.write_band(asm.qp.lower, asm.qp.upper, band)
             sol = self.solver.solve(asm.qp, warm_start=self._warm)
             iterations += sol.iterations
         self._active = sol.active if sol.status == OPTIMAL else None

@@ -15,7 +15,7 @@ with the robot and the obstacle's stays. One call expands one point or a
 stack; terms sharing an anchor add up. The parameters are one `ApfParams`
 for every point, or per point: a stack whose footprints differ in kind
 (obstacle, wall) expands in one call, each point with its own
-(scale_a, exponent_b, min_sq_distance).
+(scale_a, exponent_b). Every kind clamps d² at `MIN_SQ_DISTANCE`.
 """
 
 from __future__ import annotations
@@ -24,20 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_SQ_DISTANCE = 1e-4  # d² is clamped here: the field stays finite at contact
+
 
 @dataclass(frozen=True)
 class ApfParams:
     scale_a: float
     exponent_b: float
-    min_sq_distance: float = 1e-4
 
     def __post_init__(self):
-        if self.scale_a <= 0.0 or self.exponent_b <= 0.0 or self.min_sq_distance <= 0.0:
+        if self.scale_a <= 0.0 or self.exponent_b <= 0.0:
             raise ValueError("potential field parameters must be positive")
 
     def __iter__(self):
-        """(scale_a, exponent_b, min_sq_distance), as one row of a per-point table."""
-        return iter((self.scale_a, self.exponent_b, self.min_sq_distance))
+        """(scale_a, exponent_b), as one row of a per-point table."""
+        return iter((self.scale_a, self.exponent_b))
 
 
 @dataclass(frozen=True)
@@ -60,21 +61,21 @@ def quadratic_approx(robot_pos, gap, params) -> QuadraticApproximation:
     """Second-order expansion of the field in the robot position.
 
     Takes one point (pairs of floats) or stacks of K points ((K, 2) each).
-    params is one `ApfParams` for every point, or the three (K,) arrays
-    scale_a, exponent_b and min_sq_distance, one entry per point. Both give
+    params is one `ApfParams` for every point, or the two (K,) arrays
+    scale_a and exponent_b, one entry per point. Both give
     the same bits, except at b = 0.5 or 2: numpy raises an array to such a
     float power by sqrt or square, not pow. gap runs from the robot's closest
     point to the obstacle's, as `geometry.closest_pair` returns it, at the
     robot position robot_pos, the expansion's anchor; the Hessian is the
-    rank-one c·(2b+1) r rᵀ above. Inside the clamp region the expansion is
-    flat (constant value, zero gradient and Hessian).
+    rank-one c·(2b+1) r rᵀ above. The expansion is flat (constant value,
+    zero gradient and Hessian) where d² <= `MIN_SQ_DISTANCE`.
     """
-    a, b, min_sq = params
+    a, b = params
     rel = np.asarray(gap, dtype=float)
     dx, dy = rel[..., 0], rel[..., 1]
     # np.maximum keeps one point on numpy scalars, whose ** is the C pow
-    d_sq = np.maximum(dx * dx + dy * dy, min_sq)
-    clamped = d_sq <= min_sq
+    d_sq = np.maximum(dx * dx + dy * dy, MIN_SQ_DISTANCE)
+    clamped = d_sq <= MIN_SQ_DISTANCE
     value = a / d_sq ** b
     common = 2.0 * a * b * d_sq ** (-b - 1.0)
     gradient = common[..., None] * rel

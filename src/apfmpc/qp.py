@@ -30,22 +30,23 @@ carries it) and on an infeasible return. When rho adapts, v is rescaled by
 rho_old/rho_new (y does not move) and G is rebuilt. A returned iterate is
 a copy, never a buffer.
 
-The polish is one equality solve: the rows of an active set, each at the
-side of its bound (-1 lower, +1 upper), held as equalities in a slightly
-regularized KKT system. One rule accepts its point: every scaled row within
-`tolerance` of its bounds, and every multiplier of the side's sign (upper
->= 0, lower <= 0). The violation is one maximum, of max(lo - Ax, Ax - hi)
-over the rows and 0; as lower <= upper is validated, at most one of a
-row's two gaps is positive, so it equals the sum of the clamped gaps. Only
-held rows have a multiplier to check; the others' are 0. Such a point is a
-KKT point, hence the minimizer of the convex QP, and is returned as
-OPTIMAL with its own residuals. A caller may guess the set, such as that of
-the previous solve in a sequence of similar problems (the online active set
-idea of Ferreau, Bock and Diehl, 2008); an accepted guess returns with 0
-iterations. Otherwise the ADMM runs exactly as without a guess and the set
-read from its final duals is tried, also when the iteration ran out. If it
-fails, the ADMM iterate is returned with its status. Every solution carries
-the side of each row of A.
+The polish, `_certified`, is one equality solve: the problem's own rows of
+an active set, each at the side of its bound (-1 lower, +1 upper), held as
+equalities in a slightly regularized KKT system, its dual residual the
+ADMM checks' `_dual_residual`. One rule accepts its point: every scaled
+row within `tolerance` of its bounds, and every multiplier of the side's
+sign (upper >= 0, lower <= 0). The violation is one maximum, of
+max(lo - Ax, Ax - hi) over the rows and 0; as lower <= upper is validated,
+at most one of a row's two gaps is positive, so it equals the sum of the
+clamped gaps. Only held rows have a multiplier to check; the others' are
+0. Such a point is a KKT point, hence the minimizer of the convex QP, and
+is returned as OPTIMAL with its own residuals. A caller may guess the
+set, such as that of the previous solve in a sequence of similar problems
+(the online active set idea of Ferreau, Bock and Diehl, 2008); an
+accepted guess returns with 0 iterations. Otherwise the ADMM runs exactly
+as without a guess and the set read from its final duals is tried, also
+when the iteration ran out. If it fails, the ADMM iterate is returned
+with its status. Every solution carries the side of each row of A.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
@@ -144,8 +145,7 @@ class QpSolver:
         f = cost_scale * problem.f_vec
 
         if active is not None and np.asarray(active).shape == (m,):
-            certified = self._certified(problem, p_mat, f, cost_scale, a_mat,
-                                        lo, hi, np.asarray(active), 0)
+            certified = self._certified(problem, p_mat, f, cost_scale, np.asarray(active), 0)
             if certified is not None:
                 return certified
 
@@ -211,8 +211,7 @@ class QpSolver:
                         g_mat = self._step_matrix(p_mat, a_mat, f, rho)
 
         sides = _sides(rho * v)
-        certified = self._certified(problem, p_mat, f, cost_scale, a_mat,
-                                    lo, hi, sides, it)
+        certified = self._certified(problem, p_mat, f, cost_scale, sides, it)
         if certified is not None:
             return certified
         return QpSolution(x.copy(), status, r_prim, r_dual, it, sides)
@@ -242,15 +241,17 @@ class QpSolver:
                         + np.add.reduce(lo[neg < 0] * neg[neg < 0]))
         return support < -1e-8
 
-    def _certified(self, problem, p_mat, f, cost_scale, a_mat, lo, hi,
-                   active, iterations: int) -> QpSolution | None:
-        """Hold each row with a nonzero side of `active` at that side's
-        bound and solve the regularized KKT system of the unscaled cost.
-        Its point is returned as OPTIMAL when it is a KKT point of the QP:
+    def _certified(self, problem, p_mat, f, cost_scale, active,
+                   iterations: int) -> QpSolution | None:
+        """Hold each row of `problem` with a nonzero side of `active` at that
+        side's bound and solve the regularized KKT system of the unscaled
+        cost (p_mat and f, scaled, give the dual residual). Its point is
+        returned as OPTIMAL when it is a KKT point of the QP:
         every scaled row within `tolerance` of its bounds and every held
         row's multiplier of its side's sign (upper >= 0, lower <= 0). None
         otherwise, also when a held bound is infinite or the system is
         singular."""
+        a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
         rows = active.nonzero()[0]
         n, k = len(f), len(rows)
         sides = active[rows]
@@ -281,7 +282,7 @@ class QpSolver:
         lam = np.zeros(len(lo))
         lam[rows] = sol[n:]
         # lam holds the multipliers of the unscaled cost
-        r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ (cost_scale * lam))))
+        r_dual = _dual_residual(p_mat, f, a_mat, x, cost_scale * lam)
         return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)
 
 

@@ -91,6 +91,9 @@ class Scenario:
         if self.controller_variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {self.controller_variant!r}")
 
+    def __eq__(self, other):  # as a file states it, the path by its numbers
+        return isinstance(other, Scenario) and scenario_to_dict(self) == scenario_to_dict(other)
+
 
 @dataclass(frozen=True)
 class TickRecord:

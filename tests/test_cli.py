@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import yaml
 
-from apfmpc.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+import apfmpc.cli
+from apfmpc.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState
 from apfmpc.simulator import Scenario, packaged_scenario_path, save_scenario
@@ -219,6 +220,18 @@ class TestExitCodes:
 
     def test_help_is_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_error_during_run_is_internal(self, tmp_path, monkeypatch, capsys, command, error):
+        # the file loaded; an error raised by the run is not a bad scenario file
+        def failing_run(scenario):
+            raise error("raised inside the run")
+
+        monkeypatch.setattr(apfmpc.cli, "run", failing_run)
+        path = packaged_scenario_path("straight_corridor")
+        assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error:")
 
     @pytest.mark.parametrize("obstacles", [[], [
         {"center": [8.0, 1.5], "heading": 0.0, "half_length": 0.5, "half_width": 0.4}]],

@@ -6,7 +6,7 @@ import pytest
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
 from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
-from apfmpc.mpc import (VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
+from apfmpc.mpc import (MAX_BAND_DOUBLINGS, VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
                         build_reference, path_table, project_onto_path,
                         slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
@@ -776,7 +776,7 @@ class TestStep:
     @pytest.mark.parametrize("field,value", [
         ("dt", -0.1), ("dt", 0.0), ("dt", math.nan),
         ("activation_radius", -1.0), ("activation_radius", 0.0),
-        ("max_band_doublings", -1),
+        ("slip_band", math.nan),
         ("du_max", (0, 0, 0, 0)), ("du_max", (0.8, 0.8, -0.1, 0.2)),
         ("q_weights", (1, 2)), ("eta_min", (0.0,) * 4), ("eta_max", (1.4,) * 6),
         ("r_weights", (300.0,) * 5), ("du_max", (0.8,) * 3), ("u_max", (1.0,) * 5),
@@ -855,7 +855,7 @@ class TestFallbacks:
         c.solver = RecordingSolver()
         sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
         assert sol.solver_status == INFEASIBLE
-        assert sol.fallback_doublings == cfg.max_band_doublings == 4
+        assert sol.fallback_doublings == MAX_BAND_DOUBLINGS == 4
         assert len(c.solver.bounds) == 5
         assert np.all(sol.delta_sequence == 0.0)
 
@@ -987,7 +987,7 @@ class TestNormalizedRows:
         c = controller(cfg, geom, initial_input=u0)
         c.solver = RecordingSolver()
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
-        assert c.step(s, ref, []).fallback_doublings == cfg.max_band_doublings
+        assert c.step(s, ref, []).fallback_doublings == MAX_BAND_DOUBLINGS
         asm = controller(cfg, geom).assemble(s, u0, ref, [])
         for k, ((lower, upper), (problem, _)) in enumerate(zip(c.solver.bounds,
                                                              c.solver.solves)):
@@ -995,4 +995,4 @@ class TestNormalizedRows:
             assert problem.a_mat.tobytes() == want.a_mat.tobytes()
             assert lower.tobytes() == want.lower.tobytes()
             assert upper.tobytes() == want.upper.tobytes()
-        assert len(c.solver.bounds) == cfg.max_band_doublings + 1
+        assert len(c.solver.bounds) == MAX_BAND_DOUBLINGS + 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.potential_field import ApfParams, quadratic_approx
+from apfmpc.potential_field import MIN_SQ_DISTANCE, ApfParams, quadratic_approx
 
 OBS = ApfParams(scale_a=3.0, exponent_b=1.8)
 BND = ApfParams(scale_a=0.3, exponent_b=1.1)
@@ -121,7 +121,7 @@ def gap(robot_pos, offset, obstacle_point):
 def raw_value(robot_pos, offset, obstacle_point, params):
     dx = obstacle_point[0] - (robot_pos[0] + offset[0])
     dy = obstacle_point[1] - (robot_pos[1] + offset[1])
-    d_sq = max(dx * dx + dy * dy, params.min_sq_distance)
+    d_sq = max(dx * dx + dy * dy, MIN_SQ_DISTANCE)
     return params.scale_a / d_sq ** params.exponent_b
 
 
@@ -176,7 +176,7 @@ class TestQuadraticApprox:
             r = np.subtract(obst, pos)
             d_sq = float(r @ r)
             expected = np.zeros((2, 2))
-            if d_sq > OBS.min_sq_distance:
+            if d_sq > MIN_SQ_DISTANCE:
                 raw = 2.0 * a * b * d_sq ** (-b - 2.0) * (
                     2.0 * (b + 1.0) * np.outer(r, r) - d_sq * np.eye(2))
                 expected = psd_project(raw)

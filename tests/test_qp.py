@@ -57,16 +57,14 @@ def random_box_qp(rng, n=10):
 def loop_admm(problem, solver, warm_start=None):
     """Reference oracle: the textbook unscaled-dual ADMM iteration, one
     K^-1 product, one clip and one dual step per iteration, with the
-    solver's own scaling, checks, rho rule and certified polish. Returns
-    (z, status, iterations, rho_updates)."""
+    solver's cost scaling, checks, rho rule and certified polish. The rows
+    arrive normalized and are read as given, as the solver reads them.
+    Returns (z, status, iterations, rho_updates)."""
     n = len(problem.f_vec)
-    row_scale = 1.0 / np.maximum(np.max(np.abs(problem.a_mat), axis=1, initial=0.0), 1e-10)
     cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)), initial=0.0)))
     p_mat = cost_scale * problem.h_mat + qp_module._RIDGE * np.eye(n)
     f = cost_scale * problem.f_vec
-    a_full = row_scale[:, None] * problem.a_mat
-    lo = row_scale * problem.lower
-    hi = row_scale * problem.upper
+    a_full, lo, hi = problem.a_mat, problem.lower, problem.upper
     sigma = qp_module._SIGMA
 
     def kkt_inverse(rho):
@@ -99,8 +97,7 @@ def loop_admm(problem, solver, warm_start=None):
                     rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                     kkt_inv = kkt_inverse(rho)
                     rho_updates += 1
-    polished = solver._certified(problem, p_mat, f, cost_scale, a_full, lo, hi,
-                                 qp_module._sides(y), it)
+    polished = solver._certified(problem, p_mat, f, cost_scale, qp_module._sides(y), it)
     if polished is not None:
         return polished.z, polished.status, it, rho_updates
     return x, status, it, rho_updates
@@ -437,16 +434,14 @@ def parent_certified(solver, problem, p_mat, f, cost_scale, a_mat, lo, hi, activ
 
 
 def scaled(problem):
-    """The solver's scaled operands, as `QpSolver.solve` forms them."""
+    """The solver's scaled cost, as `QpSolver.solve` forms it; the rows
+    arrive normalized and are read as given."""
     n = len(problem.f_vec)
-    row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
-                                                   initial=0.0), 1e-10)
     cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
         np.abs(problem.h_mat.diagonal()), initial=0.0)))
     p_mat = cost_scale * problem.h_mat
     p_mat.flat[::n + 1] += qp_module._RIDGE
-    return (p_mat, cost_scale * problem.f_vec, cost_scale, row_scale[:, None] * problem.a_mat,
-            row_scale * problem.lower, row_scale * problem.upper)
+    return p_mat, cost_scale * problem.f_vec, cost_scale
 
 
 def test_certified_matches_parent_form(geom):
@@ -457,7 +452,7 @@ def test_certified_matches_parent_form(geom):
     accepted = rejected = 0
     for seed in (1, 2, 3):
         for prob, warm in controller_qps(geom, seed):
-            p_mat, f, cost_scale, a_mat, lo, hi = scaled(prob)
+            p_mat, f, cost_scale = scaled(prob)
             active = solver.solve(prob, warm_start=warm).active
             flipped, added = active.copy(), active.copy()
             if active.any():
@@ -468,8 +463,9 @@ def test_certified_matches_parent_form(geom):
             guesses += [rng.integers(-1, 2, len(active)) * (rng.random(len(active)) < 0.1)
                         for _ in range(3)]
             for guess in guesses:
-                args = (prob, p_mat, f, cost_scale, a_mat, lo, hi, guess, 5)
-                got, want = solver._certified(*args), parent_certified(solver, *args)
+                got = solver._certified(prob, p_mat, f, cost_scale, guess, 5)
+                want = parent_certified(solver, prob, p_mat, f, cost_scale, prob.a_mat,
+                                        prob.lower, prob.upper, guess, 5)
                 assert (got is None) == (want is None)
                 if want is None:
                     rejected += 1
@@ -536,9 +532,9 @@ def parent_solve(solver, problem, warm_start=None, active=None):
         return np.concatenate([qp_module._SIGMA * kkt_inv, (rho * kkt_inv) @ a_mat.T,
                                -(kkt_inv @ f)[:, None]], axis=1)
 
+    held = QpProblem(problem.h_mat, problem.f_vec, a_mat, lo, hi)  # the rows it holds
     if active is not None and np.asarray(active).shape == (m,):
-        certified = solver._certified(problem, p_mat, f, cost_scale, a_mat,
-                                      lo, hi, np.asarray(active), 0)
+        certified = solver._certified(held, p_mat, f, cost_scale, np.asarray(active), 0)
         if certified is not None:
             return certified
     rho = qp_module._RHO
@@ -583,7 +579,7 @@ def parent_solve(solver, problem, warm_start=None, active=None):
                     rho = new_rho
                     g_mat = step_matrix(rho)
     sides = qp_module._sides(rho * v)
-    certified = solver._certified(problem, p_mat, f, cost_scale, a_mat, lo, hi, sides, it)
+    certified = solver._certified(held, p_mat, f, cost_scale, sides, it)
     if certified is not None:
         return certified
     return qp_module.QpSolution(x, status, r_prim, r_dual, it, sides)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,15 +209,30 @@ class TestScenarioIO:
         scn = tiny_scenario(obstacles=[obs])
         path = tmp_path / "scn.yaml"
         save_scenario(scn, path)
-        back = load_scenario(path)
-        assert back.name == scn.name
-        assert np.array_equal(back.path, scn.path)
-        assert back.ref_speed == scn.ref_speed
-        assert back.duration == scn.duration
-        assert back.initial_state == scn.initial_state
-        assert back.corridor == scn.corridor
-        assert back.obstacles == scn.obstacles
-        assert back.controller_variant == scn.controller_variant
+        assert load_scenario(path) == scn
+
+    def test_equal_by_value(self, monkeypatch, tmp_path):
+        # the path compares by its numbers; it stays read-only, and the
+        # path table is not compared
+        packaged = packaged_scenario_path("straight_corridor")
+        scn = load_scenario(packaged)
+        assert scn == load_scenario(packaged)
+        assert not scn.path.flags.writeable
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+        jittered = WORKLOADS["corridor_apf"](1)[0].scenario
+        save_scenario(jittered, tmp_path / "jittered.yaml")
+        assert load_scenario(tmp_path / "jittered.yaml") == jittered
+
+    def test_unequal_values(self):
+        scn = tiny_scenario()
+        moved = scn.path.copy()
+        moved[-1, 1] += 1e-9
+        longer = np.vstack([scn.path, [[30.0, 0.0]]])
+        for other in (replace(scn, path=moved), replace(scn, path=longer),
+                      replace(scn, ref_speed=1.1), replace(scn, name="other")):
+            assert scn != other
+        assert scn != "tiny" and scn != None  # noqa: E711
 
     def test_dict_round_trip(self):
         scn = tiny_scenario()
