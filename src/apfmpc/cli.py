@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,7 +166,8 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         return args.func(args, scenario)
     except Exception as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -30,28 +30,24 @@ priced at the applied solution, tracking + input-increment effort + field,
 and on a held tick that solution is z = 0. On certified infeasibility only
 the bounds of the wheel-speed-difference rows widen (the band doubles, in
 the rows' scale) before solving again; a variant without those rows
-reports infeasible at once. The first attempt of a tick passes the active
-set of the last optimal tick's QP; the solver returns that set's equality
-solve, without iterating, when it is still optimal. A tick's iteration
-count sums all its attempts. A non-finite solution raises
-FloatingPointError before it reaches the inputs.
+reports infeasible at once. A tick's iteration count sums all its
+attempts. A non-finite solution raises FloatingPointError before it
+reaches the inputs.
+
+What one tick hands the next is one `_Carry` record: the applied input,
+the applied increments shifted one control step (the warm start), and the
+QP's active set if it was optimal, whose solve the solver returns without
+iterating while it stays optimal. `step` reads the record at its start and
+replaces it once, after its last raise, so a raising step leaves it
+unchanged; `_shift` alone writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
-Python-level wrappers. What depends on the configuration alone is built
-once per `MpcConfig` by `_config_tables` and shared, read-only, by every
-controller of an equal configuration: the weight tiles, the effort
-Hessian, the bounds (the applied input's among them), the field parameters
-per kind, the input-tile index, the cumulative-input rows, the output rows
-and their scales, the binomial tables, and per variant the starting A and
-bounds. Only the wheel speeds may be bounded; they integrate the
-accelerations, so block (i, j ≤ i) of their rows of su is dt (i - j + 1)
-on that wheel's acceleration at every operating point, as the tables
-state it. The starting A holds those rows normalized, with the
-cumulative-input rows and the increment box (entries 0 and 1, scale 1.0).
-Each tick copies A and the bounds and writes its bounds (the outputs' in
-the stored scales) and slip rows into the copies; one `_SlipRows` record
-holds where those rows sit, their one scale and g, and its `write_band`
-writes their bounds at every band. `linearization` holds `EYE_*`.
+Python-level wrappers. What depends on the configuration alone, each
+variant's starting A and bounds among it, is built once per `MpcConfig`
+by `_config_tables` and shared, read-only, by every controller of an
+equal configuration. Each tick copies A and the bounds and writes its own
+bounds and slip rows (`_SlipRows`) into the copies. `linearization` holds
+`EYE_*`.
 """
 
 from __future__ import annotations
@@ -313,6 +309,22 @@ class _SlipRows(NamedTuple):
             bound[self.rows] = self.scale * (side - self.g)
 
 
+class _Carry(NamedTuple):
+    """What one tick hands the next; `_shift` builds it from the tick's solution."""
+    input: ControlInput         # the applied input
+    warm: np.ndarray            # the applied increments shifted one control step
+    active: np.ndarray | None   # the QP's active set; None unless it was optimal
+
+
+def _shift(solution: MpcSolution, active: np.ndarray) -> _Carry:
+    """The real-time iteration's shift: the next tick starts from the
+    applied input and increments, moved one control step with zeros
+    appended, and tries the QP's active set only if it was optimal."""
+    return _Carry(solution.applied_input,
+                  np.concatenate([solution.delta_sequence[1:].ravel(), np.zeros(N_INPUT)]),
+                  active if solution.solver_status == OPTIMAL else None)
+
+
 @dataclass
 class _Assembled:
     qp: QpProblem
@@ -323,32 +335,29 @@ class _Assembled:
 
 
 class MpcController:
-    """Owns the warm-start state; one instance per control loop."""
+    """Owns the state one tick hands the next; one instance per control loop."""
 
     def __init__(self, cfg: MpcConfig, geom: RobotGeometry,
                  initial_input: ControlInput | None = None,
                  variant: str = "full"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {variant!r}")
-        self.cfg = cfg
-        self.geom = geom
-        self.variant = variant
-        self.prev_input = initial_input or ControlInput(0.0, 0.0, 0.0, 0.0)
+        self.cfg, self.geom, self.variant = cfg, geom, variant
         self.solver = QpSolver()
         vars(self).update(_config_tables(cfg)[variant])  # shared, read-only
-        self._warm = np.zeros(cfg.n_ctrl * N_INPUT)
-        self._active = None  # active set of the last optimal tick's QP
+        self._carry = _Carry(initial_input or ControlInput(0.0, 0.0, 0.0, 0.0),
+                             np.zeros(cfg.n_ctrl * N_INPUT), None)
 
     # -- assembly -----------------------------------------------------------
 
-    def _apf_quadratic(self, state: RobotState, prev_input: ControlInput,
+    def _apf_quadratic(self, state: RobotState, carry: _Carry,
                        obstacles: list[Obstacle]) -> QuadraticApproximation:
         """Active APF expansions summed per step, anchored at the robot's rows:
-        the rollout with prev_input held or, frozen, the current state."""
+        the rollout with the carried input held or, frozen, the current state."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
         frozen = self.variant == "no_customization"
         robot = (state.as_array()[None, :3] if frozen else
-                 predict_robot(state, prev_input, self.geom, n_p, cfg.dt))
+                 predict_robot(state, carry.input, self.geom, n_p, cfg.dt))
         robot_rects = [OrientedRectangle(p, hl, hw) for p in map(Pose2D, *robot.T.tolist())]
         anchor = robot[:, :2]
         # frozen, robot and footprints hold still: each footprint's one pair
@@ -378,11 +387,10 @@ class MpcController:
             np.add.at(hess, step, quad.hessian_psd)
         return QuadraticApproximation(const, grad, hess, anchor)
 
-    def assemble(self, state: RobotState, prev_input: ControlInput,
+    def assemble(self, state: RobotState, carry: _Carry,
                  ref: ReferenceHorizon, obstacles: list[Obstacle]) -> _Assembled:
-        cfg = self.cfg
-        n_p, n_c, nu, ns = cfg.n_pred, cfg.n_ctrl, N_INPUT, N_STATE
-        nz = n_c * nu
+        cfg, prev_input = self.cfg, carry.input
+        n_p, n_c, nu, ns, nz = cfg.n_pred, cfg.n_ctrl, N_INPUT, N_STATE, cfg.n_ctrl * N_INPUT
 
         aug = augment(linearize(state, prev_input, self.geom, cfg.dt))
 
@@ -415,7 +423,7 @@ class MpcController:
         # rows of su and e = base - anchor, one product S'[H S | H e + g]
         apf = None
         if obstacles:
-            apf = self._apf_quadratic(state, prev_input, obstacles)
+            apf = self._apf_quadratic(state, carry, obstacles)
             xy = su.reshape(n_p, ns, nz)[:, :2]
             rhs = apf.hessian_psd @ np.concatenate(
                 [xy, (base.reshape(n_p, ns)[:, :2] - apf.anchor)[..., None]], axis=2)
@@ -449,34 +457,29 @@ class MpcController:
 
     def step(self, state: RobotState, ref: ReferenceHorizon,
              obstacles: list[Obstacle]) -> MpcSolution:
-        cfg = self.cfg
-        nu = N_INPUT
-        asm = self.assemble(state, self.prev_input, ref, obstacles)
+        cfg, carry = self.cfg, self._carry
+        asm = self.assemble(state, carry, ref, obstacles)
         # successive QPs mostly share their active set: the solver returns
         # the last tick's set at once when it is still optimal
-        sol = self.solver.solve(asm.qp, warm_start=self._warm, active=self._active)
-        iterations = sol.iterations
-        band, doublings = cfg.slip_band, 0
+        sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=carry.active)
+        iterations, band, doublings = sol.iterations, cfg.slip_band, 0
         while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
             # widen the slip band: only these rows' bounds change
-            band *= 2.0
-            doublings += 1
+            band, doublings = 2.0 * band, doublings + 1
             asm.slip.write_band(asm.qp.lower, asm.qp.upper, band)
-            sol = self.solver.solve(asm.qp, warm_start=self._warm)
+            sol = self.solver.solve(asm.qp, warm_start=carry.warm)
             iterations += sol.iterations
-        self._active = sol.active if sol.status == OPTIMAL else None
 
         z = sol.z
         # an infeasible QP, or an unconverged iterate that may violate
         # constraints badly, holds the inputs
-        if sol.status == INFEASIBLE or (
-                sol.status == MAX_ITERATIONS
-                and sol.primal_residual > 10.0 * self.solver.tolerance):
+        if sol.status == INFEASIBLE or (sol.status == MAX_ITERATIONS and
+                                        sol.primal_residual > 10.0 * self.solver.tolerance):
             z = np.zeros(z.shape)
         if not np.logical_and.reduce(np.isfinite(z)):  # the plant never sees it; the run ends
             raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
-        delta_seq = z.reshape(cfg.n_ctrl, nu)
-        u_next = self.prev_input.as_array() + delta_seq[0]
+        delta_seq = z.reshape(cfg.n_ctrl, N_INPUT)
+        u_next = carry.input.as_array() + delta_seq[0]
         u_next = np.minimum(np.maximum(u_next, -self._u_applied), self._u_applied)
         applied = ControlInput(*u_next.tolist())
 
@@ -486,10 +489,7 @@ class MpcController:
         tracking = float(err @ (self._q_diag * err))
         effort = float(z @ (self._r_diag * z))
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
-
-        # shift warm start one control step
-        self._warm = np.concatenate([z[nu:], np.zeros(nu)])
-        self.prev_input = applied
-        return MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
-                           sol.status, apf_cost, tracking, effort,
-                           iterations, doublings)
+        solution = MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
+                               sol.status, apf_cost, tracking, effort, iterations, doublings)
+        self._carry = _shift(solution, sol.active)  # the tick's one write of its state
+        return solution

@@ -51,7 +51,7 @@ def tick_count(duration: float, dt: float) -> int:
     return int(round(duration / dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the __eq__ below; eq=True would add a field hash
 class Scenario:
     name: str
     corridor: list[OrientedRectangle]
@@ -93,6 +93,8 @@ class Scenario:
 
     def __eq__(self, other):  # as a file states it, the path by its numbers
         return isinstance(other, Scenario) and scenario_to_dict(self) == scenario_to_dict(other)
+
+    __hash__ = None  # its lists and path array are not hashable
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,12 @@ class TestExitCodes:
         monkeypatch.setattr(apfmpc.cli, "run", failing_run)
         path = packaged_scenario_path("straight_corridor")
         assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_INTERNAL
-        assert capsys.readouterr().err.startswith("internal error:")
+        # the traceback, then the error's type and message on the last line
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "Traceback (most recent call last):"
+        assert any("in failing_run" in line for line in err)
+        want = "'raised inside the run'" if error is KeyError else "raised inside the run"
+        assert err[-1] == f"internal error: {error.__name__}: {want}"
 
     @pytest.mark.parametrize("obstacles", [[], [
         {"center": [8.0, 1.5], "heading": 0.0, "half_length": 0.5, "half_width": 0.4}]],

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_a
 from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (MAX_BAND_DOUBLINGS, VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
-                        build_reference, path_table, project_onto_path,
+                        _Carry, _shift, build_reference, path_table, project_onto_path,
                         slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
@@ -21,6 +22,12 @@ STRAIGHT_30 = path_table(np.array([[0.0, 0.0], [30.0, 0.0]]))
 
 def controller(cfg, geom, **kw):
     return MpcController(cfg, geom, **kw)
+
+
+def cold(cfg, u0):
+    """The record a controller starts from at input u0: no increments, no
+    active set."""
+    return _Carry(u0, np.zeros(cfg.n_ctrl * 4), None)
 
 
 def obstacle_at(x, y, heading=0.0, hl=0.75, hw=0.4):
@@ -111,7 +118,7 @@ def loop_apf(controller, state, obstacles, su, base):
         robot_rows = [(state.x, state.y, state.heading)] * cfg.n_pred
         obs_tracks = [[obs.footprint.center] * cfg.n_pred for obs in obstacles]
     else:
-        robot_rows = predict_robot(state, controller.prev_input, geom,
+        robot_rows = predict_robot(state, controller._carry.input, geom,
                                    cfg.n_pred, cfg.dt).tolist()
         obs_tracks = [[obs.footprint.center] * cfg.n_pred
                       if obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0
@@ -146,7 +153,7 @@ def add_at_apf(controller, state, obstacles):
     cfg, geom, n_p = controller.cfg, controller.geom, controller.cfg.n_pred
     frozen = controller.variant == "no_customization"
     rows = (np.array([(state.x, state.y, state.heading)] * n_p) if frozen else
-            predict_robot(state, controller.prev_input, geom, n_p, cfg.dt))
+            predict_robot(state, controller._carry.input, geom, n_p, cfg.dt))
     anchor = rows[:, :2]
     robot_rects = [OrientedRectangle(Pose2D(*row), geom.half_length, geom.half_width)
                    for row in rows[:1 if frozen else n_p].tolist()]
@@ -446,7 +453,7 @@ class TestAssemble:
     def test_dimensions(self, cfg, geom):
         c = controller(cfg, geom)
         ref = build_reference(STRAIGHT, RobotState(0, 0, 0, 1, 1), REF_SPEED, cfg)
-        asm = c.assemble(RobotState(0, 0, 0, 1, 1), c.prev_input, ref, [])
+        asm = c.assemble(RobotState(0, 0, 0, 1, 1), c._carry, ref, [])
         nz = cfg.n_ctrl * 4
         assert asm.qp.h_mat.shape == (nz, nz)
         assert asm.su.shape == (cfg.n_pred * 5, nz)
@@ -462,8 +469,8 @@ class TestAssemble:
         bare = controller(cfg, geom, variant="no_customization")
         ref = build_reference(STRAIGHT, RobotState(0, 0, 0, 1, 1), REF_SPEED, cfg)
         s = RobotState(0, 0, 0, 1, 1)
-        n_full = full.assemble(s, full.prev_input, ref, []).qp.a_mat.shape[0]
-        n_bare = bare.assemble(s, bare.prev_input, ref, []).qp.a_mat.shape[0]
+        n_full = full.assemble(s, full._carry, ref, []).qp.a_mat.shape[0]
+        n_bare = bare.assemble(s, bare._carry, ref, []).qp.a_mat.shape[0]
         assert n_full - n_bare == cfg.n_ctrl
 
     @pytest.mark.parametrize("cfg", [MpcConfig(), MpcConfig(n_ctrl=20), MpcConfig(n_ctrl=1)],
@@ -474,7 +481,7 @@ class TestAssemble:
             s = RobotState(*rng.uniform(-2.0, 2.0, size=3), *rng.uniform(0.2, 1.4, size=2))
             u0 = ControlInput(*rng.uniform(-0.5, 0.5, size=2), *rng.uniform(-0.8, 0.8, size=2))
             c = controller(cfg, geom, initial_input=u0)
-            asm = c.assemble(s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+            asm = c.assemble(s, c._carry, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
             su, base = loop_condensation(s, u0, geom, cfg)
             # the closed form sums the powers in another order than the loop:
             # measured worst 2.2e-16 (su) and 9.2e-16 (base) of the largest entry
@@ -492,8 +499,8 @@ class TestAssemble:
             s, u0, footprints = apf_scene(rng)
             c = controller(cfg, geom, initial_input=u0, variant=variant)
             ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
-            asm = c.assemble(s, u0, ref, footprints)
-            bare = c.assemble(s, u0, ref, [])
+            asm = c.assemble(s, c._carry, ref, footprints)
+            bare = c.assemble(s, c._carry, ref, [])
             h_apf, f_apf, c_apf, terms = loop_apf(c, s, footprints, asm.su, asm.base)
             assert len({i for i, _ in terms}) == cfg.n_pred
             np.testing.assert_allclose(asm.qp.h_mat - bare.qp.h_mat, h_apf, rtol=1e-12)
@@ -521,7 +528,7 @@ class TestAssemble:
             Obstacle(OrientedRectangle(Pose2D(-50.0, 0.0, 0.0), 0.5, 0.4), (0.5, 0.2), 0.4)]))
         for s, u0, footprints in scenes:
             c = controller(cfg, geom, initial_input=u0, variant=variant)
-            got = c._apf_quadratic(s, u0, footprints)
+            got = c._apf_quadratic(s, c._carry, footprints)
             want = add_at_apf(c, s, footprints)
             for got_part, want_part in zip((got.constant, got.gradient, got.hessian_psd,
                                             got.anchor), want):
@@ -536,7 +543,7 @@ class TestAssemble:
             s, u0, footprints = apf_scene(rng)
             c = controller(cfg, geom, initial_input=u0, variant=variant)
             ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
-            asm = c.assemble(s, u0, ref, footprints)
+            asm = c.assemble(s, c._carry, ref, footprints)
             terms = loop_apf(c, s, footprints, asm.su, asm.base)[3]
             sol = c.step(s, ref, footprints)
             oracle = 0.0
@@ -555,8 +562,8 @@ class TestAssemble:
         monkeypatch.setattr(apfmpc.mpc, "closest_pair",
                             lambda a, b: calls.append(1) or closest_pair(a, b))
         s, u0, footprints = apf_scene(np.random.default_rng(19))
-        controller(cfg, geom, initial_input=u0, variant=variant).assemble(
-            s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
+        controller(cfg, geom, variant=variant).assemble(
+            s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
         assert len(calls) == pairs_per_footprint * len(footprints)
 
     def test_robot_rectangles_are_the_footprints(self, cfg, geom, monkeypatch):
@@ -571,8 +578,9 @@ class TestAssemble:
             s, u0, _ = apf_scene(rng)
             s = RobotState(s.x, s.y, rng.uniform(-math.pi, math.pi), s.v_front, s.v_rear)
             rects.clear()
-            controller(cfg, geom, initial_input=u0).assemble(
-                s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), [obstacle_at(60.0, 0.0)])
+            controller(cfg, geom).assemble(
+                s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg),
+                [obstacle_at(60.0, 0.0)])
             want = [geom.footprint(RobotState(x, y, heading, 0.0, 0.0))
                     for x, y, heading in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt).tolist()]
             assert list(map(repr, rects)) == list(map(repr, want))
@@ -584,8 +592,8 @@ class TestAssemble:
         rng = np.random.default_rng(31)
         for _ in range(5):
             s, u0, footprints = apf_scene(rng)
-            asm = controller(cfg, geom, initial_input=u0, variant=variant).assemble(
-                s, u0, build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
+            asm = controller(cfg, geom, variant=variant).assemble(
+                s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
             want = (rollout(s, u0, geom, cfg.n_pred, cfg.dt)[1:, :2] if variant == "full"
                     else np.array([(s.x, s.y)] * cfg.n_pred))
             assert asm.apf.anchor.shape == want.shape
@@ -595,9 +603,8 @@ class TestAssemble:
         c = controller(cfg, geom)
         s = RobotState(0.3, -0.2, 0.1, 0.8, 0.9)
         u0 = ControlInput(0.1, 0.0, 0.2, -0.1)
-        c.prev_input = u0
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
-        asm = c.assemble(s, u0, ref, [])
+        asm = c.assemble(s, cold(cfg, u0), ref, [])
         z = rng.uniform(-0.1, 0.1, size=cfg.n_ctrl * 4)
         eta = (asm.su @ z + asm.base).reshape(cfg.n_pred, 5)
 
@@ -610,18 +617,18 @@ class TestAssemble:
             assert np.max(np.abs(eta[i] - x[:5])) < 1e-8
 
     def test_assemble_anchors_at_its_prev_input(self, cfg, geom):
-        # the field anchors come from the prev_input argument, not from the
-        # controller's applied input: after one step, assembling at zero
-        # input gives a fresh controller's QP
+        # the field anchors come from the record passed in, not from the
+        # controller's own: after one step, assembling from a cold record at
+        # zero input gives a fresh controller's QP
         s = RobotState(0, 0, 0, 1.0, 1.0)
         ref = build_reference(STRAIGHT, s, 1.0, cfg)
         obstacles = [obstacle_at(3.0, 0.6)]
         c = controller(cfg, geom)
         c.step(s, ref, obstacles)
-        assert c.prev_input != ControlInput(0.0, 0.0, 0.0, 0.0)
         zero = ControlInput(0.0, 0.0, 0.0, 0.0)
-        got = c.assemble(s, zero, ref, obstacles)
-        want = controller(cfg, geom).assemble(s, zero, ref, obstacles)
+        assert c._carry.input != zero
+        got = c.assemble(s, cold(cfg, zero), ref, obstacles)
+        want = controller(cfg, geom).assemble(s, cold(cfg, zero), ref, obstacles)
         assert np.array_equal(got.apf.anchor, want.apf.anchor)
         assert np.array_equal(got.apf.constant, want.apf.constant)
         assert np.array_equal(got.qp.h_mat, want.qp.h_mat)
@@ -668,8 +675,8 @@ class TestObstacleVelocity:
         monkeypatch.setattr("apfmpc.mpc.closest_pair",
                             lambda a, b: rects.append(b) or closest_pair(a, b))
         static = Obstacle(self.footprint, [0.0, 0.0], 0)
-        controller(cfg, geom)._apf_quadratic(RobotState(0.0, 0.0, 0.0, 1.0, 1.0),
-                                             ControlInput(0.0, 0.0, 0.0, 0.0), [static])
+        c = controller(cfg, geom)
+        c._apf_quadratic(RobotState(0.0, 0.0, 0.0, 1.0, 1.0), c._carry, [static])
         assert len(rects) == cfg.n_pred and all(r is static.footprint for r in rects)
 
 
@@ -803,7 +810,7 @@ class TestStep:
     def test_equal_configs_share_read_only_tables(self, geom):
         tables = MpcController(MpcConfig(), geom)
         shared = {name: value for name, value in vars(tables).items()
-                  if isinstance(value, np.ndarray) and name != "_warm"}
+                  if isinstance(value, np.ndarray)}
         again = MpcController(MpcConfig(), geom)
         bare = MpcController(MpcConfig(), geom, variant="no_customization")
         longer = MpcController(MpcConfig(n_pred=25), geom)
@@ -814,7 +821,7 @@ class TestStep:
             assert getattr(longer, name) is not value, name
             for c in (tables, bare, longer):
                 assert not getattr(c, name).flags.writeable, name
-        assert again._warm is not tables._warm
+        assert again._carry.warm is not tables._carry.warm
 
 
 class TestFallbacks:
@@ -906,6 +913,57 @@ class TestFallbacks:
         assert np.array_equal(c.solver.guesses[1], c.solver.solves[0][1].active)
 
 
+def scripted(c, **fields):
+    """Make every solve of c's solver return its solution with `fields` replaced."""
+    solve = c.solver.solve
+    c.solver.solve = lambda *args, **kw: replace(solve(*args, **kw), **fields)
+
+
+class TestCarry:
+    """What a tick hands the next: one record, replaced once per tick by `_shift`."""
+
+    @pytest.mark.parametrize("status, residual, held", [
+        ("optimal", 0.0, False), ("infeasible", 0.0, True), ("max_iterations", 1.0, True)])
+    def test_shift_per_status(self, cfg, geom, status, residual, held):
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        c = controller(cfg, geom)
+        z = np.linspace(-0.05, 0.05, cfg.n_ctrl * 4)
+        scripted(c, z=z, status=status, primal_residual=residual)
+        solution = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert solution.solver_status == status
+        # a held tick keeps the input; else the first increment moves it
+        assert solution.applied_input == ControlInput(*(np.zeros(4) if held else z[:4]))
+        shifted = np.zeros(len(z)) if held else np.concatenate([z[4:], np.zeros(4)])
+        active = np.ones(len(c._a_rows))
+        carry = _shift(solution, active)
+        assert carry.input is solution.applied_input
+        assert carry.warm.tobytes() == shifted.tobytes()
+        assert carry.active is (active if status == "optimal" else None)
+        # step hands on that record, with its QP's own active set
+        assert c._carry.input is solution.applied_input
+        assert c._carry.warm.tobytes() == shifted.tobytes()
+        assert (c._carry.active is None) == (status != "optimal")
+
+    def test_raising_step_keeps_the_record(self, cfg, geom):
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
+        c, twin = controller(cfg, geom), controller(cfg, geom)
+        c.step(s, ref, [])
+        twin.step(s, ref, [])
+        before = c._carry
+        assert before.active is not None
+        scripted(c, z=np.full(cfg.n_ctrl * 4, math.nan), status="optimal")
+        with pytest.raises(FloatingPointError):
+            c.step(s, ref, [])
+        assert c._carry is before
+        # the next tick is the one the raising step would have been
+        del c.solver.solve
+        got, want = c.step(s, ref, []), twin.step(s, ref, [])
+        assert got.applied_input == want.applied_input
+        assert got.objective == want.objective
+        assert c._carry.warm.tobytes() == twin._carry.warm.tobytes()
+
+
 def parent_rows(c, asm, state, u0, band):
     """The rows and bounds of `assemble` before they were normalized where
     they are made, with the slip band `band`: cumulative inputs, the slip
@@ -963,7 +1021,7 @@ class TestNormalizedRows:
         table = c._a_rows[eta].tobytes()
         ref = ReferenceHorizon(np.zeros((cfg.n_pred, 5)))
         for state, u0 in operating_points(5, 300):
-            speed_rows = c.assemble(state, u0, ref, []).su[c._eta_rows]
+            speed_rows = c.assemble(state, cold(cfg, u0), ref, []).su[c._eta_rows]
             scale = row_scales(speed_rows)
             assert scale.tobytes() == c._eta_scale.tobytes()
             assert (scale[:, None] * speed_rows).tobytes() == table
@@ -974,7 +1032,7 @@ class TestNormalizedRows:
         c = controller(cfg, geom, variant=variant)
         for state, u0 in operating_points(6, 100):
             ref = build_reference(STRAIGHT, state, REF_SPEED, cfg)
-            asm = c.assemble(state, u0, ref, [])
+            asm = c.assemble(state, cold(cfg, u0), ref, [])
             want = parent_rows(c, asm, state, u0, cfg.slip_band)
             for name in ("a_mat", "lower", "upper"):
                 assert getattr(asm.qp, name).tobytes() == getattr(want, name).tobytes(), name
@@ -988,7 +1046,7 @@ class TestNormalizedRows:
         c.solver = RecordingSolver()
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
         assert c.step(s, ref, []).fallback_doublings == MAX_BAND_DOUBLINGS
-        asm = controller(cfg, geom).assemble(s, u0, ref, [])
+        asm = controller(cfg, geom).assemble(s, cold(cfg, u0), ref, [])
         for k, ((lower, upper), (problem, _)) in enumerate(zip(c.solver.bounds,
                                                              c.solver.solves)):
             want = parent_rows(c, asm, s, u0, cfg.slip_band * 2 ** k)

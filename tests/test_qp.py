@@ -115,8 +115,8 @@ def controller_qps(geom, seed, count=12):
         mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
         state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
         u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
-        asm = MpcController(cfg, geom, initial_input=u0).assemble(
-            state, u0, build_reference(path, state, 1.389, cfg), [])
+        c = MpcController(cfg, geom, initial_input=u0)
+        asm = c.assemble(state, c._carry, build_reference(path, state, 1.389, cfg), [])
         warm = None if k % 3 else rng.uniform(-0.05, 0.05, cfg.n_ctrl * 4)
         yield asm.qp, warm
 

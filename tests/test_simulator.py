@@ -1,4 +1,5 @@
 import math
+from collections.abc import Hashable
 from dataclasses import replace
 from pathlib import Path
 
@@ -233,6 +234,14 @@ class TestScenarioIO:
                       replace(scn, ref_speed=1.1), replace(scn, name="other")):
             assert scn != other
         assert scn != "tiny" and scn != None  # noqa: E711
+
+    def test_unhashable(self):
+        # equal by value, but its lists and path array have no hash
+        scn = load_scenario(packaged_scenario_path("straight_corridor"))
+        with pytest.raises(TypeError, match="unhashable type: 'Scenario'"):
+            hash(scn)
+        assert not isinstance(scn, Hashable)
+        assert scn == replace(scn) and scn != replace(scn, ref_speed=2.0)
 
     def test_dict_round_trip(self):
         scn = tiny_scenario()

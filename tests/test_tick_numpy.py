@@ -75,7 +75,7 @@ def test_tick_makes_no_wrapper_calls(cfg, geom, variant, scene):
 
     # the first tick runs the ADMM iteration, the second starts from its guess
     assert wrapper_calls(tick) == []
-    assert c._active is not None
+    assert c._carry.active is not None
     assert wrapper_calls(tick) == []
 
 
@@ -91,7 +91,7 @@ def test_shared_constants_are_read_only(cfg, geom):
     for variant in VARIANTS:
         c = MpcController(cfg, geom, variant=variant)
         shared = {name: value for name, value in vars(c).items()
-                  if isinstance(value, np.ndarray) and name != "_warm"}
+                  if isinstance(value, np.ndarray)}
         assert shared
         for name, value in shared.items():
             assert not value.flags.writeable, name
@@ -120,8 +120,9 @@ def test_back_to_back_calls_match_fresh_objects(cfg, geom, variant):
     c = MpcController(cfg, geom, variant=variant)
     for state, u0 in inputs:
         ref = build_reference(PATH, state, 1.389, cfg)
-        asm = c.assemble(state, u0, ref, obstacles)
+        carry = MpcController(cfg, geom, initial_input=u0)._carry
+        asm = c.assemble(state, carry, ref, obstacles)
         again = _bits(asm, c.solver.solve(asm.qp))
         fresh = MpcController(cfg, geom, variant=variant)
-        asm = fresh.assemble(state, u0, ref, obstacles)
+        asm = fresh.assemble(state, carry, ref, obstacles)
         assert again == _bits(asm, fresh.solver.solve(asm.qp))
