@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from .mpc import VARIANTS
-from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run, write_csv
+from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -17,24 +18,14 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 EXIT_NUMERICAL = 4  # a run ended with a non-finite state or QP solution
 
+# the `--plots` series, each the log's columns that its header names
+SERIES = {"trajectory": "t,x,y", "heading": "t,theta", "wheel_speeds": "t,v_f,v_r",
+          "inputs": "t,a_f,a_r,delta_f,delta_r", "slip": "t,slip_measure"}
+
 
 def _write_summary(path: Path, values: dict) -> None:
     lines = [f"{k}: {v}" for k, v in values.items()]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _series_files(out_dir: Path, name: str, log) -> None:
-    recs = log.records
-    for suffix, header, rows in (
-            ("trajectory", "t,x,y", [(r.t, r.state.x, r.state.y) for r in recs]),
-            ("heading", "t,theta", [(r.t, r.state.heading) for r in recs]),
-            ("wheel_speeds", "t,v_f,v_r",
-             [(r.t, r.state.v_front, r.state.v_rear) for r in recs]),
-            ("inputs", "t,a_f,a_r,delta_f,delta_r",
-             [(r.t, r.applied.accel_front, r.applied.accel_rear,
-               r.applied.steer_front, r.applied.steer_rear) for r in recs]),
-            ("slip", "t,slip_measure", [(r.t, r.slip_measure) for r in recs])):
-        write_csv(out_dir / f"{name}.{suffix}.csv", header, rows)
 
 
 def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
@@ -90,19 +81,18 @@ def cmd_run(args, scenario) -> int:
     if args.variant:
         scenario = replace(scenario, controller_variant=args.variant)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log = run(scenario)
     log.to_csv(out_dir / f"{scenario.name}.log.csv")
     _write_summary(out_dir / f"{scenario.name}.summary", _summary(log, scenario.path))
     if args.plots:
-        _series_files(out_dir, scenario.name, log)
+        for suffix, header in SERIES.items():
+            log.to_csv(out_dir / f"{scenario.name}.{suffix}.csv", header)
         _trajectory_svg(out_dir, scenario.name, scenario, log)
     return EXIT_NUMERICAL if log.outcome == NUMERICAL_FAILURE else EXIT_OK
 
 
 def cmd_compare(args, scenario) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     for variant in VARIANTS:
         log = run(replace(scenario, controller_variant=variant))
@@ -111,7 +101,8 @@ def cmd_compare(args, scenario) -> int:
     summary = {f"{variant}.{key}": val
                for variant, vals in results.items() for key, val in vals.items()}
     for key in ("min_clearance", "max_slip_measure", "max_heading_rate"):
-        if all(key in vals for vals in results.values()):
+        # no delta of runs without ticks, nor of infinite clearances (no obstacles)
+        if all(math.isfinite(vals.get(key, math.nan)) for vals in results.values()):
             summary[f"delta.{key}"] = (results["no_customization"][key]
                                        - results["full"][key])
     _write_summary(out_dir / f"{scenario.name}.compare.summary", summary)
@@ -164,6 +155,12 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        if hasattr(args, "out"):  # run and compare write their files there
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         return args.func(args, scenario)
     except Exception as exc:
         traceback.print_exc()

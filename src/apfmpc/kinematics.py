@@ -39,11 +39,6 @@ class RobotState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.heading, self.v_front, self.v_rear])
 
-    @staticmethod
-    def from_array(arr) -> "RobotState":
-        return RobotState(float(arr[0]), float(arr[1]), float(arr[2]),
-                          float(arr[3]), float(arr[4]))
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -59,10 +54,6 @@ class ControlInput:
     def as_array(self) -> np.ndarray:
         return np.array([self.accel_front, self.accel_rear,
                          self.steer_front, self.steer_rear])
-
-    @staticmethod
-    def from_array(arr) -> "ControlInput":
-        return ControlInput(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,17 @@ is made, by building its path table once; every tick's reference in a run
 of the scenario reads that table, and `metrics` builds its own to measure
 the tracking error. Without obstacles a tick builds no footprint. Scenario
 files are YAML documents that round-trip losslessly through load/save; a
-file holds only entries that saving writes.
+file holds only entries that saving writes, and a scenario's numbers are
+those of that file form, every one finite. A log's columns are named once,
+in CSV_HEADER; a series of some of them is the log written with its own
+header.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +34,7 @@ from .qp import INFEASIBLE
 
 CSV_HEADER = ("t,x,y,theta,v_f,v_r,a_f,a_r,delta_f,delta_r,"
               "slip_measure,min_clearance,objective,solver_iterations")
+_COLUMNS = CSV_HEADER.split(",")  # the order of a log row's values
 
 COMPLETED = "completed"
 COLLIDED = "collided"
@@ -39,11 +44,6 @@ NUMERICAL_FAILURE = "numerical_failure"  # the state or the QP solution went non
 DEFAULT_GEOMETRY = RobotGeometry(l_front=1.2, l_rear=1.2,
                                  half_length=1.3, half_width=0.5)
 PLANT_SUBSTEPS = 10  # Euler substeps of the plant per control tick
-
-
-def _rect_numbers(rect: OrientedRectangle) -> list[float]:
-    c = rect.center
-    return [c.x, c.y, c.heading, rect.half_length, rect.half_width]
 
 
 def tick_count(duration: float, dt: float) -> int:
@@ -66,20 +66,15 @@ class Scenario:
         # the name comes from the file and names the run's output files
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"scenario name must be a plain file name: {self.name!r}")
-        s = self.initial_state
-        numbers = [self.ref_speed, self.duration,
-                   s.x, s.y, s.heading, s.v_front, s.v_rear]
-        for rect in self.corridor:
-            numbers += _rect_numbers(rect)
-        for obs in self.obstacles:
-            if obs.kind != "obstacle":  # a file has no kinds, so it would not round-trip
-                raise ValueError("walls belong in corridor, not in obstacles")
-            numbers += [*_rect_numbers(obs.footprint), *obs.velocity, obs.yaw_rate]
+        if any(obs.kind != "obstacle" for obs in self.obstacles):
+            # a file has no kinds, so it would not round-trip
+            raise ValueError("walls belong in corridor, not in obstacles")
         # a read-only copy: the path table below is built from it once
         path = np.array(self.path, dtype=float)
         path.flags.writeable = False
         object.__setattr__(self, "path", path)
-        if not (all(map(math.isfinite, numbers)) and np.isfinite(path).all()):
+        if not all(math.isfinite(value) for _, value in _entries(scenario_to_dict(self))
+                   if isinstance(value, Real)):
             raise ValueError("scenario numbers must all be finite")
         if self.ref_speed < 0.0:
             raise ValueError("ref_speed must not be negative")
@@ -114,20 +109,19 @@ class SimulationLog:
     records: list[TickRecord] = field(default_factory=list)
     outcome: str = COMPLETED
 
-    def to_csv(self, path) -> None:
-        write_csv(path, CSV_HEADER, [
-            (r.t, r.state.x, r.state.y, r.state.heading, r.state.v_front, r.state.v_rear,
-             r.applied.accel_front, r.applied.accel_rear, r.applied.steer_front,
-             r.applied.steer_rear, r.slip_measure, r.min_clearance, r.objective,
-             r.solver_iterations)
-            for r in self.records])
-
-
-def write_csv(path, header: str, rows) -> None:
-    """The header line, then one line per row of numbers, each printed with
-    12 significant digits (an integer up to 12 digits as plain digits)."""
-    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    def to_csv(self, path, header: str = CSV_HEADER) -> None:
+        """The header line, then one line per tick of the columns of
+        CSV_HEADER that the header names, in its order (by default all of
+        them), each number printed with 12 significant digits (an integer
+        up to 12 digits as plain digits)."""
+        picked = [_COLUMNS.index(name) for name in header.split(",")]
+        rows = [(r.t, r.state.x, r.state.y, r.state.heading, r.state.v_front,
+                 r.state.v_rear, r.applied.accel_front, r.applied.accel_rear,
+                 r.applied.steer_front, r.applied.steer_rear, r.slip_measure,
+                 r.min_clearance, r.objective, r.solver_iterations)
+                for r in self.records]
+        lines = [header] + [",".join(f"{row[i]:.12g}" for i in picked) for row in rows]
+        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _min_clearance(state: RobotState, geom: RobotGeometry,
@@ -216,7 +210,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return {
         "scenario": {"name": scenario.name},
         "corridor": [_rect_to_dict(r) for r in scenario.corridor],
-        "path": [[float(px), float(py)] for px, py in np.asarray(scenario.path)],
+        "path": np.asarray(scenario.path, dtype=float).tolist(),
         "ref_speed_mps": scenario.ref_speed,
         "obstacles": [dict(_rect_to_dict(o.footprint),
                            velocity=[o.velocity[0], o.velocity[1]],
@@ -229,12 +223,14 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _entry_paths(tree, where: str = "") -> set[str]:
-    """Dotted path of every key and list index in a tree of dicts and lists."""
-    entries = (tree.items() if isinstance(tree, dict) else
-               enumerate(tree) if isinstance(tree, list) else ())
-    return {path for key, value in entries
-            for path in (f"{where}{key}", *_entry_paths(value, f"{where}{key}."))}
+def _entries(tree, where: str = ""):
+    """(dotted path, value) of every key and list index in a tree of dicts
+    and lists, a parent before its children."""
+    items = (tree.items() if isinstance(tree, dict) else
+             enumerate(tree) if isinstance(tree, list) else ())
+    for key, value in items:
+        yield f"{where}{key}", value
+        yield from _entries(value, f"{where}{key}.")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -255,7 +251,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             duration=float(data["duration_s"]),
             controller_variant=str(data.get("controller_variant", "full")),
         )
-        unexpected = sorted(_entry_paths(data) - _entry_paths(scenario_to_dict(scenario)))
+        known = {path for path, _ in _entries(scenario_to_dict(scenario))}
+        unexpected = sorted({path for path, _ in _entries(data)} - known)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"invalid scenario: missing or malformed key {exc}") from exc
     if unexpected:  # a key or list entry that saving would not write

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -6,7 +8,8 @@ import apfmpc.cli
 from apfmpc.cli import EXIT_CONFIG, EXIT_INTERNAL, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState
-from apfmpc.simulator import Scenario, packaged_scenario_path, save_scenario
+from apfmpc.simulator import (Scenario, load_scenario, packaged_scenario_path,
+                              save_scenario, scenario_to_dict)
 from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
 
 
@@ -106,7 +109,8 @@ class TestRun:
 class TestCompare:
     def test_writes_both_logs_and_deltas(self, scenario_file, tmp_path):
         out = tmp_path / "out"
-        assert main(["compare", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        path = edited_file(scenario_file, tmp_path, obstacles=[obstacle_entry(center=[8.0, 2.0])])
+        assert main(["compare", str(path), "--out", str(out)]) == EXIT_OK
         assert (out / "clitest.full.log.csv").exists()
         assert (out / "clitest.no_customization.log.csv").exists()
         text = (out / "clitest.compare.summary").read_text()
@@ -114,6 +118,17 @@ class TestCompare:
         assert "no_customization.outcome:" in text
         assert ".completion:" not in text
         assert "delta.min_clearance:" in text
+
+    def test_no_delta_of_infinite_clearances(self, scenario_file, tmp_path):
+        # without obstacles both clearances are inf, and inf - inf is no delta
+        out = tmp_path / "out"
+        assert main(["compare", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        summary = dict(line.split(": ") for line in
+                       (out / "clitest.compare.summary").read_text().splitlines())
+        assert summary["full.min_clearance"] == summary["no_customization.min_clearance"] == "inf"
+        assert "delta.min_clearance" not in summary
+        assert "delta.max_slip_measure" in summary
+        assert all(value != "nan" for value in summary.values())
 
 
 class TestValidate:
@@ -185,6 +200,31 @@ class TestValidate:
                 ["full.outcome: collided", "no_customization.outcome: collided"])
         assert summary == want
 
+    def test_every_number_of_a_file_must_be_finite(self, tmp_path):
+        # each number of a packaged scenario's file form, set to NaN and then to inf
+        data = scenario_to_dict(load_scenario(packaged_scenario_path("orthogonal_corridor")))
+
+        def number_slots(tree, where=""):
+            items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    yield from number_slots(value, f"{where}{key}.")
+                elif isinstance(value, float):
+                    yield tree, key, f"{where}{key}"
+
+        slots = list(number_slots(data))
+        assert len(slots) == 49  # path 6, walls 20, obstacles 16, start 5, speed, duration
+        path, accepted = tmp_path / "bad.yaml", []
+        for tree, key, where in slots:
+            kept = tree[key]
+            for bad in (math.nan, math.inf):
+                tree[key] = bad
+                path.write_text(yaml.safe_dump(data))
+                if main(["validate", str(path)]) != EXIT_CONFIG:
+                    accepted.append(f"{where}={bad}")
+            tree[key] = kept
+        assert accepted == []
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("scenario:\n  name: broken\n")
@@ -220,6 +260,16 @@ class TestExitCodes:
 
     def test_help_is_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_that_cannot_be_made_is_usage(self, scenario_file, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        for out in (taken, taken / "below"):
+            assert main([command, str(scenario_file), "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and str(taken) in err[0]
+        assert taken.read_text() == "a file, not a directory\n"
 
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     @pytest.mark.parametrize("command", ["run", "compare"])

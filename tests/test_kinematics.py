@@ -44,7 +44,7 @@ def loop_euler(state, inp, geom, dt, substeps=1):
     cur = state
     for _ in range(substeps):
         arr = cur.as_array() + h * paper_derivative(cur, inp, geom)
-        cur = RobotState.from_array(arr)
+        cur = RobotState(*arr.tolist())
     return cur
 
 

@@ -15,15 +15,15 @@ def finite_difference_jacobians(state, inp, geom, dt, eps=1e-6):
         plus, minus = s0.copy(), s0.copy()
         plus[i] += eps
         minus[i] -= eps
-        a[:, i] = (euler_step(RobotState.from_array(plus), inp, geom, dt).as_array()
-                   - euler_step(RobotState.from_array(minus), inp, geom, dt).as_array()
+        a[:, i] = (euler_step(RobotState(*plus.tolist()), inp, geom, dt).as_array()
+                   - euler_step(RobotState(*minus.tolist()), inp, geom, dt).as_array()
                    ) / (2 * eps)
     for i in range(4):
         plus, minus = u0.copy(), u0.copy()
         plus[i] += eps
         minus[i] -= eps
-        b[:, i] = (euler_step(state, ControlInput.from_array(plus), geom, dt).as_array()
-                   - euler_step(state, ControlInput.from_array(minus), geom, dt).as_array()
+        b[:, i] = (euler_step(state, ControlInput(*plus.tolist()), geom, dt).as_array()
+                   - euler_step(state, ControlInput(*minus.tolist()), geom, dt).as_array()
                    ) / (2 * eps)
     return a, b
 

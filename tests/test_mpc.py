@@ -442,7 +442,7 @@ class TestSlipRows:
             s = RobotState(0, 0, 0, rng.uniform(0.2, 1.4), rng.uniform(0.2, 1.4))
             u0 = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                            rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)])
-            e_row, g = slip_constraint_rows(s, ControlInput.from_array(u0), cfg)
+            e_row, g = slip_constraint_rows(s, ControlInput(*u0.tolist()), cfg)
             du = rng.uniform(-0.05, 0.05, size=4)
             exact = measure(s, u0 + du)
             approx = g + float(e_row @ du)
