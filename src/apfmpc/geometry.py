@@ -12,23 +12,28 @@ Detection, 2004, ch. 5); the field reads nothing else, and the query
 returns them as one flat row (distance, gap_x, gap_y). It runs in the
 relative frame: in its own frame each rectangle is an axis-aligned box, and
 the other's corners there are its center plus or minus two half-axes.
-Projected half-extents decide overlap (the separating-axis test); for
-disjoint rectangles the distance is the smallest of the 8 corner-to-box
-distances in box form: with e = |x| - half_length and f = |y| - half_width,
-a corner is hypot of their positive parts from the box. Only the winner's
-corner-minus-clamp vector is formed, and turned into the world as the gap.
-The 8 are written out as straight-line code, A's four corners before B's
-four, and the first strict minimum wins, so ties go to A's corners; the
-oracle `relative_frame_closest_pair` in tests/test_geometry.py is the same
-search as a loop that clamps each corner, and pins it bit for bit. A row
-is built by `tuple.__new__`, in C, and every overlap returns one shared
-zero row.
+Projected half-extents give four separating-axis gaps, each a lower bound
+on the distance: none positive is an overlap. The field reads only pairs
+within its activation radius, so a query takes a cutoff `within`: a gap
+past it by more than its rounding margin ends the query with the shared row
+(inf, 0, 0), and every row at or inside `within` is bit for bit the uncut
+query's. For other disjoint rectangles the distance is the smallest of the
+8 corner-to-box distances in box form: with e = |x| - half_length and
+f = |y| - half_width, a corner is hypot of their positive parts from the
+box. Only the winner's corner-minus-clamp vector is formed, and turned into
+the world as the gap. The 8 are written out as straight-line code, A's four
+corners before B's four, against one running minimum; a corner whose e or f
+already reaches it is skipped, and the first strict minimum wins, so ties
+go to A's corners. The oracle `relative_frame_closest_pair` in
+tests/test_geometry.py is the same search as a loop that clamps each
+corner, and pins it bit for bit. A row is built by `tuple.__new__`, in C,
+and every overlap returns one shared zero row.
 """
 
 from __future__ import annotations
 
 import math
-from math import hypot
+from math import hypot, inf
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,8 +70,9 @@ class OrientedRectangle:
     half_width: float   # perpendicular to heading
 
     def __init__(self, center: Pose2D, half_length: float, half_width: float):
-        if half_length <= 0.0 or half_width <= 0.0:
-            raise ValueError("rectangle half-extents must be positive")
+        # NaN fails both comparisons; an infinite extent times |sin| = 0 is NaN
+        if not (0.0 < half_length < inf and 0.0 < half_width < inf):
+            raise ValueError("rectangle half-extents must be positive and finite")
         d = self.__dict__
         d["center"], d["half_length"], d["half_width"] = center, half_length, half_width
         # not a field: equality, hash and repr see the three fields alone
@@ -76,7 +82,8 @@ class OrientedRectangle:
 
 class ClosestPair(NamedTuple):
     """One row of the pair table: the distance, then the gap from A's
-    closest point to B's, (0.0, 0.0) on overlap."""
+    closest point to B's, (0.0, 0.0) on overlap. A query cut at `within`
+    returns (inf, 0.0, 0.0) for a pair beyond it."""
     distance: float
     gap_x: float
     gap_y: float
@@ -94,9 +101,16 @@ def corners(rect: OrientedRectangle) -> list[tuple[float, float]]:
 
 
 # a row is made by tuple's own constructor in C, not by the NamedTuple's
-# Python-level __new__; the overlap row is one shared, immutable instance
+# Python-level __new__; the overlap row and the row beyond `within` are each
+# one shared, immutable instance
 _row = tuple.__new__
 _OVERLAP = ClosestPair(0.0, 0.0, 0.0)
+_BEYOND = ClosestPair(inf, 0.0, 0.0)
+
+# a gap cuts a query only past within + _ROUNDING·(within + the four
+# half-extents), far above the rounding error of a gap and of a distance
+# near within (see `closest_pair`)
+_ROUNDING = 2.0 ** -40
 
 # the signs of u and v at corners c + u + v, c - u + v, c - u - v, c + u - v;
 # ±1.0 times a float is exact, so a corner rebuilt from them is bit for bit
@@ -104,31 +118,52 @@ _OVERLAP = ClosestPair(0.0, 0.0, 0.0)
 _CORNER_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
-def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
-    """Minimum distance between two oriented rectangles, and the gap vector.
+def closest_pair(a: OrientedRectangle, b: OrientedRectangle,
+                 within: float = inf) -> ClosestPair:
+    """Minimum distance between two oriented rectangles, and the gap vector;
+    the shared row (inf, 0.0, 0.0) when the rectangles are farther apart
+    than `within`.
 
     From the two frames, (c, s) is B's heading in A's frame. Each center
     goes into the other's frame, where the other is the box
     |x| <= half_length, |y| <= half_width, and each rectangle's corners are
     its center ± u ± v: u = hl·(c, s), v = hw·(-s, c) for B, and for A the
-    same with (c, -s). The rectangles overlap (touching included) unless in
-    one frame |center_x| - (|u_x| + |v_x|) > half_length, or the same for y;
-    overlapping ones get distance 0 and a zero gap. Otherwise the distance is
-    the smallest of the 8 corner-to-box distances: the minimum between
-    disjoint convex polygons is reached at a vertex of one of them, and the 8
-    are the same in either argument order. A corner (x, y) has
-    e = |x| - half_length and f = |y| - half_width. Beside a face only one is
-    positive and is the distance; past a vertex both are, and the distance
-    is hypot(e, f). That is bit for bit the length of the corner minus its
-    clamp to the box: |x - clamp(x)| is |x| - half_length, and hypot(e, 0)
-    is e. The 8 are written out with no loop or helper, A's corners
-    c + u + v, c - u + v, c - u - v, c + u - v in B's frame, then B's in A's;
-    the first strict minimum wins, so ties go to A's corners, and only its
-    distance and index are kept. The winner's corner is rebuilt from its
-    signs and its corner-minus-clamp vector is the gap in the other's frame:
-    B's corner's is turned by A's heading, A's corner's by B's heading and
-    negated. Facing parallel sides have many closest pairs but one gap, so
-    any corner at the minimum gives it.
+    same with (c, -s). Along each of the four axes, a center's |coordinate|
+    minus its own projected half-extent hl·|c| + hw·|s| (or hl·|s| + hw·|c|)
+    and the other's half-extent is a separating-axis gap, a lower bound on
+    the distance. The rectangles overlap (touching included) unless a gap is
+    positive; overlapping ones get distance 0 and a zero gap.
+
+    The cutoff: each gap and each corner distance below is within a few
+    units in the last place of S = |dx| + |dy| + the four half-extents of
+    its exact value. When the exact distance is at most `within`, so is
+    every exact gap, and then S <= 4·(within + the half-extents). A query is
+    cut only when a gap exceeds within by more than 2^-40·(within + the
+    half-extents), far above that error, so a cut row's exact distance and
+    the distance the full query would compute both exceed `within`, and
+    every row at or inside it is bit for bit the uncut query's. The default
+    `within` never cuts.
+
+    Otherwise the distance is the smallest of the 8 corner-to-box
+    distances: the minimum between disjoint convex polygons is reached at a
+    vertex of one of them, and the 8 are the same in either argument order.
+    A corner (x, y) has e = |x| - half_length and f = |y| - half_width.
+    Beside a face only one is positive and is the distance; past a vertex
+    both are, and the distance is hypot(e, f). That is bit for bit the
+    length of the corner minus its clamp to the box: |x - clamp(x)| is
+    |x| - half_length, and hypot(e, 0) is e. The 8 are written out with no
+    loop or helper, A's corners c + u + v, c - u + v, c - u - v, c + u - v
+    in B's frame, then B's in A's, against one running minimum; the first
+    strict minimum wins, so ties go to A's corners. A corner whose e or f is
+    already at or above the running minimum is at least that far, since
+    hypot(e, f) >= max(e, f) holds in floating point too, so it can be no
+    strict minimum: it gets no hypot, and past such an e no f. B's corners
+    start from A's minimum and replace it only when strictly nearer, so the
+    winner is the one the full search picks, and so is its distance. The winner's corner is rebuilt from its signs and its
+    corner-minus-clamp vector is the gap in the other's frame: B's corner's
+    is turned by A's heading, A's corner's by B's heading and negated.
+    Facing parallel sides have many closest pairs but one gap, so any
+    corner at the minimum gives it.
     """
     xa, ya, ca, sa, hla, hwa = a.frame
     xb, yb, cb, sb, hlb, hwb = b.frame
@@ -136,50 +171,76 @@ def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
     dx, dy = xb - xa, yb - ya
     bx, by = ca * dx + sa * dy, ca * dy - sa * dx  # B's center in A's frame
     ax, ay = -(cb * dx + sb * dy), sb * dx - cb * dy  # A's center in B's frame
-    ubx, uby, vbx, vby = hlb * c, hlb * s, -(hwb * s), hwb * c
-    uax, uay, vax, vay = hla * c, -(hla * s), hwa * s, hwa * c
-    ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)  # B's half-extents in A's frame
-    if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
-            or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
+    ac, as_ = abs(c), abs(s)
+    # the separating-axis gaps along A's axes, then along B's
+    gx, gy = abs(bx) - (hlb * ac + hwb * as_) - hla, abs(by) - (hlb * as_ + hwb * ac) - hwa
+    hx, hy = abs(ax) - (hla * ac + hwa * as_) - hlb, abs(ay) - (hla * as_ + hwa * ac) - hwb
+    if not (gx > 0.0 or gy > 0.0 or hx > 0.0 or hy > 0.0):
         return _OVERLAP
+    if gx > within or gy > within or hx > within or hy > within:
+        cut = within + (within + hla + hwa + hlb + hwb) * _ROUNDING
+        if gx > cut or gy > cut or hx > cut or hy > cut:
+            return _BEYOND
 
     # corners c + u + v, c - u + v, c - u - v, c + u - v: A's in B's frame
-    # (0-3), then B's in A's (4-7); (e, f) is |corner| minus the other's
-    # half-extents, and d_k the corner's distance to the other's box
+    # (k = 0-3), then B's in A's (k = 4-7); (e, f) is |corner| minus the
+    # other's half-extents, and d the running minimum of the corners'
+    # distances to the other's box
+    ubx, uby, vbx, vby = hlb * c, hlb * s, -(hwb * s), hwb * c
+    uax, uay, vax, vay = hla * c, -(hla * s), hwa * s, hwa * c
     px, py, mx, my = ax + uax, ay + uay, ax - uax, ay - uay
     e, f = abs(px + vax) - hlb, abs(py + vay) - hwb
-    d0 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    e, f = abs(mx + vax) - hlb, abs(my + vay) - hwb
-    d1 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    e, f = abs(mx - vax) - hlb, abs(my - vay) - hwb
-    d2 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    e, f = abs(px - vax) - hlb, abs(py - vay) - hwb
-    d3 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+    d = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+    k = 0
+    e = abs(mx + vax) - hlb
+    if e < d:
+        f = abs(my + vay) - hwb
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 1
+    e = abs(mx - vax) - hlb
+    if e < d:
+        f = abs(my - vay) - hwb
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 2
+    e = abs(px - vax) - hlb
+    if e < d:
+        f = abs(py - vay) - hwb
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 3
     px, py, mx, my = bx + ubx, by + uby, bx - ubx, by - uby
-    e, f = abs(px + vbx) - hla, abs(py + vby) - hwa
-    d4 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    e, f = abs(mx + vbx) - hla, abs(my + vby) - hwa
-    d5 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    e, f = abs(mx - vbx) - hla, abs(my - vby) - hwa
-    d6 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    e, f = abs(px - vbx) - hla, abs(py - vby) - hwa
-    d7 = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
-    # the first strict minimum: A's nearest corner, then B's if strictly
-    # nearer; k and kb index a corner within its rectangle's four
-    d, k = d0, 0
-    if d1 < d: d, k = d1, 1
-    if d2 < d: d, k = d2, 2
-    if d3 < d: d, k = d3, 3
-    db, kb = d4, 0
-    if d5 < db: db, kb = d5, 1
-    if d6 < db: db, kb = d6, 2
-    if d7 < db: db, kb = d7, 3
-    if db < d:  # B's corner minus its clamp to A's box, turned by A's heading
-        su, sv = _CORNER_SIGNS[kb]
+    e = abs(px + vbx) - hla
+    if e < d:
+        f = abs(py + vby) - hwa
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 4
+    e = abs(mx + vbx) - hla
+    if e < d:
+        f = abs(my + vby) - hwa
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 5
+    e = abs(mx - vbx) - hla
+    if e < d:
+        f = abs(my - vby) - hwa
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 6
+    e = abs(px - vbx) - hla
+    if e < d:
+        f = abs(py - vby) - hwa
+        if f < d:
+            dk = (hypot(e, f) if f > 0.0 else e) if e > 0.0 else f if f > 0.0 else 0.0
+            if dk < d: d, k = dk, 7
+    if k > 3:  # B's corner minus its clamp to A's box, turned by A's heading
+        su, sv = _CORNER_SIGNS[k - 4]
         x, y = bx + su * ubx + sv * vbx, by + su * uby + sv * vby
         fx = x - hla if x > hla else x + hla if x < -hla else 0.0
         fy = y - hwa if y > hwa else y + hwa if y < -hwa else 0.0
-        return _row(ClosestPair, (db, ca * fx - sa * fy, sa * fx + ca * fy))
+        return _row(ClosestPair, (d, ca * fx - sa * fy, sa * fx + ca * fy))
     # A's corner minus its clamp to B's box points from B to A: turned by B's
     # heading and negated
     su, sv = _CORNER_SIGNS[k]
@@ -187,4 +248,3 @@ def closest_pair(a: OrientedRectangle, b: OrientedRectangle) -> ClosestPair:
     ex = x - hlb if x > hlb else x + hlb if x < -hlb else 0.0
     ey = y - hwb if y > hwb else y + hwb if y < -hwb else 0.0
     return _row(ClosestPair, (d, -(cb * ex - sb * ey), -(sb * ex + cb * ey)))
-

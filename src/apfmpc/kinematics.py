@@ -64,8 +64,11 @@ class RobotGeometry:
     half_width: float
 
     def __post_init__(self):
-        if self.l_front <= 0.0 or self.l_rear <= 0.0:
+        # NaN fails every comparison; a footprint's extents must be finite too
+        if not (self.l_front > 0.0 and self.l_rear > 0.0):
             raise ValueError("wheel offsets must be positive")
+        if not (0.0 < self.half_length < math.inf and 0.0 < self.half_width < math.inf):
+            raise ValueError("footprint half-extents must be positive and finite")
 
     def footprint(self, state: RobotState) -> OrientedRectangle:
         return OrientedRectangle(Pose2D(state.x, state.y, state.heading),

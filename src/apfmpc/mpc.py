@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -355,6 +355,7 @@ class MpcController:
         """Active APF expansions summed per step, anchored at the robot's rows:
         the rollout with the carried input held or, frozen, the current state."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
+        radius = cfg.activation_radius
         frozen = self.variant == "no_customization"
         robot = (state.as_array()[None, :3] if frozen else
                  predict_robot(state, carry.input, self.geom, n_p, cfg.dt))
@@ -367,15 +368,17 @@ class MpcController:
                   [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
                    for pose in predict_obstacle(obs, n_p, cfg.dt)]
                   for obs in obstacles]
-        # per footprint and step: distance, gap; the rows flattened in one pass
-        rows = chain.from_iterable(map(closest_pair, robot_rects, track) for track in tracks)
+        # per footprint and step: distance, gap; the rows flattened in one
+        # pass. A pair beyond the radius is cut short: its row is (inf, 0, 0)
+        rows = chain.from_iterable(map(closest_pair, robot_rects, track, repeat(radius))
+                                   for track in tracks)
         pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(robot))
         pairs = pairs.reshape(len(tracks), len(robot), 3)
         if frozen:  # the one pose and pair of each footprint, at every step
             pairs, anchor = pairs.repeat(n_p, axis=1), anchor.repeat(n_p, axis=0)
         # one expansion of the active rows, each with its footprint's field
         # parameters; each step adds its rows into +0.0 in footprint order
-        footprint, step = (pairs[..., 0] <= cfg.activation_radius).nonzero()
+        footprint, step = (pairs[..., 0] <= radius).nonzero()
         const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
         if len(step):
             kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,

@@ -33,7 +33,7 @@ class ApfParams:
     exponent_b: float
 
     def __post_init__(self):
-        if self.scale_a <= 0.0 or self.exponent_b <= 0.0:
+        if not (self.scale_a > 0.0 and self.exponent_b > 0.0):  # NaN fails too
             raise ValueError("potential field parameters must be positive")
 
     def __iter__(self):
@@ -77,11 +77,12 @@ def quadratic_approx(robot_pos, gap, params) -> QuadraticApproximation:
     d_sq = np.maximum(dx * dx + dy * dy, MIN_SQ_DISTANCE)
     clamped = d_sq <= MIN_SQ_DISTANCE
     value = a / d_sq ** b
-    common = 2.0 * a * b * d_sq ** (-b - 1.0)
-    gradient = common[..., None] * rel
-    curv = 2.0 * a * b * d_sq ** (-b - 2.0)
+    two_ab, minus_b = 2.0 * a * b, -b
+    gradient = (two_ab * d_sq ** (minus_b - 1.0))[..., None] * rel
+    curv = two_ab * d_sq ** (minus_b - 2.0)
     # r rᵀ first, so that H is exactly symmetric
     hess = (curv * (2.0 * b + 1.0))[..., None, None] * (rel[..., :, None] * rel[..., None, :])
-    gradient[clamped] = 0.0
-    hess[clamped] = 0.0
+    if clamped.any():
+        gradient[clamped] = 0.0
+        hess[clamped] = 0.0
     return QuadraticApproximation(value, gradient, hess, robot_pos)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -378,6 +379,99 @@ class TestFrame:
                                  half_length=1.0, half_width=0.5) == r
 
 
+def exact_distance(a, b):
+    """The distance between the rectangles the two frames describe, to 60
+    digits: each frame's corners x ± c·hl ∓ s·hw, y ± s·hl ± c·hw taken
+    exactly, then the least of the 32 vertex-to-edge distances. For
+    disjoint rectangles only; the callers' pairs are metres apart."""
+    def exact_corners(r):
+        x, y, c, s, hl, hw = map(Decimal, r.frame)
+        return [(x + c * hl * i - s * hw * j, y + s * hl * i + c * hw * j)
+                for i, j in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+
+    def to_segment(p, q1, q2):
+        dx, dy = q2[0] - q1[0], q2[1] - q1[1]
+        t = ((p[0] - q1[0]) * dx + (p[1] - q1[1]) * dy) / (dx * dx + dy * dy)
+        t = min(max(t, Decimal(0)), Decimal(1))
+        ex, ey = p[0] - q1[0] - t * dx, p[1] - q1[1] - t * dy
+        return (ex * ex + ey * ey).sqrt()
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pa, pb = exact_corners(a), exact_corners(b)
+        return min(to_segment(p, q, r) for ps, qs in ((pa, pb), (pb, pa)) for p in ps
+                   for q, r in zip(qs, qs[1:] + qs[:1]))
+
+
+def assert_cut_contract(a, b, within):
+    """A row at or inside `within` is the uncut query's, bit for bit; a cut
+    row is the shared (inf, 0.0, 0.0), and only for a pair whose exact
+    distance, and whose uncut distance, exceed `within`. True if cut."""
+    got, full = closest_pair(a, b, within), closest_pair(a, b)
+    if got.distance != math.inf:
+        assert_bit_identical(got, full)
+        return False
+    assert got == (math.inf, 0.0, 0.0)
+    assert full.distance > within
+    assert exact_distance(a, b) > Decimal(within)
+    return True
+
+
+class TestCutoff:
+    """`closest_pair(a, b, within)` against the uncut query and against the
+    exact distance. A pair is cut only by a separating-axis gap past within
+    plus its rounding margin, so the rows near `within` are the ones at
+    stake: the sweep puts `within` a few ulp to 1e-9 of the scale from the
+    exact distance, with the pairs near the origin and about 1e3 m off."""
+
+    def test_random_pairs_obey_the_contract(self):
+        rng = np.random.default_rng(2027)
+        cut = 0
+        for k in range(3000):
+            a, b = random_rect(rng, span=12.0), random_rect(rng, span=12.0)
+            if k % 3 == 0:
+                b = face_parallel(rng, a, b)
+            for within in (0.0, 1.0, 8.0, rng.uniform(0.0, 20.0)):
+                cut += assert_cut_contract(a, b, within)
+        assert cut > 3000  # the cutoff did work
+
+    def test_default_never_cuts_and_cut_rows_are_shared(self):
+        a, far = rect(0, 0, 0, 1.0, 0.5), rect(1e6, -1e6, 0.3, 1.0, 0.5)
+        got = closest_pair(a, far)
+        assert_bit_identical(got, closest_pair(a, far, math.inf))
+        assert 1e6 < got.distance < math.inf
+        assert closest_pair(a, far, 8.0) is closest_pair(far, rect(9, 9, 1, 0.5, 0.5), 1.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, -1.3e3])
+    @pytest.mark.parametrize("parallel", [True, False])
+    def test_boundary_sweep(self, offset, parallel):
+        rng = np.random.default_rng([int(abs(offset)), parallel])
+        cut_past_margin = 0
+        for _ in range(40):
+            a = rect(offset + rng.uniform(-3, 3), offset + rng.uniform(-3, 3),
+                     rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5))
+            # B a few metres away, beside a face of A: a wall-length rectangle
+            # parallel to A's side, or a small one turned at random
+            heading = a.center.heading + (rng.integers(4) * math.pi / 2 if parallel
+                                          else rng.uniform(-math.pi, math.pi))
+            side = a.center.heading + rng.integers(4) * math.pi / 2
+            reach = a.half_length + a.half_width + 12.0 + rng.uniform(0.5, 9.0)
+            hl, hw = (rng.uniform(2.0, 12.0), 0.1) if parallel else (0.5, 0.4)
+            b = rect(a.center.x + reach * math.cos(side), a.center.y + reach * math.sin(side),
+                     heading, hl, hw)
+            exact = exact_distance(a, b)
+            scale = float(exact) + a.half_length + a.half_width + hl + hw
+            near = float(exact)
+            withins = [near, math.nextafter(near, math.inf), math.nextafter(near, -math.inf)]
+            withins += [near + sign * step * scale for step in (1e-12, 1e-9) for sign in (1, -1)]
+            for within in withins:
+                assert_cut_contract(a, b, within)
+                assert_cut_contract(b, a, within)
+            cut_past_margin += closest_pair(a, b, near - 1e-9 * scale).distance == math.inf
+        if parallel:  # facing sides: the gap is the distance, and 1e-9 is past the margin
+            assert cut_past_margin == 40
+
+
 class TestInvariants:
     def test_matches_loop_oracle(self):
         # same overlap decisions as a world-frame SAT, the same distance as
@@ -461,6 +555,12 @@ class TestValidation:
             OrientedRectangle(Pose2D(0, 0, 0), 0.0, 1.0)
         with pytest.raises(ValueError):
             OrientedRectangle(Pose2D(0, 0, 0), 1.0, -0.1)
+
+    @pytest.mark.parametrize("hl,hw", [(math.nan, 1.0), (1.0, math.nan),
+                                       (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_nan_and_infinite_extents(self, hl, hw):
+        with pytest.raises(ValueError):
+            OrientedRectangle(Pose2D(0, 0, 0), hl, hw)
 
     def test_pose_heading_normalized(self):
         assert Pose2D(0, 0, 3 * math.pi).heading == pytest.approx(math.pi)

@@ -320,5 +320,18 @@ def test_control_input_rejects_nan_steering(front, rear):
         ControlInput(0, 0, front, rear)
 
 
+@pytest.mark.parametrize("args", [
+    # wheel offsets
+    (math.nan, 1.2, 1.3, 0.5), (1.2, math.nan, 1.3, 0.5), (math.nan, 1.2, -1.0, 0.5),
+    (1.2, 0.0, 1.3, 0.5),
+    # half-extents
+    (1.2, 1.2, -1.0, 0.5), (1.2, 1.2, 1.3, 0.0), (1.2, 1.2, math.nan, 0.5),
+    (1.2, 1.2, 1.3, math.nan), (1.2, 1.2, math.inf, 0.5), (1.2, 1.2, 1.3, math.inf),
+])
+def test_geometry_rejects_nonpositive_or_nan_dimensions(args):
+    with pytest.raises(ValueError):
+        RobotGeometry(*args)
+
+
 def test_state_heading_normalized():
     assert RobotState(0, 0, 4 * math.pi, 0, 0).heading == pytest.approx(0.0)

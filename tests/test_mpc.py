@@ -537,6 +537,47 @@ class TestAssemble:
         assert not np.any(got.constant)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_apf_sums_with_the_cutoff_are_the_uncut_sums(self, cfg, geom, monkeypatch,
+                                                         variant):
+        # every query passes the activation radius, and with footprints
+        # about one radius off the robot's path, some of whose steps are cut
+        # and some not, the per-step sums are add_at_apf's from uncut
+        # queries, bit for bit
+        import apfmpc.mpc
+        passed, cut = [], []
+
+        def query(a, b, *within):
+            row = closest_pair(a, b, *within)
+            passed.append(within)
+            cut.append(row.distance == math.inf)
+            return row
+
+        monkeypatch.setattr(apfmpc.mpc, "closest_pair", query)
+        rng, radius, straddling = np.random.default_rng(37), cfg.activation_radius, 0
+        for _ in range(6):
+            s, u0, footprints = apf_scene(rng)
+            ahead = s.x + geom.half_length + 0.75 + radius + rng.uniform(-0.5, 1.5)
+            beside = s.y + geom.half_width + 0.1 + radius + rng.uniform(-0.05, 0.05)
+            footprints += [
+                obstacle_at(ahead, s.y + rng.uniform(-0.5, 0.5)),
+                Obstacle(OrientedRectangle(Pose2D(s.x + 5.0, beside, 0.0), 12.0, 0.1),
+                         kind="boundary"),
+                Obstacle(OrientedRectangle(Pose2D(ahead + 1.0, s.y, 0.0), 0.5, 0.4),
+                         (-1.0, 0.0), 0.0)]
+            cut.clear()
+            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            got = c._apf_quadratic(s, c._carry, footprints)
+            want = add_at_apf(c, s, footprints)
+            for got_part, want_part in zip((got.constant, got.gradient, got.hessian_psd,
+                                            got.anchor), want):
+                assert np.array_equal(got_part, want_part)
+                assert np.array_equal(np.signbit(got_part), np.signbit(want_part))
+            per = len(cut) // len(footprints)
+            straddling += sum(0 < sum(cut[k:k + per]) < per for k in range(0, len(cut), per))
+        assert set(passed) == {(radius,)}
+        assert straddling > 0 or variant == "no_customization"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_cost_matches_loop_oracle(self, cfg, geom, variant):
         rng = np.random.default_rng(17)
         for _ in range(8):
@@ -560,7 +601,7 @@ class TestAssemble:
         pairs_per_footprint = 1 if variant == "no_customization" else cfg.n_pred
         calls = []
         monkeypatch.setattr(apfmpc.mpc, "closest_pair",
-                            lambda a, b: calls.append(1) or closest_pair(a, b))
+                            lambda a, b, *r: calls.append(1) or closest_pair(a, b, *r))
         s, u0, footprints = apf_scene(np.random.default_rng(19))
         controller(cfg, geom, variant=variant).assemble(
             s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
@@ -572,7 +613,7 @@ class TestAssemble:
         import apfmpc.mpc
         rects = []
         monkeypatch.setattr(apfmpc.mpc, "closest_pair",
-                            lambda a, b: rects.append(a) or closest_pair(a, b))
+                            lambda a, b, *r: rects.append(a) or closest_pair(a, b, *r))
         rng = np.random.default_rng(23)
         for _ in range(5):
             s, u0, _ = apf_scene(rng)
@@ -673,7 +714,7 @@ class TestObstacleVelocity:
     def test_list_velocity_static_obstacle_is_static(self, cfg, geom, monkeypatch):
         rects = []
         monkeypatch.setattr("apfmpc.mpc.closest_pair",
-                            lambda a, b: rects.append(b) or closest_pair(a, b))
+                            lambda a, b, *r: rects.append(b) or closest_pair(a, b, *r))
         static = Obstacle(self.footprint, [0.0, 0.0], 0)
         c = controller(cfg, geom)
         c._apf_quadratic(RobotState(0.0, 0.0, 0.0, 1.0, 1.0), c._carry, [static])

@@ -62,6 +62,11 @@ class TestValue:
         with pytest.raises(ValueError):
             ApfParams(3.0, -1.0)
 
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan_params(self, a, b):
+        with pytest.raises(ValueError):
+            ApfParams(a, b)
+
 
 class TestPsdProject:
     def test_clamps_negative_eigenvalue(self):
