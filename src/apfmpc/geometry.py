@@ -73,11 +73,14 @@ class OrientedRectangle:
         # NaN fails both comparisons; an infinite extent times |sin| = 0 is NaN
         if not (0.0 < half_length < inf and 0.0 < half_width < inf):
             raise ValueError("rectangle half-extents must be positive and finite")
+        x, y, heading = center.x, center.y, center.heading
+        # one test for all three: v - v is 0.0 for a finite v, NaN otherwise
+        if (x - x) + (y - y) + (heading - heading) != 0.0:
+            raise ValueError("rectangle center and heading must be finite")
         d = self.__dict__
         d["center"], d["half_length"], d["half_width"] = center, half_length, half_width
         # not a field: equality, hash and repr see the three fields alone
-        d["frame"] = (center.x, center.y, math.cos(center.heading), math.sin(center.heading),
-                      half_length, half_width)
+        d["frame"] = (x, y, math.cos(heading), math.sin(heading), half_length, half_width)
 
 
 class ClosestPair(NamedTuple):

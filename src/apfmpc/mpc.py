@@ -69,7 +69,9 @@ from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6
+SLIP_BAND = 0.1  # m/s, the bound on |h(u)| (see `slip_terms`) before any widening
 MAX_BAND_DOUBLINGS = 4  # slip-band widenings on certified infeasibility before the tick holds
+ACTIVATION_RADIUS = 8.0  # m, Khatib's influence distance ρ₀: the field reads no pair beyond it
 
 # controller variants; "no_customization" freezes the field anchors at the
 # current poses and drops the wheel-speed-difference rows
@@ -78,45 +80,32 @@ VARIANTS = ("full", "no_customization")
 
 @dataclass(frozen=True)
 class MpcConfig:
+    """The values callers vary; the others are constants (README, "Design")."""
     n_pred: int = 20
     n_ctrl: int = 10
     dt: float = 0.1
     q_weights: tuple = (2.0, 2.0, 6.0, 10.0, 10.0)
     r_weights: tuple = (300.0, 300.0, 400.0, 400.0)
-    du_max: tuple = (0.8, 0.8, math.pi / 12, math.pi / 12)
     u_max: tuple = (1.0, 1.0, math.pi / 2, math.pi / 2)
-    eta_min: tuple = (-math.inf, -math.inf, -math.inf, 0.1, 0.1)
-    eta_max: tuple = (math.inf, math.inf, math.inf, 1.4, 1.4)
-    slip_band: float = 0.1
-    activation_radius: float = 8.0
-    obstacle_apf: ApfParams = ApfParams(3.0, 1.8)
-    boundary_apf: ApfParams = ApfParams(0.3, 1.1)
 
     def __post_init__(self):
         # the shared tables (see `_config_tables`) are built from these, and
         # a configuration is their key: each sequence is stored as a tuple of floats
+        if not all(type(n) is int for n in (self.n_pred, self.n_ctrl)):  # a bool is not an int
+            raise ValueError("n_pred and n_ctrl must be integers")
         if not 1 <= self.n_ctrl <= self.n_pred:
             raise ValueError("need 1 <= n_ctrl <= n_pred")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        for name, size in (("q_weights", N_STATE), ("eta_min", N_STATE), ("eta_max", N_STATE),
-                           ("r_weights", N_INPUT), ("du_max", N_INPUT), ("u_max", N_INPUT)):
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        for name, size in (("q_weights", N_STATE), ("r_weights", N_INPUT), ("u_max", N_INPUT)):
             values = tuple(map(float, getattr(self, name)))
             if len(values) != size:
                 raise ValueError(f"{name} must have {size} entries")
             object.__setattr__(self, name, values)
-        if not all(w >= 0.0 for w in (*self.q_weights, *self.r_weights)):
-            raise ValueError("weights must not be negative")
-        if not all(d > 0.0 for d in self.du_max):
-            raise ValueError("du_max must be positive")
-        if not all(lo <= hi for lo, hi in zip(self.eta_min, self.eta_max)):
-            raise ValueError("need eta_min <= eta_max")
-        if not all(math.isinf(b) for b in (*self.eta_min[:3], *self.eta_max[:3])):
-            raise ValueError("only the wheel speeds may have finite output bounds")
-        if not self.slip_band > 0.0:
-            raise ValueError("slip_band must be positive")
-        if not self.activation_radius > 0.0:
-            raise ValueError("activation_radius must be positive")
+        if not all(0.0 <= w < math.inf for w in (*self.q_weights, *self.r_weights)):
+            raise ValueError("weights must be finite and not negative")
+        if not all(u > 0.0 for u in self.u_max):
+            raise ValueError("u_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -241,6 +230,12 @@ def slip_constraint_rows(state0: RobotState, input0: ControlInput,
     return e_row, g
 
 
+DU_MAX = (0.8, 0.8, math.pi / 12, math.pi / 12)  # the increment box, per control step
+SPEED_BOUNDS = (0.1, 1.4)  # m/s, lower and upper, on both wheel speeds (outputs 3, 4)
+OBSTACLE_APF = ApfParams(3.0, 1.8)  # the field's (a, b) per footprint kind
+BOUNDARY_APF = ApfParams(0.3, 1.1)
+
+
 @lru_cache(maxsize=16)
 def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     """Per variant, the read-only constants of the condensed QP by attribute
@@ -257,7 +252,7 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
     t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
     # columns (scale_a, exponent_b) per field kind: obstacle, boundary
-    t["_apf_params"] = np.array([tuple(cfg.obstacle_apf), tuple(cfg.boundary_apf)]).T.copy()
+    t["_apf_params"] = np.array([tuple(OBSTACLE_APF), tuple(BOUNDARY_APF)]).T.copy()
     t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
     t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
     # binomials C(k, p) of the closed-form condensation (see assemble)
@@ -266,23 +261,21 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
     t["_binom_su"] = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
     t["_binom_base"] = np.hstack([binom[1:, :-1], binom[1:, 1:]])
-    # output rows of su with a finite bound, one output at a time, and their
-    # bounds. Only the wheel speeds (outputs 3, 4) are bounded; they integrate
-    # accelerations 0, 1, so block (i, j ≤ i) of their rows of su is dt (i - j + 1)
-    # on that acceleration at every operating point. They enter A normalized
-    # (see `qp.normalized`), and each tick's bounds take the same scales
-    bounded = np.array([d for d in range(N_STATE)
-                        if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))], int)
-    t["_eta_rows"] = (np.arange(n_p) * N_STATE + bounded[:, None]).ravel()
-    t["_eta_bounds"] = np.repeat(np.array([cfg.eta_min, cfg.eta_max])[:, bounded], n_p, axis=1)
+    # the bounded output rows of su, the wheel speeds (outputs 3, 4) one at
+    # a time, and their bounds. They integrate accelerations 0, 1, so block
+    # (i, j ≤ i) of their rows of su is dt (i - j + 1) on that acceleration at
+    # every operating point. They enter A normalized (see `qp.normalized`),
+    # and each tick's bounds take the same scales
+    t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array([[3], [4]])).ravel()
+    t["_eta_bounds"] = np.repeat(np.array(SPEED_BOUNDS)[:, None], 2 * n_p, axis=1)
     eta_rows = (np.where(lag >= 0, cfg.dt * (lag + 1.0), 0.0)[:, None]
-                * (np.arange(N_INPUT) == bounded[:, None, None] - 3)).reshape(-1, nz)
+                * np.eye(2, N_INPUT)[:, None]).reshape(-1, nz)
     t["_eta_scale"] = row_scales(eta_rows)
     # every tick's A and (lower, upper) start as copies of these: cumulative
     # inputs, the slip rows (full variant only), the outputs, then the
     # increment box, whose rows and bounds the copies keep; the rows of
     # 0 and 1 are normalized as they stand
-    du_max, per_variant = np.tile(cfg.du_max, n_c), {}
+    du_max, per_variant = np.tile(DU_MAX, n_c), {}
     for variant, n_slip in zip(VARIANTS, (n_c, 0)):
         a_rows = np.zeros((2 * nz + n_slip + len(eta_rows), nz))
         a_rows[:nz] = np.kron(t["_cumulative"], np.eye(N_INPUT))
@@ -355,7 +348,6 @@ class MpcController:
         """Active APF expansions summed per step, anchored at the robot's rows:
         the rollout with the carried input held or, frozen, the current state."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
-        radius = cfg.activation_radius
         frozen = self.variant == "no_customization"
         robot = (state.as_array()[None, :3] if frozen else
                  predict_robot(state, carry.input, self.geom, n_p, cfg.dt))
@@ -370,7 +362,7 @@ class MpcController:
                   for obs in obstacles]
         # per footprint and step: distance, gap; the rows flattened in one
         # pass. A pair beyond the radius is cut short: its row is (inf, 0, 0)
-        rows = chain.from_iterable(map(closest_pair, robot_rects, track, repeat(radius))
+        rows = chain.from_iterable(map(closest_pair, robot_rects, track, repeat(ACTIVATION_RADIUS))
                                    for track in tracks)
         pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(robot))
         pairs = pairs.reshape(len(tracks), len(robot), 3)
@@ -378,7 +370,7 @@ class MpcController:
             pairs, anchor = pairs.repeat(n_p, axis=1), anchor.repeat(n_p, axis=0)
         # one expansion of the active rows, each with its footprint's field
         # parameters; each step adds its rows into +0.0 in footprint order
-        footprint, step = (pairs[..., 0] <= radius).nonzero()
+        footprint, step = (pairs[..., 0] <= ACTIVATION_RADIUS).nonzero()
         const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
         if len(step):
             kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,
@@ -449,7 +441,7 @@ class MpcController:
             slip = _SlipRows(slice(nz, nz + n_c), 1.0 / max(1e-10, *map(abs, e_row.tolist())), g)
             np.multiply(self._cumulative[:, :, None], slip.scale * e_row,
                         out=a_mat[slip.rows].reshape(n_c, n_c, nu))
-            slip.write_band(lo, hi, cfg.slip_band)
+            slip.write_band(lo, hi, SLIP_BAND)
         eta = bounds[:, -nz - len(self._eta_rows):-nz]
         np.subtract(self._eta_bounds, base[self._eta_rows], out=eta)
         eta *= self._eta_scale
@@ -465,7 +457,7 @@ class MpcController:
         # successive QPs mostly share their active set: the solver returns
         # the last tick's set at once when it is still optimal
         sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=carry.active)
-        iterations, band, doublings = sol.iterations, cfg.slip_band, 0
+        iterations, band, doublings = sol.iterations, SLIP_BAND, 0
         while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
             # widen the slip band: only these rows' bounds change
             band, doublings = 2.0 * band, doublings + 1

@@ -34,6 +34,8 @@ class Obstacle:
             raise ValueError(f"velocity must have two entries (vx, vy), got {len(velocity)}")
         object.__setattr__(self, "velocity", velocity)
         object.__setattr__(self, "yaw_rate", float(self.yaw_rate))
+        if not all(map(math.isfinite, (*velocity, self.yaw_rate))):
+            raise ValueError("obstacle velocity and yaw rate must be finite")
         if self.kind not in ("obstacle", "boundary"):
             raise ValueError(f"unknown obstacle kind: {self.kind!r}")
         if self.kind == "boundary" and (self.velocity != (0.0, 0.0) or self.yaw_rate != 0.0):

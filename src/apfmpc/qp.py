@@ -58,6 +58,7 @@ f (n,), A (m, n) and both bounds (m,).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class QpSolution:
 @dataclass
 class QpSolver:
     max_iterations: int = 4000
-    tolerance: float = 1e-4
+    tolerance: ClassVar[float] = 1e-4  # not a field: no caller sets a second value
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
               active: np.ndarray | None = None) -> QpSolution:

@@ -562,5 +562,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             OrientedRectangle(Pose2D(0, 0, 0), hl, hw)
 
+    @pytest.mark.parametrize("x,y,heading", [
+        (math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan),
+        (math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0)])
+    def test_rejects_nonfinite_center(self, x, y, heading):
+        # else the closest pair to a finite rectangle reads contact, or a NaN gap
+        with pytest.raises(ValueError, match="finite"):
+            OrientedRectangle(Pose2D(x, y, heading), 1.0, 0.5)
+
     def test_pose_heading_normalized(self):
         assert Pose2D(0, 0, 3 * math.pi).heading == pytest.approx(math.pi)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,9 +7,10 @@ import pytest
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
 from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
-from apfmpc.mpc import (MAX_BAND_DOUBLINGS, VARIANTS, MpcConfig, MpcController, ReferenceHorizon,
-                        _Carry, _shift, build_reference, path_table, project_onto_path,
-                        slip_constraint_rows)
+from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, MAX_BAND_DOUBLINGS, OBSTACLE_APF,
+                        SLIP_BAND, SPEED_BOUNDS, VARIANTS, MpcConfig, MpcController,
+                        ReferenceHorizon, _Carry, _shift, build_reference, path_table,
+                        project_onto_path, slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, normalized, row_scales
@@ -133,9 +134,9 @@ def loop_apf(controller, state, obstacles, su, base):
             orect = OrientedRectangle(track[i], obs.footprint.half_length,
                                       obs.footprint.half_width)
             pair = closest_pair(rrect, orect)
-            if pair.distance > cfg.activation_radius:
+            if pair.distance > ACTIVATION_RADIUS:
                 continue
-            params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
+            params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
             quad = quadratic_approx((x, y), pair.gap, params)
             terms.append((i, quad))
             e_i = base_i - np.array(quad.anchor)
@@ -167,8 +168,8 @@ def add_at_apf(controller, state, obstacles):
         pairs = np.broadcast_to([(*pair.gap, pair.distance)
                                  for pair in map(closest_pair, robot_rects, track)],
                                 (n_p, 3))
-        steps = np.flatnonzero(pairs[:, 2] <= cfg.activation_radius)
-        params = cfg.boundary_apf if obs.kind == "boundary" else cfg.obstacle_apf
+        steps = np.flatnonzero(pairs[:, 2] <= ACTIVATION_RADIUS)
+        params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
         quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], params)
         np.add.at(const, steps, quad.constant)
         np.add.at(grad, steps, quad.gradient)
@@ -459,10 +460,10 @@ class TestAssemble:
         assert asm.su.shape == (cfg.n_pred * 5, nz)
         # cumulative input rows + slip rows + two bounded output dims + box
         assert asm.qp.a_mat.shape == (cfg.n_ctrl * 4 + cfg.n_ctrl + 2 * cfg.n_pred + nz, nz)
-        # the increment box is the last rows: the identity with bounds ±du_max
+        # the increment box is the last rows: the identity with bounds ±DU_MAX
         assert np.array_equal(asm.qp.a_mat[-nz:], np.eye(nz))
-        assert np.allclose(asm.qp.upper[-nz:], np.tile(cfg.du_max, cfg.n_ctrl))
-        assert np.allclose(asm.qp.lower[-nz:], -np.tile(cfg.du_max, cfg.n_ctrl))
+        assert np.allclose(asm.qp.upper[-nz:], np.tile(DU_MAX, cfg.n_ctrl))
+        assert np.allclose(asm.qp.lower[-nz:], -np.tile(DU_MAX, cfg.n_ctrl))
 
     def test_variant_drops_slip_rows(self, cfg, geom):
         full = controller(cfg, geom)
@@ -553,7 +554,7 @@ class TestAssemble:
             return row
 
         monkeypatch.setattr(apfmpc.mpc, "closest_pair", query)
-        rng, radius, straddling = np.random.default_rng(37), cfg.activation_radius, 0
+        rng, radius, straddling = np.random.default_rng(37), ACTIVATION_RADIUS, 0
         for _ in range(6):
             s, u0, footprints = apf_scene(rng)
             ahead = s.x + geom.half_length + 0.75 + radius + rng.uniform(-0.5, 1.5)
@@ -739,7 +740,7 @@ class TestStep:
             u = sol.applied_input.as_array()
             assert np.all(np.abs(u) <= np.array(cfg.u_max) + 1e-12)
             assert np.all(np.abs(sol.delta_sequence)
-                          <= np.array(cfg.du_max) + 1e-6)
+                          <= np.array(DU_MAX) + 1e-6)
 
     def test_objective_decomposition(self, cfg, geom):
         c = controller(cfg, geom)
@@ -818,27 +819,28 @@ class TestStep:
             MpcConfig(n_ctrl=0)
         with pytest.raises(ValueError):
             MpcConfig(n_ctrl=30, n_pred=20)
-        with pytest.raises(ValueError):
-            MpcConfig(slip_band=0.0)
 
+    # a tuple-valued case is named by its place in this list: move none
     @pytest.mark.parametrize("field,value", [
-        ("dt", -0.1), ("dt", 0.0), ("dt", math.nan),
-        ("activation_radius", -1.0), ("activation_radius", 0.0),
-        ("slip_band", math.nan),
-        ("du_max", (0, 0, 0, 0)), ("du_max", (0.8, 0.8, -0.1, 0.2)),
-        ("q_weights", (1, 2)), ("eta_min", (0.0,) * 4), ("eta_max", (1.4,) * 6),
-        ("r_weights", (300.0,) * 5), ("du_max", (0.8,) * 3), ("u_max", (1.0,) * 5),
+        ("dt", -0.1), ("dt", 0.0), ("dt", math.nan), ("dt", math.inf),
+        ("n_pred", 20.5), ("n_pred", 20.0), ("n_ctrl", True),
+        ("u_max", (1.0, 1.0, -0.5, 1.5)),
+        ("q_weights", (1, 2)),
+        ("u_max", (1.0, math.nan, 1.5, 1.5)), ("u_max", (0.0, 1.0, 1.5, 1.5)),
+        ("r_weights", (300.0,) * 5), ("q_weights", (2.0, 2.0, math.inf, 10.0, 10.0)),
+        ("u_max", (1.0,) * 5),
         ("q_weights", (2.0, 2.0, -6.0, 10.0, 10.0)), ("r_weights", (300.0, 300.0, 400.0, math.nan)),
-        ("eta_min", (-math.inf, -math.inf, -math.inf, 1.5, 0.1)),
-        # only the wheel speeds are bounded
-        ("eta_min", (0.0, -math.inf, -math.inf, 0.1, 0.1)),
-        ("eta_max", (math.inf, 5.0, math.inf, 1.4, 1.4)),
-        ("eta_min", (-math.inf, -math.inf, -math.pi, 0.1, 0.1)),
-        ("eta_max", (math.inf, math.inf, math.pi, 1.4, 1.4)),
+        ("r_weights", (300.0, 300.0, math.inf, 400.0)),
     ])
     def test_config_rejects(self, field, value):
         with pytest.raises(ValueError):
             MpcConfig(**{field: value})
+
+    def test_config_fields_are_the_varied_ones(self):
+        # a value no caller varies is a module constant, not a field
+        assert [f.name for f in fields(MpcConfig)] == ["n_pred", "n_ctrl", "dt", "q_weights",
+                                                       "r_weights", "u_max"]
+        assert [f.name for f in fields(QpSolver)] == ["max_iterations"]
 
     def test_config_stores_float_tuples(self, geom):
         cfg = MpcConfig(q_weights=[2, 2, 6, 10, 10], u_max=np.array([1.0, 1.0, 1.5, 1.5]))
@@ -879,7 +881,7 @@ class TestFallbacks:
         scale = 1.0 / np.max(np.abs(e_row))  # the rows arrive normalized
         rows = slice(cfg.n_ctrl * 4, cfg.n_ctrl * 5)
         (lo0, hi0), (lo, hi) = c.solver.bounds[0], c.solver.bounds[-1]
-        band = cfg.slip_band * 2 ** k
+        band = SLIP_BAND * 2 ** k
         assert np.array_equal(lo[rows], np.full(cfg.n_ctrl, scale * (-band - g)))
         assert np.array_equal(hi[rows], np.full(cfg.n_ctrl, scale * (band - g)))
         keep = np.ones(len(lo), bool)
@@ -1022,15 +1024,14 @@ def parent_rows(c, asm, state, u0, band):
         rows.append(np.kron(cumulative, e_row[None, :]))
         lower.append(np.full(n_c, -band - g))
         upper.append(np.full(n_c, band - g))
-    bounded = [d for d in range(5)
-               if not (math.isinf(cfg.eta_min[d]) and math.isinf(cfg.eta_max[d]))]
-    eta = (np.arange(cfg.n_pred) * 5 + np.array(bounded, dtype=int)[:, None]).ravel()
+    # the bounded outputs, the wheel speeds (3, 4), one output at a time
+    eta = (np.arange(cfg.n_pred) * 5 + np.array([[3], [4]])).ravel()
     rows.append(asm.su[eta])
-    lower.append(np.array(cfg.eta_min)[eta % 5] - asm.base[eta])
-    upper.append(np.array(cfg.eta_max)[eta % 5] - asm.base[eta])
+    lower.append(SPEED_BOUNDS[0] - asm.base[eta])
+    upper.append(SPEED_BOUNDS[1] - asm.base[eta])
     rows.append(np.eye(nz))
-    lower.append(-np.tile(cfg.du_max, n_c))
-    upper.append(np.tile(cfg.du_max, n_c))
+    lower.append(-np.tile(DU_MAX, n_c))
+    upper.append(np.tile(DU_MAX, n_c))
     return normalized(QpProblem(asm.qp.h_mat, asm.qp.f_vec, np.concatenate(rows),
                                 np.concatenate(lower), np.concatenate(upper)))
 
@@ -1074,7 +1075,7 @@ class TestNormalizedRows:
         for state, u0 in operating_points(6, 100):
             ref = build_reference(STRAIGHT, state, REF_SPEED, cfg)
             asm = c.assemble(state, cold(cfg, u0), ref, [])
-            want = parent_rows(c, asm, state, u0, cfg.slip_band)
+            want = parent_rows(c, asm, state, u0, SLIP_BAND)
             for name in ("a_mat", "lower", "upper"):
                 assert getattr(asm.qp, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -1090,7 +1091,7 @@ class TestNormalizedRows:
         asm = controller(cfg, geom).assemble(s, cold(cfg, u0), ref, [])
         for k, ((lower, upper), (problem, _)) in enumerate(zip(c.solver.bounds,
                                                              c.solver.solves)):
-            want = parent_rows(c, asm, s, u0, cfg.slip_band * 2 ** k)
+            want = parent_rows(c, asm, s, u0, SLIP_BAND * 2 ** k)
             assert problem.a_mat.tobytes() == want.a_mat.tobytes()
             assert lower.tobytes() == want.lower.tobytes()
             assert upper.tobytes() == want.upper.tobytes()

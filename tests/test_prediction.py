@@ -153,6 +153,14 @@ class TestObstacles:
             with pytest.raises(ValueError, match="two entries"):
                 Obstacle(rect, velocity)
 
+    @pytest.mark.parametrize("velocity,yaw_rate", [
+        ((math.nan, 0.0), 0.0), ((0.0, math.inf), 0.0), ((-math.inf, 0.0), 0.0),
+        ((0.5, 0.0), math.nan), ((0.5, 0.0), math.inf)])
+    def test_rejects_nonfinite_motion(self, velocity, yaw_rate):
+        # a tick would otherwise predict non-finite poses and raise in its middle
+        with pytest.raises(ValueError, match="finite"):
+            Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1), velocity, yaw_rate)
+
     def test_array_velocity_and_yaw_rate_stored_as_floats(self):
         obs = Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1),
                        np.array([0.25, -0.5]), np.float64(0.3))
