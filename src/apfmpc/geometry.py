@@ -3,8 +3,14 @@
 A rectangle computes its frame once, when it is made: center, cos and sin
 of its heading, and its half-extents. Queries and corners read that frame,
 so a wall's trig is computed once per run and a predicted pose's once, not
-once per query. Poses and rectangles are frozen dataclasses whose own
-`__init__` writes each field once, straight into the instance dict.
+once per query. `closest_pair` reads nothing else of its arguments, so a
+`Frame`, the six numbers in a one-slot record, serves where no rectangle
+is needed: the controller's predicted footprints are frames, which
+`frames` makes from computed poses. A rectangle rejects a center, heading
+or extent that is not finite with ValueError, as input; `frames` raises
+FloatingPointError on a pose that is not finite, as a numerical failure.
+Poses and rectangles are frozen dataclasses whose own `__init__` writes
+each field once, straight into the instance dict.
 
 A closest-pair query returns the distance and the gap, the world-frame
 vector from A's closest point to B's (Ericson, Real-Time Collision
@@ -33,15 +39,18 @@ and every overlap returns one shared zero row.
 from __future__ import annotations
 
 import math
-from math import hypot, inf
+from math import cos, hypot, inf, sin
 from dataclasses import dataclass
 from typing import NamedTuple
 
 
 def normalize_angle(angle: float) -> float:
-    """Wrap an angle into (-pi, pi]; an angle already there is returned as is."""
+    """Wrap an angle into (-pi, pi]; an angle already there is returned as
+    is. ±inf has no direction and gives NaN, as NaN gives NaN."""
     if -math.pi < angle <= math.pi:
         return angle
+    if math.isinf(angle):  # math.fmod raises on it
+        return math.nan
     wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi
@@ -83,6 +92,33 @@ class OrientedRectangle:
         d["frame"] = (x, y, math.cos(heading), math.sin(heading), half_length, half_width)
 
 
+class Frame(NamedTuple):
+    """A rectangle as `closest_pair` reads it: its frame alone, (x, y, cos h,
+    sin h, half_length, half_width). Unlike a rectangle it checks nothing;
+    `frames` checks the poses it makes them from."""
+    frame: tuple
+
+
+# a frame or pair row is made by tuple's own constructor in C, not by the
+# NamedTuple's Python-level __new__
+_row = tuple.__new__
+
+
+def frames(rows, half_length: float, half_width: float) -> list[Frame]:
+    """The frames of rectangles of one size at rows (x, y, heading), each
+    bit for bit the frame of the rectangle at `Pose2D(x, y, heading)`. The
+    rows are computed poses, not input, and a frame skips the rectangle's
+    finiteness check while `closest_pair` would read a NaN center as
+    contact: a row that is not finite raises FloatingPointError."""
+    out = []
+    for x, y, heading in rows:
+        if (x - x) + (y - y) + (heading - heading) != 0.0:  # as in OrientedRectangle
+            raise FloatingPointError(f"non-finite pose ({x}, {y}, {heading})")
+        heading = normalize_angle(heading)
+        out.append(_row(Frame, ((x, y, cos(heading), sin(heading), half_length, half_width),)))
+    return out
+
+
 class ClosestPair(NamedTuple):
     """One row of the pair table: the distance, then the gap from A's
     closest point to B's, (0.0, 0.0) on overlap. A query cut at `within`
@@ -103,10 +139,8 @@ def corners(rect: OrientedRectangle) -> list[tuple[float, float]]:
     return [(cx + c * lx - s * ly, cy + s * lx + c * ly) for lx, ly in local]
 
 
-# a row is made by tuple's own constructor in C, not by the NamedTuple's
-# Python-level __new__; the overlap row and the row beyond `within` are each
-# one shared, immutable instance
-_row = tuple.__new__
+# the overlap row and the row beyond `within` are each one shared,
+# immutable instance
 _OVERLAP = ClosestPair(0.0, 0.0, 0.0)
 _BEYOND = ClosestPair(inf, 0.0, 0.0)
 
@@ -121,7 +155,7 @@ _ROUNDING = 2.0 ** -40
 _CORNER_SIGNS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
-def closest_pair(a: OrientedRectangle, b: OrientedRectangle,
+def closest_pair(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame,
                  within: float = inf) -> ClosestPair:
     """Minimum distance between two oriented rectangles, and the gap vector;
     the shared row (inf, 0.0, 0.0) when the rectangles are farther apart

@@ -1,22 +1,28 @@
 """Nonlinear kinematics of the two-wheel independent drive/steer robot.
 
 Three-degree-of-freedom bicycle-style model under rigid-body and non-slip
-assumptions, stated once in two parts: `_terms` gives w (the C.G. speed
-along the body axis), s (the tangent of the side slip) and k from the
-speeds and the input, and `_heading_rates` turns them and the heading into
-the rates. `_rates`, `derivative` and the linearization's Jacobians compose
-the two; w and s keep the rates free of the side slip angle itself. One
-held-input forward-Euler rollout serves as the simulation plant
-(sub-stepped) and the controller's horizon prediction. It computes the
-terms once over the whole speed column and the heading rates once over the
-heading column; the linearization's offset is one Euler step of the same
-rates, the ones `derivative` returns.
+assumptions, stated once in two parts: `_steering_terms` gives the terms of
+the held steering (cos δ_f, cos δ_r, the tangent of the side slip s, and
+k), and `_body_rates` turns them, the speeds and cos and sin of the heading
+into w (the C.G. speed along the body axis) and the rates. `_rates`,
+`derivative` and the linearization's Jacobians compose the two; w and s
+keep the rates free of the side slip angle itself.
+
+One held-input forward-Euler rollout serves as the simulation plant (10
+substeps a tick) and the controller's horizon prediction (20 steps). It is
+one loop over Python floats: the steering terms once, then `_body_rates`
+per step. A rollout has 5 to 21 states of five numbers, and at that size
+a dozen numpy calls over the whole columns cost more than the loop's
+scalar arithmetic; each state is bit for bit the array form's, which
+`tests/test_kinematics.py` keeps as its oracle. The linearization's offset
+is one Euler step of the same rates, the ones `derivative` returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import cos, nan, sin
 
 import numpy as np
 
@@ -75,34 +81,37 @@ class RobotGeometry:
                                  self.half_length, self.half_width)
 
 
-def _terms(v_front, v_rear, inp: ControlInput, geom: RobotGeometry):
-    """The model's input/speed terms for held steering; L = l_f + l_r:
+def _steering_terms(inp: ControlInput, geom: RobotGeometry):
+    """The model's terms of held steering, L = l_f + l_r: cos δ_f, cos δ_r and
 
-        w = ½(v_f cos δ_f + v_r cos δ_r),   s = (l_r tan δ_f + l_f tan δ_r)/L,
-        k = (tan δ_f − tan δ_r)/L.
-
-    The speeds may be arrays, and w is then one.
+        s = (l_r tan δ_f + l_f tan δ_r)/L,   k = (tan δ_f − tan δ_r)/L.
     """
     big_l = geom.l_front + geom.l_rear
     tf, tr = math.tan(inp.steer_front), math.tan(inp.steer_rear)
-    w = 0.5 * (v_front * math.cos(inp.steer_front) + v_rear * math.cos(inp.steer_rear))
-    return w, (geom.l_rear * tf + geom.l_front * tr) / big_l, (tf - tr) / big_l
+    return (math.cos(inp.steer_front), math.cos(inp.steer_rear),
+            (geom.l_rear * tf + geom.l_front * tr) / big_l, (tf - tr) / big_l)
 
 
-def _heading_rates(heading, w, s):
-    """(Ẋ, Ẏ) = w (gx, gy) with gx = cos θ − s sin θ, gy = sin θ + s cos θ;
-    returns them and (gx, gy). The heading and w may be arrays."""
-    c, sn = np.cos(heading), np.sin(heading)
+def _body_rates(c, sn, v_front, v_rear, terms):
+    """The rates (Ẋ, Ẏ, θ̇) = w (gx, gy, k) from c, sn = cos θ, sin θ, the
+    speeds and the steering terms, with
+
+        w = ½(v_f cos δ_f + v_r cos δ_r),   gx = c − s sn,   gy = sn + s c;
+
+    returns them, then w, gx and gy. Floats or arrays."""
+    cf, cr, s, k = terms
+    w = 0.5 * (v_front * cf + v_rear * cr)
     gx, gy = c - s * sn, sn + s * c
-    return w * gx, w * gy, gx, gy
+    return w * gx, w * gy, w * k, w, gx, gy
 
 
 def _rates(heading, v_front, v_rear, inp: ControlInput, geom: RobotGeometry):
-    """The rates (Ẋ, Ẏ, θ̇), θ̇ = w k, and the terms (w, s, gx, gy, k): the
-    model's two parts composed. θ̇ does not depend on the heading."""
-    w, s, k = _terms(v_front, v_rear, inp, geom)
-    x_dot, y_dot, gx, gy = _heading_rates(heading, w, s)
-    return (x_dot, y_dot, w * k), (w, s, gx, gy, k)
+    """The rates (Ẋ, Ẏ, θ̇) and the terms (w, s, gx, gy, k): the model's two
+    parts composed. θ̇ does not depend on the heading. Floats or arrays."""
+    terms = _steering_terms(inp, geom)
+    x_dot, y_dot, yaw_rate, w, gx, gy = _body_rates(np.cos(heading), np.sin(heading),
+                                                    v_front, v_rear, terms)
+    return (x_dot, y_dot, yaw_rate), (w, terms[2], gx, gy, terms[3])
 
 
 def derivative(state: RobotState, inp: ControlInput, geom: RobotGeometry) -> np.ndarray:
@@ -111,29 +120,41 @@ def derivative(state: RobotState, inp: ControlInput, geom: RobotGeometry) -> np.
     return np.array([*rates, inp.accel_front, inp.accel_rear])
 
 
+def _steps(state: RobotState, inp: ControlInput, geom: RobotGeometry,
+           n: int, h: float) -> list[float]:
+    """States 0..n of n forward-Euler steps of length h with the input held,
+    flat, five floats [X, Y, heading, v_front, v_rear] a state; the heading
+    is not wrapped. Each step reads the rates at the state it starts from.
+
+    math.cos and math.sin raise on an infinite heading where np.cos and
+    np.sin return NaN; such a heading gets NaN for both here too, so a state
+    that overflows ends the rollout non-finite, not with an error.
+    """
+    terms = _steering_terms(inp, geom)
+    dv_front, dv_rear = h * inp.accel_front, h * inp.accel_rear
+    x, y, heading, v_front, v_rear = row = (state.x, state.y, state.heading,
+                                            state.v_front, state.v_rear)
+    out = list(row)
+    for _ in range(n):
+        try:
+            c, sn = cos(heading), sin(heading)
+        except ValueError:  # ±inf
+            c = sn = nan
+        x_dot, y_dot, yaw_rate, _, _, _ = _body_rates(c, sn, v_front, v_rear, terms)
+        x, y, heading, v_front, v_rear = row = (x + h * x_dot, y + h * y_dot,
+                                                heading + h * yaw_rate,
+                                                v_front + dv_front, v_rear + dv_rear)
+        out += row
+    return out
+
+
 def rollout(state: RobotState, inp: ControlInput, geom: RobotGeometry,
             n: int, h: float) -> np.ndarray:
     """States 0..n of n forward-Euler steps of length h with the input held,
-    as rows [X, Y, heading, v_front, v_rear]; the heading is not wrapped.
-
-    The yaw rate depends on the speeds alone, so the speeds come first, then
-    the heading, then the position, each a cumulative sum from its start
-    value. `ndarray.cumsum` adds in order, as stepping one by one does. The
-    terms are computed once, over the speeds of steps 0..n-1.
-    """
+    as rows [X, Y, heading, v_front, v_rear]; the heading is not wrapped."""
     if n < 0:
         raise ValueError("n must not be negative")
-    out = np.empty((n + 1, 5))
-    out[0] = state.x, state.y, state.heading, state.v_front, state.v_rear
-    out[1:, 3:] = (h * inp.accel_front, h * inp.accel_rear)
-    out[:, 3:].cumsum(axis=0, out=out[:, 3:])
-    w, s, k = _terms(out[:-1, 3], out[:-1, 4], inp, geom)
-    out[1:, 2] = h * (w * k)
-    out[:, 2].cumsum(out=out[:, 2])
-    x_dot, y_dot, _, _ = _heading_rates(out[:-1, 2], w, s)
-    out[1:, 0], out[1:, 1] = h * x_dot, h * y_dot
-    out[:, :2].cumsum(axis=0, out=out[:, :2])
-    return out
+    return np.array(_steps(state, inp, geom, n, h)).reshape(n + 1, 5)
 
 
 def euler_step(state: RobotState, inp: ControlInput, geom: RobotGeometry,
@@ -143,4 +164,4 @@ def euler_step(state: RobotState, inp: ControlInput, geom: RobotGeometry,
         raise ValueError("dt must be positive")
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be a positive integer, got {substeps!r}")
-    return RobotState(*rollout(state, inp, geom, substeps, dt / substeps)[-1].tolist())
+    return RobotState(*_steps(state, inp, geom, substeps, dt / substeps)[-5:])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ControlInput, RobotGeometry, RobotState, _rates
+from .kinematics import ControlInput, RobotGeometry, RobotState, _body_rates, _steering_terms
 
 N_STATE = 5
 N_INPUT = 4
@@ -59,11 +59,11 @@ def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
     """
     th, df, dr = state.heading, inp.steer_front, inp.steer_rear
     vf, vr = state.v_front, state.v_rear
-    rates, (w, _, gx, gy, k) = _rates(th, vf, vr, inp, geom)
-    x_dot, y_dot, _ = rates
-    lf, lr = geom.l_front, geom.l_rear
-    cf, cr = math.cos(df), math.cos(dr)
+    terms = _steering_terms(inp, geom)
     cth, sth = math.cos(th), math.sin(th)
+    x_dot, y_dot, yaw_rate, w, gx, gy = _body_rates(cth, sth, vf, vr, terms)
+    cf, cr, _, k = terms
+    lf, lr = geom.l_front, geom.l_rear
     dw_dvf, dw_dvr = 0.5 * cf, 0.5 * cr
     dw_ddf, dw_ddr = -0.5 * vf * math.sin(df), -0.5 * vr * math.sin(dr)
     dtf, dtr = 1.0 / (cf * cf * (lf + lr)), 1.0 / (cr * cr * (lf + lr))  # sec^2(d)/L
@@ -76,7 +76,7 @@ def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
         0.0, 0.0, dw_ddf * k + w * dtf, dw_ddr * k - w * dtr,
         0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0,
         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)).reshape(N_STATE, N_STATE + N_INPUT)
-    return jac, rates
+    return jac, (x_dot, y_dot, yaw_rate)
 
 
 def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,

@@ -16,7 +16,10 @@ horizon along it into one targets array, gathering each segment quantity
 once, validating and recomputing nothing.
 
 The QP is assembled once per tick. The rows (X, Y, heading) of the robot's
-rollout give its rectangles and, as X, Y, the field's anchors. The closest
+rollout give its footprints and, as X, Y, the field's anchors. A predicted
+footprint, the robot's or a moving obstacle's, is a `geometry.Frame`, the
+six numbers `closest_pair` reads, not a rectangle, and `geometry.frames`
+raises FloatingPointError on a predicted row that is not finite. The closest
 pair of every footprint and step, its distance and gap vector, fills one
 row of a table; the active rows take one field expansion, each row with its
 footprint kind's parameters (obstacle, boundary), and `np.add.at` adds each
@@ -32,7 +35,7 @@ the bounds of the wheel-speed-difference rows widen (the band doubles, in
 the rows' scale) before solving again; a variant without those rows
 reports infeasible at once. A tick's iteration count sums all its
 attempts. A non-finite solution raises FloatingPointError before it
-reaches the inputs.
+reaches the inputs, which are clipped to their bounds as floats.
 
 What one tick hands the next is one `_Carry` record: the applied input,
 the applied increments shifted one control step (the warm start), and the
@@ -60,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import OrientedRectangle, Pose2D, closest_pair
+from .geometry import closest_pair, frames
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
                             linearize)
@@ -237,7 +240,7 @@ BOUNDARY_APF = ApfParams(0.3, 1.1)
 
 
 @lru_cache(maxsize=16)
-def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
+def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray | tuple]]:
     """Per variant, the read-only constants of the condensed QP by attribute
     name. They depend on the configuration alone: every controller of an
     equal configuration shares them, and both variants share all but the
@@ -246,9 +249,10 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
     nz = n_c * N_INPUT
     t = {"_q_diag": np.tile(cfg.q_weights, n_p), "_r_diag": np.tile(cfg.r_weights, n_c)}
     t["_h_effort"] = 2.0 * np.diag(t["_r_diag"])
-    # the applied input's bound: u_max, and the steering inside the plant's singularity
+    # the applied input's bound, as floats: u_max, and the steering inside
+    # the plant's singularity
     steer_max = math.pi / 2 - _STEER_EPS
-    t["_u_applied"] = np.minimum(cfg.u_max, (math.inf, math.inf, steer_max, steer_max))
+    t["_u_applied"] = tuple(map(min, cfg.u_max, (math.inf, math.inf, steer_max, steer_max)))
     # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
     t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
     # columns (scale_a, exponent_b) per field kind: obstacle, boundary
@@ -286,7 +290,8 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray]]:
         per_variant[variant] = dict(t, _a_rows=a_rows, _bounds=bounds)
     for tables in per_variant.values():  # every tick of every such controller shares them
         for value in tables.values():
-            value.flags.writeable = False
+            if isinstance(value, np.ndarray):  # the one tuple is read-only as it is
+                value.flags.writeable = False
     return per_variant
 
 
@@ -351,18 +356,18 @@ class MpcController:
         frozen = self.variant == "no_customization"
         robot = (state.as_array()[None, :3] if frozen else
                  predict_robot(state, carry.input, self.geom, n_p, cfg.dt))
-        robot_rects = [OrientedRectangle(p, hl, hw) for p in map(Pose2D, *robot.T.tolist())]
+        robot_frames = frames(robot.tolist(), hl, hw)
         anchor = robot[:, :2]
         # frozen, robot and footprints hold still: each footprint's one pair
         # serves every step; boundaries are static
         tracks = [[obs.footprint] * len(robot)
                   if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0) else
-                  [OrientedRectangle(pose, obs.footprint.half_length, obs.footprint.half_width)
-                   for pose in predict_obstacle(obs, n_p, cfg.dt)]
+                  frames([(p.x, p.y, p.heading) for p in predict_obstacle(obs, n_p, cfg.dt)],
+                         obs.footprint.half_length, obs.footprint.half_width)
                   for obs in obstacles]
         # per footprint and step: distance, gap; the rows flattened in one
         # pass. A pair beyond the radius is cut short: its row is (inf, 0, 0)
-        rows = chain.from_iterable(map(closest_pair, robot_rects, track, repeat(ACTIVATION_RADIUS))
+        rows = chain.from_iterable(map(closest_pair, robot_frames, track, repeat(ACTIVATION_RADIUS))
                                    for track in tracks)
         pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(robot))
         pairs = pairs.reshape(len(tracks), len(robot), 3)
@@ -474,9 +479,11 @@ class MpcController:
         if not np.logical_and.reduce(np.isfinite(z)):  # the plant never sees it; the run ends
             raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
         delta_seq = z.reshape(cfg.n_ctrl, N_INPUT)
-        u_next = carry.input.as_array() + delta_seq[0]
-        u_next = np.minimum(np.maximum(u_next, -self._u_applied), self._u_applied)
-        applied = ControlInput(*u_next.tolist())
+        u = carry.input
+        u_next = [v + dv for v, dv in zip((u.accel_front, u.accel_rear, u.steer_front,
+                                           u.steer_rear), delta_seq[0].tolist())]
+        applied = ControlInput(*[b if v > b else -b if v < -b else v
+                                 for v, b in zip(u_next, self._u_applied)])
 
         eta = asm.su @ z + asm.base
         predicted = eta.reshape(cfg.n_pred, N_STATE)

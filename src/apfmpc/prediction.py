@@ -1,8 +1,8 @@
 """Horizon prediction of robot and obstacle poses, for steps 1..n ahead.
 
 The robot's prediction is the rows (X, Y, heading) of the kinematics' one
-array-pass rollout with its previously applied input held constant, the
-heading unwrapped. Obstacles follow a constant velocity and turning rate
+rollout with its previously applied input held constant, the heading
+unwrapped. Obstacles follow a constant velocity and turning rate
 model (velocity vector rotated by dt*yaw_rate before each displacement, so
 speed magnitude is preserved). Their steps stay sequential, on floats,
 through the helper that `advance_obstacle` wraps for the simulator, so

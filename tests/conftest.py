@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apfmpc.kinematics import RobotGeometry, RobotState, euler_step
+from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.mpc import MpcConfig
 from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
 
@@ -49,6 +49,22 @@ def nan_at_step(monkeypatch, n):
         steps.append(state)
         out = euler_step(state, *args, **kwargs)
         return replace(out, x=math.nan) if len(steps) == n else out
+
+    monkeypatch.setattr(apfmpc.simulator, "euler_step", step)
+
+
+def inf_heading_at_step(monkeypatch, n):
+    """Make the simulator's n-th plant step integrate wheel speeds of 1.7e308
+    at full opposite steering for 2 s: the heading overflows to infinity."""
+    import apfmpc.simulator
+    steps = []
+
+    def step(state, inp, geom, dt, **kwargs):
+        steps.append(state)
+        if len(steps) == n:
+            state = replace(state, v_front=1.7e308, v_rear=1.7e308)
+            inp, dt = ControlInput(0.0, 0.0, 1.5, -1.5), 2.0
+        return euler_step(state, inp, geom, dt, **kwargs)
 
     monkeypatch.setattr(apfmpc.simulator, "euler_step", step)
 

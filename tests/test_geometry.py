@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from apfmpc.geometry import (ClosestPair, OrientedRectangle, Pose2D, closest_pair,
-                             corners, normalize_angle)
+                             corners, frames, normalize_angle)
 from apfmpc.prediction import Obstacle, advance_obstacle
 from apfmpc.simulator import (load_scenario, packaged_scenario_path, scenario_from_dict,
                               scenario_to_dict)
@@ -180,6 +180,24 @@ def face_parallel(rng, a, b):
                 b.half_length, b.half_width)
 
 
+class TestFrames:
+    def test_bit_for_bit_the_rectangles_frames(self):
+        # headings inside (-pi, pi] and unwrapped ones past it
+        rng = np.random.default_rng(29)
+        rows = np.column_stack([rng.uniform(-50, 50, 400), rng.uniform(-50, 50, 400),
+                                rng.uniform(-4 * math.pi, 4 * math.pi, 400)]).tolist()
+        got = [f.frame for f in frames(rows, 1.3, 0.5)]
+        want = [OrientedRectangle(Pose2D(*row), 1.3, 0.5).frame for row in rows]
+        assert [tuple(map(float.hex, f)) for f in got] == [
+            tuple(map(float.hex, f)) for f in want]
+
+    @pytest.mark.parametrize("row", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                                     (0.0, 0.0, -math.inf), (0.0, 0.0, math.nan)])
+    def test_non_finite_pose_raises(self, row):
+        with pytest.raises(FloatingPointError):
+            frames([(1.0, 2.0, 0.3), row], 1.3, 0.5)
+
+
 class TestNormalizeAngle:
     @pytest.mark.parametrize("angle,expected", [
         (0.0, 0.0), (math.pi, math.pi), (-math.pi, math.pi),
@@ -187,6 +205,12 @@ class TestNormalizeAngle:
     ])
     def test_wraps(self, angle, expected):
         assert normalize_angle(angle) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+    def test_infinite_or_nan_is_nan(self, angle):
+        # no direction: NaN, not the error math.fmod raises on ±inf
+        assert math.isnan(normalize_angle(angle))
+        assert math.isnan(Pose2D(0.0, 0.0, angle).heading)
 
     def test_in_range_angles_are_fixed_points(self):
         angles = np.random.default_rng(7).uniform(-math.pi, math.pi, size=1000)

@@ -211,6 +211,14 @@ class TestEulerStep:
             assert_states_close(euler_step(s, u, geom, dt, substeps).as_array(),
                                 loop_euler(s, u, geom, dt, substeps).as_array())
 
+    def test_overflowing_heading_ends_non_finite(self, sym_geom):
+        # 1.7e308 m/s turns the heading past the largest float within 2 s:
+        # the state comes back NaN, where wrapping the infinite heading or
+        # taking its math.cos would raise
+        s = euler_step(RobotState(0, 0, 0, 1.7e308, 1.7e308), ControlInput(0, 0, 1.5, -1.5),
+                       sym_geom, 2.0, 10)
+        assert math.isnan(s.heading) and math.isnan(s.x) and math.isnan(s.y)
+
     @pytest.mark.parametrize("substeps", [1, 10, 1024])
     def test_heading_crosses_pi(self, substeps, sym_geom):
         s, u = CROSSING
@@ -246,6 +254,16 @@ class TestRollout:
             s, u = random_draw(rng)
             assert (rollout(s, u, geom, n, h).tobytes()
                     == two_pass_rollout(s, u, geom, n, h).tobytes())
+
+    def test_infinite_heading_is_nan_as_in_numpy(self, sym_geom):
+        # the heading overflows on the 7th step; from the 8th on, math.cos
+        # would raise where np.cos gives NaN, and the rollout gives NaN
+        s, u = RobotState(0, 0, 0, 1.7e308, 1.7e308), ControlInput(0, 0, 1.5, -1.5)
+        got = rollout(s, u, sym_geom, 10, 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = two_pass_rollout(s, u, sym_geom, 10, 0.2)
+        assert np.isinf(got[-1, 2]) and np.isnan(got[-1, :2]).all()
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_zero_steps_is_the_start(self, sym_geom):
         s = RobotState(1.0, -2.0, 3.0, 1.0, 1.2)

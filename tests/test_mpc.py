@@ -609,23 +609,24 @@ class TestAssemble:
         assert len(calls) == pairs_per_footprint * len(footprints)
 
     def test_robot_rectangles_are_the_footprints(self, cfg, geom, monkeypatch):
-        # built straight from the predicted poses, bit for bit the rectangles
-        # geom.footprint gives for the same states
+        # frames built straight from the predicted poses, bit for bit the
+        # frames of the rectangles geom.footprint gives for the same states
         import apfmpc.mpc
-        rects = []
+        frames = []
         monkeypatch.setattr(apfmpc.mpc, "closest_pair",
-                            lambda a, b, *r: rects.append(a) or closest_pair(a, b, *r))
+                            lambda a, b, *r: frames.append(a.frame) or closest_pair(a, b, *r))
         rng = np.random.default_rng(23)
         for _ in range(5):
             s, u0, _ = apf_scene(rng)
             s = RobotState(s.x, s.y, rng.uniform(-math.pi, math.pi), s.v_front, s.v_rear)
-            rects.clear()
+            frames.clear()
             controller(cfg, geom).assemble(
                 s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg),
                 [obstacle_at(60.0, 0.0)])
-            want = [geom.footprint(RobotState(x, y, heading, 0.0, 0.0))
+            want = [geom.footprint(RobotState(x, y, heading, 0.0, 0.0)).frame
                     for x, y, heading in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt).tolist()]
-            assert list(map(repr, rects)) == list(map(repr, want))
+            assert [tuple(map(float.hex, f)) for f in frames] == [
+                tuple(map(float.hex, f)) for f in want]
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_anchors_are_the_rollout_rows(self, cfg, geom, variant):
@@ -770,6 +771,43 @@ class TestStep:
         far = controller(cfg, geom).step(s, ref, [obstacle_at(200.0, 0.0)])
         assert np.array_equal(free.applied_input.as_array(),
                               far.applied_input.as_array())
+
+    @pytest.mark.parametrize("bad", [(5, 0, math.nan), (19, 1, math.inf), (0, 2, -math.inf)],
+                             ids=["nan_x", "inf_y", "minus_inf_heading"])
+    def test_non_finite_prediction_raises(self, cfg, geom, monkeypatch, bad):
+        # frames skip the rectangle's finiteness check, and closest_pair
+        # reads a NaN center as contact: the tick raises before any query
+        import apfmpc.mpc
+        step, column, value = bad
+        queries = []
+
+        def predicted(*args):
+            rows = predict_robot(*args).copy()
+            rows[step, column] = value
+            return rows
+
+        monkeypatch.setattr(apfmpc.mpc, "predict_robot", predicted)
+        monkeypatch.setattr(apfmpc.mpc, "closest_pair",
+                            lambda a, b, *r: queries.append(a) or closest_pair(a, b, *r))
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        with pytest.raises(FloatingPointError):
+            controller(cfg, geom).step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg),
+                                       [obstacle_at(6.0, 0.0)])
+        assert queries == []
+
+    def test_non_finite_obstacle_prediction_raises(self, cfg, geom, monkeypatch):
+        import apfmpc.mpc
+
+        def predicted(obs, n_steps, dt):
+            poses = predict_obstacle(obs, n_steps, dt)
+            poses[7] = Pose2D(poses[7].x, math.inf, poses[7].heading)
+            return poses
+
+        monkeypatch.setattr(apfmpc.mpc, "predict_obstacle", predicted)
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        moving = Obstacle(OrientedRectangle(Pose2D(6.0, 0.0, 0.0), 0.75, 0.4), (-0.3, 0.0))
+        with pytest.raises(FloatingPointError):
+            controller(cfg, geom).step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [moving])
 
     def test_assembles_once_per_tick(self, cfg, geom, monkeypatch):
         c = controller(cfg, geom)

@@ -14,7 +14,8 @@ from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
                               NUMERICAL_FAILURE, SOLVER_FAILED, Scenario, load_scenario,
                               metrics, packaged_scenario_path, run, save_scenario,
                               scenario_from_dict, scenario_to_dict)
-from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
+from conftest import (DOUBLE_BACK_HEADING, double_back, inf_heading_at_step, nan_at_solve,
+                      nan_at_step)
 
 
 def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
@@ -80,6 +81,17 @@ class TestRun:
         # not a collision and not a bad scenario: the run stops at the tick
         # whose state is NaN, and the logged ticks are the finite ones
         nan_at_step(monkeypatch, 3)
+        log = run(tiny_scenario(duration=2.0, obstacles=obstacles))
+        assert log.outcome == NUMERICAL_FAILURE
+        assert len(log.records) == 3
+        assert all(np.isfinite(r.state.as_array()).all() for r in log.records)
+
+    @pytest.mark.parametrize("obstacles", [[], [Obstacle(OrientedRectangle(
+        Pose2D(8.0, 1.5, 0.0), 0.5, 0.4))]], ids=["no_obstacles", "obstacle"])
+    def test_overflowing_heading_ends_in_numerical_failure(self, monkeypatch, obstacles):
+        # the plant's heading overflows to infinity: the state comes back
+        # NaN, not as an error from wrapping it, and the run stops there
+        inf_heading_at_step(monkeypatch, 3)
         log = run(tiny_scenario(duration=2.0, obstacles=obstacles))
         assert log.outcome == NUMERICAL_FAILURE
         assert len(log.records) == 3

@@ -79,6 +79,36 @@ def test_tick_makes_no_wrapper_calls(cfg, geom, variant, scene):
     assert wrapper_calls(tick) == []
 
 
+def constructions(fn, cls) -> int:
+    """How many times fn's run calls cls's own __init__."""
+    init, count = cls.__init__.__code__, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code is init
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_warm_step_builds_no_rectangle(cfg, geom):
+    # the field's queries read frames: a moving obstacle's predicted poses
+    # and the robot's rows become no OrientedRectangle
+    obstacles = SCENES["obstacle_and_wall"]
+    assert any(obs.velocity != (0.0, 0.0) for obs in obstacles)
+    assert any(obs.kind == "boundary" for obs in obstacles)
+    c = MpcController(cfg, geom, variant="full")
+    ref = build_reference(PATH, STATE, 1.389, cfg)
+    c.step(STATE, ref, obstacles)
+    assert constructions(lambda: c.step(STATE, ref, obstacles), OrientedRectangle) == 0
+    assert constructions(lambda: OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0),
+                         OrientedRectangle) == 1
+
+
 def test_wrapper_calls_are_seen():
     calls = wrapper_calls(lambda: (np.clip(np.ones(3), 0.0, 0.5), np.eye(2),
                                    np.vstack([np.ones(2)])))

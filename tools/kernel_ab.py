@@ -8,13 +8,17 @@ CHANGE_ROOT defaults to the checkout this tool is in, the seed to 1 and the
 rounds to 30. Each tree first runs the timed episodes of the seed-N
 `corridor_apf` workload once, untimed, in its own interpreter with one BLAS
 thread, and records every closest-pair query the controller makes
-(`apfmpc.mpc.closest_pair`): both rectangles, and the cutoff `within` the
-call passed (inf where it passed none). Both trees must record the same
-rectangles, or there is nothing to compare.
+(`apfmpc.mpc.closest_pair`): both frames, the six numbers (x, y, cos h,
+sin h, half_length, half_width) the kernel reads of each argument's
+`.frame`, and the cutoff `within` the call passed (inf where it passed
+none). Both trees must record the same frames, or there is nothing to
+compare. A tree may pass rectangles or bare frames: the kernel reads the
+frame either way.
 
 Then both trees' `geometry` modules are loaded into this process, each
-under its own name, and each replays its own recorded calls on rectangles
-built by its own classes. Every row is checked bit for bit against the
+under its own name, and each replays its own recorded calls on the same
+kind of frame holder, made here, so that neither tree's argument types
+enter the timing. Every row is checked bit for bit against the
 other tree's row: they may differ only where one tree cut the query,
 returning (inf, 0.0, 0.0), and the other tree's distance exceeds that
 cutoff. The timing calls each tree's kernel directly, with no tracing
@@ -22,7 +26,7 @@ wrapper, over all recorded calls in one round; the trees alternate which
 goes first each round, and gc is off while a round runs. The tool prints
 each tree's median µs per call over the rounds, their ratio, and how many
 rows each tree cut. It exits 1 if a row differs, and 2 if the trees
-record different rectangles.
+record different frames, that is different rectangles.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from collections import deque
+from collections import deque, namedtuple
 from pathlib import Path
 from time import perf_counter
 
@@ -47,14 +51,14 @@ WORKLOAD = "corridor_apf"
 TOOLS = Path(__file__).resolve().parent
 
 
-def _fields(rect) -> tuple:
-    return (rect.center.x, rect.center.y, rect.center.heading,
-            rect.half_length, rect.half_width)
+# what the kernel reads of an argument, its six-number `.frame`; both
+# trees replay on these
+FrameHolder = namedtuple("FrameHolder", "frame")
 
 
 def record(root: str, seed: int, out: str) -> None:
     """Run the tree's timed episodes once and save one row per controller
-    query: A's and B's (x, y, heading, half_length, half_width), within."""
+    query: A's and B's frames, then within."""
     root_path = Path(root)
     sys.path[:0] = [str(root_path / "src"), str(root_path / "perfbench")]
     import apfmpc.mpc
@@ -64,13 +68,13 @@ def record(root: str, seed: int, out: str) -> None:
     kernel, calls = apfmpc.mpc.closest_pair, []
 
     def recorder(a, b, *within):
-        calls.append((*_fields(a), *_fields(b), *(within or (math.inf,))))
+        calls.append((*a.frame, *b.frame, *(within or (math.inf,))))
         return kernel(a, b, *within)
 
     apfmpc.mpc.closest_pair = recorder
     for episode in timed_episodes(WORKLOAD, WORKLOADS[WORKLOAD](seed)):
         apfmpc.simulator.run(episode.scenario)
-    np.save(out, np.array(calls, dtype=float).reshape(-1, 11))
+    np.save(out, np.array(calls, dtype=float).reshape(-1, 13))
 
 
 def recorded_calls(root: Path, seed: int, out: Path) -> np.ndarray:
@@ -95,14 +99,12 @@ def load_geometry(root: Path, name: str):
 
 def replay_args(geometry, calls: np.ndarray) -> tuple[list, ...]:
     """The kernel's positional argument lists for the recorded calls, each
-    rectangle built by the tree's own classes; no cutoff for a kernel that
-    takes none."""
-    def rects(cols):
-        return [geometry.OrientedRectangle(geometry.Pose2D(x, y, heading), hl, hw)
-                for x, y, heading, hl, hw in cols.tolist()]
-    args = (rects(calls[:, 0:5]), rects(calls[:, 5:10]))
+    frame in a `FrameHolder`; no cutoff for a kernel that takes none."""
+    def frames(cols):
+        return [FrameHolder(tuple(frame)) for frame in cols.tolist()]
+    args = (frames(calls[:, 0:6]), frames(calls[:, 6:12]))
     if "within" in inspect.signature(geometry.closest_pair).parameters:
-        args += (calls[:, 10].tolist(),)
+        args += (calls[:, 12].tolist(),)
     return args
 
 
@@ -149,7 +151,7 @@ def main(argv: list[str]) -> int:
         calls = [recorded_calls(root, opts.seed, Path(tmp) / f"{k}.npy")
                  for k, root in enumerate(roots)]
     if calls[0].shape != calls[1].shape or not np.array_equal(
-            calls[0][:, :10].view(np.int64), calls[1][:, :10].view(np.int64)):
+            calls[0][:, :12].view(np.int64), calls[1][:, :12].view(np.int64)):
         print("the trees record different rectangles: their closed loops differ",
               file=sys.stderr)
         return 2
@@ -159,7 +161,7 @@ def main(argv: list[str]) -> int:
     kernels = [module.closest_pair for module in modules]
     args = [replay_args(module, c) for module, c in zip(modules, calls)]
     rows = [list(map(kernel, *a)) for kernel, a in zip(kernels, args)]
-    within = [c[:, 10].tolist() for c in calls]
+    within = [c[:, 12].tolist() for c in calls]
     differing, cut_parent, cut_change = compare_rows(rows[0], within[0], rows[1], within[1])
 
     seconds = ([], [])
