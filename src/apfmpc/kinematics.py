@@ -106,18 +106,16 @@ def _body_rates(c, sn, v_front, v_rear, terms):
 
 
 def _rates(heading, v_front, v_rear, inp: ControlInput, geom: RobotGeometry):
-    """The rates (Ẋ, Ẏ, θ̇) and the terms (w, s, gx, gy, k): the model's two
-    parts composed. θ̇ does not depend on the heading. Floats or arrays."""
-    terms = _steering_terms(inp, geom)
-    x_dot, y_dot, yaw_rate, w, gx, gy = _body_rates(np.cos(heading), np.sin(heading),
-                                                    v_front, v_rear, terms)
-    return (x_dot, y_dot, yaw_rate), (w, terms[2], gx, gy, terms[3])
+    """The rates (Ẋ, Ẏ, θ̇): the model's two parts composed. θ̇ does not
+    depend on the heading. Floats or arrays."""
+    return _body_rates(np.cos(heading), np.sin(heading), v_front, v_rear,
+                       _steering_terms(inp, geom))[:3]
 
 
 def derivative(state: RobotState, inp: ControlInput, geom: RobotGeometry) -> np.ndarray:
     """State rate [Xdot, Ydot, heading_rate, vf_dot, vr_dot]."""
-    rates, _ = _rates(state.heading, state.v_front, state.v_rear, inp, geom)
-    return np.array([*rates, inp.accel_front, inp.accel_rear])
+    return np.array([*_rates(state.heading, state.v_front, state.v_rear, inp, geom),
+                     inp.accel_front, inp.accel_rear])
 
 
 def _steps(state: RobotState, inp: ControlInput, geom: RobotGeometry,
@@ -152,16 +150,16 @@ def rollout(state: RobotState, inp: ControlInput, geom: RobotGeometry,
             n: int, h: float) -> np.ndarray:
     """States 0..n of n forward-Euler steps of length h with the input held,
     as rows [X, Y, heading, v_front, v_rear]; the heading is not wrapped."""
-    if n < 0:
-        raise ValueError("n must not be negative")
+    if n < 0 or not 0.0 < h < math.inf:  # NaN fails both comparisons
+        raise ValueError("need n >= 0 and a positive, finite h")
     return np.array(_steps(state, inp, geom, n, h)).reshape(n + 1, 5)
 
 
 def euler_step(state: RobotState, inp: ControlInput, geom: RobotGeometry,
                dt: float, substeps: int = 1) -> RobotState:
     """Forward-Euler update over dt, optionally split into substeps."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:  # NaN fails both comparisons
+        raise ValueError("dt must be positive and finite")
     if not isinstance(substeps, (int, np.integer)) or substeps < 1:
         raise ValueError(f"substeps must be a positive integer, got {substeps!r}")
     return RobotState(*_steps(state, inp, geom, substeps, dt / substeps)[-5:])

@@ -16,26 +16,27 @@ horizon along it into one targets array, gathering each segment quantity
 once, validating and recomputing nothing.
 
 The QP is assembled once per tick. The rows (X, Y, heading) of the robot's
-rollout give its footprints and, as X, Y, the field's anchors. A predicted
-footprint, the robot's or a moving obstacle's, is a `geometry.Frame`, the
-six numbers `closest_pair` reads, not a rectangle, and `geometry.frames`
-raises FloatingPointError on a predicted row that is not finite. The closest
-pair of every footprint and step, its distance and gap vector, fills one
-row of a table; the active rows take one field expansion, each row with its
-footprint kind's parameters (obstacle, boundary), and `np.add.at` adds each
-row into its step's sums, from +0.0 in footprint order. Ā - I = N has
-N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed matrices are fixed
-binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics
-enter through one product. The QP is OSQP's form, with no constant term,
-and its rows are normalized where they are made (see `qp.normalized`): a
-tick's objective is not read off it but is the sum of the three costs
-priced at the applied solution, tracking + input-increment effort + field,
-and on a held tick that solution is z = 0. On certified infeasibility only
-the bounds of the wheel-speed-difference rows widen (the band doubles, in
-the rows' scale) before solving again; a variant without those rows
-reports infeasible at once. A tick's iteration count sums all its
-attempts. A non-finite solution raises FloatingPointError before it
-reaches the inputs, which are clipped to their bounds as floats.
+rollout give its footprints and, as X, Y, the field's anchors; a moving
+obstacle's predicted rows give its footprints. `geometry.frames` makes
+every predicted footprint from its row, as a `Frame`, the six numbers
+`closest_pair` reads, and raises FloatingPointError on a row that is not
+finite; a tick builds no pose or rectangle. The closest pair of every
+footprint and step, its distance and gap vector, fills one row of a table;
+the active rows take one field expansion, each row with its footprint
+kind's parameters (obstacle, boundary), and `np.add.at` adds each row into
+its step's sums, from +0.0 in footprint order. Ā - I = N has N⁴ = 0, so Āᵏ
+is a binomial sum in N and the condensed matrices are fixed binomial tables
+times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one
+product. The QP is OSQP's form, with no constant term, and its rows are
+normalized where they are made (see `qp.row_scales`): a tick's objective is
+not read off it but is the sum of the three costs priced at the applied
+solution, tracking + input-increment effort + field, and on a held tick
+that solution is z = 0. On certified infeasibility only the bounds of the
+wheel-speed-difference rows widen (the band doubles, in the rows' scale)
+before solving again; a variant without those rows reports infeasible at
+once. A tick's iteration count sums all its attempts. A non-finite solution
+raises FloatingPointError before it reaches the inputs, which are clipped
+to their bounds as floats.
 
 What one tick hands the next is one `_Carry` record: the applied input,
 the applied increments shifted one control step (the warm start), and the
@@ -268,7 +269,7 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray | tuple]]:
     # the bounded output rows of su, the wheel speeds (outputs 3, 4) one at
     # a time, and their bounds. They integrate accelerations 0, 1, so block
     # (i, j ≤ i) of their rows of su is dt (i - j + 1) on that acceleration at
-    # every operating point. They enter A normalized (see `qp.normalized`),
+    # every operating point. They enter A normalized (see `qp.row_scales`),
     # and each tick's bounds take the same scales
     t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array([[3], [4]])).ravel()
     t["_eta_bounds"] = np.repeat(np.array(SPEED_BOUNDS)[:, None], 2 * n_p, axis=1)
@@ -362,7 +363,7 @@ class MpcController:
         # serves every step; boundaries are static
         tracks = [[obs.footprint] * len(robot)
                   if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0) else
-                  frames([(p.x, p.y, p.heading) for p in predict_obstacle(obs, n_p, cfg.dt)],
+                  frames(predict_obstacle(obs, n_p, cfg.dt),
                          obs.footprint.half_length, obs.footprint.half_width)
                   for obs in obstacles]
         # per footprint and step: distance, gap; the rows flattened in one

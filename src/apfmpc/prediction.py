@@ -1,13 +1,12 @@
-"""Horizon prediction of robot and obstacle poses, for steps 1..n ahead.
+"""Horizon prediction of robot and obstacle poses as rows (x, y, heading).
 
-The robot's prediction is the rows (X, Y, heading) of the kinematics' one
-rollout with its previously applied input held constant, the heading
-unwrapped. Obstacles follow a constant velocity and turning rate
-model (velocity vector rotated by dt*yaw_rate before each displacement, so
-speed magnitude is preserved). Their steps stay sequential, on floats,
-through the helper that `advance_obstacle` wraps for the simulator, so
-prediction and simulation agree bit for bit; a prediction builds only the
-poses it returns.
+The robot's rows are those of the kinematics' one rollout with its
+previously applied input held constant, the heading unwrapped. Obstacles
+follow a constant velocity and turning rate model (velocity vector rotated
+by dt*yaw_rate before each displacement, so speed magnitude is preserved),
+the heading wrapped. Their steps stay sequential, on floats, through the
+helper that `advance_obstacle` wraps for the simulator, so prediction and
+simulation agree bit for bit; a prediction builds no pose.
 """
 
 from __future__ import annotations
@@ -68,12 +67,13 @@ def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
                     (vx, vy), obs.yaw_rate, obs.kind)
 
 
-def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> list[Pose2D]:
+def predict_obstacle(obs: Obstacle, n_steps: int, dt: float) -> list[tuple[float, float, float]]:
+    """Rows (x, y, heading) of steps 1..n_steps, the heading wrapped."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     pose = obs.footprint.center
-    step, poses = (pose.x, pose.y, pose.heading, *obs.velocity), []
+    step, rows = (pose.x, pose.y, pose.heading, *obs.velocity), []
     for _ in range(n_steps):
         step = _obstacle_step(*step, obs.yaw_rate, dt)
-        poses.append(Pose2D(*step[:3]))
-    return poses
+        rows.append(step[:3])
+    return rows

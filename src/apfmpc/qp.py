@@ -8,11 +8,11 @@ system well posed when H is only semidefinite. Problem sizes here are small
 (tens of variables), so dense linear algebra is used throughout.
 
 The rows arrive normalized: each row of A and its bounds divided by the
-row's largest |entry|, so that the fixed-step splitting converges on badly
-scaled rows. The caller states its rows in that form where it makes them,
-as OSQP scales once at setup and then only the new bounds of an update;
-`normalized` applies the one formula to arbitrary rows. A solve normalizes
-only the cost magnitude. Neither scaling moves the minimizer.
+row's largest |entry|, the `row_scales`, so that the fixed-step splitting
+converges on badly scaled rows. The caller states its rows in that form
+where it makes them, as OSQP scales once at setup and then only the new
+bounds of an update. A solve normalizes only the cost magnitude. Neither
+scaling moves the minimizer.
 
 The iteration is the ADMM of OSQP (Stellato et al., 2020) in scaled-dual
 form: with v = y/rho the dual, zc the projected constraint values and
@@ -38,15 +38,17 @@ row within `tolerance` of its bounds, and every multiplier of the side's
 sign (upper >= 0, lower <= 0). The violation is one maximum, of
 max(lo - Ax, Ax - hi) over the rows and 0; as lower <= upper is validated,
 at most one of a row's two gaps is positive, so it equals the sum of the
-clamped gaps. Only held rows have a multiplier to check; the others' are
-0. Such a point is a KKT point, hence the minimizer of the convex QP, and
-is returned as OPTIMAL with its own residuals. A caller may guess the
-set, such as that of the previous solve in a sequence of similar problems
-(the online active set idea of Ferreau, Bock and Diehl, 2008); an
-accepted guess returns with 0 iterations. Otherwise the ADMM runs exactly
-as without a guess and the set read from its final duals is tried, also
-when the iteration ran out. If it fails, the ADMM iterate is returned
-with its status. Every solution carries the side of each row of A.
+clamped gaps. A NaN point's violation is NaN, which fails the test
+`viol <= tolerance`, so it is never accepted. Only held rows have a
+multiplier to check; the others' are 0. Such a point is a KKT point,
+hence the minimizer of the convex QP, and is returned as OPTIMAL with its
+own residuals. A caller may guess the set, such as that of the previous
+solve in a sequence of similar problems (the online active set idea of
+Ferreau, Bock and Diehl, 2008); an accepted guess returns with 0
+iterations. Otherwise the ADMM runs exactly as without a guess and the set
+read from its final duals is tried, also when the iteration ran out. If it
+fails, the ADMM iterate is returned with its status. Every solution
+carries the side of each row of A.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
@@ -93,23 +95,10 @@ class QpProblem:
         if np.logical_or.reduce(self.lower > self.upper):
             raise ValueError("constraint bounds must satisfy lower <= upper")
 
-    def objective(self, z: np.ndarray) -> float:
-        return float(0.5 * z @ self.h_mat @ z + self.f_vec @ z)
-
 
 def row_scales(a_mat: np.ndarray) -> np.ndarray:
     """1 / the largest |entry| of each row of A, 1e10 for a zero row."""
     return 1.0 / np.maximum(np.maximum.reduce(np.abs(a_mat), axis=1, initial=0.0), 1e-10)
-
-
-def normalized(problem: QpProblem) -> QpProblem:
-    """The same QP with each constraint row and its bounds divided by the
-    row's largest |entry|, the form `QpSolver.solve` reads, for a caller
-    with arbitrary rows. The minimizer does not move, and a row with one
-    unit entry, such as a simple bound, keeps its bits."""
-    scale = row_scales(problem.a_mat)
-    return QpProblem(problem.h_mat, problem.f_vec, scale[:, None] * problem.a_mat,
-                     scale * problem.lower, scale * problem.upper)
 
 
 @dataclass
@@ -131,7 +120,7 @@ class QpSolver:
               active: np.ndarray | None = None) -> QpSolution:
         """Minimize 1/2 z'Hz + f'z subject to lower <= A z <= upper, from
         `warm_start` (primal, default 0). The rows arrive normalized (see
-        `normalized`); they are read as given. `active` guesses the side of
+        `row_scales`); they are read as given. `active` guesses the side of
         each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`);
         a guess that is not a KKT point, or not of that length, changes
         nothing."""
@@ -278,7 +267,7 @@ class QpSolver:
         ax = a_mat @ x
         # lower <= upper, so a row's violation is the larger of its two gaps
         viol = float(np.maximum.reduce(np.maximum(lo - ax, ax - hi), initial=0.0))
-        if viol > self.tolerance or not np.logical_and.reduce(sol[n:] * sides >= 0.0):
+        if not (viol <= self.tolerance and np.logical_and.reduce(sol[n:] * sides >= 0.0)):
             return None
         lam = np.zeros(len(lo))
         lam[rows] = sol[n:]

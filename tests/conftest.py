@@ -6,6 +6,7 @@ import pytest
 
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.mpc import MpcConfig
+from apfmpc.qp import QpProblem, row_scales
 from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
 
 
@@ -80,6 +81,21 @@ def nan_at_solve(monkeypatch, n):
         return replace(out, z=np.full_like(out.z, math.nan)) if len(calls) == n else out
 
     monkeypatch.setattr(QpSolver, "solve", nan_solve)
+
+
+def objective(problem, z):
+    """The cost 1/2 z'Hz + f'z of a QP at z."""
+    return float(0.5 * z @ problem.h_mat @ z + problem.f_vec @ z)
+
+
+def normalized(problem):
+    """The same QP with each constraint row and its bounds divided by the
+    row's largest |entry|, the form `QpSolver.solve` reads, for arbitrary
+    rows. The minimizer does not move, and a row with one unit entry, such
+    as a simple bound, keeps its bits."""
+    scale = row_scales(problem.a_mat)
+    return QpProblem(problem.h_mat, problem.f_vec, scale[:, None] * problem.a_mat,
+                     scale * problem.lower, scale * problem.upper)
 
 
 def _cached_run(name):

@@ -24,6 +24,7 @@ from test_geometry import oracle_distance, random_rect, sat_intersect
 from test_linearization import finite_difference_jacobians, random_operating_point
 from test_potential_field import OBS, fd_gradient, psd_project
 from test_qp import projected_gradient_oracle, random_box_qp
+from conftest import objective
 
 
 def _report(num, name):
@@ -111,7 +112,7 @@ def test_criterion_4_qp_oracle():
         prob = random_box_qp(rng, n=10)
         sol = solver.solve(prob)
         ref = projected_gradient_oracle(prob)
-        assert prob.objective(sol.z) <= prob.objective(ref) + 1e-6
+        assert objective(prob, sol.z) <= objective(prob, ref) + 1e-6
     # trivial analytic case: min (z0-1)^2 + 2(z1-2)^2, unconstrained
     from apfmpc.qp import QpProblem
     prob = QpProblem(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]),

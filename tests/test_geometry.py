@@ -167,8 +167,8 @@ def relative_frame_closest_pair(a, b):
 
 def assert_bit_identical(got, want):
     """Every field equal, and every sign bit too (so -0.0 differs from 0.0)."""
-    g = (got.distance, *got.gap)
-    w = (want.distance, *want.gap)
+    g = (got.distance, got.gap_x, got.gap_y)
+    w = (want.distance, want.gap_x, want.gap_y)
     assert g == w
     assert [math.copysign(1.0, v) for v in g] == [math.copysign(1.0, v) for v in w]
 
@@ -250,13 +250,13 @@ class TestClosestPair:
     def test_face_to_face(self):
         got = closest_pair(rect(0, 0, 0, 1, 0.5), rect(5, 0, 0, 1, 0.5))
         assert got.distance == pytest.approx(3.0)
-        assert got.gap == pytest.approx((3.0, 0.0))
+        assert (got.gap_x, got.gap_y) == pytest.approx((3.0, 0.0))
 
     def test_identical_rectangles_overlap(self):
         r = rect(2, 3, 0.3, 1, 0.5)
         got = closest_pair(r, r)
         assert got.distance == 0.0
-        assert got.gap == (0.0, 0.0)
+        assert (got.gap_x, got.gap_y) == (0.0, 0.0)
 
     def test_rotated_pair_matches_sampling_oracle(self):
         a, b = rect(0, 0, 0, 1, 0.5), rect(3, 3, math.pi / 4, 1, 0.5)
@@ -268,7 +268,7 @@ class TestClosestPair:
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)
             got = closest_pair(a, b)
-            assert got.distance == pytest.approx(math.hypot(*got.gap), abs=1e-12)
+            assert got.distance == pytest.approx(math.hypot(got.gap_x, got.gap_y), abs=1e-12)
 
     def test_a_moved_by_the_gap_touches_b(self):
         rng = np.random.default_rng(2024)
@@ -279,7 +279,7 @@ class TestClosestPair:
                 b = face_parallel(rng, a, b)
             if sat_intersect(a, b):
                 continue
-            gx, gy = closest_pair(a, b).gap
+            _, gx, gy = closest_pair(a, b)
             moved = rect(a.center.x + gx, a.center.y + gy, a.center.heading,
                          a.half_length, a.half_width)
             assert closest_pair(moved, b).distance <= 1e-9
@@ -319,7 +319,7 @@ class TestExactLayouts:
             assert_bit_identical(got, relative_frame_closest_pair(p, q))
             assert abs(got.distance - expected) <= tol
             if expected == tol == 0.0:  # touching counts as overlap
-                assert got.gap == (0.0, 0.0)
+                assert (got.gap_x, got.gap_y) == (0.0, 0.0)
 
 
 class TestCornerTies:
@@ -510,8 +510,8 @@ class TestInvariants:
             on_a, on_b, distance = loop_closest_pair(a, b)
             assert (got.distance == 0.0) == (distance == 0.0)
             assert abs(got.distance - distance) <= 1e-12
-            assert max(abs(got.gap[0] - (on_b[0] - on_a[0])),
-                       abs(got.gap[1] - (on_b[1] - on_a[1]))) <= 1e-12 * (1.0 + distance)
+            assert max(abs(got.gap_x - (on_b[0] - on_a[0])),
+                       abs(got.gap_y - (on_b[1] - on_a[1]))) <= 1e-12 * (1.0 + distance)
 
     def test_bit_exact_against_relative_frame_oracle(self):
         # the straight-line 8-corner search is the corner loop written out:
@@ -560,7 +560,7 @@ class TestInvariants:
             got = closest_pair(a, b)
             assert (got.distance == 0.0) == sat_intersect(a, b)
             if got.distance == 0.0:
-                assert got.gap == (0.0, 0.0)
+                assert (got.gap_x, got.gap_y) == (0.0, 0.0)
 
     def test_matches_sampling_oracle_on_random_pairs(self, rng):
         checked = 0

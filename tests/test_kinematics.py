@@ -179,6 +179,15 @@ class TestEulerStep:
             euler_step(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0),
                        sym_geom, 0.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_non_finite_dt(self, dt, sym_geom):
+        # a NaN step would return an all-NaN state, an infinite one
+        # (inf, nan, nan, nan, nan)
+        for substeps in (1, 10):
+            with pytest.raises(ValueError, match="finite"):
+                euler_step(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0),
+                           sym_geom, dt, substeps)
+
     @pytest.mark.parametrize("substeps", [0, -1, 2.5])
     def test_rejects_bad_substeps(self, substeps, sym_geom):
         with pytest.raises(ValueError):
@@ -237,10 +246,10 @@ def two_pass_rollout(state, inp, geom, n, h):
     out[1:, 3:] = (h * inp.accel_front, h * inp.accel_rear)
     out[:, 3:].cumsum(axis=0, out=out[:, 3:])
     speeds = out[:-1, 3], out[:-1, 4]
-    (_, _, yaw_rate), _ = _rates(state.heading, *speeds, inp, geom)
+    _, _, yaw_rate = _rates(state.heading, *speeds, inp, geom)
     out[1:, 2] = h * yaw_rate
     out[:, 2].cumsum(out=out[:, 2])
-    (x_dot, y_dot, _), _ = _rates(out[:-1, 2], *speeds, inp, geom)
+    x_dot, y_dot, _ = _rates(out[:-1, 2], *speeds, inp, geom)
     out[1:, 0], out[1:, 1] = h * x_dot, h * y_dot
     out[:, :2].cumsum(axis=0, out=out[:, :2])
     return out
@@ -273,6 +282,12 @@ class TestRollout:
     def test_rejects_negative_steps(self, sym_geom):
         with pytest.raises(ValueError):
             rollout(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0), sym_geom, -1, 0.1)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_step_not_positive_and_finite(self, h, sym_geom):
+        for n in (0, 10):
+            with pytest.raises(ValueError, match="finite"):
+                rollout(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0), sym_geom, n, h)
 
 
 class TestPredictRobotMatchesLoop:

@@ -13,8 +13,8 @@ from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, MAX_BAND_DOUBLI
                         project_onto_path, slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
-from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, normalized, row_scales
-from conftest import double_back
+from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
+from conftest import double_back, normalized
 
 REF_SPEED = 1.389
 STRAIGHT = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
@@ -123,7 +123,7 @@ def loop_apf(controller, state, obstacles, su, base):
                                    cfg.n_pred, cfg.dt).tolist()
         obs_tracks = [[obs.footprint.center] * cfg.n_pred
                       if obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0
-                      else predict_obstacle(obs, cfg.n_pred, cfg.dt)
+                      else [Pose2D(*row) for row in predict_obstacle(obs, cfg.n_pred, cfg.dt)]
                       for obs in obstacles]
     h_mat, f_vec, const, terms = np.zeros((nz, nz)), np.zeros(nz), 0.0, []
     for i, (x, y, heading) in enumerate(robot_rows):
@@ -137,7 +137,7 @@ def loop_apf(controller, state, obstacles, su, base):
             if pair.distance > ACTIVATION_RADIUS:
                 continue
             params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
-            quad = quadratic_approx((x, y), pair.gap, params)
+            quad = quadratic_approx((x, y), (pair.gap_x, pair.gap_y), params)
             terms.append((i, quad))
             e_i = base_i - np.array(quad.anchor)
             h_mat += rows.T @ quad.hessian_psd @ rows
@@ -163,9 +163,9 @@ def add_at_apf(controller, state, obstacles):
         fp = obs.footprint
         track = [fp] * len(robot_rects)
         if not frozen and (obs.velocity != (0.0, 0.0) or obs.yaw_rate != 0.0):
-            track = [OrientedRectangle(pose, fp.half_length, fp.half_width)
-                     for pose in predict_obstacle(obs, n_p, cfg.dt)]
-        pairs = np.broadcast_to([(*pair.gap, pair.distance)
+            track = [OrientedRectangle(Pose2D(*row), fp.half_length, fp.half_width)
+                     for row in predict_obstacle(obs, n_p, cfg.dt)]
+        pairs = np.broadcast_to([(pair.gap_x, pair.gap_y, pair.distance)
                                  for pair in map(closest_pair, robot_rects, track)],
                                 (n_p, 3))
         steps = np.flatnonzero(pairs[:, 2] <= ACTIVATION_RADIUS)
@@ -799,9 +799,9 @@ class TestStep:
         import apfmpc.mpc
 
         def predicted(obs, n_steps, dt):
-            poses = predict_obstacle(obs, n_steps, dt)
-            poses[7] = Pose2D(poses[7].x, math.inf, poses[7].heading)
-            return poses
+            rows = predict_obstacle(obs, n_steps, dt)
+            rows[7] = (rows[7][0], math.inf, rows[7][2])
+            return rows
 
         monkeypatch.setattr(apfmpc.mpc, "predict_obstacle", predicted)
         s = RobotState(0, 0.3, 0.05, 0.8, 0.8)

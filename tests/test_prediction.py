@@ -16,6 +16,16 @@ def square_obstacle(x, y, heading=0.0, vel=(0.0, 0.0), yaw_rate=0.0):
                     vel, yaw_rate)
 
 
+def hex_rows(rows):
+    """Each row's floats as `float.hex`, so -0.0 differs from 0.0."""
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+def center_row(obs):
+    c = obs.footprint.center
+    return c.x, c.y, c.heading
+
+
 def predicted_rows(state, inp, geom, n):
     """predict_robot's rows, checked bit for bit against the rollout's."""
     rows = predict_robot(state, inp, geom, n, DT)
@@ -59,16 +69,16 @@ class TestObstacles:
     def test_static_obstacle_fixed(self):
         obs = square_obstacle(3, 4, 0.5)
         track = predict_obstacle(obs, 6, DT)
-        for p in track:
-            assert (p.x, p.y) == (3, 4)
-            assert p.heading == pytest.approx(0.5)
+        for x, y, heading in track:
+            assert (x, y) == (3, 4)
+            assert heading == pytest.approx(0.5)
 
     def test_constant_velocity(self):
         obs = square_obstacle(0, 0, vel=(0.0, 0.5))
         track = predict_obstacle(obs, 10, DT)
-        for i, p in enumerate(track, start=1):
-            assert p.x == 0.0
-            assert p.y == pytest.approx(0.05 * i, abs=1e-12)
+        for i, (x, y, _) in enumerate(track, start=1):
+            assert x == 0.0
+            assert y == pytest.approx(0.05 * i, abs=1e-12)
 
     def test_advance_preserves_shape_and_kind(self):
         obs = square_obstacle(0, 0, vel=(1.0, 0.0), yaw_rate=0.3)
@@ -84,7 +94,7 @@ class TestObstacles:
         w = 0.1 * math.pi
         obs = square_obstacle(0, 0, vel=(1.0, 0.0), yaw_rate=w)
         track = predict_obstacle(obs, 40, DT)
-        pts = np.array([[p.x, p.y] for p in track])
+        pts = np.array([row[:2] for row in track])
         r_expected = DT * 1.0 / (2.0 * math.sin(DT * w / 2.0))
         assert r_expected == pytest.approx(3.1831, abs=1e-3)
         # fit circle center from first three points, then check all radii
@@ -119,13 +129,12 @@ class TestObstacles:
             five_small.footprint.center.y, abs=1e-12)
 
     def test_substep_bit_identity(self):
-        # advancing twice by dt must equal the two poses of a 2-step track
+        # advancing twice by dt must give the two rows of a 2-step track
         obs = square_obstacle(0, 0, vel=(1.0, 0.0), yaw_rate=0.7)
         track = predict_obstacle(obs, 2, DT)
         step1 = advance_obstacle(obs, DT)
         step2 = advance_obstacle(step1, DT)
-        assert track[0] == step1.footprint.center
-        assert track[1] == step2.footprint.center
+        assert hex_rows(track) == hex_rows([center_row(step1), center_row(step2)])
 
     def test_track_is_the_advance_chain_across_the_wrap(self):
         # heading 2.9 turning at 1.5 rad/s passes pi on the 2nd step, so the
@@ -135,9 +144,9 @@ class TestObstacles:
         cur, chain = obs, []
         for _ in range(20):
             cur = advance_obstacle(cur, DT)
-            chain.append(cur.footprint.center)
-        assert track == chain
-        headings = [p.heading for p in track]
+            chain.append(center_row(cur))
+        assert hex_rows(track) == hex_rows(chain)
+        headings = [heading for _, _, heading in track]
         assert headings[0] > 3.0 and headings[1] < -3.0
 
     def test_boundary_must_be_static(self):

@@ -4,7 +4,8 @@ import pytest
 from apfmpc import qp as qp_module
 from apfmpc.kinematics import ControlInput, RobotState
 from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
-from apfmpc.qp import QpProblem, QpSolver, normalized
+from apfmpc.qp import QpProblem, QpSolver
+from conftest import normalized, objective
 
 INF = np.inf
 
@@ -164,7 +165,7 @@ class TestAgainstOracle:
             prob = random_box_qp(rng)
             sol = solver.solve(prob)
             ref = projected_gradient_oracle(prob)
-            assert prob.objective(sol.z) <= prob.objective(ref) + 1e-6
+            assert objective(prob, sol.z) <= objective(prob, ref) + 1e-6
             assert np.max(np.abs(sol.z - ref)) < 1e-4
 
     def test_random_with_general_rows(self, rng):
@@ -187,8 +188,8 @@ class TestAgainstOracle:
             assert np.all(sol.z <= box_hi + 10 * solver.tolerance)
             # box-only relaxation bounds the constrained optimum from below
             # (up to the solver's feasibility slack)
-            relaxed = base.objective(projected_gradient_oracle(base))
-            assert prob.objective(sol.z) >= relaxed - 1e-2
+            relaxed = objective(base, projected_gradient_oracle(base))
+            assert objective(prob, sol.z) >= relaxed - 1e-2
 
 
 class TestBehaviour:
@@ -221,7 +222,7 @@ class TestBehaviour:
         h = np.outer([1.0, 1.0], [1.0, 1.0])
         prob = box_problem(h, np.array([1.0, 1.0]), [-1, -1], [1, 1])
         sol = QpSolver().solve(prob)
-        assert prob.objective(sol.z) <= prob.objective(np.array([-1.0, -1.0])) + 1e-6
+        assert objective(prob, sol.z) <= objective(prob, np.array([-1.0, -1.0])) + 1e-6
 
     def test_detects_infeasible(self):
         # z0 <= -1 and z0 >= 1 simultaneously
@@ -231,6 +232,17 @@ class TestBehaviour:
                         np.full(1, -INF), np.full(1, INF))
         sol = QpSolver().solve(prob)
         assert sol.status == "infeasible"
+
+    def test_nan_point_is_not_certified(self):
+        # a NaN cost gives a NaN point, whose violation NaN is not within
+        # the tolerance: neither the guess nor the ADMM's own set certifies it
+        prob = QpProblem(np.eye(3), np.array([np.nan, 1.0, 0.0]), np.eye(3),
+                         -np.ones(3), np.ones(3))
+        solver = QpSolver()
+        for sol in (solver.solve(prob), solver.solve(prob, active=np.zeros(3, int))):
+            assert sol.status == "max_iterations"
+            assert sol.iterations == solver.max_iterations
+            assert np.isnan(sol.z).all() and np.isnan(sol.primal_residual)
 
     def test_badly_scaled_problem_converges(self):
         h = np.diag([1e5, 1.0])

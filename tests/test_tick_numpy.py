@@ -96,17 +96,18 @@ def constructions(fn, cls) -> int:
 
 
 def test_warm_step_builds_no_rectangle(cfg, geom):
-    # the field's queries read frames: a moving obstacle's predicted poses
-    # and the robot's rows become no OrientedRectangle
+    # the field's queries read frames: a moving obstacle's predicted rows
+    # and the robot's rows become no Pose2D and no OrientedRectangle
     obstacles = SCENES["obstacle_and_wall"]
     assert any(obs.velocity != (0.0, 0.0) for obs in obstacles)
     assert any(obs.kind == "boundary" for obs in obstacles)
     c = MpcController(cfg, geom, variant="full")
     ref = build_reference(PATH, STATE, 1.389, cfg)
     c.step(STATE, ref, obstacles)
-    assert constructions(lambda: c.step(STATE, ref, obstacles), OrientedRectangle) == 0
-    assert constructions(lambda: OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0),
-                         OrientedRectangle) == 1
+    for cls in (Pose2D, OrientedRectangle):
+        assert constructions(lambda: c.step(STATE, ref, obstacles), cls) == 0, cls.__name__
+        assert constructions(lambda: OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0),
+                             cls) == 1
 
 
 def test_wrapper_calls_are_seen():
