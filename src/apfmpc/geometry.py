@@ -62,8 +62,9 @@ def normalize_angle(angle: float) -> float:
 # __init__: the generated one sets each field through object.__setattr__
 # and then calls __post_init__, two to three times the cost of writing the
 # instance dict directly. A controller tick builds neither; the closed loop
-# builds 3 of each per tick of perfbench's corridor_apf: the robot's
-# clearance footprint and `advance_obstacle` of its two moving obstacles.
+# builds 1.75 of each per tick of perfbench's corridor_apf seed 1: the
+# robot's clearance footprint, and `advance_obstacle` of the 0.75 moving
+# obstacles a tick has on average. A static obstacle is not rebuilt.
 @dataclass(frozen=True, init=False)
 class Pose2D:
     x: float

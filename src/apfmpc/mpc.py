@@ -362,7 +362,7 @@ class MpcController:
         # frozen, robot and footprints hold still: each footprint's one pair
         # serves every step; boundaries are static
         tracks = [[obs.footprint] * len(robot)
-                  if frozen or (obs.velocity == (0.0, 0.0) and obs.yaw_rate == 0.0) else
+                  if frozen or not obs.moves else
                   frames(predict_obstacle(obs, n_p, cfg.dt),
                          obs.footprint.half_length, obs.footprint.half_width)
                   for obs in obstacles]

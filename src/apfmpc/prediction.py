@@ -37,8 +37,13 @@ class Obstacle:
             raise ValueError("obstacle velocity and yaw rate must be finite")
         if self.kind not in ("obstacle", "boundary"):
             raise ValueError(f"unknown obstacle kind: {self.kind!r}")
-        if self.kind == "boundary" and (self.velocity != (0.0, 0.0) or self.yaw_rate != 0.0):
+        if self.kind == "boundary" and self.moves:
             raise ValueError("boundaries must be static")
+
+    @property
+    def moves(self) -> bool:
+        """Whether a step changes the obstacle: a velocity or yaw rate not 0."""
+        return self.velocity != (0.0, 0.0) or self.yaw_rate != 0.0
 
 
 def predict_robot(state: RobotState, held_input: ControlInput,

@@ -26,29 +26,35 @@ one product into place. Every few iterations the checks rebuild y = rho v
 for the primal residual and the infeasibility certificate. The dual
 residual is computed only where it is read: by the stopping test once the
 primal residual passes, by the rho rule, at the last check (a solution
-carries it) and on an infeasible return. When rho adapts, v is rescaled by
-rho_old/rho_new (y does not move) and G is rebuilt. A returned iterate is
-a copy, never a buffer.
+carries it), on an infeasible return, and for a certified answer when a
+caller first reads it. When rho adapts, v is rescaled by rho_old/rho_new
+(y does not move) and G is rebuilt. A returned iterate is a copy, never a
+buffer.
 
 The polish, `_certified`, is one equality solve: the problem's own rows of
 an active set, each at the side of its bound (-1 lower, +1 upper), held as
-equalities in a slightly regularized KKT system, its dual residual the
-ADMM checks' `_dual_residual`. One rule accepts its point: every scaled
-row within `tolerance` of its bounds, and every multiplier of the side's
-sign (upper >= 0, lower <= 0). The violation is one maximum, of
-max(lo - Ax, Ax - hi) over the rows and 0; as lower <= upper is validated,
-at most one of a row's two gaps is positive, so it equals the sum of the
-clamped gaps. A NaN point's violation is NaN, which fails the test
-`viol <= tolerance`, so it is never accepted. Only held rows have a
-multiplier to check; the others' are 0. Such a point is a KKT point,
-hence the minimizer of the convex QP, and is returned as OPTIMAL with its
-own residuals. A caller may guess the set, such as that of the previous
-solve in a sequence of similar problems (the online active set idea of
-Ferreau, Bock and Diehl, 2008); an accepted guess returns with 0
-iterations. Otherwise the ADMM runs exactly as without a guess and the set
-read from its final duals is tried, also when the iteration ran out. If it
-fails, the ADMM iterate is returned with its status. Every solution
-carries the side of each row of A.
+equalities in a slightly regularized KKT system. One rule accepts its
+point: every scaled row within `tolerance` of its bounds, and every
+multiplier of the side's sign (upper >= 0, lower <= 0). The violation is
+one maximum, of max(lo - Ax, Ax - hi) over the rows and 0; as lower <=
+upper is validated, at most one of a row's two gaps is positive, so it
+equals the sum of the clamped gaps. A NaN point's violation is NaN, which
+fails the test `viol <= tolerance`, so it is never accepted. Only held
+rows have a multiplier to check; the others' are 0. Such a point is a KKT
+point, hence the minimizer of the convex QP, and is returned as OPTIMAL
+with its violation as the primal residual. It keeps its multipliers; its
+dual residual, the ADMM checks' `_dual_residual` of the scaled cost, is
+computed when first read, from the problem's H, f and A as they are then
+(the controller never reads it). A caller may guess the set, such as that
+of the previous solve in a sequence of similar problems (the online
+active set idea of Ferreau, Bock and Diehl, 2008). The guess is tried
+before the cost is scaled: an accepted one returns with 0 iterations and
+scales nothing. Otherwise a cost that is not finite returns at once, as
+MAX_ITERATIONS with a NaN point, NaN residuals and 0 iterations; else the
+ADMM runs exactly as without a guess and the set read from its final
+duals is tried, also when the iteration ran out. If it fails, the ADMM
+iterate is returned with its status. Every solution carries the side of
+each row of A.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
@@ -106,9 +112,24 @@ class QpSolution:
     z: np.ndarray
     status: str
     primal_residual: float
-    dual_residual: float
+    dual_residual: float  # a certified answer's is computed when first read
     iterations: int
     active: np.ndarray  # side of each row of A: -1 lower, +1 upper, 0 free
+
+    def __getattr__(self, name):
+        # reached only for a name not in the instance dict: a certified
+        # answer's dual residual before its first read (see `_certified`)
+        terms = vars(self).pop("_dual_terms", None) if name == "dual_residual" else None
+        if terms is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        problem, p_mat, f, cost_scale, rows, multipliers = terms
+        if p_mat is None:  # an accepted guess: the solve never scaled the cost
+            p_mat, f, cost_scale = _scaled_cost(problem)
+        lam = np.zeros(len(problem.lower))
+        lam[rows] = multipliers
+        # lam holds the multipliers of the unscaled cost
+        self.dual_residual = _dual_residual(p_mat, f, problem.a_mat, self.z, cost_scale * lam)
+        return self.dual_residual
 
 
 @dataclass
@@ -124,20 +145,21 @@ class QpSolver:
         each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`);
         a guess that is not a KKT point, or not of that length, changes
         nothing."""
-        n = len(problem.f_vec)
         a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
         m = len(lo)
-        # the cost magnitude is normalized here, which does not move the minimizer
-        cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
-            np.abs(problem.h_mat.diagonal()), initial=0.0)))
-        p_mat = np.multiply(cost_scale, problem.h_mat, order="C")
-        p_mat.ravel()[::n + 1] += _RIDGE  # + _RIDGE I; the same bits where H has no -0.0
-        f = cost_scale * problem.f_vec
-
         if active is not None and np.asarray(active).shape == (m,):
-            certified = self._certified(problem, p_mat, f, cost_scale, np.asarray(active), 0)
+            # tried on the unscaled cost: an accepted guess never scales it
+            certified = self._certified(problem, None, None, None, np.asarray(active), 0)
             if certified is not None:
                 return certified
+        n = len(problem.f_vec)
+        if not (np.logical_and.reduce(np.isfinite(problem.f_vec))
+                and np.logical_and.reduce(np.isfinite(problem.h_mat), axis=None)):
+            # no iterate converges on such a cost: the answer is NaN at once
+            z = np.empty(n)
+            z.fill(np.nan)
+            return QpSolution(z, MAX_ITERATIONS, np.nan, np.nan, 0, np.zeros(m, int))
+        p_mat, f, cost_scale = _scaled_cost(problem)
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
         # docstring); G is rebuilt only when rho changes. Iteration `it`
@@ -235,15 +257,17 @@ class QpSolver:
                    iterations: int) -> QpSolution | None:
         """Hold each row of `problem` with a nonzero side of `active` at that
         side's bound and solve the regularized KKT system of the unscaled
-        cost (p_mat and f, scaled, give the dual residual). Its point is
-        returned as OPTIMAL when it is a KKT point of the QP:
-        every scaled row within `tolerance` of its bounds and every held
+        cost. Its point is returned as OPTIMAL when it is a KKT point of the
+        QP: every scaled row within `tolerance` of its bounds and every held
         row's multiplier of its side's sign (upper >= 0, lower <= 0). None
         otherwise, also when a held bound is infinite or the system is
-        singular."""
+        singular. The answer keeps its multipliers and computes its dual
+        residual when first read, with the scaled cost p_mat, f and
+        cost_scale, or, where they are None, with the one `_scaled_cost`
+        makes of `problem` then."""
         a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
         rows = active.nonzero()[0]
-        n, k = len(f), len(rows)
+        n, k = len(problem.f_vec), len(rows)
         sides = active[rows]
         rhs = np.empty(n + k)  # [-f; the held bounds]
         np.negative(problem.f_vec, out=rhs[:n])
@@ -269,11 +293,24 @@ class QpSolver:
         viol = float(np.maximum.reduce(np.maximum(lo - ax, ax - hi), initial=0.0))
         if not (viol <= self.tolerance and np.logical_and.reduce(sol[n:] * sides >= 0.0)):
             return None
-        lam = np.zeros(len(lo))
-        lam[rows] = sol[n:]
-        # lam holds the multipliers of the unscaled cost
-        r_dual = _dual_residual(p_mat, f, a_mat, x, cost_scale * lam)
-        return QpSolution(x, OPTIMAL, viol, r_dual, iterations, active)
+        # no dual_residual in the dict: QpSolution.__getattr__ computes it
+        # from these terms on the first read
+        solution = object.__new__(QpSolution)
+        vars(solution).update(z=x, status=OPTIMAL, primal_residual=viol,
+                              iterations=iterations, active=active,
+                              _dual_terms=(problem, p_mat, f, cost_scale, rows, sol[n:]))
+        return solution
+
+
+def _scaled_cost(problem: QpProblem):
+    """(P, f, cost_scale), the cost the ADMM iterates on: H and f times
+    cost_scale = 1 / max(1, the largest |diagonal entry| of H), which does
+    not move the minimizer, and _RIDGE added to P's diagonal."""
+    h_mat = problem.h_mat
+    cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(np.abs(h_mat.diagonal()), initial=0.0)))
+    p_mat = np.multiply(cost_scale, h_mat, order="C")
+    p_mat.ravel()[::len(h_mat) + 1] += _RIDGE  # + _RIDGE I; the same bits where H has no -0.0
+    return p_mat, cost_scale * problem.f_vec, cost_scale
 
 
 def _dual_residual(p_mat, f, a_mat, x, y) -> float:

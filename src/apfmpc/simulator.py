@@ -165,7 +165,7 @@ def run(scenario: Scenario) -> SimulationLog:
             log.outcome = SOLVER_FAILED
             break
         state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
-        obstacles = [advance_obstacle(o, cfg.dt) for o in obstacles]
+        obstacles = [advance_obstacle(o, cfg.dt) if o.moves else o for o in obstacles]
     return log
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -235,14 +237,35 @@ class TestBehaviour:
 
     def test_nan_point_is_not_certified(self):
         # a NaN cost gives a NaN point, whose violation NaN is not within
-        # the tolerance: neither the guess nor the ADMM's own set certifies it
+        # the tolerance: no set certifies it (the solve then returns at
+        # once, test_non_finite_cost_returns_at_once)
         prob = QpProblem(np.eye(3), np.array([np.nan, 1.0, 0.0]), np.eye(3),
                          -np.ones(3), np.ones(3))
         solver = QpSolver()
-        for sol in (solver.solve(prob), solver.solve(prob, active=np.zeros(3, int))):
-            assert sol.status == "max_iterations"
-            assert sol.iterations == solver.max_iterations
-            assert np.isnan(sol.z).all() and np.isnan(sol.primal_residual)
+        for active in (np.zeros(3, int), np.array([1, 0, -1])):
+            assert solver._certified(prob, None, None, None, active, 0) is None
+
+    @pytest.mark.parametrize("term,index,value", [
+        ("f_vec", 0, np.nan), ("f_vec", 2, -INF), ("h_mat", (1, 1), np.nan),
+        ("h_mat", (0, 2), INF)],
+        ids=["nan_f", "minus_inf_f", "nan_h_diagonal", "inf_h_off_diagonal"])
+    @pytest.mark.parametrize("guess", [None, np.array([1, 0, -1])], ids=["no_guess", "guess"])
+    def test_non_finite_cost_returns_at_once(self, monkeypatch, term, index, value, guess):
+        # no ADMM iterate converges on it: no step matrix is built, and the
+        # answer is NaN with 0 iterations, which the controller's hold rule
+        # reads as not held (NaN > tolerance is False), so the tick raises
+        costs = {"h_mat": np.eye(3), "f_vec": np.array([0.5, 1.0, 0.0])}
+        costs[term][index] = value
+        prob = QpProblem(costs["h_mat"], costs["f_vec"], np.eye(3), -np.ones(3), np.ones(3))
+        built = []
+        step_matrix = QpSolver._step_matrix
+        monkeypatch.setattr(QpSolver, "_step_matrix",
+                            staticmethod(lambda *args: built.append(1) or step_matrix(*args)))
+        sol = QpSolver().solve(prob, active=guess)
+        assert (sol.status, sol.iterations, built) == ("max_iterations", 0, [])
+        assert np.isnan(sol.z).all() and sol.z.shape == (3,)
+        assert np.isnan(sol.primal_residual) and np.isnan(sol.dual_residual)
+        assert sol.active.tobytes() == np.zeros(3, int).tobytes()
 
     def test_badly_scaled_problem_converges(self):
         h = np.diag([1e5, 1.0])
@@ -490,6 +513,57 @@ def test_certified_matches_parent_form(geom):
                 assert (got.status, got.iterations) == (want.status, want.iterations)
                 assert np.array_equal(got.active, want.active)
     assert accepted >= 10 and rejected >= 100
+
+
+def test_certified_tick_reads_its_dual_residual_when_read(cfg, geom, monkeypatch):
+    # a warm step whose guess certifies computes no dual residual and scales
+    # no cost; read afterwards, the residual is the first form's bit for bit
+    c = MpcController(cfg, geom)
+    path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
+    state = RobotState(0.0, 0.3, 0.05, 0.8, 0.8)
+    ref = build_reference(path, state, 1.389, cfg)
+    solves, solve = [], c.solver.solve
+
+    def recording(problem, **kw):
+        solves.append((problem, solve(problem, **kw)))
+        return solves[-1][1]
+
+    c.solver.solve = recording
+    c.step(state, ref, [])
+    calls, scalings = [], []
+    dual_residual, scaled_cost = qp_module._dual_residual, qp_module._scaled_cost
+    monkeypatch.setattr(qp_module, "_dual_residual",
+                        lambda *args: calls.append(1) or dual_residual(*args))
+    monkeypatch.setattr(qp_module, "_scaled_cost",
+                        lambda *args: scalings.append(1) or scaled_cost(*args))
+    c.step(state, ref, [])
+    prob, sol = solves[-1]
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    assert (calls, scalings) == ([], [])
+    p_mat, f, cost_scale = scaled(prob)
+    want = parent_certified(QpSolver(), prob, p_mat, f, cost_scale, prob.a_mat,
+                            prob.lower, prob.upper, sol.active, 0)
+    assert np.float64(sol.dual_residual).tobytes() == np.float64(want.dual_residual).tobytes()
+    assert sol.dual_residual == want.dual_residual  # a second read keeps the first
+    assert len(calls) == 1
+    assert sol.z.tobytes() == want.z.tobytes()
+    assert np.float64(sol.primal_residual).tobytes() == np.float64(want.primal_residual).tobytes()
+
+
+def test_certified_answer_is_a_plain_solution():
+    # a deferred dual residual is still an attribute: equality, replace and
+    # repr read it, and a name that is not a field stays missing
+    prob = box_problem(np.eye(3), [-10.0, 0.0, 10.0], [-1, -1, -1], [1, 1, 1])
+    solver = QpSolver()
+    guessed = solver.solve(prob, active=np.array([1, 0, -1]))
+    assert guessed.iterations == 0
+    with pytest.raises(AttributeError):
+        guessed.no_such_field
+    built = qp_module.QpSolution(guessed.z, guessed.status, guessed.primal_residual,
+                                 guessed.dual_residual, 0, guessed.active)
+    assert repr(built) == repr(guessed)
+    assert replace(guessed, iterations=3).dual_residual == guessed.dual_residual
+    assert np.isfinite(guessed.dual_residual) and guessed.dual_residual <= solver.tolerance
 
 
 @pytest.mark.parametrize("shapes", [

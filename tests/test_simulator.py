@@ -113,6 +113,24 @@ class TestRun:
         assert len(log.records) == 2
         assert all(np.isfinite(r.applied.as_array()).all() for r in log.records)
 
+    def test_advances_only_obstacles_that_move(self, monkeypatch):
+        # a static obstacle is the same object every tick; a moving one is
+        # advanced once per tick
+        import apfmpc.simulator
+        static = Obstacle(OrientedRectangle(Pose2D(8.0, 1.5, 0.0), 0.5, 0.4))
+        moving = Obstacle(OrientedRectangle(Pose2D(12.0, -1.5, 0.0), 0.5, 0.4), (-0.2, 0.0))
+        turning = Obstacle(OrientedRectangle(Pose2D(14.0, 1.5, 0.0), 0.5, 0.4), yaw_rate=0.3)
+        assert (static.moves, moving.moves, turning.moves) == (False, True, True)
+        advanced = []
+        advance = apfmpc.simulator.advance_obstacle
+        monkeypatch.setattr(apfmpc.simulator, "advance_obstacle",
+                            lambda obs, dt: advanced.append(obs.footprint) or advance(obs, dt))
+        log = run(tiny_scenario(duration=1.0, obstacles=[static, moving, turning]))
+        assert log.outcome == COMPLETED
+        ticks = len(log.records)
+        assert static.footprint not in advanced
+        assert len(advanced) == 2 * ticks
+
     def test_states_the_path_once(self, monkeypatch):
         # one table per scenario, built as it is made; every tick's reference
         # in its run reads that one
