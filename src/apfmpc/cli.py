@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .mpc import VARIANTS
+from .qp import INEXACT, INFEASIBLE, MAX_ITERATIONS, OPTIMAL
 from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run
 
 EXIT_OK = 0
@@ -69,11 +70,14 @@ def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
 
 
 def _summary(log, path) -> dict:
-    """The outcome, then the metrics; a run that ends before its first tick
-    has only an outcome."""
+    """The outcome, then the metrics and the ticks per QP status; a run that
+    ends before its first tick has only an outcome."""
     summary = {"outcome": log.outcome}
     if log.records:
         summary.update(metrics(log, path))
+        statuses = [r.solver_status for r in log.records]
+        for status in (OPTIMAL, INEXACT, MAX_ITERATIONS, INFEASIBLE):
+            summary[f"ticks.{status}"] = statuses.count(status)
     return summary
 
 

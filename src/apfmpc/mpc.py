@@ -15,8 +15,10 @@ tick `build_reference` projects the robot onto that table and samples the
 horizon along it into one targets array, gathering each segment quantity
 once, validating and recomputing nothing.
 
-The QP is assembled once per tick. The rows (X, Y, heading) of the robot's
-rollout give its footprints and, as X, Y, the field's anchors; a moving
+The QP is assembled once per tick. The robot's rows (X, Y, heading) give
+its footprints and, as X, Y, the field's anchors: the last tick's plan one
+step on, its last row repeated, after a tick solved without widening, and
+otherwise the rollout with the last input held; a moving
 obstacle's predicted rows give its footprints. `geometry.frames` makes
 every predicted footprint from its row, as a `Frame`, the six numbers
 `closest_pair` reads, and raises FloatingPointError on a row that is not
@@ -39,11 +41,14 @@ raises FloatingPointError before it reaches the inputs, which are clipped
 to their bounds as floats.
 
 What one tick hands the next is one `_Carry` record: the applied input,
-the applied increments shifted one control step (the warm start), and the
-QP's active set if it was optimal, whose solve the solver returns without
-iterating while it stays optimal. `step` reads the record at its start and
-replaces it once, after its last raise, so a raising step leaves it
-unchanged; `_shift` alone writes the shift.
+the applied increments shifted one control step (the warm start), and, if
+the QP was solved (optimal or inexact), its active set, whose solve the
+solver returns without iterating while it stays optimal, with the set's
+multipliers, the ADMM's dual start when it does not; and the predicted
+outputs unless the slip band was widened, the plan that the field reads
+shifted, so that a tick without footprints does no work for it. `step`
+reads the record at its start and replaces it once, after its last raise,
+so a raising step leaves it unchanged; `_shift` alone writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What depends on the configuration alone, each
@@ -70,7 +75,7 @@ from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, a
                             linearize)
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
-from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver, row_scales
+from .qp import INEXACT, INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6
 SLIP_BAND = 0.1  # m/s, the bound on |h(u)| (see `slip_terms`) before any widening
@@ -312,16 +317,25 @@ class _Carry(NamedTuple):
     """What one tick hands the next; `_shift` builds it from the tick's solution."""
     input: ControlInput         # the applied input
     warm: np.ndarray            # the applied increments shifted one control step
-    active: np.ndarray | None   # the QP's active set; None unless it was optimal
+    active: np.ndarray | None   # the QP's active set; None unless it was solved
+    multipliers: np.ndarray | None = None  # that set's, as `QpSolution.multipliers`
+    plan: np.ndarray | None = None  # the predicted outputs, unshifted; None if widened
 
 
-def _shift(solution: MpcSolution, active: np.ndarray) -> _Carry:
+def _shift(solution: MpcSolution, active: np.ndarray,
+           multipliers: np.ndarray | None = None) -> _Carry:
     """The real-time iteration's shift: the next tick starts from the
     applied input and increments, moved one control step with zeros
-    appended, and tries the QP's active set only if it was optimal."""
+    appended, and tries the QP's active set, starting its duals from the
+    set's multipliers, only if the QP was solved (optimal or inexact). A
+    plan solved without widening the slip band is kept as it is; the field
+    reads it shifted."""
+    solved = solution.solver_status in (OPTIMAL, INEXACT)
     return _Carry(solution.applied_input,
                   np.concatenate([solution.delta_sequence[1:].ravel(), np.zeros(N_INPUT)]),
-                  active if solution.solver_status == OPTIMAL else None)
+                  active if solved else None, multipliers if solved else None,
+                  solution.predicted_outputs
+                  if solved and solution.fallback_doublings == 0 else None)
 
 
 @dataclass
@@ -352,11 +366,16 @@ class MpcController:
     def _apf_quadratic(self, state: RobotState, carry: _Carry,
                        obstacles: list[Obstacle]) -> QuadraticApproximation:
         """Active APF expansions summed per step, anchored at the robot's rows:
-        the rollout with the carried input held or, frozen, the current state."""
+        the carried plan's, one step on with its last row repeated, else the
+        rollout with the carried input held or, frozen, the current state."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
         frozen = self.variant == "no_customization"
-        robot = (state.as_array()[None, :3] if frozen else
-                 predict_robot(state, carry.input, self.geom, n_p, cfg.dt))
+        if frozen:
+            robot = state.as_array()[None, :3]
+        elif carry.plan is not None:  # the real-time iteration's shift of the plan
+            robot = np.concatenate([carry.plan[1:, :3], carry.plan[-1:, :3]])
+        else:
+            robot = predict_robot(state, carry.input, self.geom, n_p, cfg.dt)
         robot_frames = frames(robot.tolist(), hl, hw)
         anchor = robot[:, :2]
         # frozen, robot and footprints hold still: each footprint's one pair
@@ -461,8 +480,10 @@ class MpcController:
         cfg, carry = self.cfg, self._carry
         asm = self.assemble(state, carry, ref, obstacles)
         # successive QPs mostly share their active set: the solver returns
-        # the last tick's set at once when it is still optimal
-        sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=carry.active)
+        # the last tick's set at once when it is still optimal, and else
+        # starts its duals from that set's multipliers
+        sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=carry.active,
+                                multipliers=carry.multipliers)
         iterations, band, doublings = sol.iterations, SLIP_BAND, 0
         while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
             # widen the slip band: only these rows' bounds change
@@ -494,5 +515,5 @@ class MpcController:
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
         solution = MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
                                sol.status, apf_cost, tracking, effort, iterations, doublings)
-        self._carry = _shift(solution, sol.active)  # the tick's one write of its state
+        self._carry = _shift(solution, sol.active, sol.multipliers)  # the tick's one write
         return solution

@@ -1,11 +1,12 @@
 """Dense convex quadratic program solver.
 
 Solves   min 1/2 z'Hz + f'z   s.t.  lower <= A z <= upper
-with a first-order operator-splitting (ADMM) iteration, followed by an
-active-set polish step for high accuracy. Every constraint, a simple bound
-on z too, is a row of A: the one form of OSQP. A small ridge keeps the KKT
-system well posed when H is only semidefinite. Problem sizes here are small
-(tens of variables), so dense linear algebra is used throughout.
+with a first-order operator-splitting (ADMM) iteration and an active-set
+polish step, tried at its checks, for high accuracy. Every constraint, a
+simple bound on z too, is a row of A: the one form of OSQP. A small ridge
+keeps the KKT system well posed when H is only semidefinite. Problem sizes
+here are small (tens of variables), so dense linear algebra is used
+throughout.
 
 The rows arrive normalized: each row of A and its bounds divided by the
 row's largest |entry|, the `row_scales`, so that the fixed-step splitting
@@ -23,13 +24,13 @@ rho. Each iteration then projects t = A x + v onto the bounds and keeps
 what the projection cuts off as the new v. Two w buffers alternate: an
 iteration reads one and writes x and zc - v into the other, so x+ = G w is
 one product into place. Every few iterations the checks rebuild y = rho v
-for the primal residual and the infeasibility certificate. The dual
-residual is computed only where it is read: by the stopping test once the
-primal residual passes, by the rho rule, at the last check (a solution
-carries it), on an infeasible return, and for a certified answer when a
-caller first reads it. When rho adapts, v is rescaled by rho_old/rho_new
-(y does not move) and G is rebuilt. A returned iterate is a copy, never a
-buffer.
+for the polish of the set it holds (below), the primal residual and the
+infeasibility certificate. The dual residual is computed only where it is
+read: by the stopping test once the primal residual passes, by the rho
+rule, at the last check (a solution carries it), on an infeasible return,
+and for a certified answer when a caller first reads it. When rho adapts,
+v is rescaled by rho_old/rho_new (y does not move) and G is rebuilt. A
+returned iterate is a copy, never a buffer.
 
 The polish, `_certified`, is one equality solve: the problem's own rows of
 an active set, each at the side of its bound (-1 lower, +1 upper), held as
@@ -45,16 +46,25 @@ point, hence the minimizer of the convex QP, and is returned as OPTIMAL
 with its violation as the primal residual. It keeps its multipliers; its
 dual residual, the ADMM checks' `_dual_residual` of the scaled cost, is
 computed when first read, from the problem's H, f and A as they are then
-(the controller never reads it). A caller may guess the set, such as that
-of the previous solve in a sequence of similar problems (the online
-active set idea of Ferreau, Bock and Diehl, 2008). The guess is tried
-before the cost is scaled: an accepted one returns with 0 iterations and
-scales nothing. Otherwise a cost that is not finite returns at once, as
-MAX_ITERATIONS with a NaN point, NaN residuals and 0 iterations; else the
-ADMM runs exactly as without a guess and the set read from its final
-duals is tried, also when the iteration ran out. If it fails, the ADMM
-iterate is returned with its status. Every solution carries the side of
-each row of A.
+(the controller never reads it). A caller may guess the set, with its
+multipliers, such as those of the previous solve in a sequence of similar
+problems (the online active set idea of Ferreau, Bock and Diehl, 2008).
+The guess is tried before the cost is scaled: an accepted one returns with
+0 iterations and scales nothing. Otherwise a cost that is not finite
+returns at once, as MAX_ITERATIONS with a NaN point, NaN residuals and 0
+iterations; else the ADMM runs, its duals starting at 0 or, as OSQP's warm
+start takes y with x, at the guess's multipliers: v = cost_scale y / rho,
+then one projection of A x + v makes zc and v consistent. At each check
+the set read from the duals is tried if it holds at most n rows, as many
+as can be linearly independent, and is not the set last tried (a failed
+guess counts as tried); the first that certifies ends the solve with the
+iterations run so far. After the loop the final duals' set is tried
+unless that would repeat the last try. An iterate whose residuals
+passed but whose set failed is returned as INEXACT, OSQP's "solved
+inaccurate"; one that ran out, as MAX_ITERATIONS. Every solution carries
+the side of each row of A and the multipliers of its held rows, aligned
+with `active.nonzero()`: a certified answer's from its KKT solve, an
+iterate's y / cost_scale.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
@@ -71,6 +81,7 @@ from typing import ClassVar
 import numpy as np
 
 OPTIMAL = "optimal"
+INEXACT = "inexact"  # ADMM's stopping test passed, the certificate did not
 MAX_ITERATIONS = "max_iterations"
 INFEASIBLE = "infeasible"
 _RHO = 0.1          # initial ADMM step size; a solve adapts it
@@ -115,6 +126,9 @@ class QpSolution:
     dual_residual: float  # a certified answer's is computed when first read
     iterations: int
     active: np.ndarray  # side of each row of A: -1 lower, +1 upper, 0 free
+    # multipliers of the unscaled cost on the held rows, aligned with
+    # active.nonzero(): the next solve's dual warm start
+    multipliers: np.ndarray | None = None
 
     def __getattr__(self, name):
         # reached only for a name not in the instance dict: a certified
@@ -122,11 +136,11 @@ class QpSolution:
         terms = vars(self).pop("_dual_terms", None) if name == "dual_residual" else None
         if terms is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        problem, p_mat, f, cost_scale, rows, multipliers = terms
+        problem, p_mat, f, cost_scale = terms
         if p_mat is None:  # an accepted guess: the solve never scaled the cost
             p_mat, f, cost_scale = _scaled_cost(problem)
         lam = np.zeros(len(problem.lower))
-        lam[rows] = multipliers
+        lam[self.active.nonzero()[0]] = self.multipliers
         # lam holds the multipliers of the unscaled cost
         self.dual_residual = _dual_residual(p_mat, f, problem.a_mat, self.z, cost_scale * lam)
         return self.dual_residual
@@ -138,18 +152,22 @@ class QpSolver:
     tolerance: ClassVar[float] = 1e-4  # not a field: no caller sets a second value
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
-              active: np.ndarray | None = None) -> QpSolution:
+              active: np.ndarray | None = None,
+              multipliers: np.ndarray | None = None) -> QpSolution:
         """Minimize 1/2 z'Hz + f'z subject to lower <= A z <= upper, from
         `warm_start` (primal, default 0). The rows arrive normalized (see
         `row_scales`); they are read as given. `active` guesses the side of
-        each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`);
-        a guess that is not a KKT point, or not of that length, changes
-        nothing."""
+        each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`),
+        and `multipliers` that set's multipliers (as
+        `QpSolution.multipliers`), the dual start of the ADMM when the guess
+        is not a KKT point. A guess not of that length changes nothing."""
         a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
         m = len(lo)
+        tried = None  # the set last given to the certificate
         if active is not None and np.asarray(active).shape == (m,):
             # tried on the unscaled cost: an accepted guess never scales it
-            certified = self._certified(problem, None, None, None, np.asarray(active), 0)
+            tried = np.asarray(active)
+            certified = self._certified(problem, None, None, None, tried, 0)
             if certified is not None:
                 return certified
         n = len(problem.f_vec)
@@ -158,7 +176,7 @@ class QpSolver:
             # no iterate converges on such a cost: the answer is NaN at once
             z = np.empty(n)
             z.fill(np.nan)
-            return QpSolution(z, MAX_ITERATIONS, np.nan, np.nan, 0, np.zeros(m, int))
+            return QpSolution(z, MAX_ITERATIONS, np.nan, np.nan, 0, np.zeros(m, int), np.zeros(0))
         p_mat, f, cost_scale = _scaled_cost(problem)
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
@@ -168,12 +186,20 @@ class QpSolver:
         g_mat = self._step_matrix(p_mat, a_mat, f, rho)
         x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float)
         ax = a_mat @ x
-        zc = np.minimum(np.maximum(ax, lo), hi)
-        w = np.concatenate([x, zc, [1.0]])
+        v = np.zeros(m)
+        if tried is None or multipliers is None:
+            zc = np.minimum(np.maximum(ax, lo), hi)
+        else:
+            # the guessed set's duals, scaled as the iteration's v = y / rho;
+            # one projection of A x + v makes zc and v consistent
+            v[tried.nonzero()[0]] = cost_scale * multipliers / rho
+            t = ax + v
+            zc = np.minimum(np.maximum(t, lo), hi)
+            np.subtract(t, zc, out=v)
+        w = np.concatenate([x, zc - v, [1.0]])
         buffers = (w, w.copy())
         xs = tuple(w[:n] for w in buffers)
         mids = tuple(w[n:n + m] for w in buffers)  # zc - v, rewritten in place
-        v = np.zeros(m)
         t = np.empty(m)
         prev_y = np.zeros(m)
 
@@ -196,6 +222,17 @@ class QpSolver:
 
             if it % _CHECK_EVERY == 0:
                 y = rho * v
+                # the set the duals hold, certified when it is a new one of
+                # at most n rows, as many as can be linearly independent
+                # (the diverging duals of an infeasible QP hold more): the
+                # first KKT point ends the solve
+                sides = _sides(y)
+                if (np.add.reduce(sides != 0) <= n
+                        and (tried is None or np.logical_or.reduce(sides != tried))):
+                    tried = sides
+                    certified = self._certified(problem, p_mat, f, cost_scale, sides, it)
+                    if certified is not None:
+                        return certified
                 r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
                 # the dual residual only where it is read: by the stopping
                 # test once the primal one passes, by the rho rule, at the
@@ -204,12 +241,13 @@ class QpSolver:
                 if read:
                     r_dual = _dual_residual(p_mat, f, a_mat, x, y)
                     if r_prim <= self.tolerance and r_dual <= self.tolerance:
-                        status = OPTIMAL
+                        status = INEXACT  # unless the duals' set certifies below
                         break
                 if self._primal_infeasible(a_mat, lo, hi, y - prev_y):
                     if not read:
                         r_dual = _dual_residual(p_mat, f, a_mat, x, y)
-                    return QpSolution(x.copy(), INFEASIBLE, r_prim, r_dual, it, _sides(y))
+                    return QpSolution(x.copy(), INFEASIBLE, r_prim, r_dual, it, sides,
+                                      _held(y, sides, cost_scale))
                 prev_y = y
                 # mild deterministic step-size adaptation; y = rho v stays
                 # put, so v scales by rho_old / rho_new and w follows
@@ -222,11 +260,13 @@ class QpSolver:
                         rho = new_rho
                         g_mat = self._step_matrix(p_mat, a_mat, f, rho)
 
-        sides = _sides(rho * v)
-        certified = self._certified(problem, p_mat, f, cost_scale, sides, it)
-        if certified is not None:
-            return certified
-        return QpSolution(x.copy(), status, r_prim, r_dual, it, sides)
+        y = rho * v
+        sides = _sides(y)
+        if tried is None or np.logical_or.reduce(sides != tried):
+            certified = self._certified(problem, p_mat, f, cost_scale, sides, it)
+            if certified is not None:
+                return certified
+        return QpSolution(x.copy(), status, r_prim, r_dual, it, sides, _held(y, sides, cost_scale))
 
     @staticmethod
     def _step_matrix(p_mat, a_mat, f, rho: float) -> np.ndarray:
@@ -294,11 +334,11 @@ class QpSolver:
         if not (viol <= self.tolerance and np.logical_and.reduce(sol[n:] * sides >= 0.0)):
             return None
         # no dual_residual in the dict: QpSolution.__getattr__ computes it
-        # from these terms on the first read
+        # from these terms and the multipliers on the first read
         solution = object.__new__(QpSolution)
         vars(solution).update(z=x, status=OPTIMAL, primal_residual=viol,
-                              iterations=iterations, active=active,
-                              _dual_terms=(problem, p_mat, f, cost_scale, rows, sol[n:]))
+                              iterations=iterations, active=active, multipliers=sol[n:],
+                              _dual_terms=(problem, p_mat, f, cost_scale))
         return solution
 
 
@@ -316,6 +356,12 @@ def _scaled_cost(problem: QpProblem):
 def _dual_residual(p_mat, f, a_mat, x, y) -> float:
     """Largest entry of the gradient of the Lagrangian, P x + f + A'y."""
     return float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
+
+
+def _held(y: np.ndarray, sides: np.ndarray, cost_scale: float) -> np.ndarray:
+    """An ADMM answer's multipliers: the duals y of the scaled cost on its
+    held rows, divided by cost_scale."""
+    return y[sides.nonzero()[0]] / cost_scale
 
 
 def _sides(y: np.ndarray) -> np.ndarray:

@@ -101,6 +101,7 @@ class TickRecord:
     min_clearance: float
     objective: float
     solver_iterations: int
+    solver_status: str  # the applied QP answer's (qp.OPTIMAL, qp.INEXACT, ...); not a CSV column
 
 
 @dataclass
@@ -160,7 +161,8 @@ def run(scenario: Scenario) -> SimulationLog:
         log.records.append(TickRecord(
             t=tick * cfg.dt, state=state, applied=u,
             slip_measure=abs(slip_terms(state, u, cfg)[-1]), min_clearance=clearance,
-            objective=sol.objective, solver_iterations=sol.iterations))
+            objective=sol.objective, solver_iterations=sol.iterations,
+            solver_status=sol.solver_status))
         if sol.solver_status == INFEASIBLE:
             log.outcome = SOLVER_FAILED
             break

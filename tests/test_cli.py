@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ class TestRun:
         text = summary.read_text()
         assert "outcome: completed" in text
         assert "max_slip_measure:" in text
+
+    def test_summary_counts_ticks_per_status(self, scenario_file, tmp_path, monkeypatch):
+        # the third tick's answer relabelled inexact: applied as it is, and
+        # counted apart from the optimal ones
+        from apfmpc.qp import QpSolver
+        solve, calls = QpSolver.solve, []
+
+        def relabelled(self, *args, **kwargs):
+            calls.append(None)
+            out = solve(self, *args, **kwargs)
+            return replace(out, status="inexact") if len(calls) == 3 else out
+
+        monkeypatch.setattr(QpSolver, "solve", relabelled)
+        out = tmp_path / "out"
+        assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
+        summary = (out / "clitest.summary").read_text().splitlines()
+        assert summary[-4:] == ["ticks.optimal: 19", "ticks.inexact: 1",
+                                "ticks.max_iterations: 0", "ticks.infeasible: 0"]
 
     def test_log_csv_parseable(self, scenario_file, tmp_path):
         out = tmp_path / "out"

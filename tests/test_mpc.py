@@ -259,10 +259,10 @@ class RecordingSolver(QpSolver):
         self.guesses = []
         self.solves = []
 
-    def solve(self, problem, warm_start=None, active=None):
+    def solve(self, problem, warm_start=None, active=None, multipliers=None):
         self.bounds.append((problem.lower.copy(), problem.upper.copy()))
         self.guesses.append(active)
-        sol = super().solve(problem, warm_start, active)
+        sol = super().solve(problem, warm_start, active, multipliers)
         self.solves.append((problem, sol))
         return sol
 
@@ -1024,6 +1024,54 @@ class TestCarry:
         assert c._carry.input is solution.applied_input
         assert c._carry.warm.tobytes() == shifted.tobytes()
         assert (c._carry.active is None) == (status != "optimal")
+
+    def test_inexact_is_applied_and_carried(self, cfg, geom):
+        # an uncertified ADMM tail moves the input, and the next tick gets
+        # its set, multipliers and plan as after an optimal one
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        c = controller(cfg, geom)
+        z = np.linspace(-0.05, 0.05, cfg.n_ctrl * 4)
+        scripted(c, z=z, status="inexact")
+        solution = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert solution.solver_status == "inexact"
+        assert solution.applied_input == ControlInput(*z[:4])
+        active, multipliers = np.ones(len(c._a_rows)), np.ones(len(c._a_rows))
+        carry = _shift(solution, active, multipliers)
+        assert carry.active is active and carry.multipliers is multipliers
+        assert carry.plan is solution.predicted_outputs
+        assert c._carry.active is not None and c._carry.multipliers is not None
+        assert c._carry.plan is solution.predicted_outputs
+
+    def test_field_anchors_on_the_shifted_plan(self, cfg, geom, monkeypatch):
+        # after a tick solved without widening, the field's anchors are that
+        # tick's plan one step on, its last row repeated, and no rollout is
+        # made; after a widened tick they are the held-input rollout again
+        import apfmpc.mpc
+        rollouts = []
+        monkeypatch.setattr(apfmpc.mpc, "predict_robot",
+                            lambda *args: rollouts.append(1) or predict_robot(*args))
+        obstacles = [obstacle_at(6.0, 1.5)]
+        for start, widened in ((RobotState(0, 0.3, 0.05, 0.8, 0.8), False),
+                               (RobotState(0, 0, 0, 1.1, 0.4), True)):
+            c = controller(cfg, geom)
+            first = c.step(start, build_reference(STRAIGHT, start, REF_SPEED, cfg), obstacles)
+            assert first.solver_status in ("optimal", "inexact")
+            assert (first.fallback_doublings > 0) == widened
+            s = euler_step(start, first.applied_input, geom, cfg.dt, substeps=10)
+            ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
+            rollouts.clear()
+            asm = c.assemble(s, c._carry, ref, obstacles)
+            if widened:
+                assert c._carry.plan is None and rollouts == [1]
+                want = predict_robot(s, c._carry.input, geom, cfg.n_pred, cfg.dt)[:, :2]
+            else:
+                assert c._carry.plan is first.predicted_outputs and rollouts == []
+                plan = first.predicted_outputs[:, :2]
+                want = np.concatenate([plan[1:], plan[-1:]])
+            assert asm.apf.anchor.tobytes() == want.tobytes()
+            # the warm step itself makes a rollout only after the widened tick
+            c.step(s, ref, obstacles)
+            assert rollouts == ([1, 1] if widened else [])
 
     def test_raising_step_keeps_the_record(self, cfg, geom):
         s = RobotState(0, 0.3, 0.05, 0.8, 0.8)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from apfmpc import qp as qp_module
-from apfmpc.kinematics import ControlInput, RobotState
+from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
 from apfmpc.qp import QpProblem, QpSolver
 from conftest import normalized, objective
@@ -57,18 +57,25 @@ def random_box_qp(rng, n=10):
     return box_problem(h, f, lo, hi)
 
 
-def loop_admm(problem, solver, warm_start=None):
+def loop_admm(problem, solver, warm_start=None, active=None, multipliers=None):
     """Reference oracle: the textbook unscaled-dual ADMM iteration, one
     K^-1 product, one clip and one dual step per iteration, with the
-    solver's cost scaling, checks, rho rule and certified polish. The rows
-    arrive normalized and are read as given, as the solver reads them.
-    Returns (z, status, iterations, rho_updates)."""
+    solver's cost scaling, checks, rho rule and certificate: a guessed set
+    is tried first and its multipliers start y, and each check tries the
+    set its duals hold if it holds at most n rows and is not the one last
+    tried. The rows arrive normalized and are read as given, as the solver
+    reads them. Returns (z, status, iterations, rho_updates)."""
     n = len(problem.f_vec)
     cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)), initial=0.0)))
     p_mat = cost_scale * problem.h_mat + qp_module._RIDGE * np.eye(n)
     f = cost_scale * problem.f_vec
     a_full, lo, hi = problem.a_mat, problem.lower, problem.upper
     sigma = qp_module._SIGMA
+    tried = active
+    if active is not None:
+        guessed = solver._certified(problem, p_mat, f, cost_scale, active, 0)
+        if guessed is not None:
+            return guessed.z, guessed.status, 0, 0
 
     def kkt_inverse(rho):
         return np.linalg.inv(p_mat + sigma * np.eye(n) + rho * a_full.T @ a_full)
@@ -76,9 +83,15 @@ def loop_admm(problem, solver, warm_start=None):
     rho = qp_module._RHO
     kkt_inv = kkt_inverse(rho)
     x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
-    zc = np.clip(a_full @ x, lo, hi)
     y = np.zeros(len(lo))
-    prev_y = y.copy()
+    zc = np.clip(a_full @ x, lo, hi)
+    if multipliers is not None:
+        # the guessed duals, then one projection: zc = clip(Ax + y / rho),
+        # and y keeps what it cuts off
+        y[np.flatnonzero(active)] = cost_scale * multipliers
+        zc = np.clip(a_full @ x + y / rho, lo, hi)
+        y = y + rho * (a_full @ x - zc)
+    prev_y = np.zeros(len(lo))
     status, it, rho_updates = qp_module.MAX_ITERATIONS, 0, 0
     for it in range(1, solver.max_iterations + 1):
         x = kkt_inv @ (sigma * x - f + a_full.T @ (rho * zc - y))
@@ -86,10 +99,17 @@ def loop_admm(problem, solver, warm_start=None):
         zc = np.clip(ax + y / rho, lo, hi)
         y = y + rho * (ax - zc)
         if it % qp_module._CHECK_EVERY == 0:
+            sides = qp_module._sides(y)
+            if np.count_nonzero(sides) <= n and (tried is None
+                                                 or not np.array_equal(sides, tried)):
+                tried = sides
+                polished = solver._certified(problem, p_mat, f, cost_scale, sides, it)
+                if polished is not None:
+                    return polished.z, polished.status, it, rho_updates
             r_prim = float(np.max(np.abs(ax - zc)))
             r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ y)))
             if r_prim <= solver.tolerance and r_dual <= solver.tolerance:
-                status = qp_module.OPTIMAL
+                status = qp_module.INEXACT
                 break
             if solver._primal_infeasible(a_full, lo, hi, y - prev_y):
                 return x, qp_module.INFEASIBLE, it, rho_updates
@@ -100,9 +120,11 @@ def loop_admm(problem, solver, warm_start=None):
                     rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                     kkt_inv = kkt_inverse(rho)
                     rho_updates += 1
-    polished = solver._certified(problem, p_mat, f, cost_scale, qp_module._sides(y), it)
-    if polished is not None:
-        return polished.z, polished.status, it, rho_updates
+    sides = qp_module._sides(y)
+    if tried is None or not np.array_equal(sides, tried):
+        polished = solver._certified(problem, p_mat, f, cost_scale, sides, it)
+        if polished is not None:
+            return polished.z, polished.status, it, rho_updates
     return x, status, it, rho_updates
 
 
@@ -274,9 +296,31 @@ class TestBehaviour:
                         np.array([-1.0]), np.array([1.0]),
                         np.full(2, -INF), np.full(2, INF))
         sol = QpSolver().solve(prob)
-        assert sol.status == "optimal"
+        # the cost-scaled residuals pass, but the free row is not the KKT
+        # point's set (test_uncertified_tail_is_inexact): inexact, not optimal
+        assert sol.status == "inexact"
         ax = float(prob.a_mat[0] @ sol.z)
         assert -1.0 - 1e-3 <= ax <= 1.0 + 1e-3
+
+    def test_uncertified_tail_is_inexact(self):
+        # the QP above: its cost-scaled residuals pass after 10 iterations
+        # with the general row free, but holding no row is not a KKT point
+        # (the row's unconstrained value 4.1 is above its bound 1), so the
+        # answer is the iterate, labelled inexact; holding the row at its
+        # upper bound certifies the minimizer
+        h = np.diag([1e5, 1.0])
+        prob = with_box(h, np.array([-1e5, -2.0]), np.array([[0.1, 2.0]]),
+                        np.array([-1.0]), np.array([1.0]), np.full(2, -INF), np.full(2, INF))
+        solver = QpSolver()
+        sol = solver.solve(prob)
+        assert (sol.status, sol.iterations) == ("inexact", 10)
+        assert sol.active.tolist() == [0, 0, 0] and sol.multipliers.shape == (0,)
+        assert sol.primal_residual <= solver.tolerance and sol.dual_residual <= solver.tolerance
+        assert solver._certified(prob, None, None, None, sol.active, 0) is None
+        exact = solver._certified(prob, None, None, None, np.array([1, 0, 0]), 0)
+        assert exact is not None and exact.status == "optimal"
+        assert abs(float(prob.a_mat[0] @ exact.z) - 1.0) <= solver.tolerance
+        assert objective(prob, exact.z) < objective(prob, sol.z) - 1e-3
 
     def test_badly_scaled_rows_converge_once_normalized(self):
         # the rows of the test above times 1e-4 and 1e4, through `normalized`:
@@ -316,7 +360,7 @@ class TestBehaviour:
 class TestMatchesLoopIteration:
     def test_controller_shaped_problems(self, geom):
         solver = QpSolver()
-        outcomes = []
+        outcomes, dual_starts = [], 0
         for seed in (1, 2):
             for prob, warm in controller_qps(geom, seed):
                 assert prob.a_mat.shape == (130, 40)
@@ -326,8 +370,21 @@ class TestMatchesLoopIteration:
                 assert sol.iterations == iterations
                 assert np.max(np.abs(sol.z - z)) < 1e-9
                 outcomes.append((status, rho_updates))
+                if sol.active.any():
+                    # a failed guess, one side flipped, with the answer's
+                    # multipliers as the dual start
+                    guess = sol.active.copy()
+                    held = np.flatnonzero(guess)[0]
+                    guess[held] = -guess[held]
+                    warm_dual = solver.solve(prob, warm, guess, sol.multipliers)
+                    z, status, iterations, _ = loop_admm(prob, solver, warm, guess,
+                                                         sol.multipliers)
+                    assert (warm_dual.status, warm_dual.iterations) == (status, iterations)
+                    assert np.max(np.abs(warm_dual.z - z)) < 1e-9
+                    dual_starts += 1
         adapted = {status for status, updates in outcomes if updates > 0}
         assert adapted == {"optimal", "infeasible"}
+        assert dual_starts >= 5
 
     def test_infeasible_certificate(self):
         # z0 + z1 <= -1 and z0 + z1 >= 1 with a box, the rows normalized
@@ -412,6 +469,27 @@ class TestActiveSetGuess:
                 self.assert_same(solver.solve(prob, warm_start=warm, active=guess), sol)
                 tried += 1
         assert tried >= 20
+
+    def test_checks_try_no_set_of_more_rows_than_variables(self, geom, monkeypatch):
+        # the diverging duals of an infeasible QP hold more rows than there
+        # are variables, more than can be linearly independent: no check
+        # tries such a set
+        held, certify = [], QpSolver._certified
+
+        def recording(self, problem, p_mat, f, cost_scale, active, iterations):
+            held.append(int(np.count_nonzero(active)))
+            return certify(self, problem, p_mat, f, cost_scale, active, iterations)
+
+        monkeypatch.setattr(QpSolver, "_certified", recording)
+        solver, wide = QpSolver(), 0
+        for seed in (1, 2):
+            for prob, warm in controller_qps(geom, seed):
+                held.clear()
+                sol = solver.solve(prob, warm_start=warm)
+                if sol.status == "infeasible":
+                    assert max(held, default=0) <= len(prob.f_vec)
+                    wide += np.count_nonzero(sol.active) > len(prob.f_vec)
+        assert wide >= 3
 
     def test_interior_optimum_rejects_guessed_bound(self):
         # optimum (0.5, 0) is interior; holding z0 at its upper bound 1 is
@@ -560,7 +638,7 @@ def test_certified_answer_is_a_plain_solution():
     with pytest.raises(AttributeError):
         guessed.no_such_field
     built = qp_module.QpSolution(guessed.z, guessed.status, guessed.primal_residual,
-                                 guessed.dual_residual, 0, guessed.active)
+                                 guessed.dual_residual, 0, guessed.active, guessed.multipliers)
     assert repr(built) == repr(guessed)
     assert replace(guessed, iterations=3).dual_residual == guessed.dual_residual
     assert np.isfinite(guessed.dual_residual) and guessed.dual_residual <= solver.tolerance
@@ -593,11 +671,17 @@ def test_normalized_divides_each_row_by_its_largest_entry():
     assert prob.upper.tolist() == [2.0, 0.0, 3.0, 3.0]
 
 
-def parent_solve(solver, problem, warm_start=None, active=None):
+def parent_solve(solver, problem, warm_start=None, active=None, multipliers=None,
+                 old_stop=False):
     """`QpSolver.solve` as it was before the rows arrived normalized: the
     row scale taken on every solve, one w buffer, the dual residual at every
-    check, the ridge and sigma on `.flat` views. The oracle for the current
-    form, which reads `normalized(problem)`."""
+    check, the ridge and sigma on `.flat` views; with the guess's
+    multipliers as the dual start and a certificate try at each check whose
+    set holds at most n rows and is not the one last tried. The oracle for
+    the current form, which reads `normalized(problem)`. With `old_stop`,
+    the stop rule before those tries: the duals start at 0, only the set of
+    the final duals is tried after the loop, and an iterate that fails it
+    returns as `optimal` when its residuals pass."""
     n = len(problem.f_vec)
     row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
                                                    initial=0.0), 1e-10)
@@ -619,17 +703,25 @@ def parent_solve(solver, problem, warm_start=None, active=None):
                                -(kkt_inv @ f)[:, None]], axis=1)
 
     held = QpProblem(problem.h_mat, problem.f_vec, a_mat, lo, hi)  # the rows it holds
+    tried = None
     if active is not None and np.asarray(active).shape == (m,):
-        certified = solver._certified(held, p_mat, f, cost_scale, np.asarray(active), 0)
+        tried = np.asarray(active)
+        certified = solver._certified(held, p_mat, f, cost_scale, tried, 0)
         if certified is not None:
             return certified
     rho = qp_module._RHO
     g_mat = step_matrix(rho)
     x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
     ax = a_mat @ x
-    zc = np.minimum(np.maximum(ax, lo), hi)
     v = np.zeros(m)
-    w = np.concatenate([x, zc, [1.0]])
+    if tried is None or multipliers is None or old_stop:
+        zc = np.minimum(np.maximum(ax, lo), hi)
+    else:
+        v[tried.nonzero()[0]] = cost_scale * multipliers / rho
+        t = ax + v
+        zc = np.minimum(np.maximum(t, lo), hi)
+        v = t - zc
+    w = np.concatenate([x, zc - v, [1.0]])
     mid = w[n:n + m]
     t = np.empty(m)
     prev_y = np.zeros(m)
@@ -647,14 +739,20 @@ def parent_solve(solver, problem, warm_start=None, active=None):
         np.subtract(zc, v, out=mid)
         if it % qp_module._CHECK_EVERY == 0:
             y = rho * v
+            sides = qp_module._sides(y)
+            if not old_stop and np.count_nonzero(sides) <= n and (
+                    tried is None or not np.array_equal(sides, tried)):
+                tried = sides
+                certified = solver._certified(held, p_mat, f, cost_scale, sides, it)
+                if certified is not None:
+                    return certified
             r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
             r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
             if r_prim <= solver.tolerance and r_dual <= solver.tolerance:
-                status = qp_module.OPTIMAL
+                status = qp_module.OPTIMAL if old_stop else qp_module.INEXACT
                 break
             if solver._primal_infeasible(a_mat, lo, hi, y - prev_y):
-                return qp_module.QpSolution(x, qp_module.INFEASIBLE, r_prim, r_dual, it,
-                                            qp_module._sides(y))
+                return qp_module.QpSolution(x, qp_module.INFEASIBLE, r_prim, r_dual, it, sides)
             prev_y = y
             if it % 100 == 0 and r_dual > 0.0 and r_prim > 0.0:
                 ratio = r_prim / r_dual
@@ -665,9 +763,10 @@ def parent_solve(solver, problem, warm_start=None, active=None):
                     rho = new_rho
                     g_mat = step_matrix(rho)
     sides = qp_module._sides(rho * v)
-    certified = solver._certified(held, p_mat, f, cost_scale, sides, it)
-    if certified is not None:
-        return certified
+    if old_stop or tried is None or not np.array_equal(sides, tried):
+        certified = solver._certified(held, p_mat, f, cost_scale, sides, it)
+        if certified is not None:
+            return certified
     return qp_module.QpSolution(x, status, r_prim, r_dual, it, sides)
 
 
@@ -703,6 +802,12 @@ def test_solve_matches_parent_form(geom, max_iterations, statuses):
                 seen.add(got.status)
                 assert_same_bits(solver.solve(normalized(raw), warm_start=warm, active=got.active),
                                  parent_solve(solver, raw, warm, got.active))
+                if got.active.any():  # a failed guess with the answer's multipliers
+                    guess = got.active.copy()
+                    held = np.flatnonzero(guess)[0]
+                    guess[held] = -guess[held]
+                    assert_same_bits(solver.solve(normalized(raw), warm, guess, got.multipliers),
+                                     parent_solve(solver, raw, warm, guess, got.multipliers))
     assert seen == statuses
 
 
@@ -718,3 +823,67 @@ def test_infeasible_solve_matches_parent_form(max_iterations):
     assert (got.status, got.iterations) == ("infeasible", 10)
     assert np.isfinite(got.dual_residual)
     assert got.z.base is None
+
+
+def test_old_stop_rule_certified_answers_keep_their_bits(geom):
+    # the controller QPs of seeds 1-3: every solve that the stop rule before
+    # the check-time tries certifies (its final duals' set) returns the same
+    # point bit for bit, in no more iterations, from zero duals and from a
+    # failed guess with that answer's multipliers
+    solver, kept, sooner = QpSolver(), 0, 0
+    for seed in (1, 2, 3):
+        for prob, warm in controller_qps(geom, seed):
+            old = parent_solve(solver, prob, warm, old_stop=True)
+            if solver._certified(normalized(prob), None, None, None, old.active, 0) is None:
+                continue  # not certified: infeasible, or an uncertified tail
+            starts = [(None, None)]
+            if old.active.any():
+                guess = old.active.copy()
+                held = np.flatnonzero(guess)[0]
+                guess[held] = -guess[held]
+                starts.append((guess, old.multipliers))
+            for guess, multipliers in starts:
+                new = solver.solve(normalized(prob), warm, guess, multipliers)
+                assert new.status == old.status == "optimal"
+                assert new.z.tobytes() == old.z.tobytes()
+                assert 0 < new.iterations <= old.iterations
+                kept += 1
+                sooner += new.iterations < old.iterations
+    assert kept >= 20 and sooner >= 10
+
+
+def next_ticks(geom, seed, count=12):
+    """The controller QPs' starts, each stepped once: the next tick's QP
+    with what that step carried, where the step's QP was solved."""
+    rng = np.random.default_rng(seed)
+    cfg = MpcConfig()
+    path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
+    for k in range(count):
+        mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
+        state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
+        u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
+        c = MpcController(cfg, geom, initial_input=u0)
+        sol = c.step(state, build_reference(path, state, 1.389, cfg), [])
+        state = euler_step(state, sol.applied_input, geom, cfg.dt, substeps=10)
+        if c._carry.active is not None:
+            yield c.assemble(state, c._carry, build_reference(path, state, 1.389, cfg),
+                             []).qp, c._carry
+
+
+def test_previous_multipliers_certify_in_fewer_iterations(geom):
+    # the tick after a solved one, its guess failed: started from the last
+    # answer's multipliers, the ADMM certifies the same point as from zero
+    # duals, and in fewer iterations summed over seeds 1-3
+    solver, with_duals, without, fewer = QpSolver(), 0, 0, 0
+    for seed in (1, 2, 3):
+        for prob, carry in next_ticks(geom, seed):
+            warm = solver.solve(prob, carry.warm, carry.active, carry.multipliers)
+            zero = solver.solve(prob, carry.warm, carry.active)
+            if zero.iterations == 0 or zero.status != "optimal":
+                continue  # an accepted guess, or infeasible
+            assert warm.status == "optimal"
+            assert warm.z.tobytes() == zero.z.tobytes()
+            with_duals, without = with_duals + warm.iterations, without + zero.iterations
+            fewer += warm.iterations < zero.iterations
+    assert fewer >= 5
+    assert with_duals < 0.8 * without

@@ -16,7 +16,9 @@ exactly when `diff` of their outputs is empty.
 
 With two trees it prints a markdown table, one row per run: the digests
 (first 12 hex digits), outcome and tick count on both sides, the first tick
-whose CSV row differs with its first differing column, and the largest
+whose CSV row differs with its first differing column, the same outside the
+`solver_iterations` column (so a change that moves only iteration counts
+reads `-` there), and the largest
 relative drift |b - a| / max(|a|, |b|) over the numeric `metrics()`
 figures, with the figure's name. The last line counts byte-identical logs.
 The log prints 12 significant digits and the metrics use full precision,
@@ -88,14 +90,15 @@ def results(proc: subprocess.Popen, workdir: Path):
         raise SystemExit(f"report runs failed with exit code {proc.returncode}")
 
 
-def first_divergence(old: bytes, new: bytes) -> str:
-    """'tick, column' of the first differing CSV field, or '-' if none."""
+def first_divergence(old: bytes, new: bytes, ignored: tuple[str, ...] = ()) -> str:
+    """'tick, column' of the first differing CSV field outside the `ignored`
+    columns, or '-' if none."""
     old_rows, new_rows = old.decode().splitlines(), new.decode().splitlines()
     header = old_rows[0].split(",")
     for tick, (a, b) in enumerate(zip(old_rows[1:], new_rows[1:])):
-        if a != b:
-            column = next(name for name, x, y in zip(header, a.split(","), b.split(","))
-                          if x != y)
+        column = next((name for name, x, y in zip(header, a.split(","), b.split(","))
+                       if x != y and name not in ignored), None)
+        if column is not None:
             return f"{tick}, {column}"
     if len(old_rows) != len(new_rows):
         return f"{min(len(old_rows), len(new_rows)) - 1}, end of log"
@@ -113,7 +116,8 @@ def largest_drift(old: dict, new: dict) -> str:
 def report_rows(old_runs: list[dict], new_runs: list[dict]) -> list[str]:
     """The two-tree table: a header, one row per run, and the identical count."""
     rows = ["| run | digest | outcome | ticks | first divergence (tick, column) "
-            "| largest relative drift |", "|---|---|---|---|---|---|"]
+            "| first divergence outside solver_iterations | largest relative drift |",
+            "|---|---|---|---|---|---|---|"]
     same = 0
     for a, b in zip(old_runs, new_runs):
         same += a["csv"] == b["csv"]
@@ -121,6 +125,7 @@ def report_rows(old_runs: list[dict], new_runs: list[dict]) -> list[str]:
             f"| {a['label']} | {a['digest'][:12]} / {b['digest'][:12]} "
             f"| {a['outcome']} / {b['outcome']} | {a['ticks']} / {b['ticks']} "
             f"| {first_divergence(a['csv'], b['csv'])} "
+            f"| {first_divergence(a['csv'], b['csv'], ('solver_iterations',))} "
             f"| {largest_drift(a['metrics'], b['metrics'])} |")
     rows.append(f"{same} of {len(old_runs)} logs byte-identical")
     return rows
