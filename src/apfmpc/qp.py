@@ -25,43 +25,43 @@ what the projection cuts off as the new v. Two w buffers alternate: an
 iteration reads one and writes x and zc - v into the other, so x+ = G w is
 one product into place. Every few iterations the checks rebuild y = rho v
 for the polish of the set it holds (below), the primal residual and the
-infeasibility certificate. The dual residual is computed only where it is
-read: by the stopping test once the primal residual passes, by the rho
-rule, at the last check (a solution carries it), on an infeasible return,
-and for a certified answer when a caller first reads it. When rho adapts,
-v is rescaled by rho_old/rho_new (y does not move) and G is rebuilt. A
-returned iterate is a copy, never a buffer.
+infeasibility certificate. The dual residual is computed only where the
+solve reads it: by the stopping test once the primal residual passes, and
+by the rho rule every 100 iterations. When rho adapts, v is rescaled by
+rho_old/rho_new (y does not move) and G is rebuilt. A solve runs at most
+MAX_ADMM_ITERATIONS iterations. A returned iterate is a copy, never a
+buffer.
 
-The polish, `_certified`, is one equality solve: the problem's own rows of
-an active set, each at the side of its bound (-1 lower, +1 upper), held as
-equalities in a slightly regularized KKT system. One rule accepts its
-point: every scaled row within `tolerance` of its bounds, and every
-multiplier of the side's sign (upper >= 0, lower <= 0). The violation is
-one maximum, of max(lo - Ax, Ax - hi) over the rows and 0; as lower <=
-upper is validated, at most one of a row's two gaps is positive, so it
+The polish, `_certified(problem, active, iterations)`, is one equality
+solve: the problem's own rows of an active set, each at the side of its
+bound (-1 lower, +1 upper), held as equalities in a slightly regularized
+KKT system of the unscaled cost. One rule accepts its point: every scaled
+row within `tolerance` of its bounds, and every multiplier of the side's
+sign (upper >= 0, lower <= 0). The violation is one maximum, of
+max(lo - Ax, Ax - hi) over the rows and 0; as lower <= upper is validated
+(a NaN bound fails it), at most one of a row's two gaps is positive, so it
 equals the sum of the clamped gaps. A NaN point's violation is NaN, which
 fails the test `viol <= tolerance`, so it is never accepted. Only held
 rows have a multiplier to check; the others' are 0. Such a point is a KKT
 point, hence the minimizer of the convex QP, and is returned as OPTIMAL
-with its violation as the primal residual. It keeps its multipliers; its
-dual residual, the ADMM checks' `_dual_residual` of the scaled cost, is
-computed when first read, from the problem's H, f and A as they are then
-(the controller never reads it). A caller may guess the set, with its
+with its violation as the primal residual and its multipliers; its
+stationarity holds by the KKT solve. A caller may guess the set, with its
 multipliers, such as those of the previous solve in a sequence of similar
 problems (the online active set idea of Ferreau, Bock and Diehl, 2008).
 The guess is tried before the cost is scaled: an accepted one returns with
 0 iterations and scales nothing. Otherwise a cost that is not finite
-returns at once, as MAX_ITERATIONS with a NaN point, NaN residuals and 0
-iterations; else the ADMM runs, its duals starting at 0 or, as OSQP's warm
-start takes y with x, at the guess's multipliers: v = cost_scale y / rho,
-then one projection of A x + v makes zc and v consistent. At each check
-the set read from the duals is tried if it holds at most n rows, as many
-as can be linearly independent, and is not the set last tried (a failed
-guess counts as tried); the first that certifies ends the solve with the
-iterations run so far. After the loop the final duals' set is tried
-unless that would repeat the last try. An iterate whose residuals
-passed but whose set failed is returned as INEXACT, OSQP's "solved
-inaccurate"; one that ran out, as MAX_ITERATIONS. Every solution carries
+returns at once, as MAX_ITERATIONS with a NaN point, a NaN primal
+residual and 0 iterations; else the ADMM runs, its duals starting at 0
+or, as OSQP's warm start takes y with x, at the guess's multipliers when
+there is one per held row: v = cost_scale y / rho, then one projection of
+A x + v makes zc and v consistent. At each check the set read from the
+duals is tried if it holds at most n rows, as many as can be linearly
+independent, and is not the set last tried (a failed guess counts as
+tried); the first that certifies ends the solve with the iterations run
+so far. After the loop the final duals' set is tried unless that would
+repeat the last try. An iterate whose residuals passed but whose set
+failed is returned as INEXACT, OSQP's "solved inaccurate"; one that ran
+out, as MAX_ITERATIONS. Every solution carries
 the side of each row of A and the multipliers of its held rows, aligned
 with `active.nonzero()`: a certified answer's from its KKT solve, an
 iterate's y / cost_scale.
@@ -76,7 +76,6 @@ f (n,), A (m, n) and both bounds (m,).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -84,6 +83,7 @@ OPTIMAL = "optimal"
 INEXACT = "inexact"  # ADMM's stopping test passed, the certificate did not
 MAX_ITERATIONS = "max_iterations"
 INFEASIBLE = "infeasible"
+MAX_ADMM_ITERATIONS = 4000  # a solve that runs them all returns MAX_ITERATIONS
 _RHO = 0.1          # initial ADMM step size; a solve adapts it
 _SIGMA = 1e-6       # proximal weight on the previous iterate
 _RIDGE = 1e-8       # added to the scaled H
@@ -109,7 +109,7 @@ class QpProblem:
         if (n < 0 or self.h_mat.shape != (n, n) or self.a_mat.shape != (m, n)
                 or self.lower.shape != (m,) or self.upper.shape != (m,)):
             raise ValueError("need H (n, n), f (n,), A (m, n) and bounds (m,)")
-        if np.logical_or.reduce(self.lower > self.upper):
+        if not np.logical_and.reduce(self.lower <= self.upper):  # False for a NaN bound
             raise ValueError("constraint bounds must satisfy lower <= upper")
 
 
@@ -123,33 +123,15 @@ class QpSolution:
     z: np.ndarray
     status: str
     primal_residual: float
-    dual_residual: float  # a certified answer's is computed when first read
     iterations: int
     active: np.ndarray  # side of each row of A: -1 lower, +1 upper, 0 free
     # multipliers of the unscaled cost on the held rows, aligned with
     # active.nonzero(): the next solve's dual warm start
-    multipliers: np.ndarray | None = None
-
-    def __getattr__(self, name):
-        # reached only for a name not in the instance dict: a certified
-        # answer's dual residual before its first read (see `_certified`)
-        terms = vars(self).pop("_dual_terms", None) if name == "dual_residual" else None
-        if terms is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        problem, p_mat, f, cost_scale = terms
-        if p_mat is None:  # an accepted guess: the solve never scaled the cost
-            p_mat, f, cost_scale = _scaled_cost(problem)
-        lam = np.zeros(len(problem.lower))
-        lam[self.active.nonzero()[0]] = self.multipliers
-        # lam holds the multipliers of the unscaled cost
-        self.dual_residual = _dual_residual(p_mat, f, problem.a_mat, self.z, cost_scale * lam)
-        return self.dual_residual
+    multipliers: np.ndarray
 
 
-@dataclass
 class QpSolver:
-    max_iterations: int = 4000
-    tolerance: ClassVar[float] = 1e-4  # not a field: no caller sets a second value
+    tolerance = 1e-4  # on the scaled rows' violation and the ADMM residuals
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
               active: np.ndarray | None = None,
@@ -160,14 +142,15 @@ class QpSolver:
         each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`),
         and `multipliers` that set's multipliers (as
         `QpSolution.multipliers`), the dual start of the ADMM when the guess
-        is not a KKT point. A guess not of that length changes nothing."""
+        is not a KKT point. A guess not of that length, or multipliers not
+        one per held row, change nothing."""
         a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
         m = len(lo)
         tried = None  # the set last given to the certificate
         if active is not None and np.asarray(active).shape == (m,):
             # tried on the unscaled cost: an accepted guess never scales it
             tried = np.asarray(active)
-            certified = self._certified(problem, None, None, None, tried, 0)
+            certified = self._certified(problem, tried, 0)
             if certified is not None:
                 return certified
         n = len(problem.f_vec)
@@ -176,7 +159,7 @@ class QpSolver:
             # no iterate converges on such a cost: the answer is NaN at once
             z = np.empty(n)
             z.fill(np.nan)
-            return QpSolution(z, MAX_ITERATIONS, np.nan, np.nan, 0, np.zeros(m, int), np.zeros(0))
+            return QpSolution(z, MAX_ITERATIONS, np.nan, 0, np.zeros(m, int), np.zeros(0))
         p_mat, f, cost_scale = _scaled_cost(problem)
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
@@ -187,12 +170,13 @@ class QpSolver:
         x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float)
         ax = a_mat @ x
         v = np.zeros(m)
-        if tried is None or multipliers is None:
+        held = None if tried is None else tried.nonzero()[0]
+        if held is None or getattr(multipliers, "shape", None) != held.shape:
             zc = np.minimum(np.maximum(ax, lo), hi)
         else:
             # the guessed set's duals, scaled as the iteration's v = y / rho;
             # one projection of A x + v makes zc and v consistent
-            v[tried.nonzero()[0]] = cost_scale * multipliers / rho
+            v[held] = cost_scale * multipliers / rho
             t = ax + v
             zc = np.minimum(np.maximum(t, lo), hi)
             np.subtract(t, zc, out=v)
@@ -204,10 +188,9 @@ class QpSolver:
         prev_y = np.zeros(m)
 
         status = MAX_ITERATIONS
-        r_prim = r_dual = np.inf
+        r_prim = np.inf
         it = 0
-        last_check = self.max_iterations - _CHECK_EVERY
-        for it in range(1, self.max_iterations + 1):
+        for it in range(1, MAX_ADMM_ITERATIONS + 1):
             side = it & 1
             x, mid = xs[side], mids[side]
             np.dot(g_mat, buffers[side ^ 1], out=x)
@@ -230,23 +213,19 @@ class QpSolver:
                 if (np.add.reduce(sides != 0) <= n
                         and (tried is None or np.logical_or.reduce(sides != tried))):
                     tried = sides
-                    certified = self._certified(problem, p_mat, f, cost_scale, sides, it)
+                    certified = self._certified(problem, sides, it)
                     if certified is not None:
                         return certified
                 r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
                 # the dual residual only where it is read: by the stopping
-                # test once the primal one passes, by the rho rule, at the
-                # last check (the solution carries it) and on an infeasible return
-                read = r_prim <= self.tolerance or it % 100 == 0 or it > last_check
-                if read:
-                    r_dual = _dual_residual(p_mat, f, a_mat, x, y)
-                    if r_prim <= self.tolerance and r_dual <= self.tolerance:
-                        status = INEXACT  # unless the duals' set certifies below
-                        break
+                # test once the primal one passes, and by the rho rule
+                r_dual = (_dual_residual(p_mat, f, a_mat, x, y)
+                          if r_prim <= self.tolerance or it % 100 == 0 else np.inf)
+                if r_prim <= self.tolerance and r_dual <= self.tolerance:
+                    status = INEXACT  # unless the duals' set certifies below
+                    break
                 if self._primal_infeasible(a_mat, lo, hi, y - prev_y):
-                    if not read:
-                        r_dual = _dual_residual(p_mat, f, a_mat, x, y)
-                    return QpSolution(x.copy(), INFEASIBLE, r_prim, r_dual, it, sides,
+                    return QpSolution(x.copy(), INFEASIBLE, r_prim, it, sides,
                                       _held(y, sides, cost_scale))
                 prev_y = y
                 # mild deterministic step-size adaptation; y = rho v stays
@@ -263,10 +242,10 @@ class QpSolver:
         y = rho * v
         sides = _sides(y)
         if tried is None or np.logical_or.reduce(sides != tried):
-            certified = self._certified(problem, p_mat, f, cost_scale, sides, it)
+            certified = self._certified(problem, sides, it)
             if certified is not None:
                 return certified
-        return QpSolution(x.copy(), status, r_prim, r_dual, it, sides, _held(y, sides, cost_scale))
+        return QpSolution(x.copy(), status, r_prim, it, sides, _held(y, sides, cost_scale))
 
     @staticmethod
     def _step_matrix(p_mat, a_mat, f, rho: float) -> np.ndarray:
@@ -293,18 +272,14 @@ class QpSolver:
                         + np.add.reduce(lo[neg < 0] * neg[neg < 0]))
         return support < -1e-8
 
-    def _certified(self, problem, p_mat, f, cost_scale, active,
-                   iterations: int) -> QpSolution | None:
+    def _certified(self, problem, active, iterations: int) -> QpSolution | None:
         """Hold each row of `problem` with a nonzero side of `active` at that
         side's bound and solve the regularized KKT system of the unscaled
-        cost. Its point is returned as OPTIMAL when it is a KKT point of the
-        QP: every scaled row within `tolerance` of its bounds and every held
-        row's multiplier of its side's sign (upper >= 0, lower <= 0). None
-        otherwise, also when a held bound is infinite or the system is
-        singular. The answer keeps its multipliers and computes its dual
-        residual when first read, with the scaled cost p_mat, f and
-        cost_scale, or, where they are None, with the one `_scaled_cost`
-        makes of `problem` then."""
+        cost. Its point is returned as OPTIMAL, with its multipliers, when it
+        is a KKT point of the QP: every scaled row within `tolerance` of its
+        bounds and every held row's multiplier of its side's sign (upper >= 0,
+        lower <= 0). None otherwise, also when a held bound is infinite or
+        the system is singular."""
         a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
         rows = active.nonzero()[0]
         n, k = len(problem.f_vec), len(rows)
@@ -333,13 +308,7 @@ class QpSolver:
         viol = float(np.maximum.reduce(np.maximum(lo - ax, ax - hi), initial=0.0))
         if not (viol <= self.tolerance and np.logical_and.reduce(sol[n:] * sides >= 0.0)):
             return None
-        # no dual_residual in the dict: QpSolution.__getattr__ computes it
-        # from these terms and the multipliers on the first read
-        solution = object.__new__(QpSolution)
-        vars(solution).update(z=x, status=OPTIMAL, primal_residual=viol,
-                              iterations=iterations, active=active, multipliers=sol[n:],
-                              _dual_terms=(problem, p_mat, f, cost_scale))
-        return solution
+        return QpSolution(x, OPTIMAL, viol, iterations, active, sol[n:])
 
 
 def _scaled_cost(problem: QpProblem):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, MAX_BAND_DOUBLI
                         project_onto_path, slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
+from apfmpc import qp
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
 from conftest import double_back, normalized
 
@@ -878,7 +879,10 @@ class TestStep:
         # a value no caller varies is a module constant, not a field
         assert [f.name for f in fields(MpcConfig)] == ["n_pred", "n_ctrl", "dt", "q_weights",
                                                        "r_weights", "u_max"]
-        assert [f.name for f in fields(QpSolver)] == ["max_iterations"]
+        # the solver has no settable value: its iteration cap is qp.MAX_ADMM_ITERATIONS
+        assert not is_dataclass(QpSolver) and vars(QpSolver()) == {}
+        with pytest.raises(TypeError):
+            QpSolver(4000)
 
     def test_config_stores_float_tuples(self, geom):
         cfg = MpcConfig(q_weights=[2, 2, 6, 10, 10], u_max=np.array([1.0, 1.0, 1.5, 1.5]))
@@ -957,13 +961,14 @@ class TestFallbacks:
         assert len(c.solver.bounds) == 1
         assert np.all(sol.delta_sequence == 0.0)
 
-    def test_unconverged_solve_holds_input(self, cfg, geom):
+    def test_unconverged_solve_holds_input(self, cfg, geom, monkeypatch):
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
         held = ControlInput(0.2, 0.1, 0.05, -0.05)
         ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
         c = controller(cfg, geom, initial_input=held)
-        c.solver = QpSolver(max_iterations=10)
-        sol = c.step(s, ref, [])
+        with monkeypatch.context() as capped:
+            capped.setattr(qp, "MAX_ADMM_ITERATIONS", 10)
+            sol = c.step(s, ref, [])
         assert sol.solver_status == "max_iterations"
         assert np.all(sol.delta_sequence == 0.0)
         assert sol.applied_input == held
@@ -973,7 +978,7 @@ class TestFallbacks:
         assert np.any(sol.delta_sequence != 0.0)
         assert sol.applied_input != held
 
-    def test_unconverged_solve_with_certified_set_moves_input(self, cfg, geom):
+    def test_unconverged_solve_with_certified_set_moves_input(self, cfg, geom, monkeypatch):
         # the start above with 30 iterations: the iteration has not
         # converged, but the set read from its duals certifies a KKT point
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
@@ -981,7 +986,7 @@ class TestFallbacks:
         ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
         c = controller(cfg, geom, initial_input=held)
         c.solver = RecordingSolver()
-        c.solver.max_iterations = 30
+        monkeypatch.setattr(qp, "MAX_ADMM_ITERATIONS", 30)
         sol = c.step(s, ref, [])
         assert sol.solver_status == "optimal"
         assert sol.iterations == 30

@@ -137,7 +137,7 @@ def _bits(asm, sol):
     comparison."""
     parts = [getattr(asm.qp, f.name) for f in fields(asm.qp)]
     parts += [asm.su, asm.base, sol.z, sol.active,
-              sol.iterations, sol.primal_residual, sol.dual_residual]
+              sol.iterations, sol.primal_residual, sol.multipliers]
     if asm.apf is not None:
         parts += [asm.apf.constant, asm.apf.gradient, asm.apf.hessian_psd, asm.apf.anchor]
     return [np.asarray(p).tobytes() for p in parts]
