@@ -4,9 +4,9 @@ Each tick: linearize the kinematics at (current state, previous input),
 predict robot and obstacle motion over the horizon, sum the convex field
 quadratics of each predicted step into one at the predicted robot position,
 condense the delta-input dynamics into prediction matrices, and solve a
-dense QP in the stacked increments. Its constraints are all rows of one
-matrix: input, wheel-speed-difference and output limits, and last the
-increment box. Only the first increment is applied.
+dense QP in the stacked increments. Its constraints are the rows of one
+matrix in four blocks: cumulative inputs, wheel-speed differences (slip
+rows), wheel speeds and the increment box. Only the first increment is applied.
 
 The reference path is stated once per scenario: `path_table` validates it
 and returns its points, segments, lengths, arc lengths and headings, and
@@ -36,9 +36,9 @@ solution, tracking + input-increment effort + field, and on a held tick
 that solution is z = 0. On certified infeasibility only the bounds of the
 wheel-speed-difference rows widen (the band doubles, in the rows' scale)
 before solving again; a variant without those rows reports infeasible at
-once. A tick's iteration count sums all its attempts. A non-finite solution
-raises FloatingPointError before it reaches the inputs, which are clipped
-to their bounds as floats.
+once. A tick's iteration count sums all its attempts. A non-finite state,
+or solution before it reaches the inputs, raises FloatingPointError; the
+inputs are clipped to their bounds as floats.
 
 What one tick hands the next is one `_Carry` record: the applied input,
 the applied increments shifted one control step (the warm start), and, if
@@ -55,8 +55,8 @@ Python-level wrappers. What depends on the configuration alone, each
 variant's starting A and bounds among it, is built once per `MpcConfig`
 by `_config_tables` and shared, read-only, by every controller of an
 equal configuration. Each tick copies A and the bounds and writes its own
-bounds and slip rows (`_SlipRows`) into the copies. `linearization` holds
-`EYE_*`.
+bounds and slip rows (`_SlipRows`) through the blocks' slices into the
+copies. `linearization` holds `EYE_*`.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -124,9 +124,11 @@ class ReferenceHorizon:
 
     def __post_init__(self):
         heading = self.targets[:, 2]  # each step a turn in (-pi, pi] + summing's rounding
-        slack = 4.0 * np.spacing(2.0 * math.pi + np.maximum.reduce(np.abs(heading), initial=0.0))
-        if np.maximum.reduce(np.abs(heading[1:] - heading[:-1]), initial=0.0) > math.pi + slack:
-            raise ValueError("reference heading must be unwrapped")
+        worst = np.maximum.reduce(np.abs(heading[1:] - heading[:-1]), initial=0.0)
+        if not worst <= math.pi:  # the slack is read only past pi; a NaN fails both tests
+            slack = 4.0 * np.spacing(2.0 * math.pi + np.abs(heading).max())
+            if not worst <= math.pi + slack:
+                raise ValueError("reference heading must be unwrapped")
 
 
 @dataclass(frozen=True)
@@ -156,10 +158,10 @@ class PathTable(NamedTuple):
 
 
 def path_table(path: np.ndarray) -> PathTable:
-    """Table of a polyline of two or more (x, y) points, no segment of zero length."""
+    """Table of a polyline of two or more finite (x, y) points, no segment of zero length."""
     pts = np.asarray(path, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-        raise ValueError("path must be two or more points of two coordinates (x, y)")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2 or not np.isfinite(pts).all():
+        raise ValueError("path must be two or more finite points of two coordinates (x, y)")
     seg = np.diff(pts, axis=0)
     seg_len = np.hypot(seg[:, 0], seg[:, 1])
     if np.any(seg_len <= 0.0):
@@ -246,11 +248,11 @@ BOUNDARY_APF = ApfParams(0.3, 1.1)
 
 
 @lru_cache(maxsize=16)
-def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray | tuple]]:
+def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray | tuple | slice]]:
     """Per variant, the read-only constants of the condensed QP by attribute
     name. They depend on the configuration alone: every controller of an
     equal configuration shares them, and both variants share all but the
-    starting A and bounds."""
+    starting A and bounds and the slices of their row blocks."""
     n_p, n_c = cfg.n_pred, cfg.n_ctrl
     nz = n_c * N_INPUT
     t = {"_q_diag": np.tile(cfg.q_weights, n_p), "_r_diag": np.tile(cfg.r_weights, n_c)}
@@ -281,22 +283,25 @@ def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray | tuple]]:
     eta_rows = (np.where(lag >= 0, cfg.dt * (lag + 1.0), 0.0)[:, None]
                 * np.eye(2, N_INPUT)[:, None]).reshape(-1, nz)
     t["_eta_scale"] = row_scales(eta_rows)
-    # every tick's A and (lower, upper) start as copies of these: cumulative
-    # inputs, the slip rows (full variant only), the outputs, then the
-    # increment box, whose rows and bounds the copies keep; the rows of
-    # 0 and 1 are normalized as they stand
+    # every tick's A and (lower, upper) start as copies of these, in four row
+    # blocks named by their slices, in this order: cumulative inputs (0 and 1,
+    # normalized as they stand), slip rows (empty without the customization),
+    # wheel speeds, and the increment box, whose rows and bounds ticks keep
     du_max, per_variant = np.tile(DU_MAX, n_c), {}
     for variant, n_slip in zip(VARIANTS, (n_c, 0)):
-        a_rows = np.zeros((2 * nz + n_slip + len(eta_rows), nz))
-        a_rows[:nz] = np.kron(t["_cumulative"], np.eye(N_INPUT))
-        a_rows[nz + n_slip:-nz] = t["_eta_scale"][:, None] * eta_rows
-        a_rows[-nz:] = np.eye(nz)
+        ends = list(accumulate((nz, n_slip, len(eta_rows), nz), initial=0))
+        inputs, slip, speed, box = map(slice, ends[:-1], ends[1:])
+        a_rows = np.zeros((ends[-1], nz))
+        a_rows[inputs] = np.kron(t["_cumulative"], np.eye(N_INPUT))
+        a_rows[speed] = t["_eta_scale"][:, None] * eta_rows
+        a_rows[box] = np.eye(nz)
         bounds = np.zeros((2, len(a_rows)))
-        bounds[:, -nz:] = -du_max, du_max
-        per_variant[variant] = dict(t, _a_rows=a_rows, _bounds=bounds)
+        bounds[:, box] = -du_max, du_max
+        per_variant[variant] = dict(t, _a_rows=a_rows, _bounds=bounds, _input_rows=inputs,
+                                    _slip_rows=slip, _speed_rows=speed, _box_rows=box)
     for tables in per_variant.values():  # every tick of every such controller shares them
         for value in tables.values():
-            if isinstance(value, np.ndarray):  # the one tuple is read-only as it is
+            if isinstance(value, np.ndarray):  # a tuple or slice is read-only as it is
                 value.flags.writeable = False
     return per_variant
 
@@ -411,6 +416,9 @@ class MpcController:
                  ref: ReferenceHorizon, obstacles: list[Obstacle]) -> _Assembled:
         cfg, prev_input = self.cfg, carry.input
         n_p, n_c, nu, ns, nz = cfg.n_pred, cfg.n_ctrl, N_INPUT, N_STATE, cfg.n_ctrl * N_INPUT
+        if not all(map(math.isfinite, (state.x, state.y, state.heading,
+                                       state.v_front, state.v_rear))):
+            raise FloatingPointError(f"non-finite state {state}")
 
         aug = augment(linearize(state, prev_input, self.geom, cfg.dt))
 
@@ -453,21 +461,21 @@ class MpcController:
             f_vec += fold[:, nz]
         h_mat = 0.5 * (h_mat + h_mat.T)
 
-        # constraints, normalized as the solver reads them: cumulative
-        # inputs, then the slip rows, then outputs, then the increment box;
-        # the copies hold all rows but the slip rows already. Every slip row
-        # holds e_row in its first block, so all share one scale
+        # constraints, normalized as the solver reads them, written through
+        # the row blocks' slices (see `_config_tables`); the copies hold all
+        # rows but the slip rows already. Every slip row holds e_row in its
+        # first block, so all share one scale
         a_mat, bounds = self._a_rows.copy(), self._bounds.copy()
         lo, hi = bounds[0], bounds[1]  # views: indexing, not the slower unpacking
-        np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, :nz])
-        slip = None
-        if self.variant == "full":
+        np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, self._input_rows])
+        slip, rows = None, self._slip_rows
+        if rows.start < rows.stop:  # the block is empty without the customization
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            slip = _SlipRows(slice(nz, nz + n_c), 1.0 / max(1e-10, *map(abs, e_row.tolist())), g)
+            slip = _SlipRows(rows, 1.0 / max(1e-10, *map(abs, e_row.tolist())), g)
             np.multiply(self._cumulative[:, :, None], slip.scale * e_row,
-                        out=a_mat[slip.rows].reshape(n_c, n_c, nu))
+                        out=a_mat[rows].reshape(n_c, n_c, nu))
             slip.write_band(lo, hi, SLIP_BAND)
-        eta = bounds[:, -nz - len(self._eta_rows):-nz]
+        eta = bounds[:, self._speed_rows]
         np.subtract(self._eta_bounds, base[self._eta_rows], out=eta)
         eta *= self._eta_scale
 

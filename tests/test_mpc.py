@@ -350,6 +350,12 @@ class TestBuildReference:
         t[:, 2] = [0.0, 3.2, 0.0]
         with pytest.raises(ValueError):
             ReferenceHorizon(t)
+        # a NaN heading compares False against any bound
+        for k in range(3):
+            t[:, 2] = 0.0
+            t[k, 2] = math.nan
+            with pytest.raises(ValueError):
+                ReferenceHorizon(t)
 
 
 class TestParentForms:
@@ -416,6 +422,15 @@ class TestPathTable:
         with pytest.raises(ValueError):
             path_table(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, value):
+        # NaN compares False against zero length, and inf makes an inf length
+        for k in range(3):
+            path = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
+            path[k, k % 2] = value
+            with pytest.raises(ValueError, match="finite"):
+                path_table(path)
+
 
 class TestSlipRows:
     def test_matched_straight_motion(self, cfg):
@@ -462,9 +477,11 @@ class TestAssemble:
         # cumulative input rows + slip rows + two bounded output dims + box
         assert asm.qp.a_mat.shape == (cfg.n_ctrl * 4 + cfg.n_ctrl + 2 * cfg.n_pred + nz, nz)
         # the increment box is the last rows: the identity with bounds ±DU_MAX
-        assert np.array_equal(asm.qp.a_mat[-nz:], np.eye(nz))
-        assert np.allclose(asm.qp.upper[-nz:], np.tile(DU_MAX, cfg.n_ctrl))
-        assert np.allclose(asm.qp.lower[-nz:], -np.tile(DU_MAX, cfg.n_ctrl))
+        box = c._box_rows
+        assert box.stop == len(asm.qp.a_mat)
+        assert np.array_equal(asm.qp.a_mat[box], np.eye(nz))
+        assert np.allclose(asm.qp.upper[box], np.tile(DU_MAX, cfg.n_ctrl))
+        assert np.allclose(asm.qp.lower[box], -np.tile(DU_MAX, cfg.n_ctrl))
 
     def test_variant_drops_slip_rows(self, cfg, geom):
         full = controller(cfg, geom)
@@ -474,6 +491,10 @@ class TestAssemble:
         n_full = full.assemble(s, full._carry, ref, []).qp.a_mat.shape[0]
         n_bare = bare.assemble(s, bare._carry, ref, []).qp.a_mat.shape[0]
         assert n_full - n_bare == cfg.n_ctrl
+        # without the customization the slip block is empty, at the row
+        # where the full variant's starts
+        assert bare._slip_rows.start == bare._slip_rows.stop == full._slip_rows.start
+        assert full._slip_rows.stop - full._slip_rows.start == cfg.n_ctrl
 
     @pytest.mark.parametrize("cfg", [MpcConfig(), MpcConfig(n_ctrl=20), MpcConfig(n_ctrl=1)],
                              ids=["default", "n_ctrl_eq_n_pred", "n_ctrl_1"])
@@ -796,6 +817,19 @@ class TestStep:
                                        [obstacle_at(6.0, 0.0)])
         assert queries == []
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "heading", "v_front", "v_rear"])
+    def test_non_finite_state_raises(self, cfg, geom, variant, value, field):
+        # the module's rule for a non-finite number, not a QP's bound check;
+        # the raising tick leaves the record as it was
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        c = controller(cfg, geom, variant=variant)
+        before = c._carry
+        with pytest.raises(FloatingPointError, match="non-finite state"):
+            c.step(replace(s, **{field: value}), build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert c._carry is before
+
     def test_non_finite_obstacle_prediction_raises(self, cfg, geom, monkeypatch):
         import apfmpc.mpc
 
@@ -846,8 +880,7 @@ class TestStep:
             ax = prob.a_mat @ sol.z
             over = np.maximum(prob.lower - ax, ax - prob.upper)
             assert np.all(over <= tol * np.max(np.abs(prob.a_mat), axis=1))
-            nz = len(sol.z)
-            assert np.array_equal(prob.a_mat[-nz:], np.eye(nz))
+            assert np.array_equal(prob.a_mat[c._box_rows], np.eye(len(sol.z)))
 
     def test_rejects_unknown_variant(self, cfg, geom):
         with pytest.raises(ValueError):
@@ -921,7 +954,7 @@ class TestFallbacks:
         assert len(c.solver.bounds) == k + 1
         e_row, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
         scale = 1.0 / np.max(np.abs(e_row))  # the rows arrive normalized
-        rows = slice(cfg.n_ctrl * 4, cfg.n_ctrl * 5)
+        rows = c._slip_rows
         (lo0, hi0), (lo, hi) = c.solver.bounds[0], c.solver.bounds[-1]
         band = SLIP_BAND * 2 ** k
         assert np.array_equal(lo[rows], np.full(cfg.n_ctrl, scale * (-band - g)))
@@ -1150,8 +1183,7 @@ class TestNormalizedRows:
         # configuration's table bit for bit: its scales are theirs, and its
         # rows of A are theirs normalized
         c = controller(cfg, geom)
-        eta = slice(5 * cfg.n_ctrl, -4 * cfg.n_ctrl)
-        table = c._a_rows[eta].tobytes()
+        table = c._a_rows[c._speed_rows].tobytes()
         ref = ReferenceHorizon(np.zeros((cfg.n_pred, 5)))
         for state, u0 in operating_points(5, 300):
             speed_rows = c.assemble(state, cold(cfg, u0), ref, []).su[c._eta_rows]
