@@ -51,10 +51,10 @@ reads the record at its start and replaces it once, after its last raise,
 so a raising step leaves it unchanged; `_shift` alone writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
-Python-level wrappers. What depends on the configuration alone, each
-variant's starting A and bounds among it, is built once per `MpcConfig`
-by `_config_tables` and shared, read-only, by every controller of an
-equal configuration. Each tick copies A and the bounds and writes its own
+Python-level wrappers. What depends on the constants of `MpcConfig`
+alone, each variant's starting A and bounds among it, is built once, by
+the first controller's `_config_tables`, and shared, read-only, by every
+controller. Each tick copies A and the bounds and writes its own
 bounds and slip rows (`_SlipRows`) through the blocks' slices into the
 copies. `linearization` holds `EYE_*`.
 """
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
@@ -89,32 +89,15 @@ VARIANTS = ("full", "no_customization")
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """The values callers vary; the others are constants (README, "Design")."""
-    n_pred: int = 20
-    n_ctrl: int = 10
-    dt: float = 0.1
-    q_weights: tuple = (2.0, 2.0, 6.0, 10.0, 10.0)
-    r_weights: tuple = (300.0, 300.0, 400.0, 400.0)
-    u_max: tuple = (1.0, 1.0, math.pi / 2, math.pi / 2)
-
-    def __post_init__(self):
-        # the shared tables (see `_config_tables`) are built from these, and
-        # a configuration is their key: each sequence is stored as a tuple of floats
-        if not all(type(n) is int for n in (self.n_pred, self.n_ctrl)):  # a bool is not an int
-            raise ValueError("n_pred and n_ctrl must be integers")
-        if not 1 <= self.n_ctrl <= self.n_pred:
-            raise ValueError("need 1 <= n_ctrl <= n_pred")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        for name, size in (("q_weights", N_STATE), ("r_weights", N_INPUT), ("u_max", N_INPUT)):
-            values = tuple(map(float, getattr(self, name)))
-            if len(values) != size:
-                raise ValueError(f"{name} must have {size} entries")
-            object.__setattr__(self, name, values)
-        if not all(0.0 <= w < math.inf for w in (*self.q_weights, *self.r_weights)):
-            raise ValueError("weights must be finite and not negative")
-        if not all(u > 0.0 for u in self.u_max):
-            raise ValueError("u_max must be positive")
+    """The controller's tuning: horizons, control step, weights and input
+    bound, each a constant; an instance has no value of its own (README,
+    "Design")."""
+    n_pred = 20
+    n_ctrl = 10
+    dt = 0.1
+    q_weights = (2.0, 2.0, 6.0, 10.0, 10.0)
+    r_weights = (300.0, 300.0, 400.0, 400.0)
+    u_max = (1.0, 1.0, math.pi / 2, math.pi / 2)
 
 
 @dataclass(frozen=True)
@@ -123,9 +106,11 @@ class ReferenceHorizon:
     targets: np.ndarray  # n_pred x 5, heading unwrapped
 
     def __post_init__(self):
+        if not np.logical_and.reduce(np.isfinite(self.targets), axis=None):
+            raise ValueError("reference targets must be finite")
         heading = self.targets[:, 2]  # each step a turn in (-pi, pi] + summing's rounding
         worst = np.maximum.reduce(np.abs(heading[1:] - heading[:-1]), initial=0.0)
-        if not worst <= math.pi:  # the slack is read only past pi; a NaN fails both tests
+        if not worst <= math.pi:  # the slack is read only past pi
             slack = 4.0 * np.spacing(2.0 * math.pi + np.abs(heading).max())
             if not worst <= math.pi + slack:
                 raise ValueError("reference heading must be unwrapped")
@@ -247,12 +232,13 @@ OBSTACLE_APF = ApfParams(3.0, 1.8)  # the field's (a, b) per footprint kind
 BOUNDARY_APF = ApfParams(0.3, 1.1)
 
 
-@lru_cache(maxsize=16)
-def _config_tables(cfg: MpcConfig) -> dict[str, dict[str, np.ndarray | tuple | slice]]:
+@cache
+def _config_tables() -> dict[str, dict[str, np.ndarray | tuple | slice]]:
     """Per variant, the read-only constants of the condensed QP by attribute
-    name. They depend on the configuration alone: every controller of an
-    equal configuration shares them, and both variants share all but the
+    name. They depend on `MpcConfig` alone: the first controller builds them,
+    every controller shares them, and both variants share all but the
     starting A and bounds and the slices of their row blocks."""
+    cfg = MpcConfig
     n_p, n_c = cfg.n_pred, cfg.n_ctrl
     nz = n_c * N_INPUT
     t = {"_q_diag": np.tile(cfg.q_weights, n_p), "_r_diag": np.tile(cfg.r_weights, n_c)}
@@ -355,15 +341,14 @@ class _Assembled:
 class MpcController:
     """Owns the state one tick hands the next; one instance per control loop."""
 
-    def __init__(self, cfg: MpcConfig, geom: RobotGeometry,
-                 initial_input: ControlInput | None = None,
-                 variant: str = "full"):
+    def __init__(self, cfg: MpcConfig, geom: RobotGeometry, variant: str = "full"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {variant!r}")
         self.cfg, self.geom, self.variant = cfg, geom, variant
         self.solver = QpSolver()
-        vars(self).update(_config_tables(cfg)[variant])  # shared, read-only
-        self._carry = _Carry(initial_input or ControlInput(0.0, 0.0, 0.0, 0.0),
+        vars(self).update(_config_tables()[variant])  # shared, read-only
+        # the first tick starts from the zero input, with no increments or active set
+        self._carry = _Carry(ControlInput(0.0, 0.0, 0.0, 0.0),
                              np.zeros(cfg.n_ctrl * N_INPUT), None)
 
     # -- assembly -----------------------------------------------------------

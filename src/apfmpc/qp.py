@@ -58,13 +58,13 @@ A x + v makes zc and v consistent. At each check the set read from the
 duals is tried if it holds at most n rows, as many as can be linearly
 independent, and is not the set last tried (a failed guess counts as
 tried); the first that certifies ends the solve with the iterations run
-so far. After the loop the final duals' set is tried unless that would
-repeat the last try. An iterate whose residuals passed but whose set
-failed is returned as INEXACT, OSQP's "solved inaccurate"; one that ran
-out, as MAX_ITERATIONS. Every solution carries
-the side of each row of A and the multipliers of its held rows, aligned
-with `active.nonzero()`: a certified answer's from its KKT solve, an
-iterate's y / cost_scale.
+so far. MAX_ADMM_ITERATIONS is a multiple of the check interval, so every
+solve ends on a check and no set is tried after the loop. An iterate whose
+residuals passed but whose set failed is returned as INEXACT, OSQP's
+"solved inaccurate"; one that ran out, as MAX_ITERATIONS. Every solution
+carries the side of each row of A and the multipliers of its held rows,
+aligned with `active.nonzero()`: a certified answer's from its KKT solve,
+an iterate's y / cost_scale.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
@@ -83,7 +83,7 @@ OPTIMAL = "optimal"
 INEXACT = "inexact"  # ADMM's stopping test passed, the certificate did not
 MAX_ITERATIONS = "max_iterations"
 INFEASIBLE = "infeasible"
-MAX_ADMM_ITERATIONS = 4000  # a solve that runs them all returns MAX_ITERATIONS
+MAX_ADMM_ITERATIONS = 4000  # a multiple of _CHECK_EVERY: the last iteration is a check
 _RHO = 0.1          # initial ADMM step size; a solve adapts it
 _SIGMA = 1e-6       # proximal weight on the previous iterate
 _RIDGE = 1e-8       # added to the scaled H
@@ -239,12 +239,9 @@ class QpSolver:
                         rho = new_rho
                         g_mat = self._step_matrix(p_mat, a_mat, f, rho)
 
+        # the loop ends on a check, which tried the duals' set if it could
         y = rho * v
         sides = _sides(y)
-        if tried is None or np.logical_or.reduce(sides != tried):
-            certified = self._certified(problem, sides, it)
-            if certified is not None:
-                return certified
         return QpSolution(x.copy(), status, r_prim, it, sides, _held(y, sides, cost_scale))
 
     @staticmethod

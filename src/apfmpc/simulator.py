@@ -171,8 +171,8 @@ def run(scenario: Scenario) -> SimulationLog:
     return log
 
 
-def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
-    """Scalar summary of a run."""
+def metrics(log: SimulationLog, path: np.ndarray) -> dict:
+    """Scalar summary of a run along its reference path."""
     if not log.records:
         raise ValueError("empty log")
     clear = [r.min_clearance for r in log.records]
@@ -180,16 +180,13 @@ def metrics(log: SimulationLog, path: np.ndarray | None = None) -> dict:
     headings = np.array([r.state.heading for r in log.records])
     dth = np.abs(np.arctan2(np.sin(np.diff(headings)), np.cos(np.diff(headings))))
     max_rate = float(np.max(dth) / log.dt) if len(dth) else 0.0
-    out = {
+    errs, _ = project_onto_path([(r.state.x, r.state.y) for r in log.records], path_table(path))
+    return {
         "min_clearance": min(clear),
         "max_slip_measure": max(slips),
         "max_heading_rate": max_rate,
+        "rms_tracking_error": float(np.sqrt(np.mean(np.square(errs)))),
     }
-    if path is not None:
-        errs, _ = project_onto_path([(r.state.x, r.state.y) for r in log.records],
-                                    path_table(path))
-        out["rms_tracking_error"] = float(np.sqrt(np.mean(np.square(errs))))
-    return out
 
 
 # -- scenario file I/O -------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
-from apfmpc.mpc import MpcConfig
+from apfmpc.mpc import MpcConfig, _Carry
 from apfmpc.qp import QpProblem, row_scales
 from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
 
@@ -23,6 +23,12 @@ def cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def cold(u0):
+    """The record a controller starts from, at input u0: no increments, no
+    active set. A test sets it as a controller's `_carry` to start there."""
+    return _Carry(u0, np.zeros(MpcConfig.n_ctrl * 4), None)
 
 
 def double_back(heading, duration=1.0):

@@ -10,12 +10,11 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
-from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
+from apfmpc.kinematics import RobotState, euler_step
 from apfmpc.linearization import linearize
-from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
+from apfmpc.mpc import MpcController, build_reference, path_table
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.qp import QpSolver
 from apfmpc.simulator import COMPLETED, DEFAULT_GEOMETRY, Scenario, metrics, run
@@ -171,7 +170,7 @@ def test_criterion_7_orthogonal_corridor(orthogonal_run):
 def test_criterion_8_ablation(ablation_runs):
     scn, full_log, bare_log = ablation_runs
     assert full_log.outcome == COMPLETED
-    m_full, m_bare = metrics(full_log), metrics(bare_log)
+    m_full, m_bare = metrics(full_log, scn.path), metrics(bare_log, scn.path)
     assert m_bare["min_clearance"] < m_full["min_clearance"]
     assert m_bare["max_heading_rate"] > m_full["max_heading_rate"]
     _report(8, "ablation strictly degrades clearance and smoothness")

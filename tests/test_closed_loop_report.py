@@ -46,7 +46,7 @@ def edited_tree(tmp_path, old, new):
 
 
 def test_one_scaled_constant_diverges_at_tick_0(tmp_path):
-    weights = "r_weights: tuple = (300.0, 300.0, 400.0, 400.0)"
+    weights = "r_weights = (300.0, 300.0, 400.0, 400.0)"
     tree = edited_tree(tmp_path, weights, weights.replace("300.0", "330.0", 1))
     rows = report(tmp_path, ROOT, tree)
     cells = [c.strip() for c in rows[2].strip("|").split("|")]

@@ -1,0 +1,41 @@
+"""Every import is used: each name an import binds in a module of
+src/apfmpc, tools or tests is read in that module or listed in its
+`__all__`."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(path for folder in ("src/apfmpc", "tools", "tests")
+                 for path in (ROOT / folder).rglob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that the imports of `source` bind and it never reads."""
+    tree = ast.parse(source)
+    bound, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue  # a compiler directive, not a name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `import a.b` binds a; `from m import *` binds nothing it names
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names if alias.name != "*")
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            read.update(item.value for item in ast.walk(node.value)
+                        if isinstance(item, ast.Constant) and isinstance(item.value, str))
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport sys\n"
+              "from math import pi, tau as t\n__all__ = ['pi']\nprint(sys)\n")
+    assert unused_imports(source) == ["os", "t"]
+    assert len(MODULES) > 20
+    unused = {str(path.relative_to(ROOT)): names for path in MODULES
+              if (names := unused_imports(path.read_text()))}
+    assert unused == {}

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,27 +9,37 @@ from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, MAX_BAND_DOUBLINGS, OBSTACLE_APF,
                         SLIP_BAND, SPEED_BOUNDS, VARIANTS, MpcConfig, MpcController,
-                        ReferenceHorizon, _Carry, _shift, build_reference, path_table,
-                        project_onto_path, slip_constraint_rows)
+                        ReferenceHorizon, _config_tables, _shift, build_reference,
+                        path_table, project_onto_path, slip_constraint_rows)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc import qp
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
-from conftest import double_back, normalized
+from apfmpc.simulator import SimulationLog, metrics
+from conftest import cold, double_back, normalized
 
 REF_SPEED = 1.389
 STRAIGHT = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
 STRAIGHT_30 = path_table(np.array([[0.0, 0.0], [30.0, 0.0]]))
 
 
+@pytest.fixture
+def cfg(request, monkeypatch):
+    """MpcConfig(); a test parametrized with a dict of its constants, as
+    `indirect` parameters of `cfg`, sees those values in their place, and
+    the controller tables built from them, for that test alone."""
+    changed = getattr(request, "param", {})
+    for name, value in changed.items():
+        monkeypatch.setattr(MpcConfig, name, value)
+    if changed:
+        _config_tables.cache_clear()
+    yield MpcConfig()
+    if changed:  # before monkeypatch restores the constants
+        _config_tables.cache_clear()
+
+
 def controller(cfg, geom, **kw):
     return MpcController(cfg, geom, **kw)
-
-
-def cold(cfg, u0):
-    """The record a controller starts from at input u0: no increments, no
-    active set."""
-    return _Carry(u0, np.zeros(cfg.n_ctrl * 4), None)
 
 
 def obstacle_at(x, y, heading=0.0, hl=0.75, hw=0.4):
@@ -357,6 +367,21 @@ class TestBuildReference:
             with pytest.raises(ValueError):
                 ReferenceHorizon(t)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", range(5), ids=["x", "y", "heading", "v_front", "v_rear"])
+    def test_horizon_rejects_non_finite_target(self, column, value):
+        # also a one-step horizon, which has no turn for the heading check
+        for n_steps in (1, 3):
+            t = np.zeros((n_steps, 5))
+            t[-1, column] = value
+            with pytest.raises(ValueError, match="finite"):
+                ReferenceHorizon(t)
+
+    def test_nan_speed_rejected_before_the_tick(self, cfg):
+        # NaN positions and speeds, which the tick would meet as a NaN QP solution
+        with pytest.raises(ValueError, match="finite"):
+            build_reference(STRAIGHT, RobotState(0, 0, 0, 1, 1), math.nan, cfg)
+
 
 class TestParentForms:
     """The table-fed projection and the one-array reference build give the
@@ -496,15 +521,15 @@ class TestAssemble:
         assert bare._slip_rows.start == bare._slip_rows.stop == full._slip_rows.start
         assert full._slip_rows.stop - full._slip_rows.start == cfg.n_ctrl
 
-    @pytest.mark.parametrize("cfg", [MpcConfig(), MpcConfig(n_ctrl=20), MpcConfig(n_ctrl=1)],
-                             ids=["default", "n_ctrl_eq_n_pred", "n_ctrl_1"])
+    @pytest.mark.parametrize("cfg", [{}, {"n_ctrl": 20}, {"n_ctrl": 1}],
+                             ids=["default", "n_ctrl_eq_n_pred", "n_ctrl_1"], indirect=True)
     def test_condensation_matches_loop_oracle(self, cfg, geom):
         rng = np.random.default_rng(11)
         for _ in range(10):
             s = RobotState(*rng.uniform(-2.0, 2.0, size=3), *rng.uniform(0.2, 1.4, size=2))
             u0 = ControlInput(*rng.uniform(-0.5, 0.5, size=2), *rng.uniform(-0.8, 0.8, size=2))
-            c = controller(cfg, geom, initial_input=u0)
-            asm = c.assemble(s, c._carry, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+            asm = controller(cfg, geom).assemble(
+                s, cold(u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
             su, base = loop_condensation(s, u0, geom, cfg)
             # the closed form sums the powers in another order than the loop:
             # measured worst 2.2e-16 (su) and 9.2e-16 (base) of the largest entry
@@ -513,14 +538,15 @@ class TestAssemble:
             assert np.array_equal(asm.su == 0.0, su == 0.0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_apf_fold_matches_loop_oracle(self, geom, variant):
-        # zero tracking and effort weights leave the APF part alone in the
-        # difference, so no large tracking entry cancels in the subtraction
-        cfg = MpcConfig(q_weights=(0.0,) * 5, r_weights=(0.0,) * 4)
+    def test_apf_fold_matches_loop_oracle(self, cfg, geom, variant):
         rng = np.random.default_rng(13)
         for _ in range(8):
             s, u0, footprints = apf_scene(rng)
-            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            c = controller(cfg, geom, variant=variant)
+            c._carry = cold(u0)
+            # zero tracking and effort weights leave the APF part alone in the
+            # difference, so no large tracking entry cancels in the subtraction
+            c._q_diag, c._h_effort = np.zeros_like(c._q_diag), np.zeros_like(c._h_effort)
             ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
             asm = c.assemble(s, c._carry, ref, footprints)
             bare = c.assemble(s, c._carry, ref, [])
@@ -550,7 +576,8 @@ class TestAssemble:
             Obstacle(OrientedRectangle(Pose2D(0.0, 40.0, 0.3), 5.0, 0.1), kind="boundary"),
             Obstacle(OrientedRectangle(Pose2D(-50.0, 0.0, 0.0), 0.5, 0.4), (0.5, 0.2), 0.4)]))
         for s, u0, footprints in scenes:
-            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            c = controller(cfg, geom, variant=variant)
+            c._carry = cold(u0)
             got = c._apf_quadratic(s, c._carry, footprints)
             want = add_at_apf(c, s, footprints)
             for got_part, want_part in zip((got.constant, got.gradient, got.hessian_psd,
@@ -588,7 +615,8 @@ class TestAssemble:
                 Obstacle(OrientedRectangle(Pose2D(ahead + 1.0, s.y, 0.0), 0.5, 0.4),
                          (-1.0, 0.0), 0.0)]
             cut.clear()
-            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            c = controller(cfg, geom, variant=variant)
+            c._carry = cold(u0)
             got = c._apf_quadratic(s, c._carry, footprints)
             want = add_at_apf(c, s, footprints)
             for got_part, want_part in zip((got.constant, got.gradient, got.hessian_psd,
@@ -605,7 +633,8 @@ class TestAssemble:
         rng = np.random.default_rng(17)
         for _ in range(8):
             s, u0, footprints = apf_scene(rng)
-            c = controller(cfg, geom, initial_input=u0, variant=variant)
+            c = controller(cfg, geom, variant=variant)
+            c._carry = cold(u0)
             ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
             asm = c.assemble(s, c._carry, ref, footprints)
             terms = loop_apf(c, s, footprints, asm.su, asm.base)[3]
@@ -627,7 +656,7 @@ class TestAssemble:
                             lambda a, b, *r: calls.append(1) or closest_pair(a, b, *r))
         s, u0, footprints = apf_scene(np.random.default_rng(19))
         controller(cfg, geom, variant=variant).assemble(
-            s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
+            s, cold(u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
         assert len(calls) == pairs_per_footprint * len(footprints)
 
     def test_robot_rectangles_are_the_footprints(self, cfg, geom, monkeypatch):
@@ -643,7 +672,7 @@ class TestAssemble:
             s = RobotState(s.x, s.y, rng.uniform(-math.pi, math.pi), s.v_front, s.v_rear)
             frames.clear()
             controller(cfg, geom).assemble(
-                s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg),
+                s, cold(u0), build_reference(STRAIGHT, s, REF_SPEED, cfg),
                 [obstacle_at(60.0, 0.0)])
             want = [geom.footprint(RobotState(x, y, heading, 0.0, 0.0)).frame
                     for x, y, heading in predict_robot(s, u0, geom, cfg.n_pred, cfg.dt).tolist()]
@@ -658,7 +687,7 @@ class TestAssemble:
         for _ in range(5):
             s, u0, footprints = apf_scene(rng)
             asm = controller(cfg, geom, variant=variant).assemble(
-                s, cold(cfg, u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
+                s, cold(u0), build_reference(STRAIGHT, s, REF_SPEED, cfg), footprints)
             want = (rollout(s, u0, geom, cfg.n_pred, cfg.dt)[1:, :2] if variant == "full"
                     else np.array([(s.x, s.y)] * cfg.n_pred))
             assert asm.apf.anchor.shape == want.shape
@@ -669,7 +698,7 @@ class TestAssemble:
         s = RobotState(0.3, -0.2, 0.1, 0.8, 0.9)
         u0 = ControlInput(0.1, 0.0, 0.2, -0.1)
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
-        asm = c.assemble(s, cold(cfg, u0), ref, [])
+        asm = c.assemble(s, cold(u0), ref, [])
         z = rng.uniform(-0.1, 0.1, size=cfg.n_ctrl * 4)
         eta = (asm.su @ z + asm.base).reshape(cfg.n_pred, 5)
 
@@ -692,8 +721,8 @@ class TestAssemble:
         c.step(s, ref, obstacles)
         zero = ControlInput(0.0, 0.0, 0.0, 0.0)
         assert c._carry.input != zero
-        got = c.assemble(s, cold(cfg, zero), ref, obstacles)
-        want = controller(cfg, geom).assemble(s, cold(cfg, zero), ref, obstacles)
+        got = c.assemble(s, cold(zero), ref, obstacles)
+        want = controller(cfg, geom).assemble(s, cold(zero), ref, obstacles)
         assert np.array_equal(got.apf.anchor, want.apf.anchor)
         assert np.array_equal(got.apf.constant, want.apf.constant)
         assert np.array_equal(got.qp.h_mat, want.qp.h_mat)
@@ -886,44 +915,24 @@ class TestStep:
         with pytest.raises(ValueError):
             MpcController(cfg, geom, variant="fancy")
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MpcConfig(n_ctrl=0)
-        with pytest.raises(ValueError):
-            MpcConfig(n_ctrl=30, n_pred=20)
-
-    # a tuple-valued case is named by its place in this list: move none
-    @pytest.mark.parametrize("field,value", [
-        ("dt", -0.1), ("dt", 0.0), ("dt", math.nan), ("dt", math.inf),
-        ("n_pred", 20.5), ("n_pred", 20.0), ("n_ctrl", True),
-        ("u_max", (1.0, 1.0, -0.5, 1.5)),
-        ("q_weights", (1, 2)),
-        ("u_max", (1.0, math.nan, 1.5, 1.5)), ("u_max", (0.0, 1.0, 1.5, 1.5)),
-        ("r_weights", (300.0,) * 5), ("q_weights", (2.0, 2.0, math.inf, 10.0, 10.0)),
-        ("u_max", (1.0,) * 5),
-        ("q_weights", (2.0, 2.0, -6.0, 10.0, 10.0)), ("r_weights", (300.0, 300.0, 400.0, math.nan)),
-        ("r_weights", (300.0, 300.0, math.inf, 400.0)),
-    ])
-    def test_config_rejects(self, field, value):
-        with pytest.raises(ValueError):
-            MpcConfig(**{field: value})
-
-    def test_config_fields_are_the_varied_ones(self):
-        # a value no caller varies is a module constant, not a field
-        assert [f.name for f in fields(MpcConfig)] == ["n_pred", "n_ctrl", "dt", "q_weights",
-                                                       "r_weights", "u_max"]
+    def test_config_fields_are_the_varied_ones(self, cfg, geom):
+        # no caller varies the tuning: MpcConfig's values are its constants,
+        # and neither it, a controller nor `metrics` takes one in their place
+        assert fields(MpcConfig) == ()
+        with pytest.raises(TypeError):
+            MpcConfig(n_pred=25)
+        with pytest.raises(FrozenInstanceError):
+            cfg.dt = 0.2
+        u = ControlInput(0.1, 0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            MpcController(cfg, geom, initial_input=u)
+        assert MpcController(cfg, geom)._carry.input == ControlInput(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(TypeError):
+            metrics(SimulationLog(cfg.dt))  # the path is required
         # the solver has no settable value: its iteration cap is qp.MAX_ADMM_ITERATIONS
         assert not is_dataclass(QpSolver) and vars(QpSolver()) == {}
         with pytest.raises(TypeError):
             QpSolver(4000)
-
-    def test_config_stores_float_tuples(self, geom):
-        cfg = MpcConfig(q_weights=[2, 2, 6, 10, 10], u_max=np.array([1.0, 1.0, 1.5, 1.5]))
-        assert cfg.q_weights == (2.0, 2.0, 6.0, 10.0, 10.0)
-        assert all(type(w) is float for w in cfg.q_weights + cfg.u_max)
-        assert cfg == MpcConfig(u_max=(1.0, 1.0, 1.5, 1.5))
-        MpcController(cfg, geom)  # a configuration keys the shared tables
-        MpcConfig(q_weights=(0.0,) * 5, r_weights=(0.0,) * 4)
 
     def test_equal_configs_share_read_only_tables(self, geom):
         tables = MpcController(MpcConfig(), geom)
@@ -931,13 +940,11 @@ class TestStep:
                   if isinstance(value, np.ndarray)}
         again = MpcController(MpcConfig(), geom)
         bare = MpcController(MpcConfig(), geom, variant="no_customization")
-        longer = MpcController(MpcConfig(n_pred=25), geom)
         assert {"_q_diag", "_binom_su", "_a_rows", "_bounds"} <= set(shared)
         for name, value in shared.items():
-            assert getattr(again, name) is value, name
+            assert getattr(again, name) is value is _config_tables()["full"][name], name
             assert (getattr(bare, name) is value) == (name not in ("_a_rows", "_bounds")), name
-            assert getattr(longer, name) is not value, name
-            for c in (tables, bare, longer):
+            for c in (tables, bare):
                 assert not getattr(c, name).flags.writeable, name
         assert again._carry.warm is not tables._carry.warm
 
@@ -998,7 +1005,8 @@ class TestFallbacks:
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
         held = ControlInput(0.2, 0.1, 0.05, -0.05)
         ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
-        c = controller(cfg, geom, initial_input=held)
+        c = controller(cfg, geom)
+        c._carry = cold(held)
         with monkeypatch.context() as capped:
             capped.setattr(qp, "MAX_ADMM_ITERATIONS", 10)
             sol = c.step(s, ref, [])
@@ -1006,7 +1014,9 @@ class TestFallbacks:
         assert np.all(sol.delta_sequence == 0.0)
         assert sol.applied_input == held
         # control: the default solver converges and moves the input
-        sol = controller(cfg, geom, initial_input=held).step(s, ref, [])
+        c = controller(cfg, geom)
+        c._carry = cold(held)
+        sol = c.step(s, ref, [])
         assert sol.solver_status == "optimal"
         assert np.any(sol.delta_sequence != 0.0)
         assert sol.applied_input != held
@@ -1017,7 +1027,8 @@ class TestFallbacks:
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
         held = ControlInput(0.2, 0.1, 0.05, -0.05)
         ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
-        c = controller(cfg, geom, initial_input=held)
+        c = controller(cfg, geom)
+        c._carry = cold(held)
         c.solver = RecordingSolver()
         monkeypatch.setattr(qp, "MAX_ADMM_ITERATIONS", 30)
         sol = c.step(s, ref, [])
@@ -1172,12 +1183,12 @@ def operating_points(seed, count):
         yield state, ControlInput(*rng.uniform(-1.0, 1.0, 2), *steer)
 
 
-NORMALIZED_CONFIGS = [MpcConfig(dt=0.05), MpcConfig(), MpcConfig(dt=0.2, n_ctrl=20)]
+NORMALIZED_CONFIGS = [{"dt": 0.05}, {}, {"dt": 0.2, "n_ctrl": 20}]  # `cfg`'s parameters
 CONFIG_IDS = ["dt_0.05", "dt_0.1", "dt_0.2_n_ctrl_eq_n_pred"]
 
 
 class TestNormalizedRows:
-    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS, indirect=True)
     def test_speed_rows_are_the_configs(self, cfg, geom):
         # the bounded speed rows of su, at any operating point, are the
         # configuration's table bit for bit: its scales are theirs, and its
@@ -1186,32 +1197,33 @@ class TestNormalizedRows:
         table = c._a_rows[c._speed_rows].tobytes()
         ref = ReferenceHorizon(np.zeros((cfg.n_pred, 5)))
         for state, u0 in operating_points(5, 300):
-            speed_rows = c.assemble(state, cold(cfg, u0), ref, []).su[c._eta_rows]
+            speed_rows = c.assemble(state, cold(u0), ref, []).su[c._eta_rows]
             scale = row_scales(speed_rows)
             assert scale.tobytes() == c._eta_scale.tobytes()
             assert (scale[:, None] * speed_rows).tobytes() == table
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS, indirect=True)
     def test_assemble_matches_normalized_parent_rows(self, cfg, geom, variant):
         c = controller(cfg, geom, variant=variant)
         for state, u0 in operating_points(6, 100):
             ref = build_reference(STRAIGHT, state, REF_SPEED, cfg)
-            asm = c.assemble(state, cold(cfg, u0), ref, [])
+            asm = c.assemble(state, cold(u0), ref, [])
             want = parent_rows(c, asm, state, u0, SLIP_BAND)
             for name in ("a_mat", "lower", "upper"):
                 assert getattr(asm.qp, name).tobytes() == getattr(want, name).tobytes(), name
 
-    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("cfg", NORMALIZED_CONFIGS, ids=CONFIG_IDS, indirect=True)
     def test_widened_bounds_match_normalized_parent_rows(self, cfg, geom):
         # both wheels above their bound: every doubling is taken
         s = RobotState(0, 0, 0, 3.0, 3.0)
         u0 = ControlInput(0.2, -0.1, 0.3, -0.2)
-        c = controller(cfg, geom, initial_input=u0)
+        c = controller(cfg, geom)
+        c._carry = cold(u0)
         c.solver = RecordingSolver()
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
         assert c.step(s, ref, []).fallback_doublings == MAX_BAND_DOUBLINGS
-        asm = controller(cfg, geom).assemble(s, cold(cfg, u0), ref, [])
+        asm = controller(cfg, geom).assemble(s, cold(u0), ref, [])
         for k, ((lower, upper), (problem, _)) in enumerate(zip(c.solver.bounds,
                                                              c.solver.solves)):
             want = parent_rows(c, asm, s, u0, SLIP_BAND * 2 ** k)

@@ -5,7 +5,7 @@ from apfmpc import qp as qp_module
 from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
 from apfmpc.qp import QpProblem, QpSolver
-from conftest import normalized, objective
+from conftest import cold, normalized, objective
 
 INF = np.inf
 
@@ -118,11 +118,6 @@ def loop_admm(problem, solver, warm_start=None, active=None, multipliers=None):
                     rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
                     kkt_inv = kkt_inverse(rho)
                     rho_updates += 1
-    sides = qp_module._sides(y)
-    if tried is None or not np.array_equal(sides, tried):
-        polished = solver._certified(problem, sides, it)
-        if polished is not None:
-            return polished.z, polished.status, it, rho_updates
     return x, status, it, rho_updates
 
 
@@ -138,8 +133,8 @@ def controller_qps(geom, seed, count=12):
         mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
         state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
         u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
-        c = MpcController(cfg, geom, initial_input=u0)
-        asm = c.assemble(state, c._carry, build_reference(path, state, 1.389, cfg), [])
+        c = MpcController(cfg, geom)
+        asm = c.assemble(state, cold(u0), build_reference(path, state, 1.389, cfg), [])
         warm = None if k % 3 else rng.uniform(-0.05, 0.05, cfg.n_ctrl * 4)
         yield asm.qp, warm
 
@@ -360,6 +355,10 @@ class TestBehaviour:
 
 
 class TestMatchesLoopIteration:
+    def test_iteration_cap_ends_on_a_check(self):
+        # the last iteration is a check, so no set is tried after the loop
+        assert qp_module.MAX_ADMM_ITERATIONS % qp_module._CHECK_EVERY == 0
+
     def test_controller_shaped_problems(self, geom):
         solver = QpSolver()
         outcomes, dual_starts = [], 0
@@ -750,7 +749,7 @@ def parent_solve(solver, problem, warm_start=None, active=None, multipliers=None
                     rho = new_rho
                     g_mat = step_matrix(rho)
     sides = qp_module._sides(rho * v)
-    if old_stop or tried is None or not np.array_equal(sides, tried):
+    if old_stop:
         certified = solver._certified(held, sides, it)
         if certified is not None:
             return certified
@@ -845,7 +844,8 @@ def next_ticks(geom, seed, count=12):
         mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
         state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
         u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
-        c = MpcController(cfg, geom, initial_input=u0)
+        c = MpcController(cfg, geom)
+        c._carry = cold(u0)
         sol = c.step(state, build_reference(path, state, 1.389, cfg), [])
         state = euler_step(state, sol.applied_input, geom, cfg.dt, substeps=10)
         if c._carry.active is not None:

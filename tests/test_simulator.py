@@ -212,17 +212,18 @@ class TestMetrics:
         assert m["rms_tracking_error"] >= 0.0
 
     def test_heading_rate(self, cfg):
-        log = run(tiny_scenario(duration=1.0))
+        scn = tiny_scenario(duration=1.0)
+        log = run(scn)
         headings = [r.state.heading for r in log.records]
         d = [abs(math.atan2(math.sin(b - a), math.cos(b - a)))
              for a, b in zip(headings, headings[1:])]
-        assert metrics(log)["max_heading_rate"] == pytest.approx(
+        assert metrics(log, scn.path)["max_heading_rate"] == pytest.approx(
             max(d) / cfg.dt, abs=1e-12)
 
     def test_empty_log_rejected(self):
         from apfmpc.simulator import SimulationLog
         with pytest.raises(ValueError):
-            metrics(SimulationLog(0.1))
+            metrics(SimulationLog(0.1), np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 class TestVariants:

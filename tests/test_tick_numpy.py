@@ -18,6 +18,7 @@ from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.mpc import VARIANTS, MpcController, build_reference, path_table
 from apfmpc.prediction import Obstacle
+from conftest import cold
 
 WRAPPER_MODULES = {"fromnumeric", "shape_base", "_shape_base_impl", "function_base",
                    "_function_base_impl", "twodim_base", "_twodim_base_impl",
@@ -151,7 +152,7 @@ def test_back_to_back_calls_match_fresh_objects(cfg, geom, variant):
     c = MpcController(cfg, geom, variant=variant)
     for state, u0 in inputs:
         ref = build_reference(PATH, state, 1.389, cfg)
-        carry = MpcController(cfg, geom, initial_input=u0)._carry
+        carry = cold(u0)
         asm = c.assemble(state, carry, ref, obstacles)
         again = _bits(asm, c.solver.solve(asm.qp))
         fresh = MpcController(cfg, geom, variant=variant)
