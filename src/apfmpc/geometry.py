@@ -34,7 +34,15 @@ already reaches it is skipped, and the first strict minimum wins, so ties
 go to A's corners. The oracle `relative_frame_closest_pair` in
 tests/test_geometry.py is the same search as a loop that clamps each
 corner, and pins it bit for bit. A row is built by `tuple.__new__`, in C,
-and every overlap returns one shared zero row.
+and every overlap returns one shared zero row, which the simulator's and
+the benchmark's contact tests read as `== 0.0`.
+
+Where the field needs to push out of an overlap, `penetration` gives its
+signed distance: minus the least of the four separating-axis overlaps,
+which for two convex polygons is the minimum translation that parts them
+(Ericson 2004, §5.2), with the gap along that axis, pointing from A to B,
+as long as the overlap (the signed distance with a penetration direction
+of Schulman et al., IJRR 2014).
 """
 
 from __future__ import annotations
@@ -285,3 +293,28 @@ def closest_pair(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame,
     ex = x - hlb if x > hlb else x + hlb if x < -hlb else 0.0
     ey = y - hwb if y > hwb else y + hwb if y < -hwb else 0.0
     return _row(ClosestPair, (d, -(cb * ex - sb * ey), -(sb * ex + cb * ey)))
+
+
+def penetration(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame) -> ClosestPair:
+    """The signed distance of two overlapping rectangles and its gap: minus
+    the least overlap along the four separating axes of `closest_pair`, A's
+    two and B's two, the first least on ties, and that axis times the
+    overlap, pointing from A's center to B's (+ where they are level). Read
+    only for pairs that `closest_pair` finds overlapping: for disjoint ones
+    the least "overlap" is negative and the row means nothing."""
+    xa, ya, ca, sa, hla, hwa = a.frame
+    xb, yb, cb, sb, hlb, hwb = b.frame
+    c, s = ca * cb + sa * sb, ca * sb - sa * cb
+    dx, dy = xb - xa, yb - ya
+    bx, by = ca * dx + sa * dy, ca * dy - sa * dx  # B's center in A's frame
+    ax, ay = -(cb * dx + sb * dy), sb * dx - cb * dy  # A's center in B's frame
+    ac, as_ = abs(c), abs(s)
+    # each gap with its world axis, signed from A to B: B's center on A's
+    # axes is +(bx, by), and on B's own axes B - A is -(ax, ay)
+    gaps = ((abs(bx) - (hlb * ac + hwb * as_) - hla, ca, sa, bx),
+            (abs(by) - (hlb * as_ + hwb * ac) - hwa, -sa, ca, by),
+            (abs(ax) - (hla * ac + hwa * as_) - hlb, cb, sb, -ax),
+            (abs(ay) - (hla * as_ + hwa * ac) - hwb, -sb, cb, -ay))
+    gap, ux, uy, side = max(gaps, key=lambda row: row[0])
+    depth = -gap if side >= 0.0 else gap  # the overlap, signed along the axis
+    return _row(ClosestPair, (gap, depth * ux, depth * uy))

@@ -23,32 +23,38 @@ obstacle's predicted rows give its footprints. `geometry.frames` makes
 every predicted footprint from its row, as a `Frame`, the six numbers
 `closest_pair` reads, and raises FloatingPointError on a row that is not
 finite; a tick builds no pose or rectangle. The closest pair of every
-footprint and step, its distance and gap vector, fills one row of a table;
-the active rows take one field expansion, each row with its footprint
-kind's parameters (obstacle, boundary), and `np.add.at` adds each row into
-its step's sums, from +0.0 in footprint order. Ā - I = N has N⁴ = 0, so Āᵏ
-is a binomial sum in N and the condensed matrices are fixed binomial tables
-times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the field quadratics enter through one
-product. The QP is OSQP's form, with no constant term, and its rows are
-normalized where they are made (see `qp.row_scales`): a tick's objective is
-not read off it but is the sum of the three costs priced at the applied
-solution, tracking + input-increment effort + field, and on a held tick
-that solution is z = 0. On certified infeasibility only the bounds of the
-wheel-speed-difference rows widen (the band doubles, in the rows' scale)
-before solving again; a variant without those rows reports infeasible at
-once. A tick's iteration count sums all its attempts. A non-finite state,
-or solution before it reaches the inputs, raises FloatingPointError; the
-inputs are clipped to their bounds as floats.
+footprint and step, its distance and gap vector, fills one row of a table,
+and an overlap row, (0, 0, 0), takes `penetration`'s signed distance and
+gap, so that the field pushes out of the overlap; the active rows take one
+field expansion, each row with its footprint kind's parameters (obstacle,
+boundary), and `np.add.at` adds each row into its step's sums, from +0.0 in
+footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the
+condensed matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄],
+p < 4; the field quadratics enter through one product. The QP is OSQP's
+form, with no constant term, and its rows are normalized where they are
+made (see `qp.row_scales`): a tick's objective is not read off it but is
+the sum of the three costs priced at the applied solution, tracking +
+input-increment effort + field, and on a held tick that solution is z = 0.
+On certified infeasibility only the bounds of the wheel-speed-difference
+rows widen (the band doubles, in the rows' scale) before solving again,
+with no guess, each attempt a problem with its own copies of the bounds; a
+variant without those rows reports infeasible at once. A tick's iteration
+count sums all its attempts. A non-finite state, or solution before it
+reaches the inputs, raises FloatingPointError; the inputs are clipped to
+their bounds as floats.
 
-What one tick hands the next is one `_Carry` record: the applied input,
-the applied increments shifted one control step (the warm start), and, if
-the QP was solved (optimal or inexact), its active set, whose solve the
-solver returns without iterating while it stays optimal, with the set's
-multipliers, the ADMM's dual start when it does not; and the predicted
-outputs unless the slip band was widened, the plan that the field reads
-shifted, so that a tick without footprints does no work for it. `step`
-reads the record at its start and replaces it once, after its last raise,
-so a raising step leaves it unchanged; `_shift` alone writes the shift.
+What one tick hands the next is one `_Carry` record: the applied input, the
+applied increments shifted one control step (the warm start), and, if the
+QP was solved (optimal or inexact), its active set, whose solve the solver
+returns without iterating while it stays optimal and else repairs by
+exchanges, with the set's multipliers, the ADMM's dual start when no
+exchange certifies (without a solved QP the next tick guesses the empty
+set, with no multipliers, and after a widened one it does not repair its
+guess); and the predicted outputs unless the slip band was widened, the
+plan that the field reads shifted, so that a tick without footprints does
+no work for it. `step` reads the record at its start and replaces it once,
+after its last raise, so a raising step leaves it unchanged; `_shift` alone
+writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What depends on the constants of `MpcConfig`
@@ -62,14 +68,14 @@ copies. `linearization` holds `EYE_*`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import closest_pair, frames
+from .geometry import closest_pair, frames, penetration
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
                             linearize)
@@ -308,7 +314,7 @@ class _Carry(NamedTuple):
     """What one tick hands the next; `_shift` builds it from the tick's solution."""
     input: ControlInput         # the applied input
     warm: np.ndarray            # the applied increments shifted one control step
-    active: np.ndarray | None   # the QP's active set; None unless it was solved
+    active: np.ndarray | None   # the QP's active set; None unless it was solved (guess empty)
     multipliers: np.ndarray | None = None  # that set's, as `QpSolution.multipliers`
     plan: np.ndarray | None = None  # the predicted outputs, unshifted; None if widened
 
@@ -381,6 +387,10 @@ class MpcController:
                                    for track in tracks)
         pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(robot))
         pairs = pairs.reshape(len(tracks), len(robot), 3)
+        # an overlap row (0, 0, 0) is flat: it takes the signed distance and
+        # the gap of its least overlap, along which the field pushes out
+        for f, k in zip(*(pairs[..., 0] == 0.0).nonzero()):
+            pairs[f, k] = penetration(robot_frames[k], tracks[f][k])
         if frozen:  # the one pose and pair of each footprint, at every step
             pairs, anchor = pairs.repeat(n_p, axis=1), anchor.repeat(n_p, axis=0)
         # one expansion of the active rows, each with its footprint's field
@@ -390,8 +400,9 @@ class MpcController:
         if len(step):
             kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,
                                len(obstacles))
-            quad = quadratic_approx(anchor[step], pairs[footprint, step, 1:],
-                                    self._apf_params[:, kind[footprint]])
+            picked = pairs[footprint, step]
+            quad = quadratic_approx(anchor[step], picked[:, 1:],
+                                    self._apf_params[:, kind[footprint]], picked[:, 0])
             np.add.at(const, step, quad.constant)
             np.add.at(grad, step, quad.gradient)
             np.add.at(hess, step, quad.hessian_psd)
@@ -473,16 +484,26 @@ class MpcController:
         cfg, carry = self.cfg, self._carry
         asm = self.assemble(state, carry, ref, obstacles)
         # successive QPs mostly share their active set: the solver returns
-        # the last tick's set at once when it is still optimal, and else
-        # starts its duals from that set's multipliers
-        sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=carry.active,
-                                multipliers=carry.multipliers)
+        # the last tick's set at once when it is still optimal, else repairs
+        # it by exchanges, else starts the ADMM's duals from its multipliers.
+        # Without a solved last tick the guess is the empty set, repaired
+        # from the unconstrained minimizer. After a tick solved only by
+        # widening, the base band is most likely infeasible again, where no
+        # exchange certifies: the guess then goes to the ADMM unrepaired, as
+        # the retries go without one
+        active = np.zeros(len(asm.qp.lower), int) if carry.active is None else carry.active
+        widened = carry.active is not None and carry.plan is None
+        sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=active,
+                                multipliers=carry.multipliers, repair=not widened)
         iterations, band, doublings = sol.iterations, SLIP_BAND, 0
+        qp = asm.qp
         while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
-            # widen the slip band: only these rows' bounds change
+            # widen the slip band: only these rows' bounds change, in copies,
+            # so that each attempt's problem keeps its own
             band, doublings = 2.0 * band, doublings + 1
-            asm.slip.write_band(asm.qp.lower, asm.qp.upper, band)
-            sol = self.solver.solve(asm.qp, warm_start=carry.warm)
+            qp = replace(qp, lower=qp.lower.copy(), upper=qp.upper.copy())
+            asm.slip.write_band(qp.lower, qp.upper, band)
+            sol = self.solver.solve(qp, warm_start=carry.warm)
             iterations += sol.iterations
 
         z = sol.z

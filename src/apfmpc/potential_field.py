@@ -15,16 +15,32 @@ with the robot and the obstacle's stays. One call expands one point or a
 stack; terms sharing an anchor add up. The parameters are one `ApfParams`
 for every point, or per point: a stack whose footprints differ in kind
 (obstacle, wall) expands in one call, each point with its own
-(scale_a, exponent_b). Every kind clamps d² at `MIN_SQ_DISTANCE`.
+(scale_a, exponent_b).
+
+Inside d₀ = √`MIN_SQ_DISTANCE` (1 cm), down to contact and through it, the
+field continues as a function of the signed distance s, negative by the
+overlap inside an obstacle (`geometry.penetration`): the quadratic in s
+whose value, slope and curvature are those of a / s^(2b) at d₀. So it is
+C¹ (and C²) at d₀, bounded below by its value there, and grows, with a
+push that grows, as s falls through 0 (Schulman et al., IJRR 2014, treat
+penetration the same way). A continuation linear in s was rejected: its
+QP model is unbounded along the gap and read an APF cost of -2.8e11 on a
+head-on contact. s is linearized in the robot position along the gap's
+unit vector n (moving the robot by δ moves s by -n·δ), so the expansion is
+value V(s), gradient -V'(s) n and Hessian V''(d₀) n nᵀ, the rank-one form
+above at d₀. A row of zero gap has no direction: its gradient and Hessian
+are zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-MIN_SQ_DISTANCE = 1e-4  # d² is clamped here: the field stays finite at contact
+MIN_SQ_DISTANCE = 1e-4  # d₀²: inside d₀ the field continues in the signed distance
+_D0 = math.sqrt(MIN_SQ_DISTANCE)
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,7 @@ class QuadraticApproximation:
                      + np.add.reduce(r * (self.gradient + 0.5 * h_r), axis=None))
 
 
-def quadratic_approx(robot_pos, gap, params) -> QuadraticApproximation:
+def quadratic_approx(robot_pos, gap, params, distance=None) -> QuadraticApproximation:
     """Second-order expansion of the field in the robot position.
 
     Takes one point (pairs of floats) or stacks of K points ((K, 2) each).
@@ -67,22 +83,40 @@ def quadratic_approx(robot_pos, gap, params) -> QuadraticApproximation:
     float power by sqrt or square, not pow. gap runs from the robot's closest
     point to the obstacle's, as `geometry.closest_pair` returns it, at the
     robot position robot_pos, the expansion's anchor; the Hessian is the
-    rank-one c·(2b+1) r rᵀ above. The expansion is flat (constant value,
-    zero gradient and Hessian) where d² <= `MIN_SQ_DISTANCE`.
+    rank-one c·(2b+1) r rᵀ above. `distance` is each point's signed
+    distance, needed only where the pair overlaps (`geometry.penetration`,
+    whose gap is as long as the overlap); without it every gap is a
+    separation. Where d² <= `MIN_SQ_DISTANCE` or the distance is negative,
+    the expansion is the continuation in the signed distance above; every
+    other point's is the field's own, bit for bit as without `distance`.
     """
     a, b = params
     rel = np.asarray(gap, dtype=float)
     dx, dy = rel[..., 0], rel[..., 1]
     # np.maximum keeps one point on numpy scalars, whose ** is the C pow
-    d_sq = np.maximum(dx * dx + dy * dy, MIN_SQ_DISTANCE)
-    clamped = d_sq <= MIN_SQ_DISTANCE
+    gap_sq = dx * dx + dy * dy
+    d_sq = np.maximum(gap_sq, MIN_SQ_DISTANCE)
+    inside = d_sq <= MIN_SQ_DISTANCE
+    if distance is not None:
+        inside = inside | (np.asarray(distance) < 0.0)
     value = a / d_sq ** b
     two_ab, minus_b = 2.0 * a * b, -b
     gradient = (two_ab * d_sq ** (minus_b - 1.0))[..., None] * rel
     curv = two_ab * d_sq ** (minus_b - 2.0)
     # r rᵀ first, so that H is exactly symmetric
     hess = (curv * (2.0 * b + 1.0))[..., None, None] * (rel[..., :, None] * rel[..., None, :])
-    if clamped.any():
-        gradient[clamped] = 0.0
-        hess[clamped] = 0.0
+    if inside.any():
+        norm = np.sqrt(gap_sq)
+        s = norm if distance is None else np.asarray(distance, dtype=float)
+        unit = rel / np.where(norm > 0.0, norm, math.inf)[..., None]  # 0 for a zero gap
+        # value, slope and curvature of a / s^(2b) at d0
+        v0 = a / MIN_SQ_DISTANCE ** b
+        slope = -two_ab * _D0 ** (-2.0 * b - 1.0)
+        v2 = two_ab * (2.0 * b + 1.0) * _D0 ** (-2.0 * b - 2.0)
+        t = s - _D0
+        value = np.where(inside, v0 + t * (slope + 0.5 * v2 * t), value)
+        push = -(slope + v2 * t)  # -dV/ds > 0, growing as s falls
+        gradient = np.where(inside[..., None], push[..., None] * unit, gradient)
+        n_nt = unit[..., :, None] * unit[..., None, :]
+        hess = np.where(inside[..., None, None], np.asarray(v2)[..., None, None] * n_nt, hess)
     return QuadraticApproximation(value, gradient, hess, robot_pos)

@@ -1,8 +1,9 @@
 """Dense convex quadratic program solver.
 
 Solves   min 1/2 z'Hz + f'z   s.t.  lower <= A z <= upper
-with a first-order operator-splitting (ADMM) iteration and an active-set
-polish step, tried at its checks, for high accuracy. Every constraint, a
+from a guessed active set, repaired by primal exchanges, and else with a
+first-order operator-splitting (ADMM) iteration and an active-set polish
+step, tried at its checks, for high accuracy. Every constraint, a
 simple bound on z too, is a row of A: the one form of OSQP. A small ridge
 keeps the KKT system well posed when H is only semidefinite. Problem sizes
 here are small (tens of variables), so dense linear algebra is used
@@ -33,38 +34,50 @@ MAX_ADMM_ITERATIONS iterations. A returned iterate is a copy, never a
 buffer.
 
 The polish, `_certified(problem, active, iterations)`, is one equality
-solve: the problem's own rows of an active set, each at the side of its
-bound (-1 lower, +1 upper), held as equalities in a slightly regularized
-KKT system of the unscaled cost. One rule accepts its point: every scaled
-row within `tolerance` of its bounds, and every multiplier of the side's
-sign (upper >= 0, lower <= 0). The violation is one maximum, of
+solve (`_held_point`): the problem's own rows of an active set, each at the
+side of its bound (-1 lower, +1 upper), held as equalities in a slightly
+regularized KKT system of the unscaled cost. One rule accepts its point:
+every scaled row within `tolerance` of its bounds, and every multiplier of
+the side's sign (upper >= 0, lower <= 0). The violation is one maximum, of
 max(lo - Ax, Ax - hi) over the rows and 0; as lower <= upper is validated
 (a NaN bound fails it), at most one of a row's two gaps is positive, so it
 equals the sum of the clamped gaps. A NaN point's violation is NaN, which
-fails the test `viol <= tolerance`, so it is never accepted. Only held
-rows have a multiplier to check; the others' are 0. Such a point is a KKT
-point, hence the minimizer of the convex QP, and is returned as OPTIMAL
-with its violation as the primal residual and its multipliers; its
-stationarity holds by the KKT solve. A caller may guess the set, with its
-multipliers, such as those of the previous solve in a sequence of similar
-problems (the online active set idea of Ferreau, Bock and Diehl, 2008).
-The guess is tried before the cost is scaled: an accepted one returns with
-0 iterations and scales nothing. Otherwise a cost that is not finite
-returns at once, as MAX_ITERATIONS with a NaN point, a NaN primal
-residual and 0 iterations; else the ADMM runs, its duals starting at 0
-or, as OSQP's warm start takes y with x, at the guess's multipliers when
-there is one per held row: v = cost_scale y / rho, then one projection of
-A x + v makes zc and v consistent. At each check the set read from the
-duals is tried if it holds at most n rows, as many as can be linearly
-independent, and is not the set last tried (a failed guess counts as
-tried); the first that certifies ends the solve with the iterations run
-so far. MAX_ADMM_ITERATIONS is a multiple of the check interval, so every
-solve ends on a check and no set is tried after the loop. An iterate whose
-residuals passed but whose set failed is returned as INEXACT, OSQP's
-"solved inaccurate"; one that ran out, as MAX_ITERATIONS. Every solution
-carries the side of each row of A and the multipliers of its held rows,
-aligned with `active.nonzero()`: a certified answer's from its KKT solve,
-an iterate's y / cost_scale.
+fails the test `viol <= tolerance`, so it is never accepted. Only held rows
+have a multiplier to check; the others' are 0. Such a point is a KKT point,
+hence the minimizer of the convex QP, and is returned as OPTIMAL with its
+violation as the primal residual and its multipliers; its stationarity
+holds by the KKT solve.
+
+A caller may guess the set, with its multipliers, such as those of the
+previous solve in a sequence of similar problems, or the empty set, whose
+point is the unconstrained minimizer (the online active set idea of
+Ferreau, Bock and Diehl, 2008). The guess is tried first, on the unscaled
+cost, whose finiteness an accepted guess never checks (the test costs a few
+µs, a tenth of an accepted guess). Otherwise a cost that is not finite
+returns at once, as MAX_ITERATIONS with a NaN point, a NaN primal residual
+and 0 iterations, before any exchange or iteration. Else, unless the caller
+asks for no repair, up to MAX_EXCHANGES primal exchanges repair the guess
+(`_exchanged`), each one change to the held set read off the last KKT
+point: drop the held row whose multiplier has the wrong sign, most negative
+first, else hold the most violated row at its violated side, and stop when
+the set would pass n rows. Each set's point comes from the same
+`_held_point` and passes the same rule as the polish; the first accepted
+returns as OPTIMAL with 0 iterations and scales nothing. The exchanges do
+no line search and may cycle; the cap ends them. Otherwise the ADMM runs,
+its duals starting at 0 or, as OSQP's warm start takes y with x, at the
+guess's multipliers when there is one per held row: v = cost_scale y / rho,
+then one projection of A x + v makes zc and v consistent; the exchanges
+leave it exactly as without them. At each check the set read from the duals
+is tried if it holds at most n rows, as many as can be linearly
+independent, and is not the set last tried (a failed guess counts as tried;
+the exchanges' sets do not); the first that certifies ends the solve with
+the iterations run so far. MAX_ADMM_ITERATIONS is a multiple of the check
+interval, so every solve ends on a check and no set is tried after the
+loop. An iterate whose residuals passed but whose set failed is returned as
+INEXACT, OSQP's "solved inaccurate"; one that ran out, as MAX_ITERATIONS.
+Every solution carries the side of each row of A and the multipliers of its
+held rows, aligned with `active.nonzero()`: a certified answer's from its
+KKT solve, an iterate's y / cost_scale.
 
 A solve never writes into its problem, whose arrays may be shared and
 read-only. Identity terms (ridge, sigma I) go on diagonal views,
@@ -84,6 +97,7 @@ INEXACT = "inexact"  # ADMM's stopping test passed, the certificate did not
 MAX_ITERATIONS = "max_iterations"
 INFEASIBLE = "infeasible"
 MAX_ADMM_ITERATIONS = 4000  # a multiple of _CHECK_EVERY: the last iteration is a check
+MAX_EXCHANGES = 12  # from a failed guess, before the ADMM: the most a report run's repair took
 _RHO = 0.1          # initial ADMM step size; a solve adapts it
 _SIGMA = 1e-6       # proximal weight on the previous iterate
 _RIDGE = 1e-8       # added to the scaled H
@@ -135,31 +149,38 @@ class QpSolver:
 
     def solve(self, problem: QpProblem, warm_start: np.ndarray | None = None,
               active: np.ndarray | None = None,
-              multipliers: np.ndarray | None = None) -> QpSolution:
+              multipliers: np.ndarray | None = None, repair: bool = True) -> QpSolution:
         """Minimize 1/2 z'Hz + f'z subject to lower <= A z <= upper, from
         `warm_start` (primal, default 0). The rows arrive normalized (see
         `row_scales`); they are read as given. `active` guesses the side of
         each row of A at the optimum (-1, +1 or 0, as `QpSolution.active`),
-        and `multipliers` that set's multipliers (as
-        `QpSolution.multipliers`), the dual start of the ADMM when the guess
-        is not a KKT point. A guess not of that length, or multipliers not
+        which exchanges repair when it is not a KKT point, unless `repair`
+        is False, and `multipliers` that set's multipliers (as
+        `QpSolution.multipliers`), the dual start of the ADMM when no
+        exchange certifies. A guess not of that length, or multipliers not
         one per held row, change nothing."""
         a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
-        m = len(lo)
-        tried = None  # the set last given to the certificate
+        m, n = len(lo), len(problem.f_vec)
+        tried = point = None  # the set last given to the certificate, its point
         if active is not None and np.asarray(active).shape == (m,):
-            # tried on the unscaled cost: an accepted guess never scales it
+            # tried on the unscaled cost: an accepted guess never checks or
+            # scales it
             tried = np.asarray(active)
-            certified = self._certified(problem, tried, 0)
+            point = _held_point(problem, tried)
+            certified = None if point is None else self._accepted(tried, 0, *point)
             if certified is not None:
                 return certified
-        n = len(problem.f_vec)
         if not (np.logical_and.reduce(np.isfinite(problem.f_vec))
                 and np.logical_and.reduce(np.isfinite(problem.h_mat), axis=None)):
-            # no iterate converges on such a cost: the answer is NaN at once
+            # no set certifies and no iterate converges on such a cost: the
+            # answer is NaN at once
             z = np.empty(n)
             z.fill(np.nan)
             return QpSolution(z, MAX_ITERATIONS, np.nan, 0, np.zeros(m, int), np.zeros(0))
+        if point is not None and repair:
+            repaired = self._exchanged(problem, tried, point)
+            if repaired is not None:
+                return repaired
         p_mat, f, cost_scale = _scaled_cost(problem)
 
         # scaled-dual iteration on w = [x, zc - v, 1] (see the module
@@ -272,40 +293,82 @@ class QpSolver:
     def _certified(self, problem, active, iterations: int) -> QpSolution | None:
         """Hold each row of `problem` with a nonzero side of `active` at that
         side's bound and solve the regularized KKT system of the unscaled
-        cost. Its point is returned as OPTIMAL, with its multipliers, when it
-        is a KKT point of the QP: every scaled row within `tolerance` of its
-        bounds and every held row's multiplier of its side's sign (upper >= 0,
-        lower <= 0). None otherwise, also when a held bound is infinite or
-        the system is singular."""
-        a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
-        rows = active.nonzero()[0]
-        n, k = len(problem.f_vec), len(rows)
-        sides = active[rows]
-        rhs = np.empty(n + k)  # [-f; the held bounds]
-        np.negative(problem.f_vec, out=rhs[:n])
-        rhs[n:] = np.where(sides < 0, lo[rows], hi[rows])
-        if not np.logical_and.reduce(np.isfinite(rhs[n:])):
+        cost (`_held_point`). Its point is returned as OPTIMAL, with its
+        multipliers, when it is a KKT point of the QP: every scaled row within
+        `tolerance` of its bounds and every held row's multiplier of its
+        side's sign (upper >= 0, lower <= 0). None otherwise, also when a
+        held bound is infinite or the system is singular."""
+        held = _held_point(problem, active)
+        return None if held is None else self._accepted(active, iterations, *held)
+
+    def _accepted(self, active, iterations: int, x, multipliers, signed, gaps):
+        """`_certified`'s rule on a held set's `_held_point`."""
+        viol = float(np.maximum.reduce(gaps, initial=0.0))
+        if not (viol <= self.tolerance and np.logical_and.reduce(signed >= 0.0)):
             return None
-        a_act = a_mat[rows]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = problem.h_mat
-        kkt[:n, n:] = a_act.T
-        kkt[n:, :n] = a_act
-        kkt[n:, n:] = -0.0  # -1e-10 I, whose off-diagonal is -0.0
-        diagonal = kkt.ravel()[::n + k + 1]
-        diagonal[:n] += 1e-10
-        diagonal[n:] = -1e-10
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        x = sol[:n]
-        ax = a_mat @ x
-        # lower <= upper, so a row's violation is the larger of its two gaps
-        viol = float(np.maximum.reduce(np.maximum(lo - ax, ax - hi), initial=0.0))
-        if not (viol <= self.tolerance and np.logical_and.reduce(sol[n:] * sides >= 0.0)):
-            return None
-        return QpSolution(x, OPTIMAL, viol, iterations, active, sol[n:])
+        return QpSolution(x, OPTIMAL, viol, iterations, active, multipliers)
+
+    def _exchanged(self, problem, active, point) -> QpSolution | None:
+        """Up to MAX_EXCHANGES primal exchanges from the failed set `active`
+        and its `_held_point` `point`, each one change to the held set: drop
+        the held row whose multiplier has the wrong sign, most negative
+        first, else hold the most violated row at its violated side. The
+        first set that `_certified`'s rule accepts is returned as OPTIMAL
+        with 0 iterations, with its bits. None when none is accepted, the set
+        would pass n rows, or its KKT system fails."""
+        n = len(problem.f_vec)
+        for _ in range(MAX_EXCHANGES):
+            x, _, signed, gaps = point
+            rows = active.nonzero()[0]
+            active = active.copy()
+            if len(rows) and signed.min() < 0.0:
+                active[rows[signed.argmin()]] = 0
+            elif len(rows) == n:
+                return None
+            else:  # the violated side: below the lower bound, or above the upper
+                worst = gaps.argmax()
+                active[worst] = -1 if problem.lower[worst] > problem.a_mat[worst] @ x else 1
+            point = _held_point(problem, active)
+            if point is None:
+                return None
+            certified = self._accepted(active, 0, *point)
+            if certified is not None:
+                return certified
+        return None
+
+
+def _held_point(problem, active):
+    """The point of `active`'s held set: each row with a nonzero side held at
+    that side's bound in the KKT system of the unscaled cost, regularized by
+    1e-10 on both diagonal blocks. Returns (x, the held rows' multipliers,
+    those times their sides, each row's violation max(lo - Ax, Ax - hi)),
+    or None when a held bound is infinite or the system is singular."""
+    a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
+    rows = active.nonzero()[0]
+    n, k = len(problem.f_vec), len(rows)
+    sides = active[rows]
+    rhs = np.empty(n + k)  # [-f; the held bounds]
+    np.negative(problem.f_vec, out=rhs[:n])
+    rhs[n:] = np.where(sides < 0, lo[rows], hi[rows])
+    if not np.logical_and.reduce(np.isfinite(rhs[n:])):
+        return None
+    a_act = a_mat[rows]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = problem.h_mat
+    kkt[:n, n:] = a_act.T
+    kkt[n:, :n] = a_act
+    kkt[n:, n:] = -0.0  # -1e-10 I, whose off-diagonal is -0.0
+    diagonal = kkt.ravel()[::n + k + 1]
+    diagonal[:n] += 1e-10
+    diagonal[n:] = -1e-10
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    x = sol[:n]
+    ax = a_mat @ x
+    # lower <= upper, so a row's violation is the larger of its two gaps
+    return x, sol[n:], sol[n:] * sides, np.maximum(lo - ax, ax - hi)
 
 
 def _scaled_cost(problem: QpProblem):

@@ -8,7 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from closed_loop_report import report_rows, results, start  # noqa: E402
+from closed_loop_report import report_rows, results, start, status_ticks  # noqa: E402
 
 RUN = "straight_corridor.full"
 
@@ -28,7 +28,8 @@ def test_same_tree_twice_is_an_empty_diff(tmp_path):
     old_digest, new_digest = cells[1].split(" / ")
     assert cells[0] == RUN and old_digest == new_digest
     assert cells[2] == "completed / completed"
-    assert cells[4:] == ["-", "-", "0"]
+    assert cells[4:7] == ["-", "-", "0"]
+    assert cells[7] == "optimal 250 / 250"
     assert rows[3] == "1 of 1 logs byte-identical"
 
 
@@ -62,5 +63,12 @@ def test_iteration_counts_alone_read_no_divergence_outside_them(tmp_path):
     tree = edited_tree(tmp_path, count, count.replace("sol.iterations,", "sol.iterations + 1,"))
     rows = report(tmp_path, ROOT, tree)
     cells = [c.strip() for c in rows[2].strip("|").split("|")]
-    assert cells[4:] == ["0, solver_iterations", "-", "0"]
+    assert cells[4:7] == ["0, solver_iterations", "-", "0"]
     assert rows[3] == "0 of 1 logs byte-identical"
+
+
+def test_status_ticks_count_each_side():
+    # a status one side never reached reads 0 there
+    assert status_ticks({"optimal": 194, "inexact": 6}, {"optimal": 200}) == \
+        "inexact 6 / 0, optimal 194 / 200"
+    assert status_ticks({}, {}) == "-"

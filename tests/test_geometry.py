@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from apfmpc.geometry import (ClosestPair, OrientedRectangle, Pose2D, closest_pair,
-                             corners, frames, normalize_angle)
+                             corners, frames, normalize_angle, penetration)
 from apfmpc.prediction import Obstacle, advance_obstacle
 from apfmpc.simulator import (load_scenario, packaged_scenario_path, scenario_from_dict,
                               scenario_to_dict)
@@ -284,6 +284,66 @@ class TestClosestPair:
                          a.half_length, a.half_width)
             assert closest_pair(moved, b).distance <= 1e-9
             checked += 1
+
+
+def axis_overlaps(a, b):
+    """Brute force over the four separating axes in world coordinates, A's
+    two edge directions then B's, each a unit vector pointing from A's
+    center to B's: (overlap, axis x, axis y) per axis, the overlap being how
+    far A's corner projections reach past B's lowest, the translation that
+    parts them along the axis."""
+    pa, pb = corners(a), corners(b)
+    out = []
+    for pts in (pa, pb):
+        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
+            length = math.hypot(x2 - x1, y2 - y1)
+            ux, uy = (x2 - x1) / length, (y2 - y1) / length
+            if (b.center.x - a.center.x) * ux + (b.center.y - a.center.y) * uy < 0.0:
+                ux, uy = -ux, -uy
+            out.append((_project_extent(pa, ux, uy)[1] - _project_extent(pb, ux, uy)[0],
+                        ux, uy))
+    return out
+
+
+class TestPenetration:
+    def overlapping_pairs(self, count):
+        rng = np.random.default_rng(2031)
+        pairs = []
+        while len(pairs) < count:
+            a, b = random_rect(rng, span=1.5), random_rect(rng, span=1.5)
+            if sat_intersect(a, b):
+                pairs.append((a, b))
+        return pairs
+
+    def test_least_overlap_and_direction_match_brute_force(self):
+        checked = 0
+        for a, b in self.overlapping_pairs(2000):
+            overlaps = sorted(axis_overlaps(a, b))
+            if overlaps[1][0] - overlaps[0][0] < 1e-9:
+                continue  # two axes all but tied: either direction is right
+            depth, ux, uy = overlaps[0]
+            got = penetration(a, b)
+            assert got.distance == pytest.approx(-depth, abs=1e-12)
+            assert (got.gap_x, got.gap_y) == pytest.approx((depth * ux, depth * uy), abs=1e-12)
+            checked += 1
+        assert checked > 1900
+
+    def test_moving_a_back_by_the_gap_parts_the_pair(self):
+        # the gap is the least translation of A that parts it from B
+        for a, b in self.overlapping_pairs(300):
+            _, gx, gy = penetration(a, b)
+            for factor, parted in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+                moved = rect(a.center.x - factor * gx, a.center.y - factor * gy,
+                             a.center.heading, a.half_length, a.half_width)
+                assert (closest_pair(moved, b).distance > 0.0) == parted
+
+    def test_overlap_row_of_closest_pair_stays_zero(self):
+        # the contact readers test `== 0.0`: cut or uncut, an overlap is the
+        # shared zero row, and only `penetration` gives its depth
+        for a, b in self.overlapping_pairs(200):
+            for row in (closest_pair(a, b), closest_pair(a, b, 8.0), closest_pair(a, b, 0.0)):
+                assert_bit_identical(row, ClosestPair(0.0, 0.0, 0.0))
+            assert penetration(a, b).distance <= 0.0
 
 
 def quarter_turns(k, x, y):

@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair, normalize_angle
+from apfmpc.geometry import (OrientedRectangle, Pose2D, closest_pair, normalize_angle,
+                             penetration)
 from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, MAX_BAND_DOUBLINGS, OBSTACLE_APF,
@@ -121,6 +122,23 @@ def loop_condensation(state, prev_input, geom, cfg):
     return su, base
 
 
+def contact_pair(a, b):
+    """The pair row the field reads: `closest_pair`'s, and on overlap the
+    signed distance and gap of `penetration`."""
+    pair = closest_pair(a, b)
+    return penetration(a, b) if pair.distance == 0.0 else pair
+
+
+def counted_contacts(monkeypatch):
+    """A list that grows by one for each overlap row the controller's field
+    reads through `penetration`."""
+    import apfmpc.mpc
+    contacts = []
+    monkeypatch.setattr(apfmpc.mpc, "penetration",
+                        lambda a, b: contacts.append(1) or penetration(a, b))
+    return contacts
+
+
 def loop_apf(controller, state, obstacles, su, base):
     """Reference oracle: the APF part of (h_mat, f_vec, const) and the list
     of (step, expansion) terms, one (step, footprint) term at a time."""
@@ -144,11 +162,11 @@ def loop_apf(controller, state, obstacles, su, base):
         for obs, track in zip(obstacles, obs_tracks):
             orect = OrientedRectangle(track[i], obs.footprint.half_length,
                                       obs.footprint.half_width)
-            pair = closest_pair(rrect, orect)
+            pair = contact_pair(rrect, orect)
             if pair.distance > ACTIVATION_RADIUS:
                 continue
             params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
-            quad = quadratic_approx((x, y), (pair.gap_x, pair.gap_y), params)
+            quad = quadratic_approx((x, y), (pair.gap_x, pair.gap_y), params, pair.distance)
             terms.append((i, quad))
             e_i = base_i - np.array(quad.anchor)
             h_mat += rows.T @ quad.hessian_psd @ rows
@@ -177,11 +195,11 @@ def add_at_apf(controller, state, obstacles):
             track = [OrientedRectangle(Pose2D(*row), fp.half_length, fp.half_width)
                      for row in predict_obstacle(obs, n_p, cfg.dt)]
         pairs = np.broadcast_to([(pair.gap_x, pair.gap_y, pair.distance)
-                                 for pair in map(closest_pair, robot_rects, track)],
+                                 for pair in map(contact_pair, robot_rects, track)],
                                 (n_p, 3))
         steps = np.flatnonzero(pairs[:, 2] <= ACTIVATION_RADIUS)
         params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
-        quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], params)
+        quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], params, pairs[steps, 2])
         np.add.at(const, steps, quad.constant)
         np.add.at(grad, steps, quad.gradient)
         np.add.at(hess, steps, quad.hessian_psd)
@@ -262,18 +280,21 @@ def assert_reference_matches_parent(table, state, ref_speed, cfg):
 
 class RecordingSolver(QpSolver):
     """QpSolver that keeps a copy of the constraint bounds of every solve,
-    the active set it was given, and each problem with its solution."""
+    the active set it was given, whether it may repair it, and each problem
+    with its solution."""
 
     def __init__(self):
         super().__init__()
         self.bounds = []
         self.guesses = []
+        self.repairs = []
         self.solves = []
 
-    def solve(self, problem, warm_start=None, active=None, multipliers=None):
+    def solve(self, problem, warm_start=None, active=None, multipliers=None, repair=True):
         self.bounds.append((problem.lower.copy(), problem.upper.copy()))
         self.guesses.append(active)
-        sol = super().solve(problem, warm_start, active, multipliers)
+        self.repairs.append(repair)
+        sol = super().solve(problem, warm_start, active, multipliers, repair)
         self.solves.append((problem, sol))
         return sol
 
@@ -538,7 +559,9 @@ class TestAssemble:
             assert np.array_equal(asm.su == 0.0, su == 0.0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_apf_fold_matches_loop_oracle(self, cfg, geom, variant):
+    def test_apf_fold_matches_loop_oracle(self, cfg, geom, monkeypatch, variant):
+        # overlap rows among them: the field reads their signed distance
+        contacts = counted_contacts(monkeypatch)
         rng = np.random.default_rng(13)
         for _ in range(8):
             s, u0, footprints = apf_scene(rng)
@@ -556,9 +579,11 @@ class TestAssemble:
             np.testing.assert_allclose(asm.qp.f_vec - bare.qp.f_vec, f_apf, rtol=1e-12)
             assert asm.apf.value(asm.base.reshape(cfg.n_pred, 5)[:, :2]) == pytest.approx(
                 c_apf, rel=1e-12)
+        assert contacts
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_apf_sums_bit_exact_against_add_at_oracle(self, cfg, geom, variant):
+    def test_apf_sums_bit_exact_against_add_at_oracle(self, cfg, geom, monkeypatch, variant):
+        contacts = counted_contacts(monkeypatch)
         rng = np.random.default_rng(29)
         scenes = [apf_scene(rng) for _ in range(8)]
         # a lone wall below an axis-aligned robot: each Hessian's off-diagonal
@@ -585,6 +610,7 @@ class TestAssemble:
                 assert np.array_equal(got_part, want_part)
                 assert np.array_equal(np.signbit(got_part), np.signbit(want_part))
         assert not np.any(got.constant)
+        assert contacts  # overlap rows among them
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_sums_with_the_cutoff_are_the_uncut_sums(self, cfg, geom, monkeypatch,
@@ -603,6 +629,7 @@ class TestAssemble:
             return row
 
         monkeypatch.setattr(apfmpc.mpc, "closest_pair", query)
+        contacts = counted_contacts(monkeypatch)
         rng, radius, straddling = np.random.default_rng(37), ACTIVATION_RADIUS, 0
         for _ in range(6):
             s, u0, footprints = apf_scene(rng)
@@ -627,9 +654,11 @@ class TestAssemble:
             straddling += sum(0 < sum(cut[k:k + per]) < per for k in range(0, len(cut), per))
         assert set(passed) == {(radius,)}
         assert straddling > 0 or variant == "no_customization"
+        assert contacts  # overlap rows among them
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_apf_cost_matches_loop_oracle(self, cfg, geom, variant):
+    def test_apf_cost_matches_loop_oracle(self, cfg, geom, monkeypatch, variant):
+        contacts = counted_contacts(monkeypatch)
         rng = np.random.default_rng(17)
         for _ in range(8):
             s, u0, footprints = apf_scene(rng)
@@ -644,6 +673,7 @@ class TestAssemble:
                 r = sol.predicted_outputs[i, :2] - np.array(quad.anchor)
                 oracle += quad.constant + quad.gradient @ r + 0.5 * r @ quad.hessian_psd @ r
             assert sol.apf_cost == pytest.approx(oracle, rel=1e-12)
+        assert contacts  # overlap rows among them
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_closest_pairs_per_footprint(self, cfg, geom, monkeypatch, variant):
@@ -888,9 +918,11 @@ class TestStep:
         assert sol.fallback_doublings >= 1
         assert len(calls) == 1
 
-    def test_certifies_last_active_set(self, cfg, geom):
+    def test_certifies_last_active_set(self, cfg, geom, monkeypatch):
         # along a straight path most ticks keep the last tick's active set,
-        # which the solver then returns without iterating
+        # which the solver then returns without iterating, and no exchange
+        # repairs the others
+        monkeypatch.setattr(qp, "MAX_EXCHANGES", 0)
         c = controller(cfg, geom)
         c.solver = RecordingSolver()
         s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
@@ -910,6 +942,29 @@ class TestStep:
             over = np.maximum(prob.lower - ax, ax - prob.upper)
             assert np.all(over <= tol * np.max(np.abs(prob.a_mat), axis=1))
             assert np.array_equal(prob.a_mat[c._box_rows], np.eye(len(sol.z)))
+
+    def test_cold_and_unsolved_ticks_guess_the_empty_set(self, cfg, geom):
+        # with no solved last tick the guess is the empty set, with no
+        # multipliers, repaired from the unconstrained minimizer: the first
+        # tick here certifies with 0 iterations
+        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        first = c.step(s, ref, [])
+        assert (first.solver_status, first.iterations) == ("optimal", 0)
+        problem, answer = c.solver.solves[0]
+        assert answer.active.any()
+        assert answer.z.tobytes() == QpSolver()._certified(problem, answer.active, 0).z.tobytes()
+        # after an infeasible tick the carry holds no set: the next guesses
+        # the empty set again
+        scripted(c, status=INFEASIBLE)
+        c.step(s, ref, [])
+        assert c._carry.active is None
+        del c.solver.solve
+        c.step(s, ref, [])
+        for guess in (c.solver.guesses[0], c.solver.guesses[-1]):
+            assert guess.shape == (len(c._a_rows),) and not guess.any()
 
     def test_rejects_unknown_variant(self, cfg, geom):
         with pytest.raises(ValueError):
@@ -971,6 +1026,48 @@ class TestFallbacks:
         assert np.array_equal(lo[keep], lo0[keep])
         assert np.array_equal(hi[keep], hi0[keep])
 
+    def test_each_attempt_keeps_its_own_bounds(self, cfg, geom):
+        # each widening solves a new problem: the problems the solver was
+        # given still hold their own bands after the tick, the first 0.1
+        s = RobotState(0, 0, 0, 1.1, 0.4)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert sol.fallback_doublings >= 1
+        e_row, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
+        scale, rows = 1.0 / np.max(np.abs(e_row)), c._slip_rows
+        problems = [problem for problem, _ in c.solver.solves]
+        assert len({id(p.lower) for p in problems} | {id(p.upper) for p in problems}) == \
+            2 * len(problems)
+        for k, (problem, (lower, upper)) in enumerate(zip(problems, c.solver.bounds)):
+            band = SLIP_BAND * 2 ** k
+            assert np.array_equal(problem.lower[rows], np.full(cfg.n_ctrl, scale * (-band - g)))
+            assert np.array_equal(problem.upper[rows], np.full(cfg.n_ctrl, scale * (band - g)))
+            assert problem.lower.tobytes() == lower.tobytes()
+            assert problem.upper.tobytes() == upper.tobytes()
+            assert problem.a_mat is problems[0].a_mat
+
+    def test_tick_after_a_widened_one_does_not_repair(self, cfg, geom):
+        # its base-band QP is most likely infeasible again: the carried set
+        # is still tried, but not repaired; a tick after an unwidened one is
+        s = RobotState(0, 0, 0, 1.1, 0.4)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        first = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert first.fallback_doublings >= 1 and c._carry.plan is None
+        attempts = len(c.solver.solves)
+        s = euler_step(s, first.applied_input, geom, cfg.dt, substeps=10)
+        c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
+        assert c.solver.repairs[0] is True
+        assert c.solver.repairs[attempts] is False
+        assert c.solver.guesses[attempts] is c.solver.solves[attempts - 1][1].active
+        start = RobotState(0, 0.3, 0.05, 0.8, 0.8)
+        c = controller(cfg, geom)
+        c.solver = RecordingSolver()
+        for _ in range(2):
+            c.step(start, build_reference(STRAIGHT, start, REF_SPEED, cfg), [])
+        assert c.solver.repairs == [True, True]
+
     def test_iterations_sum_over_attempts(self, cfg, geom):
         s = RobotState(0, 0, 0, 1.1, 0.4)
         c = controller(cfg, geom)
@@ -1007,6 +1104,7 @@ class TestFallbacks:
         ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
         c = controller(cfg, geom)
         c._carry = cold(held)
+        monkeypatch.setattr(qp, "MAX_EXCHANGES", 0)  # the cold guess goes to the ADMM
         with monkeypatch.context() as capped:
             capped.setattr(qp, "MAX_ADMM_ITERATIONS", 10)
             sol = c.step(s, ref, [])
@@ -1031,15 +1129,17 @@ class TestFallbacks:
         c._carry = cold(held)
         c.solver = RecordingSolver()
         monkeypatch.setattr(qp, "MAX_ADMM_ITERATIONS", 30)
+        monkeypatch.setattr(qp, "MAX_EXCHANGES", 0)  # the cold guess goes to the ADMM
         sol = c.step(s, ref, [])
         assert sol.solver_status == "optimal"
         assert sol.iterations == 30
         assert np.any(sol.delta_sequence != 0.0)
         assert sol.applied_input != held
-        # the next tick tries that set first
+        # the cold tick guessed the empty set; the next tick tries that set first
         s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
         c.step(s, build_reference(STRAIGHT_30, s, 1.4, cfg), [])
-        assert c.solver.guesses[0] is None
+        assert c.solver.guesses[0].shape == (len(c._a_rows),)
+        assert not c.solver.guesses[0].any()
         assert np.array_equal(c.solver.guesses[1], c.solver.solves[0][1].active)
 
 

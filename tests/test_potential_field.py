@@ -30,6 +30,27 @@ def value_at(distance, params):
     return quadratic_approx((0.0, 0.0), (distance, 0.0), params).constant
 
 
+D0 = math.sqrt(MIN_SQ_DISTANCE)
+
+
+def continuation(s, params):
+    """Value, slope and curvature of the field inside d0 at signed distance
+    s: the Taylor quadratic of a / s^(2b) at d0, written out."""
+    a, b = params
+    v0, v1 = a * D0 ** (-2 * b), -2 * a * b * D0 ** (-2 * b - 1)
+    v2 = 2 * a * b * (2 * b + 1) * D0 ** (-2 * b - 2)
+    t = s - D0
+    return v0 + v1 * t + 0.5 * v2 * t * t, v1 + v2 * t, v2
+
+
+def contact(s, params, direction=(1.0, 0.0)):
+    """The expansion at signed distance s along a unit direction: a
+    separation's gap for s >= 0, a penetration's (as long as the overlap)
+    for s < 0."""
+    gap = abs(s) * np.asarray(direction)
+    return quadratic_approx((0.0, 0.0), gap, params, s)
+
+
 class TestValue:
     def test_unit_distance(self):
         assert value_at(1.0, OBS) == pytest.approx(3.0)
@@ -39,10 +60,14 @@ class TestValue:
         assert value_at(2.0, OBS) == pytest.approx(3.0 / 4.0 ** 1.8)
         assert value_at(2.0, OBS) == pytest.approx(0.24741, abs=1e-5)
 
-    def test_contact_clamped(self):
-        expected = 3.0 / 1e-4 ** 1.8
-        assert value_at(0.0, OBS) == pytest.approx(expected)
-        assert value_at(0.005, OBS) == pytest.approx(expected)
+    def test_contact_continues_the_field(self):
+        # at d0 = 1 cm the field's own value; inside it the quadratic in the
+        # signed distance with the field's value, slope and curvature at d0
+        at_d0 = 3.0 / 1e-4 ** 1.8
+        assert value_at(0.01, OBS) == pytest.approx(at_d0, rel=1e-12)
+        for s in (0.005, 0.0):
+            assert value_at(s, OBS) == pytest.approx(continuation(s, OBS)[0], rel=1e-12)
+            assert value_at(s, OBS) > at_d0
 
     def test_boundary_params(self):
         assert value_at(1.0, BND) == pytest.approx(0.3)
@@ -171,7 +196,7 @@ class TestQuadraticApprox:
         for k in range(200):
             pos = tuple(rng.uniform(-4, 4, size=2))
             obst = tuple(rng.uniform(-4, 4, size=2))
-            if k % 20 == 0:  # inside the clamp region
+            if k % 20 == 0:  # inside d0
                 obst = tuple(np.add(pos, rng.uniform(-0.007, 0.007, size=2)))
             q = quadratic_approx(pos, np.subtract(obst, pos), OBS)
             h = q.hessian_psd
@@ -180,7 +205,8 @@ class TestQuadraticApprox:
             assert np.allclose(h, h.T)
             r = np.subtract(obst, pos)
             d_sq = float(r @ r)
-            expected = np.zeros((2, 2))
+            n = r / math.sqrt(d_sq)
+            expected = continuation(math.sqrt(d_sq), OBS)[2] * np.outer(n, n)
             if d_sq > MIN_SQ_DISTANCE:
                 raw = 2.0 * a * b * d_sq ** (-b - 2.0) * (
                     2.0 * (b + 1.0) * np.outer(r, r) - d_sq * np.eye(2))
@@ -198,11 +224,41 @@ class TestQuadraticApprox:
         assert np.ptp(vals) < 1e-9
         assert np.ptp(grads) < 1e-9
 
-    def test_flat_inside_clamp(self):
-        q = quadratic_approx((0.0, 0.0), (0.005, 0.0), OBS)
-        assert q.constant == pytest.approx(3.0 / 1e-4 ** 1.8)
-        assert np.all(q.gradient == 0.0)
-        assert np.all(q.hessian_psd == 0.0)
+    def test_continued_inside_d0(self):
+        # value V(s), gradient -V'(s) n and Hessian V''(d0) n n' along the
+        # unit gap n, at a separation inside d0 and inside an overlap
+        n = np.array([0.6, -0.8])
+        for s in (0.005, -0.3):
+            q = contact(s, OBS, n)
+            value, slope, curvature = continuation(s, OBS)
+            assert float(q.constant) == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(q.gradient, -slope * n, rtol=1e-12)
+            np.testing.assert_allclose(q.hessian_psd, curvature * np.outer(n, n), rtol=1e-12)
+
+    def test_value_and_slope_continuous_at_d0(self):
+        # the gradient along the gap is -dV/ds on both sides of d0
+        for params in (OBS, BND):
+            for side in (1.0 - 1e-9, 1.0 + 1e-9):
+                inner, outer = contact(D0 * side, params), contact(D0 / side, params)
+                assert float(inner.constant) == pytest.approx(float(outer.constant), rel=1e-7)
+                np.testing.assert_allclose(inner.gradient, outer.gradient, rtol=1e-7)
+                np.testing.assert_allclose(inner.hessian_psd, outer.hessian_psd, rtol=1e-7)
+
+    def test_push_grows_through_contact_and_value_is_bounded_below(self):
+        # the push -dV/ds grows as s falls through 0 into the obstacle, and
+        # no value inside d0 is below the value at d0
+        for params in (OBS, BND):
+            at_d0 = float(contact(D0, params).constant)
+            s = np.linspace(D0, -0.5, 201)
+            q = quadratic_approx(np.zeros((len(s), 2)), np.abs(s)[:, None] * [0.0, 1.0],
+                                 params, s)
+            push = q.gradient[:, 1]
+            assert np.all(np.diff(push) > 0.0) and push[0] > 0.0
+            assert np.all(np.diff(q.constant) > 0.0) and np.all(q.constant >= at_d0)
+            # a zero gap has no direction: the value alone
+            touching = contact(0.0, params)
+            assert float(touching.constant) > at_d0
+            assert not np.any(touching.gradient) and not np.any(touching.hessian_psd)
 
     def test_anchor_records_expansion_point(self):
         q = quadratic_approx((1.5, -2.0), gap((1.5, -2.0), (0.3, 0.1), (4.0, 0.0)), OBS)
@@ -246,15 +302,16 @@ class TestStacked:
         obst[::10] = pos[::10] + off[::10] + rng.uniform(-0.005, 0.005, size=(30, 2))
         stacked = quadratic_approx(pos, gap(pos, off, obst), params)
         assert np.array_equal(stacked.anchor, pos)
-        clamped = 0
+        inside = 0
         for k in range(len(pos)):
-            one = quadratic_approx(tuple(pos[k]), gap(pos[k], off[k], obst[k]), params)
-            clamped += bool(np.all(one.hessian_psd == 0.0))
+            r = gap(pos[k], off[k], obst[k])
+            one = quadratic_approx(tuple(pos[k]), r, params)
+            inside += float(r @ r) <= MIN_SQ_DISTANCE
             np.testing.assert_allclose(stacked.constant[k], one.constant, rtol=1e-14, atol=0)
             np.testing.assert_allclose(stacked.gradient[k], one.gradient, rtol=1e-14, atol=0)
             np.testing.assert_allclose(stacked.hessian_psd[k], one.hessian_psd,
                                        rtol=1e-14, atol=0)
-        assert clamped == 30
+        assert inside == 30
 
     def test_empty_stack(self):
         q = quadratic_approx(np.zeros((0, 2)), np.zeros((0, 2)), OBS)

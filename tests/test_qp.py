@@ -359,7 +359,9 @@ class TestMatchesLoopIteration:
         # the last iteration is a check, so no set is tried after the loop
         assert qp_module.MAX_ADMM_ITERATIONS % qp_module._CHECK_EVERY == 0
 
-    def test_controller_shaped_problems(self, geom):
+    def test_controller_shaped_problems(self, geom, monkeypatch):
+        # the ADMM path: a failed guess goes to it with no exchange
+        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
         solver = QpSolver()
         outcomes, dual_starts = [], 0
         for seed in (1, 2):
@@ -445,7 +447,9 @@ class TestActiveSetGuess:
                 kept += 1
         assert kept >= 5
 
-    def test_wrong_guess_changes_nothing(self, geom):
+    def test_wrong_guess_changes_nothing(self, geom, monkeypatch):
+        # without exchanges, a failed guess leaves the ADMM's answer as it is
+        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
         solver, tried = QpSolver(), 0
         for prob, warm, sol in self.solves(geom):
             if sol.status != "optimal":
@@ -461,9 +465,10 @@ class TestActiveSetGuess:
                 tried += 1
         assert tried >= 20
 
-    def test_multipliers_not_one_per_held_row_change_nothing(self, geom):
+    def test_multipliers_not_one_per_held_row_change_nothing(self, geom, monkeypatch):
         # a failed guess whose multipliers are not one per held row starts
         # the duals at 0, as without multipliers: none broadcasts or raises
+        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
         solver, tried = QpSolver(), 0
         for prob, warm, sol in self.solves(geom):
             held = np.flatnonzero(sol.active)
@@ -509,9 +514,10 @@ class TestActiveSetGuess:
                     wide += np.count_nonzero(sol.active) > len(prob.f_vec)
         assert wide >= 3
 
-    def test_interior_optimum_rejects_guessed_bound(self):
+    def test_interior_optimum_rejects_guessed_bound(self, monkeypatch):
         # optimum (0.5, 0) is interior; holding z0 at its upper bound 1 is
         # primal feasible but needs a negative upper multiplier
+        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
         prob = box_problem(np.eye(2), [-0.5, 0.0], [-1, -1], [1, 1])
         solver = QpSolver()
         sol = solver.solve(prob)
@@ -530,6 +536,105 @@ class TestActiveSetGuess:
         prob = box_problem(np.eye(3), [-10.0, 0.0, 10.0], [-1, -1, -1], [1, 1, 1])
         sol = QpSolver().solve(prob)
         assert np.array_equal(sol.active, [1, 0, -1])
+
+
+def recorded_held_sets(monkeypatch):
+    """Every set whose KKT point `qp._held_point` solves, as a list."""
+    sets, held_point = [], qp_module._held_point
+    monkeypatch.setattr(qp_module, "_held_point",
+                        lambda problem, active: sets.append(active.tolist())
+                        or held_point(problem, active))
+    return sets
+
+
+class TestExchanges:
+    """A failed guess is repaired by exchanges before the ADMM runs."""
+
+    def test_cold_controller_qp_is_repaired_with_certified_bits(self, geom):
+        # from the empty set, the unconstrained minimizer: each repaired
+        # answer is `_certified`'s at its set, with 0 iterations
+        solver, repaired = QpSolver(), 0
+        for seed in (1, 2, 3):
+            for prob, warm in controller_qps(geom, seed):
+                sol = solver.solve(prob, warm_start=warm, active=np.zeros(len(prob.lower), int))
+                if sol.iterations:
+                    continue  # infeasible, or more exchanges than the cap
+                assert sol.status == "optimal" and sol.active.any()
+                assert_same_bits(sol, solver._certified(prob, sol.active, 0))
+                repaired += 1
+        assert repaired >= 8
+
+    def test_wrong_sign_multiplier_is_dropped_before_a_row_is_added(self, monkeypatch):
+        # min 1/2 |z|^2 - 0.5 z0 - 10 z1 in the box [-1, 1]^2, optimum
+        # (0.5, 1). The guess holds z0 at its upper bound, whose multiplier
+        # is -0.5, while z1 = 10 violates its bound: the hold on z0 goes
+        # first, then z1 is held at its upper bound
+        sets = recorded_held_sets(monkeypatch)
+        prob = box_problem(np.eye(2), [-0.5, -10.0], [-1, -1], [1, 1])
+        sol = QpSolver().solve(prob, active=np.array([1, 0]))
+        assert sets == [[1, 0], [0, 0], [0, 1]]
+        assert (sol.status, sol.iterations, sol.active.tolist()) == ("optimal", 0, [0, 1])
+        assert np.max(np.abs(sol.z - [0.5, 1.0])) < 1e-8
+
+    def test_capped_exchanges_leave_the_parent_admm_answer(self, geom, monkeypatch):
+        # with one exchange allowed, cold controller QPs that need more go
+        # to the ADMM from zero duals: its answer is the parent form's bit
+        # for bit, after two KKT solves
+        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 1)
+        sets = recorded_held_sets(monkeypatch)
+        solver, fell_back = QpSolver(), 0
+        for seed in (1, 2, 3):
+            for raw, warm in controller_qps(geom, seed):
+                empty = np.zeros(len(raw.lower), int)
+                sets.clear()
+                got = solver.solve(normalized(raw), warm_start=warm, active=empty)
+                if got.iterations == 0:
+                    continue  # repaired within the cap
+                assert sets[0] == empty.tolist() and np.count_nonzero(sets[1]) == 1
+                assert_same_bits(got, parent_solve(solver, raw, warm, empty))
+                fell_back += 1
+        assert fell_back >= 5
+
+    def test_without_repair_a_failed_guess_goes_to_the_admm(self, geom, monkeypatch):
+        # `repair=False`: the guess is tried and no exchange runs, so the
+        # answer is that of a solve with no exchange allowed
+        solver, compared = QpSolver(), 0
+        for prob, warm in controller_qps(geom, 1):
+            empty = np.zeros(len(prob.lower), int)
+            with monkeypatch.context() as patched:
+                patched.setattr(QpSolver, "_exchanged", None)  # any call raises
+                got = solver.solve(prob, warm, empty, repair=False)
+            with monkeypatch.context() as patched:
+                patched.setattr(qp_module, "MAX_EXCHANGES", 0)
+                assert_same_bits(got, solver.solve(prob, warm, empty))
+            compared += got.iterations > 0
+        assert compared >= 5
+
+    @pytest.mark.parametrize("guess", [None, np.zeros(3, int), np.array([1, 0, -1])],
+                             ids=["no_guess", "empty", "guess"])
+    def test_nan_cost_returns_before_any_exchange(self, monkeypatch, guess):
+        # the guess's one KKT solve (NaN, so not accepted), then the answer
+        # is NaN at once: no exchange and no ADMM
+        sets = recorded_held_sets(monkeypatch)
+        prob = QpProblem(np.eye(3), np.array([np.nan, 1.0, 0.0]), np.eye(3),
+                         -np.ones(3), np.ones(3))
+        sol = QpSolver().solve(prob, active=guess)
+        assert (sol.status, sol.iterations) == ("max_iterations", 0)
+        assert sets == ([] if guess is None else [guess.tolist()])
+        assert np.isnan(sol.z).all()
+
+    def test_infeasible_qp_stays_infeasible(self, monkeypatch):
+        # z0 + z1 <= -1 and 2 z0 + 2 z1 >= 2: no exchange certifies, and the
+        # ADMM's certificate follows as without a guess (the controller QPs
+        # from the empty set: test_infeasible_with_guess_keeps_certificate)
+        sets = recorded_held_sets(monkeypatch)
+        prob = normalized(with_box(np.eye(2), np.array([1.0, -1.0]),
+                                   np.array([[1.0, 1.0], [2.0, 2.0]]),
+                                   np.array([-INF, 2.0]), np.array([-1.0, INF]),
+                                   np.full(2, -5.0), np.full(2, 5.0)))
+        sol = QpSolver().solve(prob, active=np.zeros(4, int))
+        assert sol.status == "infeasible" and len(sets) > 1
+        assert_same_bits(sol, QpSolver().solve(prob))
 
 
 def assert_same_bits(got, want):
@@ -766,8 +871,10 @@ def test_solve_matches_parent_form(geom, monkeypatch, max_iterations, statuses):
     # the controller QPs of seeds 1-3 as assembled, and with each row
     # multiplied by a seeded factor in [1e-3, 1e3]: the current solve of
     # the normalized rows against the parent's solve of the rows as given,
-    # without a guess and with the detected set as one
+    # without a guess and with the detected set as one; a failed guess goes
+    # to the ADMM with no exchange
     monkeypatch.setattr(qp_module, "MAX_ADMM_ITERATIONS", max_iterations)
+    monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
     solver, rng = QpSolver(), np.random.default_rng(3)
     seen = set()
     for seed in (1, 2, 3):
@@ -807,11 +914,12 @@ def test_infeasible_solve_matches_parent_form(monkeypatch, max_iterations):
     assert got.z.base is None
 
 
-def test_old_stop_rule_certified_answers_keep_their_bits(geom):
+def test_old_stop_rule_certified_answers_keep_their_bits(geom, monkeypatch):
     # the controller QPs of seeds 1-3: every solve that the stop rule before
     # the check-time tries certifies (its final duals' set) returns the same
     # point bit for bit, in no more iterations, from zero duals and from a
-    # failed guess with that answer's multipliers
+    # failed guess with that answer's multipliers, which no exchange repairs
+    monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
     solver, kept, sooner = QpSolver(), 0, 0
     for seed in (1, 2, 3):
         for prob, warm in controller_qps(geom, seed):
@@ -853,10 +961,12 @@ def next_ticks(geom, seed, count=12):
                              []).qp, c._carry
 
 
-def test_previous_multipliers_certify_in_fewer_iterations(geom):
-    # the tick after a solved one, its guess failed: started from the last
-    # answer's multipliers, the ADMM certifies the same point as from zero
-    # duals, and in fewer iterations summed over seeds 1-3
+def test_previous_multipliers_certify_in_fewer_iterations(geom, monkeypatch):
+    # the tick after a solved one, its guess failed and not repaired:
+    # started from the last answer's multipliers, the ADMM certifies the
+    # same point as from zero duals, and in fewer iterations summed over
+    # seeds 1-3
+    monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
     solver, with_duals, without, fewer = QpSolver(), 0, 0, 0
     for seed in (1, 2, 3):
         for prob, carry in next_ticks(geom, seed):

@@ -18,9 +18,11 @@ With two trees it prints a markdown table, one row per run: the digests
 (first 12 hex digits), outcome and tick count on both sides, the first tick
 whose CSV row differs with its first differing column, the same outside the
 `solver_iterations` column (so a change that moves only iteration counts
-reads `-` there), and the largest
+reads `-` there), the largest
 relative drift |b - a| / max(|a|, |b|) over the numeric `metrics()`
-figures, with the figure's name. The last line counts byte-identical logs.
+figures, with the figure's name, and the ticks of each QP answer status
+(`TickRecord.solver_status`, not a CSV column) on both sides, such as
+`inexact 6 / 0`. The last line counts byte-identical logs.
 The log prints 12 significant digits and the metrics use full precision,
 so a byte-identical log can still show a drift.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -63,6 +66,7 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
         log.to_csv(Path(workdir) / f"{label}.csv")
         figures = metrics(log, scenario.path) if log.records else {}
         print(json.dumps({"label": label, "outcome": log.outcome, "ticks": len(log.records),
+                          "statuses": Counter(r.solver_status for r in log.records),
                           "metrics": {k: v for k, v in figures.items()
                                       if isinstance(v, float)}}), flush=True)
 
@@ -113,11 +117,19 @@ def largest_drift(old: dict, new: dict) -> str:
     return f"{drift:.2g} ({name})" if drift else "0"
 
 
+def status_ticks(old: dict, new: dict) -> str:
+    """The ticks of each solver status on either side, 'inexact 6 / 0',
+    in name order."""
+    return ", ".join(f"{name} {old.get(name, 0)} / {new.get(name, 0)}"
+                     for name in sorted(old.keys() | new.keys())) or "-"
+
+
 def report_rows(old_runs: list[dict], new_runs: list[dict]) -> list[str]:
     """The two-tree table: a header, one row per run, and the identical count."""
     rows = ["| run | digest | outcome | ticks | first divergence (tick, column) "
-            "| first divergence outside solver_iterations | largest relative drift |",
-            "|---|---|---|---|---|---|---|"]
+            "| first divergence outside solver_iterations | largest relative drift "
+            "| ticks per solver status |",
+            "|---|---|---|---|---|---|---|---|"]
     same = 0
     for a, b in zip(old_runs, new_runs):
         same += a["csv"] == b["csv"]
@@ -126,7 +138,8 @@ def report_rows(old_runs: list[dict], new_runs: list[dict]) -> list[str]:
             f"| {a['outcome']} / {b['outcome']} | {a['ticks']} / {b['ticks']} "
             f"| {first_divergence(a['csv'], b['csv'])} "
             f"| {first_divergence(a['csv'], b['csv'], ('solver_iterations',))} "
-            f"| {largest_drift(a['metrics'], b['metrics'])} |")
+            f"| {largest_drift(a['metrics'], b['metrics'])} "
+            f"| {status_ticks(a['statuses'], b['statuses'])} |")
     rows.append(f"{same} of {len(old_runs)} logs byte-identical")
     return rows
 
