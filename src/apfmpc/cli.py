@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .mpc import VARIANTS
-from .qp import INEXACT, INFEASIBLE, MAX_ITERATIONS, OPTIMAL
+from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
 from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _summary(log, path) -> dict:
     if log.records:
         summary.update(metrics(log, path))
         statuses = [r.solver_status for r in log.records]
-        for status in (OPTIMAL, INEXACT, MAX_ITERATIONS, INFEASIBLE):
+        for status in (OPTIMAL, MAX_ITERATIONS, INFEASIBLE):
             summary[f"ticks.{status}"] = statuses.count(status)
     return summary
 

@@ -30,31 +30,27 @@ field expansion, each row with its footprint kind's parameters (obstacle,
 boundary), and `np.add.at` adds each row into its step's sums, from +0.0 in
 footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the
 condensed matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄],
-p < 4; the field quadratics enter through one product. The QP is OSQP's
-form, with no constant term, and its rows are normalized where they are
-made (see `qp.row_scales`): a tick's objective is not read off it but is
-the sum of the three costs priced at the applied solution, tracking +
-input-increment effort + field, and on a held tick that solution is z = 0.
-On certified infeasibility only the bounds of the wheel-speed-difference
-rows widen (the band doubles, in the rows' scale) before solving again,
-with no guess, each attempt a problem with its own copies of the bounds; a
-variant without those rows reports infeasible at once. A tick's iteration
-count sums all its attempts. A non-finite state, or solution before it
-reaches the inputs, raises FloatingPointError; the inputs are clipped to
-their bounds as floats.
+p < 4; the field quadratics enter through one product. The QP has no
+constant term, and its rows are normalized where they are made (see
+`qp.row_scales`): a tick's objective is not read off it but is the sum of
+the three costs priced at the applied solution, tracking + input-increment
+effort + field. Only a certified (optimal) answer moves the inputs; on a
+held tick the solution is z = 0. On proved infeasibility only the bounds of
+the wheel-speed-difference rows widen (the band doubles, in the rows' scale)
+before solving again from the empty set, each attempt a problem with its
+own copies of the bounds; a variant without those rows reports infeasible
+at once. A tick's iteration count sums all its attempts. A non-finite state,
+QP cost or solution before it reaches the inputs raises FloatingPointError;
+the inputs are clipped to their bounds as floats.
 
-What one tick hands the next is one `_Carry` record: the applied input, the
-applied increments shifted one control step (the warm start), and, if the
-QP was solved (optimal or inexact), its active set, whose solve the solver
-returns without iterating while it stays optimal and else repairs by
-exchanges, with the set's multipliers, the ADMM's dual start when no
-exchange certifies (without a solved QP the next tick guesses the empty
-set, with no multipliers, and after a widened one it does not repair its
-guess); and the predicted outputs unless the slip band was widened, the
-plan that the field reads shifted, so that a tick without footprints does
-no work for it. `step` reads the record at its start and replaces it once,
-after its last raise, so a raising step leaves it unchanged; `_shift` alone
-writes the shift.
+What one tick hands the next is one `_Carry` record: the applied input,
+and, if the QP was solved (optimal), its active set, which the solver
+returns at once while it stays optimal and else repairs (without a solved
+QP the next tick guesses the empty set); and the predicted outputs unless
+the slip band was widened, the plan that the field reads shifted, so that a
+tick without footprints does no work for it. `step` reads the record at its
+start and replaces it once, after its last raise, so a raising step leaves
+it unchanged; `_shift` alone writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What depends on the constants of `MpcConfig`
@@ -81,7 +77,7 @@ from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, a
                             linearize)
 from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
-from .qp import INEXACT, INFEASIBLE, MAX_ITERATIONS, OPTIMAL, QpProblem, QpSolver, row_scales
+from .qp import INFEASIBLE, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6
 SLIP_BAND = 0.1  # m/s, the bound on |h(u)| (see `slip_terms`) before any widening
@@ -313,24 +309,17 @@ class _SlipRows(NamedTuple):
 class _Carry(NamedTuple):
     """What one tick hands the next; `_shift` builds it from the tick's solution."""
     input: ControlInput         # the applied input
-    warm: np.ndarray            # the applied increments shifted one control step
     active: np.ndarray | None   # the QP's active set; None unless it was solved (guess empty)
-    multipliers: np.ndarray | None = None  # that set's, as `QpSolution.multipliers`
     plan: np.ndarray | None = None  # the predicted outputs, unshifted; None if widened
 
 
-def _shift(solution: MpcSolution, active: np.ndarray,
-           multipliers: np.ndarray | None = None) -> _Carry:
+def _shift(solution: MpcSolution, active: np.ndarray) -> _Carry:
     """The real-time iteration's shift: the next tick starts from the
-    applied input and increments, moved one control step with zeros
-    appended, and tries the QP's active set, starting its duals from the
-    set's multipliers, only if the QP was solved (optimal or inexact). A
-    plan solved without widening the slip band is kept as it is; the field
-    reads it shifted."""
-    solved = solution.solver_status in (OPTIMAL, INEXACT)
-    return _Carry(solution.applied_input,
-                  np.concatenate([solution.delta_sequence[1:].ravel(), np.zeros(N_INPUT)]),
-                  active if solved else None, multipliers if solved else None,
+    applied input and tries the QP's active set, only if the QP was solved.
+    A plan solved without widening the slip band is kept as it is; the
+    field reads it shifted."""
+    solved = solution.solver_status == OPTIMAL
+    return _Carry(solution.applied_input, active if solved else None,
                   solution.predicted_outputs
                   if solved and solution.fallback_doublings == 0 else None)
 
@@ -353,9 +342,8 @@ class MpcController:
         self.cfg, self.geom, self.variant = cfg, geom, variant
         self.solver = QpSolver()
         vars(self).update(_config_tables()[variant])  # shared, read-only
-        # the first tick starts from the zero input, with no increments or active set
-        self._carry = _Carry(ControlInput(0.0, 0.0, 0.0, 0.0),
-                             np.zeros(cfg.n_ctrl * N_INPUT), None)
+        # the first tick starts from the zero input, with no active set
+        self._carry = _Carry(ControlInput(0.0, 0.0, 0.0, 0.0), None)
 
     # -- assembly -----------------------------------------------------------
 
@@ -485,16 +473,9 @@ class MpcController:
         asm = self.assemble(state, carry, ref, obstacles)
         # successive QPs mostly share their active set: the solver returns
         # the last tick's set at once when it is still optimal, else repairs
-        # it by exchanges, else starts the ADMM's duals from its multipliers.
-        # Without a solved last tick the guess is the empty set, repaired
-        # from the unconstrained minimizer. After a tick solved only by
-        # widening, the base band is most likely infeasible again, where no
-        # exchange certifies: the guess then goes to the ADMM unrepaired, as
-        # the retries go without one
-        active = np.zeros(len(asm.qp.lower), int) if carry.active is None else carry.active
-        widened = carry.active is not None and carry.plan is None
-        sol = self.solver.solve(asm.qp, warm_start=carry.warm, active=active,
-                                multipliers=carry.multipliers, repair=not widened)
+        # it; without a solved last tick, and on each widening, the guess is
+        # the empty set
+        sol = self.solver.solve(asm.qp, carry.active)
         iterations, band, doublings = sol.iterations, SLIP_BAND, 0
         qp = asm.qp
         while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
@@ -503,15 +484,12 @@ class MpcController:
             band, doublings = 2.0 * band, doublings + 1
             qp = replace(qp, lower=qp.lower.copy(), upper=qp.upper.copy())
             asm.slip.write_band(qp.lower, qp.upper, band)
-            sol = self.solver.solve(qp, warm_start=carry.warm)
+            sol = self.solver.solve(qp)
             iterations += sol.iterations
 
-        z = sol.z
-        # an infeasible QP, or an unconverged iterate that may violate
-        # constraints badly, holds the inputs
-        if sol.status == INFEASIBLE or (sol.status == MAX_ITERATIONS and
-                                        sol.primal_residual > 10.0 * self.solver.tolerance):
-            z = np.zeros(z.shape)
+        # only a certified answer moves the inputs: an infeasible QP, or a
+        # solve stopped by the cycling guard, holds them
+        z = sol.z if sol.status == OPTIMAL else np.zeros(sol.z.shape)
         if not np.logical_and.reduce(np.isfinite(z)):  # the plant never sees it; the run ends
             raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
         delta_seq = z.reshape(cfg.n_ctrl, N_INPUT)
@@ -529,5 +507,5 @@ class MpcController:
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
         solution = MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
                                sol.status, apf_cost, tracking, effort, iterations, doublings)
-        self._carry = _shift(solution, sol.active, sol.multipliers)  # the tick's one write
+        self._carry = _shift(solution, sol.active)  # the tick's one write
         return solution

@@ -101,7 +101,7 @@ class TickRecord:
     min_clearance: float
     objective: float
     solver_iterations: int
-    solver_status: str  # the applied QP answer's (qp.OPTIMAL, qp.INEXACT, ...); not a CSV column
+    solver_status: str  # qp.OPTIMAL; on a held tick INFEASIBLE or MAX_ITERATIONS; not in the CSV
 
 
 @dataclass
@@ -154,7 +154,7 @@ def run(scenario: Scenario) -> SimulationLog:
         ref = build_reference(table, state, scenario.ref_speed, cfg)
         try:
             sol = controller.step(state, ref, obstacles + boundaries)
-        except FloatingPointError:  # a non-finite QP solution
+        except FloatingPointError:  # a non-finite QP cost or solution
             log.outcome = NUMERICAL_FAILURE
             break
         u = sol.applied_input

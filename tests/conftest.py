@@ -26,9 +26,9 @@ def rng():
 
 
 def cold(u0):
-    """The record a controller starts from, at input u0: no increments, no
-    active set. A test sets it as a controller's `_carry` to start there."""
-    return _Carry(u0, np.zeros(MpcConfig.n_ctrl * 4), None)
+    """The record a controller starts from, at input u0: no active set and
+    no plan. A test sets it as a controller's `_carry` to start there."""
+    return _Carry(u0, None)
 
 
 def double_back(heading, duration=1.0):

@@ -61,22 +61,23 @@ class TestRun:
         assert "max_slip_measure:" in text
 
     def test_summary_counts_ticks_per_status(self, scenario_file, tmp_path, monkeypatch):
-        # the third tick's answer relabelled inexact: applied as it is, and
-        # counted apart from the optimal ones
+        # the third tick's answer relabelled max_iterations, the solver's
+        # cycling guard: held, and counted apart from the optimal ones; the
+        # summary counts the three statuses a solve can return
         from apfmpc.qp import QpSolver
         solve, calls = QpSolver.solve, []
 
         def relabelled(self, *args, **kwargs):
             calls.append(None)
             out = solve(self, *args, **kwargs)
-            return replace(out, status="inexact") if len(calls) == 3 else out
+            return replace(out, status="max_iterations") if len(calls) == 3 else out
 
         monkeypatch.setattr(QpSolver, "solve", relabelled)
         out = tmp_path / "out"
         assert main(["run", str(scenario_file), "--out", str(out)]) == EXIT_OK
         summary = (out / "clitest.summary").read_text().splitlines()
-        assert summary[-4:] == ["ticks.optimal: 19", "ticks.inexact: 1",
-                                "ticks.max_iterations: 0", "ticks.infeasible: 0"]
+        assert summary[-3:] == ["ticks.optimal: 19", "ticks.max_iterations: 1",
+                                "ticks.infeasible: 0"]
 
     def test_log_csv_parseable(self, scenario_file, tmp_path):
         out = tmp_path / "out"

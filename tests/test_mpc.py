@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc import qp
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
-from apfmpc.simulator import SimulationLog, metrics
+from apfmpc.simulator import SimulationLog, metrics, run
 from conftest import cold, double_back, normalized
 
 REF_SPEED = 1.389
@@ -280,21 +281,18 @@ def assert_reference_matches_parent(table, state, ref_speed, cfg):
 
 class RecordingSolver(QpSolver):
     """QpSolver that keeps a copy of the constraint bounds of every solve,
-    the active set it was given, whether it may repair it, and each problem
-    with its solution."""
+    the active set it was given, and each problem with its solution."""
 
     def __init__(self):
         super().__init__()
         self.bounds = []
         self.guesses = []
-        self.repairs = []
         self.solves = []
 
-    def solve(self, problem, warm_start=None, active=None, multipliers=None, repair=True):
+    def solve(self, problem, active=None):
         self.bounds.append((problem.lower.copy(), problem.upper.copy()))
         self.guesses.append(active)
-        self.repairs.append(repair)
-        sol = super().solve(problem, warm_start, active, multipliers, repair)
+        sol = super().solve(problem, active)
         self.solves.append((problem, sol))
         return sol
 
@@ -918,11 +916,9 @@ class TestStep:
         assert sol.fallback_doublings >= 1
         assert len(calls) == 1
 
-    def test_certifies_last_active_set(self, cfg, geom, monkeypatch):
+    def test_certifies_last_active_set(self, cfg, geom):
         # along a straight path most ticks keep the last tick's active set,
-        # which the solver then returns without iterating, and no exchange
-        # repairs the others
-        monkeypatch.setattr(qp, "MAX_EXCHANGES", 0)
+        # which the solver then returns without a set change
         c = controller(cfg, geom)
         c.solver = RecordingSolver()
         s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
@@ -944,18 +940,20 @@ class TestStep:
             assert np.array_equal(prob.a_mat[c._box_rows], np.eye(len(sol.z)))
 
     def test_cold_and_unsolved_ticks_guess_the_empty_set(self, cfg, geom):
-        # with no solved last tick the guess is the empty set, with no
-        # multipliers, repaired from the unconstrained minimizer: the first
-        # tick here certifies with 0 iterations
+        # with no solved last tick the step passes no guess, which the
+        # solver reads as the empty set, repaired from the unconstrained
+        # minimizer: the first tick here certifies after a few set changes
         s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
         c = controller(cfg, geom)
         c.solver = RecordingSolver()
         first = c.step(s, ref, [])
-        assert (first.solver_status, first.iterations) == ("optimal", 0)
+        assert first.solver_status == "optimal" and first.iterations > 0
         problem, answer = c.solver.solves[0]
         assert answer.active.any()
-        assert answer.z.tobytes() == QpSolver()._certified(problem, answer.active, 0).z.tobytes()
+        assert answer.z.tobytes() == QpSolver().solve(problem, answer.active).z.tobytes()
+        assert answer.z.tobytes() == QpSolver().solve(
+            problem, np.zeros(len(c._a_rows), int)).z.tobytes()
         # after an infeasible tick the carry holds no set: the next guesses
         # the empty set again
         scripted(c, status=INFEASIBLE)
@@ -963,8 +961,7 @@ class TestStep:
         assert c._carry.active is None
         del c.solver.solve
         c.step(s, ref, [])
-        for guess in (c.solver.guesses[0], c.solver.guesses[-1]):
-            assert guess.shape == (len(c._a_rows),) and not guess.any()
+        assert c.solver.guesses[0] is None and c.solver.guesses[-1] is None
 
     def test_rejects_unknown_variant(self, cfg, geom):
         with pytest.raises(ValueError):
@@ -984,7 +981,7 @@ class TestStep:
         assert MpcController(cfg, geom)._carry.input == ControlInput(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(TypeError):
             metrics(SimulationLog(cfg.dt))  # the path is required
-        # the solver has no settable value: its iteration cap is qp.MAX_ADMM_ITERATIONS
+        # the solver has no settable value: its one is the class's tolerance
         assert not is_dataclass(QpSolver) and vars(QpSolver()) == {}
         with pytest.raises(TypeError):
             QpSolver(4000)
@@ -1001,7 +998,7 @@ class TestStep:
             assert (getattr(bare, name) is value) == (name not in ("_a_rows", "_bounds")), name
             for c in (tables, bare):
                 assert not getattr(c, name).flags.writeable, name
-        assert again._carry.warm is not tables._carry.warm
+        assert again._carry is not tables._carry
 
 
 class TestFallbacks:
@@ -1047,26 +1044,20 @@ class TestFallbacks:
             assert problem.upper.tobytes() == upper.tobytes()
             assert problem.a_mat is problems[0].a_mat
 
-    def test_tick_after_a_widened_one_does_not_repair(self, cfg, geom):
-        # its base-band QP is most likely infeasible again: the carried set
-        # is still tried, but not repaired; a tick after an unwidened one is
+    def test_tick_after_a_widened_one_guesses_its_set(self, cfg, geom):
+        # the widened tick's last attempt certified: the next tick guesses
+        # that attempt's set, and its retries, if any, guess nothing
         s = RobotState(0, 0, 0, 1.1, 0.4)
         c = controller(cfg, geom)
         c.solver = RecordingSolver()
         first = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
         assert first.fallback_doublings >= 1 and c._carry.plan is None
         attempts = len(c.solver.solves)
+        assert c.solver.guesses[:attempts] == [None] * attempts
         s = euler_step(s, first.applied_input, geom, cfg.dt, substeps=10)
         c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
-        assert c.solver.repairs[0] is True
-        assert c.solver.repairs[attempts] is False
         assert c.solver.guesses[attempts] is c.solver.solves[attempts - 1][1].active
-        start = RobotState(0, 0.3, 0.05, 0.8, 0.8)
-        c = controller(cfg, geom)
-        c.solver = RecordingSolver()
-        for _ in range(2):
-            c.step(start, build_reference(STRAIGHT, start, REF_SPEED, cfg), [])
-        assert c.solver.repairs == [True, True]
+        assert c.solver.guesses[attempts + 1:] == [None] * (len(c.solver.solves) - attempts - 1)
 
     def test_iterations_sum_over_attempts(self, cfg, geom):
         s = RobotState(0, 0, 0, 1.1, 0.4)
@@ -1098,49 +1089,57 @@ class TestFallbacks:
         assert len(c.solver.bounds) == 1
         assert np.all(sol.delta_sequence == 0.0)
 
-    def test_unconverged_solve_holds_input(self, cfg, geom, monkeypatch):
+    def test_cycling_guard_holds_input(self, cfg, geom, monkeypatch):
+        # a `_held_point` under which row 0 is violated while free and takes
+        # a negative multiplier once held: the solve stops at its guard,
+        # max_iterations, and the tick holds the input, as on infeasibility
+        held_point = qp._held_point
+
+        def cycling(problem, active):
+            x, signed, gaps = held_point(problem, active)
+            gaps = gaps.copy()
+            gaps[0] = 0.0 if active[0] else 1.0
+            return x, -np.abs(signed) if active[0] else signed, gaps
+
         s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
         held = ControlInput(0.2, 0.1, 0.05, -0.05)
         ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
         c = controller(cfg, geom)
         c._carry = cold(held)
-        monkeypatch.setattr(qp, "MAX_EXCHANGES", 0)  # the cold guess goes to the ADMM
-        with monkeypatch.context() as capped:
-            capped.setattr(qp, "MAX_ADMM_ITERATIONS", 10)
+        with monkeypatch.context() as patched:
+            patched.setattr(qp, "_held_point", cycling)
             sol = c.step(s, ref, [])
         assert sol.solver_status == "max_iterations"
+        assert sol.iterations > len(c._a_rows) + cfg.n_ctrl * 4
         assert np.all(sol.delta_sequence == 0.0)
-        assert sol.applied_input == held
-        # control: the default solver converges and moves the input
+        assert sol.applied_input == held and c._carry.active is None
+        # control: the solver converges and moves the input
         c = controller(cfg, geom)
         c._carry = cold(held)
         sol = c.step(s, ref, [])
         assert sol.solver_status == "optimal"
-        assert np.any(sol.delta_sequence != 0.0)
         assert sol.applied_input != held
 
-    def test_unconverged_solve_with_certified_set_moves_input(self, cfg, geom, monkeypatch):
-        # the start above with 30 iterations: the iteration has not
-        # converged, but the set read from its duals certifies a KKT point
-        s = RobotState(0, 0.5, 0.3, 1.0, 1.0)
-        held = ControlInput(0.2, 0.1, 0.05, -0.05)
-        ref = build_reference(STRAIGHT_30, s, 1.4, cfg)
-        c = controller(cfg, geom)
-        c._carry = cold(held)
-        c.solver = RecordingSolver()
-        monkeypatch.setattr(qp, "MAX_ADMM_ITERATIONS", 30)
-        monkeypatch.setattr(qp, "MAX_EXCHANGES", 0)  # the cold guess goes to the ADMM
-        sol = c.step(s, ref, [])
-        assert sol.solver_status == "optimal"
-        assert sol.iterations == 30
-        assert np.any(sol.delta_sequence != 0.0)
-        assert sol.applied_input != held
-        # the cold tick guessed the empty set; the next tick tries that set first
-        s = euler_step(s, sol.applied_input, geom, cfg.dt, substeps=10)
-        c.step(s, build_reference(STRAIGHT_30, s, 1.4, cfg), [])
-        assert c.solver.guesses[0].shape == (len(c._a_rows),)
-        assert not c.solver.guesses[0].any()
-        assert np.array_equal(c.solver.guesses[1], c.solver.solves[0][1].active)
+    @pytest.mark.parametrize("episode, tick, doublings", [(3, 5, 3), (7, 2, 4)])
+    def test_widens_once_more_where_the_iteration_stopped(self, monkeypatch, episode, tick,
+                                                          doublings):
+        # `slip_recovery` seed 1: at these ticks the first-order iteration
+        # that came before this method stopped at its iteration cap after
+        # doublings - 1 widenings, on a QP that is infeasible, and held the
+        # input. Proved infeasible, that band widens once more, and the
+        # widened QP certifies and moves the input
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+        import apfmpc.mpc
+        steps, step = [], MpcController.step
+        monkeypatch.setattr(apfmpc.mpc.MpcController, "step",
+                            lambda self, *args: steps.append(step(self, *args)) or steps[-1])
+        log = run(WORKLOADS["slip_recovery"](1)[episode].scenario)
+        assert log.outcome == "completed"
+        sol = steps[tick]
+        assert (sol.solver_status, sol.fallback_doublings) == ("optimal", doublings)
+        assert sol.applied_input != log.records[tick - 1].applied
+        assert all(s.solver_status == "optimal" for s in steps)
 
 
 def scripted(c, **fields):
@@ -1161,35 +1160,16 @@ class TestCarry:
         scripted(c, z=z, status=status, primal_residual=residual)
         solution = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
         assert solution.solver_status == status
-        # a held tick keeps the input; else the first increment moves it
+        # every answer but an optimal one holds the input, whatever its
+        # residual; an optimal one's first increment moves it
         assert solution.applied_input == ControlInput(*(np.zeros(4) if held else z[:4]))
-        shifted = np.zeros(len(z)) if held else np.concatenate([z[4:], np.zeros(4)])
         active = np.ones(len(c._a_rows))
         carry = _shift(solution, active)
         assert carry.input is solution.applied_input
-        assert carry.warm.tobytes() == shifted.tobytes()
         assert carry.active is (active if status == "optimal" else None)
         # step hands on that record, with its QP's own active set
         assert c._carry.input is solution.applied_input
-        assert c._carry.warm.tobytes() == shifted.tobytes()
         assert (c._carry.active is None) == (status != "optimal")
-
-    def test_inexact_is_applied_and_carried(self, cfg, geom):
-        # an uncertified ADMM tail moves the input, and the next tick gets
-        # its set, multipliers and plan as after an optimal one
-        s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
-        c = controller(cfg, geom)
-        z = np.linspace(-0.05, 0.05, cfg.n_ctrl * 4)
-        scripted(c, z=z, status="inexact")
-        solution = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
-        assert solution.solver_status == "inexact"
-        assert solution.applied_input == ControlInput(*z[:4])
-        active, multipliers = np.ones(len(c._a_rows)), np.ones(len(c._a_rows))
-        carry = _shift(solution, active, multipliers)
-        assert carry.active is active and carry.multipliers is multipliers
-        assert carry.plan is solution.predicted_outputs
-        assert c._carry.active is not None and c._carry.multipliers is not None
-        assert c._carry.plan is solution.predicted_outputs
 
     def test_field_anchors_on_the_shifted_plan(self, cfg, geom, monkeypatch):
         # after a tick solved without widening, the field's anchors are that
@@ -1204,7 +1184,7 @@ class TestCarry:
                                (RobotState(0, 0, 0, 1.1, 0.4), True)):
             c = controller(cfg, geom)
             first = c.step(start, build_reference(STRAIGHT, start, REF_SPEED, cfg), obstacles)
-            assert first.solver_status in ("optimal", "inexact")
+            assert first.solver_status == "optimal"
             assert (first.fallback_doublings > 0) == widened
             s = euler_step(start, first.applied_input, geom, cfg.dt, substeps=10)
             ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
@@ -1239,7 +1219,7 @@ class TestCarry:
         got, want = c.step(s, ref, []), twin.step(s, ref, [])
         assert got.applied_input == want.applied_input
         assert got.objective == want.objective
-        assert c._carry.warm.tobytes() == twin._carry.warm.tobytes()
+        assert c._carry.active.tobytes() == twin._carry.active.tobytes()
 
 
 def parent_rows(c, asm, state, u0, band):

@@ -1,8 +1,13 @@
+import itertools
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from apfmpc import qp as qp_module
-from apfmpc.kinematics import ControlInput, RobotState, euler_step
+from apfmpc.kinematics import ControlInput, RobotState
 from apfmpc.mpc import MpcConfig, MpcController, build_reference, path_table
 from apfmpc.qp import QpProblem, QpSolver
 from conftest import cold, normalized, objective
@@ -55,77 +60,12 @@ def random_box_qp(rng, n=10):
     return box_problem(h, f, lo, hi)
 
 
-def loop_admm(problem, solver, warm_start=None, active=None, multipliers=None):
-    """Reference oracle: the textbook unscaled-dual ADMM iteration, one
-    K^-1 product, one clip and one dual step per iteration, with the
-    solver's cost scaling, checks, rho rule and certificate: a guessed set
-    is tried first and its multipliers start y, and each check tries the
-    set its duals hold if it holds at most n rows and is not the one last
-    tried. The rows arrive normalized and are read as given, as the solver
-    reads them. Returns (z, status, iterations, rho_updates)."""
-    n = len(problem.f_vec)
-    cost_scale = 1.0 / max(1.0, float(np.max(np.abs(np.diag(problem.h_mat)), initial=0.0)))
-    p_mat = cost_scale * problem.h_mat + qp_module._RIDGE * np.eye(n)
-    f = cost_scale * problem.f_vec
-    a_full, lo, hi = problem.a_mat, problem.lower, problem.upper
-    sigma = qp_module._SIGMA
-    tried = active
-    if active is not None:
-        guessed = solver._certified(problem, active, 0)
-        if guessed is not None:
-            return guessed.z, guessed.status, 0, 0
-
-    def kkt_inverse(rho):
-        return np.linalg.inv(p_mat + sigma * np.eye(n) + rho * a_full.T @ a_full)
-
-    rho = qp_module._RHO
-    kkt_inv = kkt_inverse(rho)
-    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
-    y = np.zeros(len(lo))
-    zc = np.clip(a_full @ x, lo, hi)
-    if multipliers is not None:
-        # the guessed duals, then one projection: zc = clip(Ax + y / rho),
-        # and y keeps what it cuts off
-        y[np.flatnonzero(active)] = cost_scale * multipliers
-        zc = np.clip(a_full @ x + y / rho, lo, hi)
-        y = y + rho * (a_full @ x - zc)
-    prev_y = np.zeros(len(lo))
-    status, it, rho_updates = qp_module.MAX_ITERATIONS, 0, 0
-    for it in range(1, qp_module.MAX_ADMM_ITERATIONS + 1):
-        x = kkt_inv @ (sigma * x - f + a_full.T @ (rho * zc - y))
-        ax = a_full @ x
-        zc = np.clip(ax + y / rho, lo, hi)
-        y = y + rho * (ax - zc)
-        if it % qp_module._CHECK_EVERY == 0:
-            sides = qp_module._sides(y)
-            if np.count_nonzero(sides) <= n and (tried is None
-                                                 or not np.array_equal(sides, tried)):
-                tried = sides
-                polished = solver._certified(problem, sides, it)
-                if polished is not None:
-                    return polished.z, polished.status, it, rho_updates
-            r_prim = float(np.max(np.abs(ax - zc)))
-            r_dual = float(np.max(np.abs(p_mat @ x + f + a_full.T @ y)))
-            if r_prim <= solver.tolerance and r_dual <= solver.tolerance:
-                status = qp_module.INEXACT
-                break
-            if solver._primal_infeasible(a_full, lo, hi, y - prev_y):
-                return x, qp_module.INFEASIBLE, it, rho_updates
-            prev_y = y.copy()
-            if it % 100 == 0 and r_dual > 0.0 and r_prim > 0.0:
-                ratio = r_prim / r_dual
-                if ratio > 10.0 or ratio < 0.1:
-                    rho = float(np.clip(rho * np.sqrt(ratio), 1e-4, 1e4))
-                    kkt_inv = kkt_inverse(rho)
-                    rho_updates += 1
-    return x, status, it, rho_updates
 
 
 def controller_qps(geom, seed, count=12):
-    """Seeded (problem, warm start) pairs as the controller assembles them:
-    40 increments, 90 general rows, then the 40 rows of the box. Front/rear
-    speed gaps up to 1 m/s push the slip rows towards infeasibility and make
-    rho adapt."""
+    """Seeded problems as the controller assembles them: 40 increments, 90
+    general rows, then the 40 rows of the box. Front/rear speed gaps up to
+    1 m/s push the slip rows towards infeasibility."""
     rng = np.random.default_rng(seed)
     cfg = MpcConfig()
     path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
@@ -134,9 +74,29 @@ def controller_qps(geom, seed, count=12):
         state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
         u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
         c = MpcController(cfg, geom)
-        asm = c.assemble(state, cold(u0), build_reference(path, state, 1.389, cfg), [])
-        warm = None if k % 3 else rng.uniform(-0.05, 0.05, cfg.n_ctrl * 4)
-        yield asm.qp, warm
+        yield c.assemble(state, cold(u0), build_reference(path, state, 1.389, cfg), []).qp
+
+
+def recorded_held_sets(monkeypatch):
+    """Every set whose KKT point `qp._held_point` solves, as a list."""
+    sets, held_point = [], qp_module._held_point
+    monkeypatch.setattr(qp_module, "_held_point",
+                        lambda problem, active: sets.append(active.tolist())
+                        or held_point(problem, active))
+    return sets
+
+
+def assert_same_bits(got, want):
+    assert got.z.tobytes() == want.z.tobytes()
+    assert (got.status, got.iterations) == (want.status, want.iterations)
+    assert np.float64(got.primal_residual).tobytes() == np.float64(want.primal_residual).tobytes()
+    assert got.active.tobytes() == want.active.tobytes()
+
+
+def certifies(problem, active, tolerance=QpSolver.tolerance):
+    """Whether the KKT point of `active`'s held set is a KKT point of the QP."""
+    _, signed, gaps = qp_module._held_point(problem, active)
+    return bool(np.max(gaps, initial=0.0) <= tolerance and np.all(signed >= 0.0))
 
 
 class TestTrivialCases:
@@ -171,8 +131,8 @@ class TestTrivialCases:
         assert np.max(np.abs(sol.z - [1.5, 1.5])) < 1e-6
 
     def test_rejects_inverted_bounds(self):
-        # lower <= upper is False for a NaN bound, which would otherwise run
-        # every ADMM iteration to a NaN answer
+        # lower <= upper is False for a NaN bound, whose rows no set could
+        # ever certify
         for lower, upper in (([1, 0], [0, 1]), ([0, np.nan], [1, 1])):
             with pytest.raises(ValueError):
                 box_problem(np.eye(2), np.zeros(2), lower, upper)
@@ -223,19 +183,22 @@ class TestBehaviour:
             assert np.all(sol.z <= box_hi + 10 * solver.tolerance)
 
     def test_warm_start_does_not_change_answer(self, rng):
-        solver = QpSolver()
-        prob = random_box_qp(rng)
-        cold = solver.solve(prob)
-        warm = solver.solve(prob, warm_start=cold.z)
-        assert np.max(np.abs(cold.z - warm.z)) < 1e-6
-        assert warm.iterations <= cold.iterations
+        # the warm start is the guessed set: the answer's own set returns
+        # the same point at once
+        solver, repaired = QpSolver(), 0
+        for _ in range(5):
+            prob = random_box_qp(rng)
+            first = solver.solve(prob)
+            warm = solver.solve(prob, first.active)
+            assert_same_bits(warm, replace(first, iterations=0))
+            repaired += first.iterations > 0
+        assert repaired >= 2
 
     def test_deterministic(self, rng):
         prob = random_box_qp(rng)
         a = QpSolver().solve(prob)
         b = QpSolver().solve(prob)
-        assert np.array_equal(a.z, b.z)
-        assert a.iterations == b.iterations
+        assert_same_bits(a, b)
 
     def test_semidefinite_hessian(self):
         # rank-1 H with bounded feasible set still solves
@@ -255,68 +218,44 @@ class TestBehaviour:
 
     def test_nan_point_is_not_certified(self):
         # a NaN cost gives a NaN point, whose violation NaN is not within
-        # the tolerance: no set certifies it (the solve then returns at
-        # once, test_non_finite_cost_returns_at_once)
+        # the tolerance: no set certifies it, and the solve raises
+        # (test_non_finite_cost_returns_at_once)
         prob = QpProblem(np.eye(3), np.array([np.nan, 1.0, 0.0]), np.eye(3),
                          -np.ones(3), np.ones(3))
-        solver = QpSolver()
         for active in (np.zeros(3, int), np.array([1, 0, -1])):
-            assert solver._certified(prob, active, 0) is None
+            assert not certifies(prob, active)
+            with pytest.raises(FloatingPointError):
+                QpSolver().solve(prob, active)
 
     @pytest.mark.parametrize("term,index,value", [
         ("f_vec", 0, np.nan), ("f_vec", 2, -INF), ("h_mat", (1, 1), np.nan),
         ("h_mat", (0, 2), INF)],
         ids=["nan_f", "minus_inf_f", "nan_h_diagonal", "inf_h_off_diagonal"])
     @pytest.mark.parametrize("guess", [None, np.array([1, 0, -1])], ids=["no_guess", "guess"])
-    def test_non_finite_cost_returns_at_once(self, monkeypatch, term, index, value, guess):
-        # no ADMM iterate converges on it: no step matrix is built, and the
-        # answer is NaN with 0 iterations, which the controller's hold rule
-        # reads as not held (NaN > tolerance is False), so the tick raises
+    def test_non_finite_cost_returns_at_once(self, term, index, value, guess):
+        # no set certifies such a cost: once the guess fails, the solve ends
+        # by raising FloatingPointError, which ends a run as a numerical
+        # failure, before any set change
         costs = {"h_mat": np.eye(3), "f_vec": np.array([0.5, 1.0, 0.0])}
         costs[term][index] = value
         prob = QpProblem(costs["h_mat"], costs["f_vec"], np.eye(3), -np.ones(3), np.ones(3))
-        built = []
-        step_matrix = QpSolver._step_matrix
-        monkeypatch.setattr(QpSolver, "_step_matrix",
-                            staticmethod(lambda *args: built.append(1) or step_matrix(*args)))
-        sol = QpSolver().solve(prob, active=guess)
-        assert (sol.status, sol.iterations, built) == ("max_iterations", 0, [])
-        assert np.isnan(sol.z).all() and sol.z.shape == (3,)
-        assert np.isnan(sol.primal_residual) and sol.multipliers.shape == (0,)
-        assert sol.active.tobytes() == np.zeros(3, int).tobytes()
+        with pytest.raises(FloatingPointError, match="QP cost is not finite"):
+            QpSolver().solve(prob, guess)
 
     def test_badly_scaled_problem_converges(self):
+        # curvatures 1e5 and 1: the general row's unconstrained value 4.1 is
+        # above its bound 1, so the minimizer holds it there
         h = np.diag([1e5, 1.0])
         f = np.array([-1e5, -2.0])
         prob = with_box(h, f, np.array([[0.1, 2.0]]),
                         np.array([-1.0]), np.array([1.0]),
                         np.full(2, -INF), np.full(2, INF))
-        sol = QpSolver().solve(prob)
-        # the cost-scaled residuals pass, but the free row is not the KKT
-        # point's set (test_uncertified_tail_is_inexact): inexact, not optimal
-        assert sol.status == "inexact"
-        ax = float(prob.a_mat[0] @ sol.z)
-        assert -1.0 - 1e-3 <= ax <= 1.0 + 1e-3
-
-    def test_uncertified_tail_is_inexact(self):
-        # the QP above: its cost-scaled residuals pass after 10 iterations
-        # with the general row free, but holding no row is not a KKT point
-        # (the row's unconstrained value 4.1 is above its bound 1), so the
-        # answer is the iterate, labelled inexact; holding the row at its
-        # upper bound certifies the minimizer
-        h = np.diag([1e5, 1.0])
-        prob = with_box(h, np.array([-1e5, -2.0]), np.array([[0.1, 2.0]]),
-                        np.array([-1.0]), np.array([1.0]), np.full(2, -INF), np.full(2, INF))
         solver = QpSolver()
         sol = solver.solve(prob)
-        assert (sol.status, sol.iterations) == ("inexact", 10)
-        assert sol.active.tolist() == [0, 0, 0] and sol.multipliers.shape == (0,)
-        assert sol.primal_residual <= solver.tolerance
-        assert solver._certified(prob, sol.active, 0) is None
-        exact = solver._certified(prob, np.array([1, 0, 0]), 0)
-        assert exact is not None and exact.status == "optimal"
-        assert abs(float(prob.a_mat[0] @ exact.z) - 1.0) <= solver.tolerance
-        assert objective(prob, exact.z) < objective(prob, sol.z) - 1e-3
+        assert (sol.status, sol.active.tolist()) == ("optimal", [1, 0, 0])
+        assert abs(float(prob.a_mat[0] @ sol.z) - 1.0) <= solver.tolerance
+        assert objective(prob, sol.z) < objective(prob, QpSolver().solve(
+            with_box(h, f, np.zeros((0, 2)), [], [], [-INF] * 2, [INF] * 2)).z) + 1e5
 
     def test_badly_scaled_rows_converge_once_normalized(self):
         # the rows of the test above times 1e-4 and 1e4, through `normalized`:
@@ -332,126 +271,49 @@ class TestBehaviour:
         assert sol.status == want.status == "optimal"
         assert np.max(np.abs(sol.z - want.z)) < 1e-8
 
-    def test_certifiable_polish_is_accepted(self, geom, monkeypatch):
-        # the iterate after 10 iterations is (4.47, 0), outside its own box,
-        # and scores lower than the exact optimum (1, 0); the detected set
-        # certifies the optimum, so the solve ends optimal
-        prob = box_problem(np.eye(2), [-10.0, 0.0], [-1, -1], [1, 1])
-        solver = QpSolver()
-        with monkeypatch.context() as capped:
-            capped.setattr(qp_module, "MAX_ADMM_ITERATIONS", 10)
-            sol = solver.solve(prob)
-        assert sol.status == "optimal"
-        assert sol.iterations == 10
-        assert np.max(np.abs(sol.z - [1.0, 0.0])) < 1e-8
-        assert sol.primal_residual <= solver.tolerance
-        # controller QPs whose iterate scores lower than their KKT point by
-        # 5e-3 and 0.25: the detected set's point is the answer
-        problems = list(controller_qps(geom, 1))
-        for prob, warm in (problems[5], problems[11]):
-            sol = solver.solve(prob, warm_start=warm)
-            assert sol.status == "optimal"
-            assert np.array_equal(sol.z, solver.solve(prob, active=sol.active).z)
-
-
-class TestMatchesLoopIteration:
-    def test_iteration_cap_ends_on_a_check(self):
-        # the last iteration is a check, so no set is tried after the loop
-        assert qp_module.MAX_ADMM_ITERATIONS % qp_module._CHECK_EVERY == 0
-
-    def test_controller_shaped_problems(self, geom, monkeypatch):
-        # the ADMM path: a failed guess goes to it with no exchange
-        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
-        solver = QpSolver()
-        outcomes, dual_starts = [], 0
-        for seed in (1, 2):
-            for prob, warm in controller_qps(geom, seed):
-                assert prob.a_mat.shape == (130, 40)
-                sol = solver.solve(prob, warm_start=warm)
-                z, status, iterations, rho_updates = loop_admm(prob, solver, warm)
-                assert sol.status == status
-                assert sol.iterations == iterations
-                assert np.max(np.abs(sol.z - z)) < 1e-9
-                outcomes.append((status, rho_updates))
-                if sol.active.any():
-                    # a failed guess, one side flipped, with the answer's
-                    # multipliers as the dual start
-                    guess = sol.active.copy()
-                    held = np.flatnonzero(guess)[0]
-                    guess[held] = -guess[held]
-                    warm_dual = solver.solve(prob, warm, guess, sol.multipliers)
-                    z, status, iterations, _ = loop_admm(prob, solver, warm, guess,
-                                                         sol.multipliers)
-                    assert (warm_dual.status, warm_dual.iterations) == (status, iterations)
-                    assert np.max(np.abs(warm_dual.z - z)) < 1e-9
-                    dual_starts += 1
-        adapted = {status for status, updates in outcomes if updates > 0}
-        assert adapted == {"optimal", "infeasible"}
-        assert dual_starts >= 5
-
-    def test_infeasible_certificate(self):
-        # z0 + z1 <= -1 and z0 + z1 >= 1 with a box, the rows normalized
-        prob = normalized(with_box(np.eye(2), np.array([1.0, -1.0]),
-                                   np.array([[1.0, 1.0], [2.0, 2.0]]),
-                                   np.array([-INF, 2.0]), np.array([-1.0, INF]),
-                                   np.full(2, -5.0), np.full(2, 5.0)))
-        solver = QpSolver()
-        sol = solver.solve(prob)
-        z, status, iterations, _ = loop_admm(prob, solver)
-        assert sol.status == status == "infeasible"
-        assert sol.iterations == iterations
-        assert np.max(np.abs(sol.z - z)) < 1e-9
+    def test_held_row_at_contact_curvature_certifies(self):
+        # the curvature of the field's contact continuation, V''(d0) ~ 7.9e12
+        # (see `potential_field`), against a bound z0 <= 0 from z0 = d: the
+        # multiplier is K d. With the held rows regularized by an absolute
+        # -1e-10 the row missed its bound by K d 1e-10 / (1 + K 1e-10), ~d,
+        # and no set certified; relative to the cost it misses by ~1e-10 d
+        k = 7.9e12
+        for d in (1.0, 2.0, 10.0):
+            prob = with_box(np.diag([k, 1.0]), np.array([-k * d, -0.5]),
+                            np.array([[1.0, 0.0]]), np.array([-INF]), np.array([0.0]),
+                            np.full(2, -5.0), np.full(2, 5.0))
+            sol = QpSolver().solve(prob)
+            assert (sol.status, sol.active.tolist()) == ("optimal", [1, 0, 0])
+            assert sol.primal_residual <= 2e-10 * d
+            assert np.max(np.abs(sol.z - [0.0, 0.5])) <= 2e-10 * d
 
 
 class TestActiveSetGuess:
     @staticmethod
     def solves(geom):
-        """(problem, warm start, no-guess solution) of the controller QPs."""
+        """(problem, no-guess solution) of the controller QPs."""
         solver = QpSolver()
         for seed in (1, 2):
-            for prob, warm in controller_qps(geom, seed):
-                yield prob, warm, solver.solve(prob, warm_start=warm)
+            for prob in controller_qps(geom, seed):
+                yield prob, solver.solve(prob)
 
-    @staticmethod
-    def assert_same(a, b):
-        assert np.array_equal(a.z, b.z)
-        assert a.status == b.status
-        assert a.iterations == b.iterations
-        assert np.array_equal(a.active, b.active)
-
-    def test_correct_guess_is_certified(self, geom, monkeypatch):
-        polished = []
-        certify = QpSolver._certified
-
-        def recording(self, *args):
-            out = certify(self, *args)
-            polished.append(out is not None)
-            return out
-
-        monkeypatch.setattr(QpSolver, "_certified", recording)
+    def test_correct_guess_is_certified(self, geom):
+        # the answer's own set: the same KKT system, so the same bits, at once
         solver, kept = QpSolver(), 0
-        for prob, warm, sol in self.solves(geom):
+        for prob, sol in self.solves(geom):
             if sol.status != "optimal":
                 continue
-            took_polish = polished[-1]
-            guessed = solver.solve(prob, warm_start=warm, active=sol.active)
-            assert guessed.status == "optimal"
-            assert guessed.iterations == 0
-            assert np.array_equal(guessed.active, sol.active)
+            guessed = solver.solve(prob, sol.active)
+            assert_same_bits(guessed, replace(sol, iterations=0))
             assert guessed.primal_residual <= solver.tolerance
-            if took_polish:
-                # the same active set gives the same KKT system: same bits
-                assert np.array_equal(guessed.z, sol.z)
-                assert guessed.primal_residual == sol.primal_residual
-                assert guessed.multipliers.tobytes() == sol.multipliers.tobytes()
-                kept += 1
-        assert kept >= 5
+            kept += 1
+        assert kept >= 10
 
-    def test_wrong_guess_changes_nothing(self, geom, monkeypatch):
-        # without exchanges, a failed guess leaves the ADMM's answer as it is
-        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
+    def test_wrong_guess_changes_nothing(self, geom):
+        # a wrong guess is repaired to the answer's set, so to its point bit
+        # for bit; a guess not of length m is the empty set's
         solver, tried = QpSolver(), 0
-        for prob, warm, sol in self.solves(geom):
+        for prob, sol in self.solves(geom):
             if sol.status != "optimal":
                 continue
             active = sol.active
@@ -461,106 +323,79 @@ class TestActiveSetGuess:
             added = active.copy()
             added[np.flatnonzero(active == 0)[0]] = 1
             for guess in (flipped, added, active[:-1], np.append(active, 0)):
-                self.assert_same(solver.solve(prob, warm_start=warm, active=guess), sol)
+                got = solver.solve(prob, guess)
+                assert_same_bits(got, replace(sol, iterations=got.iterations))
                 tried += 1
-        assert tried >= 20
-
-    def test_multipliers_not_one_per_held_row_change_nothing(self, geom, monkeypatch):
-        # a failed guess whose multipliers are not one per held row starts
-        # the duals at 0, as without multipliers: none broadcasts or raises
-        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
-        solver, tried = QpSolver(), 0
-        for prob, warm, sol in self.solves(geom):
-            held = np.flatnonzero(sol.active)
-            if len(held) < 2:
-                continue
-            guess = sol.active.copy()
-            guess[held[0]] = -guess[held[0]]
-            zero_duals = solver.solve(prob, warm, guess)
-            for multipliers in (np.array([5.0]), np.append(sol.multipliers, 5.0),
-                                sol.multipliers[:, None]):
-                self.assert_same(solver.solve(prob, warm, guess, multipliers), zero_duals)
-                tried += 1
-        assert tried >= 15
+        assert tried >= 40
 
     def test_infeasible_with_guess_keeps_certificate(self, geom):
+        # infeasible from every start
         solver, tried = QpSolver(), 0
-        for prob, warm, sol in self.solves(geom):
+        for prob, sol in self.solves(geom):
             if sol.status != "infeasible":
                 continue
-            for guess in (sol.active, np.zeros_like(sol.active)):
-                self.assert_same(solver.solve(prob, warm_start=warm, active=guess), sol)
+            assert sol.primal_residual > solver.tolerance
+            for guess in (sol.active, -sol.active, np.zeros_like(sol.active)):
+                assert solver.solve(prob, guess).status == "infeasible"
                 tried += 1
         assert tried >= 20
 
     def test_checks_try_no_set_of_more_rows_than_variables(self, geom, monkeypatch):
-        # the diverging duals of an infeasible QP hold more rows than there
-        # are variables, more than can be linearly independent: no check
-        # tries such a set
-        held, certify = [], QpSolver._certified
-
-        def recording(self, problem, active, iterations):
-            held.append(int(np.count_nonzero(active)))
-            return certify(self, problem, active, iterations)
-
-        monkeypatch.setattr(QpSolver, "_certified", recording)
-        solver, wide = QpSolver(), 0
+        # on the controller QPs no set the method solves holds more rows
+        # than there are variables, as many as can be linearly independent,
+        # also on the way to proving a QP infeasible
+        sets = recorded_held_sets(monkeypatch)
+        solver, infeasible = QpSolver(), 0
         for seed in (1, 2):
-            for prob, warm in controller_qps(geom, seed):
-                held.clear()
-                sol = solver.solve(prob, warm_start=warm)
-                if sol.status == "infeasible":
-                    assert max(held, default=0) <= len(prob.f_vec)
-                    wide += np.count_nonzero(sol.active) > len(prob.f_vec)
-        assert wide >= 3
+            for prob in controller_qps(geom, seed):
+                sets.clear()
+                sol = solver.solve(prob)
+                assert max(map(np.count_nonzero, sets)) <= len(prob.f_vec)
+                infeasible += sol.status == "infeasible"
+        assert infeasible >= 5
 
-    def test_interior_optimum_rejects_guessed_bound(self, monkeypatch):
+    def test_interior_optimum_rejects_guessed_bound(self):
         # optimum (0.5, 0) is interior; holding z0 at its upper bound 1 is
-        # primal feasible but needs a negative upper multiplier
-        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
+        # primal feasible but needs a negative upper multiplier: one change
+        # frees it
         prob = box_problem(np.eye(2), [-0.5, 0.0], [-1, -1], [1, 1])
         solver = QpSolver()
         sol = solver.solve(prob)
         assert np.array_equal(sol.active, [0, 0])
-        guessed = solver.solve(prob, active=np.array([1, 0]))
-        self.assert_same(guessed, sol)
+        guessed = solver.solve(prob, np.array([1, 0]))
+        assert_same_bits(guessed, replace(sol, iterations=1))
         assert np.max(np.abs(guessed.z - [0.5, 0.0])) < 1e-6
 
     def test_guess_on_infinite_bound_falls_back(self):
+        # the guess holds two infinite bounds: the empty set replaces it
         prob = box_problem(np.diag([2.0, 4.0]), [-2.0, -8.0], [-INF, -INF], [INF, INF])
         solver = QpSolver()
         sol = solver.solve(prob)
-        self.assert_same(solver.solve(prob, active=np.array([1, -1])), sol)
+        assert_same_bits(solver.solve(prob, np.array([1, -1])), replace(sol, iterations=1))
 
-    def test_admm_reports_bound_sides(self):
+    def test_reports_bound_sides(self):
         prob = box_problem(np.eye(3), [-10.0, 0.0, 10.0], [-1, -1, -1], [1, 1, 1])
         sol = QpSolver().solve(prob)
         assert np.array_equal(sol.active, [1, 0, -1])
 
 
-def recorded_held_sets(monkeypatch):
-    """Every set whose KKT point `qp._held_point` solves, as a list."""
-    sets, held_point = [], qp_module._held_point
-    monkeypatch.setattr(qp_module, "_held_point",
-                        lambda problem, active: sets.append(active.tolist())
-                        or held_point(problem, active))
-    return sets
-
-
 class TestExchanges:
-    """A failed guess is repaired by exchanges before the ADMM runs."""
+    """A failed guess is repaired by exchanges of held rows: rows whose
+    multiplier has the wrong sign freed, then Goldfarb-Idnani steps."""
 
     def test_cold_controller_qp_is_repaired_with_certified_bits(self, geom):
         # from the empty set, the unconstrained minimizer: each repaired
-        # answer is `_certified`'s at its set, with 0 iterations
+        # answer is its set's KKT point bit for bit, as when that set is
+        # guessed
         solver, repaired = QpSolver(), 0
         for seed in (1, 2, 3):
-            for prob, warm in controller_qps(geom, seed):
-                sol = solver.solve(prob, warm_start=warm, active=np.zeros(len(prob.lower), int))
-                if sol.iterations:
-                    continue  # infeasible, or more exchanges than the cap
-                assert sol.status == "optimal" and sol.active.any()
-                assert_same_bits(sol, solver._certified(prob, sol.active, 0))
+            for prob in controller_qps(geom, seed):
+                sol = solver.solve(prob, np.zeros(len(prob.lower), int))
+                if sol.status != "optimal":
+                    continue
+                assert sol.iterations > 0 and sol.active.any()
+                assert certifies(prob, sol.active)
+                assert_same_bits(solver.solve(prob, sol.active), replace(sol, iterations=0))
                 repaired += 1
         assert repaired >= 8
 
@@ -573,82 +408,229 @@ class TestExchanges:
         prob = box_problem(np.eye(2), [-0.5, -10.0], [-1, -1], [1, 1])
         sol = QpSolver().solve(prob, active=np.array([1, 0]))
         assert sets == [[1, 0], [0, 0], [0, 1]]
-        assert (sol.status, sol.iterations, sol.active.tolist()) == ("optimal", 0, [0, 1])
+        assert (sol.status, sol.iterations, sol.active.tolist()) == ("optimal", 2, [0, 1])
         assert np.max(np.abs(sol.z - [0.5, 1.0])) < 1e-8
 
-    def test_capped_exchanges_leave_the_parent_admm_answer(self, geom, monkeypatch):
-        # with one exchange allowed, cold controller QPs that need more go
-        # to the ADMM from zero duals: its answer is the parent form's bit
-        # for bit, after two KKT solves
-        monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 1)
+    def test_ratio_test_frees_the_row_whose_multiplier_crosses_zero_first(self, monkeypatch):
+        # the guess holds rows 0 and 1 (signed multipliers 3.25, 0.222),
+        # row 2 is violated; holding it too turns both negative (-15.25,
+        # -8.0). Row 1's crosses zero first along the step (t = 0.027
+        # against 0.176), so the ratio test frees row 1, where freeing the
+        # most negative would free row 0
         sets = recorded_held_sets(monkeypatch)
-        solver, fell_back = QpSolver(), 0
-        for seed in (1, 2, 3):
-            for raw, warm in controller_qps(geom, seed):
-                empty = np.zeros(len(raw.lower), int)
-                sets.clear()
-                got = solver.solve(normalized(raw), warm_start=warm, active=empty)
-                if got.iterations == 0:
-                    continue  # repaired within the cap
-                assert sets[0] == empty.tolist() and np.count_nonzero(sets[1]) == 1
-                assert_same_bits(got, parent_solve(solver, raw, warm, empty))
-                fell_back += 1
-        assert fell_back >= 5
-
-    def test_without_repair_a_failed_guess_goes_to_the_admm(self, geom, monkeypatch):
-        # `repair=False`: the guess is tried and no exchange runs, so the
-        # answer is that of a solve with no exchange allowed
-        solver, compared = QpSolver(), 0
-        for prob, warm in controller_qps(geom, 1):
-            empty = np.zeros(len(prob.lower), int)
-            with monkeypatch.context() as patched:
-                patched.setattr(QpSolver, "_exchanged", None)  # any call raises
-                got = solver.solve(prob, warm, empty, repair=False)
-            with monkeypatch.context() as patched:
-                patched.setattr(qp_module, "MAX_EXCHANGES", 0)
-                assert_same_bits(got, solver.solve(prob, warm, empty))
-            compared += got.iterations > 0
-        assert compared >= 5
+        prob = normalized(QpProblem(np.eye(3), np.array([4.0, -2.0, -1.5]),
+                                    np.array([[-1.0, 0.0, 1.0], [-1.0, -0.5, -1.0],
+                                              [-1.5, 0.0, 0.5]]),
+                                    np.full(3, -INF), np.array([-1.0, 1.0, -1.0])))
+        sol = QpSolver().solve(prob, np.array([1, 1, 0]))
+        assert sets[:3] == [[1, 1, 0], [1, 1, 1], [1, 0, 1]]
+        assert sol.status == "optimal" and certifies(prob, sol.active)
+        assert np.max(np.abs(sol.z - enumerated_minimum(prob))) < 1e-9
 
     @pytest.mark.parametrize("guess", [None, np.zeros(3, int), np.array([1, 0, -1])],
                              ids=["no_guess", "empty", "guess"])
     def test_nan_cost_returns_before_any_exchange(self, monkeypatch, guess):
-        # the guess's one KKT solve (NaN, so not accepted), then the answer
-        # is NaN at once: no exchange and no ADMM
+        # the guess's one KKT solve (the empty set's without a guess), NaN,
+        # so not accepted, then the solve raises: no set change follows
         sets = recorded_held_sets(monkeypatch)
         prob = QpProblem(np.eye(3), np.array([np.nan, 1.0, 0.0]), np.eye(3),
                          -np.ones(3), np.ones(3))
-        sol = QpSolver().solve(prob, active=guess)
-        assert (sol.status, sol.iterations) == ("max_iterations", 0)
-        assert sets == ([] if guess is None else [guess.tolist()])
-        assert np.isnan(sol.z).all()
+        with pytest.raises(FloatingPointError):
+            QpSolver().solve(prob, active=guess)
+        assert sets == [[0, 0, 0] if guess is None else guess.tolist()]
 
     def test_infeasible_qp_stays_infeasible(self, monkeypatch):
-        # z0 + z1 <= -1 and 2 z0 + 2 z1 >= 2: no exchange certifies, and the
-        # ADMM's certificate follows as without a guess (the controller QPs
-        # from the empty set: test_infeasible_with_guess_keeps_certificate)
+        # z0 + z1 <= -1 and 2 z0 + 2 z1 >= 2: the first is held, then the
+        # second, which depends on it; its point cannot meet both, and no
+        # multiplier turns negative to make room: a proof of infeasibility,
+        # the same from the empty set as without a guess
         sets = recorded_held_sets(monkeypatch)
         prob = normalized(with_box(np.eye(2), np.array([1.0, -1.0]),
                                    np.array([[1.0, 1.0], [2.0, 2.0]]),
                                    np.array([-INF, 2.0]), np.array([-1.0, INF]),
                                    np.full(2, -5.0), np.full(2, 5.0)))
         sol = QpSolver().solve(prob, active=np.zeros(4, int))
-        assert sol.status == "infeasible" and len(sets) > 1
+        assert sol.status == "infeasible"
+        assert sets == [[0, 0, 0, 0], [1, 0, 0, 0], [1, -1, 0, 0]]
         assert_same_bits(sol, QpSolver().solve(prob))
 
+    def test_cycling_guard_ends_the_solve_after_m_plus_n_changes(self, monkeypatch):
+        # a `_held_point` whose row 0 is violated while free and takes a
+        # negative multiplier once held: the method would hold and free it
+        # forever. After m + n set changes the solve ends as max_iterations
+        held_point = qp_module._held_point
 
-def assert_same_bits(got, want):
-    assert got.z.tobytes() == want.z.tobytes()
-    assert (got.status, got.iterations) == (want.status, want.iterations)
-    assert np.float64(got.primal_residual).tobytes() == np.float64(want.primal_residual).tobytes()
-    assert got.active.tobytes() == want.active.tobytes()
-    assert got.multipliers.tobytes() == want.multipliers.tobytes()
+        def cycling(problem, active):
+            x, signed, gaps = held_point(problem, active)
+            gaps = gaps.copy()
+            gaps[0] = 0.0 if active[0] else 1.0
+            return x, -np.abs(signed) if active[0] else signed, gaps
+
+        monkeypatch.setattr(qp_module, "_held_point", cycling)
+        prob = box_problem(np.eye(2), [-0.5, 0.0], [-1, -1], [1, 1])
+        sol = QpSolver().solve(prob)
+        assert sol.status == "max_iterations"
+        assert sol.iterations == len(prob.lower) + len(prob.f_vec) + 1
+
+
+def dependent_slip_block(rng):
+    """A QP shaped like the controller's, 2 steps of 2 inputs (n = 4): the
+    cumulative-input rows, the slip rows (row k = e_row times cumulative
+    input row k, so each depends on the input rows of its step) and two box
+    rows, normalized; the slip band's offset g may exceed what the input
+    bounds allow, so some are infeasible."""
+    cumulative = np.tril(np.ones((2, 2)))
+    e_row = rng.uniform(-1.0, 1.0, 2)
+    u0, u_max = rng.uniform(-0.3, 0.3, 2), np.array([1.0, 0.5])
+    band, g = 0.1 * 2 ** rng.integers(0, 4), rng.uniform(-1.5, 1.5)
+    rows = np.vstack([np.kron(cumulative, np.eye(2)), np.kron(cumulative, e_row[None, :]),
+                      np.eye(4)[:2]])
+    lower = np.concatenate([np.tile(-u_max - u0, 2), [-band - g] * 2, [-0.4, -0.4]])
+    upper = np.concatenate([np.tile(u_max - u0, 2), [band - g] * 2, [0.4, 0.4]])
+    m = rng.normal(size=(4, 4))
+    return normalized(QpProblem(m @ m.T + 0.1 * np.eye(4), rng.normal(size=4) * 3.0,
+                                rows, lower, upper))
+
+
+def random_rows(rng):
+    """A QP of n = 2-4 variables and up to 8 random rows, some one-sided;
+    the bounds are drawn around the rows' values at a random point or,
+    every other draw, anywhere, so some are infeasible."""
+    n, m = rng.integers(2, 5), rng.integers(2, 9)
+    a = rng.normal(size=(m, n))
+    center = a @ rng.normal(size=n) if rng.random() < 0.5 else rng.normal(size=m) * 2.0
+    lower = center - rng.uniform(0.0, 1.0, m)
+    upper = center + rng.uniform(0.0, 1.0, m)
+    lower[rng.random(m) < 0.2], upper[rng.random(m) < 0.2] = -INF, INF
+    h = rng.normal(size=(n, n))
+    return normalized(QpProblem(h @ h.T + 0.1 * np.eye(n), rng.normal(size=n) * 3.0,
+                                a, lower, upper))
+
+
+def degenerate_vertex(rng):
+    """A QP whose minimizer is a vertex where more rows are active than
+    there are variables, some of them repeated: several held sets certify
+    the one minimizer."""
+    n = rng.integers(2, 4)
+    vertex = rng.normal(size=n)
+    a = rng.normal(size=(n + 2, n))
+    a = np.vstack([a, a[:1]])  # a repeated row
+    # every row active at the vertex, the cost pulling across all of them
+    return normalized(QpProblem(np.eye(n), -(vertex + a.T @ rng.uniform(1.0, 2.0, len(a))),
+                                a, np.full(len(a), -INF), a @ vertex)), vertex
+
+
+def enumerated_minimum(problem):
+    """The QP's minimizer by brute force, or None if no point is feasible:
+    the equality-constrained minimizer of every set of at most n rows, each
+    held at one of its finite bounds, solved exactly; the cheapest that
+    meets every row. The minimizer's multipliers can be carried by at most
+    n independent active rows, so its point is among them."""
+    h, f, a, lo, hi = (problem.h_mat, problem.f_vec, problem.a_mat, problem.lower,
+                       problem.upper)
+    n, m = len(f), len(lo)
+    best = None
+    for k in range(n + 1):
+        for rows in itertools.combinations(range(m), k):
+            held = a[list(rows)]
+            if k and np.linalg.matrix_rank(held) < k:
+                continue  # dependent rows: a smaller set holds the same point
+            # one column per choice of sides, the infinite ones dropped
+            upper = np.array(list(itertools.product((False, True), repeat=k)), bool)
+            b = np.where(upper.reshape(2 ** k, k), hi[list(rows)], lo[list(rows)])
+            b = b[np.isfinite(b).all(axis=1)]
+            kkt = np.block([[h, held.T], [held, np.zeros((k, k))]])
+            rhs = np.vstack([np.repeat(-f[:, None], len(b), axis=1), b.T])
+            for x in np.linalg.solve(kkt, rhs)[:n].T:
+                ax = a @ x
+                if np.all(ax >= lo - 1e-9) and np.all(ax <= hi + 1e-9):
+                    if best is None or objective(problem, x) < objective(problem, best):
+                        best = x
+    return best
+
+
+def feasible(problem):
+    """Whether lower <= A z <= upper has a point, by `scipy.optimize.linprog`."""
+    a, lo, hi = problem.a_mat, problem.lower, problem.upper
+    up, down = np.isfinite(hi), np.isfinite(lo)
+    lp = linprog(np.zeros(a.shape[1]), A_ub=np.vstack([a[up], -a[down]]),
+                 b_ub=np.concatenate([hi[up], -lo[down]]), bounds=(None, None), method="highs")
+    assert lp.status in (0, 2)  # solved, or proved infeasible
+    return lp.status == 0
+
+
+class TestSeededOracle:
+    """Seeded small QPs against brute-force enumeration of the sides for
+    the minimizer and `scipy.optimize.linprog` for feasibility."""
+
+    @staticmethod
+    def check(problem, seen):
+        sol = QpSolver().solve(problem)
+        want = enumerated_minimum(problem)
+        assert sol.status == ("infeasible" if want is None else "optimal")
+        assert (want is not None) == feasible(problem)
+        if want is not None:
+            assert np.max(np.abs(sol.z - want)) < 1e-6
+            assert certifies(problem, sol.active)
+        seen[sol.status] += 1
+
+    def test_random_rows(self):
+        rng, seen = np.random.default_rng(39), Counter()
+        for _ in range(60):
+            self.check(random_rows(rng), seen)
+        assert seen["optimal"] >= 10 and seen["infeasible"] >= 10
+
+    def test_dependent_slip_rows(self):
+        rng, seen = np.random.default_rng(40), Counter()
+        for _ in range(40):
+            self.check(dependent_slip_block(rng), seen)
+        assert seen["optimal"] >= 10 and seen["infeasible"] >= 10
+
+    def test_degenerate_vertex_returns_one_certified_set(self):
+        # the vertex is the minimizer whichever set certifies it; the set the
+        # method returns is the first it reaches, the same on every solve
+        rng, seen = np.random.default_rng(41), Counter()
+        for _ in range(20):
+            problem, vertex = degenerate_vertex(rng)
+            self.check(problem, seen)
+            sol = QpSolver().solve(problem)
+            assert np.max(np.abs(sol.z - vertex)) < 1e-6
+            assert_same_bits(QpSolver().solve(problem), sol)
+            # more than one set certifies it
+            sets = [np.array(sides) for sides in itertools.product((0, 1), repeat=len(vertex) + 3)
+                    if sum(sides) <= len(vertex)]
+            assert sum(certifies(problem, s) for s in sets) >= 2
+        assert seen["optimal"] == 20
+
+
+def test_certified_tick_scales_no_cost_and_computes_no_residual(cfg, geom, monkeypatch):
+    # a warm step whose guess certifies makes one KKT solve and nothing
+    # else; its answer is the first form of the certificate's, bit for bit
+    c = MpcController(cfg, geom)
+    path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
+    state = RobotState(0.0, 0.3, 0.05, 0.8, 0.8)
+    ref = build_reference(path, state, 1.389, cfg)
+    solves, solve = [], c.solver.solve
+
+    def recording(problem, *args):
+        solves.append((problem, solve(problem, *args)))
+        return solves[-1][1]
+
+    c.solver.solve = recording
+    c.step(state, ref, [])
+    sets = recorded_held_sets(monkeypatch)
+    c.step(state, ref, [])
+    prob, sol = solves[-1]
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    assert sets == [sol.active.tolist()]
+    assert_same_bits(sol, parent_certified(QpSolver(), prob, sol.active, 0))
 
 
 def parent_certified(solver, problem, active, iterations):
-    """`QpSolver._certified` as first written: the violation as the sum of
-    the two clamped gaps, every row's multiplier sign checked, the
-    right-hand side concatenated. The oracle for the current form."""
+    """The certificate as first written: the violation as the sum of the two
+    clamped gaps, every row's multiplier sign checked, the right-hand side
+    concatenated; with the held rows' regularization relative to the cost,
+    -1e-10 / max(1, max|H_ii|). The oracle for `_held_point` and its rule."""
     a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
     rows = active.nonzero()[0]
     b_act = np.where(active[rows] < 0, lo[rows], hi[rows])
@@ -662,7 +644,7 @@ def parent_certified(solver, problem, active, iterations):
     kkt[:n, n:] = a_act.T
     kkt[n:, :n] = a_act
     kkt[n:, n:] = -0.0
-    kkt[n:, n:].flat[::k + 1] = -1e-10
+    kkt[n:, n:].flat[::k + 1] = -1e-10 / max(1.0, np.abs(np.diag(problem.h_mat)).max())
     try:
         sol = np.linalg.solve(kkt, np.concatenate([-problem.f_vec, b_act]))
     except np.linalg.LinAlgError:
@@ -674,18 +656,18 @@ def parent_certified(solver, problem, active, iterations):
     viol = float(np.maximum.reduce(np.maximum(lo - ax, 0.0) + np.maximum(ax - hi, 0.0)))
     if viol > solver.tolerance or not np.logical_and.reduce(lam * active >= 0.0):
         return None
-    return qp_module.QpSolution(x, qp_module.OPTIMAL, viol, iterations, active, lam[rows])
+    return qp_module.QpSolution(x, qp_module.OPTIMAL, viol, iterations, active)
 
 
 def test_certified_matches_parent_form(geom):
-    # on the controller QPs: the detected set, one side flipped, one row
-    # added, none held, and seeded random sides; accepted or not, the same
-    # answer bit for bit
+    # on the controller QPs: the answer's set, one side flipped, one row
+    # added, none held, and seeded random sides; accepted at once or not as
+    # the first form accepts it, and then the same answer bit for bit
     solver, rng = QpSolver(), np.random.default_rng(7)
     accepted = rejected = 0
     for seed in (1, 2, 3):
-        for prob, warm in controller_qps(geom, seed):
-            active = solver.solve(prob, warm_start=warm).active
+        for prob in controller_qps(geom, seed):
+            active = solver.solve(prob).active
             flipped, added = active.copy(), active.copy()
             if active.any():
                 held = np.flatnonzero(active)[0]
@@ -695,43 +677,14 @@ def test_certified_matches_parent_form(geom):
             guesses += [rng.integers(-1, 2, len(active)) * (rng.random(len(active)) < 0.1)
                         for _ in range(3)]
             for guess in guesses:
-                got = solver._certified(prob, guess, 5)
-                want = parent_certified(solver, prob, guess, 5)
-                assert (got is None) == (want is None)
+                want = parent_certified(solver, prob, guess, 0)
                 if want is None:
                     rejected += 1
+                    assert solver.solve(prob, guess).iterations > 0
                     continue
                 accepted += 1
-                assert_same_bits(got, want)
+                assert_same_bits(solver.solve(prob, guess), want)
     assert accepted >= 10 and rejected >= 100
-
-
-def test_certified_tick_scales_no_cost_and_computes_no_residual(cfg, geom, monkeypatch):
-    # a warm step whose guess certifies computes no dual residual and scales
-    # no cost; its answer is the first form's bit for bit
-    c = MpcController(cfg, geom)
-    path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
-    state = RobotState(0.0, 0.3, 0.05, 0.8, 0.8)
-    ref = build_reference(path, state, 1.389, cfg)
-    solves, solve = [], c.solver.solve
-
-    def recording(problem, **kw):
-        solves.append((problem, solve(problem, **kw)))
-        return solves[-1][1]
-
-    c.solver.solve = recording
-    c.step(state, ref, [])
-    calls, scalings = [], []
-    dual_residual, scaled_cost = qp_module._dual_residual, qp_module._scaled_cost
-    monkeypatch.setattr(qp_module, "_dual_residual",
-                        lambda *args: calls.append(1) or dual_residual(*args))
-    monkeypatch.setattr(qp_module, "_scaled_cost",
-                        lambda *args: scalings.append(1) or scaled_cost(*args))
-    c.step(state, ref, [])
-    prob, sol = solves[-1]
-    assert (sol.status, sol.iterations) == ("optimal", 0)
-    assert (calls, scalings) == ([], [])
-    assert_same_bits(sol, parent_certified(QpSolver(), prob, sol.active, 0))
 
 
 @pytest.mark.parametrize("shapes", [
@@ -759,224 +712,3 @@ def test_normalized_divides_each_row_by_its_largest_entry():
     assert prob.a_mat.tolist() == [[0.05, -1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     assert prob.lower.tolist() == [-0.5, -INF, -3.0, -3.0]
     assert prob.upper.tolist() == [2.0, 0.0, 3.0, 3.0]
-
-
-def parent_solve(solver, problem, warm_start=None, active=None, multipliers=None,
-                 old_stop=False):
-    """`QpSolver.solve` as it was before the rows arrived normalized: the
-    row scale taken on every solve, one w buffer, the dual residual at every
-    check, the ridge and sigma on `.flat` views; with the guess's
-    multipliers as the dual start and a certificate try at each check whose
-    set holds at most n rows and is not the one last tried. The oracle for
-    the current form, which reads `normalized(problem)`. With `old_stop`,
-    the stop rule before those tries: the duals start at 0, only the set of
-    the final duals is tried after the loop, and an iterate that fails it
-    returns as `optimal` when its residuals pass."""
-    n = len(problem.f_vec)
-    row_scale = 1.0 / np.maximum(np.maximum.reduce(np.abs(problem.a_mat), axis=1,
-                                                   initial=0.0), 1e-10)
-    cost_scale = 1.0 / max(1.0, float(np.maximum.reduce(
-        np.abs(problem.h_mat.diagonal()), initial=0.0)))
-    p_mat = cost_scale * problem.h_mat
-    p_mat.flat[::n + 1] += qp_module._RIDGE
-    f = cost_scale * problem.f_vec
-    a_mat = row_scale[:, None] * problem.a_mat
-    lo = row_scale * problem.lower
-    hi = row_scale * problem.upper
-    m = len(lo)
-
-    def step_matrix(rho):
-        kkt = p_mat.copy()
-        kkt.flat[::n + 1] += qp_module._SIGMA
-        kkt_inv = np.linalg.inv(kkt + rho * a_mat.T @ a_mat)
-        return np.concatenate([qp_module._SIGMA * kkt_inv, (rho * kkt_inv) @ a_mat.T,
-                               -(kkt_inv @ f)[:, None]], axis=1)
-
-    held = QpProblem(problem.h_mat, problem.f_vec, a_mat, lo, hi)  # the rows it holds
-    tried = None
-    if active is not None and np.asarray(active).shape == (m,):
-        tried = np.asarray(active)
-        certified = solver._certified(held, tried, 0)
-        if certified is not None:
-            return certified
-    rho = qp_module._RHO
-    g_mat = step_matrix(rho)
-    x = np.zeros(n) if warm_start is None else np.asarray(warm_start, float).copy()
-    ax = a_mat @ x
-    v = np.zeros(m)
-    if tried is None or multipliers is None or old_stop:
-        zc = np.minimum(np.maximum(ax, lo), hi)
-    else:
-        v[tried.nonzero()[0]] = cost_scale * multipliers / rho
-        t = ax + v
-        zc = np.minimum(np.maximum(t, lo), hi)
-        v = t - zc
-    w = np.concatenate([x, zc - v, [1.0]])
-    mid = w[n:n + m]
-    t = np.empty(m)
-    prev_y = np.zeros(m)
-    status = qp_module.MAX_ITERATIONS
-    r_prim = r_dual = np.inf
-    it = 0
-    for it in range(1, qp_module.MAX_ADMM_ITERATIONS + 1):
-        x = g_mat @ w
-        w[:n] = x
-        np.dot(a_mat, x, out=ax)
-        np.add(ax, v, out=t)
-        np.maximum(t, lo, out=zc)
-        np.minimum(zc, hi, out=zc)
-        np.subtract(t, zc, out=v)
-        np.subtract(zc, v, out=mid)
-        if it % qp_module._CHECK_EVERY == 0:
-            y = rho * v
-            sides = qp_module._sides(y)
-            if not old_stop and np.count_nonzero(sides) <= n and (
-                    tried is None or not np.array_equal(sides, tried)):
-                tried = sides
-                certified = solver._certified(held, sides, it)
-                if certified is not None:
-                    return certified
-            r_prim = float(np.maximum.reduce(np.abs(ax - zc)))
-            r_dual = float(np.maximum.reduce(np.abs(p_mat @ x + f + a_mat.T @ y)))
-            if r_prim <= solver.tolerance and r_dual <= solver.tolerance:
-                status = qp_module.OPTIMAL if old_stop else qp_module.INEXACT
-                break
-            if solver._primal_infeasible(a_mat, lo, hi, y - prev_y):
-                return qp_module.QpSolution(x, qp_module.INFEASIBLE, r_prim, it, sides,
-                                            y[sides.nonzero()[0]] / cost_scale)
-            prev_y = y
-            if it % 100 == 0 and r_dual > 0.0 and r_prim > 0.0:
-                ratio = r_prim / r_dual
-                if ratio > 10.0 or ratio < 0.1:
-                    new_rho = min(max(rho * np.sqrt(ratio), 1e-4), 1e4)
-                    v *= rho / new_rho
-                    np.subtract(zc, v, out=mid)
-                    rho = new_rho
-                    g_mat = step_matrix(rho)
-    sides = qp_module._sides(rho * v)
-    if old_stop:
-        certified = solver._certified(held, sides, it)
-        if certified is not None:
-            return certified
-    return qp_module.QpSolution(x, status, r_prim, it, sides,
-                                (rho * v)[sides.nonzero()[0]] / cost_scale)
-
-
-
-
-@pytest.mark.parametrize("max_iterations,statuses", [
-    (4000, {"optimal", "infeasible"}), (10, {"max_iterations"}), (15, {"max_iterations"}),
-    (250, {"optimal", "infeasible", "max_iterations"})])
-def test_solve_matches_parent_form(geom, monkeypatch, max_iterations, statuses):
-    # the controller QPs of seeds 1-3 as assembled, and with each row
-    # multiplied by a seeded factor in [1e-3, 1e3]: the current solve of
-    # the normalized rows against the parent's solve of the rows as given,
-    # without a guess and with the detected set as one; a failed guess goes
-    # to the ADMM with no exchange
-    monkeypatch.setattr(qp_module, "MAX_ADMM_ITERATIONS", max_iterations)
-    monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
-    solver, rng = QpSolver(), np.random.default_rng(3)
-    seen = set()
-    for seed in (1, 2, 3):
-        for prob, warm in controller_qps(geom, seed):
-            factors = 10.0 ** rng.uniform(-3.0, 3.0, len(prob.lower))
-            skewed = QpProblem(prob.h_mat, prob.f_vec, factors[:, None] * prob.a_mat,
-                               factors * prob.lower, factors * prob.upper)
-            for raw in (prob, skewed):
-                got = solver.solve(normalized(raw), warm_start=warm)
-                assert_same_bits(got, parent_solve(solver, raw, warm))
-                if got.status != "optimal":  # a loop iterate owns its data
-                    assert got.z.base is None
-                seen.add(got.status)
-                assert_same_bits(solver.solve(normalized(raw), warm_start=warm, active=got.active),
-                                 parent_solve(solver, raw, warm, got.active))
-                if got.active.any():  # a failed guess with the answer's multipliers
-                    guess = got.active.copy()
-                    held = np.flatnonzero(guess)[0]
-                    guess[held] = -guess[held]
-                    assert_same_bits(solver.solve(normalized(raw), warm, guess, got.multipliers),
-                                     parent_solve(solver, raw, warm, guess, got.multipliers))
-    assert seen == statuses
-
-
-@pytest.mark.parametrize("max_iterations", [4000, 10, 15, 250])
-def test_infeasible_solve_matches_parent_form(monkeypatch, max_iterations):
-    # z0 + z1 <= -1 and 2 z0 + 2 z1 >= 2 with a box
-    raw = with_box(np.eye(2), np.array([1.0, -1.0]), np.array([[1.0, 1.0], [2.0, 2.0]]),
-                   np.array([-INF, 2.0]), np.array([-1.0, INF]),
-                   np.full(2, -5.0), np.full(2, 5.0))
-    monkeypatch.setattr(qp_module, "MAX_ADMM_ITERATIONS", max_iterations)
-    solver = QpSolver()
-    got = solver.solve(normalized(raw))
-    assert_same_bits(got, parent_solve(solver, raw))
-    assert (got.status, got.iterations) == ("infeasible", 10)
-    assert np.isfinite(got.multipliers).all()
-    assert got.z.base is None
-
-
-def test_old_stop_rule_certified_answers_keep_their_bits(geom, monkeypatch):
-    # the controller QPs of seeds 1-3: every solve that the stop rule before
-    # the check-time tries certifies (its final duals' set) returns the same
-    # point bit for bit, in no more iterations, from zero duals and from a
-    # failed guess with that answer's multipliers, which no exchange repairs
-    monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
-    solver, kept, sooner = QpSolver(), 0, 0
-    for seed in (1, 2, 3):
-        for prob, warm in controller_qps(geom, seed):
-            old = parent_solve(solver, prob, warm, old_stop=True)
-            if solver._certified(normalized(prob), old.active, 0) is None:
-                continue  # not certified: infeasible, or an uncertified tail
-            starts = [(None, None)]
-            if old.active.any():
-                guess = old.active.copy()
-                held = np.flatnonzero(guess)[0]
-                guess[held] = -guess[held]
-                starts.append((guess, old.multipliers))
-            for guess, multipliers in starts:
-                new = solver.solve(normalized(prob), warm, guess, multipliers)
-                assert new.status == old.status == "optimal"
-                assert new.z.tobytes() == old.z.tobytes()
-                assert 0 < new.iterations <= old.iterations
-                kept += 1
-                sooner += new.iterations < old.iterations
-    assert kept >= 20 and sooner >= 10
-
-
-def next_ticks(geom, seed, count=12):
-    """The controller QPs' starts, each stepped once: the next tick's QP
-    with what that step carried, where the step's QP was solved."""
-    rng = np.random.default_rng(seed)
-    cfg = MpcConfig()
-    path = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
-    for k in range(count):
-        mean, gap = rng.uniform(0.3, 1.0), rng.uniform(0.0, 1.0) * (-1) ** k
-        state = RobotState(*rng.uniform(-0.5, 0.5, 3), mean + gap / 2, mean - gap / 2)
-        u0 = ControlInput(*rng.uniform(-0.3, 0.3, 2), *rng.uniform(-0.5, 0.5, 2))
-        c = MpcController(cfg, geom)
-        c._carry = cold(u0)
-        sol = c.step(state, build_reference(path, state, 1.389, cfg), [])
-        state = euler_step(state, sol.applied_input, geom, cfg.dt, substeps=10)
-        if c._carry.active is not None:
-            yield c.assemble(state, c._carry, build_reference(path, state, 1.389, cfg),
-                             []).qp, c._carry
-
-
-def test_previous_multipliers_certify_in_fewer_iterations(geom, monkeypatch):
-    # the tick after a solved one, its guess failed and not repaired:
-    # started from the last answer's multipliers, the ADMM certifies the
-    # same point as from zero duals, and in fewer iterations summed over
-    # seeds 1-3
-    monkeypatch.setattr(qp_module, "MAX_EXCHANGES", 0)
-    solver, with_duals, without, fewer = QpSolver(), 0, 0, 0
-    for seed in (1, 2, 3):
-        for prob, carry in next_ticks(geom, seed):
-            warm = solver.solve(prob, carry.warm, carry.active, carry.multipliers)
-            zero = solver.solve(prob, carry.warm, carry.active)
-            if zero.iterations == 0 or zero.status != "optimal":
-                continue  # an accepted guess, or infeasible
-            assert warm.status == "optimal"
-            assert warm.z.tobytes() == zero.z.tobytes()
-            with_duals, without = with_duals + warm.iterations, without + zero.iterations
-            fewer += warm.iterations < zero.iterations
-    assert fewer >= 5
-    assert with_duals < 0.8 * without

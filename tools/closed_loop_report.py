@@ -22,7 +22,7 @@ reads `-` there), the largest
 relative drift |b - a| / max(|a|, |b|) over the numeric `metrics()`
 figures, with the figure's name, and the ticks of each QP answer status
 (`TickRecord.solver_status`, not a CSV column) on both sides, such as
-`inexact 6 / 0`. The last line counts byte-identical logs.
+`max_iterations 1 / 0`. The last line counts byte-identical logs.
 The log prints 12 significant digits and the metrics use full precision,
 so a byte-identical log can still show a drift.
 """
@@ -118,7 +118,7 @@ def largest_drift(old: dict, new: dict) -> str:
 
 
 def status_ticks(old: dict, new: dict) -> str:
-    """The ticks of each solver status on either side, 'inexact 6 / 0',
+    """The ticks of each solver status on either side, 'max_iterations 1 / 0',
     in name order."""
     return ", ".join(f"{name} {old.get(name, 0)} / {new.get(name, 0)}"
                      for name in sorted(old.keys() | new.keys())) or "-"
