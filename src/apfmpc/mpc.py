@@ -17,8 +17,8 @@ once, validating and recomputing nothing.
 
 The QP is assembled once per tick. The robot's rows (X, Y, heading) give
 its footprints and, as X, Y, the field's anchors: the last tick's plan one
-step on, its last row repeated, after a tick solved without widening, and
-otherwise the rollout with the last input held; a moving
+step on, its last row repeated, after a tick solved without relaxing the
+slip band, and otherwise the rollout with the last input held; a moving
 obstacle's predicted rows give its footprints. `geometry.frames` makes
 every predicted footprint from its row, as a `Frame`, the six numbers
 `closest_pair` reads, and raises FloatingPointError on a row that is not
@@ -35,36 +35,34 @@ constant term, and its rows are normalized where they are made (see
 `qp.row_scales`): a tick's objective is not read off it but is the sum of
 the three costs priced at the applied solution, tracking + input-increment
 effort + field. Only a certified (optimal) answer moves the inputs; on a
-held tick the solution is z = 0. On proved infeasibility only the bounds of
-the wheel-speed-difference rows widen (the band doubles, in the rows' scale)
-before solving again from the empty set, each attempt a problem with its
-own copies of the bounds; a variant without those rows reports infeasible
-at once. A tick's iteration count sums all its attempts. A non-finite state,
-QP cost or solution before it reaches the inputs raises FloatingPointError;
-the inputs are clipped to their bounds as floats.
+held tick the solution is z = 0. A QP proved infeasible is solved once more
+with its slip band relaxed by an exact-penalty slack (`_elastic`); a variant
+without slip rows reports infeasible at once. A tick's iteration count sums
+both solves. A non-finite state, QP cost or solution before it reaches the
+inputs raises FloatingPointError; the inputs are clipped to their bounds as
+floats.
 
 What one tick hands the next is one `_Carry` record: the applied input,
 and, if the QP was solved (optimal), its active set, which the solver
 returns at once while it stays optimal and else repairs (without a solved
 QP the next tick guesses the empty set); and the predicted outputs unless
-the slip band was widened, the plan that the field reads shifted, so that a
+the slip band was relaxed, the plan that the field reads shifted, so that a
 tick without footprints does no work for it. `step` reads the record at its
 start and replaces it once, after its last raise, so a raising step leaves
 it unchanged; `_shift` alone writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
-Python-level wrappers. What depends on the constants of `MpcConfig`
-alone, each variant's starting A and bounds among it, is built once, by
-the first controller's `_config_tables`, and shared, read-only, by every
-controller. Each tick copies A and the bounds and writes its own
-bounds and slip rows (`_SlipRows`) through the blocks' slices into the
-copies. `linearization` holds `EYE_*`.
+Python-level wrappers. What depends on the constants of `MpcConfig` alone,
+each variant's starting A and bounds among it, is built once, by the first
+controller's `_config_tables`, and shared, read-only, by every controller.
+Each tick writes its bounds and slip rows through the blocks' slices into
+copies of A and the bounds. `linearization` holds `EYE_*`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, repeat
 from typing import NamedTuple
@@ -80,8 +78,8 @@ from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6
-SLIP_BAND = 0.1  # m/s, the bound on |h(u)| (see `slip_terms`) before any widening
-MAX_BAND_DOUBLINGS = 4  # slip-band widenings on certified infeasibility before the tick holds
+SLIP_BAND = 0.1  # m/s, the hard bound on |h(u)| (see `slip_terms`)
+SLACK_PENALTY, SLACK_WEIGHT = 1e4, 1e3  # ρ and w of the slip band's slack ε (see `_elastic`)
 ACTIVATION_RADIUS = 8.0  # m, Khatib's influence distance ρ₀: the field reads no pair beyond it
 
 # controller variants; "no_customization" freezes the field anchors at the
@@ -128,8 +126,8 @@ class MpcSolution:
     apf_cost: float
     tracking_cost: float
     effort_cost: float
-    iterations: int                # summed over the tick's QP attempts
-    fallback_doublings: int
+    iterations: int                # summed over the tick's QP solves
+    fallback_doublings: int        # 1 if the tick solved `_elastic`'s QP, else 0
 
 
 class PathTable(NamedTuple):
@@ -294,29 +292,17 @@ def _config_tables() -> dict[str, dict[str, np.ndarray | tuple | slice]]:
     return per_variant
 
 
-class _SlipRows(NamedTuple):
-    """A tick's wheel-speed-difference rows: their slice of A, one scale and g."""
-    rows: slice
-    scale: float
-    g: float
-
-    def write_band(self, lower: np.ndarray, upper: np.ndarray, band: float) -> None:
-        """Bounds of -band <= h <= band, in the rows' scale: s (±band - g)."""
-        for bound, side in ((lower, -band), (upper, band)):
-            bound[self.rows] = self.scale * (side - self.g)
-
-
 class _Carry(NamedTuple):
     """What one tick hands the next; `_shift` builds it from the tick's solution."""
     input: ControlInput         # the applied input
     active: np.ndarray | None   # the QP's active set; None unless it was solved (guess empty)
-    plan: np.ndarray | None = None  # the predicted outputs, unshifted; None if widened
+    plan: np.ndarray | None = None  # the predicted outputs, unshifted; None if relaxed
 
 
 def _shift(solution: MpcSolution, active: np.ndarray) -> _Carry:
     """The real-time iteration's shift: the next tick starts from the
     applied input and tries the QP's active set, only if the QP was solved.
-    A plan solved without widening the slip band is kept as it is; the
+    A plan solved without relaxing the slip band is kept as it is; the
     field reads it shifted."""
     solved = solution.solver_status == OPTIMAL
     return _Carry(solution.applied_input, active if solved else None,
@@ -330,7 +316,24 @@ class _Assembled:
     su: np.ndarray        # (n_pred*5) x (n_ctrl*4)
     base: np.ndarray      # predicted outputs at z = 0
     apf: QuadraticApproximation | None  # per-step sums; None without footprints
-    slip: _SlipRows | None  # None for a variant without slip rows
+    slip: slice | None    # the slip rows of A; None for a variant without them
+
+
+def _elastic(qp: QpProblem, slip: slice) -> QpProblem:
+    """The QP with its slip rows relaxed by one shared slack ε ≥ 0, a last
+    column (Kerrigan and Maciejowski, 2000): each slip row holds h - ε <= hi,
+    a copy after the rows h + ε >= lo, a last row 0 <= ε, and the cost gains
+    ρ ε + w ε² / 2. ε's coefficient is 1, so the rows stay normalized."""
+    (m, n), k = qp.a_mat.shape, slip.stop - slip.start
+    a_mat = np.zeros((m + k + 1, n + 1))
+    a_mat[:m, :n], a_mat[m:-1, :n] = qp.a_mat, qp.a_mat[slip]
+    a_mat[slip, n], a_mat[m:, n] = -1.0, 1.0
+    lower = np.concatenate([qp.lower, qp.lower[slip], [0.0]])
+    lower[slip] = -np.inf
+    upper = np.concatenate([qp.upper, np.full(k + 1, np.inf)])
+    h_mat = np.zeros((n + 1, n + 1))
+    h_mat[:n, :n], h_mat[n, n] = qp.h_mat, SLACK_WEIGHT
+    return QpProblem(h_mat, np.append(qp.f_vec, SLACK_PENALTY), a_mat, lower, upper)
 
 
 class MpcController:
@@ -446,19 +449,19 @@ class MpcController:
         h_mat = 0.5 * (h_mat + h_mat.T)
 
         # constraints, normalized as the solver reads them, written through
-        # the row blocks' slices (see `_config_tables`); the copies hold all
-        # rows but the slip rows already. Every slip row holds e_row in its
-        # first block, so all share one scale
+        # the row blocks' slices (see `_config_tables`) into copies that hold
+        # all but the slip rows. Every slip row holds e_row in its first
+        # block, so all share one scale s: -band <= h <= band is s (±band - g)
         a_mat, bounds = self._a_rows.copy(), self._bounds.copy()
         lo, hi = bounds[0], bounds[1]  # views: indexing, not the slower unpacking
         np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, self._input_rows])
-        slip, rows = None, self._slip_rows
-        if rows.start < rows.stop:  # the block is empty without the customization
+        slip = self._slip_rows if self._slip_rows.start < self._slip_rows.stop else None
+        if slip is not None:  # the block is empty without the customization
             e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            slip = _SlipRows(rows, 1.0 / max(1e-10, *map(abs, e_row.tolist())), g)
-            np.multiply(self._cumulative[:, :, None], slip.scale * e_row,
-                        out=a_mat[rows].reshape(n_c, n_c, nu))
-            slip.write_band(lo, hi, SLIP_BAND)
+            scale = 1.0 / max(1e-10, *map(abs, e_row.tolist()))
+            np.multiply(self._cumulative[:, :, None], scale * e_row,
+                        out=a_mat[slip].reshape(n_c, n_c, nu))
+            lo[slip], hi[slip] = scale * (-SLIP_BAND - g), scale * (SLIP_BAND - g)
         eta = bounds[:, self._speed_rows]
         np.subtract(self._eta_bounds, base[self._eta_rows], out=eta)
         eta *= self._eta_scale
@@ -469,27 +472,23 @@ class MpcController:
 
     def step(self, state: RobotState, ref: ReferenceHorizon,
              obstacles: list[Obstacle]) -> MpcSolution:
-        cfg, carry = self.cfg, self._carry
+        cfg, carry, nz = self.cfg, self._carry, self.cfg.n_ctrl * N_INPUT
         asm = self.assemble(state, carry, ref, obstacles)
         # successive QPs mostly share their active set: the solver returns
         # the last tick's set at once when it is still optimal, else repairs
-        # it; without a solved last tick, and on each widening, the guess is
-        # the empty set
+        # it; without a solved last tick the guess is the empty set. Both
+        # QPs get the carried set, which the solver reads as empty where its
+        # length is the other QP's
         sol = self.solver.solve(asm.qp, carry.active)
-        iterations, band, doublings = sol.iterations, SLIP_BAND, 0
-        qp = asm.qp
-        while sol.status == INFEASIBLE and asm.slip is not None and doublings < MAX_BAND_DOUBLINGS:
-            # widen the slip band: only these rows' bounds change, in copies,
-            # so that each attempt's problem keeps its own
-            band, doublings = 2.0 * band, doublings + 1
-            qp = replace(qp, lower=qp.lower.copy(), upper=qp.upper.copy())
-            asm.slip.write_band(qp.lower, qp.upper, band)
-            sol = self.solver.solve(qp)
-            iterations += sol.iterations
+        iterations, relaxed = sol.iterations, 0
+        if sol.status == INFEASIBLE and asm.slip is not None:
+            # proved infeasible: once more with the slip band's slack
+            sol = self.solver.solve(_elastic(asm.qp, asm.slip), carry.active)
+            iterations, relaxed = iterations + sol.iterations, 1
 
         # only a certified answer moves the inputs: an infeasible QP, or a
         # solve stopped by the cycling guard, holds them
-        z = sol.z if sol.status == OPTIMAL else np.zeros(sol.z.shape)
+        z = sol.z[:nz] if sol.status == OPTIMAL else np.zeros(nz)
         if not np.logical_and.reduce(np.isfinite(z)):  # the plant never sees it; the run ends
             raise FloatingPointError(f"non-finite QP solution (status {sol.status})")
         delta_seq = z.reshape(cfg.n_ctrl, N_INPUT)
@@ -506,6 +505,6 @@ class MpcController:
         effort = float(z @ (self._r_diag * z))
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
         solution = MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
-                               sol.status, apf_cost, tracking, effort, iterations, doublings)
+                               sol.status, apf_cost, tracking, effort, iterations, relaxed)
         self._carry = _shift(solution, sol.active)  # the tick's one write
         return solution

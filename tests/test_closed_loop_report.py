@@ -59,7 +59,7 @@ def test_one_scaled_constant_diverges_at_tick_0(tmp_path):
 
 def test_iteration_counts_alone_read_no_divergence_outside_them(tmp_path):
     # one more iteration counted on every tick: only that column moves
-    count = "iterations, band, doublings = sol.iterations, SLIP_BAND, 0"
+    count = "iterations, relaxed = sol.iterations, 0"
     tree = edited_tree(tmp_path, count, count.replace("sol.iterations,", "sol.iterations + 1,"))
     rows = report(tmp_path, ROOT, tree)
     cells = [c.strip() for c in rows[2].strip("|").split("|")]

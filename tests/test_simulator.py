@@ -67,7 +67,8 @@ class TestRun:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_infeasible_start_ends_in_solver_failed(self, variant):
         # from 3 m/s, step 1 is at least 2.9 m/s, above the 1.4 m/s output
-        # bound: no band widening helps, and the one logged tick holds the input
+        # bound: no slack on the slip band helps, and the one logged tick holds
+        # the input
         scn = replace(tiny_scenario(variant=variant),
                       initial_state=RobotState(0.0, 0.0, 0.0, 3.0, 3.0))
         log = run(scn)
