@@ -33,16 +33,16 @@ corners before B's four, against one running minimum; a corner whose e or f
 already reaches it is skipped, and the first strict minimum wins, so ties
 go to A's corners. The oracle `relative_frame_closest_pair` in
 tests/test_geometry.py is the same search as a loop that clamps each
-corner, and pins it bit for bit. A row is built by `tuple.__new__`, in C,
-and every overlap returns one shared zero row, which the simulator's and
-the benchmark's contact tests read as `== 0.0`.
+corner, and pins it bit for bit. A row is built by `tuple.__new__`, in C.
 
-Where the field needs to push out of an overlap, `penetration` gives its
-signed distance: minus the least of the four separating-axis overlaps,
-which for two convex polygons is the minimum translation that parts them
-(Ericson 2004, §5.2), with the gap along that axis, pointing from A to B,
-as long as the overlap (the signed distance with a penetration direction
-of Schulman et al., IJRR 2014).
+An overlap, touching included, is a contact row: distance 0.0, which the
+simulator's and the benchmark's contact tests read as `== 0.0`, and as
+gap the push, along the axis of the least of the four separating-axis
+overlaps, pointing from A's center to B's, as long as that overlap. For
+two convex polygons that is the minimum translation that parts them
+(Ericson 2004, §5.2), so the field pushes out of contact along it (the
+signed distance with a penetration direction of Schulman et al., IJRR
+2014): moving A back by the gap parts the pair.
 """
 
 from __future__ import annotations
@@ -133,8 +133,9 @@ def frames(rows, half_length: float, half_width: float) -> list[Frame]:
 
 class ClosestPair(NamedTuple):
     """One row of the pair table: the distance, then the gap from A's
-    closest point to B's, (0.0, 0.0) on overlap. A query cut at `within`
-    returns (inf, 0.0, 0.0) for a pair beyond it."""
+    closest point to B's; on contact 0.0, then the push that parts the
+    pair. A query cut at `within` returns (inf, 0.0, 0.0) for a pair beyond
+    it."""
     distance: float
     gap_x: float
     gap_y: float
@@ -147,9 +148,7 @@ def corners(rect: OrientedRectangle) -> list[tuple[float, float]]:
     return [(cx + c * lx - s * ly, cy + s * lx + c * ly) for lx, ly in local]
 
 
-# the overlap row and the row beyond `within` are each one shared,
-# immutable instance
-_OVERLAP = ClosestPair(0.0, 0.0, 0.0)
+# the row beyond `within` is one shared, immutable instance
 _BEYOND = ClosestPair(inf, 0.0, 0.0)
 
 # a gap cuts a query only past within + _ROUNDING·(within + the four
@@ -177,7 +176,12 @@ def closest_pair(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame,
     minus its own projected half-extent hl·|c| + hw·|s| (or hl·|s| + hw·|c|)
     and the other's half-extent is a separating-axis gap, a lower bound on
     the distance. The rectangles overlap (touching included) unless a gap is
-    positive; overlapping ones get distance 0 and a zero gap.
+    positive; overlapping ones get distance 0.0 and the push: the largest
+    gap g, minus the least overlap, the first on ties in the order above,
+    times that axis's world unit vector (A's (cos, sin) and (-sin, cos),
+    then B's), with sign -g where the centers' offset along the axis, bx,
+    by, -ax or -ay, is >= 0 and g elsewhere, so that it points from A's
+    center to B's (+ where they are level).
 
     The cutoff: each gap and each corner distance below is within a few
     units in the last place of S = |dx| + |dy| + the four half-extents of
@@ -221,7 +225,12 @@ def closest_pair(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame,
     gx, gy = abs(bx) - (hlb * ac + hwb * as_) - hla, abs(by) - (hlb * as_ + hwb * ac) - hwa
     hx, hy = abs(ax) - (hla * ac + hwa * as_) - hlb, abs(ay) - (hla * as_ + hwa * ac) - hwb
     if not (gx > 0.0 or gy > 0.0 or hx > 0.0 or hy > 0.0):
-        return _OVERLAP
+        # the axis of largest gap, the first on ties: keyed on the gap alone.
+        # B's center on A's axes is +(bx, by), and on B's own axes B - A is -(ax, ay)
+        g, ux, uy, side = max((gx, ca, sa, bx), (gy, -sa, ca, by), (hx, cb, sb, -ax),
+                              (hy, -sb, cb, -ay), key=lambda row: row[0])
+        depth = -g if side >= 0.0 else g
+        return _row(ClosestPair, (0.0, depth * ux, depth * uy))
     if gx > within or gy > within or hx > within or hy > within:
         cut = within + (within + hla + hwa + hlb + hwb) * _ROUNDING
         if gx > cut or gy > cut or hx > cut or hy > cut:
@@ -294,27 +303,3 @@ def closest_pair(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame,
     ey = y - hwb if y > hwb else y + hwb if y < -hwb else 0.0
     return _row(ClosestPair, (d, -(cb * ex - sb * ey), -(sb * ex + cb * ey)))
 
-
-def penetration(a: OrientedRectangle | Frame, b: OrientedRectangle | Frame) -> ClosestPair:
-    """The signed distance of two overlapping rectangles and its gap: minus
-    the least overlap along the four separating axes of `closest_pair`, A's
-    two and B's two, the first least on ties, and that axis times the
-    overlap, pointing from A's center to B's (+ where they are level). Read
-    only for pairs that `closest_pair` finds overlapping: for disjoint ones
-    the least "overlap" is negative and the row means nothing."""
-    xa, ya, ca, sa, hla, hwa = a.frame
-    xb, yb, cb, sb, hlb, hwb = b.frame
-    c, s = ca * cb + sa * sb, ca * sb - sa * cb
-    dx, dy = xb - xa, yb - ya
-    bx, by = ca * dx + sa * dy, ca * dy - sa * dx  # B's center in A's frame
-    ax, ay = -(cb * dx + sb * dy), sb * dx - cb * dy  # A's center in B's frame
-    ac, as_ = abs(c), abs(s)
-    # each gap with its world axis, signed from A to B: B's center on A's
-    # axes is +(bx, by), and on B's own axes B - A is -(ax, ay)
-    gaps = ((abs(bx) - (hlb * ac + hwb * as_) - hla, ca, sa, bx),
-            (abs(by) - (hlb * as_ + hwb * ac) - hwa, -sa, ca, by),
-            (abs(ax) - (hla * ac + hwa * as_) - hlb, cb, sb, -ax),
-            (abs(ay) - (hla * as_ + hwa * ac) - hwb, -sb, cb, -ay))
-    gap, ux, uy, side = max(gaps, key=lambda row: row[0])
-    depth = -gap if side >= 0.0 else gap  # the overlap, signed along the axis
-    return _row(ClosestPair, (gap, depth * ux, depth * uy))

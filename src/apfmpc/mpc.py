@@ -23,11 +23,11 @@ obstacle's predicted rows give its footprints. `geometry.frames` makes
 every predicted footprint from its row, as a `Frame`, the six numbers
 `closest_pair` reads, and raises FloatingPointError on a row that is not
 finite; a tick builds no pose or rectangle. The closest pair of every
-footprint and step, its distance and gap vector, fills one row of a table,
-and an overlap row, (0, 0, 0), takes `penetration`'s signed distance and
-gap, so that the field pushes out of the overlap; the active rows take one
-field expansion, each row with its footprint kind's parameters (obstacle,
-boundary), and `np.add.at` adds each row into its step's sums, from +0.0 in
+footprint and step, its distance and gap vector, fills one row of a table;
+a contact row, of distance 0, holds as gap the push out of the overlap,
+along which the field pushes. The active rows take one field expansion,
+each row with its footprint kind's parameters (obstacle, boundary), and
+`np.add.at` adds each row into its step's sums, from +0.0 in
 footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the
 condensed matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄],
 p < 4; the field quadratics enter through one product. The QP has no
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import closest_pair, frames, penetration
+from .geometry import closest_pair, frames
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
                             linearize)
@@ -156,21 +156,21 @@ def path_table(path: np.ndarray) -> PathTable:
 
 
 def _segment_fits(p: np.ndarray, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
-    """For points p, (x, y) on the last axis, and every segment: the clamped
-    parameter t of the segment's closest point, and the distance to it."""
-    _, seg, _, _, _, starts, sq_len = table
+    """For points p, (x, y) on the last axis, and every segment: the
+    distance to the segment's closest point, and that point's arc length."""
+    _, seg, seg_len, cum, _, starts, sq_len = table
     # the batched product, not an elementwise sum: the two round differently
     dot = ((p - starts)[..., None, :] @ seg[:, :, None])[..., 0, 0]
     t = np.minimum(np.maximum(dot / sq_len, 0.0), 1.0)
     off = p - (starts + t[..., None] * seg)
-    return t, np.hypot(off[..., 0], off[..., 1])
+    return np.hypot(off[..., 0], off[..., 1]), cum[:-1] + t * seg_len
 
 
 def project_onto_path(points: np.ndarray, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
     """Per point: distance to the path, arc length of its closest point (first segment on ties)."""
-    t, dist = _segment_fits(np.asarray(points, dtype=float).reshape(-1, 1, 2), table)
+    dist, arc = _segment_fits(np.asarray(points, dtype=float).reshape(-1, 1, 2), table)
     rows, best = np.arange(len(dist)), dist.argmin(axis=1)
-    return dist[rows, best], table.arc[best] + t[rows, best] * table.lengths[best]
+    return dist[rows, best], arc[rows, best]
 
 
 def build_reference(table: PathTable, state: RobotState, ref_speed: float,
@@ -181,10 +181,8 @@ def build_reference(table: PathTable, state: RobotState, ref_speed: float,
     headings in [-pi, pi] is wrapped into (-pi, pi] by one exact 2 pi step."""
     pts, seg, seg_len, cum, headings, starts, _ = table
     # the robot's arc length, as `project_onto_path` gives it
-    t, dist = _segment_fits(np.array((state.x, state.y)), table)
-    best = dist.argmin()
-    s0 = cum[best] + t[best] * seg_len[best]
-    s = s0 + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
+    dist, arc = _segment_fits(np.array((state.x, state.y)), table)
+    s = arc[dist.argmin()] + ref_speed * cfg.dt * np.arange(1, cfg.n_pred + 1)
     # past the end j is the last segment, whose heading the targets keep
     j = np.minimum(cum.searchsorted(s, side="right") - 1, len(seg) - 1)
     targets = np.empty((cfg.n_pred, N_STATE))
@@ -372,16 +370,13 @@ class MpcController:
                   frames(predict_obstacle(obs, n_p, cfg.dt),
                          obs.footprint.half_length, obs.footprint.half_width)
                   for obs in obstacles]
-        # per footprint and step: distance, gap; the rows flattened in one
-        # pass. A pair beyond the radius is cut short: its row is (inf, 0, 0)
+        # per footprint and step: distance, gap (on contact, the push); the
+        # rows flattened in one pass. A pair beyond the radius is cut short:
+        # its row is (inf, 0, 0)
         rows = chain.from_iterable(map(closest_pair, robot_frames, track, repeat(ACTIVATION_RADIUS))
                                    for track in tracks)
         pairs = np.fromiter(chain.from_iterable(rows), float, 3 * len(tracks) * len(robot))
         pairs = pairs.reshape(len(tracks), len(robot), 3)
-        # an overlap row (0, 0, 0) is flat: it takes the signed distance and
-        # the gap of its least overlap, along which the field pushes out
-        for f, k in zip(*(pairs[..., 0] == 0.0).nonzero()):
-            pairs[f, k] = penetration(robot_frames[k], tracks[f][k])
         if frozen:  # the one pose and pair of each footprint, at every step
             pairs, anchor = pairs.repeat(n_p, axis=1), anchor.repeat(n_p, axis=0)
         # one expansion of the active rows, each with its footprint's field

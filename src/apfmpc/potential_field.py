@@ -18,18 +18,20 @@ for every point, or per point: a stack whose footprints differ in kind
 (scale_a, exponent_b).
 
 Inside d₀ = √`MIN_SQ_DISTANCE` (1 cm), down to contact and through it, the
-field continues as a function of the signed distance s, negative by the
-overlap inside an obstacle (`geometry.penetration`): the quadratic in s
-whose value, slope and curvature are those of a / s^(2b) at d₀. So it is
-C¹ (and C²) at d₀, bounded below by its value there, and grows, with a
-push that grows, as s falls through 0 (Schulman et al., IJRR 2014, treat
-penetration the same way). A continuation linear in s was rejected: its
-QP model is unbounded along the gap and read an APF cost of -2.8e11 on a
-head-on contact. s is linearized in the robot position along the gap's
-unit vector n (moving the robot by δ moves s by -n·δ), so the expansion is
-value V(s), gradient -V'(s) n and Hessian V''(d₀) n nᵀ, the rank-one form
-above at d₀. A row of zero gap has no direction: its gradient and Hessian
-are zero.
+field continues as a function of the signed distance s: the gap's length
+|gap| for a separation, and -|gap| for a contact, a row of distance <= 0
+whose gap is the push out of the overlap (`geometry.closest_pair`), as
+long as the overlap. It is the quadratic in s whose value, slope and
+curvature are those of a / s^(2b) at d₀. So it is C¹ (and C²) at d₀,
+bounded below by its value there, and grows, with a push that grows, as s
+falls through 0 (Schulman et al., IJRR 2014, treat penetration the same
+way). A continuation linear in s was rejected: its QP model is unbounded
+along the gap and read an APF cost of -2.8e11 on a head-on contact. s is
+linearized in the robot position along the gap's unit vector n (moving the
+robot by δ moves s by -n·δ), so the expansion is value V(s), gradient
+-V'(s) n and Hessian V''(d₀) n nᵀ, the rank-one form above at d₀. A row of
+zero gap, such as two rectangles that just touch, has no direction: its
+gradient and Hessian are zero.
 """
 
 from __future__ import annotations
@@ -83,12 +85,13 @@ def quadratic_approx(robot_pos, gap, params, distance=None) -> QuadraticApproxim
     float power by sqrt or square, not pow. gap runs from the robot's closest
     point to the obstacle's, as `geometry.closest_pair` returns it, at the
     robot position robot_pos, the expansion's anchor; the Hessian is the
-    rank-one c·(2b+1) r rᵀ above. `distance` is each point's signed
-    distance, needed only where the pair overlaps (`geometry.penetration`,
-    whose gap is as long as the overlap); without it every gap is a
-    separation. Where d² <= `MIN_SQ_DISTANCE` or the distance is negative,
-    the expansion is the continuation in the signed distance above; every
-    other point's is the field's own, bit for bit as without `distance`.
+    rank-one c·(2b+1) r rᵀ above. `distance` is each point's distance as
+    `closest_pair` returns it, read only for its sign: a point whose
+    distance is <= 0 is a contact, whose gap is the push out of the overlap
+    and whose signed distance is -|gap|; without it every gap is a
+    separation. Where d² <= `MIN_SQ_DISTANCE` or at contact, the expansion
+    is the continuation in the signed distance above; every other point's
+    is the field's own, bit for bit as without `distance`.
     """
     a, b = params
     rel = np.asarray(gap, dtype=float)
@@ -98,7 +101,8 @@ def quadratic_approx(robot_pos, gap, params, distance=None) -> QuadraticApproxim
     d_sq = np.maximum(gap_sq, MIN_SQ_DISTANCE)
     inside = d_sq <= MIN_SQ_DISTANCE
     if distance is not None:
-        inside = inside | (np.asarray(distance) < 0.0)
+        contact = np.asarray(distance) <= 0.0
+        inside = inside | contact
     value = a / d_sq ** b
     two_ab, minus_b = 2.0 * a * b, -b
     gradient = (two_ab * d_sq ** (minus_b - 1.0))[..., None] * rel
@@ -107,7 +111,7 @@ def quadratic_approx(robot_pos, gap, params, distance=None) -> QuadraticApproxim
     hess = (curv * (2.0 * b + 1.0))[..., None, None] * (rel[..., :, None] * rel[..., None, :])
     if inside.any():
         norm = np.sqrt(gap_sq)
-        s = norm if distance is None else np.asarray(distance, dtype=float)
+        s = norm if distance is None else np.where(contact, -norm, norm)
         unit = rel / np.where(norm > 0.0, norm, math.inf)[..., None]  # 0 for a zero gap
         # value, slope and curvature of a / s^(2b) at d0
         v0 = a / MIN_SQ_DISTANCE ** b

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from apfmpc.geometry import corners
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.mpc import MpcConfig, _Carry
 from apfmpc.qp import QpProblem, row_scales
@@ -23,6 +24,44 @@ def cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def _project_extent(pts, ax, ay):
+    vals = [px * ax + py * ay for px, py in pts]
+    return min(vals), max(vals)
+
+
+def sat_intersect(a, b):
+    """Reference separating-axis test in world coordinates; the axes are two
+    adjacent edge vectors of each rectangle (or frame). Touching counts as
+    overlapping."""
+    pa, pb = corners(a), corners(b)
+    for pts in (pa, pb):
+        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
+            lo_a, hi_a = _project_extent(pa, x2 - x1, y2 - y1)
+            lo_b, hi_b = _project_extent(pb, x2 - x1, y2 - y1)
+            if hi_a < lo_b or hi_b < lo_a:
+                return False
+    return True
+
+
+def axis_overlaps(a, b):
+    """Brute force over the four separating axes in world coordinates, A's
+    two edge directions then B's, each a unit vector pointing from A's
+    center to B's: (overlap, axis x, axis y) per axis, the overlap being how
+    far A's corner projections reach past B's lowest, the translation that
+    parts them along the axis."""
+    pa, pb = corners(a), corners(b)
+    out = []
+    for pts in (pa, pb):
+        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
+            length = math.hypot(x2 - x1, y2 - y1)
+            ux, uy = (x2 - x1) / length, (y2 - y1) / length
+            if (b.center.x - a.center.x) * ux + (b.center.y - a.center.y) * uy < 0.0:
+                ux, uy = -ux, -uy
+            out.append((_project_extent(pa, ux, uy)[1] - _project_extent(pb, ux, uy)[0],
+                        ux, uy))
+    return out
 
 
 def cold(u0):

@@ -7,10 +7,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 from apfmpc.geometry import (ClosestPair, OrientedRectangle, Pose2D, closest_pair,
-                             corners, frames, normalize_angle, penetration)
+                             corners, frames, normalize_angle)
 from apfmpc.prediction import Obstacle, advance_obstacle
 from apfmpc.simulator import (load_scenario, packaged_scenario_path, scenario_from_dict,
                               scenario_to_dict)
+from conftest import axis_overlaps, sat_intersect
 
 
 def rect(x, y, heading, hl, hw):
@@ -40,24 +41,6 @@ def random_rect(rng, span=8.0):
     return rect(rng.uniform(-span, span), rng.uniform(-span, span),
                 rng.uniform(-math.pi, math.pi),
                 rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5))
-
-
-def _project_extent(pts, ax, ay):
-    vals = [px * ax + py * ay for px, py in pts]
-    return min(vals), max(vals)
-
-
-def sat_intersect(a, b):
-    """Reference separating-axis test in world coordinates; the axes are two
-    adjacent edge vectors of each rectangle. Touching counts as overlapping."""
-    pa, pb = corners(a), corners(b)
-    for pts in (pa, pb):
-        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
-            lo_a, hi_a = _project_extent(pa, x2 - x1, y2 - y1)
-            lo_b, hi_b = _project_extent(pb, x2 - x1, y2 - y1)
-            if hi_a < lo_b or hi_b < lo_a:
-                return False
-    return True
 
 
 def _point_segment_closest(p, a, b):
@@ -143,7 +126,9 @@ def relative_frame_closest_pair(a, b):
     as `closest_pair`, with each rectangle's four corners searched by a loop
     (`_nearest_corner`) and A's winner kept unless B's is strictly nearer;
     the winner's corner-minus-clamp vector, turned into the world, is the
-    gap."""
+    gap. On contact the four axes are searched by a loop for the first
+    largest gap, and the push is that axis times the overlap, from A's
+    center to B's."""
     hla, hwa, hlb, hwb = a.half_length, a.half_width, b.half_length, b.half_width
     ca, sa = math.cos(a.center.heading), math.sin(a.center.heading)
     cb, sb = math.cos(b.center.heading), math.sin(b.center.heading)
@@ -153,10 +138,18 @@ def relative_frame_closest_pair(a, b):
     ax, ay = -(cb * dx + sb * dy), sb * dx - cb * dy
     ubx, uby, vbx, vby = hlb * c, hlb * s, -(hwb * s), hwb * c
     uax, uay, vax, vay = hla * c, -(hla * s), hwa * s, hwa * c
-    ebx, eby = abs(ubx) + abs(vbx), abs(uby) + abs(vby)
-    if not (abs(bx) - ebx > hla or abs(by) - eby > hwa
-            or abs(ax) - (abs(uax) + abs(vax)) > hlb or abs(ay) - (abs(uay) + abs(vay)) > hwb):
-        return ClosestPair(0.0, 0.0, 0.0)
+    # (gap, world axis, B's center minus A's along it) per separating axis
+    axes = ((abs(bx) - (abs(ubx) + abs(vbx)) - hla, (ca, sa), bx),
+            (abs(by) - (abs(uby) + abs(vby)) - hwa, (-sa, ca), by),
+            (abs(ax) - (abs(uax) + abs(vax)) - hlb, (cb, sb), -ax),
+            (abs(ay) - (abs(uay) + abs(vay)) - hwb, (-sb, cb), -ay))
+    if all(gap <= 0.0 for gap, _, _ in axes):
+        gap, (ux, uy), side = axes[0]
+        for row in axes[1:]:
+            if row[0] > gap:
+                gap, (ux, uy), side = row
+        depth = -gap if side >= 0.0 else gap
+        return ClosestPair(0.0, depth * ux, depth * uy)
 
     d, (ex, ey) = _nearest_corner(ax, ay, uax, uay, vax, vay, hlb, hwb)
     db, (fx, fy) = _nearest_corner(bx, by, ubx, uby, vbx, vby, hla, hwa)
@@ -253,10 +246,13 @@ class TestClosestPair:
         assert (got.gap_x, got.gap_y) == pytest.approx((3.0, 0.0))
 
     def test_identical_rectangles_overlap(self):
+        # contact: the push is the least overlap, the full width 2·0.5, along
+        # A's width axis, the first of the two tied ones
         r = rect(2, 3, 0.3, 1, 0.5)
         got = closest_pair(r, r)
         assert got.distance == 0.0
-        assert (got.gap_x, got.gap_y) == (0.0, 0.0)
+        assert (got.gap_x, got.gap_y) == pytest.approx((-math.sin(0.3), math.cos(0.3)),
+                                                       abs=1e-15)
 
     def test_rotated_pair_matches_sampling_oracle(self):
         a, b = rect(0, 0, 0, 1, 0.5), rect(3, 3, math.pi / 4, 1, 0.5)
@@ -264,11 +260,14 @@ class TestClosestPair:
             oracle_distance(a, b), abs=1e-3)
 
     def test_distance_equals_witness_separation(self, rng):
-        # the gap is the witnesses' separation vector
+        # a separation's gap is the witnesses' separation vector (a contact's
+        # is the push out of the overlap, see TestPenetration)
         for _ in range(200):
             a, b = random_rect(rng), random_rect(rng)
             got = closest_pair(a, b)
-            assert got.distance == pytest.approx(math.hypot(got.gap_x, got.gap_y), abs=1e-12)
+            if got.distance > 0.0:
+                assert got.distance == pytest.approx(math.hypot(got.gap_x, got.gap_y),
+                                                     abs=1e-12)
 
     def test_a_moved_by_the_gap_touches_b(self):
         rng = np.random.default_rng(2024)
@@ -286,26 +285,10 @@ class TestClosestPair:
             checked += 1
 
 
-def axis_overlaps(a, b):
-    """Brute force over the four separating axes in world coordinates, A's
-    two edge directions then B's, each a unit vector pointing from A's
-    center to B's: (overlap, axis x, axis y) per axis, the overlap being how
-    far A's corner projections reach past B's lowest, the translation that
-    parts them along the axis."""
-    pa, pb = corners(a), corners(b)
-    out = []
-    for pts in (pa, pb):
-        for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
-            length = math.hypot(x2 - x1, y2 - y1)
-            ux, uy = (x2 - x1) / length, (y2 - y1) / length
-            if (b.center.x - a.center.x) * ux + (b.center.y - a.center.y) * uy < 0.0:
-                ux, uy = -ux, -uy
-            out.append((_project_extent(pa, ux, uy)[1] - _project_extent(pb, ux, uy)[0],
-                        ux, uy))
-    return out
-
-
 class TestPenetration:
+    """`closest_pair`'s contact row: distance 0.0, and as gap the push, the
+    least separating-axis overlap along its axis, from A's center to B's."""
+
     def overlapping_pairs(self, count):
         rng = np.random.default_rng(2031)
         pairs = []
@@ -322,8 +305,8 @@ class TestPenetration:
             if overlaps[1][0] - overlaps[0][0] < 1e-9:
                 continue  # two axes all but tied: either direction is right
             depth, ux, uy = overlaps[0]
-            got = penetration(a, b)
-            assert got.distance == pytest.approx(-depth, abs=1e-12)
+            got = closest_pair(a, b)
+            assert (got.distance, math.copysign(1.0, got.distance)) == (0.0, 1.0)
             assert (got.gap_x, got.gap_y) == pytest.approx((depth * ux, depth * uy), abs=1e-12)
             checked += 1
         assert checked > 1900
@@ -331,19 +314,23 @@ class TestPenetration:
     def test_moving_a_back_by_the_gap_parts_the_pair(self):
         # the gap is the least translation of A that parts it from B
         for a, b in self.overlapping_pairs(300):
-            _, gx, gy = penetration(a, b)
+            _, gx, gy = closest_pair(a, b)
             for factor, parted in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
                 moved = rect(a.center.x - factor * gx, a.center.y - factor * gy,
                              a.center.heading, a.half_length, a.half_width)
                 assert (closest_pair(moved, b).distance > 0.0) == parted
 
     def test_overlap_row_of_closest_pair_stays_zero(self):
-        # the contact readers test `== 0.0`: cut or uncut, an overlap is the
-        # shared zero row, and only `penetration` gives its depth
+        # the contact readers test `== 0.0`: cut or uncut, an overlap's
+        # distance is +0.0, and its gap is the push, as long as the least
+        # overlap
         for a, b in self.overlapping_pairs(200):
-            for row in (closest_pair(a, b), closest_pair(a, b, 8.0), closest_pair(a, b, 0.0)):
-                assert_bit_identical(row, ClosestPair(0.0, 0.0, 0.0))
-            assert penetration(a, b).distance <= 0.0
+            row = closest_pair(a, b)
+            for cut in (closest_pair(a, b, 8.0), closest_pair(a, b, 0.0)):
+                assert_bit_identical(cut, row)
+            assert (row.distance, math.copysign(1.0, row.distance)) == (0.0, 1.0)
+            assert math.hypot(row.gap_x, row.gap_y) == pytest.approx(
+                min(axis_overlaps(a, b))[0], abs=1e-12)
 
 
 def quarter_turns(k, x, y):
@@ -378,7 +365,7 @@ class TestExactLayouts:
             got = closest_pair(p, q)
             assert_bit_identical(got, relative_frame_closest_pair(p, q))
             assert abs(got.distance - expected) <= tol
-            if expected == tol == 0.0:  # touching counts as overlap
+            if expected == tol == 0.0:  # touching counts as contact, whose push is zero
                 assert (got.gap_x, got.gap_y) == (0.0, 0.0)
 
 
@@ -570,6 +557,8 @@ class TestInvariants:
             on_a, on_b, distance = loop_closest_pair(a, b)
             assert (got.distance == 0.0) == (distance == 0.0)
             assert abs(got.distance - distance) <= 1e-12
+            if distance == 0.0:  # contact: the gap is the push (see TestPenetration)
+                continue
             assert max(abs(got.gap_x - (on_b[0] - on_a[0])),
                        abs(got.gap_y - (on_b[1] - on_a[1]))) <= 1e-12 * (1.0 + distance)
 
@@ -619,8 +608,9 @@ class TestInvariants:
             a, b = random_rect(rng, span=2.0), random_rect(rng, span=2.0)
             got = closest_pair(a, b)
             assert (got.distance == 0.0) == sat_intersect(a, b)
-            if got.distance == 0.0:
-                assert (got.gap_x, got.gap_y) == (0.0, 0.0)
+            if got.distance == 0.0:  # the push is as long as the least overlap
+                assert math.hypot(got.gap_x, got.gap_y) == pytest.approx(
+                    min(axis_overlaps(a, b))[0], abs=1e-12)
 
     def test_matches_sampling_oracle_on_random_pairs(self, rng):
         checked = 0

@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from apfmpc.geometry import (OrientedRectangle, Pose2D, closest_pair, normalize_angle,
-                             penetration)
+from apfmpc.geometry import Frame, OrientedRectangle, Pose2D, closest_pair, normalize_angle
 from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
 from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, OBSTACLE_APF, SLACK_PENALTY,
@@ -18,7 +17,7 @@ from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc import qp
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
 from apfmpc.simulator import Scenario, SimulationLog, metrics, run
-from conftest import cold, double_back, normalized
+from conftest import axis_overlaps, cold, double_back, normalized, sat_intersect
 
 REF_SPEED = 1.389
 STRAIGHT = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
@@ -123,21 +122,26 @@ def loop_condensation(state, prev_input, geom, cfg):
     return su, base
 
 
-def contact_pair(a, b):
-    """The pair row the field reads: `closest_pair`'s, and on overlap the
-    signed distance and gap of `penetration`."""
-    pair = closest_pair(a, b)
-    return penetration(a, b) if pair.distance == 0.0 else pair
+def recorded_pairs(monkeypatch):
+    """A list that grows by (a, b, row) for each closest pair the
+    controller queries, through whatever `apfmpc.mpc.closest_pair` is now."""
+    import apfmpc.mpc
+    calls, query = [], apfmpc.mpc.closest_pair
+
+    def recording(a, b, *within):
+        row = query(a, b, *within)
+        calls.append((a, b, row))
+        return row
+
+    monkeypatch.setattr(apfmpc.mpc, "closest_pair", recording)
+    return calls
 
 
 def counted_contacts(monkeypatch):
-    """A list that grows by one for each overlap row the controller's field
-    reads through `penetration`."""
-    import apfmpc.mpc
-    contacts = []
-    monkeypatch.setattr(apfmpc.mpc, "penetration",
-                        lambda a, b: contacts.append(1) or penetration(a, b))
-    return contacts
+    """The contact rows, of distance 0.0, among the controller's closest
+    pairs, read when the test asks for them."""
+    calls = recorded_pairs(monkeypatch)
+    return lambda: [row for _, _, row in calls if row.distance == 0.0]
 
 
 def loop_apf(controller, state, obstacles, su, base):
@@ -163,7 +167,7 @@ def loop_apf(controller, state, obstacles, su, base):
         for obs, track in zip(obstacles, obs_tracks):
             orect = OrientedRectangle(track[i], obs.footprint.half_length,
                                       obs.footprint.half_width)
-            pair = contact_pair(rrect, orect)
+            pair = closest_pair(rrect, orect)
             if pair.distance > ACTIVATION_RADIUS:
                 continue
             params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
@@ -196,7 +200,7 @@ def add_at_apf(controller, state, obstacles):
             track = [OrientedRectangle(Pose2D(*row), fp.half_length, fp.half_width)
                      for row in predict_obstacle(obs, n_p, cfg.dt)]
         pairs = np.broadcast_to([(pair.gap_x, pair.gap_y, pair.distance)
-                                 for pair in map(contact_pair, robot_rects, track)],
+                                 for pair in map(closest_pair, robot_rects, track)],
                                 (n_p, 3))
         steps = np.flatnonzero(pairs[:, 2] <= ACTIVATION_RADIUS)
         params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
@@ -558,7 +562,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_fold_matches_loop_oracle(self, cfg, geom, monkeypatch, variant):
-        # overlap rows among them: the field reads their signed distance
+        # contact rows among them: the field pushes along their gap
         contacts = counted_contacts(monkeypatch)
         rng = np.random.default_rng(13)
         for _ in range(8):
@@ -577,7 +581,7 @@ class TestAssemble:
             np.testing.assert_allclose(asm.qp.f_vec - bare.qp.f_vec, f_apf, rtol=1e-12)
             assert asm.apf.value(asm.base.reshape(cfg.n_pred, 5)[:, :2]) == pytest.approx(
                 c_apf, rel=1e-12)
-        assert contacts
+        assert contacts()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_sums_bit_exact_against_add_at_oracle(self, cfg, geom, monkeypatch, variant):
@@ -608,7 +612,7 @@ class TestAssemble:
                 assert np.array_equal(got_part, want_part)
                 assert np.array_equal(np.signbit(got_part), np.signbit(want_part))
         assert not np.any(got.constant)
-        assert contacts  # overlap rows among them
+        assert contacts()  # contact rows among them
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_sums_with_the_cutoff_are_the_uncut_sums(self, cfg, geom, monkeypatch,
@@ -652,7 +656,7 @@ class TestAssemble:
             straddling += sum(0 < sum(cut[k:k + per]) < per for k in range(0, len(cut), per))
         assert set(passed) == {(radius,)}
         assert straddling > 0 or variant == "no_customization"
-        assert contacts  # overlap rows among them
+        assert contacts()  # contact rows among them
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_apf_cost_matches_loop_oracle(self, cfg, geom, monkeypatch, variant):
@@ -671,7 +675,7 @@ class TestAssemble:
                 r = sol.predicted_outputs[i, :2] - np.array(quad.anchor)
                 oracle += quad.constant + quad.gradient @ r + 0.5 * r @ quad.hessian_psd @ r
             assert sol.apf_cost == pytest.approx(oracle, rel=1e-12)
-        assert contacts  # overlap rows among them
+        assert contacts()  # contact rows among them
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_closest_pairs_per_footprint(self, cfg, geom, monkeypatch, variant):
@@ -779,6 +783,64 @@ class TestAssemble:
         shift = np.mean(beside.predicted_outputs[:, :2], axis=0) - mean_free
         assert shift[1] < -1e-2
         assert beside.apf_cost > free.apf_cost
+
+
+class TestContactRows:
+    """A robot that starts overlapping a footprint: every pair the field
+    reads that overlaps is a contact row, of distance 0.0, whose gap is the
+    push that parts the pair, and its step's field gradient points along
+    the push, so that descent moves the footprint out."""
+
+    @staticmethod
+    def overlapping_starts(rng, geom, count):
+        """(state, footprint) pairs, the robot overlapping one static
+        obstacle or, every other pair, one wall, by 1-20 cm: the least of
+        the four brute-force axis overlaps. Slow enough that many predicted
+        steps stay in contact."""
+        starts = []
+        while len(starts) < count:
+            kind = ("obstacle", "boundary")[len(starts) % 2]
+            heading = rng.uniform(-math.pi, math.pi)
+            footprint = OrientedRectangle(Pose2D(0.0, 0.0, heading),
+                                          *((0.75, 0.4) if kind == "obstacle" else (6.0, 0.1)))
+            angle, depth = rng.uniform(-math.pi, math.pi), rng.uniform(0.01, 0.2)
+            far = RobotState(4.0 * math.cos(angle), 4.0 * math.sin(angle),
+                             rng.uniform(-math.pi, math.pi), 0.1, 0.1)
+            distance, gx, gy = closest_pair(geom.footprint(far), footprint)
+            if distance == 0.0:  # a wall may reach that far
+                continue
+            # moved by its gap the robot touches; moved on along it, it overlaps
+            reach = 1.0 + depth / distance
+            state = replace(far, x=far.x + reach * gx, y=far.y + reach * gy)
+            if 0.01 <= min(axis_overlaps(geom.footprint(state), footprint))[0] <= 0.2:
+                starts.append((state, Obstacle(footprint, kind=kind)))
+        return starts
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_contact_rows_push_the_footprint_out(self, cfg, geom, monkeypatch, variant):
+        calls = recorded_pairs(monkeypatch)
+        contacts = 0
+        for state, footprint in self.overlapping_starts(np.random.default_rng(41), geom, 12):
+            c = controller(cfg, geom, variant=variant)
+            calls.clear()
+            apf = c.assemble(state, c._carry, build_reference(STRAIGHT, state, REF_SPEED, cfg),
+                             [footprint]).apf
+            # one footprint: call k is step k's pair, or frozen, every step's
+            for k, (robot, other, row) in enumerate(calls):
+                if not sat_intersect(robot, other):
+                    assert row.distance > 0.0
+                    continue
+                contacts += 1
+                assert (row.distance, math.copysign(1.0, row.distance)) == (0.0, 1.0)
+                x, y = robot.frame[:2]
+                for factor, parted in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+                    moved = Frame((x - factor * row.gap_x, y - factor * row.gap_y)
+                                  + robot.frame[2:])
+                    assert (closest_pair(moved, other).distance > 0.0) == parted
+                steps = range(cfg.n_pred) if variant == "no_customization" else [k]
+                assert all(apf.gradient[i] @ (row.gap_x, row.gap_y) > 0.0 for i in steps)
+        # every start is a contact row of the frozen variant's one pair
+        assert contacts >= 12
 
 
 class TestObstacleVelocity:

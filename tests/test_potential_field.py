@@ -45,8 +45,8 @@ def continuation(s, params):
 
 def contact(s, params, direction=(1.0, 0.0)):
     """The expansion at signed distance s along a unit direction: a
-    separation's gap for s >= 0, a penetration's (as long as the overlap)
-    for s < 0."""
+    separation's gap for s > 0, and for s <= 0 a contact row's push (as
+    long as the overlap), whose distance, s, is read for its sign alone."""
     gap = abs(s) * np.asarray(direction)
     return quadratic_approx((0.0, 0.0), gap, params, s)
 

@@ -7,8 +7,10 @@ Usage, with each ROOT the root of a source checkout:
 
 The report runs are the three packaged scenarios under both controller
 variants, then every seed-1 episode of the four `perfbench` workloads, each
-run whole. Each tree runs in its own interpreter, with its own `src` and
-`perfbench` first on the path and one BLAS thread, so imports never mix.
+run whole, then a start that overlaps a wall under both variants: 40 runs.
+The wall start is the one run whose field reads contact rows. Each tree
+runs in its own interpreter, with its own `src` and `perfbench` first on
+the path and one BLAS thread, so imports never mix.
 
 With one tree it prints one line per run: the SHA-256 of its CSV log
 (`SimulationLog.to_csv`), then the run's name. Two trees give the same logs
@@ -49,8 +51,11 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
     each CSV log to workdir/<label>.csv and print one JSON line per run."""
     root_path = Path(root)
     sys.path[:0] = [str(root_path / "src"), str(root_path / "perfbench")]
+    import numpy as np
+    from apfmpc.geometry import OrientedRectangle, Pose2D
+    from apfmpc.kinematics import RobotState
     from apfmpc.mpc import VARIANTS
-    from apfmpc.simulator import load_scenario, metrics, packaged_scenario_path, run
+    from apfmpc.simulator import Scenario, load_scenario, metrics, packaged_scenario_path, run
     from workloads import WORKLOADS
 
     runs = [(f"{name}.{variant}",
@@ -59,6 +64,13 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
     runs += [(f"{workload}.seed{SEED}.{k}", episode.scenario)
              for workload, make in WORKLOADS.items()
              for k, episode in enumerate(make(SEED))]
+    # the robot starts overlapping a wall by 0.47 m, its push's length, and
+    # tracks (2, 7)-(12, 7) for 2 s
+    wall = OrientedRectangle(Pose2D(0.565, 8.836, 1.8325), 7.83, 0.2026)
+    runs += [(f"wall_start.{variant}",
+              Scenario("wall_start", [wall], np.array([[2.0, 7.0], [12.0, 7.0]]), 1.0, [],
+                       RobotState(2.127, 7.177, 2.781, 1.276, 0.318), 2.0, variant))
+             for variant in VARIANTS]
     for label, scenario in runs:
         if labels and label not in labels:
             continue
