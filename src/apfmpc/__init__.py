@@ -7,13 +7,13 @@ from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .linearization import AugmentedModel, LinearizedModel, augment, linearize
 from .mpc import (MpcConfig, MpcController, MpcSolution, ReferenceHorizon, build_reference,
                   path_table)
-from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
+from .potential_field import QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import QpProblem, QpSolution, QpSolver
 from .simulator import Scenario, SimulationLog, load_scenario, metrics, run, save_scenario
 
 __all__ = [
-    "ApfParams", "AugmentedModel", "ClosestPair", "ControlInput", "LinearizedModel",
+    "AugmentedModel", "ClosestPair", "ControlInput", "LinearizedModel",
     "MpcConfig", "MpcController", "MpcSolution", "Obstacle", "OrientedRectangle",
     "Pose2D", "QpProblem", "QpSolution", "QpSolver",
     "QuadraticApproximation", "ReferenceHorizon", "RobotGeometry", "RobotState",

@@ -25,12 +25,13 @@ every predicted footprint from its row, as a `Frame`, the six numbers
 finite; a tick builds no pose or rectangle. The closest pair of every
 footprint and step, its distance and gap vector, fills one row of a table;
 a contact row, of distance 0, holds as gap the push out of the overlap,
-along which the field pushes. The active rows take one field expansion,
-each row with its footprint kind's parameters (obstacle, boundary), and
-`np.add.at` adds each row into its step's sums, from +0.0 in
-footprint order. Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the
-condensed matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄],
-p < 4; the field quadratics enter through one product. The QP has no
+along which the field pushes. The active rows' gaps and distances take
+one field expansion, each row with its footprint kind's (a, b) (obstacle,
+boundary); `np.add.at` adds each row into its step's sums, from +0.0 in
+footprint order; at the step's anchor they are the step's quadratic.
+Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed
+matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the
+field quadratics enter through one product. The QP has no
 constant term, and its rows are normalized where they are made (see
 `qp.row_scales`): a tick's objective is not read off it but is the sum of
 the three costs priced at the applied solution, tracking + input-increment
@@ -73,7 +74,7 @@ from .geometry import closest_pair, frames
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
                             linearize)
-from .potential_field import ApfParams, QuadraticApproximation, quadratic_approx
+from .potential_field import QuadraticApproximation, params_table, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, OPTIMAL, QpProblem, QpSolver, row_scales
 
@@ -226,8 +227,8 @@ def slip_constraint_rows(state0: RobotState, input0: ControlInput,
 
 DU_MAX = (0.8, 0.8, math.pi / 12, math.pi / 12)  # the increment box, per control step
 SPEED_BOUNDS = (0.1, 1.4)  # m/s, lower and upper, on both wheel speeds (outputs 3, 4)
-OBSTACLE_APF = ApfParams(3.0, 1.8)  # the field's (a, b) per footprint kind
-BOUNDARY_APF = ApfParams(0.3, 1.1)
+OBSTACLE_APF = (3.0, 1.8)  # the field's (scale_a, exponent_b) per footprint kind
+BOUNDARY_APF = (0.3, 1.1)
 
 
 @cache
@@ -248,7 +249,7 @@ def _config_tables() -> dict[str, dict[str, np.ndarray | tuple | slice]]:
     # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
     t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
     # columns (scale_a, exponent_b) per field kind: obstacle, boundary
-    t["_apf_params"] = np.array([tuple(OBSTACLE_APF), tuple(BOUNDARY_APF)]).T.copy()
+    t["_apf_params"] = params_table(OBSTACLE_APF, BOUNDARY_APF)
     t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
     t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
     # binomials C(k, p) of the closed-form condensation (see assemble)
@@ -387,11 +388,9 @@ class MpcController:
             kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,
                                len(obstacles))
             picked = pairs[footprint, step]
-            quad = quadratic_approx(anchor[step], picked[:, 1:],
-                                    self._apf_params[:, kind[footprint]], picked[:, 0])
-            np.add.at(const, step, quad.constant)
-            np.add.at(grad, step, quad.gradient)
-            np.add.at(hess, step, quad.hessian_psd)
+            for total, part in zip((const, grad, hess), quadratic_approx(
+                    picked[:, 1:], picked[:, 0], self._apf_params[:, kind[footprint]])):
+                np.add.at(total, step, part)
         return QuadraticApproximation(const, grad, hess, anchor)
 
     def assemble(self, state: RobotState, carry: _Carry,

@@ -47,8 +47,12 @@ PLANT_SUBSTEPS = 10  # Euler substeps of the plant per control tick
 
 
 def tick_count(duration: float, dt: float) -> int:
-    """Control ticks in a run of the given duration."""
-    return int(round(duration / dt))
+    """Control ticks in a run of the given duration; ValueError if there
+    are too many to count."""
+    ticks = duration / dt
+    if not math.isfinite(ticks):
+        raise ValueError(f"duration {duration} s is too long to count in ticks of {dt} s")
+    return int(round(ticks))
 
 
 @dataclass(frozen=True, eq=False)  # the __eq__ below; eq=True would add a field hash
@@ -270,11 +274,16 @@ def packaged_scenario_path(name: str) -> Path:
 
 def load_scenario(path) -> Scenario:
     """Scenario from a YAML file; FileNotFoundError if there is none there,
-    ValueError if it is a directory, not YAML or not a valid scenario."""
+    ValueError if it cannot be opened otherwise (a directory, a name too
+    long), is not YAML or is not a valid scenario."""
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
-    except (IsADirectoryError, yaml.YAMLError) as exc:
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ValueError(f"cannot read scenario file: {path}: {exc.strerror}") from exc
+    except yaml.YAMLError as exc:
         raise ValueError(f"invalid scenario file: {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"invalid scenario file: {path}")

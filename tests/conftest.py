@@ -7,8 +7,21 @@ import pytest
 from apfmpc.geometry import corners
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.mpc import MpcConfig, _Carry
+from apfmpc.potential_field import quadratic_approx
 from apfmpc.qp import QpProblem, row_scales
 from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
+
+
+def expand_row(gap, params, distance=None):
+    """The field's expansion of one closest-point row as a one-row stack:
+    its value, gradient (2,) and Hessian (2, 2). params is (scale_a,
+    exponent_b); without a distance the row is a separation of |gap|."""
+    gap = np.array([gap], dtype=float)
+    distance = (np.hypot(gap[:, 0], gap[:, 1]) if distance is None
+                else np.array([distance], dtype=float))
+    value, gradient, hessian = quadratic_approx(gap, distance,
+                                                np.array(params, dtype=float)[:, None])
+    return value[0], gradient[0], hessian[0]
 
 
 @pytest.fixture(scope="session")

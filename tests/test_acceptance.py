@@ -15,7 +15,6 @@ from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
 from apfmpc.kinematics import RobotState, euler_step
 from apfmpc.linearization import linearize
 from apfmpc.mpc import MpcController, build_reference, path_table
-from apfmpc.potential_field import quadratic_approx
 from apfmpc.qp import QpSolver
 from apfmpc.simulator import COMPLETED, DEFAULT_GEOMETRY, Scenario, metrics, run
 
@@ -23,7 +22,7 @@ from test_geometry import oracle_distance, random_rect, sat_intersect
 from test_linearization import finite_difference_jacobians, random_operating_point
 from test_potential_field import OBS, fd_gradient, psd_project
 from test_qp import projected_gradient_oracle, random_box_qp
-from conftest import objective
+from conftest import expand_row, objective
 
 
 def _report(num, name):
@@ -88,10 +87,10 @@ def test_criterion_3_potential_field():
         d = math.hypot(obst[0] - pos[0], obst[1] - pos[1])
         if d < 0.2:
             continue
-        q = quadratic_approx(pos, np.subtract(obst, pos), OBS)
+        gradient = expand_row(np.subtract(obst, pos), OBS)[1]
         fd = fd_gradient(pos, (0.0, 0.0), obst, OBS)
         scale = max(np.max(np.abs(fd)), 1e-12)
-        assert np.max(np.abs(q.gradient - fd)) / scale <= 1e-4
+        assert np.max(np.abs(gradient - fd)) / scale <= 1e-4
         checked += 1
     got = psd_project(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(got, np.full((2, 2), 0.5), atol=1e-14)

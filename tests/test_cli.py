@@ -173,6 +173,7 @@ class TestValidate:
                         "yaw_rate": 0.0}]},
         {"duration_s": 0.04},
         {"duration_s": 0.05},
+        {"duration_s": 1.0e+308},
         {"path": [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 0.0, 0.0]]},
         {"scenario": {"name": "sub/dir"}},
         {"scenario": {"name": "../escaped"}},
@@ -188,7 +189,7 @@ class TestValidate:
             "negative_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
             "nan_wall_extent", "nan_obstacle_velocity", "under_one_tick",
-            "rounds_to_zero_ticks", "three_column_path", "name_with_separator",
+            "rounds_to_zero_ticks", "too_many_ticks", "three_column_path", "name_with_separator",
             "name_leaving_out_dir", "three_number_velocity", "three_number_center",
             "unknown_top_level_key", "unknown_scenario_key", "unknown_initial_state_key",
             "unknown_corridor_key", "unknown_obstacle_key"])
@@ -252,11 +253,16 @@ class TestValidate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("kind", ["not_yaml", "directory"])
+    @pytest.mark.parametrize("kind", ["not_yaml", "directory", "under_a_file", "name_too_long"])
     def test_unreadable_file(self, tmp_path, capsys, command, kind):
         bad = tmp_path / "bad.yaml"
         if kind == "directory":
             bad.mkdir()
+        elif kind == "under_a_file":  # a path through a regular file
+            bad.write_text("")
+            bad = bad / "x.yaml"
+        elif kind == "name_too_long":  # longer than any file system's name limit
+            bad = tmp_path / ("x" * 5000 + ".yaml")
         else:
             bad.write_text("scenario: {name: broken\npath: [[0, 0]\n")
         args = [command, str(bad)] + (["--out", str(tmp_path / "out")]

@@ -17,7 +17,7 @@ from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc import qp
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
 from apfmpc.simulator import Scenario, SimulationLog, metrics, run
-from conftest import axis_overlaps, cold, double_back, normalized, sat_intersect
+from conftest import axis_overlaps, cold, double_back, expand_row, normalized, sat_intersect
 
 REF_SPEED = 1.389
 STRAIGHT = path_table(np.array([[0.0, 0.0], [40.0, 0.0]]))
@@ -146,7 +146,8 @@ def counted_contacts(monkeypatch):
 
 def loop_apf(controller, state, obstacles, su, base):
     """Reference oracle: the APF part of (h_mat, f_vec, const) and the list
-    of (step, expansion) terms, one (step, footprint) term at a time."""
+    of (step, anchor, value, gradient, Hessian) terms, one (step, footprint)
+    term at a time."""
     cfg, geom = controller.cfg, controller.geom
     ns, nz = 5, cfg.n_ctrl * 4
     if controller.variant == "no_customization":
@@ -171,13 +172,12 @@ def loop_apf(controller, state, obstacles, su, base):
             if pair.distance > ACTIVATION_RADIUS:
                 continue
             params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
-            quad = quadratic_approx((x, y), (pair.gap_x, pair.gap_y), params, pair.distance)
-            terms.append((i, quad))
-            e_i = base_i - np.array(quad.anchor)
-            h_mat += rows.T @ quad.hessian_psd @ rows
-            f_vec += rows.T @ (quad.hessian_psd @ e_i + quad.gradient)
-            const += (quad.constant + quad.gradient @ e_i
-                      + 0.5 * e_i @ quad.hessian_psd @ e_i)
+            c, g, h = expand_row((pair.gap_x, pair.gap_y), params, pair.distance)
+            terms.append((i, (x, y), c, g, h))
+            e_i = base_i - np.array((x, y))
+            h_mat += rows.T @ h @ rows
+            f_vec += rows.T @ (h @ e_i + g)
+            const += c + g @ e_i + 0.5 * e_i @ h @ e_i
     return 0.5 * (h_mat + h_mat.T), f_vec, const, terms
 
 
@@ -204,10 +204,11 @@ def add_at_apf(controller, state, obstacles):
                                 (n_p, 3))
         steps = np.flatnonzero(pairs[:, 2] <= ACTIVATION_RADIUS)
         params = BOUNDARY_APF if obs.kind == "boundary" else OBSTACLE_APF
-        quad = quadratic_approx(anchor[steps], pairs[steps, 0:2], params, pairs[steps, 2])
-        np.add.at(const, steps, quad.constant)
-        np.add.at(grad, steps, quad.gradient)
-        np.add.at(hess, steps, quad.hessian_psd)
+        value, gradient, hessian = quadratic_approx(
+            pairs[steps, 0:2], pairs[steps, 2], np.repeat([params], len(steps), axis=0).T)
+        np.add.at(const, steps, value)
+        np.add.at(grad, steps, gradient)
+        np.add.at(hess, steps, hessian)
     return const, grad, hess, anchor
 
 
@@ -576,7 +577,7 @@ class TestAssemble:
             asm = c.assemble(s, c._carry, ref, footprints)
             bare = c.assemble(s, c._carry, ref, [])
             h_apf, f_apf, c_apf, terms = loop_apf(c, s, footprints, asm.su, asm.base)
-            assert len({i for i, _ in terms}) == cfg.n_pred
+            assert len({i for i, *_ in terms}) == cfg.n_pred
             np.testing.assert_allclose(asm.qp.h_mat - bare.qp.h_mat, h_apf, rtol=1e-12)
             np.testing.assert_allclose(asm.qp.f_vec - bare.qp.f_vec, f_apf, rtol=1e-12)
             assert asm.apf.value(asm.base.reshape(cfg.n_pred, 5)[:, :2]) == pytest.approx(
@@ -671,9 +672,9 @@ class TestAssemble:
             terms = loop_apf(c, s, footprints, asm.su, asm.base)[3]
             sol = c.step(s, ref, footprints)
             oracle = 0.0
-            for i, quad in terms:
-                r = sol.predicted_outputs[i, :2] - np.array(quad.anchor)
-                oracle += quad.constant + quad.gradient @ r + 0.5 * r @ quad.hessian_psd @ r
+            for i, anchor, value, gradient, hessian in terms:
+                r = sol.predicted_outputs[i, :2] - np.array(anchor)
+                oracle += value + gradient @ r + 0.5 * r @ hessian @ r
             assert sol.apf_cost == pytest.approx(oracle, rel=1e-12)
         assert contacts()  # contact rows among them
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.potential_field import MIN_SQ_DISTANCE, ApfParams, quadratic_approx
+from apfmpc.mpc import BOUNDARY_APF, OBSTACLE_APF
+from apfmpc.potential_field import (MIN_SQ_DISTANCE, QuadraticApproximation, params_table,
+                                    quadratic_approx)
+from conftest import expand_row
 
-OBS = ApfParams(scale_a=3.0, exponent_b=1.8)
-BND = ApfParams(scale_a=0.3, exponent_b=1.1)
+OBS, BND = OBSTACLE_APF, BOUNDARY_APF  # (scale_a, exponent_b)
 
 
 def psd_project(h: np.ndarray) -> np.ndarray:
@@ -27,7 +29,7 @@ def psd_project(h: np.ndarray) -> np.ndarray:
 
 def value_at(distance, params):
     """Field value at the given closest-point distance."""
-    return quadratic_approx((0.0, 0.0), (distance, 0.0), params).constant
+    return expand_row((distance, 0.0), params)[0]
 
 
 D0 = math.sqrt(MIN_SQ_DISTANCE)
@@ -47,8 +49,7 @@ def contact(s, params, direction=(1.0, 0.0)):
     """The expansion at signed distance s along a unit direction: a
     separation's gap for s > 0, and for s <= 0 a contact row's push (as
     long as the overlap), whose distance, s, is read for its sign alone."""
-    gap = abs(s) * np.asarray(direction)
-    return quadratic_approx((0.0, 0.0), gap, params, s)
+    return expand_row(abs(s) * np.asarray(direction), params, s)
 
 
 class TestValue:
@@ -83,14 +84,25 @@ class TestValue:
 
     def test_rejects_nonpositive_params(self):
         with pytest.raises(ValueError):
-            ApfParams(0.0, 1.8)
+            params_table((0.0, 1.8))
         with pytest.raises(ValueError):
-            ApfParams(3.0, -1.0)
+            params_table(OBS, (3.0, -1.0))
 
     @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan)])
     def test_rejects_nan_params(self, a, b):
         with pytest.raises(ValueError):
-            ApfParams(a, b)
+            params_table((a, b))
+
+    def test_params_table_columns_are_the_kinds(self):
+        table = params_table(OBS, BND)
+        assert table.shape == (2, 2) and table.flags.c_contiguous
+        assert table.tolist() == [[OBS[0], BND[0]], [OBS[1], BND[1]]]
+
+    def test_kind_constants_are_positive_and_finite(self):
+        # the field decays from contact only with a > 0 and b > 0
+        for params in (OBSTACLE_APF, BOUNDARY_APF):
+            assert len(params) == 2
+            assert all(math.isfinite(p) and p > 0.0 for p in params)
 
 
 class TestPsdProject:
@@ -152,21 +164,22 @@ def raw_value(robot_pos, offset, obstacle_point, params):
     dx = obstacle_point[0] - (robot_pos[0] + offset[0])
     dy = obstacle_point[1] - (robot_pos[1] + offset[1])
     d_sq = max(dx * dx + dy * dy, MIN_SQ_DISTANCE)
-    return params.scale_a / d_sq ** params.exponent_b
+    a, b = params
+    return a / d_sq ** b
 
 
 class TestQuadraticApprox:
     def test_value_matches_field(self):
-        q = quadratic_approx((0.0, 0.0), (2.0, 0.0), OBS)
-        assert q.constant == pytest.approx(3.0 / 4.0 ** 1.8)
+        value = expand_row((2.0, 0.0), OBS)[0]
+        assert value == pytest.approx(3.0 / 4.0 ** 1.8)
 
     def test_axis_gradient(self):
         # d/dX of a/((p - X)^2)^b at separation 2: 2ab * 2 / 4^2.8
-        q = quadratic_approx((0.0, 0.0), (2.0, 0.0), OBS)
+        gradient = expand_row((2.0, 0.0), OBS)[1]
         expected = 2.0 * 3.0 * 1.8 * 2.0 / 4.0 ** 2.8
-        assert q.gradient[0] == pytest.approx(expected, abs=1e-12)
-        assert q.gradient[0] == pytest.approx(0.44529, abs=1e-4)
-        assert q.gradient[1] == pytest.approx(0.0, abs=1e-15)
+        assert gradient[0] == pytest.approx(expected, abs=1e-12)
+        assert gradient[0] == pytest.approx(0.44529, abs=1e-4)
+        assert gradient[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(100):
@@ -177,29 +190,27 @@ class TestQuadraticApprox:
             dy = obst[1] - (pos[1] + off[1])
             if dx * dx + dy * dy < 0.05:
                 continue
-            q = quadratic_approx(pos, (dx, dy), OBS)
+            gradient = expand_row((dx, dy), OBS)[1]
             fd = fd_gradient(pos, off, obst, OBS)
-            assert np.max(np.abs(q.gradient - fd)) < 1e-5
+            assert np.max(np.abs(gradient - fd)) < 1e-5
 
     def test_gradient_points_away_from_obstacle(self):
         # the field decreases moving away, so the gradient (of increase)
         # points toward the obstacle along +x here
-        q = quadratic_approx((0.0, 0.0), (2.0, 0.0), OBS)
-        assert q.gradient[0] > 0.0
+        assert expand_row((2.0, 0.0), OBS)[1][0] > 0.0
 
     def test_hessian_is_psd(self):
         # eigenvalues are exact only to rounding at the Hessian's scale, so
         # the bound is relative to max|H|; the oracle applies psd_project to
         # the field's raw Hessian at the same point
         rng = np.random.default_rng(7)
-        a, b = OBS.scale_a, OBS.exponent_b
+        a, b = OBS
         for k in range(200):
             pos = tuple(rng.uniform(-4, 4, size=2))
             obst = tuple(rng.uniform(-4, 4, size=2))
             if k % 20 == 0:  # inside d0
                 obst = tuple(np.add(pos, rng.uniform(-0.007, 0.007, size=2)))
-            q = quadratic_approx(pos, np.subtract(obst, pos), OBS)
-            h = q.hessian_psd
+            h = expand_row(np.subtract(obst, pos), OBS)[2]
             scale = float(np.max(np.abs(h)))
             assert np.min(np.linalg.eigvalsh(h)) >= -1e-12 * max(1.0, scale)
             assert np.allclose(h, h.T)
@@ -218,9 +229,9 @@ class TestQuadraticApprox:
         vals, grads = [], []
         for phi in np.linspace(0.0, 2 * math.pi, 17):
             obst = (d * math.cos(phi), d * math.sin(phi))
-            q = quadratic_approx((0.0, 0.0), obst, OBS)
-            vals.append(q.constant)
-            grads.append(np.linalg.norm(q.gradient))
+            value, gradient, _ = expand_row(obst, OBS)
+            vals.append(value)
+            grads.append(np.linalg.norm(gradient))
         assert np.ptp(vals) < 1e-9
         assert np.ptp(grads) < 1e-9
 
@@ -229,49 +240,45 @@ class TestQuadraticApprox:
         # unit gap n, at a separation inside d0 and inside an overlap
         n = np.array([0.6, -0.8])
         for s in (0.005, -0.3):
-            q = contact(s, OBS, n)
-            value, slope, curvature = continuation(s, OBS)
-            assert float(q.constant) == pytest.approx(value, rel=1e-12)
-            np.testing.assert_allclose(q.gradient, -slope * n, rtol=1e-12)
-            np.testing.assert_allclose(q.hessian_psd, curvature * np.outer(n, n), rtol=1e-12)
+            value, gradient, hessian = contact(s, OBS, n)
+            want, slope, curvature = continuation(s, OBS)
+            assert value == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(gradient, -slope * n, rtol=1e-12)
+            np.testing.assert_allclose(hessian, curvature * np.outer(n, n), rtol=1e-12)
 
     def test_value_and_slope_continuous_at_d0(self):
         # the gradient along the gap is -dV/ds on both sides of d0
         for params in (OBS, BND):
             for side in (1.0 - 1e-9, 1.0 + 1e-9):
                 inner, outer = contact(D0 * side, params), contact(D0 / side, params)
-                assert float(inner.constant) == pytest.approx(float(outer.constant), rel=1e-7)
-                np.testing.assert_allclose(inner.gradient, outer.gradient, rtol=1e-7)
-                np.testing.assert_allclose(inner.hessian_psd, outer.hessian_psd, rtol=1e-7)
+                assert inner[0] == pytest.approx(outer[0], rel=1e-7)
+                np.testing.assert_allclose(inner[1], outer[1], rtol=1e-7)
+                np.testing.assert_allclose(inner[2], outer[2], rtol=1e-7)
 
     def test_push_grows_through_contact_and_value_is_bounded_below(self):
         # the push -dV/ds grows as s falls through 0 into the obstacle, and
         # no value inside d0 is below the value at d0
         for params in (OBS, BND):
-            at_d0 = float(contact(D0, params).constant)
+            at_d0 = contact(D0, params)[0]
             s = np.linspace(D0, -0.5, 201)
-            q = quadratic_approx(np.zeros((len(s), 2)), np.abs(s)[:, None] * [0.0, 1.0],
-                                 params, s)
-            push = q.gradient[:, 1]
+            value, gradient, _ = quadratic_approx(np.abs(s)[:, None] * [0.0, 1.0], s,
+                                                  np.repeat([params], len(s), axis=0).T)
+            push = gradient[:, 1]
             assert np.all(np.diff(push) > 0.0) and push[0] > 0.0
-            assert np.all(np.diff(q.constant) > 0.0) and np.all(q.constant >= at_d0)
+            assert np.all(np.diff(value) > 0.0) and np.all(value >= at_d0)
             # a zero gap has no direction: the value alone
-            touching = contact(0.0, params)
-            assert float(touching.constant) > at_d0
-            assert not np.any(touching.gradient) and not np.any(touching.hessian_psd)
-
-    def test_anchor_records_expansion_point(self):
-        q = quadratic_approx((1.5, -2.0), gap((1.5, -2.0), (0.3, 0.1), (4.0, 0.0)), OBS)
-        assert q.anchor == (1.5, -2.0)
+            value, gradient, hessian = contact(0.0, params)
+            assert value > at_d0
+            assert not np.any(gradient) and not np.any(hessian)
 
     def test_frozen_offset_shifts_effective_distance(self):
         # with the offset frozen, translating the robot by -offset must
         # reproduce the zero-offset expansion: the gap is the same
-        q1 = quadratic_approx((0.0, 0.0), gap((0.0, 0.0), (0.5, 0.2), (3.0, 1.0)), OBS)
-        q2 = quadratic_approx((0.5, 0.2), gap((0.5, 0.2), (0.0, 0.0), (3.0, 1.0)), OBS)
-        assert q1.constant == pytest.approx(q2.constant)
-        assert np.allclose(q1.gradient, q2.gradient)
-        assert np.allclose(q1.hessian_psd, q2.hessian_psd)
+        q1 = expand_row(gap((0.0, 0.0), (0.5, 0.2), (3.0, 1.0)), OBS)
+        q2 = expand_row(gap((0.5, 0.2), (0.0, 0.0), (3.0, 1.0)), OBS)
+        assert q1[0] == pytest.approx(q2[0])
+        assert np.allclose(q1[1], q2[1])
+        assert np.allclose(q1[2], q2[2])
 
 
 class TestStacked:
@@ -295,42 +302,49 @@ class TestStacked:
 
     @pytest.mark.parametrize("params", [OBS, BND], ids=["obstacle", "boundary"])
     def test_quadratic_approx_rows_match_scalar_calls(self, params):
+        # a stack of K rows against K one-row stacks, bit for bit: separations,
+        # a tenth of them inside d0, and contact rows
         rng = np.random.default_rng(23)
         pos = rng.uniform(-4, 4, size=(300, 2))
         off = rng.uniform(-1, 1, size=(300, 2))
         obst = rng.uniform(-4, 4, size=(300, 2))
         obst[::10] = pos[::10] + off[::10] + rng.uniform(-0.005, 0.005, size=(30, 2))
-        stacked = quadratic_approx(pos, gap(pos, off, obst), params)
-        assert np.array_equal(stacked.anchor, pos)
+        rel = gap(pos, off, obst)
+        distance = np.hypot(rel[:, 0], rel[:, 1])
+        distance[5::10] = 0.0
+        stacked = quadratic_approx(rel, distance, np.repeat([params], len(rel), axis=0).T)
         inside = 0
-        for k in range(len(pos)):
-            r = gap(pos[k], off[k], obst[k])
-            one = quadratic_approx(tuple(pos[k]), r, params)
-            inside += float(r @ r) <= MIN_SQ_DISTANCE
-            np.testing.assert_allclose(stacked.constant[k], one.constant, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(stacked.gradient[k], one.gradient, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(stacked.hessian_psd[k], one.hessian_psd,
-                                       rtol=1e-14, atol=0)
+        for k in range(len(rel)):
+            one = expand_row(rel[k], params, distance[k])
+            inside += float(rel[k] @ rel[k]) <= MIN_SQ_DISTANCE
+            for got, want in zip(stacked, one):
+                assert got[k].tobytes() == want.tobytes()
         assert inside == 30
 
     def test_empty_stack(self):
-        q = quadratic_approx(np.zeros((0, 2)), np.zeros((0, 2)), OBS)
-        assert q.constant.shape == (0,)
-        assert q.gradient.shape == (0, 2)
-        assert q.hessian_psd.shape == (0, 2, 2)
-        assert q.value(np.zeros((0, 2))) == 0.0
+        value, gradient, hessian = quadratic_approx(np.zeros((0, 2)), np.zeros(0),
+                                                    np.zeros((2, 0)))
+        assert value.shape == (0,)
+        assert gradient.shape == (0, 2)
+        assert hessian.shape == (0, 2, 2)
+        empty = QuadraticApproximation(value, gradient, hessian, np.zeros((0, 2)))
+        assert empty.value(np.zeros((0, 2))) == 0.0
 
     def test_value_sums_each_expansion_at_its_row(self):
         rng = np.random.default_rng(24)
         pos = rng.uniform(-4, 4, size=(50, 2))
         obst = rng.uniform(-4, 4, size=(50, 2))
         at = pos + rng.uniform(-0.3, 0.3, size=(50, 2))
-        stacked = quadratic_approx(pos, obst - pos, OBS)
+        rel = obst - pos
+        rows = quadratic_approx(rel, np.hypot(rel[:, 0], rel[:, 1]),
+                                np.repeat([OBS], len(rel), axis=0).T)
+        stacked = QuadraticApproximation(*rows, pos)
         expected = 0.0
         for k in range(len(pos)):
-            q = quadratic_approx(tuple(pos[k]), obst[k] - pos[k], OBS)
+            c, g, h = expand_row(rel[k], OBS)
             r = at[k] - pos[k]
-            expected += q.constant + q.gradient @ r + 0.5 * r @ q.hessian_psd @ r
-            assert q.value(at[k]) == pytest.approx(
-                q.constant + q.gradient @ r + 0.5 * r @ q.hessian_psd @ r, rel=1e-12)
+            expected += c + g @ r + 0.5 * r @ h @ r
+            one = QuadraticApproximation(c[None], g[None], h[None], pos[k:k + 1])
+            assert one.value(at[k:k + 1]) == pytest.approx(c + g @ r + 0.5 * r @ h @ r,
+                                                            rel=1e-12)
         assert stacked.value(at) == pytest.approx(expected, rel=1e-12)
