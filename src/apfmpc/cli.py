@@ -17,7 +17,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
-EXIT_NUMERICAL = 4  # a run ended with a non-finite state or QP solution
+EXIT_NUMERICAL = 4  # a run ended with a non-finite state, obstacle pose or QP solution
 
 # the `--plots` series, each the log's columns that its header names
 SERIES = {"trajectory": "t,x,y", "heading": "t,theta", "wheel_speeds": "t,v_f,v_r",

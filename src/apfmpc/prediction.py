@@ -63,10 +63,13 @@ def _obstacle_step(x, y, heading, vx, vy, yaw_rate, dt):
 
 
 def advance_obstacle(obs: Obstacle, dt: float) -> Obstacle:
-    """One constant velocity / turning rate step."""
+    """One constant velocity / turning rate step; FloatingPointError if the
+    new pose is not finite (an overflow)."""
     pose = obs.footprint.center
     x, y, heading, vx, vy = _obstacle_step(pose.x, pose.y, pose.heading,
                                            *obs.velocity, obs.yaw_rate, dt)
+    if not all(map(math.isfinite, (x, y, heading))):
+        raise FloatingPointError(f"non-finite obstacle pose ({x}, {y}, {heading})")
     return Obstacle(OrientedRectangle(Pose2D(x, y, heading), obs.footprint.half_length,
                                       obs.footprint.half_width),
                     (vx, vy), obs.yaw_rate, obs.kind)

@@ -15,13 +15,15 @@ where it makes them. The scaling does not move the minimizer.
 
 A held set is a side per row of A, -1 lower, +1 upper, 0 free.
 `_held_point` holds each row with a nonzero side at that side's bound, as
-an equality, in the KKT system of the cost, and returns the point, the held
-rows' signed multipliers (each times its side) and every row's violation.
-One rule accepts the point: every scaled row within `tolerance` of its
-bounds, and every signed multiplier >= 0. Such a point is a KKT point, hence
-the minimizer of the convex QP, and is returned as OPTIMAL with its
+an equality, in the KKT system of the cost, and returns the point, the row
+multipliers and every row's violation. The row multipliers are one vector
+over the rows of A: each held row's multiplier times its side, +0.0 on a
+free row, so a held row pushes the right way exactly when its entry is
+>= 0. One rule accepts the point: every scaled row within `tolerance` of
+its bounds, and no row multiplier negative. Such a point is a KKT point,
+hence the minimizer of the convex QP, and is returned as OPTIMAL with its
 violation as the primal residual and its set. A NaN point's violation is
-NaN, which fails the rule, so it is never accepted.
+NaN, and a NaN multiplier is not >= 0, so neither is ever accepted.
 
 The KKT system is regularized, so that a set of dependent rows still has a
 point: +1e-10 on the diagonal of H and -1e-10 / max(1, max H_ii) on that
@@ -32,24 +34,27 @@ distance the hold moves the row however stiff the cost; an absolute -1e-10
 missed by up to 0.29 at a contact curvature of 7.9e12, where no set
 certified. A set that holds no row solves H + 1e-10 I alone.
 
-A solve first tries the caller's guessed set, such as the set of the
-previous solve in a sequence of similar problems, or else the empty set,
-whose point is the unconstrained minimizer (the online active-set idea of
-Ferreau, Bock and Diehl, 2008). An accepted guess returns with 0 iterations
-and checks nothing more. Otherwise a cost that is not finite raises
-FloatingPointError, and a guess that holds an infinite bound is replaced by
-the empty set. Then:
+A solve is one loop over sets, and its first set is the caller's guess,
+such as the set of the previous solve in a sequence of similar problems,
+or else the empty set, whose point is the unconstrained minimizer (the
+online active-set idea of Ferreau, Bock and Diehl, 2008). Each set's point
+is put to the acceptance rule first; an accepted guess returns with 0
+iterations and checks nothing more. Before the first set change, a failed
+guess raises FloatingPointError if the cost is not finite, and a guess
+that holds an infinite bound is replaced by the empty set. Then each pass
+makes one of two steps:
 
-1. Dual feasibility. While a held row's signed multiplier is negative, the
-   most negative is freed.
+1. Dual feasibility. If a row multiplier is negative, the most negative
+   row is freed.
 2. Goldfarb-Idnani steps. The most violated row p is held at its violated
-   side, and that set is solved. If no held row's signed multiplier turns
+   side, and that set is solved. If no held row's multiplier turns
    negative, the set is taken, or, if its point still misses p, the QP is
    proved infeasible: p depends on the held rows, and no row can be freed
-   to make room for it. Otherwise the ratio test on the current and the new
-   signed multipliers, t = s / (s - s'), frees the row of the smallest t,
-   moves the multipliers to the interpolant at t (the point is not needed:
-   the next set's is solved from scratch) and retries p.
+   to make room for it. Otherwise the ratio test on the current and the
+   trial row multipliers, t = s / (s - s') over the held rows that fall,
+   frees the row of the smallest t, moves the current multipliers to the
+   interpolant at t (the point is not needed: the next set's is solved
+   from scratch) and retries p.
 
 Each set costs one `_held_point` solve, and `QpSolution.iterations` counts
 them after the guess's. Where freeing the most negative multiplier and the
@@ -131,62 +136,54 @@ class QpSolver:
         held = None if active is None else np.asarray(active)
         if held is None or held.shape != (m,):
             held = np.zeros(m, int)
-        point = _held_point(problem, held)
-        if point is not None:
-            viol = float(np.maximum.reduce(point[2], initial=0.0))
-            if viol <= tol and np.logical_and.reduce(point[1] >= 0.0):
-                return QpSolution(point[0], OPTIMAL, viol, 0, held)
-        if not (np.logical_and.reduce(np.isfinite(problem.f_vec))
-                and np.logical_and.reduce(np.isfinite(problem.h_mat), axis=None)):
-            raise FloatingPointError("QP cost is not finite")
-        iterations, held = 0, held.copy()
-        if point is None:  # the guess holds an infinite bound
-            held[:] = 0
-            point, iterations = _held_point(problem, held), 1
-        while point is not None and iterations <= m + n:
-            x, signed, gaps = point
-            rows = held.nonzero()[0]
-            if len(rows) and np.minimum.reduce(signed) < 0.0:  # 1: free the most negative
-                held[rows[signed.argmin()]] = 0
+        point, iterations = _held_point(problem, held), 0
+        while iterations <= m + n:
+            if point is not None:  # the one acceptance rule
+                x, mult, gaps = point
+                viol = float(np.maximum.reduce(gaps, initial=0.0))
+                low = np.minimum.reduce(mult, initial=0.0)  # NaN if any is NaN
+                if viol <= tol and low >= 0.0:
+                    return QpSolution(x, OPTIMAL, viol, iterations, held)
+            if iterations == 0:  # a failed guess, before the first set change
+                if not (np.logical_and.reduce(np.isfinite(problem.f_vec))
+                        and np.logical_and.reduce(np.isfinite(problem.h_mat), axis=None)):
+                    raise FloatingPointError("QP cost is not finite")
+                held = held.copy()
+                if point is None:  # the guess holds an infinite bound
+                    held[:] = 0
+                    point, iterations = _held_point(problem, held), 1
+                    continue
+            if point is None:
+                break
+            if low < 0.0:  # 1: free the most negative
+                held[mult.argmin()] = 0
                 point, iterations = _held_point(problem, held), iterations + 1
                 continue
-            viol = float(np.maximum.reduce(gaps, initial=0.0))
-            if viol <= tol:
-                return QpSolution(x, OPTIMAL, viol, iterations, held)
             # 2: hold the most violated row p at its violated side
             p = gaps.argmax()
             side = -1 if lo[p] > problem.a_mat[p] @ x else 1
-            current = None  # the signed multipliers along the step, once one falls
-            while True:
+            while True:  # mult moves along the step as held rows are freed
                 trial = held.copy()
                 trial[p] = side
                 point, iterations = _held_point(problem, trial), iterations + 1
                 if point is None:
                     break
-                falling = ()
-                if np.minimum.reduce(point[1]) < 0.0:
-                    new = np.zeros(m)
-                    new[trial.nonzero()[0]] = point[1]
-                    falling = ((new < 0.0) & (held != 0)).nonzero()[0]
+                new = point[1]
+                falling = ((new < 0.0) & (held != 0)).nonzero()[0]
                 if not len(falling):
                     if point[2][p] > tol:  # p depends on the held rows
                         return QpSolution(point[0], INFEASIBLE,
                                           float(np.maximum.reduce(point[2])), iterations, trial)
                     held = trial
                     break
-                if current is None:
-                    current = np.zeros(m)
-                    current[rows] = signed
-                s, s_new = current[falling], new[falling]
-                ratio = s / (s - s_new)
+                ratio = mult[falling] / (mult[falling] - new[falling])
                 k = ratio.argmin()
-                current += ratio[k] * (new - current)
-                current[falling[k]] = 0.0
+                mult += ratio[k] * (new - mult)
+                mult[falling[k]] = 0.0
                 held[falling[k]] = 0
         # cycling, or a singular system: no answer to apply
         if point is None:
-            z, viol = np.empty(n), np.nan
-            z.fill(np.nan)
+            z, viol = np.full(n, np.nan), np.nan
         else:
             z, viol = point[0], float(np.maximum.reduce(point[2], initial=0.0))
         return QpSolution(z, MAX_ITERATIONS, viol, iterations, held)
@@ -195,9 +192,10 @@ class QpSolver:
 def _held_point(problem, active):
     """The point of `active`'s held set: each row with a nonzero side held at
     that side's bound in the KKT system of the cost, regularized (see the
-    module docstring). Returns (x, the held rows' multipliers times their
-    sides, each row's violation max(lo - Ax, Ax - hi)), or None when a held
-    bound is infinite or the system is singular."""
+    module docstring). Returns (x, the row multipliers, each row's violation
+    max(lo - Ax, Ax - hi)), or None when a held bound is infinite or the
+    system is singular. The row multipliers are an (m,) vector: each held
+    row's multiplier times its side, +0.0 on a free row."""
     a_mat, lo, hi = problem.a_mat, problem.lower, problem.upper
     rows = active.nonzero()[0]
     n, k = len(problem.f_vec), len(rows)
@@ -221,7 +219,8 @@ def _held_point(problem, active):
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
-    x = sol[:n]
+    x, mult = sol[:n], np.zeros(len(lo))
+    mult[rows] = sol[n:] * sides
     ax = a_mat @ x
     # lower <= upper, so a row's violation is the larger of its two gaps
-    return x, sol[n:] * sides, np.maximum(lo - ax, ax - hi)
+    return x, mult, np.maximum(lo - ax, ax - hi)

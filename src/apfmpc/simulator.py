@@ -39,7 +39,7 @@ _COLUMNS = CSV_HEADER.split(",")  # the order of a log row's values
 COMPLETED = "completed"
 COLLIDED = "collided"
 SOLVER_FAILED = "solver_failed"
-NUMERICAL_FAILURE = "numerical_failure"  # the state or the QP solution went non-finite
+NUMERICAL_FAILURE = "numerical_failure"  # the state, an obstacle pose or the QP went non-finite
 
 DEFAULT_GEOMETRY = RobotGeometry(l_front=1.2, l_rear=1.2,
                                  half_length=1.3, half_width=0.5)
@@ -158,7 +158,7 @@ def run(scenario: Scenario) -> SimulationLog:
         ref = build_reference(table, state, scenario.ref_speed, cfg)
         try:
             sol = controller.step(state, ref, obstacles + boundaries)
-        except FloatingPointError:  # a non-finite QP cost or solution
+        except FloatingPointError:  # a non-finite predicted track, QP cost or solution
             log.outcome = NUMERICAL_FAILURE
             break
         u = sol.applied_input
@@ -171,7 +171,11 @@ def run(scenario: Scenario) -> SimulationLog:
             log.outcome = SOLVER_FAILED
             break
         state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
-        obstacles = [advance_obstacle(o, cfg.dt) if o.moves else o for o in obstacles]
+        try:
+            obstacles = [advance_obstacle(o, cfg.dt) if o.moves else o for o in obstacles]
+        except FloatingPointError:  # an obstacle pose overflowed
+            log.outcome = NUMERICAL_FAILURE
+            break
     return log
 
 
@@ -196,10 +200,10 @@ def metrics(log: SimulationLog, path: np.ndarray) -> dict:
 # -- scenario file I/O -------------------------------------------------------
 
 def _rect_to_dict(rect: OrientedRectangle) -> dict:
-    return {"center": [rect.center.x, rect.center.y],
-            "heading": rect.center.heading,
-            "half_length": rect.half_length,
-            "half_width": rect.half_width}
+    return {"center": [float(rect.center.x), float(rect.center.y)],
+            "heading": float(rect.center.heading),
+            "half_length": float(rect.half_length),
+            "half_width": float(rect.half_width)}
 
 
 def _rect_from_dict(d: dict) -> OrientedRectangle:
@@ -209,19 +213,21 @@ def _rect_from_dict(d: dict) -> OrientedRectangle:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    """The file form of a scenario: its numbers as Python floats, so that
+    numpy numbers save as any others."""
     s = scenario.initial_state
     return {
         "scenario": {"name": scenario.name},
         "corridor": [_rect_to_dict(r) for r in scenario.corridor],
         "path": np.asarray(scenario.path, dtype=float).tolist(),
-        "ref_speed_mps": scenario.ref_speed,
+        "ref_speed_mps": float(scenario.ref_speed),
         "obstacles": [dict(_rect_to_dict(o.footprint),
                            velocity=[o.velocity[0], o.velocity[1]],
                            yaw_rate=o.yaw_rate)
                       for o in scenario.obstacles],
-        "initial_state": {"x": s.x, "y": s.y, "heading": s.heading,
-                          "v_front": s.v_front, "v_rear": s.v_rear},
-        "duration_s": scenario.duration,
+        "initial_state": {"x": float(s.x), "y": float(s.y), "heading": float(s.heading),
+                          "v_front": float(s.v_front), "v_rear": float(s.v_rear)},
+        "duration_s": float(scenario.duration),
         "controller_variant": scenario.controller_variant,
     }
 

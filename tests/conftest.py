@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from apfmpc.geometry import corners
+from apfmpc.geometry import OrientedRectangle, Pose2D, corners
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from apfmpc.mpc import MpcConfig, _Carry
 from apfmpc.potential_field import quadratic_approx
+from apfmpc.prediction import Obstacle
 from apfmpc.qp import QpProblem, row_scales
 from apfmpc.simulator import Scenario, load_scenario, packaged_scenario_path, run
 
@@ -92,6 +93,16 @@ def double_back(heading, duration=1.0):
                     ref_speed=1.0, obstacles=[],
                     initial_state=RobotState(0.5 * c, 0.5 * s, heading, 0.5, 0.5),
                     duration=duration)
+
+
+def overflowing_obstacle(variant):
+    """Path (0, 0) -> (40, 0) at 1 m/s for 3 s, and one 1 x 1 m obstacle at
+    (10, 5) moving at 1e308 m/s: its position overflows within the run."""
+    obstacle = Obstacle(OrientedRectangle(Pose2D(10.0, 5.0, 0.0), 0.5, 0.5), (1e308, 0.0))
+    return Scenario(name="overflow", corridor=[], path=np.array([[0.0, 0.0], [40.0, 0.0]]),
+                    ref_speed=1.0, obstacles=[obstacle],
+                    initial_state=RobotState(0.0, 0.0, 0.0, 1.0, 1.0), duration=3.0,
+                    controller_variant=variant)
 
 
 # 0.89 on a 601-point grid over [-3, 3]: the half turn's summed heading

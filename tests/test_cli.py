@@ -11,7 +11,8 @@ from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import RobotState
 from apfmpc.simulator import (Scenario, load_scenario, packaged_scenario_path,
                               save_scenario, scenario_to_dict)
-from conftest import DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step
+from conftest import (DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step,
+                      overflowing_obstacle)
 
 
 @pytest.fixture
@@ -325,6 +326,17 @@ class TestExitCodes:
         assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
         summary = next(tmp_path.glob("clitest*.summary")).read_text()
         assert "numerical_failure" in summary
+
+    @pytest.mark.parametrize("variant", ["full", "no_customization"])
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_overflowing_obstacle_exits_numerical(self, tmp_path, command, variant):
+        # an obstacle whose position overflows is a numerical failure under
+        # either variant, and the file it comes from is valid
+        path = tmp_path / "overflow.yaml"
+        save_scenario(overflowing_obstacle(variant), path)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        assert "numerical_failure" in next(tmp_path.glob("*.summary")).read_text()
 
     @pytest.mark.parametrize("keep_obstacles,solve", [(False, 3), (True, 3), (True, 1)],
                              ids=["no_obstacles", "obstacles", "obstacles_first_solve"])

@@ -170,6 +170,15 @@ class TestObstacles:
         with pytest.raises(ValueError, match="finite"):
             Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1), velocity, yaw_rate)
 
+    @pytest.mark.parametrize("velocity", [(1e308, 0.0), (-1e308, 1e308)])
+    def test_advance_raises_on_an_overflowing_pose(self, velocity):
+        # finite motion whose pose overflows: FloatingPointError, as the
+        # controller's frames raise on such a predicted track
+        obs = Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1), velocity)
+        with pytest.raises(FloatingPointError, match="obstacle pose"):
+            for _ in range(20):
+                obs = advance_obstacle(obs, DT)
+
     def test_array_velocity_and_yaw_rate_stored_as_floats(self):
         obs = Obstacle(OrientedRectangle(Pose2D(0, 0, 0), 1, 1),
                        np.array([0.25, -0.5]), np.float64(0.3))

@@ -602,6 +602,31 @@ class TestSeededOracle:
             assert sum(certifies(problem, s) for s in sets) >= 2
         assert seen["optimal"] == 20
 
+    def test_row_multipliers_of_every_optimal_answer(self):
+        # the same draws as above: `_held_point` of each optimal answer's set
+        # returns its point and one multiplier per row, +0.0 on a free row,
+        # >= 0 on a held one, and H z + f + A'(side * mult) = 0 up to the
+        # KKT solve's regularization and rounding (1.9e-9 at worst here)
+        rng = [np.random.default_rng(seed) for seed in (39, 40, 41)]
+        problems = ([random_rows(rng[0]) for _ in range(60)]
+                    + [dependent_slip_block(rng[1]) for _ in range(40)]
+                    + [degenerate_vertex(rng[2])[0] for _ in range(20)])
+        optimal = 0
+        for problem in problems:
+            sol = QpSolver().solve(problem)
+            if sol.status != "optimal":
+                continue
+            optimal += 1
+            z, mult, _ = qp_module._held_point(problem, sol.active)
+            free = sol.active == 0
+            assert z.tobytes() == sol.z.tobytes() and mult.shape == sol.active.shape
+            assert np.all(mult[free] == 0.0) and not np.signbit(mult[free]).any()
+            assert np.all(mult[~free] >= 0.0)
+            stationarity = (problem.h_mat @ z + problem.f_vec
+                            + problem.a_mat.T @ (sol.active * mult))
+            assert np.max(np.abs(stationarity)) < 1e-7
+        assert optimal >= 60
+
 
 def test_certified_tick_scales_no_cost_and_computes_no_residual(cfg, geom, monkeypatch):
     # a warm step whose guess certifies makes one KKT solve and nothing

@@ -1,72 +1,127 @@
 """Seeded random scenarios and the invariants every closed-loop run keeps.
 
-Each scenario has 0-2 walls and 0-2 obstacles, about half of them moving,
-a path of 2-4 vertices, a start within 1 m of the first vertex at any
-heading with wheel speeds of 0-1.6 m/s, and a duration of 1-3 s; the
-controller variants take turns. A run must raise nothing, end in a
-declared outcome, log only finite numbers (unless its outcome says the
-numbers went non-finite), apply inputs within `MpcConfig.u_max`, and write
-the same CSV bytes when run again. A scenario that breaks an invariant is
-a failing test, never a reason to draw other scenarios.
+Three families, the controller variants taking turns in each:
+
+- general: 0-2 walls and 0-2 obstacles, about half of them moving, a path
+  of 2-4 vertices, a start within 1 m of the first vertex at any heading
+  with wheel speeds of 0-1.6 m/s, and a duration of 1-3 s;
+- exact double-backs (`conftest.double_back`) at headings in (-3, 3), 2-6 s;
+- starts whose footprint overlaps a wall beside a straight path by 5-50 cm,
+  within 0.3 rad of the path's heading, both wheels at one speed of
+  0-1.6 m/s, 1-2 s.
+
+A run must raise nothing, end in a declared outcome, log only finite
+numbers (unless its outcome says the numbers went non-finite), apply
+inputs within `MpcConfig.u_max`, and write the same CSV bytes when run
+again. A scenario that breaks an invariant is a failing test, never a
+reason to draw other scenarios.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from apfmpc.geometry import OrientedRectangle, Pose2D
+from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
 from apfmpc.kinematics import RobotState
 from apfmpc.mpc import VARIANTS, MpcConfig
 from apfmpc.prediction import Obstacle
-from apfmpc.simulator import (COLLIDED, COMPLETED, NUMERICAL_FAILURE, SOLVER_FAILED, Scenario,
-                              load_scenario, run, save_scenario)
+from apfmpc.simulator import (COLLIDED, COMPLETED, DEFAULT_GEOMETRY, NUMERICAL_FAILURE,
+                              SOLVER_FAILED, Scenario, load_scenario, run, save_scenario)
+from conftest import double_back
 
-SEED, SCENARIOS = 2026, 24
+SEED, SCENARIOS, DOUBLE_BACKS, WALL_STARTS = 2026, 24, 6, 6
 OUTCOMES = (COMPLETED, COLLIDED, SOLVER_FAILED, NUMERICAL_FAILURE)
 
 
-def random_scenario(rng, variant):
-    """One scenario drawn from rng, with the ranges of the module docstring;
-    its numbers are Python floats, as a file holds them."""
-    def uniform(low, high, size=None):
-        return np.array(rng.uniform(low, high, size)).tolist()
+def uniform(rng, low, high, size=None):
+    """rng.uniform as Python floats, as a file holds them."""
+    return np.array(rng.uniform(low, high, size)).tolist()
 
-    headings = np.cumsum([uniform(-math.pi, math.pi)]
-                         + uniform(-2.5, 2.5, rng.integers(0, 3))).tolist()
+
+def random_scenario(rng, variant):
+    """One general scenario drawn from rng, with the ranges of the module
+    docstring."""
+    headings = np.cumsum([uniform(rng, -math.pi, math.pi)]
+                         + uniform(rng, -2.5, 2.5, rng.integers(0, 3))).tolist()
     steps = [(length * math.cos(h), length * math.sin(h))
-             for h, length in zip(headings, uniform(2.0, 8.0, len(headings)))]
-    path = np.cumsum([uniform(-5.0, 5.0, 2)] + steps, axis=0)
+             for h, length in zip(headings, uniform(rng, 2.0, 8.0, len(headings)))]
+    path = np.cumsum([uniform(rng, -5.0, 5.0, 2)] + steps, axis=0)
     walls = []
     for _ in range(rng.integers(0, 3)):  # beside a segment, along it
-        k, side = rng.integers(0, len(steps)), uniform(1.5, 4.0) * float(rng.choice([-1, 1]))
+        k, side = rng.integers(0, len(steps)), uniform(rng, 1.5, 4.0) * float(rng.choice([-1, 1]))
         normal = np.array([-math.sin(headings[k]), math.cos(headings[k])])
         x, y = (path[k] + 0.5 * np.array(steps[k]) + side * normal).tolist()
-        walls.append(OrientedRectangle(Pose2D(x, y, headings[k]), uniform(2.0, 8.0),
-                                       uniform(0.1, 0.3)))
+        walls.append(OrientedRectangle(Pose2D(x, y, headings[k]), uniform(rng, 2.0, 8.0),
+                                       uniform(rng, 0.1, 0.3)))
     obstacles = []
     for _ in range(rng.integers(0, 3)):  # near the path, about half of them moving
-        k, along = rng.integers(0, len(steps)), uniform(0.5, 1.0)
-        x, y = (path[k] + along * np.array(steps[k]) + uniform(-1.5, 1.5, 2)).tolist()
-        footprint = OrientedRectangle(Pose2D(x, y, uniform(-math.pi, math.pi)),
-                                      *uniform(0.3, 0.8, 2))
+        k, along = rng.integers(0, len(steps)), uniform(rng, 0.5, 1.0)
+        x, y = (path[k] + along * np.array(steps[k]) + uniform(rng, -1.5, 1.5, 2)).tolist()
+        footprint = OrientedRectangle(Pose2D(x, y, uniform(rng, -math.pi, math.pi)),
+                                      *uniform(rng, 0.3, 0.8, 2))
         if rng.random() < 0.5:
-            obstacles.append(Obstacle(footprint, uniform(-1.0, 1.0, 2), uniform(-0.5, 0.5)))
+            obstacles.append(Obstacle(footprint, uniform(rng, -1.0, 1.0, 2),
+                                      uniform(rng, -0.5, 0.5)))
         else:
             obstacles.append(Obstacle(footprint))
-    bearing, reach = uniform(-math.pi, math.pi), uniform(0.0, 1.0)
+    bearing, reach = uniform(rng, -math.pi, math.pi), uniform(rng, 0.0, 1.0)
     x, y = path[0].tolist()
     start = RobotState(x + reach * math.cos(bearing), y + reach * math.sin(bearing),
-                       uniform(-math.pi, math.pi), *uniform(0.0, 1.6, 2))
-    return Scenario(name="seeded", corridor=walls, path=path, ref_speed=uniform(0.3, 1.4),
-                    obstacles=obstacles, initial_state=start, duration=uniform(1.0, 3.0),
+                       uniform(rng, -math.pi, math.pi), *uniform(rng, 0.0, 1.6, 2))
+    return Scenario(name="seeded", corridor=walls, path=path, ref_speed=uniform(rng, 0.3, 1.4),
+                    obstacles=obstacles, initial_state=start, duration=uniform(rng, 1.0, 3.0),
                     controller_variant=variant)
+
+
+def wall_start(rng, variant):
+    """A straight path from the origin at a random heading, a wall beside
+    it, and a start near the first vertex whose footprint overlaps the wall
+    by 5-50 cm, with the ranges of the module docstring."""
+    heading, length = uniform(rng, -math.pi, math.pi), uniform(rng, 10.0, 20.0)
+    along = np.array([math.cos(heading), math.sin(heading)])
+    across = np.array([-math.sin(heading), math.cos(heading)])
+    side, (offset, half_width) = float(rng.choice([-1, 1])), uniform(rng, [1.0, 0.1], [3.0, 0.3])
+    x, y = (0.5 * length * along + side * offset * across).tolist()
+    wall = OrientedRectangle(Pose2D(x, y, heading), 0.5 * length + 3.0, half_width)
+    # the footprint's reach across the path at its turn from the path's heading
+    turn, depth = uniform(rng, -0.3, 0.3), uniform(rng, 0.05, 0.5)
+    geom = DEFAULT_GEOMETRY
+    reach = geom.half_length * abs(math.sin(turn)) + geom.half_width * math.cos(turn)
+    x, y = (uniform(rng, 0.0, 2.0) * along
+            + side * (offset - half_width - reach + depth) * across).tolist()
+    start = RobotState(x, y, heading + turn, *[uniform(rng, 0.0, 1.6)] * 2)
+    return Scenario(name="wall_start", corridor=[wall],
+                    path=np.array([[0.0, 0.0], (length * along).tolist()]),
+                    ref_speed=uniform(rng, 0.3, 1.4), obstacles=[], initial_state=start,
+                    duration=uniform(rng, 1.0, 2.0), controller_variant=variant)
 
 
 @pytest.mark.parametrize("index", range(SCENARIOS))
 def test_seeded_run_keeps_the_invariants(tmp_path, index):
     # the variants take turns
-    drawn = random_scenario(np.random.default_rng([SEED, index]), VARIANTS[index % 2])
+    keeps_the_invariants(tmp_path, random_scenario(np.random.default_rng([SEED, index]),
+                                                   VARIANTS[index % 2]))
+
+
+@pytest.mark.parametrize("index", range(DOUBLE_BACKS))
+def test_double_back_keeps_the_invariants(tmp_path, index):
+    rng = np.random.default_rng([SEED, 1, index])
+    drawn = double_back(uniform(rng, -3.0, 3.0), duration=uniform(rng, 2.0, 6.0))
+    keeps_the_invariants(tmp_path, replace(drawn, controller_variant=VARIANTS[index % 2]))
+
+
+@pytest.mark.parametrize("index", range(WALL_STARTS))
+def test_wall_start_keeps_the_invariants(tmp_path, index):
+    drawn = wall_start(np.random.default_rng([SEED, 2, index]), VARIANTS[index % 2])
+    # the draw: the start's footprint overlaps the wall by 5-50 cm
+    contact = closest_pair(DEFAULT_GEOMETRY.footprint(drawn.initial_state), drawn.corridor[0])
+    assert contact.distance == 0.0 and 0.05 <= math.hypot(contact.gap_x, contact.gap_y) <= 0.5
+    keeps_the_invariants(tmp_path, drawn)
+
+
+def keeps_the_invariants(tmp_path, drawn):
     # what a file holds: the scenario that `validate` accepts is the one run
     save_scenario(drawn, tmp_path / "seeded.yaml")
     scenario = load_scenario(tmp_path / "seeded.yaml")

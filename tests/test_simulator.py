@@ -11,11 +11,11 @@ from apfmpc.kinematics import ControlInput, RobotState, euler_step
 from apfmpc.mpc import VARIANTS, build_reference, path_table, slip_constraint_rows
 from apfmpc.prediction import Obstacle
 from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
-                              NUMERICAL_FAILURE, SOLVER_FAILED, Scenario, load_scenario,
-                              metrics, packaged_scenario_path, run, save_scenario,
-                              scenario_from_dict, scenario_to_dict)
+                              NUMERICAL_FAILURE, SOLVER_FAILED, Scenario, _entries,
+                              load_scenario, metrics, packaged_scenario_path, run,
+                              save_scenario, scenario_from_dict, scenario_to_dict)
 from conftest import (DOUBLE_BACK_HEADING, double_back, inf_heading_at_step, nan_at_solve,
-                      nan_at_step)
+                      nan_at_step, overflowing_obstacle)
 
 
 def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
@@ -113,6 +113,15 @@ class TestRun:
         assert log.outcome == NUMERICAL_FAILURE
         assert len(log.records) == 2
         assert all(np.isfinite(r.applied.as_array()).all() for r in log.records)
+
+    @pytest.mark.parametrize("variant, ticks", [("full", 0), ("no_customization", 18)])
+    def test_overflowing_obstacle_ends_in_numerical_failure(self, variant, ticks):
+        # `full` predicts the obstacle's track, whose frames overflow before
+        # the first tick; `no_customization` predicts none, and the run stops
+        # at the tick whose advanced obstacle pose overflows
+        log = run(overflowing_obstacle(variant))
+        assert log.outcome == NUMERICAL_FAILURE
+        assert len(log.records) == ticks
 
     def test_advances_only_obstacles_that_move(self, monkeypatch):
         # a static obstacle is the same object every tick; a moving one is
@@ -243,6 +252,20 @@ class TestScenarioIO:
         path = tmp_path / "scn.yaml"
         save_scenario(scn, path)
         assert load_scenario(path) == scn
+
+    def test_numpy_numbers_round_trip(self, tmp_path):
+        # a scenario accepts numpy numbers; the file form holds Python floats
+        obs = Obstacle(OrientedRectangle(Pose2D(np.float64(8.0), np.float32(0.5), 0.3),
+                                         np.float64(0.75), 0.4), (0.1, -0.2), 0.05)
+        wall = OrientedRectangle(Pose2D(10.0, np.float64(3.1), 0.0), 12.0, np.float32(0.1))
+        scn = replace(tiny_scenario(obstacles=[obs]), corridor=[wall], ref_speed=np.float64(1.1),
+                      initial_state=RobotState(np.float64(0.0), *np.zeros(3), np.float32(0.5)),
+                      duration=np.float32(2.0))
+        path = tmp_path / "scn.yaml"
+        save_scenario(scn, path)
+        assert load_scenario(path) == scn
+        assert all(type(value) in (str, list, dict, float)
+                   for _, value in _entries(scenario_to_dict(scn)))
 
     def test_equal_by_value(self, monkeypatch, tmp_path):
         # the path compares by its numbers; it stays read-only, and the
