@@ -33,8 +33,9 @@ def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
     """Minimal self-contained vector overview: corridor, obstacles, path."""
     xs = [r.state.x for r in log.records]
     ys = [r.state.y for r in log.records]
-    all_x = xs + [float(p[0]) for p in scenario.path]
-    all_y = ys + [float(p[1]) for p in scenario.path]
+    path = scenario.path.tolist()
+    all_x = xs + [p[0] for p in path]
+    all_y = ys + [p[1] for p in path]
     pad = 2.0
     x0, x1 = min(all_x) - pad, max(all_x) + pad
     y0, y1 = min(all_y) - pad, max(all_y) + pad
@@ -62,8 +63,7 @@ def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
     for obs in scenario.obstacles:
         cs = corners(obs.footprint)
         parts.append(polyline(cs + [cs[0]], "green", 2))
-    parts.append(polyline([(float(p[0]), float(p[1])) for p in scenario.path],
-                          "black", 1))
+    parts.append(polyline(path, "black", 1))
     parts.append(polyline(list(zip(xs, ys)), "blue", 2))
     parts.append("</svg>")
     (out_dir / f"{name}.trajectory.svg").write_text("\n".join(parts) + "\n")

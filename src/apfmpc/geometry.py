@@ -10,8 +10,9 @@ is needed: the controller's predicted footprints are frames, which
 center, heading or extent that is not finite with ValueError, as input;
 `frames` raises FloatingPointError on a row that is not finite, as a
 numerical failure.
-Poses and rectangles are frozen dataclasses whose own `__init__` writes
-each field once, straight into the instance dict.
+Poses and rectangles are frozen dataclasses that store each number as a
+Python float when they are made, with `store_floats`, as the robot's state,
+an obstacle and a scenario do; nothing else converts a number.
 
 A closest-pair query returns the distance and the gap, the world-frame
 vector from A's closest point to B's (Ericson, Real-Time Collision
@@ -66,42 +67,42 @@ def normalize_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-# Pose2D and OrientedRectangle are frozen dataclasses with their own
-# __init__: the generated one sets each field through object.__setattr__
-# and then calls __post_init__, two to three times the cost of writing the
-# instance dict directly. A controller tick builds neither; the closed loop
-# builds 1.75 of each per tick of perfbench's corridor_apf seed 1: the
-# robot's clearance footprint, and `advance_obstacle` of the 0.75 moving
-# obstacles a tick has on average. A static obstacle is not rebuilt.
-@dataclass(frozen=True, init=False)
+def store_floats(obj, **numbers) -> None:
+    """Set fields of a frozen dataclass from its `__post_init__`, each as a
+    Python float: a value type converts its numbers once, when it is made,
+    so a numpy number given to it (a float32 too) is computed on as a double."""
+    for name, value in numbers.items():
+        object.__setattr__(obj, name, float(value))
+
+
+@dataclass(frozen=True)
 class Pose2D:
     x: float
     y: float
     heading: float
 
-    def __init__(self, x: float, y: float, heading: float):
-        d = self.__dict__
-        d["x"], d["y"], d["heading"] = x, y, normalize_angle(heading)
+    def __post_init__(self):
+        store_floats(self, x=self.x, y=self.y, heading=normalize_angle(float(self.heading)))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class OrientedRectangle:
     center: Pose2D
     half_length: float  # along heading
     half_width: float   # perpendicular to heading
 
-    def __init__(self, center: Pose2D, half_length: float, half_width: float):
+    def __post_init__(self):
+        store_floats(self, half_length=self.half_length, half_width=self.half_width)
+        x, y, heading = self.center.x, self.center.y, self.center.heading
+        hl, hw = self.half_length, self.half_width
         # NaN fails both comparisons; an infinite extent times |sin| = 0 is NaN
-        if not (0.0 < half_length < inf and 0.0 < half_width < inf):
+        if not (0.0 < hl < inf and 0.0 < hw < inf):
             raise ValueError("rectangle half-extents must be positive and finite")
-        x, y, heading = center.x, center.y, center.heading
         # one test for all three: v - v is 0.0 for a finite v, NaN otherwise
         if (x - x) + (y - y) + (heading - heading) != 0.0:
             raise ValueError("rectangle center and heading must be finite")
-        d = self.__dict__
-        d["center"], d["half_length"], d["half_width"] = center, half_length, half_width
         # not a field: equality, hash and repr see the three fields alone
-        d["frame"] = (x, y, math.cos(heading), math.sin(heading), half_length, half_width)
+        object.__setattr__(self, "frame", (x, y, math.cos(heading), math.sin(heading), hl, hw))
 
 
 class Frame(NamedTuple):

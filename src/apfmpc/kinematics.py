@@ -26,7 +26,7 @@ from math import cos, nan, sin
 
 import numpy as np
 
-from .geometry import OrientedRectangle, Pose2D, normalize_angle
+from .geometry import OrientedRectangle, Pose2D, normalize_angle, store_floats
 
 _HALF_PI = math.pi / 2.0
 
@@ -40,7 +40,8 @@ class RobotState:
     v_rear: float
 
     def __post_init__(self):
-        object.__setattr__(self, "heading", normalize_angle(self.heading))
+        store_floats(self, x=self.x, y=self.y, heading=normalize_angle(float(self.heading)),
+                     v_front=self.v_front, v_rear=self.v_rear)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.heading, self.v_front, self.v_rear])

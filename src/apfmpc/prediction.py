@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedRectangle, Pose2D, normalize_angle
+from .geometry import OrientedRectangle, Pose2D, normalize_angle, store_floats
 from .kinematics import ControlInput, RobotGeometry, RobotState, rollout
 
 
@@ -32,7 +32,7 @@ class Obstacle:
         if len(velocity) != 2:
             raise ValueError(f"velocity must have two entries (vx, vy), got {len(velocity)}")
         object.__setattr__(self, "velocity", velocity)
-        object.__setattr__(self, "yaw_rate", float(self.yaw_rate))
+        store_floats(self, yaw_rate=self.yaw_rate)
         if not all(map(math.isfinite, (*velocity, self.yaw_rate))):
             raise ValueError("obstacle velocity and yaw rate must be finite")
         if self.kind not in ("obstacle", "boundary"):

@@ -9,23 +9,25 @@ is made, by building its path table once; every tick's reference in a run
 of the scenario reads that table, and `metrics` builds its own to measure
 the tracking error. Without obstacles a tick builds no footprint. Scenario
 files are YAML documents that round-trip losslessly through load/save; a
-file holds only entries that saving writes, and a scenario's numbers are
-those of that file form, every one finite. A log's columns are named once,
-in CSV_HEADER; a series of some of them is the log written with its own
-header.
+file holds only entries that saving writes. A scenario and the poses,
+rectangles, obstacles and state it holds store their numbers as Python
+floats when they are made, so the file form writes and reads those numbers
+as they are and converts none; every one is finite. A run that meets a
+non-finite state, predicted track, QP solution or obstacle pose ends
+`numerical_failure`. A log's columns are named once, in CSV_HEADER; a
+series of some of them is the log written with its own header.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .geometry import OrientedRectangle, Pose2D, closest_pair
+from .geometry import OrientedRectangle, Pose2D, closest_pair, store_floats
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference, path_table,
                   project_onto_path, slip_terms)
@@ -77,8 +79,9 @@ class Scenario:
         path = np.array(self.path, dtype=float)
         path.flags.writeable = False
         object.__setattr__(self, "path", path)
+        store_floats(self, ref_speed=self.ref_speed, duration=self.duration)
         if not all(math.isfinite(value) for _, value in _entries(scenario_to_dict(self))
-                   if isinstance(value, Real)):
+                   if isinstance(value, float)):
             raise ValueError("scenario numbers must all be finite")
         if self.ref_speed < 0.0:
             raise ValueError("ref_speed must not be negative")
@@ -146,36 +149,32 @@ def run(scenario: Scenario) -> SimulationLog:
     obstacles, table = list(scenario.obstacles), scenario.path_table
     state = scenario.initial_state
     log = SimulationLog(cfg.dt)
-    for tick in range(tick_count(scenario.duration, cfg.dt)):
-        if not all(map(math.isfinite, (state.x, state.y, state.heading,
-                                       state.v_front, state.v_rear))):
-            log.outcome = NUMERICAL_FAILURE
-            break
-        clearance = _min_clearance(state, geom, obstacles)
-        if clearance == 0.0:
-            log.outcome = COLLIDED
-            break
-        ref = build_reference(table, state, scenario.ref_speed, cfg)
-        try:
+    # the one exit for a non-finite state, predicted track, QP cost or
+    # solution, or obstacle pose
+    try:
+        for tick in range(tick_count(scenario.duration, cfg.dt)):
+            if not all(map(math.isfinite, (state.x, state.y, state.heading,
+                                           state.v_front, state.v_rear))):
+                raise FloatingPointError("non-finite state")
+            clearance = _min_clearance(state, geom, obstacles)
+            if clearance == 0.0:
+                log.outcome = COLLIDED
+                break
+            ref = build_reference(table, state, scenario.ref_speed, cfg)
             sol = controller.step(state, ref, obstacles + boundaries)
-        except FloatingPointError:  # a non-finite predicted track, QP cost or solution
-            log.outcome = NUMERICAL_FAILURE
-            break
-        u = sol.applied_input
-        log.records.append(TickRecord(
-            t=tick * cfg.dt, state=state, applied=u,
-            slip_measure=abs(slip_terms(state, u, cfg)[-1]), min_clearance=clearance,
-            objective=sol.objective, solver_iterations=sol.iterations,
-            solver_status=sol.solver_status))
-        if sol.solver_status == INFEASIBLE:
-            log.outcome = SOLVER_FAILED
-            break
-        state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
-        try:
+            u = sol.applied_input
+            log.records.append(TickRecord(
+                t=tick * cfg.dt, state=state, applied=u,
+                slip_measure=abs(slip_terms(state, u, cfg)[-1]), min_clearance=clearance,
+                objective=sol.objective, solver_iterations=sol.iterations,
+                solver_status=sol.solver_status))
+            if sol.solver_status == INFEASIBLE:
+                log.outcome = SOLVER_FAILED
+                break
+            state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
             obstacles = [advance_obstacle(o, cfg.dt) if o.moves else o for o in obstacles]
-        except FloatingPointError:  # an obstacle pose overflowed
-            log.outcome = NUMERICAL_FAILURE
-            break
+    except FloatingPointError:
+        log.outcome = NUMERICAL_FAILURE
     return log
 
 
@@ -200,34 +199,30 @@ def metrics(log: SimulationLog, path: np.ndarray) -> dict:
 # -- scenario file I/O -------------------------------------------------------
 
 def _rect_to_dict(rect: OrientedRectangle) -> dict:
-    return {"center": [float(rect.center.x), float(rect.center.y)],
-            "heading": float(rect.center.heading),
-            "half_length": float(rect.half_length),
-            "half_width": float(rect.half_width)}
+    return {"center": [rect.center.x, rect.center.y], "heading": rect.center.heading,
+            "half_length": rect.half_length, "half_width": rect.half_width}
 
 
 def _rect_from_dict(d: dict) -> OrientedRectangle:
-    return OrientedRectangle(Pose2D(float(d["center"][0]), float(d["center"][1]),
-                                    float(d["heading"])),
-                             float(d["half_length"]), float(d["half_width"]))
+    return OrientedRectangle(Pose2D(d["center"][0], d["center"][1], d["heading"]),
+                             d["half_length"], d["half_width"])
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """The file form of a scenario: its numbers as Python floats, so that
-    numpy numbers save as any others."""
+    """The file form of a scenario: the numbers it holds, each already a
+    Python float, so a scenario made from numpy numbers saves as any other."""
     s = scenario.initial_state
     return {
         "scenario": {"name": scenario.name},
         "corridor": [_rect_to_dict(r) for r in scenario.corridor],
-        "path": np.asarray(scenario.path, dtype=float).tolist(),
-        "ref_speed_mps": float(scenario.ref_speed),
-        "obstacles": [dict(_rect_to_dict(o.footprint),
-                           velocity=[o.velocity[0], o.velocity[1]],
+        "path": scenario.path.tolist(),
+        "ref_speed_mps": scenario.ref_speed,
+        "obstacles": [dict(_rect_to_dict(o.footprint), velocity=list(o.velocity),
                            yaw_rate=o.yaw_rate)
                       for o in scenario.obstacles],
-        "initial_state": {"x": float(s.x), "y": float(s.y), "heading": float(s.heading),
-                          "v_front": float(s.v_front), "v_rear": float(s.v_rear)},
-        "duration_s": float(scenario.duration),
+        "initial_state": {"x": s.x, "y": s.y, "heading": s.heading,
+                          "v_front": s.v_front, "v_rear": s.v_rear},
+        "duration_s": scenario.duration,
         "controller_variant": scenario.controller_variant,
     }
 
@@ -251,13 +246,12 @@ def scenario_from_dict(data: dict) -> Scenario:
         scenario = Scenario(
             name=str(data["scenario"]["name"]),
             corridor=[_rect_from_dict(r) for r in data.get("corridor", [])],
-            path=np.asarray(data["path"], dtype=float),
-            ref_speed=float(data["ref_speed_mps"]),
+            path=data["path"],
+            ref_speed=data["ref_speed_mps"],
             obstacles=obstacles,
-            initial_state=RobotState(float(init["x"]), float(init["y"]),
-                                     float(init["heading"]),
-                                     float(init["v_front"]), float(init["v_rear"])),
-            duration=float(data["duration_s"]),
+            initial_state=RobotState(init["x"], init["y"], init["heading"],
+                                     init["v_front"], init["v_rear"]),
+            duration=data["duration_s"],
             controller_variant=str(data.get("controller_variant", "full")),
         )
         known = {path for path, _ in _entries(scenario_to_dict(scenario))}

@@ -32,7 +32,9 @@ def sample_boundary(r, n=10_000):
 
 def oracle_distance(a, b, n=10_000):
     pa, pb = sample_boundary(a, n), sample_boundary(b, n)
-    tree = cKDTree(pa)
+    # a tree built unbalanced and uncompacted builds faster; its nearest-neighbour
+    # queries are as exact
+    tree = cKDTree(pa, balanced_tree=False, compact_nodes=False)
     d, _ = tree.query(pb)
     return float(d.min())
 

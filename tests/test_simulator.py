@@ -267,6 +267,48 @@ class TestScenarioIO:
         assert all(type(value) in (str, list, dict, float)
                    for _, value in _entries(scenario_to_dict(scn)))
 
+    @pytest.mark.parametrize("kind", [np.float32, np.float64])
+    def test_numpy_numbers_run_as_their_saved_copy(self, tmp_path, kind):
+        # numbers as they arrive from a sensor node: the scenario stores them
+        # as Python floats, so it steps the plant in doubles and logs what its
+        # saved-and-loaded copy logs, byte for byte
+        def given(rect):
+            c = rect.center
+            return OrientedRectangle(Pose2D(kind(c.x), kind(c.y), kind(c.heading)),
+                                     kind(rect.half_length), kind(rect.half_width))
+
+        packaged = load_scenario(packaged_scenario_path("straight_corridor"))
+        s = packaged.initial_state
+        scn = replace(packaged, corridor=[given(r) for r in packaged.corridor],
+                      ref_speed=kind(packaged.ref_speed), duration=kind(3.0),
+                      obstacles=[replace(o, footprint=given(o.footprint))
+                                 for o in packaged.obstacles],
+                      initial_state=RobotState(*map(kind, (s.x, s.y, s.heading,
+                                                           s.v_front, s.v_rear))))
+        save_scenario(scn, tmp_path / "scn.yaml")
+        log = run(scn)
+        log.to_csv(tmp_path / "given.csv")
+        run(load_scenario(tmp_path / "scn.yaml")).to_csv(tmp_path / "saved.csv")
+        assert log.outcome == COMPLETED and len(log.records) == 30
+        assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "saved.csv").read_bytes()
+        assert all(type(value) is float for r in log.records for value in vars(r.state).values())
+
+    def test_value_types_store_python_floats(self):
+        pose = Pose2D(np.float32(1.5), np.float64(-2.0), np.float32(4.0))
+        rect = OrientedRectangle(pose, np.float32(0.7), np.int64(1))
+        state = RobotState(*np.array([1.0, 2.0, 4.0, 0.5, 0.3], dtype=np.float32))
+        scn = replace(tiny_scenario(), ref_speed=np.float32(1.1), duration=np.float64(2.0))
+        for value, names in ((pose, ("x", "y", "heading")),
+                             (rect, ("half_length", "half_width")),
+                             (state, ("x", "y", "heading", "v_front", "v_rear")),
+                             (scn, ("ref_speed", "duration"))):
+            assert all(type(getattr(value, name)) is float for name in names)
+        # the heading is wrapped as a double, and the frame reads the floats
+        assert pose.heading == state.heading == float(np.float32(4.0)) - 2.0 * math.pi
+        assert all(type(number) is float for number in rect.frame)
+        assert (rect.half_length, rect.half_width, scn.ref_speed) == (
+            float(np.float32(0.7)), 1.0, float(np.float32(1.1)))
+
     def test_equal_by_value(self, monkeypatch, tmp_path):
         # the path compares by its numbers; it stays read-only, and the
         # path table is not compared
