@@ -12,7 +12,8 @@ center, heading or extent that is not finite with ValueError, as input;
 numerical failure.
 Poses and rectangles are frozen dataclasses that store each number as a
 Python float when they are made, with `store_floats`, as the robot's state,
-an obstacle and a scenario do; nothing else converts a number.
+input and geometry, an obstacle and a scenario do; nothing else converts a
+number.
 
 A closest-pair query returns the distance and the gap, the world-frame
 vector from A's closest point to B's (Ericson, Real-Time Collision

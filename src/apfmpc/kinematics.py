@@ -55,6 +55,7 @@ class ControlInput:
     steer_rear: float
 
     def __post_init__(self):
+        store_floats(self, **vars(self))  # every field is a number
         if not (abs(self.steer_front) < _HALF_PI and abs(self.steer_rear) < _HALF_PI):
             raise ValueError("steering angles must lie strictly inside (-pi/2, pi/2)")
 
@@ -71,6 +72,7 @@ class RobotGeometry:
     half_width: float
 
     def __post_init__(self):
+        store_floats(self, **vars(self))  # every field is a number
         # NaN fails every comparison; a footprint's extents must be finite too
         if not (self.l_front > 0.0 and self.l_rear > 0.0):
             raise ValueError("wheel offsets must be positive")

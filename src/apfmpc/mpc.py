@@ -7,6 +7,9 @@ condense the delta-input dynamics into prediction matrices, and solve a
 dense QP in the stacked increments. Its constraints are the rows of one
 matrix in four blocks: cumulative inputs, wheel-speed differences (slip
 rows), wheel speeds and the increment box. Only the first increment is applied.
+`slip_terms` states the wheel-speed difference h(u) once: the slip rows
+read its gradient row and value g at the previous input, and the simulator
+logs |g| at the applied one.
 
 The reference path is stated once per scenario: `path_table` validates it
 and returns its points, segments, lengths, arc lengths and headings, and
@@ -26,8 +29,9 @@ finite; a tick builds no pose or rectangle. The closest pair of every
 footprint and step, its distance and gap vector, fills one row of a table;
 a contact row, of distance 0, holds as gap the push out of the overlap,
 along which the field pushes. The active rows' gaps and distances take
-one field expansion, each row with its footprint kind's (a, b) (obstacle,
-boundary); `np.add.at` adds each row into its step's sums, from +0.0 in
+one field expansion, each row with the (a, b) that `APF_BY_KIND` maps its
+footprint's kind (obstacle, boundary) to, gathered once per tick;
+`np.add.at` adds each row into its step's sums, from +0.0 in
 footprint order; at the step's anchor they are the step's quadratic.
 Ā - I = N has N⁴ = 0, so Āᵏ is a binomial sum in N and the condensed
 matrices are fixed binomial tables times the Nᵖ·[B̄ | x̄₀ | d̄], p < 4; the
@@ -74,7 +78,7 @@ from .geometry import closest_pair, frames
 from .kinematics import ControlInput, RobotGeometry, RobotState
 from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
                             linearize)
-from .potential_field import QuadraticApproximation, params_table, quadratic_approx
+from .potential_field import QuadraticApproximation, quadratic_approx
 from .prediction import Obstacle, predict_obstacle, predict_robot
 from .qp import INFEASIBLE, OPTIMAL, QpProblem, QpSolver, row_scales
 
@@ -203,32 +207,23 @@ def build_reference(table: PathTable, state: RobotState, ref_speed: float,
 
 
 def slip_terms(state0: RobotState, input0: ControlInput,
-               cfg: MpcConfig) -> tuple[float, float, float, float, float]:
+               cfg: MpcConfig) -> tuple[tuple[float, float, float, float], float]:
     """The wheel-speed difference h(u) = v_f+ cos(d_f) - v_r+ cos(d_r) with
-    one-step-ahead speeds v+ = v + dt*a: returns v_f+, v_r+, cos(d_f),
-    cos(d_r) and its value g at the operating point."""
+    one-step-ahead speeds v+ = v + dt*a, at the operating point: its
+    gradient row in the input (a_f, a_r, d_f, d_r) and its value g."""
     dt = cfg.dt
     vf1 = state0.v_front + dt * input0.accel_front
     vr1 = state0.v_rear + dt * input0.accel_rear
     cf, cr = math.cos(input0.steer_front), math.cos(input0.steer_rear)
-    return vf1, vr1, cf, cr, vf1 * cf - vr1 * cr
-
-
-def slip_constraint_rows(state0: RobotState, input0: ControlInput,
-                         cfg: MpcConfig) -> tuple[np.ndarray, float]:
-    """Gradient row and offset g of the wheel-speed difference of
-    `slip_terms`, linearized in the input at the operating point."""
-    dt = cfg.dt
-    vf1, vr1, cf, cr, g = slip_terms(state0, input0, cfg)
-    e_row = np.array([dt * cf, -dt * cr, -vf1 * math.sin(input0.steer_front),
-                      vr1 * math.sin(input0.steer_rear)])
-    return e_row, g
+    return ((dt * cf, -dt * cr, -vf1 * math.sin(input0.steer_front),
+             vr1 * math.sin(input0.steer_rear)), vf1 * cf - vr1 * cr)
 
 
 DU_MAX = (0.8, 0.8, math.pi / 12, math.pi / 12)  # the increment box, per control step
 SPEED_BOUNDS = (0.1, 1.4)  # m/s, lower and upper, on both wheel speeds (outputs 3, 4)
-OBSTACLE_APF = (3.0, 1.8)  # the field's (scale_a, exponent_b) per footprint kind
+OBSTACLE_APF = (3.0, 1.8)  # the field's (scale_a, exponent_b), both positive, per footprint kind
 BOUNDARY_APF = (0.3, 1.1)
+APF_BY_KIND = {"obstacle": OBSTACLE_APF, "boundary": BOUNDARY_APF}
 
 
 @cache
@@ -248,8 +243,6 @@ def _config_tables() -> dict[str, dict[str, np.ndarray | tuple | slice]]:
     t["_u_applied"] = tuple(map(min, cfg.u_max, (math.inf, math.inf, steer_max, steer_max)))
     # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
     t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
-    # columns (scale_a, exponent_b) per field kind: obstacle, boundary
-    t["_apf_params"] = params_table(OBSTACLE_APF, BOUNDARY_APF)
     t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
     t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
     # binomials C(k, p) of the closed-form condensation (see assemble)
@@ -380,16 +373,15 @@ class MpcController:
         pairs = pairs.reshape(len(tracks), len(robot), 3)
         if frozen:  # the one pose and pair of each footprint, at every step
             pairs, anchor = pairs.repeat(n_p, axis=1), anchor.repeat(n_p, axis=0)
-        # one expansion of the active rows, each with its footprint's field
-        # parameters; each step adds its rows into +0.0 in footprint order
+        # one expansion of the active rows, each with its footprint kind's
+        # (a, b); each step adds its rows into +0.0 in footprint order
         footprint, step = (pairs[..., 0] <= ACTIVATION_RADIUS).nonzero()
         const, grad, hess = np.zeros(n_p), np.zeros((n_p, 2)), np.zeros((n_p, 2, 2))
         if len(step):
-            kind = np.fromiter((obs.kind == "boundary" for obs in obstacles), np.intp,
-                               len(obstacles))
+            ab = np.array([APF_BY_KIND[obs.kind] for obs in obstacles])
             picked = pairs[footprint, step]
             for total, part in zip((const, grad, hess), quadratic_approx(
-                    picked[:, 1:], picked[:, 0], self._apf_params[:, kind[footprint]])):
+                    picked[:, 1:], picked[:, 0], ab.take(footprint, axis=0).T)):
                 np.add.at(total, step, part)
         return QuadraticApproximation(const, grad, hess, anchor)
 
@@ -451,9 +443,9 @@ class MpcController:
         np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, self._input_rows])
         slip = self._slip_rows if self._slip_rows.start < self._slip_rows.stop else None
         if slip is not None:  # the block is empty without the customization
-            e_row, g = slip_constraint_rows(state, prev_input, cfg)
-            scale = 1.0 / max(1e-10, *map(abs, e_row.tolist()))
-            np.multiply(self._cumulative[:, :, None], scale * e_row,
+            e_row, g = slip_terms(state, prev_input, cfg)
+            scale = 1.0 / max(1e-10, *map(abs, e_row))
+            np.multiply(self._cumulative[:, :, None], np.multiply(scale, e_row),
                         out=a_mat[slip].reshape(n_c, n_c, nu))
             lo[slip], hi[slip] = scale * (-SLIP_BAND - g), scale * (SLIP_BAND - g)
         eta = bounds[:, self._speed_rows]

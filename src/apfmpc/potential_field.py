@@ -14,7 +14,8 @@ differentiation: the closest points are not sought again, the robot's moves
 with the robot and the obstacle's stays. One call expands a stack of K
 closest-point rows, each with its own (scale_a, exponent_b), so footprints
 of either kind (obstacle, wall) expand together; expansions sharing an
-anchor add up.
+anchor add up. Each kind's (a, b) is a constant of `mpc`, positive, so
+the field decays from contact; `mpc.APF_BY_KIND` maps the kind to it.
 
 Inside d₀ = √`MIN_SQ_DISTANCE` (1 cm), down to contact and through it, the
 field continues as a function of the signed distance s: the gap's length
@@ -59,15 +60,6 @@ class QuadraticApproximation:
         h_r = (self.hessian_psd @ r[:, :, None])[:, :, 0]
         return float(np.add.reduce(self.constant, axis=None)
                      + np.add.reduce(r * (self.gradient + 0.5 * h_r), axis=None))
-
-
-def params_table(*kinds: tuple[float, float]) -> np.ndarray:
-    """The (2, len(kinds)) table of per-kind (scale_a, exponent_b) columns;
-    the field decays from contact only if every entry is positive."""
-    table = np.array(kinds, dtype=float).T.copy()
-    if not np.all(table > 0.0):  # NaN fails too
-        raise ValueError("potential field parameters must be positive")
-    return table
 
 
 def quadratic_approx(gap: np.ndarray, distance: np.ndarray,

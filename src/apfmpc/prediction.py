@@ -20,12 +20,15 @@ from .geometry import OrientedRectangle, Pose2D, normalize_angle, store_floats
 from .kinematics import ControlInput, RobotGeometry, RobotState, rollout
 
 
+KINDS = ("obstacle", "boundary")  # the footprint kinds, each with its own field (a, b)
+
+
 @dataclass(frozen=True)
 class Obstacle:
     footprint: OrientedRectangle
     velocity: tuple[float, float] = (0.0, 0.0)  # stored as a tuple of two floats
     yaw_rate: float = 0.0                       # stored as a float
-    kind: str = "obstacle"  # "obstacle" or "boundary"
+    kind: str = "obstacle"  # one of KINDS
 
     def __post_init__(self):
         velocity = tuple(map(float, self.velocity))
@@ -35,7 +38,7 @@ class Obstacle:
         store_floats(self, yaw_rate=self.yaw_rate)
         if not all(map(math.isfinite, (*velocity, self.yaw_rate))):
             raise ValueError("obstacle velocity and yaw rate must be finite")
-        if self.kind not in ("obstacle", "boundary"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown obstacle kind: {self.kind!r}")
         if self.kind == "boundary" and self.moves:
             raise ValueError("boundaries must be static")

@@ -9,13 +9,15 @@ is made, by building its path table once; every tick's reference in a run
 of the scenario reads that table, and `metrics` builds its own to measure
 the tracking error. Without obstacles a tick builds no footprint. Scenario
 files are YAML documents that round-trip losslessly through load/save; a
-file holds only entries that saving writes. A scenario and the poses,
-rectangles, obstacles and state it holds store their numbers as Python
-floats when they are made, so the file form writes and reads those numbers
-as they are and converts none; every one is finite. A run that meets a
-non-finite state, predicted track, QP solution or obstacle pose ends
-`numerical_failure`. A log's columns are named once, in CSV_HEADER; a
-series of some of them is the log written with its own header.
+file holds only entries that saving writes, each of the kind that saving
+writes there: a number (not a bool), a string, a list or a mapping. A
+scenario and the poses, rectangles, obstacles and state it holds store
+their numbers as Python floats when they are made, so the file form writes
+and reads those numbers as they are and converts none; every one is
+finite. A run that meets a non-finite state, predicted track, QP solution
+or obstacle pose ends `numerical_failure`. A log's columns are named once,
+in CSV_HEADER; a series of some of them is the log written with its own
+header.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ class Scenario:
 
     def __post_init__(self):
         # the name comes from the file and names the run's output files
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
             raise ValueError(f"scenario name must be a plain file name: {self.name!r}")
         if any(obs.kind != "obstacle" for obs in self.obstacles):
             # a file has no kinds, so it would not round-trip
@@ -165,7 +168,7 @@ def run(scenario: Scenario) -> SimulationLog:
             u = sol.applied_input
             log.records.append(TickRecord(
                 t=tick * cfg.dt, state=state, applied=u,
-                slip_measure=abs(slip_terms(state, u, cfg)[-1]), min_clearance=clearance,
+                slip_measure=abs(slip_terms(state, u, cfg)[1]), min_clearance=clearance,
                 objective=sol.objective, solver_iterations=sol.iterations,
                 solver_status=sol.solver_status))
             if sol.solver_status == INFEASIBLE:
@@ -237,14 +240,19 @@ def _entries(tree, where: str = ""):
         yield from _entries(value, f"{where}{key}.")
 
 
+# the kind of a file entry by its type, as saving writes it; a bool is no number
+_KINDS = {int: "a number", float: "a number", str: "a string", list: "a list", dict: "a mapping"}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    """A file's scenario; any entry that saving it would not write is an error."""
+    """A file's scenario; an entry that saving it would not write, or that
+    is of another kind than the entry saving writes, is an error."""
     try:
         init = data["initial_state"]
         obstacles = [Obstacle(_rect_from_dict(o), o.get("velocity", (0.0, 0.0)),
                               o.get("yaw_rate", 0.0)) for o in data.get("obstacles", [])]
         scenario = Scenario(
-            name=str(data["scenario"]["name"]),
+            name=data["scenario"]["name"],
             corridor=[_rect_from_dict(r) for r in data.get("corridor", [])],
             path=data["path"],
             ref_speed=data["ref_speed_mps"],
@@ -252,14 +260,19 @@ def scenario_from_dict(data: dict) -> Scenario:
             initial_state=RobotState(init["x"], init["y"], init["heading"],
                                      init["v_front"], init["v_rear"]),
             duration=data["duration_s"],
-            controller_variant=str(data.get("controller_variant", "full")),
+            controller_variant=data.get("controller_variant", "full"),
         )
-        known = {path for path, _ in _entries(scenario_to_dict(scenario))}
-        unexpected = sorted({path for path, _ in _entries(data)} - known)
+        saved = dict(_entries(scenario_to_dict(scenario)))
+        wrong = sorted((path, value) for path, value in _entries(data)
+                       if path not in saved or _KINDS.get(type(value)) != _KINDS[type(saved[path])])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"invalid scenario: missing or malformed key {exc}") from exc
-    if unexpected:  # a key or list entry that saving would not write
-        raise ValueError(f"invalid scenario: unexpected entry {unexpected[0]!r}")
+    if wrong:  # the first, by its dotted path
+        path, value = wrong[0]
+        if path not in saved:  # a key or list entry that saving would not write
+            raise ValueError(f"invalid scenario: unexpected entry {path!r}")
+        raise ValueError(f"invalid scenario: entry {path!r} must be "
+                         f"{_KINDS[type(saved[path])]}, got {value!r}")
     return scenario
 
 

@@ -152,6 +152,16 @@ class TestCompare:
         assert all(value != "nan" for value in summary.values())
 
 
+def number_slots(tree, where=""):
+    """(parent, key, dotted path) of every float of a file form."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from number_slots(value, f"{where}{key}.")
+        elif isinstance(value, float):
+            yield tree, key, f"{where}{key}"
+
+
 class TestValidate:
     def test_valid_file(self, scenario_file, capsys):
         assert main(["validate", str(scenario_file)]) == EXIT_OK
@@ -225,15 +235,6 @@ class TestValidate:
     def test_every_number_of_a_file_must_be_finite(self, tmp_path):
         # each number of a packaged scenario's file form, set to NaN and then to inf
         data = scenario_to_dict(load_scenario(packaged_scenario_path("orthogonal_corridor")))
-
-        def number_slots(tree, where=""):
-            items = tree.items() if isinstance(tree, dict) else enumerate(tree)
-            for key, value in items:
-                if isinstance(value, (dict, list)):
-                    yield from number_slots(value, f"{where}{key}.")
-                elif isinstance(value, float):
-                    yield tree, key, f"{where}{key}"
-
         slots = list(number_slots(data))
         assert len(slots) == 49  # path 6, walls 20, obstacles 16, start 5, speed, duration
         path, accepted = tmp_path / "bad.yaml", []
@@ -246,6 +247,46 @@ class TestValidate:
                     accepted.append(f"{where}={bad}")
             tree[key] = kept
         assert accepted == []
+
+    def test_every_entry_must_be_the_kind_saving_writes(self, tmp_path, capsys):
+        # each number of a packaged scenario's file form set to true and to
+        # "1.0", which float() reads as 1.0, and entries that float(), tuple()
+        # or str() would read: each is an error naming its entry
+        data = scenario_to_dict(load_scenario(packaged_scenario_path("orthogonal_corridor")))
+        cases = [(tree, key, where, bad) for tree, key, where in number_slots(data)
+                 for bad in (True, "1.0")]
+        assert len(cases) == 2 * 49
+        cases += [(data, "ref_speed_mps", "ref_speed_mps", True),
+                  (data, "duration_s", "duration_s", "2"),
+                  (data["path"], 1, "path.1", ["10", 0.0]),
+                  (data["obstacles"][0], "center", "obstacles.0.center", "53"),
+                  (data["obstacles"][0], "velocity", "obstacles.0.velocity", "12"),
+                  (data["scenario"], "name", "name", None),
+                  (data["scenario"], "name", "name", 5)]
+        path, accepted = tmp_path / "bad.yaml", []
+        for tree, key, where, bad in cases:
+            kept = tree[key]
+            tree[key] = bad
+            path.write_text(yaml.safe_dump(data))
+            code, err = main(["validate", str(path)]), capsys.readouterr().err
+            if code != EXIT_CONFIG or where not in err:
+                accepted.append(f"{where}={bad!r}")
+            tree[key] = kept
+        assert accepted == []
+
+    def test_an_exponent_needs_a_dot_and_a_sign(self, tmp_path, capsys):
+        # PyYAML reads an exponent as a number only after a dot and with a
+        # sign, as saving writes one: 1e3 and 1.0e3 are strings
+        text = yaml.safe_dump(scenario_to_dict(load_scenario(
+            packaged_scenario_path("straight_corridor"))))
+        assert "duration_s: 25.0" in text
+        for number, code in (("1.0e+3", EXIT_OK), ("1e3", EXIT_CONFIG), ("1.0e3", EXIT_CONFIG)):
+            path = tmp_path / "exponent.yaml"
+            path.write_text(text.replace("duration_s: 25.0", f"duration_s: {number}"))
+            assert main(["validate", str(path)]) == code
+            if code == EXIT_CONFIG:
+                assert (f"entry 'duration_s' must be a number, got '{number}'"
+                        in capsys.readouterr().err)
 
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

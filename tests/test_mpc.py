@@ -11,7 +11,7 @@ from apfmpc.linearization import augment, linearize
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, OBSTACLE_APF, SLACK_PENALTY,
                         SLACK_WEIGHT, SLIP_BAND, SPEED_BOUNDS, VARIANTS, MpcConfig,
                         MpcController, ReferenceHorizon, _config_tables, _elastic, _shift,
-                        build_reference, path_table, project_onto_path, slip_constraint_rows)
+                        build_reference, path_table, project_onto_path, slip_terms)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
 from apfmpc import qp
@@ -483,19 +483,17 @@ class TestPathTable:
 
 class TestSlipRows:
     def test_matched_straight_motion(self, cfg):
-        e_row, g = slip_constraint_rows(RobotState(0, 0, 0, 1, 1),
-                                        ControlInput(0, 0, 0, 0), cfg)
+        e_row, g = slip_terms(RobotState(0, 0, 0, 1, 1), ControlInput(0, 0, 0, 0), cfg)
         assert g == pytest.approx(0.0)
+        assert [type(e) for e in e_row] == [float] * 4  # the row as four floats
         assert np.allclose(e_row, [cfg.dt, -cfg.dt, 0.0, 0.0])
 
     def test_speed_mismatch_offset(self, cfg):
-        _, g = slip_constraint_rows(RobotState(0, 0, 0, 1.2, 1.0),
-                                    ControlInput(0, 0, 0, 0), cfg)
+        _, g = slip_terms(RobotState(0, 0, 0, 1.2, 1.0), ControlInput(0, 0, 0, 0), cfg)
         assert g == pytest.approx(0.2)
 
     def test_steering_projection(self, cfg):
-        _, g = slip_constraint_rows(RobotState(0, 0, 0, 1.0, 1.0),
-                                    ControlInput(0, 0, math.pi / 3, 0), cfg)
+        _, g = slip_terms(RobotState(0, 0, 0, 1.0, 1.0), ControlInput(0, 0, math.pi / 3, 0), cfg)
         assert g == pytest.approx(math.cos(math.pi / 3) - 1.0)
 
     def test_linearization_first_order_accurate(self, cfg, rng):
@@ -508,7 +506,7 @@ class TestSlipRows:
             s = RobotState(0, 0, 0, rng.uniform(0.2, 1.4), rng.uniform(0.2, 1.4))
             u0 = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                            rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)])
-            e_row, g = slip_constraint_rows(s, ControlInput(*u0.tolist()), cfg)
+            e_row, g = slip_terms(s, ControlInput(*u0.tolist()), cfg)
             du = rng.uniform(-0.05, 0.05, size=4)
             exact = measure(s, u0 + du)
             approx = g + float(e_row @ du)
@@ -1068,7 +1066,7 @@ def doubled_band(asm, state, u0, cfg):
     """The slip-band loop that the relaxed solve replaced, kept as the
     oracle of its bound: the band doubled up to 4 times, each QP solved
     from the empty set, until one certifies. Returns that band, or None."""
-    e_row, g = slip_constraint_rows(state, u0, cfg)
+    e_row, g = slip_terms(state, u0, cfg)
     scale, rows, band = 1.0 / np.max(np.abs(e_row)), asm.slip, SLIP_BAND
     for _ in range(5):
         lower, upper = asm.qp.lower.copy(), asm.qp.upper.copy()
@@ -1107,7 +1105,7 @@ class TestFallbacks:
         assert (sol.solver_status, sol.fallback_doublings) == ("optimal", 1)
         band = doubled_band(controller(cfg, geom).assemble(s, cold(u0), ref, []), s, u0, cfg)
         assert band is not None and band > SLIP_BAND
-        e_row, g = slip_constraint_rows(s, u0, cfg)
+        e_row, g = slip_terms(s, u0, cfg)
         h = g + np.cumsum(sol.delta_sequence, axis=0) @ e_row
         assert SLIP_BAND < np.max(np.abs(h)) <= band
 
@@ -1123,7 +1121,7 @@ class TestFallbacks:
         assert (sol.solver_status, sol.fallback_doublings) == ("optimal", 1)
         (hard, first), (relaxed, _) = c.solver.solves
         assert first.status == INFEASIBLE
-        e_row, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
+        e_row, g = slip_terms(s, ControlInput(0, 0, 0, 0), cfg)
         scale = 1.0 / np.max(np.abs(e_row))  # the rows arrive normalized
         rows, (m, n), k = c._slip_rows, hard.a_mat.shape, cfg.n_ctrl
         assert np.array_equal(hard.lower[rows], np.full(k, scale * (-SLIP_BAND - g)))
@@ -1155,7 +1153,7 @@ class TestFallbacks:
         c.solver = RecordingSolver()
         sol = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
         assert sol.fallback_doublings == 1
-        e_row, g = slip_constraint_rows(s, ControlInput(0, 0, 0, 0), cfg)
+        e_row, g = slip_terms(s, ControlInput(0, 0, 0, 0), cfg)
         scale, rows = 1.0 / np.max(np.abs(e_row)), c._slip_rows
         problems = [problem for problem, _ in c.solver.solves]
         assert len(problems) == 2
@@ -1375,8 +1373,8 @@ def parent_rows(c, asm, state, u0, band):
     lower = [-np.tile(cfg.u_max, n_c) - u_prev]
     upper = [np.tile(cfg.u_max, n_c) - u_prev]
     if c.variant == "full":
-        e_row, g = slip_constraint_rows(state, u0, cfg)
-        rows.append(np.kron(cumulative, e_row[None, :]))
+        e_row, g = slip_terms(state, u0, cfg)
+        rows.append(np.kron(cumulative, [e_row]))
         lower.append(np.full(n_c, -band - g))
         upper.append(np.full(n_c, band - g))
     # the bounded outputs, the wheel speeds (3, 4), one output at a time

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.mpc import BOUNDARY_APF, OBSTACLE_APF
-from apfmpc.potential_field import (MIN_SQ_DISTANCE, QuadraticApproximation, params_table,
-                                    quadratic_approx)
+from apfmpc.geometry import OrientedRectangle, Pose2D
+from apfmpc.mpc import APF_BY_KIND, BOUNDARY_APF, OBSTACLE_APF
+from apfmpc.potential_field import MIN_SQ_DISTANCE, QuadraticApproximation, quadratic_approx
+from apfmpc.prediction import KINDS, Obstacle
 from conftest import expand_row
 
 OBS, BND = OBSTACLE_APF, BOUNDARY_APF  # (scale_a, exponent_b)
@@ -82,27 +83,20 @@ class TestValue:
     def test_far_field_small(self):
         assert value_at(100.0, OBS) < 1e-6
 
-    def test_rejects_nonpositive_params(self):
-        with pytest.raises(ValueError):
-            params_table((0.0, 1.8))
-        with pytest.raises(ValueError):
-            params_table(OBS, (3.0, -1.0))
-
-    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan)])
-    def test_rejects_nan_params(self, a, b):
-        with pytest.raises(ValueError):
-            params_table((a, b))
-
-    def test_params_table_columns_are_the_kinds(self):
-        table = params_table(OBS, BND)
-        assert table.shape == (2, 2) and table.flags.c_contiguous
-        assert table.tolist() == [[OBS[0], BND[0]], [OBS[1], BND[1]]]
-
     def test_kind_constants_are_positive_and_finite(self):
         # the field decays from contact only with a > 0 and b > 0
         for params in (OBSTACLE_APF, BOUNDARY_APF):
             assert len(params) == 2
             assert all(math.isfinite(p) and p > 0.0 for p in params)
+
+    def test_every_obstacle_kind_has_its_constants(self):
+        # the field's (a, b) are keyed by exactly the kinds an Obstacle accepts
+        assert APF_BY_KIND == {"obstacle": OBSTACLE_APF, "boundary": BOUNDARY_APF}
+        assert sorted(APF_BY_KIND) == sorted(KINDS)
+        wall = OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
+        assert [Obstacle(wall, kind=kind).kind for kind in APF_BY_KIND] == list(APF_BY_KIND)
+        with pytest.raises(ValueError, match="unknown obstacle kind"):
+            Obstacle(wall, kind="wall")
 
 
 class TestPsdProject:

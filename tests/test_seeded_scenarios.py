@@ -1,6 +1,6 @@
 """Seeded random scenarios and the invariants every closed-loop run keeps.
 
-Three families, the controller variants taking turns in each:
+Four families, the controller variants taking turns in each:
 
 - general: 0-2 walls and 0-2 obstacles, about half of them moving, a path
   of 2-4 vertices, a start within 1 m of the first vertex at any heading
@@ -8,7 +8,12 @@ Three families, the controller variants taking turns in each:
 - exact double-backs (`conftest.double_back`) at headings in (-3, 3), 2-6 s;
 - starts whose footprint overlaps a wall beside a straight path by 5-50 cm,
   within 0.3 rad of the path's heading, both wheels at one speed of
-  0-1.6 m/s, 1-2 s.
+  0-1.6 m/s, 1-2 s;
+- crossings: a path (0, 0)-(30, 0) without walls, the robot starting on it
+  at a reference speed of 1.0-1.3 m/s, and a 0.8 m wide obstacle, half as
+  long as 0.5-1.0 m, crossing x = 8 m at heading pi/2 and 0.5-1.3 m/s,
+  its center on the path within 1 s of the robot's nominal arrival; each
+  run lasts until the robot is nominally 6 m past the crossing.
 
 A run must raise nothing, end in a declared outcome, log only finite
 numbers (unless its outcome says the numbers went non-finite), apply
@@ -31,7 +36,7 @@ from apfmpc.simulator import (COLLIDED, COMPLETED, DEFAULT_GEOMETRY, NUMERICAL_F
                               SOLVER_FAILED, Scenario, load_scenario, run, save_scenario)
 from conftest import double_back
 
-SEED, SCENARIOS, DOUBLE_BACKS, WALL_STARTS = 2026, 24, 6, 6
+SEED, SCENARIOS, DOUBLE_BACKS, WALL_STARTS, CROSSINGS = 2026, 24, 6, 6, 6
 OUTCOMES = (COMPLETED, COLLIDED, SOLVER_FAILED, NUMERICAL_FAILURE)
 
 
@@ -98,6 +103,19 @@ def wall_start(rng, variant):
                     duration=uniform(rng, 1.0, 2.0), controller_variant=variant)
 
 
+def crossing(rng, variant):
+    """An obstacle crossing a straight path ahead of the robot, with the
+    ranges of the module docstring."""
+    ref_speed, speed, half_length, lag = uniform(rng, [1.0, 0.5, 0.5, -1.0], [1.3, 1.3, 1.0, 1.0])
+    arrival = 8.0 / ref_speed + lag  # when the obstacle's center reaches the path
+    obstacle = Obstacle(OrientedRectangle(Pose2D(8.0, -speed * arrival, math.pi / 2),
+                                          half_length, 0.4), (0.0, speed))
+    return Scenario(name="crossing", corridor=[], path=np.array([[0.0, 0.0], [30.0, 0.0]]),
+                    ref_speed=ref_speed, obstacles=[obstacle],
+                    initial_state=RobotState(0.0, 0.0, 0.0, ref_speed, ref_speed),
+                    duration=(8.0 + 6.0) / ref_speed, controller_variant=variant)
+
+
 @pytest.mark.parametrize("index", range(SCENARIOS))
 def test_seeded_run_keeps_the_invariants(tmp_path, index):
     # the variants take turns
@@ -119,6 +137,12 @@ def test_wall_start_keeps_the_invariants(tmp_path, index):
     contact = closest_pair(DEFAULT_GEOMETRY.footprint(drawn.initial_state), drawn.corridor[0])
     assert contact.distance == 0.0 and 0.05 <= math.hypot(contact.gap_x, contact.gap_y) <= 0.5
     keeps_the_invariants(tmp_path, drawn)
+
+
+@pytest.mark.parametrize("index", range(CROSSINGS))
+def test_crossing_keeps_the_invariants(tmp_path, index):
+    keeps_the_invariants(tmp_path, crossing(np.random.default_rng([SEED, 3, index]),
+                                            VARIANTS[index % 2]))
 
 
 def keeps_the_invariants(tmp_path, drawn):

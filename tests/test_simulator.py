@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
-from apfmpc.kinematics import ControlInput, RobotState, euler_step
-from apfmpc.mpc import VARIANTS, build_reference, path_table, slip_constraint_rows
+from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
+from apfmpc.mpc import VARIANTS, build_reference, path_table, slip_terms
 from apfmpc.prediction import Obstacle
 from apfmpc.simulator import (COLLIDED, COMPLETED, CSV_HEADER, DEFAULT_GEOMETRY,
                               NUMERICAL_FAILURE, SOLVER_FAILED, Scenario, _entries,
@@ -31,10 +31,10 @@ def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
 
 
 def logged_slip(v_front, v_rear, steer_front, steer_rear, cfg):
-    """The slip measure a record logs: |g| of the slip rows at the applied input."""
+    """The slip measure a record logs: |g| of `slip_terms` at the applied input."""
     state = RobotState(0.0, 0.0, 0.0, v_front, v_rear)
     u = ControlInput(0.0, 0.0, steer_front, steer_rear)
-    return abs(slip_constraint_rows(state, u, cfg)[1])
+    return abs(slip_terms(state, u, cfg)[1])
 
 
 class TestSlipMeasure:
@@ -298,11 +298,24 @@ class TestScenarioIO:
         rect = OrientedRectangle(pose, np.float32(0.7), np.int64(1))
         state = RobotState(*np.array([1.0, 2.0, 4.0, 0.5, 0.3], dtype=np.float32))
         scn = replace(tiny_scenario(), ref_speed=np.float32(1.1), duration=np.float64(2.0))
+        u32 = ControlInput(*map(np.float32, (0.3, -0.2, 0.1, -0.05)))
+        lengths32 = np.array([1.2, 1.2, 1.3, 0.5], dtype=np.float32)
+        geom32 = RobotGeometry(*lengths32)
         for value, names in ((pose, ("x", "y", "heading")),
                              (rect, ("half_length", "half_width")),
                              (state, ("x", "y", "heading", "v_front", "v_rear")),
-                             (scn, ("ref_speed", "duration"))):
+                             (scn, ("ref_speed", "duration")),
+                             (u32, ("accel_front", "accel_rear", "steer_front", "steer_rear")),
+                             (geom32, ("l_front", "l_rear", "half_length", "half_width"))):
             assert all(type(getattr(value, name)) is float for name in names)
+        # the plant steps a float32 input and geometry as their doubles
+        start = RobotState(0.0, 0.0, 0.3, 1.0, 0.8)
+        u64 = ControlInput(*np.float32((0.3, -0.2, 0.1, -0.05)).tolist())
+        geom64 = RobotGeometry(*lengths32.tolist())
+        assert (euler_step(start, u32, DEFAULT_GEOMETRY, 0.1, substeps=10)
+                == euler_step(start, u64, DEFAULT_GEOMETRY, 0.1, substeps=10))
+        assert (euler_step(start, u64, geom32, 0.1, substeps=10)
+                == euler_step(start, u64, geom64, 0.1, substeps=10))
         # the heading is wrapped as a double, and the frame reads the floats
         assert pose.heading == state.heading == float(np.float32(4.0)) - 2.0 * math.pi
         assert all(type(number) is float for number in rect.frame)

@@ -7,8 +7,10 @@ Usage, with each ROOT the root of a source checkout:
 
 The report runs are the three packaged scenarios under both controller
 variants, then every seed-1 episode of the four `perfbench` workloads, each
-run whole, then a start that overlaps a wall under both variants: 40 runs.
-The wall start is the one run whose field reads contact rows. Each tree
+run whole, then a start that overlaps a wall under both variants, then two
+obstacles crossing the path close ahead of the robot under both variants:
+44 runs. The wall start is the one run whose field reads contact rows, and
+the crossings are the paper's close-range dynamic-obstacle case. Each tree
 runs in its own interpreter, with its own `src` and `perfbench` first on
 the path and one BLAS thread, so imports never mix.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections import Counter
 import os
 import subprocess
@@ -55,6 +58,7 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
     from apfmpc.geometry import OrientedRectangle, Pose2D
     from apfmpc.kinematics import RobotState
     from apfmpc.mpc import VARIANTS
+    from apfmpc.prediction import Obstacle
     from apfmpc.simulator import Scenario, load_scenario, metrics, packaged_scenario_path, run
     from workloads import WORKLOADS
 
@@ -71,6 +75,18 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
               Scenario("wall_start", [wall], np.array([[2.0, 7.0], [12.0, 7.0]]), 1.0, [],
                        RobotState(2.127, 7.177, 2.781, 1.276, 0.318), 2.0, variant))
              for variant in VARIANTS]
+    # a 0.8 m wide obstacle crosses (0, 0)-(30, 0) at x = 8 at heading pi/2,
+    # close to when the robot, started at the reference speed, arrives;
+    # each run lasts until the robot is 6 m past the crossing
+    for name, ref_speed, speed, half_length, y, duration in (
+            ("crossing_slow", 1.2, 0.5, 0.6, -3.0, 12.0),
+            ("crossing_fast", 1.0, 1.27, 0.93, -9.96, 14.0)):
+        obstacle = Obstacle(OrientedRectangle(Pose2D(8.0, y, math.pi / 2), half_length, 0.4),
+                            (0.0, speed))
+        runs += [(f"{name}.{variant}",
+                  Scenario(name, [], np.array([[0.0, 0.0], [30.0, 0.0]]), ref_speed, [obstacle],
+                           RobotState(0.0, 0.0, 0.0, ref_speed, ref_speed), duration, variant))
+                 for variant in VARIANTS]
     for label, scenario in runs:
         if labels and label not in labels:
             continue
