@@ -3,12 +3,12 @@ closed-loop corridor simulator for a two-wheel independent
 drive/steer robot."""
 
 from .geometry import ClosestPair, OrientedRectangle, Pose2D, closest_pair, corners
-from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
-from .linearization import AugmentedModel, LinearizedModel, augment, linearize
+from .kinematics import (AugmentedModel, ControlInput, LinearizedModel, RobotGeometry,
+                         RobotState, augment, euler_step, linearize, predict_robot)
 from .mpc import (MpcConfig, MpcController, MpcSolution, ReferenceHorizon, build_reference,
                   path_table)
 from .potential_field import QuadraticApproximation, quadratic_approx
-from .prediction import Obstacle, predict_obstacle, predict_robot
+from .prediction import Obstacle, predict_obstacle
 from .qp import QpProblem, QpSolution, QpSolver
 from .simulator import Scenario, SimulationLog, load_scenario, metrics, run, save_scenario
 

@@ -13,7 +13,7 @@ numerical failure.
 Poses and rectangles are frozen dataclasses that store each number as a
 Python float when they are made, with `store_floats`, as the robot's state,
 input and geometry, an obstacle and a scenario do; nothing else converts a
-number.
+number, and a string, bytes or a bool is no number there.
 
 A closest-pair query returns the distance and the gap, the world-frame
 vector from A's closest point to B's (Ericson, Real-Time Collision
@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from math import cos, hypot, inf, sin
 from dataclasses import dataclass
+from numbers import Number
 from typing import NamedTuple
 
 
@@ -68,12 +69,23 @@ def normalize_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
+def _as_float(value) -> float:
+    """A number as a Python float. A string, bytes or a bool, numpy's too,
+    is not a number here, though `float()` reads it as one: TypeError."""
+    if isinstance(value, float) or isinstance(value, Number) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"expected a number, got {value!r}")
+
+
 def store_floats(obj, **numbers) -> None:
     """Set fields of a frozen dataclass from its `__post_init__`, each as a
-    Python float: a value type converts its numbers once, when it is made,
-    so a numpy number given to it (a float32 too) is computed on as a double."""
+    Python float, or a tuple of them from a tuple: a value type converts its
+    numbers here, once, when it is made, so a numpy number given to it (a
+    float32 too) is computed on as a double. A Python float is stored as is."""
     for name, value in numbers.items():
-        object.__setattr__(obj, name, float(value))
+        if type(value) is not float:
+            value = tuple(map(_as_float, value)) if type(value) is tuple else _as_float(value)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -83,7 +95,8 @@ class Pose2D:
     heading: float
 
     def __post_init__(self):
-        store_floats(self, x=self.x, y=self.y, heading=normalize_angle(float(self.heading)))
+        store_floats(self, x=self.x, y=self.y, heading=self.heading)
+        object.__setattr__(self, "heading", normalize_angle(self.heading))
 
 
 @dataclass(frozen=True)

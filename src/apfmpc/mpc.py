@@ -1,7 +1,8 @@
 """Receding-horizon planner/tracker.
 
-Each tick: linearize the kinematics at (current state, previous input),
-predict robot and obstacle motion over the horizon, sum the convex field
+Each tick: linearize the robot model of `kinematics` at (current state,
+previous input), predict the robot's motion over the horizon with that
+module's rollout and the obstacles' with `prediction`, sum the convex field
 quadratics of each predicted step into one at the predicted robot position,
 condense the delta-input dynamics into prediction matrices, and solve a
 dense QP in the stacked increments. Its constraints are the rows of one
@@ -61,7 +62,7 @@ Python-level wrappers. What depends on the constants of `MpcConfig` alone,
 each variant's starting A and bounds among it, is built once, by the first
 controller's `_config_tables`, and shared, read-only, by every controller.
 Each tick writes its bounds and slip rows through the blocks' slices into
-copies of A and the bounds. `linearization` holds `EYE_*`.
+copies of A and the bounds. `kinematics` holds `EYE_*`.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import closest_pair, frames
-from .kinematics import ControlInput, RobotGeometry, RobotState
-from .linearization import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, augment,
-                            linearize)
+from .kinematics import (EYE_AUGMENTED, N_INPUT, N_STATE, NILPOTENCY_INDEX, ControlInput,
+                         RobotGeometry, RobotState, augment, linearize, predict_robot)
 from .potential_field import QuadraticApproximation, quadratic_approx
-from .prediction import Obstacle, predict_obstacle, predict_robot
+from .prediction import Obstacle, predict_obstacle
 from .qp import INFEASIBLE, OPTIMAL, QpProblem, QpSolver, row_scales
 
 _STEER_EPS = 1e-6

@@ -1,12 +1,11 @@
-"""Horizon prediction of robot and obstacle poses as rows (x, y, heading).
+"""The obstacles' model: obstacles and their horizon rows (x, y, heading).
 
-The robot's rows are those of the kinematics' one rollout with its
-previously applied input held constant, the heading unwrapped. Obstacles
-follow a constant velocity and turning rate model (velocity vector rotated
-by dt*yaw_rate before each displacement, so speed magnitude is preserved),
-the heading wrapped. Their steps stay sequential, on floats, through the
-helper that `advance_obstacle` wraps for the simulator, so prediction and
-simulation agree bit for bit; a prediction builds no pose.
+Obstacles follow a constant velocity and turning rate model (velocity
+vector rotated by dt*yaw_rate before each displacement, so speed magnitude
+is preserved), the heading wrapped. Their steps stay sequential, on floats,
+through the helper that `advance_obstacle` wraps for the simulator, so
+prediction and simulation agree bit for bit; a prediction builds no pose.
+The robot's rows are `kinematics.predict_robot`'s.
 """
 
 from __future__ import annotations
@@ -14,10 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import OrientedRectangle, Pose2D, normalize_angle, store_floats
-from .kinematics import ControlInput, RobotGeometry, RobotState, rollout
 
 
 KINDS = ("obstacle", "boundary")  # the footprint kinds, each with its own field (a, b)
@@ -31,12 +27,10 @@ class Obstacle:
     kind: str = "obstacle"  # one of KINDS
 
     def __post_init__(self):
-        velocity = tuple(map(float, self.velocity))
-        if len(velocity) != 2:
-            raise ValueError(f"velocity must have two entries (vx, vy), got {len(velocity)}")
-        object.__setattr__(self, "velocity", velocity)
-        store_floats(self, yaw_rate=self.yaw_rate)
-        if not all(map(math.isfinite, (*velocity, self.yaw_rate))):
+        store_floats(self, velocity=tuple(self.velocity), yaw_rate=self.yaw_rate)
+        if len(self.velocity) != 2:
+            raise ValueError(f"velocity must have two entries (vx, vy), got {len(self.velocity)}")
+        if not all(map(math.isfinite, (*self.velocity, self.yaw_rate))):
             raise ValueError("obstacle velocity and yaw rate must be finite")
         if self.kind not in KINDS:
             raise ValueError(f"unknown obstacle kind: {self.kind!r}")
@@ -47,14 +41,6 @@ class Obstacle:
     def moves(self) -> bool:
         """Whether a step changes the obstacle: a velocity or yaw rate not 0."""
         return self.velocity != (0.0, 0.0) or self.yaw_rate != 0.0
-
-
-def predict_robot(state: RobotState, held_input: ControlInput,
-                  geom: RobotGeometry, n_steps: int, dt: float) -> np.ndarray:
-    """Rows (X, Y, heading) of steps 1..n_steps, the heading unwrapped."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    return rollout(state, held_input, geom, n_steps, dt)[1:, :3]
 
 
 def _obstacle_step(x, y, heading, vx, vy, yaw_rate, dt):

@@ -23,6 +23,7 @@ header.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -244,36 +245,47 @@ def _entries(tree, where: str = ""):
 _KINDS = {int: "a number", float: "a number", str: "a string", list: "a list", dict: "a mapping"}
 
 
+def _place(path: str) -> str:
+    """A dotted path with the index of a wall, a path point or an obstacle
+    read as '#': the entries saving writes at one place are of one kind."""
+    return re.sub(r"^(corridor|path|obstacles)\.\d+", r"\1.#", path)
+
+
+_BOX = OrientedRectangle(Pose2D(0, 0, 0), 1, 1)
+# the kind that saving writes at each place of a file, read off one scenario
+# with a wall and an obstacle
+_FORM = {_place(path): _KINDS[type(value)] for path, value in _entries(scenario_to_dict(
+    Scenario("form", [_BOX], [[0, 0], [1, 0]], 1, [Obstacle(_BOX)], RobotState(0, 0, 0, 0, 0), 1)))}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """A file's scenario; an entry that saving it would not write, or that
-    is of another kind than the entry saving writes, is an error."""
+    is of another kind than the entry saving writes, is an error. The
+    entries are checked before the value types see them, which take no
+    string or bool as a number."""
+    wrong = sorted((path, value) for path, value in _entries(data)
+                   if _KINDS.get(type(value)) != _FORM.get(_place(path)))
+    if wrong:  # the first, by its dotted path
+        path, value = wrong[0]
+        if _place(path) not in _FORM:  # a key or list entry that saving would not write
+            raise ValueError(f"invalid scenario: unexpected entry {path!r}")
+        raise ValueError(f"invalid scenario: entry {path!r} must be "
+                         f"{_FORM[_place(path)]}, got {value!r}")
     try:
-        init = data["initial_state"]
         obstacles = [Obstacle(_rect_from_dict(o), o.get("velocity", (0.0, 0.0)),
                               o.get("yaw_rate", 0.0)) for o in data.get("obstacles", [])]
-        scenario = Scenario(
+        return Scenario(
             name=data["scenario"]["name"],
             corridor=[_rect_from_dict(r) for r in data.get("corridor", [])],
             path=data["path"],
             ref_speed=data["ref_speed_mps"],
             obstacles=obstacles,
-            initial_state=RobotState(init["x"], init["y"], init["heading"],
-                                     init["v_front"], init["v_rear"]),
+            initial_state=RobotState(**data["initial_state"]),
             duration=data["duration_s"],
             controller_variant=data.get("controller_variant", "full"),
         )
-        saved = dict(_entries(scenario_to_dict(scenario)))
-        wrong = sorted((path, value) for path, value in _entries(data)
-                       if path not in saved or _KINDS.get(type(value)) != _KINDS[type(saved[path])])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"invalid scenario: missing or malformed key {exc}") from exc
-    if wrong:  # the first, by its dotted path
-        path, value = wrong[0]
-        if path not in saved:  # a key or list entry that saving would not write
-            raise ValueError(f"invalid scenario: unexpected entry {path!r}")
-        raise ValueError(f"invalid scenario: entry {path!r} must be "
-                         f"{_KINDS[type(saved[path])]}, got {value!r}")
-    return scenario
 
 
 def packaged_scenario_path(name: str) -> Path:

@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from apfmpc.geometry import OrientedRectangle, Pose2D, closest_pair
-from apfmpc.kinematics import RobotState, euler_step
-from apfmpc.linearization import linearize
+from apfmpc.kinematics import RobotState, euler_step, linearize
 from apfmpc.mpc import MpcController, build_reference, path_table
 from apfmpc.qp import QpSolver
 from apfmpc.simulator import COMPLETED, DEFAULT_GEOMETRY, Scenario, metrics, run

@@ -1,6 +1,6 @@
 """Every import is used: each name an import binds in a module of
 src/apfmpc, tools or tests is read in that module or listed in its
-`__all__`."""
+`__all__`. No module of src/apfmpc imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -39,3 +39,24 @@ def test_no_unused_imports():
     unused = {str(path.relative_to(ROOT)): names for path in MODULES
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def private_imports(source: str) -> list[str]:
+    """The underscore-prefixed names that `source` imports from a module of
+    the package, relatively or as `apfmpc...`."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").partition(".")[0] == "apfmpc")
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_no_private_imports_between_package_modules():
+    source = ("from __future__ import annotations\nfrom math import _x\n"
+              "from .kinematics import _body_rates, rollout\nfrom . import _private\n"
+              "from apfmpc.qp import _held_point\n")
+    assert private_imports(source) == ["_body_rates", "_held_point", "_private"]
+    package = [path for path in MODULES if path.parent == ROOT / "src/apfmpc"]
+    assert len(package) > 5
+    private = {str(path.relative_to(ROOT)): names for path in package
+               if (names := private_imports(path.read_text()))}
+    assert private == {}

@@ -5,8 +5,7 @@ import pytest
 
 from apfmpc.geometry import normalize_angle
 from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, _rates, derivative,
-                               euler_step, rollout)
-from apfmpc.prediction import predict_robot
+                               euler_step, predict_robot, rollout)
 
 
 # The paper's side-slip form of the model, the oracle for the w/s form the

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from apfmpc.kinematics import ControlInput, RobotState, euler_step
-from apfmpc.linearization import NILPOTENCY_INDEX, augment, linearize
+from apfmpc.kinematics import (NILPOTENCY_INDEX, ControlInput, RobotState, augment, euler_step,
+                               linearize)
 
 DT = 0.1
 

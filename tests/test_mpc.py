@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import Frame, OrientedRectangle, Pose2D, closest_pair, normalize_angle
-from apfmpc.kinematics import ControlInput, RobotState, euler_step, rollout
-from apfmpc.linearization import augment, linearize
+from apfmpc.kinematics import (ControlInput, RobotState, augment, euler_step, linearize,
+                               predict_robot, rollout)
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, OBSTACLE_APF, SLACK_PENALTY,
                         SLACK_WEIGHT, SLIP_BAND, SPEED_BOUNDS, VARIANTS, MpcConfig,
                         MpcController, ReferenceHorizon, _config_tables, _elastic, _shift,
                         build_reference, path_table, project_onto_path, slip_terms)
 from apfmpc.potential_field import quadratic_approx
-from apfmpc.prediction import Obstacle, predict_obstacle, predict_robot
+from apfmpc.prediction import Obstacle, predict_obstacle
 from apfmpc import qp
 from apfmpc.qp import INFEASIBLE, QpProblem, QpSolver, row_scales
 from apfmpc.simulator import Scenario, SimulationLog, metrics, run

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
-from apfmpc.kinematics import ControlInput, RobotState, rollout
-from apfmpc.prediction import (Obstacle, advance_obstacle, predict_obstacle,
-                               predict_robot)
+from apfmpc.kinematics import ControlInput, RobotState, predict_robot, rollout
+from apfmpc.prediction import Obstacle, advance_obstacle, predict_obstacle
 
 DT = 0.1
 

@@ -322,6 +322,27 @@ class TestScenarioIO:
         assert (rect.half_length, rect.half_width, scn.ref_speed) == (
             float(np.float32(0.7)), 1.0, float(np.float32(1.1)))
 
+    @pytest.mark.parametrize("bad", ["5", b"5", True, False, np.True_],
+                             ids=["str", "bytes", "true", "false", "numpy_bool"])
+    def test_value_types_reject_strings_and_bools(self, bad):
+        # float() reads each of these as a number; a value type does not
+        rect = OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
+        makers = [lambda: Pose2D(bad, 0.0, 0.0), lambda: Pose2D(0.0, 0.0, bad),
+                  lambda: OrientedRectangle(rect.center, bad, 1.0),
+                  lambda: RobotState(0.0, 0.0, bad, 0.5, 0.5),
+                  lambda: RobotState(0.0, 0.0, 0.0, 0.5, bad),
+                  lambda: ControlInput(0.1, bad, 0.2, 0.0),
+                  lambda: RobotGeometry(1.2, 1.2, bad, 0.5),
+                  lambda: Obstacle(rect, (0.0, bad)), lambda: Obstacle(rect, (0.0, 0.0), bad),
+                  lambda: replace(tiny_scenario(), duration=bad)]
+        for make in makers:
+            with pytest.raises(TypeError, match="expected a number"):
+                make()
+        # numpy's floats and ints are numbers, stored as Python floats
+        obs = Obstacle(rect, np.array([np.float32(0.5), np.int64(-1)], dtype=object), np.int32(0))
+        assert obs.velocity == (0.5, -1.0) and type(obs.yaw_rate) is float
+        assert all(type(v) is float for v in obs.velocity)
+
     def test_equal_by_value(self, monkeypatch, tmp_path):
         # the path compares by its numbers; it stays read-only, and the
         # path table is not compared

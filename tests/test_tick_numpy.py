@@ -13,9 +13,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from apfmpc import linearization
 from apfmpc.geometry import OrientedRectangle, Pose2D
-from apfmpc.kinematics import ControlInput, RobotState, euler_step
+from apfmpc.kinematics import (EYE_AUGMENTED, EYE_INPUT, EYE_STATE, ControlInput, RobotState,
+                               euler_step)
 from apfmpc.mpc import VARIANTS, MpcController, build_reference, path_table
 from apfmpc.prediction import Obstacle
 from conftest import cold
@@ -127,8 +127,7 @@ def test_shared_constants_are_read_only(cfg, geom):
         assert shared
         for name, value in shared.items():
             assert not value.flags.writeable, name
-    for eye in (linearization.EYE_STATE, linearization.EYE_INPUT,
-                linearization.EYE_AUGMENTED):
+    for eye in (EYE_STATE, EYE_INPUT, EYE_AUGMENTED):
         assert not eye.flags.writeable
         assert np.array_equal(eye, np.eye(len(eye)))
 
