@@ -9,6 +9,7 @@ import traceback
 from dataclasses import replace
 from pathlib import Path
 
+from .geometry import corners
 from .mpc import VARIANTS
 from .qp import INFEASIBLE, MAX_ITERATIONS, OPTIMAL
 from .simulator import NUMERICAL_FAILURE, load_scenario, metrics, run
@@ -53,7 +54,6 @@ def _trajectory_svg(out_dir: Path, name: str, scenario, log) -> None:
         return (f'<polyline points="{coords}" fill="none" '
                 f'stroke="{color}" stroke-width="{width}"/>')
 
-    from .geometry import corners
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
              f'viewBox="0 0 {w} {h}">',
              f'<rect width="{w}" height="{h}" fill="white"/>']

@@ -12,7 +12,8 @@ center, heading or extent that is not finite with ValueError, as input;
 numerical failure.
 Poses and rectangles are frozen dataclasses that store each number as a
 Python float when they are made, with `store_floats`, as the robot's state,
-input and geometry, an obstacle and a scenario do; nothing else converts a
+input and geometry, an obstacle and a scenario do; a scenario converts its
+path's coordinates by the same rule, `as_float`. Nothing else converts a
 number, and a string, bytes or a bool is no number there.
 
 A closest-pair query returns the distance and the gap, the world-frame
@@ -69,9 +70,10 @@ def normalize_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-def _as_float(value) -> float:
-    """A number as a Python float. A string, bytes or a bool, numpy's too,
-    is not a number here, though `float()` reads it as one: TypeError."""
+def as_float(value) -> float:
+    """A number as a Python float: the one rule by which a value type, and a
+    scenario's path, converts a number. A string, bytes or a bool, numpy's
+    too, is not a number here, though `float()` reads it as one: TypeError."""
     if isinstance(value, float) or isinstance(value, Number) and not isinstance(value, bool):
         return float(value)
     raise TypeError(f"expected a number, got {value!r}")
@@ -84,7 +86,7 @@ def store_floats(obj, **numbers) -> None:
     float32 too) is computed on as a double. A Python float is stored as is."""
     for name, value in numbers.items():
         if type(value) is not float:
-            value = tuple(map(_as_float, value)) if type(value) is tuple else _as_float(value)
+            value = tuple(map(as_float, value)) if type(value) is tuple else as_float(value)
         object.__setattr__(obj, name, value)
 
 

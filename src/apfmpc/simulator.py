@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .geometry import OrientedRectangle, Pose2D, closest_pair, store_floats
+from .geometry import OrientedRectangle, Pose2D, as_float, closest_pair, store_floats
 from .kinematics import ControlInput, RobotGeometry, RobotState, euler_step
 from .mpc import (VARIANTS, MpcConfig, MpcController, build_reference, path_table,
                   project_onto_path, slip_terms)
@@ -79,8 +79,10 @@ class Scenario:
         if any(obs.kind != "obstacle" for obs in self.obstacles):
             # a file has no kinds, so it would not round-trip
             raise ValueError("walls belong in corridor, not in obstacles")
-        # a read-only copy: the path table below is built from it once
-        path = np.array(self.path, dtype=float)
+        # a read-only copy, each coordinate converted by the value types'
+        # rule; the path table below is built from it once
+        cells = np.array(self.path, dtype=object)
+        path = np.array([as_float(c) for c in cells.flat], dtype=float).reshape(cells.shape)
         path.flags.writeable = False
         object.__setattr__(self, "path", path)
         store_floats(self, ref_speed=self.ref_speed, duration=self.duration)

@@ -1,8 +1,11 @@
 """Every import is used: each name an import binds in a module of
 src/apfmpc, tools or tests is read in that module or listed in its
-`__all__`. No module of src/apfmpc imports another's private names."""
+`__all__`. No module of src/apfmpc imports another's private names, and
+importing one loads only what it needs: the package root exports nothing."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +63,23 @@ def test_no_private_imports_between_package_modules():
     private = {str(path.relative_to(ROOT)): names for path in package
                if (names := private_imports(path.read_text()))}
     assert private == {}
+
+
+def modules_after_import(module: str) -> set[str]:
+    """Every module a fresh interpreter holds once it has imported `module`
+    from src."""
+    code = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    return set(done.stdout.split())
+
+
+def test_a_module_loads_only_what_it_needs():
+    # the geometry that infrastructure-side code builds footprints with
+    # needs neither numpy nor YAML, and the solver no YAML
+    geometry = modules_after_import("apfmpc.geometry")
+    assert "math" in geometry
+    assert {name for name in geometry if name.startswith("apfmpc")} == {"apfmpc", "apfmpc.geometry"}
+    assert not {"numpy", "yaml"} & {name.partition(".")[0] for name in geometry}
+    qp = modules_after_import("apfmpc.qp")
+    assert "numpy" in qp and "yaml" not in {name.partition(".")[0] for name in qp}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from apfmpc.geometry import OrientedRectangle, Pose2D
 from apfmpc.kinematics import ControlInput, RobotGeometry, RobotState, euler_step
@@ -334,7 +335,8 @@ class TestScenarioIO:
                   lambda: ControlInput(0.1, bad, 0.2, 0.0),
                   lambda: RobotGeometry(1.2, 1.2, bad, 0.5),
                   lambda: Obstacle(rect, (0.0, bad)), lambda: Obstacle(rect, (0.0, 0.0), bad),
-                  lambda: replace(tiny_scenario(), duration=bad)]
+                  lambda: replace(tiny_scenario(), duration=bad),
+                  lambda: replace(tiny_scenario(), path=[[0.0, 0.0], [20.0, bad]])]
         for make in makers:
             with pytest.raises(TypeError, match="expected a number"):
                 make()
@@ -342,6 +344,30 @@ class TestScenarioIO:
         obs = Obstacle(rect, np.array([np.float32(0.5), np.int64(-1)], dtype=object), np.int32(0))
         assert obs.velocity == (0.5, -1.0) and type(obs.yaw_rate) is float
         assert all(type(v) is float for v in obs.velocity)
+
+    def test_path_coordinates_convert_as_numbers(self, monkeypatch):
+        # a path converts each coordinate by the value types' rule, in an
+        # array too: an array of bools or of strings is no path
+        for path in (np.array([[0, 0], [5, 1]], dtype=bool), np.array([["0", "0"], ["5", "1"]])):
+            with pytest.raises(TypeError, match="expected a number"):
+                replace(tiny_scenario(), path=path)
+        # numbers keep the bits that np.array(path, dtype=float) gives them:
+        # the packaged files' paths and the benchmark's, as lists, as float64
+        # and float32 arrays and as numpy scalars, and a path of ints
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+        sources = [yaml.safe_load(packaged_scenario_path(name).read_text())["path"]
+                   for name in ("straight_corridor", "orthogonal_corridor", "ablation")]
+        sources += [episode.scenario.path for make in WORKLOADS.values() for episode in make(1)]
+        assert len(sources) == 35
+        for source in sources:
+            array = np.array(source, dtype=float)
+            for path in (source, array, array.astype(np.float32), array.tolist(),
+                         [[np.float32(x), np.float64(y)] for x, y in array.tolist()]):
+                assert (replace(tiny_scenario(), path=path).path.tobytes()
+                        == np.array(path, dtype=float).tobytes())
+        ints = replace(tiny_scenario(), path=np.array([[0, 0], [20, 0]], dtype=np.int32)).path
+        assert ints.dtype == np.float64 and ints.tolist() == [[0.0, 0.0], [20.0, 0.0]]
 
     def test_equal_by_value(self, monkeypatch, tmp_path):
         # the path compares by its numbers; it stays read-only, and the
