@@ -5,16 +5,18 @@ of its heading, and its half-extents. Queries and corners read that frame,
 so a wall's trig is computed once per run and a predicted pose's once, not
 once per query. `closest_pair` reads nothing else of its arguments, so a
 `Frame`, the six numbers in a one-slot record, serves where no rectangle
-is needed: the controller's predicted footprints are frames, which
-`frames` makes from predicted rows (x, y, heading). A rectangle rejects a
-center, heading or extent that is not finite with ValueError, as input;
-`frames` raises FloatingPointError on a row that is not finite, as a
-numerical failure.
+is needed: the robot's footprint (`RobotGeometry.footprint`) and the
+controller's predicted footprints are frames, which `frames` makes from
+rows (x, y, heading). A rectangle rejects a center, heading or extent that
+is not finite with ValueError, as input; `frames` raises
+FloatingPointError on a row that is not finite, as a numerical failure.
 Poses and rectangles are frozen dataclasses that store each number as a
 Python float when they are made, with `store_floats`, as the robot's state,
 input and geometry, an obstacle and a scenario do; a scenario converts its
 path's coordinates by the same rule, `as_float`. Nothing else converts a
-number, and a string, bytes or a bool is no number there.
+number. A string, bytes, a bool, a complex number or a `Decimal` is no
+number there (TypeError), and an integer too large for a float is
+ValueError, as input.
 
 A closest-pair query returns the distance and the gap, the world-frame
 vector from A's closest point to B's (Ericson, Real-Time Collision
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 from math import cos, hypot, inf, sin
 from dataclasses import dataclass
-from numbers import Number
+from numbers import Real
 from typing import NamedTuple
 
 
@@ -71,11 +73,16 @@ def normalize_angle(angle: float) -> float:
 
 
 def as_float(value) -> float:
-    """A number as a Python float: the one rule by which a value type, and a
-    scenario's path, converts a number. A string, bytes or a bool, numpy's
-    too, is not a number here, though `float()` reads it as one: TypeError."""
-    if isinstance(value, float) or isinstance(value, Number) and not isinstance(value, bool):
-        return float(value)
+    """A real number as a Python float: the one rule by which a value type,
+    and a scenario's path, converts a number. A string, bytes or a bool,
+    numpy's too, is not a number here, though `float()` reads it as one, nor
+    is a complex number or a `Decimal` (no `numbers.Real`): TypeError. A
+    number too large for a float, a long integer, is ValueError."""
+    if isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError("number too large for a float") from None
     raise TypeError(f"expected a number, got {value!r}")
 
 

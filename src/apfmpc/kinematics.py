@@ -6,9 +6,9 @@ Three-degree-of-freedom bicycle-style model under rigid-body and non-slip
 assumptions, stated once in two parts: `_steering_terms` gives the terms of
 the held steering (cos δ_f, cos δ_r, the tangent of the side slip s, and
 k), and `_body_rates` turns them, the speeds and cos and sin of the heading
-into w (the C.G. speed along the body axis) and the rates. `_rates`,
-`derivative` and `_jacobians` compose the two; w and s keep the rates free
-of the side slip angle itself.
+into w (the C.G. speed along the body axis) and the rates. The rollout
+below and `_jacobians` compose the two, each once; w and s keep the rates
+free of the side slip angle itself.
 
 One held-input forward-Euler rollout serves as the simulation plant (10
 substeps a tick) and the controller's horizon prediction (20 steps,
@@ -16,14 +16,18 @@ substeps a tick) and the controller's horizon prediction (20 steps,
 one loop over Python floats: the steering terms once, then `_body_rates`
 per step. A rollout has 5 to 21 states of five numbers, and at that size
 a dozen numpy calls over the whole columns cost more than the loop's
-scalar arithmetic; each state is bit for bit the array form's, which
-`tests/test_kinematics.py` keeps as its oracle.
+scalar arithmetic; each state is bit for bit that of the rates composed over
+arrays, which `tests/test_kinematics.py` keeps as its oracle.
+
+The robot's footprint at a state is a `geometry.Frame`, made by
+`geometry.frames` from (x, y, heading), as the controller makes each
+predicted footprint: bit for bit the frame of the rectangle at that pose.
 
 The affine model x(k+1) = A x(k) + B u(k) + d is built from analytic
 Jacobians of the rates at an operating point (current state, previously
 applied input), by the chain rule through the same two parts; its offset d
-is one Euler step of the rates `derivative` returns, so the model is exact
-there by construction. The augmented form stacks the previous input into
+is one Euler step of the rates there, so the model is exact there by
+construction. The augmented form stacks the previous input into
 the state so control increments become the decision variables; its first
 N_STATE entries are the outputs. N = Ā - I has N⁴ = 0: in the order
 inputs, speeds, heading, position, each entry feeds only later ones (the
@@ -39,7 +43,7 @@ from math import cos, nan, sin
 
 import numpy as np
 
-from .geometry import OrientedRectangle, Pose2D, normalize_angle, store_floats
+from .geometry import Frame, frames, normalize_angle, store_floats
 
 _HALF_PI = math.pi / 2.0
 N_STATE = 5
@@ -102,9 +106,10 @@ class RobotGeometry:
         if not (0.0 < self.half_length < math.inf and 0.0 < self.half_width < math.inf):
             raise ValueError("footprint half-extents must be positive and finite")
 
-    def footprint(self, state: RobotState) -> OrientedRectangle:
-        return OrientedRectangle(Pose2D(state.x, state.y, state.heading),
-                                 self.half_length, self.half_width)
+    def footprint(self, state: RobotState) -> Frame:
+        """The footprint at the state's pose, as the frame `closest_pair`
+        reads; FloatingPointError if the pose is not finite."""
+        return frames(((state.x, state.y, state.heading),), self.half_length, self.half_width)[0]
 
 
 def _steering_terms(inp: ControlInput, geom: RobotGeometry):
@@ -129,19 +134,6 @@ def _body_rates(c, sn, v_front, v_rear, terms):
     w = 0.5 * (v_front * cf + v_rear * cr)
     gx, gy = c - s * sn, sn + s * c
     return w * gx, w * gy, w * k, w, gx, gy
-
-
-def _rates(heading, v_front, v_rear, inp: ControlInput, geom: RobotGeometry):
-    """The rates (Ẋ, Ẏ, θ̇): the model's two parts composed. θ̇ does not
-    depend on the heading. Floats or arrays."""
-    return _body_rates(np.cos(heading), np.sin(heading), v_front, v_rear,
-                       _steering_terms(inp, geom))[:3]
-
-
-def derivative(state: RobotState, inp: ControlInput, geom: RobotGeometry) -> np.ndarray:
-    """State rate [Xdot, Ydot, heading_rate, vf_dot, vr_dot]."""
-    return np.array([*_rates(state.heading, state.v_front, state.v_rear, inp, geom),
-                     inp.accel_front, inp.accel_rear])
 
 
 def _steps(state: RobotState, inp: ControlInput, geom: RobotGeometry,
@@ -251,7 +243,7 @@ def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
     jac, rates = _jacobians(state0, input0, geom)
     dt_jac = dt * jac
     a_mat, b_mat = EYE_STATE + dt_jac[:, :N_STATE], dt_jac[:, N_STATE:]
-    # one Euler step of the rates at the operating point, as `derivative` gives them
+    # one Euler step of the rates at the operating point
     x0 = state0.as_array()
     next_state = x0 + dt * np.array([*rates, input0.accel_front, input0.accel_rear])
     d_vec = next_state - a_mat @ x0 - b_mat @ input0.as_array()

@@ -58,9 +58,11 @@ start and replaces it once, after its last raise, so a raising step leaves
 it unchanged; `_shift` alone writes the shift.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
-Python-level wrappers. What depends on the constants of `MpcConfig` alone,
-each variant's starting A and bounds among it, is built once, by the first
-controller's `_config_tables`, and shared, read-only, by every controller.
+Python-level wrappers. What depends on constants alone, the starting A and
+bounds among it, is built by `_config_tables` from the constants of
+`MpcConfig` that a controller is made with and its variant's number of slip
+rows, once per distinct set, and shared, read-only, by every controller
+made with them.
 Each tick writes its bounds and slip rows through the blocks' slices into
 copies of A and the bounds. `kinematics` holds `EYE_*`.
 """
@@ -87,8 +89,7 @@ SLIP_BAND = 0.1  # m/s, the hard bound on |h(u)| (see `slip_terms`)
 SLACK_PENALTY, SLACK_WEIGHT = 1e4, 1e3  # ρ and w of the slip band's slack ε (see `_elastic`)
 ACTIVATION_RADIUS = 8.0  # m, Khatib's influence distance ρ₀: the field reads no pair beyond it
 
-# controller variants; "no_customization" freezes the field anchors at the
-# current poses and drops the wheel-speed-difference rows
+# controller variants; `MpcController.__init__` says what "no_customization" drops
 VARIANTS = ("full", "no_customization")
 
 
@@ -148,16 +149,21 @@ class PathTable(NamedTuple):
 
 
 def path_table(path: np.ndarray) -> PathTable:
-    """Table of a polyline of two or more finite (x, y) points, no segment of zero length."""
+    """Table of a polyline of two or more finite (x, y) points. Every
+    projection divides by a segment's squared length, so each must be
+    positive and finite: a segment too short, whose square underflows to 0,
+    or too long, whose difference or square overflows, is ValueError."""
     pts = np.asarray(path, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2 or not np.isfinite(pts).all():
         raise ValueError("path must be two or more finite points of two coordinates (x, y)")
-    seg = np.diff(pts, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    if np.any(seg_len <= 0.0):
-        raise ValueError("path segments must have positive length")
+    with np.errstate(over="ignore"):  # an overflow is the inf rejected below
+        seg = np.diff(pts, axis=0)
+        seg_len = np.hypot(seg[:, 0], seg[:, 1])
+        sq_len = seg_len ** 2
+    if not np.logical_and(sq_len > 0.0, sq_len < math.inf).all():
+        raise ValueError("path segments must have a positive, finite squared length")
     return PathTable(pts, seg, seg_len, np.concatenate([[0.0], np.cumsum(seg_len)]),
-                     np.arctan2(seg[:, 1], seg[:, 0]), pts[:-1], seg_len ** 2)
+                     np.arctan2(seg[:, 1], seg[:, 0]), pts[:-1], sq_len)
 
 
 def _segment_fits(p: np.ndarray, table: PathTable) -> tuple[np.ndarray, np.ndarray]:
@@ -227,28 +233,27 @@ APF_BY_KIND = {"obstacle": OBSTACLE_APF, "boundary": BOUNDARY_APF}
 
 
 @cache
-def _config_tables() -> dict[str, dict[str, np.ndarray | tuple | slice]]:
-    """Per variant, the read-only constants of the condensed QP by attribute
-    name. They depend on `MpcConfig` alone: the first controller builds them,
-    every controller shares them, and both variants share all but the
-    starting A and bounds and the slices of their row blocks."""
-    cfg = MpcConfig
-    n_p, n_c = cfg.n_pred, cfg.n_ctrl
-    nz = n_c * N_INPUT
-    t = {"_q_diag": np.tile(cfg.q_weights, n_p), "_r_diag": np.tile(cfg.r_weights, n_c)}
+def _config_tables(n_pred: int, n_ctrl: int, dt: float, q_weights: tuple, r_weights: tuple,
+                   u_max: tuple, n_slip: int) -> dict[str, np.ndarray | tuple | slice]:
+    """The read-only constants of the condensed QP by attribute name, built
+    from the constants of `MpcConfig` and a variant's number of slip rows
+    (0 without them): the first controller made with these builds them, and
+    every such controller shares them."""
+    nz = n_ctrl * N_INPUT
+    t = {"_q_diag": np.tile(q_weights, n_pred), "_r_diag": np.tile(r_weights, n_ctrl)}
     t["_h_effort"] = 2.0 * np.diag(t["_r_diag"])
     # the applied input's bound, as floats: u_max, and the steering inside
     # the plant's singularity
     steer_max = math.pi / 2 - _STEER_EPS
-    t["_u_applied"] = tuple(map(min, cfg.u_max, (math.inf, math.inf, steer_max, steer_max)))
+    t["_u_applied"] = tuple(map(min, u_max, (math.inf, math.inf, steer_max, steer_max)))
     # (-u_max, u_max) at every control step, the bounds of the cumulative inputs
-    t["_u_bounds"] = np.tile(np.array(cfg.u_max), (2, n_c)) * [[-1.0], [1.0]]
-    t["_input_tile"] = np.tile(np.arange(N_INPUT), n_c)  # u[tile] is np.tile(u, n_c)
-    t["_cumulative"] = np.tril(np.ones((n_c, n_c)))
+    t["_u_bounds"] = np.tile(np.array(u_max), (2, n_ctrl)) * [[-1.0], [1.0]]
+    t["_input_tile"] = np.tile(np.arange(N_INPUT), n_ctrl)  # u[tile] is np.tile(u, n_ctrl)
+    t["_cumulative"] = np.tril(np.ones((n_ctrl, n_ctrl)))
     # binomials C(k, p) of the closed-form condensation (see assemble)
     binom = np.array([[math.comb(k, p) for p in range(NILPOTENCY_INDEX + 1)]
-                      for k in range(n_p + 1)], dtype=float)
-    lag = np.subtract.outer(np.arange(n_p), np.arange(n_c)).ravel()
+                      for k in range(n_pred + 1)], dtype=float)
+    lag = np.subtract.outer(np.arange(n_pred), np.arange(n_ctrl)).ravel()
     t["_binom_su"] = np.where(lag[:, None] >= 0, binom[lag, :-1], 0.0)
     t["_binom_base"] = np.hstack([binom[1:, :-1], binom[1:, 1:]])
     # the bounded output rows of su, the wheel speeds (outputs 3, 4) one at
@@ -256,32 +261,29 @@ def _config_tables() -> dict[str, dict[str, np.ndarray | tuple | slice]]:
     # (i, j ≤ i) of their rows of su is dt (i - j + 1) on that acceleration at
     # every operating point. They enter A normalized (see `qp.row_scales`),
     # and each tick's bounds take the same scales
-    t["_eta_rows"] = (np.arange(n_p) * N_STATE + np.array([[3], [4]])).ravel()
-    t["_eta_bounds"] = np.repeat(np.array(SPEED_BOUNDS)[:, None], 2 * n_p, axis=1)
-    eta_rows = (np.where(lag >= 0, cfg.dt * (lag + 1.0), 0.0)[:, None]
+    t["_eta_rows"] = (np.arange(n_pred) * N_STATE + np.array([[3], [4]])).ravel()
+    t["_eta_bounds"] = np.repeat(np.array(SPEED_BOUNDS)[:, None], 2 * n_pred, axis=1)
+    eta_rows = (np.where(lag >= 0, dt * (lag + 1.0), 0.0)[:, None]
                 * np.eye(2, N_INPUT)[:, None]).reshape(-1, nz)
     t["_eta_scale"] = row_scales(eta_rows)
     # every tick's A and (lower, upper) start as copies of these, in four row
     # blocks named by their slices, in this order: cumulative inputs (0 and 1,
-    # normalized as they stand), slip rows (empty without the customization),
+    # normalized as they stand), slip rows (n_slip of them, maybe none),
     # wheel speeds, and the increment box, whose rows and bounds ticks keep
-    du_max, per_variant = np.tile(DU_MAX, n_c), {}
-    for variant, n_slip in zip(VARIANTS, (n_c, 0)):
-        ends = list(accumulate((nz, n_slip, len(eta_rows), nz), initial=0))
-        inputs, slip, speed, box = map(slice, ends[:-1], ends[1:])
-        a_rows = np.zeros((ends[-1], nz))
-        a_rows[inputs] = np.kron(t["_cumulative"], np.eye(N_INPUT))
-        a_rows[speed] = t["_eta_scale"][:, None] * eta_rows
-        a_rows[box] = np.eye(nz)
-        bounds = np.zeros((2, len(a_rows)))
-        bounds[:, box] = -du_max, du_max
-        per_variant[variant] = dict(t, _a_rows=a_rows, _bounds=bounds, _input_rows=inputs,
-                                    _slip_rows=slip, _speed_rows=speed, _box_rows=box)
-    for tables in per_variant.values():  # every tick of every such controller shares them
-        for value in tables.values():
-            if isinstance(value, np.ndarray):  # a tuple or slice is read-only as it is
-                value.flags.writeable = False
-    return per_variant
+    ends = list(accumulate((nz, n_slip, len(eta_rows), nz), initial=0))
+    inputs, slip, speed, box = map(slice, ends[:-1], ends[1:])
+    a_rows = np.zeros((ends[-1], nz))
+    a_rows[inputs] = np.kron(t["_cumulative"], np.eye(N_INPUT))
+    a_rows[speed] = t["_eta_scale"][:, None] * eta_rows
+    a_rows[box] = np.eye(nz)
+    bounds = np.zeros((2, len(a_rows)))
+    bounds[:, box] = np.tile(DU_MAX, n_ctrl) * [[-1.0], [1.0]]
+    t.update(_a_rows=a_rows, _bounds=bounds, _input_rows=inputs, _slip_rows=slip,
+             _speed_rows=speed, _box_rows=box)
+    for value in t.values():  # every tick of every such controller shares them
+        if isinstance(value, np.ndarray):  # a tuple or slice is read-only as it is
+            value.flags.writeable = False
+    return t
 
 
 class _Carry(NamedTuple):
@@ -336,7 +338,12 @@ class MpcController:
             raise ValueError(f"unknown controller variant: {variant!r}")
         self.cfg, self.geom, self.variant = cfg, geom, variant
         self.solver = QpSolver()
-        vars(self).update(_config_tables()[variant])  # shared, read-only
+        # what "no_customization" drops: the slip rows, and the predicted
+        # anchors, which it freezes at the current pose
+        self._frozen = variant == "no_customization"
+        vars(self).update(_config_tables(  # shared, read-only
+            cfg.n_pred, cfg.n_ctrl, cfg.dt, cfg.q_weights, cfg.r_weights, cfg.u_max,
+            0 if self._frozen else cfg.n_ctrl))
         # the first tick starts from the zero input, with no active set
         self._carry = _Carry(ControlInput(0.0, 0.0, 0.0, 0.0), None)
 
@@ -348,7 +355,7 @@ class MpcController:
         the carried plan's, one step on with its last row repeated, else the
         rollout with the carried input held or, frozen, the current state."""
         cfg, n_p, hl, hw = self.cfg, self.cfg.n_pred, self.geom.half_length, self.geom.half_width
-        frozen = self.variant == "no_customization"
+        frozen = self._frozen
         if frozen:
             robot = state.as_array()[None, :3]
         elif carry.plan is not None:  # the real-time iteration's shift of the plan

@@ -7,11 +7,13 @@ controller's `slip_terms` at the applied input, the front/rear speed
 mismatch one step ahead. The reference path is validated when a scenario
 is made, by building its path table once; every tick's reference in a run
 of the scenario reads that table, and `metrics` builds its own to measure
-the tracking error. Without obstacles a tick builds no footprint. Scenario
-files are YAML documents that round-trip losslessly through load/save; a
-file holds only entries that saving writes, each of the kind that saving
-writes there: a number (not a bool), a string, a list or a mapping. A
-scenario and the poses, rectangles, obstacles and state it holds store
+the tracking error. A tick's clearance reads the robot's footprint as the
+`geometry.Frame` that `RobotGeometry.footprint` makes (without obstacles a
+tick makes none), so a run builds no pose or rectangle but a moving
+obstacle's step. Scenario files are YAML documents that round-trip
+losslessly through load/save; a file holds only entries that saving writes,
+each of the kind that saving writes there: a number (not a bool), a string,
+a list or a mapping. A scenario and the poses, rectangles, obstacles and state it holds store
 their numbers as Python floats when they are made, so the file form writes
 and reads those numbers as they are and converts none; every one is
 finite. A run that meets a non-finite state, predicted track, QP solution
@@ -142,8 +144,8 @@ def _min_clearance(state: RobotState, geom: RobotGeometry,
                    obstacles: list[Obstacle]) -> float:
     if not obstacles:
         return math.inf
-    rect = geom.footprint(state)
-    return min([closest_pair(rect, obs.footprint).distance for obs in obstacles])
+    robot = geom.footprint(state)
+    return min([closest_pair(robot, obs.footprint).distance for obs in obstacles])
 
 
 def run(scenario: Scenario) -> SimulationLog:

@@ -64,14 +64,15 @@ def axis_overlaps(a, b):
     two edge directions then B's, each a unit vector pointing from A's
     center to B's: (overlap, axis x, axis y) per axis, the overlap being how
     far A's corner projections reach past B's lowest, the translation that
-    parts them along the axis."""
+    parts them along the axis. A and B are rectangles or frames."""
     pa, pb = corners(a), corners(b)
+    (xa, ya, *_), (xb, yb, *_) = a.frame, b.frame
     out = []
     for pts in (pa, pb):
         for (x1, y1), (x2, y2) in zip(pts[:2], pts[1:3]):
             length = math.hypot(x2 - x1, y2 - y1)
             ux, uy = (x2 - x1) / length, (y2 - y1) / length
-            if (b.center.x - a.center.x) * ux + (b.center.y - a.center.y) * uy < 0.0:
+            if (xb - xa) * ux + (yb - ya) * uy < 0.0:
                 ux, uy = -ux, -uy
             out.append((_project_extent(pa, ux, uy)[1] - _project_extent(pb, ux, uy)[0],
                         ux, uy))

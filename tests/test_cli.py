@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from apfmpc.simulator import (Scenario, load_scenario, packaged_scenario_path,
                               save_scenario, scenario_to_dict)
 from conftest import (DOUBLE_BACK_HEADING, double_back, nan_at_solve, nan_at_step,
                       overflowing_obstacle)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -196,6 +202,14 @@ class TestValidate:
         {"initial_state": dict(START, yaw_rate=0.0)},
         {"corridor": [dict(WALL, kind="wall")]},
         {"obstacles": [obstacle_entry(speed=1.0)]},
+        # integers too large for a float, and segments whose squared length,
+        # which every projection divides by, overflows or underflows to 0
+        {"duration_s": 10 ** 400},
+        {"ref_speed_mps": 10 ** 400},
+        {"path": [[0.0, 0.0], [10 ** 400, 0.0]]},
+        {"initial_state": dict(START, v_rear=10 ** 400)},
+        {"path": [[-1.0e+308, 0.0], [1.0e+308, 0.0]]},
+        {"path": [[0.0, 0.0], [1.0e-170, 0.0], [20.0, 0.0]]},
     ], ids=["unknown_variant", "zero_length_segment", "nan_speed", "inf_speed",
             "negative_speed",
             "nan_duration", "nan_initial_speed", "nan_path_vertex",
@@ -203,12 +217,25 @@ class TestValidate:
             "rounds_to_zero_ticks", "too_many_ticks", "three_column_path", "name_with_separator",
             "name_leaving_out_dir", "three_number_velocity", "three_number_center",
             "unknown_top_level_key", "unknown_scenario_key", "unknown_initial_state_key",
-            "unknown_corridor_key", "unknown_obstacle_key"])
+            "unknown_corridor_key", "unknown_obstacle_key", "long_duration", "long_speed",
+            "long_path_coordinate", "long_initial_speed", "overflowing_segment",
+            "underflowing_segment"])
     def test_rejects_what_run_rejects(self, scenario_file, tmp_path, capsys, changes):
         bad = edited_file(scenario_file, tmp_path, **changes)
-        assert main(["validate", str(bad)]) == EXIT_CONFIG
-        assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        for args in (["validate", str(bad)], ["run", str(bad), "--out", str(tmp_path / "out")]):
+            assert main(args) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_overflowing_segment_prints_no_warning(self, scenario_file, tmp_path):
+        # outside pytest's warning filter too: the one line, and no numpy warning
+        bad = edited_file(scenario_file, tmp_path, path=[[-1.0e+308, 0.0], [1.0e+308, 0.0]])
+        done = subprocess.run([sys.executable, "-m", "apfmpc.cli", "validate", str(bad)],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == EXIT_CONFIG
+        assert done.stderr.splitlines() == [
+            "error: path segments must have a positive, finite squared length"]
 
     def test_runs_what_it_accepts(self, tmp_path):
         path = tmp_path / "double_back.yaml"

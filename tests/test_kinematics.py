@@ -3,9 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from apfmpc.geometry import normalize_angle
-from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, _rates, derivative,
-                               euler_step, predict_robot, rollout)
+from apfmpc.geometry import Frame, OrientedRectangle, Pose2D, normalize_angle
+from apfmpc.kinematics import (ControlInput, RobotGeometry, RobotState, _body_rates,
+                               _steering_terms, euler_step, predict_robot, rollout)
+
+
+# The package states the rates once, in its float loop and its Jacobians;
+# these are the same two parts composed over arrays, the tests' reference.
+
+def _rates(heading, v_front, v_rear, inp: ControlInput, geom: RobotGeometry):
+    """The rates (Ẋ, Ẏ, θ̇): the model's two parts composed. θ̇ does not
+    depend on the heading. Floats or arrays."""
+    return _body_rates(np.cos(heading), np.sin(heading), v_front, v_rear,
+                       _steering_terms(inp, geom))[:3]
+
+
+def derivative(state: RobotState, inp: ControlInput, geom: RobotGeometry) -> np.ndarray:
+    """State rate [Xdot, Ydot, heading_rate, vf_dot, vr_dot]."""
+    return np.array([*_rates(state.heading, state.v_front, state.v_rear, inp, geom),
+                     inp.accel_front, inp.accel_rear])
 
 
 # The paper's side-slip form of the model, the oracle for the w/s form the
@@ -363,6 +379,20 @@ def test_control_input_rejects_nan_steering(front, rear):
 def test_geometry_rejects_nonpositive_or_nan_dimensions(args):
     with pytest.raises(ValueError):
         RobotGeometry(*args)
+
+
+def test_footprint_is_the_rectangles_frame(sym_geom, rng):
+    # drawn headings reach past ±pi, and the exact ±pi and 3 pi are kept
+    headings = [*rng.uniform(-10.0, 10.0, 500), math.pi, -math.pi, 3.0 * math.pi]
+    for heading in headings:
+        x, y = rng.uniform(-50.0, 50.0, 2).tolist()
+        got = sym_geom.footprint(RobotState(x, y, heading, 0.5, 0.5))
+        want = OrientedRectangle(Pose2D(x, y, heading), sym_geom.half_length,
+                                 sym_geom.half_width)
+        assert type(got) is Frame
+        assert list(map(float.hex, got.frame)) == list(map(float.hex, want.frame))
+    with pytest.raises(FloatingPointError):
+        sym_geom.footprint(RobotState(math.nan, 0.0, 0.0, 0.5, 0.5))
 
 
 def test_state_heading_normalized():

@@ -10,7 +10,7 @@ from apfmpc.kinematics import (ControlInput, RobotState, augment, euler_step, li
                                predict_robot, rollout)
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, OBSTACLE_APF, SLACK_PENALTY,
                         SLACK_WEIGHT, SLIP_BAND, SPEED_BOUNDS, VARIANTS, MpcConfig,
-                        MpcController, ReferenceHorizon, _config_tables, _elastic, _shift,
+                        MpcController, ReferenceHorizon, _elastic, _shift,
                         build_reference, path_table, project_onto_path, slip_terms)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle
@@ -29,14 +29,9 @@ def cfg(request, monkeypatch):
     """MpcConfig(); a test parametrized with a dict of its constants, as
     `indirect` parameters of `cfg`, sees those values in their place, and
     the controller tables built from them, for that test alone."""
-    changed = getattr(request, "param", {})
-    for name, value in changed.items():
+    for name, value in getattr(request, "param", {}).items():
         monkeypatch.setattr(MpcConfig, name, value)
-    if changed:
-        _config_tables.cache_clear()
-    yield MpcConfig()
-    if changed:  # before monkeypatch restores the constants
-        _config_tables.cache_clear()
+    return MpcConfig()
 
 
 def controller(cfg, geom, **kw):
@@ -470,6 +465,23 @@ class TestPathTable:
     def test_rejects_zero_length_segment(self):
         with pytest.raises(ValueError):
             path_table(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("path", [
+        [[-1.0e308, 0.0], [1.0e308, 0.0]],          # the difference overflows
+        [[0.0, 0.0], [0.0, 2.0e154]],              # the square overflows
+        [[0.0, 0.0], [1.0e-170, 0.0], [5.0, 0.0]],  # the square underflows to 0
+    ], ids=["difference_overflows", "square_overflows", "square_underflows"])
+    def test_rejects_segment_whose_square_is_not_positive_and_finite(self, path):
+        # every projection divides by it; an overflow warning would fail here
+        with pytest.raises(ValueError, match="squared length"):
+            path_table(np.array(path))
+
+    def test_projects_on_the_shortest_and_longest_segments_it_takes(self, cfg):
+        for length in (1.0e-150, 1.0e150):
+            table = path_table(np.array([[0.0, 0.0], [length, 0.0]]))
+            assert 0.0 < table.sq_lengths[0] < math.inf
+            state = RobotState(0.5 * length, 0.0, 0.0, 1.0, 1.0)
+            assert np.isfinite(build_reference(table, state, 1.0, cfg).targets).all()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_point(self, value):
@@ -1048,18 +1060,31 @@ class TestStep:
             QpSolver(4000)
 
     def test_equal_configs_share_read_only_tables(self, geom):
-        tables = MpcController(MpcConfig(), geom)
-        shared = {name: value for name, value in vars(tables).items()
-                  if isinstance(value, np.ndarray)}
-        again = MpcController(MpcConfig(), geom)
-        bare = MpcController(MpcConfig(), geom, variant="no_customization")
-        assert {"_q_diag", "_binom_su", "_a_rows", "_bounds"} <= set(shared)
-        for name, value in shared.items():
-            assert getattr(again, name) is value is _config_tables()["full"][name], name
-            assert (getattr(bare, name) is value) == (name not in ("_a_rows", "_bounds")), name
-            for c in (tables, bare):
-                assert not getattr(c, name).flags.writeable, name
-        assert again._carry is not tables._carry
+        for variant in VARIANTS:
+            tables = MpcController(MpcConfig(), geom, variant=variant)
+            shared = {name: value for name, value in vars(tables).items()
+                      if isinstance(value, np.ndarray)}
+            again = MpcController(MpcConfig(), geom, variant=variant)
+            assert {"_q_diag", "_binom_su", "_a_rows", "_bounds"} <= set(shared)
+            for name, value in shared.items():
+                assert getattr(again, name) is value, name
+                assert not value.flags.writeable, name
+            assert again._carry is not tables._carry
+
+    def test_tables_follow_the_constants_a_controller_is_made_with(self, geom, monkeypatch):
+        # no cache is cleared: a controller made after a constant changes
+        # gets tables of the new constants, and one made after it is
+        # restored the first tables again
+        first = MpcController(MpcConfig(), geom)
+        assert first._cumulative.shape == (10, 10)
+        monkeypatch.setattr(MpcConfig, "n_ctrl", 5)
+        for variant, n_slip in zip(VARIANTS, (5, 0)):
+            c = MpcController(MpcConfig(), geom, variant=variant)
+            assert c._cumulative.shape == (5, 5) and len(c._r_diag) == 5 * 4
+            assert c._a_rows.shape == (20 + n_slip + 2 * 20 + 20, 20)
+            assert c._slip_rows.stop - c._slip_rows.start == n_slip
+        monkeypatch.undo()
+        assert MpcController(MpcConfig(), geom)._a_rows is first._a_rows
 
 
 def doubled_band(asm, state, u0, cfg):

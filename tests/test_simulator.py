@@ -1,6 +1,7 @@
 import math
 from collections.abc import Hashable
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,21 @@ def tiny_scenario(duration=2.0, obstacles=(), variant="full"):
                     ref_speed=1.0, obstacles=list(obstacles),
                     initial_state=RobotState(0.0, 0.0, 0.0, 0.5, 0.5),
                     duration=duration, controller_variant=variant)
+
+
+def value_type_makers(bad):
+    """Makers of each value type, and of a scenario's duration and path,
+    each with `bad` in place of one number."""
+    rect = OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
+    return [lambda: Pose2D(bad, 0.0, 0.0), lambda: Pose2D(0.0, 0.0, bad),
+            lambda: OrientedRectangle(rect.center, bad, 1.0),
+            lambda: RobotState(0.0, 0.0, bad, 0.5, 0.5),
+            lambda: RobotState(0.0, 0.0, 0.0, 0.5, bad),
+            lambda: ControlInput(0.1, bad, 0.2, 0.0),
+            lambda: RobotGeometry(1.2, 1.2, bad, 0.5),
+            lambda: Obstacle(rect, (0.0, bad)), lambda: Obstacle(rect, (0.0, 0.0), bad),
+            lambda: replace(tiny_scenario(), duration=bad),
+            lambda: replace(tiny_scenario(), path=[[0.0, 0.0], [20.0, bad]])]
 
 
 def logged_slip(v_front, v_rear, steer_front, steer_rear, cfg):
@@ -323,27 +339,28 @@ class TestScenarioIO:
         assert (rect.half_length, rect.half_width, scn.ref_speed) == (
             float(np.float32(0.7)), 1.0, float(np.float32(1.1)))
 
-    @pytest.mark.parametrize("bad", ["5", b"5", True, False, np.True_],
-                             ids=["str", "bytes", "true", "false", "numpy_bool"])
+    @pytest.mark.parametrize("bad", ["5", b"5", True, False, np.True_, np.complex128(1 + 2j),
+                                     1 + 2j, Decimal("1.5")],
+                             ids=["str", "bytes", "true", "false", "numpy_bool", "numpy_complex",
+                                  "complex", "decimal"])
     def test_value_types_reject_strings_and_bools(self, bad):
-        # float() reads each of these as a number; a value type does not
+        # float() reads most of these as a number; a value type takes only a
+        # numbers.Real (numpy's complex kept its real part, with a warning)
         rect = OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0)
-        makers = [lambda: Pose2D(bad, 0.0, 0.0), lambda: Pose2D(0.0, 0.0, bad),
-                  lambda: OrientedRectangle(rect.center, bad, 1.0),
-                  lambda: RobotState(0.0, 0.0, bad, 0.5, 0.5),
-                  lambda: RobotState(0.0, 0.0, 0.0, 0.5, bad),
-                  lambda: ControlInput(0.1, bad, 0.2, 0.0),
-                  lambda: RobotGeometry(1.2, 1.2, bad, 0.5),
-                  lambda: Obstacle(rect, (0.0, bad)), lambda: Obstacle(rect, (0.0, 0.0), bad),
-                  lambda: replace(tiny_scenario(), duration=bad),
-                  lambda: replace(tiny_scenario(), path=[[0.0, 0.0], [20.0, bad]])]
-        for make in makers:
+        for make in value_type_makers(bad):
             with pytest.raises(TypeError, match="expected a number"):
                 make()
         # numpy's floats and ints are numbers, stored as Python floats
         obs = Obstacle(rect, np.array([np.float32(0.5), np.int64(-1)], dtype=object), np.int32(0))
         assert obs.velocity == (0.5, -1.0) and type(obs.yaw_rate) is float
         assert all(type(v) is float for v in obs.velocity)
+
+    def test_value_types_reject_integers_too_large_for_a_float(self):
+        # float() raises OverflowError on them; as input they are ValueError
+        for make in value_type_makers(10 ** 400):
+            with pytest.raises(ValueError, match="too large for a float"):
+                make()
+        assert Pose2D(2 ** 1023, 0.0, 0.0).x == 2.0 ** 1023
 
     def test_path_coordinates_convert_as_numbers(self, monkeypatch):
         # a path converts each coordinate by the value types' rule, in an

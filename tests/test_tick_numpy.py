@@ -8,7 +8,7 @@ stem, so numpy 1.x and 2.x both count.
 """
 
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from apfmpc.kinematics import (EYE_AUGMENTED, EYE_INPUT, EYE_STATE, ControlInput
                                euler_step)
 from apfmpc.mpc import VARIANTS, MpcController, build_reference, path_table
 from apfmpc.prediction import Obstacle
+from apfmpc.simulator import load_scenario, packaged_scenario_path, run
 from conftest import cold
 
 WRAPPER_MODULES = {"fromnumeric", "shape_base", "_shape_base_impl", "function_base",
@@ -109,6 +110,22 @@ def test_warm_step_builds_no_rectangle(cfg, geom):
         assert constructions(lambda: c.step(STATE, ref, obstacles), cls) == 0, cls.__name__
         assert constructions(lambda: OrientedRectangle(Pose2D(0.0, 0.0, 0.0), 1.0, 1.0),
                              cls) == 1
+
+
+def test_run_builds_no_robot_rectangle():
+    # the robot's footprint is a frame on every tick: with obstacles that
+    # hold still a run builds no Pose2D and no OrientedRectangle, and with
+    # one that moves it builds one of each per step of that obstacle
+    scenario = replace(load_scenario(packaged_scenario_path("straight_corridor")), duration=2.0)
+    assert scenario.obstacles and not any(obs.moves for obs in scenario.obstacles)
+    for cls in (Pose2D, OrientedRectangle):
+        assert constructions(lambda: run(scenario), cls) == 0, cls.__name__
+    moving = replace(load_scenario(packaged_scenario_path("orthogonal_corridor")), duration=2.0)
+    movers = sum(obs.moves for obs in moving.obstacles)
+    assert movers == 1
+    ticks = len(run(moving).records)
+    for cls in (Pose2D, OrientedRectangle):
+        assert constructions(lambda: run(moving), cls) == ticks * movers, cls.__name__
 
 
 def test_wrapper_calls_are_seen():
