@@ -29,10 +29,12 @@ applied input), by the chain rule through the same two parts; its offset d
 is one Euler step of the rates there, so the model is exact there by
 construction. The augmented form stacks the previous input into
 the state so control increments become the decision variables; its first
-N_STATE entries are the outputs. N = Ā - I has N⁴ = 0: in the order
-inputs, speeds, heading, position, each entry feeds only later ones (the
-yaw rate moves with the speeds and steering, not the heading), so every
-product of four entries of N has a structural zero.
+N_STATE entries are the outputs. `linearize` returns the arrays (A, B, d),
+and `augment(A, B, d)` the arrays (Ā, B̄, d̄); no record wraps them.
+N = Ā - I has N⁴ = 0: in the order inputs, speeds, heading, position, each
+entry feeds only later ones (the yaw rate moves with the speeds and
+steering, not the heading), so every product of four entries of N has a
+structural zero.
 """
 
 from __future__ import annotations
@@ -191,20 +193,6 @@ def euler_step(state: RobotState, inp: ControlInput, geom: RobotGeometry,
     return RobotState(*_steps(state, inp, geom, substeps, dt / substeps)[-N_STATE:])
 
 
-@dataclass(frozen=True)
-class LinearizedModel:
-    a_mat: np.ndarray  # 5x5
-    b_mat: np.ndarray  # 5x4
-    d_vec: np.ndarray  # 5
-
-
-@dataclass(frozen=True)
-class AugmentedModel:
-    a_bar: np.ndarray  # 9x9
-    b_bar: np.ndarray  # 9x4
-    d_bar: np.ndarray  # 9
-
-
 def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
     """Analytic Jacobians of the state rate w.r.t. state and input, side by
     side as one 5x9 array [J_state | J_input].
@@ -237,23 +225,23 @@ def _jacobians(state: RobotState, inp: ControlInput, geom: RobotGeometry):
 
 
 def linearize(state0: RobotState, input0: ControlInput, geom: RobotGeometry,
-              dt: float) -> LinearizedModel:
-    """Affine discrete model around the operating point (state0, input0):
-    [A | B] = [I | 0] + dt [J_state | J_input]."""
+              dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Affine discrete model x⁺ = A x + B u + d around the operating point
+    (state0, input0): [A | B] = [I | 0] + dt [J_state | J_input]. Returns
+    A (5x5), B (5x4) and d (5)."""
     jac, rates = _jacobians(state0, input0, geom)
     dt_jac = dt * jac
     a_mat, b_mat = EYE_STATE + dt_jac[:, :N_STATE], dt_jac[:, N_STATE:]
     # one Euler step of the rates at the operating point
     x0 = state0.as_array()
     next_state = x0 + dt * np.array([*rates, input0.accel_front, input0.accel_rear])
-    d_vec = next_state - a_mat @ x0 - b_mat @ input0.as_array()
-    return LinearizedModel(a_mat, b_mat, d_vec)
+    return a_mat, b_mat, next_state - a_mat @ x0 - b_mat @ input0.as_array()
 
 
-def augment(lin: LinearizedModel) -> AugmentedModel:
-    """Delta-input form over the stacked state [state; previous input]."""
+def augment(a_mat: np.ndarray, b_mat: np.ndarray,
+            d_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta-input form of x⁺ = A x + B u + d over the stacked state
+    [state; previous input]: returns Ā (9x9), B̄ (9x4) and d̄ (9)."""
     a_bar = EYE_AUGMENTED.copy()
-    a_bar[:N_STATE, :N_STATE], a_bar[:N_STATE, N_STATE:] = lin.a_mat, lin.b_mat
-    b_bar = np.concatenate([lin.b_mat, EYE_INPUT])
-    d_bar = np.concatenate([lin.d_vec, np.zeros(N_INPUT)])
-    return AugmentedModel(a_bar, b_bar, d_bar)
+    a_bar[:N_STATE, :N_STATE], a_bar[:N_STATE, N_STATE:] = a_mat, b_mat
+    return a_bar, np.concatenate([b_mat, EYE_INPUT]), np.concatenate([d_vec, np.zeros(N_INPUT)])

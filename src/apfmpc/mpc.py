@@ -54,8 +54,9 @@ returns at once while it stays optimal and else repairs (without a solved
 QP the next tick guesses the empty set); and the predicted outputs unless
 the slip band was relaxed, the plan that the field reads shifted, so that a
 tick without footprints does no work for it. `step` reads the record at its
-start and replaces it once, after its last raise, so a raising step leaves
-it unchanged; `_shift` alone writes the shift.
+start and, after its last raise, builds the next one from the status,
+relaxed flag, applied input and plan it holds, so a raising step leaves it
+unchanged; past the constructor's first, nothing else writes it.
 
 A tick calls ufuncs, their reductions and ndarray methods, not numpy's
 Python-level wrappers. What depends on constants alone, the starting A and
@@ -287,21 +288,10 @@ def _config_tables(n_pred: int, n_ctrl: int, dt: float, q_weights: tuple, r_weig
 
 
 class _Carry(NamedTuple):
-    """What one tick hands the next; `_shift` builds it from the tick's solution."""
+    """What one tick hands the next; `MpcController.step` builds it."""
     input: ControlInput         # the applied input
     active: np.ndarray | None   # the QP's active set; None unless it was solved (guess empty)
     plan: np.ndarray | None = None  # the predicted outputs, unshifted; None if relaxed
-
-
-def _shift(solution: MpcSolution, active: np.ndarray) -> _Carry:
-    """The real-time iteration's shift: the next tick starts from the
-    applied input and tries the QP's active set, only if the QP was solved.
-    A plan solved without relaxing the slip band is kept as it is; the
-    field reads it shifted."""
-    solved = solution.solver_status == OPTIMAL
-    return _Carry(solution.applied_input, active if solved else None,
-                  solution.predicted_outputs
-                  if solved and solution.fallback_doublings == 0 else None)
 
 
 @dataclass
@@ -400,7 +390,7 @@ class MpcController:
                                        state.v_front, state.v_rear))):
             raise FloatingPointError(f"non-finite state {state}")
 
-        aug = augment(linearize(state, prev_input, self.geom, cfg.dt))
+        a_bar, b_bar, d_bar = augment(*linearize(state, prev_input, self.geom, cfg.dt))
 
         # condensed prediction eta = su z + base in closed form: N = Ā - I
         # has N⁴ = 0, so Āᵏ = Σₚ C(k, p) Nᵖ over p < 4. Block (i, j) of su is
@@ -408,13 +398,13 @@ class MpcController:
         # Σₚ C(i + 1, p) Nᵖ x̄₀ + C(i + 1, p + 1) Nᵖ d̄, as Σₗ≤ᵢ C(l, p) is
         # C(i + 1, p + 1); the Nᵖ [B̄ | x̄₀ | d̄] take three 9x9 products,
         # each into its slab of one array
-        n_mat = aug.a_bar - EYE_AUGMENTED
+        n_mat = a_bar - EYE_AUGMENTED
         nw = np.empty((NILPOTENCY_INDEX, ns + nu, nu + 2))
-        nw[0, :, :nu] = aug.b_bar
+        nw[0, :, :nu] = b_bar
         nw[0, :, nu] = (state.x, state.y, state.heading, state.v_front, state.v_rear,
                         prev_input.accel_front, prev_input.accel_rear,
                         prev_input.steer_front, prev_input.steer_rear)  # x̄₀
-        nw[0, :, nu + 1] = aug.d_bar
+        nw[0, :, nu + 1] = d_bar
         u0 = nw[0, ns:, nu]
         for p in range(1, NILPOTENCY_INDEX):
             np.matmul(n_mat, nw[p - 1], out=nw[p])
@@ -497,7 +487,11 @@ class MpcController:
         tracking = float(err @ (self._q_diag * err))
         effort = float(z @ (self._r_diag * z))
         apf_cost = 0.0 if asm.apf is None else asm.apf.value(predicted[:, :2])
-        solution = MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
-                               sol.status, apf_cost, tracking, effort, iterations, relaxed)
-        self._carry = _shift(solution, sol.active)  # the tick's one write
-        return solution
+        # the real-time iteration's shift, the tick's one write: the next
+        # tick starts from the applied input and, if the QP was solved, tries
+        # its active set and, unless relaxed, anchors the field on this plan
+        solved = sol.status == OPTIMAL
+        self._carry = _Carry(applied, sol.active if solved else None,
+                             predicted if solved and not relaxed else None)
+        return MpcSolution(applied, delta_seq, predicted, tracking + effort + apf_cost,
+                           sol.status, apf_cost, tracking, effort, iterations, relaxed)

@@ -98,8 +98,6 @@ class QpProblem:
         # shapes by attribute reads: H (n, n), f (n,), A (m, n), bounds (m,)
         shape = self.f_vec.shape
         n = shape[0] if len(shape) == 1 else -1
-        if self.a_mat.size == 0:
-            self.a_mat = self.a_mat.reshape(0, max(n, 0))
         m = self.a_mat.shape[0]
         if (n < 0 or self.h_mat.shape != (n, n) or self.a_mat.shape != (m, n)
                 or self.lower.shape != (m,) or self.upper.shape != (m,)):

@@ -12,14 +12,18 @@ the tracking error. A tick's clearance reads the robot's footprint as the
 tick makes none), so a run builds no pose or rectangle but a moving
 obstacle's step. Scenario files are YAML documents that round-trip
 losslessly through load/save; a file holds only entries that saving writes,
-each of the kind that saving writes there: a number (not a bool), a string,
-a list or a mapping. A scenario and the poses, rectangles, obstacles and state it holds store
-their numbers as Python floats when they are made, so the file form writes
-and reads those numbers as they are and converts none; every one is
-finite. A run that meets a non-finite state, predicted track, QP solution
-or obstacle pose ends `numerical_failure`. A log's columns are named once,
-in CSV_HEADER; a series of some of them is the log written with its own
-header.
+each of the kind that saving writes there: a number (not a bool, nor an
+integer too large for a float), a string, a list or a mapping; an error
+names the first entry that is not, by its dotted path. A scenario and the
+poses, rectangles, obstacles and state it holds store their numbers as
+Python floats when they are made, so the file form writes and reads those
+numbers as they are and converts none; every one is finite. A run that
+meets a non-finite state, predicted track, QP solution or obstacle pose
+ends `numerical_failure`, as does one whose tick overflows, divides by zero
+or makes an invalid value in numpy: `run` raises those as
+FloatingPointError, and leaves an underflow to round to zero. A log's
+columns are named once, in CSV_HEADER; a series of some of them is the log
+written with its own header.
 """
 
 from __future__ import annotations
@@ -158,29 +162,31 @@ def run(scenario: Scenario) -> SimulationLog:
     state = scenario.initial_state
     log = SimulationLog(cfg.dt)
     # the one exit for a non-finite state, predicted track, QP cost or
-    # solution, or obstacle pose
+    # solution, or obstacle pose, and for a numpy overflow, invalid value or
+    # division by zero in a tick (an underflow is left to round to zero)
     try:
-        for tick in range(tick_count(scenario.duration, cfg.dt)):
-            if not all(map(math.isfinite, (state.x, state.y, state.heading,
-                                           state.v_front, state.v_rear))):
-                raise FloatingPointError("non-finite state")
-            clearance = _min_clearance(state, geom, obstacles)
-            if clearance == 0.0:
-                log.outcome = COLLIDED
-                break
-            ref = build_reference(table, state, scenario.ref_speed, cfg)
-            sol = controller.step(state, ref, obstacles + boundaries)
-            u = sol.applied_input
-            log.records.append(TickRecord(
-                t=tick * cfg.dt, state=state, applied=u,
-                slip_measure=abs(slip_terms(state, u, cfg)[1]), min_clearance=clearance,
-                objective=sol.objective, solver_iterations=sol.iterations,
-                solver_status=sol.solver_status))
-            if sol.solver_status == INFEASIBLE:
-                log.outcome = SOLVER_FAILED
-                break
-            state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
-            obstacles = [advance_obstacle(o, cfg.dt) if o.moves else o for o in obstacles]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for tick in range(tick_count(scenario.duration, cfg.dt)):
+                if not all(map(math.isfinite, (state.x, state.y, state.heading,
+                                               state.v_front, state.v_rear))):
+                    raise FloatingPointError("non-finite state")
+                clearance = _min_clearance(state, geom, obstacles)
+                if clearance == 0.0:
+                    log.outcome = COLLIDED
+                    break
+                ref = build_reference(table, state, scenario.ref_speed, cfg)
+                sol = controller.step(state, ref, obstacles + boundaries)
+                u = sol.applied_input
+                log.records.append(TickRecord(
+                    t=tick * cfg.dt, state=state, applied=u,
+                    slip_measure=abs(slip_terms(state, u, cfg)[1]), min_clearance=clearance,
+                    objective=sol.objective, solver_iterations=sol.iterations,
+                    solver_status=sol.solver_status))
+                if sol.solver_status == INFEASIBLE:
+                    log.outcome = SOLVER_FAILED
+                    break
+                state = euler_step(state, u, geom, cfg.dt, substeps=PLANT_SUBSTEPS)
+                obstacles = [advance_obstacle(o, cfg.dt) if o.moves else o for o in obstacles]
     except FloatingPointError:
         log.outcome = NUMERICAL_FAILURE
     return log
@@ -262,19 +268,33 @@ _FORM = {_place(path): _KINDS[type(value)] for path, value in _entries(scenario_
     Scenario("form", [_BOX], [[0, 0], [1, 0]], 1, [Obstacle(_BOX)], RobotState(0, 0, 0, 0, 0), 1)))}
 
 
+def _entry_error(path: str, value) -> str | None:
+    """Why a file entry is not one that saving writes, or None: a key or
+    list entry that saving would not write, another kind than saving writes
+    there, or an integer too large for a float."""
+    form = _FORM.get(_place(path))
+    if form is None:
+        return f"unexpected entry {path!r}"
+    if _KINDS.get(type(value)) != form:
+        return f"entry {path!r} must be {form}, got {value!r}"
+    if type(value) is int:
+        try:
+            as_float(value)
+        except ValueError as exc:
+            return f"entry {path!r}: {exc}"
+    return None
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    """A file's scenario; an entry that saving it would not write, or that
-    is of another kind than the entry saving writes, is an error. The
-    entries are checked before the value types see them, which take no
-    string or bool as a number."""
-    wrong = sorted((path, value) for path, value in _entries(data)
-                   if _KINDS.get(type(value)) != _FORM.get(_place(path)))
-    if wrong:  # the first, by its dotted path
-        path, value = wrong[0]
-        if _place(path) not in _FORM:  # a key or list entry that saving would not write
-            raise ValueError(f"invalid scenario: unexpected entry {path!r}")
-        raise ValueError(f"invalid scenario: entry {path!r} must be "
-                         f"{_FORM[_place(path)]}, got {value!r}")
+    """A file's scenario; an entry that saving it would not write, that is
+    of another kind than the entry saving writes, or that is an integer too
+    large for a float is an error, which names the first such entry by its
+    dotted path. The entries are checked before the value types see them,
+    which take no string or bool as a number."""
+    wrong = min(((path, error) for path, value in _entries(data)
+                 if (error := _entry_error(path, value))), default=None)
+    if wrong:
+        raise ValueError(f"invalid scenario: {wrong[1]}")
     try:
         obstacles = [Obstacle(_rect_from_dict(o), o.get("velocity", (0.0, 0.0)),
                               o.get("yaw_rate", 0.0)) for o in data.get("obstacles", [])]

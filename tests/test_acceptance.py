@@ -47,11 +47,11 @@ def test_criterion_1_jacobians(geom):
     exact_worst = 0.0
     for _ in range(1000):
         s, u = random_operating_point(rng)
-        lin = linearize(s, u, geom, 0.1)
+        a_mat, b_mat, d_vec = linearize(s, u, geom, 0.1)
         a_fd, b_fd = finite_difference_jacobians(s, u, geom, 0.1)
-        worst = max(worst, float(np.max(np.abs(a_fd - lin.a_mat))),
-                    float(np.max(np.abs(b_fd - lin.b_mat))))
-        pred = lin.a_mat @ s.as_array() + lin.b_mat @ u.as_array() + lin.d_vec
+        worst = max(worst, float(np.max(np.abs(a_fd - a_mat))),
+                    float(np.max(np.abs(b_fd - b_mat))))
+        pred = a_mat @ s.as_array() + b_mat @ u.as_array() + d_vec
         exact_worst = max(exact_worst, float(np.max(np.abs(
             pred - euler_step(s, u, geom, 0.1).as_array()))))
     elapsed = time.perf_counter() - start

@@ -96,12 +96,21 @@ class TestRun:
 
     def test_plots_flag_writes_series_and_svg(self, scenario_file, tmp_path):
         out = tmp_path / "out"
-        main(["run", str(scenario_file), "--out", str(out), "--plots"])
+        obstacles = [obstacle_entry(), obstacle_entry(center=[14.0, -1.0], velocity=[0.0, 0.0])]
+        path = edited_file(scenario_file, tmp_path, obstacles=obstacles)
+        assert main(["run", str(path), "--out", str(out), "--plots"]) == EXIT_OK
         for suffix in ("trajectory.csv", "heading.csv", "wheel_speeds.csv",
                        "inputs.csv", "slip.csv", "trajectory.svg"):
             assert (out / f"clitest.{suffix}").exists()
         svg = (out / "clitest.trajectory.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        # each wall and each obstacle a closed polygon of its four corners
+        for color, count in (("gray", 2), ("green", len(obstacles))):
+            drawn = [line for line in svg.splitlines() if f'stroke="{color}"' in line]
+            assert len(drawn) == count
+            for line in drawn:
+                points = line.split('points="')[1].split('"')[0].split()
+                assert len(points) == 5 and points[0] == points[-1]
 
     def test_series_match_log_columns(self, scenario_file, tmp_path):
         # each series file is the log's columns of its header, byte for byte
@@ -158,13 +167,13 @@ class TestCompare:
         assert all(value != "nan" for value in summary.values())
 
 
-def number_slots(tree, where=""):
-    """(parent, key, dotted path) of every float of a file form."""
+def number_slots(tree, where="", kind=float):
+    """(parent, key, dotted path) of every number of the kind in a file form."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree)
     for key, value in items:
         if isinstance(value, (dict, list)):
-            yield from number_slots(value, f"{where}{key}.")
-        elif isinstance(value, float):
+            yield from number_slots(value, f"{where}{key}.", kind)
+        elif isinstance(value, kind):
             yield tree, key, f"{where}{key}"
 
 
@@ -226,6 +235,9 @@ class TestValidate:
             assert main(args) == EXIT_CONFIG
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error:"), err
+            # an integer too large for a float (every integer here) is named by its entry
+            for _, _, where in number_slots(changes, kind=int):
+                assert f"entry {where!r}: number too large for a float" in err[0], err
 
     def test_overflowing_segment_prints_no_warning(self, scenario_file, tmp_path):
         # outside pytest's warning filter too: the one line, and no numpy warning
@@ -322,10 +334,14 @@ class TestValidate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("kind", ["not_yaml", "directory", "under_a_file", "name_too_long"])
+    @pytest.mark.parametrize("kind", ["not_yaml", "directory", "under_a_file", "name_too_long",
+                                      "a_list", "a_scalar", "empty"])
     def test_unreadable_file(self, tmp_path, capsys, command, kind):
+        # a file that cannot be read, is not YAML or holds no mapping
         bad = tmp_path / "bad.yaml"
-        if kind == "directory":
+        if kind in ("a_list", "a_scalar", "empty"):
+            bad.write_text({"a_list": "- 1\n- 2\n", "a_scalar": "3.5\n", "empty": ""}[kind])
+        elif kind == "directory":
             bad.mkdir()
         elif kind == "under_a_file":  # a path through a regular file
             bad.write_text("")
@@ -339,6 +355,8 @@ class TestValidate:
         assert main(args) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(bad) in err
+        # one line, except the YAML parser's message, which adds its place on more lines
+        assert kind == "not_yaml" or err.count("\n") == 1, err
 
 
 class TestExitCodes:
@@ -405,6 +423,21 @@ class TestExitCodes:
         assert main(["validate", str(path)]) == EXIT_OK
         assert main([command, str(path), "--out", str(tmp_path)]) == EXIT_NUMERICAL
         assert "numerical_failure" in next(tmp_path.glob("*.summary")).read_text()
+
+    @pytest.mark.parametrize("x", [1.0e+308, 1.0e+200, 1.0e+160])
+    def test_far_start_exits_numerical_without_warning(self, tmp_path, x):
+        # a valid start so far from the path that its first tick overflows
+        # in numpy, run outside pytest's warning filter: the run ends
+        # numerical_failure before logging a tick, and prints nothing
+        path = packaged_scenario_path("straight_corridor")
+        start = yaml.safe_load(path.read_text())["initial_state"]
+        path = edited_file(path, tmp_path, initial_state=dict(start, x=x))
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-m", "apfmpc.cli", "run", str(path),
+                               "--out", str(out)], capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (done.returncode, done.stderr) == (EXIT_NUMERICAL, "")
+        assert (out / "straight_corridor.summary").read_text() == "outcome: numerical_failure\n"
 
     @pytest.mark.parametrize("keep_obstacles,solve", [(False, 3), (True, 3), (True, 1)],
                              ids=["no_obstacles", "obstacles", "obstacles_first_solve"])

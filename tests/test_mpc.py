@@ -10,7 +10,7 @@ from apfmpc.kinematics import (ControlInput, RobotState, augment, euler_step, li
                                predict_robot, rollout)
 from apfmpc.mpc import (ACTIVATION_RADIUS, BOUNDARY_APF, DU_MAX, OBSTACLE_APF, SLACK_PENALTY,
                         SLACK_WEIGHT, SLIP_BAND, SPEED_BOUNDS, VARIANTS, MpcConfig,
-                        MpcController, ReferenceHorizon, _elastic, _shift,
+                        MpcController, ReferenceHorizon, _elastic,
                         build_reference, path_table, project_onto_path, slip_terms)
 from apfmpc.potential_field import quadratic_approx
 from apfmpc.prediction import Obstacle, predict_obstacle
@@ -100,20 +100,20 @@ def loop_condensation(state, prev_input, geom, cfg):
     """Reference oracle: condensed (su, base) with every block of su
     computed where it lands."""
     ns, nu = 5, 4
-    aug = augment(linearize(state, prev_input, geom, cfg.dt))
+    a_bar, b_bar, d_bar = augment(*linearize(state, prev_input, geom, cfg.dt))
     x0 = np.concatenate([state.as_array(), prev_input.as_array()])
     powers = [np.eye(ns + nu)]
     for _ in range(cfg.n_pred):
-        powers.append(aug.a_bar @ powers[-1])
+        powers.append(a_bar @ powers[-1])
     su = np.zeros((cfg.n_pred * ns, cfg.n_ctrl * nu))
     base = np.zeros(cfg.n_pred * ns)
     dsum = np.zeros(ns + nu)
     for i in range(cfg.n_pred):
-        dsum = aug.a_bar @ dsum + aug.d_bar
+        dsum = a_bar @ dsum + d_bar
         base[i * ns:(i + 1) * ns] = (powers[i + 1] @ x0 + dsum)[:ns]
         for j in range(min(i + 1, cfg.n_ctrl)):
             su[i * ns:(i + 1) * ns, j * nu:(j + 1) * nu] = \
-                powers[i - j][:ns] @ aug.b_bar
+                powers[i - j][:ns] @ b_bar
     return su, base
 
 
@@ -745,12 +745,11 @@ class TestAssemble:
         z = rng.uniform(-0.1, 0.1, size=cfg.n_ctrl * 4)
         eta = (asm.su @ z + asm.base).reshape(cfg.n_pred, 5)
 
-        lin = linearize(s, u0, geom, cfg.dt)
-        aug = augment(lin)
+        a_bar, b_bar, d_bar = augment(*linearize(s, u0, geom, cfg.dt))
         x = np.concatenate([s.as_array(), u0.as_array()])
         for i in range(cfg.n_pred):
             du = z[i * 4:(i + 1) * 4] if i < cfg.n_ctrl else np.zeros(4)
-            x = aug.a_bar @ x + aug.b_bar @ du + aug.d_bar
+            x = a_bar @ x + b_bar @ du + d_bar
             assert np.max(np.abs(eta[i] - x[:5])) < 1e-8
 
     def test_assemble_anchors_at_its_prev_input(self, cfg, geom):
@@ -1311,7 +1310,7 @@ def scripted(c, **fields):
 
 
 class TestCarry:
-    """What a tick hands the next: one record, replaced once per tick by `_shift`."""
+    """What a tick hands the next: one record, which `step` builds once per tick."""
 
     @pytest.mark.parametrize("status, residual, held", [
         ("optimal", 0.0, False), ("infeasible", 0.0, True), ("max_iterations", 1.0, True)])
@@ -1319,19 +1318,18 @@ class TestCarry:
         s = RobotState(0, 0.3, 0.05, 0.8, 0.8)
         c = controller(cfg, geom)
         z = np.linspace(-0.05, 0.05, cfg.n_ctrl * 4)
-        scripted(c, z=z, status=status, primal_residual=residual)
+        active = np.ones(len(c._a_rows))
+        scripted(c, z=z, status=status, primal_residual=residual, active=active)
         solution = c.step(s, build_reference(STRAIGHT, s, REF_SPEED, cfg), [])
         assert solution.solver_status == status
         # every answer but an optimal one holds the input, whatever its
         # residual; an optimal one's first increment moves it
         assert solution.applied_input == ControlInput(*(np.zeros(4) if held else z[:4]))
-        active = np.ones(len(c._a_rows))
-        carry = _shift(solution, active)
-        assert carry.input is solution.applied_input
-        assert carry.active is (active if status == "optimal" else None)
-        # step hands on that record, with its QP's own active set
+        # step hands on the applied input and, only from a solved QP, its
+        # active set and the plan
         assert c._carry.input is solution.applied_input
-        assert (c._carry.active is None) == (status != "optimal")
+        assert c._carry.active is (active if status == "optimal" else None)
+        assert c._carry.plan is (solution.predicted_outputs if status == "optimal" else None)
 
     def test_field_anchors_on_the_shifted_plan(self, cfg, geom, monkeypatch):
         # after a tick solved without relaxing the slip band, the field's

@@ -148,6 +148,11 @@ class TestObstacles:
         headings = [heading for _, _, heading in track]
         assert headings[0] > 3.0 and headings[1] < -3.0
 
+    @pytest.mark.parametrize("n_steps", [0, -1])
+    def test_rejects_bad_steps(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            predict_obstacle(square_obstacle(0, 0, vel=(1.0, 0.0)), n_steps, DT)
+
     def test_boundary_must_be_static(self):
         rect = OrientedRectangle(Pose2D(0, 0, 0), 1, 1)
         with pytest.raises(ValueError):

@@ -108,6 +108,14 @@ class TestTrivialCases:
         assert sol.status == "optimal"
         assert np.max(np.abs(sol.z - [1.0, 2.0])) < 1e-8
 
+    def test_no_rows(self):
+        # A of shape (0, n): the unconstrained minimizer, with no row to hold
+        prob = QpProblem(np.diag([2.0, 4.0]), np.array([-2.0, -8.0]), np.zeros((0, 2)),
+                         np.zeros(0), np.zeros(0))
+        sol = QpSolver().solve(prob)
+        assert sol.status == "optimal" and sol.active.shape == (0,)
+        assert np.max(np.abs(sol.z - [1.0, 2.0])) < 1e-8
+
     def test_active_box_bound(self):
         prob = box_problem(np.eye(2), [-10.0, 0.0], [-1, -1], [1, 1])
         sol = QpSolver().solve(prob)
@@ -721,8 +729,9 @@ def test_certified_matches_parent_form(geom):
     ((2, 2), (2,), (3, 1), (3,), (3,)),     # A not m x n
     ((2, 2), (2,), (6,), (6,), (6,)),
     ((2, 2), (2,), (3, 2), (3, 1), (3, 1)),
+    ((2, 2), (2,), (0,), (0,), (0,)),       # no rows, but A not 0 x n
 ], ids=["lower_1", "upper_1", "h_2x3", "h_vector", "f_column", "a_3x1", "a_vector",
-        "bounds_column"])
+        "bounds_column", "a_empty_vector"])
 def test_problem_rejects_mismatched_shapes(shapes):
     h, f, a, lower, upper = shapes
     with pytest.raises(ValueError):
