@@ -42,11 +42,14 @@ constant term, and its rows are normalized where they are made (see
 the three costs priced at the applied solution, tracking + input-increment
 effort + field. Only a certified (optimal) answer moves the inputs; on a
 held tick the solution is z = 0. A QP proved infeasible is solved once more
-with its slip band relaxed by an exact-penalty slack (`_elastic`); a variant
-without slip rows reports infeasible at once. A tick's iteration count sums
-both solves. A non-finite state, QP cost or solution before it reaches the
-inputs raises FloatingPointError; the inputs are clipped to their bounds as
-floats.
+with its slip band relaxed by an exact-penalty slack (`_elastic`); the
+"no_customization" variant, which has no slip rows, reports infeasible at
+once. `__init__` states the variant once, as the `_frozen` flag and the
+size of the `_slip_rows` block, which `assemble` and `step` read; the
+assembled tick holds the QP, its prediction matrices and the field sums. A
+tick's iteration count sums both solves. A non-finite state, QP cost or
+solution before it reaches the inputs raises FloatingPointError; the
+inputs are clipped to their bounds as floats.
 
 What one tick hands the next is one `_Carry` record: the applied input,
 and, if the QP was solved (optimal), its active set, which the solver
@@ -300,7 +303,6 @@ class _Assembled:
     su: np.ndarray        # (n_pred*5) x (n_ctrl*4)
     base: np.ndarray      # predicted outputs at z = 0
     apf: QuadraticApproximation | None  # per-step sums; None without footprints
-    slip: slice | None    # the slip rows of A; None for a variant without them
 
 
 def _elastic(qp: QpProblem, slip: slice) -> QpProblem:
@@ -326,7 +328,7 @@ class MpcController:
     def __init__(self, cfg: MpcConfig, geom: RobotGeometry, variant: str = "full"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown controller variant: {variant!r}")
-        self.cfg, self.geom, self.variant = cfg, geom, variant
+        self.cfg, self.geom = cfg, geom
         self.solver = QpSolver()
         # what "no_customization" drops: the slip rows, and the predicted
         # anchors, which it freezes at the current pose
@@ -438,8 +440,8 @@ class MpcController:
         a_mat, bounds = self._a_rows.copy(), self._bounds.copy()
         lo, hi = bounds[0], bounds[1]  # views: indexing, not the slower unpacking
         np.subtract(self._u_bounds, u0.take(self._input_tile), out=bounds[:, self._input_rows])
-        slip = self._slip_rows if self._slip_rows.start < self._slip_rows.stop else None
-        if slip is not None:  # the block is empty without the customization
+        if not self._frozen:  # frozen, the slip block is empty
+            slip = self._slip_rows
             e_row, g = slip_terms(state, prev_input, cfg)
             scale = 1.0 / max(1e-10, *map(abs, e_row))
             np.multiply(self._cumulative[:, :, None], np.multiply(scale, e_row),
@@ -449,7 +451,7 @@ class MpcController:
         np.subtract(self._eta_bounds, base[self._eta_rows], out=eta)
         eta *= self._eta_scale
 
-        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf, slip)
+        return _Assembled(QpProblem(h_mat, f_vec, a_mat, lo, hi), su, base, apf)
 
     # -- per-tick solve ------------------------------------------------------
 
@@ -464,9 +466,9 @@ class MpcController:
         # length is the other QP's
         sol = self.solver.solve(asm.qp, carry.active)
         iterations, relaxed = sol.iterations, 0
-        if sol.status == INFEASIBLE and asm.slip is not None:
+        if sol.status == INFEASIBLE and not self._frozen:
             # proved infeasible: once more with the slip band's slack
-            sol = self.solver.solve(_elastic(asm.qp, asm.slip), carry.active)
+            sol = self.solver.solve(_elastic(asm.qp, self._slip_rows), carry.active)
             iterations, relaxed = iterations + sol.iterations, 1
 
         # only a certified answer moves the inputs: an infeasible QP, or a

@@ -1,5 +1,7 @@
 import math
+import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,28 @@ def axis_overlaps(a, b):
             out.append((_project_extent(pa, ux, uy)[1] - _project_extent(pb, ux, uy)[0],
                         ux, uy))
     return out
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def copy_tree(tmp_path, file=None, old=None, new=None):
+    """A copy of this checkout's `src` and `perfbench` at tmp_path/tree, the
+    root of a source tree for the tools. With a `file` under the tree,
+    `old`, which must occur in that file, is replaced there by `new`."""
+    tree = tmp_path / "tree"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    if file is not None:
+        text = (tree / file).read_text()
+        assert old in text
+        (tree / file).write_text(text.replace(old, new))
+    return tree
+
+
+# a tree whose `apfmpc.mpc` raises on import, as copy_tree's edit
+FAILS_ON_IMPORT = ("src/apfmpc/mpc.py", "\nimport math\n",
+                   "\nraise RuntimeError('this tree fails on import')\n")
 
 
 def cold(u0):

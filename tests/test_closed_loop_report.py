@@ -1,16 +1,19 @@
 """tools/closed_loop_report.py on one packaged run, each tree in its own
 interpreter."""
 
-import shutil
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import pytest
+
+from conftest import FAILS_ON_IMPORT, ROOT, copy_tree
+
 sys.path.insert(0, str(ROOT / "tools"))
 
-from closed_loop_report import report_rows, results, start, status_ticks  # noqa: E402
+import closed_loop_report  # noqa: E402
+from closed_loop_report import main, report_rows, results, start, status_ticks  # noqa: E402
 
 RUN = "straight_corridor.full"
+MPC = "src/apfmpc/mpc.py"
 
 
 def report(tmp_path, old_root, new_root):
@@ -33,22 +36,9 @@ def test_same_tree_twice_is_an_empty_diff(tmp_path):
     assert rows[3] == "1 of 1 logs byte-identical"
 
 
-def edited_tree(tmp_path, old, new):
-    """A copy of this tree's src and perfbench with `old` in mpc.py replaced by `new`."""
-    tree = tmp_path / "tree"
-    for part in ("src", "perfbench"):
-        shutil.copytree(ROOT / part, tree / part,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    mpc = tree / "src" / "apfmpc" / "mpc.py"
-    text = mpc.read_text()
-    assert old in text
-    mpc.write_text(text.replace(old, new))
-    return tree
-
-
 def test_one_scaled_constant_diverges_at_tick_0(tmp_path):
     weights = "r_weights = (300.0, 300.0, 400.0, 400.0)"
-    tree = edited_tree(tmp_path, weights, weights.replace("300.0", "330.0", 1))
+    tree = copy_tree(tmp_path, MPC, weights, weights.replace("300.0", "330.0", 1))
     rows = report(tmp_path, ROOT, tree)
     cells = [c.strip() for c in rows[2].strip("|").split("|")]
     assert cells[4].startswith("0, ")
@@ -60,11 +50,30 @@ def test_one_scaled_constant_diverges_at_tick_0(tmp_path):
 def test_iteration_counts_alone_read_no_divergence_outside_them(tmp_path):
     # one more iteration counted on every tick: only that column moves
     count = "iterations, relaxed = sol.iterations, 0"
-    tree = edited_tree(tmp_path, count, count.replace("sol.iterations,", "sol.iterations + 1,"))
+    tree = copy_tree(tmp_path, MPC, count, count.replace("sol.iterations,", "sol.iterations + 1,"))
     rows = report(tmp_path, ROOT, tree)
     cells = [c.strip() for c in rows[2].strip("|").split("|")]
     assert cells[4:7] == ["0, solver_iterations", "-", "0"]
     assert rows[3] == "0 of 1 logs byte-identical"
+
+
+@pytest.mark.parametrize("with_root", [False, True], ids=["alone", "before_a_sound_tree"])
+def test_a_tree_that_fails_on_import_ends_the_report(tmp_path, capsys, monkeypatch, with_root):
+    # the worker dies before its first run: no digest is printed, the
+    # report exits with the worker's exit code, and no other worker is
+    # left running
+    started = []
+
+    def kept_start(*args):
+        started.append(start(*args))
+        return started[-1]
+
+    monkeypatch.setattr(closed_loop_report, "start", kept_start)
+    argv = [str(copy_tree(tmp_path, *FAILS_ON_IMPORT))] + [str(ROOT)] * with_root
+    with pytest.raises(SystemExit, match="^report runs failed with exit code 1$"):
+        main(argv)
+    assert capsys.readouterr().out == ""
+    assert len(started) == len(argv) and all(p.poll() is not None for p in started)
 
 
 def test_status_ticks_count_each_side():

@@ -2,14 +2,15 @@
 itself, and against copies whose kernels differ."""
 
 import re
-import shutil
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import FAILS_ON_IMPORT, ROOT, copy_tree
+
 sys.path.insert(0, str(ROOT / "tools"))
 
 from kernel_ab import main  # noqa: E402
+
+GEOMETRY = "src/apfmpc/geometry.py"
 
 
 def figures(text):
@@ -28,32 +29,27 @@ def test_same_tree_twice_differs_nowhere(capsys):
     assert ratio > 0.0
 
 
-def copy_tree(tmp_path):
-    tree = tmp_path / "tree"
-    for part in ("src", "perfbench"):
-        shutil.copytree(ROOT / part, tree / part,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-    return tree, tree / "src" / "apfmpc" / "geometry.py"
-
-
 def test_a_cut_row_with_a_gap_is_caught(tmp_path, capsys):
     # the field reads no gap beyond its radius, so the closed loop is the
     # same, but the kernel's rows are not
-    tree, geometry = copy_tree(tmp_path)
-    text = geometry.read_text()
     beyond = "_BEYOND = ClosestPair(inf, 0.0, 0.0)"
-    assert beyond in text
-    geometry.write_text(text.replace(beyond, "_BEYOND = ClosestPair(inf, 1.0, 0.0)"))
+    tree = copy_tree(tmp_path, GEOMETRY, beyond, beyond.replace("0.0,", "1.0,", 1))
     assert main([str(ROOT), str(tree), "--rounds", "2"]) == 1
     _, (_, cut_change), differing, _ = figures(capsys.readouterr().out)
     assert differing == cut_change > 0
 
 
 def test_trees_whose_loops_differ_are_not_compared(tmp_path, capsys):
-    tree, geometry = copy_tree(tmp_path)
-    text = geometry.read_text()
     frame = "    xb, yb, cb, sb, hlb, hwb = b.frame\n"
-    assert frame in text
-    geometry.write_text(text.replace(frame, frame + "    hlb *= 1.0 + 2.0 ** -30\n"))
+    tree = copy_tree(tmp_path, GEOMETRY, frame, frame + "    hlb *= 1.0 + 2.0 ** -30\n")
     assert main([str(ROOT), str(tree), "--rounds", "2"]) == 2
     assert "different rectangles" in capsys.readouterr().err
+
+
+def test_a_tree_that_fails_to_record_is_named(tmp_path, capsys):
+    # one line from this process; the worker's traceback is its own stderr's
+    tree = copy_tree(tmp_path, *FAILS_ON_IMPORT)
+    assert main([str(ROOT), str(tree), "--rounds", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"recording the queries of {tree} failed with exit code 1\n"
+    assert captured.out == ""

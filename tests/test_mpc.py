@@ -145,7 +145,7 @@ def loop_apf(controller, state, obstacles, su, base):
     term at a time."""
     cfg, geom = controller.cfg, controller.geom
     ns, nz = 5, cfg.n_ctrl * 4
-    if controller.variant == "no_customization":
+    if controller._frozen:
         robot_rows = [(state.x, state.y, state.heading)] * cfg.n_pred
         obs_tracks = [[obs.footprint.center] * cfg.n_pred for obs in obstacles]
     else:
@@ -181,7 +181,7 @@ def add_at_apf(controller, state, obstacles):
     time, each footprint's active steps expanded in one call and added into
     the steps with np.add.at."""
     cfg, geom, n_p = controller.cfg, controller.geom, controller.cfg.n_pred
-    frozen = controller.variant == "no_customization"
+    frozen = controller._frozen
     rows = (np.array([(state.x, state.y, state.heading)] * n_p) if frozen else
             predict_robot(state, controller._carry.input, geom, n_p, cfg.dt))
     anchor = rows[:, :2]
@@ -1086,12 +1086,13 @@ class TestStep:
         assert MpcController(MpcConfig(), geom)._a_rows is first._a_rows
 
 
-def doubled_band(asm, state, u0, cfg):
+def doubled_band(asm, rows, state, u0, cfg):
     """The slip-band loop that the relaxed solve replaced, kept as the
-    oracle of its bound: the band doubled up to 4 times, each QP solved
-    from the empty set, until one certifies. Returns that band, or None."""
+    oracle of its bound: the band doubled up to 4 times on the slip `rows`,
+    each QP solved from the empty set, until one certifies. Returns that
+    band, or None."""
     e_row, g = slip_terms(state, u0, cfg)
-    scale, rows, band = 1.0 / np.max(np.abs(e_row)), asm.slip, SLIP_BAND
+    scale, band = 1.0 / np.max(np.abs(e_row)), SLIP_BAND
     for _ in range(5):
         lower, upper = asm.qp.lower.copy(), asm.qp.upper.copy()
         lower[rows], upper[rows] = scale * (-band - g), scale * (band - g)
@@ -1112,9 +1113,9 @@ class TestFallbacks:
         c = controller(cfg, geom)
         asm = c.assemble(start, c._carry, build_reference(STRAIGHT, start, REF_SPEED, cfg), [])
         hard = QpSolver().solve(asm.qp)
-        relaxed = QpSolver().solve(_elastic(asm.qp, asm.slip))
+        relaxed = QpSolver().solve(_elastic(asm.qp, c._slip_rows))
         assert hard.status == relaxed.status == "optimal"
-        assert hard.active[asm.slip].any() == (start.v_front != start.v_rear)
+        assert hard.active[c._slip_rows].any() == (start.v_front != start.v_rear)
         tol = QpSolver.tolerance
         assert relaxed.active[-1] == -1 and abs(relaxed.z[-1]) <= tol
         assert np.max(np.abs(relaxed.z[:-1] - hard.z)) <= tol
@@ -1127,7 +1128,8 @@ class TestFallbacks:
         ref = build_reference(STRAIGHT, s, REF_SPEED, cfg)
         sol = controller(cfg, geom).step(s, ref, [])
         assert (sol.solver_status, sol.fallback_doublings) == ("optimal", 1)
-        band = doubled_band(controller(cfg, geom).assemble(s, cold(u0), ref, []), s, u0, cfg)
+        c = controller(cfg, geom)
+        band = doubled_band(c.assemble(s, cold(u0), ref, []), c._slip_rows, s, u0, cfg)
         assert band is not None and band > SLIP_BAND
         e_row, g = slip_terms(s, u0, cfg)
         h = g + np.cumsum(sol.delta_sequence, axis=0) @ e_row
@@ -1395,7 +1397,7 @@ def parent_rows(c, asm, state, u0, band):
     rows = [np.kron(cumulative, np.eye(4))]
     lower = [-np.tile(cfg.u_max, n_c) - u_prev]
     upper = [np.tile(cfg.u_max, n_c) - u_prev]
-    if c.variant == "full":
+    if not c._frozen:
         e_row, g = slip_terms(state, u0, cfg)
         rows.append(np.kron(cumulative, [e_row]))
         lower.append(np.full(n_c, -band - g))

@@ -11,8 +11,10 @@ run whole, then a start that overlaps a wall under both variants, then two
 obstacles crossing the path close ahead of the robot under both variants:
 44 runs. The wall start is the one run whose field reads contact rows, and
 the crossings are the paper's close-range dynamic-obstacle case. Each tree
-runs in its own interpreter, with its own `src` and `perfbench` first on
-the path and one BLAS thread, so imports never mix.
+runs through `run_in_tree`, in its own interpreter, so imports never mix;
+`tools/kernel_ab.py` starts its trees the same way. A tree whose worker
+fails ends the report with the worker's exit code, and stops the other
+tree's worker.
 
 With one tree it prints one line per run: the SHA-256 of its CSV log
 (`SimulationLog.to_csv`), then the run's name. Two trees give the same logs
@@ -49,11 +51,25 @@ SEED = 1
 TOOLS = Path(__file__).resolve().parent
 
 
-def worker(root: str, workdir: str, labels: list[str]) -> None:
-    """Run the tree's report runs (only `labels`, if any are given), write
-    each CSV log to workdir/<label>.csv and print one JSON line per run."""
-    root_path = Path(root)
-    sys.path[:0] = [str(root_path / "src"), str(root_path / "perfbench")]
+def run_in_tree(root: Path, call: str, *args, **popen) -> subprocess.Popen:
+    """`call`, a 'module.function' under `tools/`, applied to `args` as
+    strings in a new interpreter: one BLAS thread, and the tree at root's
+    `src` and `perfbench` first on the path, so that no import mixes two
+    trees. `popen` goes to `subprocess.Popen`."""
+    root = Path(root).resolve()
+    module, function = call.split(".")
+    code = (f"import sys; sys.path[:0] = sys.argv[1:3]; "
+            f"from {module} import {function}; {function}(*sys.argv[3:])")
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, "-c", code, str(root / "src"),
+                             str(root / "perfbench"), *map(str, args)],
+                            cwd=TOOLS, env=env, **popen)
+
+
+def worker(workdir: str, *labels: str) -> None:
+    """Run the report runs (only `labels`, if any are given), write each
+    CSV log to workdir/<label>.csv and print one JSON line per run."""
     import numpy as np
     from apfmpc.geometry import OrientedRectangle, Pose2D
     from apfmpc.kinematics import RobotState
@@ -101,13 +117,8 @@ def worker(root: str, workdir: str, labels: list[str]) -> None:
 
 def start(root: Path, workdir: Path, labels=()) -> subprocess.Popen:
     """The report runs of the tree at root, in a new interpreter."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    code = ("import sys; from closed_loop_report import worker; "
-            "worker(sys.argv[1], sys.argv[2], sys.argv[3:])")
-    return subprocess.Popen([sys.executable, "-c", code, str(Path(root).resolve()),
-                             str(workdir), *labels],
-                            cwd=TOOLS, env=env, stdout=subprocess.PIPE, text=True)
+    return run_in_tree(root, "closed_loop_report.worker", workdir, *labels,
+                       stdout=subprocess.PIPE, text=True)
 
 
 def results(proc: subprocess.Popen, workdir: Path):
@@ -181,11 +192,16 @@ def main(argv: list[str]) -> int:
         for d in dirs:
             d.mkdir()
         procs = [start(Path(root), d) for root, d in zip(argv, dirs)]
-        if len(argv) == 1:
-            for record in results(procs[0], dirs[0]):
-                print(record["digest"], record["label"], flush=True)
-            return 0
-        old_runs, new_runs = (list(results(p, d)) for p, d in zip(procs, dirs))
+        try:
+            if len(argv) == 1:
+                for record in results(procs[0], dirs[0]):
+                    print(record["digest"], record["label"], flush=True)
+                return 0
+            old_runs, new_runs = (list(results(p, d)) for p, d in zip(procs, dirs))
+        finally:  # one tree's failure ends the report: the other stops before its workdir goes
+            for proc in procs:
+                with proc:
+                    proc.kill()
     print("\n".join(report_rows(old_runs, new_runs)))
     return 0
 

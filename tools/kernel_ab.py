@@ -6,13 +6,13 @@ Usage, with each ROOT the root of a source checkout:
 
 CHANGE_ROOT defaults to the checkout this tool is in, the seed to 1 and the
 rounds to 30. Each tree first runs the timed episodes of the seed-N
-`corridor_apf` workload once, untimed, in its own interpreter with one BLAS
-thread, and records every closest-pair query the controller makes
-(`apfmpc.mpc.closest_pair`): both frames, the six numbers (x, y, cos h,
-sin h, half_length, half_width) the kernel reads of each argument's
-`.frame`, and the cutoff `within` the call passed (inf where it passed
-none). Both trees must record the same frames, or there is nothing to
-compare. A tree may pass rectangles or bare frames: the kernel reads the
+`corridor_apf` workload once, untimed, in its own interpreter, started by
+`closed_loop_report.run_in_tree`, and records every closest-pair query the
+controller makes (`apfmpc.mpc.closest_pair`): both frames, the six numbers
+(x, y, cos h, sin h, half_length, half_width) the kernel reads of each
+argument's `.frame`, and the cutoff `within` the call passed (inf where it
+passed none). Both trees must record the same frames, or there is nothing
+to compare. A tree may pass rectangles or bare frames: the kernel reads the
 frame either way.
 
 Then both trees' `geometry` modules are loaded into this process, each
@@ -25,8 +25,9 @@ cutoff. The timing calls each tree's kernel directly, with no tracing
 wrapper, over all recorded calls in one round; the trees alternate which
 goes first each round, and gc is off while a round runs. The tool prints
 each tree's median µs per call over the rounds, their ratio, and how many
-rows each tree cut. It exits 1 if a row differs, and 2 if the trees
-record different frames, that is different rectangles.
+rows each tree cut. It exits 1 if a row differs, 2 if the trees record
+different frames, that is different rectangles, and 3, with one line
+naming the tree, if a tree's recording fails.
 """
 
 from __future__ import annotations
@@ -34,11 +35,8 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
-import inspect
 import math
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 from collections import deque, namedtuple
@@ -47,8 +45,9 @@ from time import perf_counter
 
 import numpy as np
 
+from closed_loop_report import TOOLS, run_in_tree
+
 WORKLOAD = "corridor_apf"
-TOOLS = Path(__file__).resolve().parent
 
 
 # what the kernel reads of an argument, its six-number `.frame`; both
@@ -56,11 +55,9 @@ TOOLS = Path(__file__).resolve().parent
 FrameHolder = namedtuple("FrameHolder", "frame")
 
 
-def record(root: str, seed: int, out: str) -> None:
-    """Run the tree's timed episodes once and save one row per controller
-    query: A's and B's frames, then within."""
-    root_path = Path(root)
-    sys.path[:0] = [str(root_path / "src"), str(root_path / "perfbench")]
+def record(seed: str, out: str) -> None:
+    """Run the timed episodes once and save one row per controller query:
+    A's and B's frames, then within."""
     import apfmpc.mpc
     import apfmpc.simulator
     from workloads import WORKLOADS, timed_episodes
@@ -72,20 +69,9 @@ def record(root: str, seed: int, out: str) -> None:
         return kernel(a, b, *within)
 
     apfmpc.mpc.closest_pair = recorder
-    for episode in timed_episodes(WORKLOAD, WORKLOADS[WORKLOAD](seed)):
+    for episode in timed_episodes(WORKLOAD, WORKLOADS[WORKLOAD](int(seed))):
         apfmpc.simulator.run(episode.scenario)
     np.save(out, np.array(calls, dtype=float).reshape(-1, 13))
-
-
-def recorded_calls(root: Path, seed: int, out: Path) -> np.ndarray:
-    """The tree's recorded queries, from a new interpreter, through `out`."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    code = ("import sys; from kernel_ab import record; "
-            "record(sys.argv[1], int(sys.argv[2]), sys.argv[3])")
-    subprocess.run([sys.executable, "-c", code, str(root.resolve()), str(seed), str(out)],
-                   cwd=TOOLS, env=env, check=True)
-    return np.load(out)
 
 
 def load_geometry(root: Path, name: str):
@@ -97,15 +83,12 @@ def load_geometry(root: Path, name: str):
     return module
 
 
-def replay_args(geometry, calls: np.ndarray) -> tuple[list, ...]:
-    """The kernel's positional argument lists for the recorded calls, each
-    frame in a `FrameHolder`; no cutoff for a kernel that takes none."""
+def replay_args(calls: np.ndarray) -> tuple[list, ...]:
+    """The kernel's positional argument lists for the recorded calls: each
+    frame in a `FrameHolder`, then the cutoff."""
     def frames(cols):
         return [FrameHolder(tuple(frame)) for frame in cols.tolist()]
-    args = (frames(calls[:, 0:6]), frames(calls[:, 6:12]))
-    if "within" in inspect.signature(geometry.closest_pair).parameters:
-        args += (calls[:, 12].tolist(),)
-    return args
+    return frames(calls[:, 0:6]), frames(calls[:, 6:12]), calls[:, 12].tolist()
 
 
 def _bits(row) -> tuple[str, ...]:
@@ -147,9 +130,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=30)
     opts = parser.parse_args(argv)
     roots = (opts.parent_root, opts.change_root)
+    calls = []
     with tempfile.TemporaryDirectory() as tmp:
-        calls = [recorded_calls(root, opts.seed, Path(tmp) / f"{k}.npy")
-                 for k, root in enumerate(roots)]
+        for root, out in zip(roots, (Path(tmp) / "parent.npy", Path(tmp) / "change.npy")):
+            code = run_in_tree(root, "kernel_ab.record", opts.seed, out).wait()
+            if code:
+                print(f"recording the queries of {root} failed with exit code {code}",
+                      file=sys.stderr)
+                return 3
+            calls.append(np.load(out))
     if calls[0].shape != calls[1].shape or not np.array_equal(
             calls[0][:, :12].view(np.int64), calls[1][:, :12].view(np.int64)):
         print("the trees record different rectangles: their closed loops differ",
@@ -159,10 +148,9 @@ def main(argv: list[str]) -> int:
     modules = [load_geometry(root, f"kernel_ab_{side}")
                for root, side in zip(roots, ("parent", "change"))]
     kernels = [module.closest_pair for module in modules]
-    args = [replay_args(module, c) for module, c in zip(modules, calls)]
+    args = [replay_args(c) for c in calls]
     rows = [list(map(kernel, *a)) for kernel, a in zip(kernels, args)]
-    within = [c[:, 12].tolist() for c in calls]
-    differing, cut_parent, cut_change = compare_rows(rows[0], within[0], rows[1], within[1])
+    differing, cut_parent, cut_change = compare_rows(rows[0], args[0][2], rows[1], args[1][2])
 
     seconds = ([], [])
     gc.collect()
